@@ -19,6 +19,11 @@ compares canonical forms.  Because a congruence's content is its difference
 requires the middle terms to match structurally, and ``RESCALE`` requires
 the claimed difference to equal the prior one (allowing lhs/rhs re-splits).
 
+Each step is checked exactly once.  :class:`CertBuilder` checks a step as
+it is pushed and refuses one that does not verify, so a built certificate
+needs no second pass; :func:`verify_certificate` replays certificates that
+come from elsewhere, such as JSON loaded from disk.
+
 Certificates serialize to versioned JSON; unknown rules, dangling
 references, and malformed steps are hard errors rather than mere failures.
 """
@@ -82,7 +87,6 @@ class CongruenceContext:
 
     level: int
     axioms: Tuple[Congruence, ...]
-    weight_symbol: str = "k"  # derivations are uniform in the (even) weight
     D: int = DEFAULT_D
 
     def axiom(self, ax_id: str) -> Congruence:
@@ -98,9 +102,6 @@ class Certificate:
     level: int
     axioms: Tuple[Congruence, ...]
     steps: Tuple[Step, ...]
-
-    def context(self) -> CongruenceContext:
-        return CongruenceContext(self.level, self.axioms)
 
 
 @dataclass
@@ -223,7 +224,12 @@ def verify_certificate(cert: Certificate) -> Report:
 
 
 class CertBuilder:
-    """Incrementally builds a certificate, verifying each step as added."""
+    """Incrementally builds a certificate, verifying each step as added.
+
+    Every step is checked once, when it is pushed, and a step that does not
+    verify raises :class:`CertificateError`.  Ids are unique and references
+    only point back, so :meth:`build` returns the steps without a replay.
+    """
 
     def __init__(self, level: int, D: int = DEFAULT_D):
         self.level = level
@@ -327,15 +333,6 @@ class CertBuilder:
     # -- output ---------------------------------------------------------------------
 
     def build(self) -> Certificate:
-        cert = self.build_unchecked()
-        report = verify_certificate(cert)
-        if not report.ok:
-            raise CertificateError(
-                "certificate failed final check: "
-                + "; ".join(report.diagnostics()))
-        return cert
-
-    def build_unchecked(self) -> Certificate:
         return Certificate(VERSION, self.level,
                            tuple(self.axioms), tuple(self.steps))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import os
 import sys
 from fractions import Fraction
@@ -26,7 +27,8 @@ from .certificate import CertificateError, certificate_from_json, verify_certifi
 from .gamma0 import DecompositionError, decompose
 from .level13 import blowup_check, load_shipped_certificate
 from .numeric import (ConfigurationError, DensityError, EvalConfig, FormData,
-                      PrecisionError, density_search, run_formcheck)
+                      PrecisionError, density_search, formcheck_floor,
+                      run_formcheck)
 from .qseries import eta_product, format_coefficient_file, parse_coefficient_file
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -79,17 +81,21 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
         if given is not None and given != header_value:
             return _usage(f"--{flag}={given} contradicts the file header "
                           f"({flag}={header_value})")
-    prec = args.prec
+    prec, prec_source = args.prec, "--prec"
     env = os.environ.get("HECKE_PREC")
     if env is not None:
         try:
-            prec = int(env)
+            prec, prec_source = int(env), "HECKE_PREC"
         except ValueError:
             return _usage(f"HECKE_PREC must be an integer, got {env!r}")
+    if prec < 1:
+        return _usage(f"{prec_source} must be at least 1 bit, got {prec}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        return _usage(f"--tol must be a positive finite number, got {args.tol}")
     try:
         form = FormData(parsed.series, parsed.weight, parsed.level, parsed.sign)
-        floor = Fraction(3, 20) if form.level == 1 else Fraction(1, 52)
-        cfg = EvalConfig(precision=prec, points=None, y_min=floor)
+        cfg = EvalConfig(precision=prec, points=None,
+                         y_min=formcheck_floor(form.level))
         report = run_formcheck(form, cfg,
                                residual_tol=Fraction(args.tol).limit_denominator(
                                    10 ** 30))
@@ -102,12 +108,17 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     try:
         rows = ast.literal_eval(args.matrix)
-        entries = [int(x) for row in rows for x in row]
-        if len(entries) != 4:
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise ValueError("expected a 2x2 matrix")
+        m = [list(row) for row in rows]
+        for i, row in enumerate(m, 1):
+            for j, x in enumerate(row, 1):
+                # bool is an int subclass; floats must not be truncated
+                if type(x) is not int:
+                    raise ValueError(f"entry ({i},{j}) is {x!r}, "
+                                     f"not an integer")
     except (ValueError, TypeError, SyntaxError) as exc:
         return _usage(f"bad matrix {args.matrix!r}: {exc}")
-    m = [entries[:2], entries[2:]]
     try:
         word = decompose(m)
     except ValueError:

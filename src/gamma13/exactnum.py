@@ -39,6 +39,22 @@ class ExponentOverflowError(OverflowError):
     """Raised when a symbolic exponent exceeds ``EXPONENT_LIMIT``."""
 
 
+def binary_power(base, n: int, one=None):
+    """base ** n for n >= 0 by square-and-multiply; ``one`` when n == 0.
+
+    The product starts from ``base`` itself, so no multiplication by the
+    identity is made.  Callers apply their own rule to negative n.
+    """
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None."""
     if x < 0:
@@ -151,15 +167,7 @@ class QuadElem:
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
             return self.inv() ** (-n)
-        result = QuadElem.of(1, self.D)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, QuadElem.of(1, self.D))
 
     def conj(self) -> "QuadElem":
         """Galois conjugate a - b*sqrt(D)."""
@@ -354,15 +362,7 @@ class ScalarPoly:
     def __pow__(self, n: int) -> "ScalarPoly":
         if n < 0:
             raise ValueError("negative powers of symbolic scalars")
-        result = ScalarPoly.const(1, self.D)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, ScalarPoly.const(1, self.D))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -567,15 +567,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.D)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, Poly.one(self.D))
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -687,12 +679,6 @@ class RatFunc:
             return 0
         return max(self.den.valuation_at_zero() - self.num.valuation_at_zero(), 0)
 
-    def order_at_zero(self) -> int:
-        """Valuation at z = 0: negative for a pole, positive for a zero."""
-        if self.is_zero:
-            raise ValueError("zero function has no order")
-        return self.num.valuation_at_zero() - self.den.valuation_at_zero()
-
     def leading_coeff_at_zero(self) -> QuadElem:
         """Coefficient of the lowest-order term of the expansion at z = 0."""
         if self.is_zero:
@@ -765,15 +751,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inv() ** (-n)
-        result = RatFunc.const(1, self.D)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, RatFunc.const(1, self.D))
 
     def eval_at(self, x: Scalar) -> QuadElem:
         x = QuadElem.of(x, self.D)

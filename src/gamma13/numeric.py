@@ -195,6 +195,11 @@ def _matrix_of(matrix) -> Mat2:
     return Mat2.of(matrix)
 
 
+def _stroke_factor(det: QuadElem, denom: mpc, k: int) -> mpc:
+    """The weight-k automorphy factor det^{k/2} (cz+d)^{-k}."""
+    return _to_mpf(det) ** (k // 2) * denom ** -k
+
+
 def stroke_value(form: FormData, matrix, z,
                  cfg: Optional[EvalConfig] = None) -> mpc:
     """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz), evaluated
@@ -210,7 +215,7 @@ def stroke_value(form: FormData, matrix, z,
         av, bv, cv, dv = (_to_mpf(e) for e in (a, b, c, d))
         denom = cv * w + dv
         image = (av * w + bv) / denom
-        factor = _to_mpf(det) ** (form.weight // 2) * denom ** -form.weight
+        factor = _stroke_factor(det, denom, form.weight)
         return factor * eval_form(form, image, cfg).value
 
 
@@ -220,20 +225,6 @@ def stroke_value(form: FormData, matrix, z,
 def _hecke_scalar(form: FormData, p: int) -> Fraction:
     return Fraction(p) ** (1 - form.weight // 2) * Fraction(
         form.series.coefficient(p))
-
-
-def _poly_value(poly, form: FormData) -> QuadElem:
-    total = QuadElem.of(0)
-    for (e2, e3, ee), coeff in poly.terms():
-        scale = Fraction(1)
-        if e2:
-            scale *= _hecke_scalar(form, 2) ** e2
-        if e3:
-            scale *= _hecke_scalar(form, 3) ** e3
-        if ee % 2:
-            scale *= form.sign
-        total = total + coeff * scale
-    return total
 
 
 def _exact_image(mat: ProjMat, x, y):
@@ -257,46 +248,51 @@ def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
     return items
 
 
-def _audit_points(items, points, y_min: Fraction, label: str) -> None:
+def _residual(form: FormData, congruence: Congruence,
+              points, cfg: EvalConfig, cache: Dict) -> mpf:
+    """Max over the points of |f|lhs - f|rhs|.  Every point and each of its
+    images is audited against y_min before anything is evaluated; the
+    exact images found there are the ones evaluated."""
+    items = _signed_terms(congruence)
+    label, y_min = congruence.id, cfg.y_min
+    images = []
     for x, y in points:
         if Fraction(y) < y_min:
             raise ConfigurationError(
                 f"{label}: sample point ({x}, {y}) is below y_min={y_min}")
+        row = []
         for _, mat, _ in items:
-            _, yi = _exact_image(mat, x, y)
+            xi, yi = _exact_image(mat, x, y)
             if _exact_im_sign(yi, y_min) < 0:
                 raise ConfigurationError(
                     f"{label}: image of ({x}, {y}) under {mat} has "
                     f"imaginary part below y_min={y_min}")
-
-
-def _residual(form: FormData, congruence: Congruence,
-              points, cfg: EvalConfig, cache: Dict) -> mpf:
-    items = _signed_terms(congruence)
-    _audit_points(items, points, cfg.y_min, congruence.id)
+            row.append((xi, yi))
+        images.append(row)
     k = form.weight
+    a2, a3 = _hecke_scalar(form, 2), _hecke_scalar(form, 3)
+    terms = []
+    for sign, mat, poly in items:
+        a, b, c, d = mat.entries
+        terms.append((sign, c, d, a * d - b * c,
+                      poly.instantiate(a2, a3, form.sign)))
     tol = _to_mpf(cfg.tolerance)
     worst = mpf(0)
-    for x, y in points:
+    for (x, y), row in zip(points, images):
         total = mpc(0)
-        for sign, mat, poly in items:
-            scalar = _poly_value(poly, form)
+        for (sign, c, d, det, scalar), key in zip(terms, row):
             if scalar.is_zero:
                 continue
-            xi, yi = _exact_image(mat, x, y)
-            key = (xi, yi)
             if key not in cache:
-                zre, zim = _to_mpf(xi), _to_mpf(yi)
+                zre, zim = map(_to_mpf, key)
                 tail = _tail_bound(k, form.series, zim)
                 if tail > tol:
                     raise PrecisionError(
                         f"{congruence.id}: tail bound {mp.nstr(tail, 5)} at "
                         f"image Im = {mp.nstr(zim, 8)} exceeds the tolerance")
                 cache[key] = _series_value(form.series, zre, zim)
-            a, b, c, d = mat.entries
-            det = a * d - b * c
             denom = mpc(_to_mpf(c * QuadElem.of(x) + d), _to_mpf(c * QuadElem.of(y)))
-            factor = _to_mpf(det) ** (k // 2) * denom ** -k
+            factor = _stroke_factor(det, denom, k)
             total += sign * _to_mpf(scalar) * factor * cache[key]
         worst = max(worst, abs(total))
     return worst
@@ -415,10 +411,10 @@ def density_search(X, tol, bound: int) -> DensityResult:
         raise ValueError("bound must be nonnegative")
     with mp.workprec(256):
         xv = _to_mpf(X) if isinstance(X, (Fraction, QuadElem)) else mpf(X)
-        if xv <= 0:
+        if not xv > 0:
             raise ValueError("the target must be positive")
         tolv = _to_mpf(Fraction(tol)) if isinstance(tol, Fraction) else mpf(tol)
-        if tolv <= 0:
+        if not tolv > 0:
             raise ValueError("the tolerance must be positive")
         y = _to_mpf(STRETCH_BASE)
         lam = mp.log(_to_mpf(H3_EIGENVALUE)) / mp.log(y)
@@ -553,6 +549,11 @@ def _battery(form: FormData) -> List[Congruence]:
     return congruences
 
 
+def formcheck_floor(level: int) -> Fraction:
+    """The lowest image height the battery evaluates at on a level."""
+    return Fraction(3, 20) if level == 1 else Fraction(1, 52)
+
+
 def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                   residual_tol: Fraction = Fraction(1, 10 ** 15),
                   ) -> FormcheckReport:
@@ -565,8 +566,7 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
             f"the battery needs an expansion with leading exponent 1, "
             f"got {form.series.offset}; fractional-offset forms are rejected")
     work = cfg or DEFAULT_CONFIG
-    floor = work.y_min if cfg is not None else (
-        Fraction(3, 20) if form.level == 1 else Fraction(1, 52))
+    floor = work.y_min if cfg is not None else formcheck_floor(form.level)
     fixed = work.points if cfg is not None else None
     rows: List[Tuple] = []
     ok = True

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple, Union
 
-from .exactnum import DEFAULT_D, QuadElem, Scalar
+from .exactnum import DEFAULT_D, QuadElem, Scalar, binary_power
 
 MatrixLike = Union["Mat2", "ProjMat", Sequence]
 
@@ -111,15 +111,7 @@ class Mat2:
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
             return self.inv() ** (-n)
-        result = Mat2.identity(self.D)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, Mat2.identity(self.D))
 
     # -- text -----------------------------------------------------------------
 

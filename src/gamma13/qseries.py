@@ -24,7 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
+
+from .exactnum import binary_power
 
 Exact = Union[int, Fraction]
 
@@ -66,9 +68,6 @@ class QSeries:
         if delta < 0 or delta.denominator != 1:
             return 0
         return self.coeffs[int(delta)]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -130,16 +129,7 @@ class QSeries:
     def __pow__(self, exponent: int) -> "QSeries":
         if not isinstance(exponent, int) or exponent < 1:
             raise ValueError("series exponent must be a positive integer")
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, exponent)
 
     def invert(self) -> "QSeries":
         """The multiplicative inverse of a series with invertible lead."""
@@ -155,17 +145,6 @@ class QSeries:
                     acc += a[j] * out[i - j]
             out.append(_exact(-lead * acc))
         return QSeries(-Fraction(self.offset), out)
-
-
-def series_ops(f: QSeries, g, op: str) -> QSeries:
-    """Dispatch add/mul/pow; pow takes a positive integer right operand."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "pow":
-        return f ** g
-    raise ValueError(f"unknown series op {op!r}")
 
 
 def _euler_function(multiplier: int, L: int) -> QSeries:

@@ -86,7 +86,7 @@ class TestVerification:
             id="bad-trans", rule="TRANS", args=("w1", "pinv"),
             result=Congruence("bad-trans",
                               b.resolved["w1"].lhs, b.resolved["pinv"].rhs)))
-        report = verify_certificate(b.build_unchecked())
+        report = verify_certificate(b.build())
         assert not report.ok
         assert any(v.id == "bad-trans" and not v.ok
                    for v in report.step_verdicts)
@@ -146,7 +146,7 @@ class TestVerification:
         fwd = Step("early", "SYM", ("late",),
                    Congruence("early", RingElem.one(), RingElem.one()))
         late = Step("late", "RESCALE", ("W",), b.resolved["W"])
-        cert = b.build_unchecked()
+        cert = b.build()
         with pytest.raises(CertificateError, match="late"):
             verify_certificate(
                 Certificate(1, 13, cert.axioms, (fwd,) + cert.steps + (late,)))

@@ -112,6 +112,22 @@ class TestFormcheck:
         assert code == 2
         assert "k" in err
 
+    def test_bad_tolerance_or_precision_is_usage_error(self, capsys, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "delta.txt"
+        path.write_text(delta_file_text())
+        monkeypatch.delenv("HECKE_PREC", raising=False)
+        cases = [(["--tol", tol], "--tol") for tol in ("inf", "nan", "-1", "0")]
+        cases.append((["--prec", "0"], "--prec"))
+        for flags, named in cases:
+            code, out, err = run_cli(capsys, "formcheck", str(path), *flags)
+            assert (code, out) == (2, ""), flags
+            assert named in err
+        monkeypatch.setenv("HECKE_PREC", "0")
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out) == (2, "")
+        assert "HECKE_PREC" in err
+
     def test_hecke_prec_env_overrides_flag(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "delta.txt"
         path.write_text(delta_file_text())
@@ -144,9 +160,19 @@ class TestDecompose:
         assert code == 1
         assert "not in Gamma0(13)" in err
 
-    def test_malformed_matrix(self, capsys):
-        code, out, err = run_cli(capsys, "decompose", "[[1,0],[0]]")
+    @pytest.mark.parametrize("matrix, entry", [
+        ("[[1,0],[0]]", None),
+        ("[[1.5,0],[0,1]]", "(1,1)"),
+        ("[[1,0],[13.9,1]]", "(2,1)"),
+        ("[[True,0],[0,1]]", "(1,1)"),
+        ("[[1,0,0],[1]]", "2x2"),
+    ], ids=["short-row", "float", "float-w", "bool", "ragged"])
+    def test_malformed_matrix(self, capsys, matrix, entry):
+        code, out, err = run_cli(capsys, "decompose", matrix)
         assert code == 2
+        assert not out
+        if entry is not None:
+            assert entry in err
 
 
 class TestDensity:
@@ -166,8 +192,10 @@ class TestDensity:
         assert err
 
     def test_nonpositive_target_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "density", "0", "1e-3")
-        assert code == 2
+        # NaN compares false both ways, so it must not pass a "<= 0" check
+        for X, tol in (("0", "1e-3"), ("nan", "1e-3"), ("5", "nan")):
+            code, out, err = run_cli(capsys, "density", X, tol)
+            assert (code, out) == (2, ""), (X, tol)
 
 
 class TestAsym:

@@ -9,6 +9,7 @@ before being asserted here.
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -230,6 +231,17 @@ class TestGCertificate:
         cert = level13.build_g_certificate()
         back = certificate_from_json(certificate_to_json(cert))
         assert back == cert and verify_certificate(back).ok
+
+
+class TestShippedData:
+    @pytest.mark.parametrize("name, build", [
+        ("f", level13.build_f_certificate),
+        ("g", level13.build_g_certificate),
+    ], ids=["f", "g"])
+    def test_shipped_json_matches_builder(self, name, build):
+        shipped = (resources.files("gamma13") / "data"
+                   / level13.SHIPPED_FILES[name]).read_bytes()
+        assert (certificate_to_json(build()) + "\n").encode("utf-8") == shipped
 
 
 class TestSignExponent:

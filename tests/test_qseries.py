@@ -20,7 +20,6 @@ from gamma13.qseries import (
     hecke_check,
     hecke_stroke_identity,
     parse_coefficient_file,
-    series_ops,
 )
 
 TAU = {
@@ -117,14 +116,6 @@ class TestQSeries:
         assert f.coefficient(Fraction(3, 2)) == 0
         with pytest.raises(ValueError):
             f.coefficient(Fraction(7, 6) + 3)
-
-    def test_series_ops_dispatch(self):
-        f = QSeries(0, [1, 1, 0])
-        assert series_ops(f, f, "add") == f * 2
-        assert series_ops(f, f, "mul") == f ** 2
-        assert series_ops(f, 3, "pow") == f ** 3
-        with pytest.raises(ValueError):
-            series_ops(f, f, "div")
 
 
 class TestEtaProduct:
