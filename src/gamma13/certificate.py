@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .exactnum import DEFAULT_D, ScalarPoly
+from .exactnum import ScalarPoly
 from .groupring import RingElem
 from . import grammar
 
@@ -87,7 +87,6 @@ class CongruenceContext:
 
     level: int
     axioms: Tuple[Congruence, ...]
-    D: int = DEFAULT_D
 
     def axiom(self, ax_id: str) -> Congruence:
         for ax in self.axioms:
@@ -142,8 +141,8 @@ class Report:
         return out
 
 
-def _evaluate_rule(resolved: Dict[str, Congruence], step: Step,
-                   D: int) -> Tuple[Optional[RingElem], str]:
+def _evaluate_rule(resolved: Dict[str, Congruence],
+                   step: Step) -> Tuple[Optional[RingElem], str]:
     """Recompute the difference a step's rule produces.
 
     Returns (difference, detail); difference is None when a side condition
@@ -168,7 +167,7 @@ def _evaluate_rule(resolved: Dict[str, Congruence], step: Step,
     if step.rule == "RIGHT_MUL":
         prior = ref(step.args[0])
         try:
-            factor = RingElem.parse(step.args[1], D)
+            factor = RingElem.parse(step.args[1])
         except grammar.GrammarError as exc:
             raise CertificateError(f"step {step.id}: bad factor: {exc}") from exc
         return prior.difference() * factor, ""
@@ -177,7 +176,7 @@ def _evaluate_rule(resolved: Dict[str, Congruence], step: Step,
     if step.rule == "SCALE":
         prior = ref(step.args[0])
         try:
-            scalar = grammar.parse_scalar_poly(step.args[1], D)
+            scalar = grammar.parse_scalar_poly(step.args[1])
         except grammar.GrammarError as exc:
             raise CertificateError(f"step {step.id}: bad scalar: {exc}") from exc
         return scalar * prior.difference(), ""
@@ -192,9 +191,8 @@ def _evaluate_rule(resolved: Dict[str, Congruence], step: Step,
     return ref(step.args[0]).difference(), ""
 
 
-def _check_step(resolved: Dict[str, Congruence], step: Step,
-                D: int) -> StepVerdict:
-    recomputed, detail = _evaluate_rule(resolved, step, D)
+def _check_step(resolved: Dict[str, Congruence], step: Step) -> StepVerdict:
+    recomputed, detail = _evaluate_rule(resolved, step)
     if recomputed is None:
         return StepVerdict(step.id, step.rule, False, None, detail)
     claimed = step.result.difference()
@@ -211,12 +209,11 @@ def verify_certificate(cert: Certificate) -> Report:
         if ax.id in resolved:
             raise CertificateError(f"duplicate axiom id {ax.id!r}")
         resolved[ax.id] = ax
-    D = cert.axioms[0].lhs.D if cert.axioms else DEFAULT_D
     report = Report()
     for step in cert.steps:
         if step.id in resolved:
             raise CertificateError(f"duplicate step id {step.id!r}")
-        report.step_verdicts.append(_check_step(resolved, step, D))
+        report.step_verdicts.append(_check_step(resolved, step))
         # claims are registered even when they fail so later steps still
         # produce verdicts against the claimed content
         resolved[step.id] = step.result
@@ -231,9 +228,8 @@ class CertBuilder:
     only point back, so :meth:`build` returns the steps without a replay.
     """
 
-    def __init__(self, level: int, D: int = DEFAULT_D):
+    def __init__(self, level: int):
         self.level = level
-        self.D = D
         self.axioms: List[Congruence] = []
         self.steps: List[Step] = []
         self.resolved: Dict[str, Congruence] = {}
@@ -241,10 +237,10 @@ class CertBuilder:
     # -- inputs ------------------------------------------------------------
 
     def _elem(self, x: ElemLike) -> RingElem:
-        return RingElem.parse(x, self.D) if isinstance(x, str) else x
+        return RingElem.parse(x) if isinstance(x, str) else x
 
     def _scalar(self, x: ScalarLike) -> ScalarPoly:
-        return grammar.parse_scalar_poly(x, self.D) if isinstance(x, str) else x
+        return grammar.parse_scalar_poly(x) if isinstance(x, str) else x
 
     def _require(self, name: str) -> Congruence:
         if name not in self.resolved:
@@ -268,7 +264,7 @@ class CertBuilder:
         if step_id in self.resolved:
             raise CertificateError(f"duplicate id {step_id!r}")
         step = Step(step_id, rule, args, Congruence(step_id, lhs, rhs))
-        verdict = _check_step(self.resolved, step, self.D)
+        verdict = _check_step(self.resolved, step)
         if not verdict.ok:
             raise CertificateError(
                 f"step {step_id} does not verify: {verdict.detail}"
@@ -351,7 +347,7 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(doc, indent=1)
 
 
-def certificate_from_json(text: str, D: int = DEFAULT_D) -> Certificate:
+def certificate_from_json(text: str) -> Certificate:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -362,13 +358,13 @@ def certificate_from_json(text: str, D: int = DEFAULT_D) -> Certificate:
     try:
         level = int(doc["level"])
         axioms = tuple(
-            Congruence(str(ax["id"]), RingElem.parse(ax["lhs"], D),
-                       RingElem.parse(ax["rhs"], D))
+            Congruence(str(ax["id"]), RingElem.parse(ax["lhs"]),
+                       RingElem.parse(ax["rhs"]))
             for ax in doc["axioms"])
         steps = tuple(
             Step(str(s["id"]), str(s["rule"]), tuple(map(str, s["args"])),
-                 Congruence(str(s["id"]), RingElem.parse(s["result"]["lhs"], D),
-                            RingElem.parse(s["result"]["rhs"], D)))
+                 Congruence(str(s["id"]), RingElem.parse(s["result"]["lhs"]),
+                            RingElem.parse(s["result"]["rhs"])))
             for s in doc["steps"])
     except (KeyError, TypeError, grammar.GrammarError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc

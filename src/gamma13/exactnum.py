@@ -1,12 +1,15 @@
-"""Exact arithmetic over the real quadratic field Q(sqrt(D)).
+"""Exact arithmetic over the real quadratic field Q(sqrt(13)).
+
+The field is fixed: every object of the level-13 argument lives in
+Q(sqrt(13)), and ``DEFAULT_D`` is the one place that names it.
 
 Provides four layers, each built on the previous one:
 
-* :class:`QuadElem` -- numbers a + b*sqrt(D) with rational a, b, including
+* :class:`QuadElem` -- numbers a + b*sqrt(13) with rational a, b, including
   exact sign determination and square roots inside the field.
 * :class:`ScalarPoly` -- commutative polynomials in the formal symbols
-  ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(D)).
-* :class:`Poly` -- dense univariate polynomials over Q(sqrt(D)).
+  ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(13)).
+* :class:`Poly` -- dense univariate polynomials over Q(sqrt(13)).
 * :class:`RatFunc` -- reduced rational functions num/den with monic
   denominator, supporting exact pole orders at z = 0.
 
@@ -21,6 +24,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Optional, Union
 
+#: The radicand of the field: every exact value lies in Q(sqrt(DEFAULT_D)).
 DEFAULT_D = 13
 
 #: Exponents of a2/a3 in a ScalarPoly must stay below this bound.  The cap
@@ -29,10 +33,6 @@ EXPONENT_LIMIT = 1 << 16
 
 Rat = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadElem"]
-
-
-class MixedFieldError(ValueError):
-    """Raised when values from different quadratic fields are combined."""
 
 
 class ExponentOverflowError(OverflowError):
@@ -67,29 +67,26 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class QuadElem:
-    """An element a + b*sqrt(D) of the field Q(sqrt(D))."""
+    """An element a + b*sqrt(13) of the field Q(sqrt(13))."""
 
     a: Fraction
     b: Fraction
-    D: int = DEFAULT_D
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        if self.D <= 1 or isqrt(self.D) ** 2 == self.D:
-            raise ValueError(f"D must be a non-square integer > 1, got {self.D}")
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def of(cls, x: Scalar, D: int = DEFAULT_D) -> "QuadElem":
+    def of(cls, x: Scalar) -> "QuadElem":
         if isinstance(x, QuadElem):
             return x
-        return cls(Fraction(x), Fraction(0), D)
+        return cls(Fraction(x), Fraction(0))
 
     @classmethod
-    def sqrt_d(cls, D: int = DEFAULT_D) -> "QuadElem":
-        return cls(Fraction(0), Fraction(1), D)
+    def sqrt_d(cls) -> "QuadElem":
+        return cls(Fraction(0), Fraction(1))
 
     # -- predicates ----------------------------------------------------
 
@@ -105,18 +102,16 @@ class QuadElem:
 
     def _coerce(self, other) -> Optional["QuadElem"]:
         if isinstance(other, QuadElem):
-            if other.D != self.D:
-                raise MixedFieldError(f"sqrt({self.D}) vs sqrt({other.D})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem(Fraction(other), Fraction(0), self.D)
+            return QuadElem(Fraction(other), Fraction(0))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a + o.a, self.b + o.b, self.D)
+        return QuadElem(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -124,7 +119,7 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a - o.a, self.b - o.b, self.D)
+        return QuadElem(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -133,24 +128,23 @@ class QuadElem:
         return o - self
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.a, -self.b, self.D)
+        return QuadElem(-self.a, -self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a * o.a + self.D * self.b * o.b,
-                        self.a * o.b + self.b * o.a, self.D)
+        return QuadElem(self.a * o.a + DEFAULT_D * self.b * o.b,
+                        self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
     def inv(self) -> "QuadElem":
-        norm = self.a * self.a - self.D * self.b * self.b
+        # 13 is not a square, so the norm vanishes only at zero
+        norm = self.a * self.a - DEFAULT_D * self.b * self.b
         if not norm:
-            if self.is_zero:
-                raise ZeroDivisionError("inverse of zero")
-            raise ValueError("norm vanished for a nonzero element; D is square?")
-        return QuadElem(self.a / norm, -self.b / norm, self.D)
+            raise ZeroDivisionError("inverse of zero")
+        return QuadElem(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -167,24 +161,24 @@ class QuadElem:
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
             return self.inv() ** (-n)
-        return binary_power(self, n, QuadElem.of(1, self.D))
+        return binary_power(self, n, QuadElem.of(1))
 
     def conj(self) -> "QuadElem":
-        """Galois conjugate a - b*sqrt(D)."""
-        return QuadElem(self.a, -self.b, self.D)
+        """Galois conjugate a - b*sqrt(13)."""
+        return QuadElem(self.a, -self.b)
 
     # -- order ----------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign under the embedding sqrt(D) > 0."""
+        """Exact sign under the embedding sqrt(13) > 0."""
         sa = (self.a > 0) - (self.a < 0)
         sb = (self.b > 0) - (self.b < 0)
         if sb == 0:
             return sa
         if sa == 0 or sa == sb:
             return sb
-        # opposite signs: |a| vs |b|*sqrt(D) decided by squaring
-        lhs, rhs = self.a * self.a, self.D * self.b * self.b
+        # opposite signs: |a| vs |b|*sqrt(13) decided by squaring
+        lhs, rhs = self.a * self.a, DEFAULT_D * self.b * self.b
         if lhs == rhs:
             return 0
         return sa if lhs > rhs else sb
@@ -193,22 +187,22 @@ class QuadElem:
         return -self if self.sign() < 0 else self
 
     def field_sqrt(self) -> Optional["QuadElem"]:
-        """A square root within Q(sqrt(D)) for rational inputs, else None.
+        """A square root within Q(sqrt(13)) for rational inputs, else None.
 
         Finds r with r^2 == self when self is rational and either a
-        rational square or D times one.  Irrational inputs are not
+        rational square or 13 times one.  Irrational inputs are not
         supported and return None.
         """
         if not self.is_rational:
             return None
         if not self.a:
-            return QuadElem.of(0, self.D)
+            return QuadElem.of(0)
         r = _rational_sqrt(self.a)
         if r is not None:
-            return QuadElem(r, Fraction(0), self.D)
-        r = _rational_sqrt(self.a / self.D)
+            return QuadElem(r, Fraction(0))
+        r = _rational_sqrt(self.a / DEFAULT_D)
         if r is not None:
-            return QuadElem(Fraction(0), r, self.D)
+            return QuadElem(Fraction(0), r)
         return None
 
     def sort_key(self) -> tuple:
@@ -219,7 +213,7 @@ class QuadElem:
     def __str__(self) -> str:
         if not self.b:
             return str(self.a)
-        root = f"{abs(self.b)}*sqrt({self.D})"
+        root = f"{abs(self.b)}*sqrt({DEFAULT_D})"
         if not self.a:
             return root if self.b > 0 else "-" + root
         return f"{self.a}{'+' if self.b > 0 else '-'}{root}"
@@ -232,15 +226,15 @@ _MonoKey = tuple  # (exp_a2, exp_a3, exp_e) with exp_e in {0, 1}
 
 
 class ScalarPoly:
-    """Polynomial in the symbols a2, a3, e over Q(sqrt(D)), with e^2 = 1.
+    """Polynomial in the symbols a2, a3, e over Q(sqrt(13)), with e^2 = 1.
 
     Instances are canonical: terms are kept sorted with nonzero
     coefficients, so ``==`` and ``hash`` reflect mathematical equality.
     """
 
-    __slots__ = ("_terms", "D")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[_MonoKey, QuadElem], D: int = DEFAULT_D):
+    def __init__(self, terms: Mapping[_MonoKey, Scalar]):
         cleaned = {}
         for key, coeff in terms.items():
             i2, i3, ie = key
@@ -249,9 +243,7 @@ class ScalarPoly:
             if max(i2, i3) >= EXPONENT_LIMIT:
                 raise ExponentOverflowError(
                     f"exponent {max(i2, i3)} exceeds limit {EXPONENT_LIMIT}")
-            coeff = QuadElem.of(coeff, D)
-            if coeff.D != D:
-                raise MixedFieldError(f"sqrt({D}) vs sqrt({coeff.D})")
+            coeff = QuadElem.of(coeff)
             key = (i2, i3, ie & 1)
             if key in cleaned:
                 coeff = cleaned[key] + coeff
@@ -260,7 +252,6 @@ class ScalarPoly:
             else:
                 cleaned[key] = coeff
         object.__setattr__(self, "_terms", tuple(sorted(cleaned.items())))
-        object.__setattr__(self, "D", D)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ScalarPoly is immutable")
@@ -268,21 +259,20 @@ class ScalarPoly:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def const(cls, x: Scalar, D: int = DEFAULT_D) -> "ScalarPoly":
-        x = QuadElem.of(x, D)
-        return cls({(0, 0, 0): x}, x.D)
+    def const(cls, x: Scalar) -> "ScalarPoly":
+        return cls({(0, 0, 0): x})
 
     @classmethod
-    def alpha2(cls, D: int = DEFAULT_D) -> "ScalarPoly":
-        return cls({(1, 0, 0): QuadElem.of(1, D)}, D)
+    def alpha2(cls) -> "ScalarPoly":
+        return cls({(1, 0, 0): 1})
 
     @classmethod
-    def alpha3(cls, D: int = DEFAULT_D) -> "ScalarPoly":
-        return cls({(0, 1, 0): QuadElem.of(1, D)}, D)
+    def alpha3(cls) -> "ScalarPoly":
+        return cls({(0, 1, 0): 1})
 
     @classmethod
-    def eps(cls, D: int = DEFAULT_D) -> "ScalarPoly":
-        return cls({(0, 0, 1): QuadElem.of(1, D)}, D)
+    def eps(cls) -> "ScalarPoly":
+        return cls({(0, 0, 1): 1})
 
     # -- inspection -------------------------------------------------------
 
@@ -293,7 +283,7 @@ class ScalarPoly:
     def as_const(self) -> Optional[QuadElem]:
         """The value as a plain field element, or None if symbols occur."""
         if not self._terms:
-            return QuadElem.of(0, self.D)
+            return QuadElem.of(0)
         if len(self._terms) == 1 and self._terms[0][0] == (0, 0, 0):
             return self._terms[0][1]
         return None
@@ -305,11 +295,9 @@ class ScalarPoly:
 
     def _coerce(self, other) -> Optional["ScalarPoly"]:
         if isinstance(other, ScalarPoly):
-            if other.D != self.D:
-                raise MixedFieldError(f"sqrt({self.D}) vs sqrt({other.D})")
             return other
         if isinstance(other, (int, Fraction, QuadElem)):
-            return ScalarPoly.const(other, self.D)
+            return ScalarPoly.const(other)
         return None
 
     def __add__(self, other):
@@ -318,8 +306,8 @@ class ScalarPoly:
             return NotImplemented
         acc = dict(self._terms)
         for key, coeff in o._terms:
-            acc[key] = acc.get(key, QuadElem.of(0, self.D)) + coeff
-        return ScalarPoly(acc, self.D)
+            acc[key] = acc.get(key, QuadElem.of(0)) + coeff
+        return ScalarPoly(acc)
 
     __radd__ = __add__
 
@@ -336,7 +324,7 @@ class ScalarPoly:
         return o + (-self)
 
     def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly({k: -c for k, c in self._terms}, self.D)
+        return ScalarPoly({k: -c for k, c in self._terms})
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -355,14 +343,14 @@ class ScalarPoly:
                     acc[key] = acc[key] + prod
                 else:
                     acc[key] = prod
-        return ScalarPoly(acc, self.D)
+        return ScalarPoly(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ScalarPoly":
         if n < 0:
             raise ValueError("negative powers of symbolic scalars")
-        return binary_power(self, n, ScalarPoly.const(1, self.D))
+        return binary_power(self, n, ScalarPoly.const(1))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -370,9 +358,9 @@ class ScalarPoly:
         """Evaluate at concrete values, with eps = +1 or -1."""
         if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
-        a2 = QuadElem.of(alpha2, self.D)
-        a3 = QuadElem.of(alpha3, self.D)
-        total = QuadElem.of(0, self.D)
+        a2 = QuadElem.of(alpha2)
+        a3 = QuadElem.of(alpha3)
+        total = QuadElem.of(0)
         for (i2, i3, ie), coeff in self._terms:
             val = coeff * a2 ** i2 * a3 ** i3
             if ie and eps == -1:
@@ -384,13 +372,13 @@ class ScalarPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadElem)):
-            other = ScalarPoly.const(other, self.D)
+            other = ScalarPoly.const(other)
         if not isinstance(other, ScalarPoly):
             return NotImplemented
-        return self.D == other.D and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.D, self._terms))
+        return hash(self._terms)
 
     # -- text ------------------------------------------------------------------
 
@@ -418,7 +406,7 @@ class ScalarPoly:
             if mag.a and mag.b:
                 text = f"({text})"
             if mono:
-                text = mono if mag == QuadElem.of(1, self.D) else f"{text}*{mono}"
+                text = mono if mag == QuadElem.of(1) else f"{text}*{mono}"
             chunks.append(("-" if neg else "+", text))
         first_sign, first = chunks[0]
         out = ("-" if first_sign == "-" else "") + first
@@ -431,19 +419,15 @@ class ScalarPoly:
 
 
 class Poly:
-    """Dense univariate polynomial over Q(sqrt(D)), low degree first."""
+    """Dense univariate polynomial over Q(sqrt(13)), low degree first."""
 
-    __slots__ = ("coeffs", "D")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[QuadElem], D: int = DEFAULT_D):
-        cs = [QuadElem.of(c, D) for c in coeffs]
-        for c in cs:
-            if c.D != D:
-                raise MixedFieldError(f"sqrt({D}) vs sqrt({c.D})")
+    def __init__(self, coeffs: Iterable[Scalar]):
+        cs = [QuadElem.of(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "D", D)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
@@ -451,23 +435,20 @@ class Poly:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def of(cls, coeffs: Iterable[Scalar], D: Optional[int] = None) -> "Poly":
-        coeffs = list(coeffs)
-        if D is None:
-            D = next((c.D for c in coeffs if isinstance(c, QuadElem)), DEFAULT_D)
-        return cls([QuadElem.of(c, D) for c in coeffs], D)
+    def of(cls, coeffs: Iterable[Scalar]) -> "Poly":
+        return cls(coeffs)
 
     @classmethod
-    def zero(cls, D: int = DEFAULT_D) -> "Poly":
-        return cls([], D)
+    def zero(cls) -> "Poly":
+        return cls([])
 
     @classmethod
-    def one(cls, D: int = DEFAULT_D) -> "Poly":
-        return cls([QuadElem.of(1, D)], D)
+    def one(cls) -> "Poly":
+        return cls([1])
 
     @classmethod
-    def z(cls, D: int = DEFAULT_D) -> "Poly":
-        return cls([QuadElem.of(0, D), QuadElem.of(1, D)], D)
+    def z(cls) -> "Poly":
+        return cls([0, 1])
 
     # -- inspection ------------------------------------------------------------
 
@@ -494,11 +475,9 @@ class Poly:
 
     def _coerce(self, other) -> Optional["Poly"]:
         if isinstance(other, Poly):
-            if other.D != self.D:
-                raise MixedFieldError(f"sqrt({self.D}) vs sqrt({other.D})")
             return other
         if isinstance(other, (int, Fraction, QuadElem)):
-            return Poly([QuadElem.of(other, self.D)], self.D)
+            return Poly([other])
         return None
 
     def __add__(self, other):
@@ -506,10 +485,10 @@ class Poly:
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
-        zero = QuadElem.of(0, self.D)
+        zero = QuadElem.of(0)
         a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
         b = list(o.coeffs) + [zero] * (n - len(o.coeffs))
-        return Poly([x + y for x, y in zip(a, b)], self.D)
+        return Poly([x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
@@ -520,22 +499,22 @@ class Poly:
         return self + (-o)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs], self.D)
+        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.is_zero or o.is_zero:
-            return Poly.zero(self.D)
-        zero = QuadElem.of(0, self.D)
+            return Poly.zero()
+        zero = QuadElem.of(0)
         out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
             for j, d in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + c * d
-        return Poly(out, self.D)
+        return Poly(out)
 
     __rmul__ = __mul__
 
@@ -545,7 +524,7 @@ class Poly:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        zero = QuadElem.of(0, self.D)
+        zero = QuadElem.of(0)
         rem = list(self.coeffs)
         quo = [zero] * max(len(rem) - len(o.coeffs) + 1, 0)
         lead_inv = o.leading().inv()
@@ -556,7 +535,7 @@ class Poly:
             quo[i] = factor
             for j, d in enumerate(o.coeffs):
                 rem[i + j] = rem[i + j] - factor * d
-        return Poly(quo, self.D), Poly(rem, self.D)
+        return Poly(quo), Poly(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -567,13 +546,13 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return binary_power(self, n, Poly.one(self.D))
+        return binary_power(self, n, Poly.one())
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
         inv = self.leading().inv()
-        return Poly([c * inv for c in self.coeffs], self.D)
+        return Poly([c * inv for c in self.coeffs])
 
     @staticmethod
     def gcd(f: "Poly", g: "Poly") -> "Poly":
@@ -582,8 +561,8 @@ class Poly:
         return f.monic()
 
     def eval_at(self, x: Scalar) -> QuadElem:
-        x = QuadElem.of(x, self.D)
-        total = QuadElem.of(0, self.D)
+        x = QuadElem.of(x)
+        total = QuadElem.of(0)
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
@@ -593,10 +572,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.D == other.D and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.D, self.coeffs))
+        return hash(self.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -618,30 +597,27 @@ class Poly:
 
 
 class RatFunc:
-    """Reduced rational function num/den over Q(sqrt(D)).
+    """Reduced rational function num/den over Q(sqrt(13)).
 
     The stored pair is canonical: gcd(num, den) = 1 and den is monic, so
     ``==`` and ``hash`` reflect mathematical equality.
     """
 
-    __slots__ = ("num", "den", "D")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        if num.D != den.D:
-            raise MixedFieldError(f"sqrt({num.D}) vs sqrt({den.D})")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            num, den = Poly.zero(num.D), Poly.one(num.D)
+            num, den = Poly.zero(), Poly.one()
         else:
             g = Poly.gcd(num, den)
             num, den = num // g, den // g
             inv = den.leading().inv()
-            num = Poly([c * inv for c in num.coeffs], num.D)
+            num = Poly([c * inv for c in num.coeffs])
             den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "D", num.D)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("RatFunc is immutable")
@@ -649,23 +625,22 @@ class RatFunc:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def const(cls, c: Scalar, D: int = DEFAULT_D) -> "RatFunc":
-        c = QuadElem.of(c, D)
-        return cls(Poly([c], c.D), Poly.one(c.D))
+    def const(cls, c: Scalar) -> "RatFunc":
+        return cls(Poly([c]), Poly.one())
 
     @classmethod
-    def z(cls, D: int = DEFAULT_D) -> "RatFunc":
-        return cls(Poly.z(D), Poly.one(D))
+    def z(cls) -> "RatFunc":
+        return cls(Poly.z(), Poly.one())
 
     @classmethod
-    def z_power(cls, n: int, D: int = DEFAULT_D) -> "RatFunc":
+    def z_power(cls, n: int) -> "RatFunc":
         if n >= 0:
-            return cls(Poly.z(D) ** n, Poly.one(D))
-        return cls(Poly.one(D), Poly.z(D) ** (-n))
+            return cls(Poly.z() ** n, Poly.one())
+        return cls(Poly.one(), Poly.z() ** (-n))
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one(p.D))
+        return cls(p, Poly.one())
 
     # -- inspection ------------------------------------------------------------
 
@@ -691,11 +666,9 @@ class RatFunc:
 
     def _coerce(self, other) -> Optional["RatFunc"]:
         if isinstance(other, RatFunc):
-            if other.D != self.D:
-                raise MixedFieldError(f"sqrt({self.D}) vs sqrt({other.D})")
             return other
         if isinstance(other, (int, Fraction, QuadElem)):
-            return RatFunc.const(other, self.D)
+            return RatFunc.const(other)
         if isinstance(other, Poly):
             return RatFunc.from_poly(other)
         return None
@@ -751,10 +724,10 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inv() ** (-n)
-        return binary_power(self, n, RatFunc.const(1, self.D))
+        return binary_power(self, n, RatFunc.const(1))
 
     def eval_at(self, x: Scalar) -> QuadElem:
-        x = QuadElem.of(x, self.D)
+        x = QuadElem.of(x)
         dv = self.den.eval_at(x)
         if dv.is_zero:
             raise ZeroDivisionError(f"pole at {x}")
@@ -767,13 +740,13 @@ class RatFunc:
             other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.D == other.D and self.num == other.num and self.den == other.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.D, self.num, self.den))
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        if self.den == Poly.one(self.D):
+        if self.den == Poly.one():
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .projmat import ProjMat
 
@@ -92,10 +92,13 @@ class Word:
 
 # -- membership ---------------------------------------------------------------
 
+_IntMat = Tuple[int, int, int, int]
 
-def _integer_representative(m) -> Optional[Tuple[int, int, int, int]]:
-    """The primitive integer representative, or None for irrational or
-    nonpositive-determinant input."""
+
+def _member_representative(m, level: int) -> Optional[Tuple[ProjMat, _IntMat]]:
+    """The class of ``m`` with its primitive integer representative when
+    that has determinant 1 and lower-left entry divisible by ``level``;
+    None otherwise, including irrational or nonpositive-determinant input."""
     try:
         cls = m if isinstance(m, ProjMat) else ProjMat.of(m)
     except ValueError:
@@ -105,17 +108,16 @@ def _integer_representative(m) -> Optional[Tuple[int, int, int, int]]:
         if not q.is_rational or q.a.denominator != 1:
             return None
         vals.append(int(q.a))
-    return (vals[0], vals[1], vals[2], vals[3])
+    a, b, c, d = vals
+    if a * d - b * c != 1 or c % level:
+        return None
+    return cls, (a, b, c, d)
 
 
 def is_member(m, level: int = DEFAULT_LEVEL) -> bool:
     """True iff the class of ``m`` has an integer representative with
     determinant 1 and lower-left entry divisible by ``level``."""
-    rep = _integer_representative(m)
-    if rep is None:
-        return False
-    a, b, c, d = rep
-    return a * d - b * c == 1 and c % level == 0
+    return _member_representative(m, level) is not None
 
 
 # -- cusps -------------------------------------------------------------------
@@ -139,8 +141,6 @@ def cusps(level: int):
 
 
 # -- decomposition -------------------------------------------------------------
-
-_IntMat = Tuple[int, int, int, int]
 
 
 def _mul(x: _IntMat, y: _IntMat) -> _IntMat:
@@ -185,9 +185,10 @@ def decompose(m, budget: int = 10 ** 6) -> Word:
     Raises ValueError for non-members and DecompositionError when the
     search budget is exhausted; never returns an unverified word.
     """
-    rep = _integer_representative(m)
-    if rep is None or not is_member(m):
+    member = _member_representative(m, DEFAULT_LEVEL)
+    if member is None:
         raise ValueError("matrix is not a member of the level-13 group")
+    cls, rep = member
     cur = _normalize(rep)
     letters: List[Tuple[str, int]] = []
     nodes = 0
@@ -238,6 +239,6 @@ def decompose(m, budget: int = 10 ** 6) -> Word:
         letters.extend(found[0])
         cur = found[1]
     word = Word.of(letters)
-    if word.evaluate() != (m if isinstance(m, ProjMat) else ProjMat.of(m)):
+    if word.evaluate() != cls:
         raise DecompositionError("internal error: word failed verification")
     return word

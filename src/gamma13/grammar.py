@@ -104,41 +104,41 @@ def _parse_exponent(ts: _Tokens) -> int:
     return 1
 
 
-def _scalar_factor(ts: _Tokens, D: int) -> ScalarPoly:
+def _scalar_factor(ts: _Tokens) -> ScalarPoly:
     tok = ts.peek()
     if tok == "(":
         ts.next()
-        inner = _scalar_sum(ts, D)
+        inner = _scalar_sum(ts)
         ts.expect(")")
         return inner ** _parse_exponent(ts)
     if tok.isdigit():
-        return ScalarPoly.const(_parse_fraction(ts), D)
+        return ScalarPoly.const(_parse_fraction(ts))
     if tok == "sqrt":
         ts.next()
         ts.expect("(")
         d = _parse_uint(ts)
         ts.expect(")")
-        if d != D:
-            raise GrammarError(f"sqrt({d}) does not belong to Q(sqrt({D}))",
-                               ts.pos())
-        return ScalarPoly.const(QuadElem.sqrt_d(D), D)
+        if d != DEFAULT_D:
+            raise GrammarError(
+                f"sqrt({d}) does not belong to Q(sqrt({DEFAULT_D}))", ts.pos())
+        return ScalarPoly.const(QuadElem.sqrt_d())
     if tok == "a2":
         ts.next()
-        return ScalarPoly.alpha2(D) ** _parse_exponent(ts)
+        return ScalarPoly.alpha2() ** _parse_exponent(ts)
     if tok == "a3":
         ts.next()
-        return ScalarPoly.alpha3(D) ** _parse_exponent(ts)
+        return ScalarPoly.alpha3() ** _parse_exponent(ts)
     if tok == "e":
         ts.next()
-        return ScalarPoly.eps(D) ** _parse_exponent(ts)
+        return ScalarPoly.eps() ** _parse_exponent(ts)
     raise GrammarError(f"expected a factor, got {tok!r}", ts.pos())
 
 
-def _scalar_term(ts: _Tokens, D: int) -> ScalarPoly:
-    poly = _scalar_factor(ts, D)
+def _scalar_term(ts: _Tokens) -> ScalarPoly:
+    poly = _scalar_factor(ts)
     while ts.peek() == "*":
         ts.next()
-        poly = poly * _scalar_factor(ts, D)
+        poly = poly * _scalar_factor(ts)
     return poly
 
 
@@ -151,34 +151,34 @@ def _leading_sign(ts: _Tokens) -> int:
     return 1
 
 
-def _scalar_sum(ts: _Tokens, D: int) -> ScalarPoly:
+def _scalar_sum(ts: _Tokens) -> ScalarPoly:
     sign = _leading_sign(ts)
-    acc = _scalar_term(ts, D)
+    acc = _scalar_term(ts)
     if sign < 0:
         acc = -acc
     while ts.peek() in ("+", "-"):
         op = ts.next()
-        term = _scalar_term(ts, D)
+        term = _scalar_term(ts)
         acc = acc + term if op == "+" else acc - term
     return acc
 
 
-def _quad_sum(ts: _Tokens, D: int) -> QuadElem:
+def _quad_sum(ts: _Tokens) -> QuadElem:
     start = ts.pos()
-    value = _scalar_sum(ts, D).as_const()
+    value = _scalar_sum(ts).as_const()
     if value is None:
         raise GrammarError("expected a field constant, found symbols", start)
     return value
 
 
-def _matrix(ts: _Tokens, D: int) -> Entries:
+def _matrix(ts: _Tokens) -> Entries:
     ts.expect("[")
     rows = []
     for which in range(2):
         ts.expect("[")
-        left = _quad_sum(ts, D)
+        left = _quad_sum(ts)
         ts.expect(",")
-        right = _quad_sum(ts, D)
+        right = _quad_sum(ts)
         ts.expect("]")
         rows.extend((left, right))
         if which == 0:
@@ -195,52 +195,51 @@ def parse_rational(text: str) -> Fraction:
     return sign * value
 
 
-def parse_quad(text: str, D: int = DEFAULT_D) -> QuadElem:
+def parse_quad(text: str) -> QuadElem:
     ts = _Tokens(text)
-    value = _quad_sum(ts, D)
+    value = _quad_sum(ts)
     ts.expect_end()
     return value
 
 
-def parse_scalar_poly(text: str, D: int = DEFAULT_D) -> ScalarPoly:
+def parse_scalar_poly(text: str) -> ScalarPoly:
     ts = _Tokens(text)
-    value = _scalar_sum(ts, D)
+    value = _scalar_sum(ts)
     ts.expect_end()
     return value
 
 
-def parse_matrix_entries(text: str, D: int = DEFAULT_D) -> Entries:
+def parse_matrix_entries(text: str) -> Entries:
     ts = _Tokens(text)
-    entries = _matrix(ts, D)
+    entries = _matrix(ts)
     ts.expect_end()
     return entries
 
 
-def _ring_term(ts: _Tokens, D: int) -> Tuple[ScalarPoly, Entries]:
-    identity = (QuadElem.of(1, D), QuadElem.of(0, D),
-                QuadElem.of(0, D), QuadElem.of(1, D))
+def _ring_term(ts: _Tokens) -> Tuple[ScalarPoly, Entries]:
+    identity = (QuadElem.of(1), QuadElem.of(0), QuadElem.of(0), QuadElem.of(1))
     if ts.peek() == "[":
-        return ScalarPoly.const(1, D), _matrix(ts, D)
-    coeff = _scalar_factor(ts, D)
+        return ScalarPoly.const(1), _matrix(ts)
+    coeff = _scalar_factor(ts)
     while ts.peek() == "*":
         ts.next()
         if ts.peek() == "[":
-            return coeff, _matrix(ts, D)
-        coeff = coeff * _scalar_factor(ts, D)
+            return coeff, _matrix(ts)
+        coeff = coeff * _scalar_factor(ts)
     return coeff, identity
 
 
-def parse_ring_terms(text: str, D: int = DEFAULT_D) -> List[Tuple[ScalarPoly, Entries]]:
+def parse_ring_terms(text: str) -> List[Tuple[ScalarPoly, Entries]]:
     """Parse a sum of ``coeff*matrix`` terms (bare coefficients act on the
     identity matrix).  Returns the raw term list without combining."""
     ts = _Tokens(text)
     out = []
     sign = _leading_sign(ts)
-    coeff, entries = _ring_term(ts, D)
+    coeff, entries = _ring_term(ts)
     out.append((coeff if sign > 0 else -coeff, entries))
     while ts.peek() in ("+", "-"):
         op = ts.next()
-        coeff, entries = _ring_term(ts, D)
+        coeff, entries = _ring_term(ts)
         out.append((coeff if op == "+" else -coeff, entries))
     ts.expect_end()
     return out

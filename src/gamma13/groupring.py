@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .exactnum import DEFAULT_D, Poly, QuadElem, RatFunc, ScalarPoly
+from .exactnum import Poly, QuadElem, RatFunc, ScalarPoly
 from .projmat import Mat2, MatrixLike, ProjMat
 from . import grammar
 
@@ -29,19 +29,12 @@ Coeff = Union[int, Fraction, QuadElem, ScalarPoly]
 class RingElem:
     """A formal sum of projective matrix classes with ScalarPoly weights."""
 
-    __slots__ = ("_terms", "D")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[ProjMat, ScalarPoly], D: int = DEFAULT_D):
-        cleaned = {}
-        for mat, coeff in terms.items():
-            if mat.D != D or coeff.D != D:
-                raise ValueError("field mismatch in ring element")
-            if coeff.is_zero:
-                continue
-            cleaned[mat] = coeff
-        items = sorted(cleaned.items(), key=lambda kv: kv[0].sort_key())
+    def __init__(self, terms: Mapping[ProjMat, ScalarPoly]):
+        items = sorted(((mat, coeff) for mat, coeff in terms.items()
+                        if not coeff.is_zero), key=lambda kv: kv[0].sort_key())
         object.__setattr__(self, "_terms", tuple(items))
-        object.__setattr__(self, "D", D)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("RingElem is immutable")
@@ -49,32 +42,31 @@ class RingElem:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def zero(cls, D: int = DEFAULT_D) -> "RingElem":
-        return cls({}, D)
+    def zero(cls) -> "RingElem":
+        return cls({})
 
     @classmethod
-    def one(cls, D: int = DEFAULT_D) -> "RingElem":
-        return cls.of(ProjMat.identity(D))
+    def one(cls) -> "RingElem":
+        return cls.of(ProjMat.identity())
 
     @classmethod
-    def of(cls, x, D: int = DEFAULT_D) -> "RingElem":
+    def of(cls, x) -> "RingElem":
         if isinstance(x, RingElem):
             return x
         if isinstance(x, (ProjMat, Mat2, list, tuple)):
-            mat = ProjMat.of(x, D)
-            return cls({mat: ScalarPoly.const(1, mat.D)}, mat.D)
+            return cls({ProjMat.of(x): ScalarPoly.const(1)})
         if isinstance(x, (int, Fraction, QuadElem, ScalarPoly)):
-            coeff = x if isinstance(x, ScalarPoly) else ScalarPoly.const(x, D)
-            return cls({ProjMat.identity(coeff.D): coeff}, coeff.D)
+            coeff = x if isinstance(x, ScalarPoly) else ScalarPoly.const(x)
+            return cls({ProjMat.identity(): coeff})
         raise TypeError(f"cannot build a ring element from {x!r}")
 
     @classmethod
-    def parse(cls, text: str, D: int = DEFAULT_D) -> "RingElem":
+    def parse(cls, text: str) -> "RingElem":
         acc: dict = {}
-        for coeff, entries in grammar.parse_ring_terms(text, D):
-            mat = ProjMat.of(entries, D)
-            acc[mat] = acc.get(mat, ScalarPoly.const(0, D)) + coeff
-        return cls(acc, D)
+        for coeff, entries in grammar.parse_ring_terms(text):
+            mat = ProjMat.of(entries)
+            acc[mat] = acc.get(mat, ScalarPoly.const(0)) + coeff
+        return cls(acc)
 
     # -- inspection ------------------------------------------------------------
 
@@ -86,21 +78,19 @@ class RingElem:
         return self._terms
 
     def coeff_of(self, mat: MatrixLike) -> ScalarPoly:
-        target = ProjMat.of(mat, self.D)
+        target = ProjMat.of(mat)
         for m, c in self._terms:
             if m == target:
                 return c
-        return ScalarPoly.const(0, self.D)
+        return ScalarPoly.const(0)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> Optional["RingElem"]:
         if isinstance(other, RingElem):
-            if other.D != self.D:
-                raise ValueError("field mismatch in ring element")
             return other
         if isinstance(other, (int, Fraction, QuadElem, ScalarPoly, ProjMat, Mat2)):
-            return RingElem.of(other, self.D)
+            return RingElem.of(other)
         return None
 
     def __add__(self, other):
@@ -109,8 +99,8 @@ class RingElem:
             return NotImplemented
         acc = dict(self._terms)
         for mat, coeff in o._terms:
-            acc[mat] = acc.get(mat, ScalarPoly.const(0, self.D)) + coeff
-        return RingElem(acc, self.D)
+            acc[mat] = acc.get(mat, ScalarPoly.const(0)) + coeff
+        return RingElem(acc)
 
     __radd__ = __add__
 
@@ -127,7 +117,7 @@ class RingElem:
         return o + (-self)
 
     def __neg__(self) -> "RingElem":
-        return RingElem({m: -c for m, c in self._terms}, self.D)
+        return RingElem({m: -c for m, c in self._terms})
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -142,7 +132,7 @@ class RingElem:
                     acc[mat] = acc[mat] + prod
                 else:
                     acc[mat] = prod
-        return RingElem(acc, self.D)
+        return RingElem(acc)
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -155,10 +145,10 @@ class RingElem:
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.D == other.D and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.D, self._terms))
+        return hash(self._terms)
 
     # -- text -------------------------------------------------------------------
 
@@ -175,7 +165,7 @@ class RingElem:
             coeff_str = f"({coeff_str})"
         if mat.is_identity:
             return sign, coeff_str
-        if coeff == ScalarPoly.const(1, coeff.D):
+        if coeff == ScalarPoly.const(1):
             return sign, str(mat)
         return sign, f"{coeff_str}*{mat}"
 
@@ -195,7 +185,7 @@ class RingElem:
 
 def _homogenize(p: Poly, u: Poly, v: Poly, degree: int) -> Poly:
     """sum p_i * u^i * v^(degree - i)."""
-    total = Poly.zero(p.D)
+    total = Poly.zero()
     for i, c in enumerate(p.coeffs):
         if c.is_zero:
             continue
@@ -212,13 +202,13 @@ def stroke_ratfunc(f: RatFunc, m: Mat2, k: int) -> RatFunc:
         raise ZeroDivisionError("slash action of a singular matrix")
     if f.is_zero:
         return f
-    u = Poly.of([m.b, m.a], m.D)
-    v = Poly.of([m.d, m.c], m.D)
+    u = Poly([m.b, m.a])
+    v = Poly([m.d, m.c])
     deg_num, deg_den = f.num.degree, f.den.degree
     hom_num = _homogenize(f.num, u, v, deg_num)
     hom_den = _homogenize(f.den, u, v, deg_den)
     shift = deg_den - deg_num - k
-    num = RatFunc.const(det ** (k // 2), m.D) * hom_num
+    num = RatFunc.const(det ** (k // 2)) * hom_num
     if shift >= 0:
         num = num * v ** shift
     else:
@@ -230,4 +220,4 @@ def stroke_of_power(k: int, m: Mat2) -> RatFunc:
     """The weight-k slash action of m applied to z^(-k/2)."""
     if k % 2:
         raise ValueError(f"weight must be even, got {k}")
-    return stroke_ratfunc(RatFunc.z_power(-k // 2, m.D), m, k)
+    return stroke_ratfunc(RatFunc.z_power(-k // 2), m, k)

@@ -35,15 +35,14 @@ from .certificate import (CertBuilder, Certificate, Congruence,
                           CongruenceContext, certificate_from_json,
                           certificate_to_json)
 from .exactnum import QuadElem, RatFunc, ScalarPoly
+from .gamma0 import GENERATORS
 from .groupring import RingElem, stroke_of_power, stroke_ratfunc
 from .projmat import Mat2, ProjMat
 
 DEFAULT_LEVEL = 13
 
 # The fixed level-13 classes.
-P_CLASS = ProjMat.of([[1, 1], [0, 1]])
-G2 = ProjMat.of([[2, -1], [13, -6]])
-G3 = ProjMat.of([[3, -1], [13, -4]])
+P_CLASS, G2, G3 = GENERATORS["P"], GENERATORS["g2"], GENERATORS["g3"]
 DELTA1_HAT = ProjMat.of([[39, -14], [117, -39]])
 DELTA2_HAT = ProjMat.of([[5, -2], [13, -5]])
 DELTA3_HAT = ProjMat.of([[-26, 8], [-91, 26]])
@@ -140,12 +139,6 @@ def f_context(level: int = DEFAULT_LEVEL) -> CongruenceContext:
     b = CertBuilder(level)
     _add_f_axioms(b, level)
     return CongruenceContext(level, tuple(b.axioms))
-
-
-def g_context() -> CongruenceContext:
-    b = CertBuilder(DEFAULT_LEVEL)
-    _add_g_axioms(b)
-    return CongruenceContext(DEFAULT_LEVEL, tuple(b.axioms))
 
 
 # -- the f-context certificate ------------------------------------------------

@@ -33,14 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import exp, mp, mpc, mpf, pi
 
 from .certificate import Certificate, Congruence
-from .exactnum import QuadElem
-from .groupring import RingElem
-from .level13 import build_f_certificate, f_context
+from .exactnum import DEFAULT_D, QuadElem
+from .level13 import build_f_certificate
 from .projmat import Mat2, ProjMat
 from .qseries import QSeries, hecke_check, hecke_stroke_identity
 
@@ -128,7 +127,7 @@ class EvalResult(NamedTuple):
 
 def _to_mpf(x) -> mpf:
     if isinstance(x, QuadElem):
-        return _to_mpf(x.a) + _to_mpf(x.b) * mp.sqrt(x.D)
+        return _to_mpf(x.a) + _to_mpf(x.b) * mp.sqrt(DEFAULT_D)
     q = Fraction(x)
     return mpf(q.numerator) / q.denominator
 
@@ -228,16 +227,17 @@ def _hecke_scalar(form: FormData, p: int) -> Fraction:
 
 
 def _exact_image(mat: ProjMat, x, y):
-    """Image of the exact point x + iy under the class, as a pair of
-    field elements (real part, imaginary part)."""
+    """Image of the exact point x + iy under the class, as field elements
+    (real part, imaginary part, and the real and imaginary parts of the
+    automorphy denominator c*z + d)."""
     a, b, c, d = mat.entries
     xq, yq = QuadElem.of(x), QuadElem.of(y)
-    den = c * xq + d
-    q = den * den + (c * yq) * (c * yq)
+    den, cy = c * xq + d, c * yq
+    q = den * den + cy * cy
     det = a * d - b * c
     xi = ((a * xq + b) * den + a * c * yq * yq) / q
     yi = det * yq / q
-    return xi, yi
+    return xi, yi, den, cy
 
 
 def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
@@ -249,12 +249,17 @@ def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
 
 
 def _residual(form: FormData, congruence: Congruence,
-              points, cfg: EvalConfig, cache: Dict) -> mpf:
-    """Max over the points of |f|lhs - f|rhs|.  Every point and each of its
-    images is audited against y_min before anything is evaluated; the
-    exact images found there are the ones evaluated."""
-    items = _signed_terms(congruence)
+              cfg: EvalConfig, cache: Dict) -> mpf:
+    """Max over the sample points of |f|lhs - f|rhs|: the configured points,
+    or with ``points=None`` those ``suggest_points`` picks above y_min.
+    Every point and each of its images is audited against y_min before
+    anything is evaluated; the exact images found there are the ones
+    evaluated."""
     label, y_min = congruence.id, cfg.y_min
+    points = cfg.points
+    if points is None:
+        points = suggest_points(congruence, y_min)
+    items = _signed_terms(congruence)
     images = []
     for x, y in points:
         if Fraction(y) < y_min:
@@ -262,27 +267,27 @@ def _residual(form: FormData, congruence: Congruence,
                 f"{label}: sample point ({x}, {y}) is below y_min={y_min}")
         row = []
         for _, mat, _ in items:
-            xi, yi = _exact_image(mat, x, y)
-            if _exact_im_sign(yi, y_min) < 0:
+            image = _exact_image(mat, x, y)
+            if _exact_im_sign(image[1], y_min) < 0:
                 raise ConfigurationError(
                     f"{label}: image of ({x}, {y}) under {mat} has "
                     f"imaginary part below y_min={y_min}")
-            row.append((xi, yi))
+            row.append(image)
         images.append(row)
     k = form.weight
     a2, a3 = _hecke_scalar(form, 2), _hecke_scalar(form, 3)
     terms = []
     for sign, mat, poly in items:
         a, b, c, d = mat.entries
-        terms.append((sign, c, d, a * d - b * c,
-                      poly.instantiate(a2, a3, form.sign)))
+        terms.append((sign, a * d - b * c, poly.instantiate(a2, a3, form.sign)))
     tol = _to_mpf(cfg.tolerance)
     worst = mpf(0)
-    for (x, y), row in zip(points, images):
+    for row in images:
         total = mpc(0)
-        for (sign, c, d, det, scalar), key in zip(terms, row):
+        for (sign, det, scalar), (xi, yi, den, cy) in zip(terms, row):
             if scalar.is_zero:
                 continue
+            key = (xi, yi)
             if key not in cache:
                 zre, zim = map(_to_mpf, key)
                 tail = _tail_bound(k, form.series, zim)
@@ -291,7 +296,7 @@ def _residual(form: FormData, congruence: Congruence,
                         f"{congruence.id}: tail bound {mp.nstr(tail, 5)} at "
                         f"image Im = {mp.nstr(zim, 8)} exceeds the tolerance")
                 cache[key] = _series_value(form.series, zre, zim)
-            denom = mpc(_to_mpf(c * QuadElem.of(x) + d), _to_mpf(c * QuadElem.of(y)))
+            denom = mpc(_to_mpf(den), _to_mpf(cy))
             factor = _stroke_factor(det, denom, k)
             total += sign * _to_mpf(scalar) * factor * cache[key]
         worst = max(worst, abs(total))
@@ -303,11 +308,8 @@ def congruence_residual(form: FormData, congruence: Congruence,
     """Max over the configured sample points of |f|lhs - f|rhs|, with the
     congruence symbols instantiated from the form."""
     cfg = cfg or DEFAULT_CONFIG
-    points = cfg.points
-    if points is None:
-        points = suggest_points(congruence, cfg.y_min)
     with mp.workprec(cfg.precision):
-        return _residual(form, congruence, points, cfg, {})
+        return _residual(form, congruence, cfg, {})
 
 
 _SUGGEST_HEIGHTS = (Fraction(1), Fraction(4, 5), Fraction(1, 2),
@@ -336,7 +338,7 @@ def suggest_points(congruence: Congruence,
             for x, y in pts:
                 worst_here = QuadElem.of(y)
                 for mat in mats:
-                    _, yi = _exact_image(mat, x, y)
+                    yi = _exact_image(mat, x, y)[1]
                     if (yi - worst_here).sign() < 0:
                         worst_here = yi
                 if score is None or (worst_here - score).sign() < 0:
@@ -411,11 +413,13 @@ def density_search(X, tol, bound: int) -> DensityResult:
         raise ValueError("bound must be nonnegative")
     with mp.workprec(256):
         xv = _to_mpf(X) if isinstance(X, (Fraction, QuadElem)) else mpf(X)
-        if not xv > 0:
-            raise ValueError("the target must be positive")
+        if not (mp.isfinite(xv) and xv > 0):
+            raise ValueError(f"the target must be a positive finite number, "
+                             f"got {X}")
         tolv = _to_mpf(Fraction(tol)) if isinstance(tol, Fraction) else mpf(tol)
-        if not tolv > 0:
-            raise ValueError("the tolerance must be positive")
+        if not (mp.isfinite(tolv) and tolv > 0):
+            raise ValueError(f"the tolerance must be a positive finite number, "
+                             f"got {tol}")
         y = _to_mpf(STRETCH_BASE)
         lam = mp.log(_to_mpf(H3_EIGENVALUE)) / mp.log(y)
         t = mp.log(xv) / mp.log(y)
@@ -540,13 +544,11 @@ class FormcheckReport:
 
 
 def _battery(form: FormData) -> List[Congruence]:
-    context = f_context(form.level)
-    congruences = [context.axiom(a) for a in ("ax:P", "ax:H", "ax:T2", "ax:T3")]
+    """The four context axioms (P, H, T2, T3), then the headline steps."""
     certificate = build_f_certificate(form.level)
     wanted = _HEADLINE_STEPS + (("delta2",) if form.level == 13 else ())
     by_id = {step.id: step.result for step in certificate.steps}
-    congruences.extend(by_id[i] for i in wanted if i in by_id)
-    return congruences
+    return list(certificate.axioms) + [by_id[i] for i in wanted if i in by_id]
 
 
 def formcheck_floor(level: int) -> Fraction:
@@ -565,21 +567,15 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
         raise ValueError(
             f"the battery needs an expansion with leading exponent 1, "
             f"got {form.series.offset}; fractional-offset forms are rejected")
-    work = cfg or DEFAULT_CONFIG
-    floor = work.y_min if cfg is not None else formcheck_floor(form.level)
-    fixed = work.points if cfg is not None else None
+    cfg = cfg or EvalConfig(points=None, y_min=formcheck_floor(form.level))
     rows: List[Tuple] = []
     ok = True
     worst = mpf(0)
-    with mp.workprec(work.precision):
+    with mp.workprec(cfg.precision):
         tol_v = _to_mpf(Fraction(residual_tol))
         cache: Dict = {}
         for congruence in _battery(form):
-            points = fixed if fixed is not None else suggest_points(
-                congruence, floor)
-            local = EvalConfig(precision=work.precision, points=points,
-                               y_min=floor, tolerance=work.tolerance)
-            residual = _residual(form, congruence, points, local, cache)
+            residual = _residual(form, congruence, cfg, cache)
             passed = residual < tol_v
             ok = ok and passed
             worst = max(worst, residual)
@@ -590,7 +586,7 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
             stroke = hecke_stroke_identity(form.series, p, form.weight, ap)
             ok = ok and rec.ok and stroke.ok
             rows.append(("HECKE", p, rec.ok, stroke.ok))
-        decay = cusp_decay_check(form, work)
+        decay = cusp_decay_check(form, cfg)
         ok = ok and decay.ok
         rows.append(("CUSP", decay.ok))
     return FormcheckReport(tuple(rows), ok, worst)
@@ -601,17 +597,10 @@ def certificate_residual_sweep(form: FormData, certificate: Certificate,
     """Max stroke residual of the form over every congruence the
     certificate establishes; the numeric soundness bridge for the
     symbolic layer."""
-    work = cfg or DEFAULT_CONFIG
-    floor = work.y_min if cfg is not None else Fraction(3, 20)
-    fixed = work.points if cfg is not None else None
+    cfg = cfg or EvalConfig(points=None)
     worst = mpf(0)
-    with mp.workprec(work.precision):
+    with mp.workprec(cfg.precision):
         cache: Dict = {}
         for step in certificate.steps:
-            points = fixed if fixed is not None else suggest_points(
-                step.result, floor)
-            local = EvalConfig(precision=work.precision, points=points,
-                               y_min=floor, tolerance=work.tolerance)
-            worst = max(worst, _residual(form, step.result, points, local,
-                                         cache))
+            worst = max(worst, _residual(form, step.result, cfg, cache))
     return worst

@@ -1,4 +1,7 @@
-"""Exact 2x2 matrices over Q(sqrt(D)) and their projective classes.
+"""Exact 2x2 matrices over Q(sqrt(13)) and their projective classes.
+
+The field is fixed, as in :mod:`gamma13.exactnum`: entries are coerced to
+:class:`~gamma13.exactnum.QuadElem` and no matrix carries a field of its own.
 
 :class:`Mat2` is a plain matrix with exact entries.  :class:`ProjMat` is the
 class of a matrix modulo nonzero scalar multiples, restricted to positive
@@ -23,21 +26,17 @@ MatrixLike = Union["Mat2", "ProjMat", Sequence]
 
 @dataclass(frozen=True)
 class Mat2:
-    """An exact 2x2 matrix [[a, b], [c, d]] over Q(sqrt(D))."""
+    """An exact 2x2 matrix [[a, b], [c, d]] over Q(sqrt(13))."""
 
     a: QuadElem
     b: QuadElem
     c: QuadElem
     d: QuadElem
 
-    @property
-    def D(self) -> int:
-        return self.a.D
-
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def of(cls, rows: MatrixLike, D: int = DEFAULT_D) -> "Mat2":
+    def of(cls, rows: MatrixLike) -> "Mat2":
         if isinstance(rows, Mat2):
             return rows
         if isinstance(rows, ProjMat):
@@ -47,18 +46,15 @@ class Mat2:
             flat = list(flat[0]) + list(flat[1])
         if len(flat) != 4:
             raise ValueError("expected 2x2 matrix data")
-        entries = [QuadElem.of(x, D) for x in flat]
-        D = entries[0].D
-        return cls(*[QuadElem.of(x, D) for x in entries])
+        return cls(*[QuadElem.of(x) for x in flat])
 
     @classmethod
-    def identity(cls, D: int = DEFAULT_D) -> "Mat2":
-        return cls.of([[1, 0], [0, 1]], D)
+    def identity(cls) -> "Mat2":
+        return cls.of([[1, 0], [0, 1]])
 
     @classmethod
-    def diag(cls, x: Scalar, y: Scalar, D: int = DEFAULT_D) -> "Mat2":
-        x = QuadElem.of(x, D)
-        return cls.of([[x, 0], [0, QuadElem.of(y, x.D)]], x.D)
+    def diag(cls, x: Scalar, y: Scalar) -> "Mat2":
+        return cls.of([[x, 0], [0, y]])
 
     # -- inspection ---------------------------------------------------------
 
@@ -73,7 +69,7 @@ class Mat2:
 
     @property
     def is_identity(self) -> bool:
-        return self == Mat2.identity(self.D)
+        return self == Mat2.identity()
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -93,7 +89,7 @@ class Mat2:
         return NotImplemented
 
     def scale(self, r: Scalar) -> "Mat2":
-        r = QuadElem.of(r, self.D)
+        r = QuadElem.of(r)
         return Mat2(r * self.a, r * self.b, r * self.c, r * self.d)
 
     def __neg__(self) -> "Mat2":
@@ -111,7 +107,7 @@ class Mat2:
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
             return self.inv() ** (-n)
-        return binary_power(self, n, Mat2.identity(self.D))
+        return binary_power(self, n, Mat2.identity())
 
     # -- text -----------------------------------------------------------------
 
@@ -143,15 +139,12 @@ def _primitive(entries: Tuple[QuadElem, ...]) -> Tuple[QuadElem, ...]:
 class ProjMat:
     """A positive-determinant 2x2 matrix up to nonzero scalar multiples."""
 
-    __slots__ = ("_entries", "D")
+    __slots__ = ("_entries",)
 
-    def __init__(self, entries: Sequence[QuadElem], D: Optional[int] = None):
-        entries = tuple(entries)
+    def __init__(self, entries: Sequence[QuadElem]):
+        entries = tuple(QuadElem.of(x) for x in entries)
         if len(entries) != 4:
             raise ValueError("expected 4 entries")
-        if D is None:
-            D = entries[0].D
-        entries = tuple(QuadElem.of(x, D) for x in entries)
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if det.sign() <= 0:
             raise ValueError(
@@ -160,7 +153,6 @@ class ProjMat:
         first = next(e for e in entries if not e.is_zero)
         inv = first.inv()
         object.__setattr__(self, "_entries", tuple(inv * e for e in entries))
-        object.__setattr__(self, "D", D)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ProjMat is immutable")
@@ -168,15 +160,14 @@ class ProjMat:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def of(cls, rows: MatrixLike, D: int = DEFAULT_D) -> "ProjMat":
+    def of(cls, rows: MatrixLike) -> "ProjMat":
         if isinstance(rows, ProjMat):
             return rows
-        m = Mat2.of(rows, D)
-        return cls(m.entries(), m.D)
+        return cls(Mat2.of(rows).entries())
 
     @classmethod
-    def identity(cls, D: int = DEFAULT_D) -> "ProjMat":
-        return cls.of(Mat2.identity(D))
+    def identity(cls) -> "ProjMat":
+        return cls.of(Mat2.identity())
 
     # -- inspection -----------------------------------------------------------
 
@@ -191,7 +182,7 @@ class ProjMat:
 
     @property
     def is_identity(self) -> bool:
-        return self == ProjMat.identity(self.D)
+        return self == ProjMat.identity()
 
     def primitive_entries(self) -> Tuple[QuadElem, QuadElem, QuadElem, QuadElem]:
         """The representative with coprime integer components."""
@@ -240,17 +231,17 @@ class ProjMat:
     def conjugate_by_h(self, N: int) -> "ProjMat":
         """The class of H M H^-1 for H = [[0, -1], [N, 0]]."""
         a, b, c, d = self._entries
-        return ProjMat.of([[d, -c / N], [-N * b, a]], self.D)
+        return ProjMat.of([[d, -c / N], [-N * b, a]])
 
     # -- identity -----------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ProjMat):
             return NotImplemented
-        return self.D == other.D and self._entries == other._entries
+        return self._entries == other._entries
 
     def __hash__(self):
-        return hash((self.D, self._entries))
+        return hash(self._entries)
 
     def __str__(self) -> str:
         a, b, c, d = self.primitive_entries()
@@ -261,7 +252,7 @@ class ProjMat:
 
 
 def diagonalize(m: Mat2) -> Tuple[Mat2, Tuple[QuadElem, QuadElem]]:
-    """Exact diagonalization over Q(sqrt(D)).
+    """Exact diagonalization over Q(sqrt(13)).
 
     Returns (A, (lam1, lam2)) with lam1 > lam2, det(A) > 0 and
     A^-1 * m * A == diag(lam1, lam2) verified exactly.  Raises ValueError
@@ -271,10 +262,11 @@ def diagonalize(m: Mat2) -> Tuple[Mat2, Tuple[QuadElem, QuadElem]]:
     disc = tr * tr - 4 * det
     s = disc.field_sqrt() if disc.is_rational else None
     if s is None:
-        raise ValueError(f"characteristic roots of {m} are not in Q(sqrt({m.D}))")
+        raise ValueError(f"characteristic roots of {m} are not in "
+                         f"Q(sqrt({DEFAULT_D}))")
     if s.is_zero:
         raise ValueError(f"{m} has a repeated characteristic root")
-    two = QuadElem.of(2, m.D)
+    two = QuadElem.of(2)
     lam1, lam2 = (tr + s) / two, (tr - s) / two
 
     def eigvec(lam: QuadElem) -> Tuple[QuadElem, QuadElem]:
@@ -282,13 +274,13 @@ def diagonalize(m: Mat2) -> Tuple[Mat2, Tuple[QuadElem, QuadElem]]:
             return (m.b, lam - m.a)
         if not m.c.is_zero:
             return (lam - m.d, m.c)
-        one, zero = QuadElem.of(1, m.D), QuadElem.of(0, m.D)
+        one, zero = QuadElem.of(1), QuadElem.of(0)
         return (one, zero) if lam == m.a else (zero, one)
 
     v1, v2 = eigvec(lam1), eigvec(lam2)
     basis = Mat2(v1[0], v2[0], v1[1], v2[1])
     if basis.det().sign() < 0:
         basis = Mat2(basis.a, -basis.b, basis.c, -basis.d)
-    if basis.inv() * m * basis != Mat2.diag(lam1, lam2, m.D):
+    if basis.inv() * m * basis != Mat2.diag(lam1, lam2):
         raise RuntimeError(f"diagonalization of {m} failed self-check")
     return basis, (lam1, lam2)

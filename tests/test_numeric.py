@@ -152,7 +152,7 @@ class TestStroke:
 def _to_mpf(q):
     a = mpf(q.a.numerator) / q.a.denominator
     b = mpf(q.b.numerator) / q.b.denominator
-    return a + b * mp.sqrt(q.D)
+    return a + b * mp.sqrt(13)
 
 
 class TestLambda:
