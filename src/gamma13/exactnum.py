@@ -5,8 +5,11 @@ Q(sqrt(13)), and ``DEFAULT_D`` is the one place that names it.
 
 Provides four layers, each built on the previous one:
 
-* :class:`QuadElem` -- numbers a + b*sqrt(13) with rational a, b, including
-  exact sign determination and square roots inside the field.
+* :class:`QuadElem` -- numbers a + b*sqrt(13) with rational a, b, stored as
+  three ints (p + q*sqrt(13))/r in lowest terms (r > 0, gcd(p, q, r) = 1),
+  so arithmetic, sign, equality and hashing never build a Fraction; the
+  Fractions a = p/r and b = q/r are derived only for text and ordering.
+  Includes exact sign determination and square roots inside the field.
 * :class:`ScalarPoly` -- commutative polynomials in the formal symbols
   ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(13)).
 * :class:`Poly` -- dense univariate polynomials over Q(sqrt(13)).
@@ -19,9 +22,8 @@ dictionary keys throughout the rest of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 #: The radicand of the field: every exact value lies in Q(sqrt(DEFAULT_D)).
@@ -65,95 +67,129 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True)
 class QuadElem:
-    """An element a + b*sqrt(13) of the field Q(sqrt(13))."""
+    """An element (p + q*sqrt(13))/r of the field Q(sqrt(13)).
 
-    a: Fraction
-    b: Fraction
+    Stored as three ints in lowest terms: r > 0 and gcd(p, q, r) = 1, so
+    equal values have equal components.  ``a`` = p/r and ``b`` = q/r are
+    the rational coordinates a + b*sqrt(13), read-only, for text and order.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    __slots__ = ("_p", "_q", "_r")
+
+    def __new__(cls, a: Rat, b: Rat) -> "QuadElem":
+        if type(a) is int and type(b) is int:
+            return _quad(a, b, 1)
+        a, b = Fraction(a), Fraction(b)
+        r = lcm(a.denominator, b.denominator)
+        return _quad(a.numerator * (r // a.denominator),
+                     b.numerator * (r // b.denominator), r)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def of(cls, x: Scalar) -> "QuadElem":
-        if isinstance(x, QuadElem):
-            return x
-        return cls(Fraction(x), Fraction(0))
+        o = _coerce(x)
+        return cls(x, 0) if o is None else o
 
     @classmethod
     def sqrt_d(cls) -> "QuadElem":
-        return cls(Fraction(0), Fraction(1))
+        return _quad(0, 1, 1)
+
+    # -- components ----------------------------------------------------
+
+    @property
+    def p(self) -> int:
+        return self._p
+
+    @property
+    def q(self) -> int:
+        return self._q
+
+    @property
+    def r(self) -> int:
+        return self._r
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._r)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._r)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self._p and not self._q
 
     @property
     def is_rational(self) -> bool:
-        return not self.b
+        return not self._q
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other) -> Optional["QuadElem"]:
-        if isinstance(other, QuadElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(Fraction(other), Fraction(0))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.a + o.a, self.b + o.b)
+        if type(other) is not QuadElem:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        r, s = self._r, other._r
+        if r == s:
+            return _quad(self._p + other._p, self._q + other._q, r)
+        return _quad(self._p * s + other._p * r, self._q * s + other._q * r,
+                     r * s)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.a - o.a, self.b - o.b)
+        if type(other) is not QuadElem:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        r, s = self._r, other._r
+        if r == s:
+            return _quad(self._p - other._p, self._q - other._q, r)
+        return _quad(self._p * s - other._p * r, self._q * s - other._q * r,
+                     r * s)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.a, -self.b)
+        return _quad(-self._p, -self._q, self._r)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.a * o.a + DEFAULT_D * self.b * o.b,
-                        self.a * o.b + self.b * o.a)
+        if type(other) is not QuadElem:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        p, q, s, t = self._p, self._q, other._p, other._q
+        return _quad(p * s + DEFAULT_D * q * t, p * t + q * s,
+                     self._r * other._r)
 
     __rmul__ = __mul__
 
     def inv(self) -> "QuadElem":
         # 13 is not a square, so the norm vanishes only at zero
-        norm = self.a * self.a - DEFAULT_D * self.b * self.b
+        p, q = self._p, self._q
+        norm = p * p - DEFAULT_D * q * q
         if not norm:
             raise ZeroDivisionError("inverse of zero")
-        return QuadElem(self.a / norm, -self.b / norm)
+        return _quad(self._r * p, -self._r * q, norm)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inv()
@@ -161,27 +197,26 @@ class QuadElem:
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
             return self.inv() ** (-n)
-        return binary_power(self, n, QuadElem.of(1))
+        return binary_power(self, n, _quad(1, 0, 1))
 
     def conj(self) -> "QuadElem":
-        """Galois conjugate a - b*sqrt(13)."""
-        return QuadElem(self.a, -self.b)
+        """Galois conjugate (p - q*sqrt(13))/r."""
+        return _quad(self._p, -self._q, self._r)
 
     # -- order ----------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(13) > 0."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # opposite signs: |a| vs |b|*sqrt(13) decided by squaring
-        lhs, rhs = self.a * self.a, DEFAULT_D * self.b * self.b
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        p, q = self._p, self._q
+        sp = (p > 0) - (p < 0)
+        sq = (q > 0) - (q < 0)
+        if sq == 0:
+            return sp
+        if sp == 0 or sp == sq:
+            return sq
+        # opposite signs: |p| vs |q|*sqrt(13) decided by squaring, and
+        # p^2 == 13 q^2 is impossible for q != 0
+        return sp if p * p > DEFAULT_D * q * q else sq
 
     def __abs__(self) -> "QuadElem":
         return -self if self.sign() < 0 else self
@@ -195,31 +230,73 @@ class QuadElem:
         """
         if not self.is_rational:
             return None
-        if not self.a:
-            return QuadElem.of(0)
+        if not self._p:
+            return _quad(0, 0, 1)
         r = _rational_sqrt(self.a)
         if r is not None:
-            return QuadElem(r, Fraction(0))
+            return QuadElem(r, 0)
         r = _rational_sqrt(self.a / DEFAULT_D)
         if r is not None:
-            return QuadElem(Fraction(0), r)
+            return QuadElem(0, r)
         return None
 
     def sort_key(self) -> tuple:
         return (self.a, self.b)
 
+    # -- identity -------------------------------------------------------
+
+    def __eq__(self, other):
+        if type(other) is not QuadElem:
+            return NotImplemented
+        return (self._p == other._p and self._q == other._q
+                and self._r == other._r)
+
+    def __hash__(self):
+        return hash((self._p, self._q, self._r))
+
+    def __reduce__(self):
+        return _quad, (self._p, self._q, self._r)
+
     # -- text -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.b:
-            return str(self.a)
-        root = f"{abs(self.b)}*sqrt({DEFAULT_D})"
-        if not self.a:
-            return root if self.b > 0 else "-" + root
-        return f"{self.a}{'+' if self.b > 0 else '-'}{root}"
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        root = f"{abs(b)}*sqrt({DEFAULT_D})"
+        if not a:
+            return root if b > 0 else "-" + root
+        return f"{a}{'+' if b > 0 else '-'}{root}"
 
     def __repr__(self) -> str:
         return f"QuadElem({self})"
+
+
+_new = object.__new__
+
+
+def _quad(p: int, q: int, r: int) -> QuadElem:
+    """The one constructor: (p + q*sqrt(13))/r reduced to lowest terms."""
+    if r != 1:
+        if r < 0:
+            p, q, r = -p, -q, -r
+        g = gcd(p, q, r)
+        if g != 1:
+            p, q, r = p // g, q // g, r // g
+    x = _new(QuadElem)
+    x._p, x._q, x._r = p, q, r
+    return x
+
+
+def _coerce(x) -> Optional[QuadElem]:
+    """``x`` as a QuadElem when it is one, an int or a Fraction; else None."""
+    if type(x) is QuadElem:
+        return x
+    if isinstance(x, int):
+        return _quad(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _quad(x.numerator, 0, x.denominator)
+    return None
 
 
 _MonoKey = tuple  # (exp_a2, exp_a3, exp_e) with exp_e in {0, 1}

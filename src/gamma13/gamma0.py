@@ -103,12 +103,10 @@ def _member_representative(m, level: int) -> Optional[Tuple[ProjMat, _IntMat]]:
         cls = m if isinstance(m, ProjMat) else ProjMat.of(m)
     except ValueError:
         return None
-    vals = []
-    for q in cls.primitive_entries():
-        if not q.is_rational or q.a.denominator != 1:
-            return None
-        vals.append(int(q.a))
-    a, b, c, d = vals
+    entries = cls.primitive_entries()
+    if any(e.q for e in entries):
+        return None
+    a, b, c, d = (e.p for e in entries)
     if a * d - b * c != 1 or c % level:
         return None
     return cls, (a, b, c, d)
@@ -168,7 +166,7 @@ def _letters() -> Tuple[Tuple[str, int, _IntMat], ...]:
     """(generator, exponent, matrix to left-apply when peeling it)."""
     out = []
     for gen, cls in GENERATORS.items():
-        mat = tuple(int(q.a) for q in cls.primitive_entries())
+        mat = tuple(e.p for e in cls.primitive_entries())
         out.append((gen, 1, _adj(mat)))   # peel gen: left-multiply by inverse
         out.append((gen, -1, mat))        # peel gen^-1: left-multiply by gen
     return tuple(out)

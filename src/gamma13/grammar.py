@@ -90,9 +90,10 @@ def _parse_fraction(ts: _Tokens) -> Fraction:
     num = _parse_uint(ts)
     if ts.peek() == "/":
         ts.next()
+        pos = ts.pos()
         den = _parse_uint(ts)
         if den == 0:
-            raise GrammarError("zero denominator", ts.pos())
+            raise GrammarError("zero denominator", pos)
         return Fraction(num, den)
     return Fraction(num)
 
@@ -116,11 +117,12 @@ def _scalar_factor(ts: _Tokens) -> ScalarPoly:
     if tok == "sqrt":
         ts.next()
         ts.expect("(")
+        pos = ts.pos()
         d = _parse_uint(ts)
         ts.expect(")")
         if d != DEFAULT_D:
             raise GrammarError(
-                f"sqrt({d}) does not belong to Q(sqrt({DEFAULT_D}))", ts.pos())
+                f"sqrt({d}) does not belong to Q(sqrt({DEFAULT_D}))", pos)
         return ScalarPoly.const(QuadElem.sqrt_d())
     if tok == "a2":
         ts.next()

@@ -5,7 +5,8 @@ but everything that decides *where* to evaluate is exact: sample points
 are rational, images under matrix classes are computed in Q(sqrt 13), and
 the minimum-imaginary-part audit compares field elements by exact sign.
 Truncation error is bounded rigorously from the crude coefficient growth
-bound |a_n| <= n^k:
+bound |a_n| <= n^k, which building a FormData checks on every carried
+coefficient with n >= 1:
 
     sum_{n >= M} n^k x^n  <=  M^k x^M / (1 - rho x),   rho = (1 + 1/M)^k,
 
@@ -118,6 +119,27 @@ class FormData:
             raise ValueError(f"level must be a positive integer, got {self.level}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        _check_growth(self.series, self.weight)
+
+
+def _check_growth(series: QSeries, k: int) -> None:
+    """Refuse a series whose carried coefficients break |a_n| <= n^k, the
+    growth bound every tail bound assumes, at some exponent n >= 1.
+    Exact: with offset u/v, the exponent of the j-th coefficient is
+    (u + j*v)/v, so the test is |a| * v^k <= (u + j*v)^k."""
+    offset = Fraction(series.offset)
+    u, v = offset.numerator, offset.denominator
+    scale = v ** k
+    for j, c in enumerate(series.coeffs):
+        top = u + j * v
+        if top < v or not c:
+            continue
+        num, den = c.as_integer_ratio()
+        if abs(num) * scale > top ** k * den:
+            n = Fraction(top, v)
+            raise ValueError(
+                f"coefficient a_n at n={n} is {c}, beyond n^{k} = {n ** k}: "
+                f"the tail bound assumes |a_n| <= n^k")
 
 
 class EvalResult(NamedTuple):

@@ -8,7 +8,10 @@ class of a matrix modulo nonzero scalar multiples, restricted to positive
 determinant (scaling by r multiplies the determinant by r^2 > 0, so the sign
 is an invariant of the class).  ProjMat instances are canonicalized -- the
 first nonzero entry in row-major order is scaled to 1 -- which makes equality
-and hashing structural.
+and hashing structural.  Each entry is a reduced integer triple
+(p + q*sqrt(13))/r, so the primitive representative (coprime integer
+components, used for text and for Gamma_0(N) membership) is read off the
+triples with one lcm and one gcd.
 """
 
 from __future__ import annotations
@@ -128,12 +131,11 @@ class MatClass(enum.Enum):
 
 def _primitive(entries: Tuple[QuadElem, ...]) -> Tuple[QuadElem, ...]:
     """Rescale so all rational components are coprime integers."""
-    fracs = [f for e in entries for f in (e.a, e.b)]
-    denom = lcm(*(f.denominator for f in fracs))
-    nums = [abs(f.numerator * (denom // f.denominator)) for f in fracs]
-    common = gcd(*nums)
-    scale = Fraction(denom, common) if common else Fraction(denom)
-    return tuple(e * scale for e in entries)
+    denom = lcm(*(e.r for e in entries))
+    nums = [c * (denom // e.r) for e in entries for c in (e.p, e.q)]
+    common = gcd(*nums) or 1
+    return tuple(QuadElem(nums[i] // common, nums[i + 1] // common)
+                 for i in range(0, 8, 2))
 
 
 class ProjMat:

@@ -12,7 +12,7 @@ import gamma13
 from gamma13.cli import main
 from gamma13.level13 import load_shipped_certificate
 from gamma13.certificate import certificate_to_json
-from gamma13.qseries import eta_product, format_coefficient_file
+from gamma13.qseries import QSeries, eta_product, format_coefficient_file
 
 
 def run_cli(capsys, *argv):
@@ -69,10 +69,10 @@ class TestVerify:
     @pytest.mark.parametrize("old, new, where", [
         ('\n    "[[1,-1],[0,1]]"', '\n    "sqrt(5)*[[1,-1],[0,1]]"',
          "step pinv.a: bad factor: "
-         "sqrt(5) does not belong to Q(sqrt(13)) (at position 7)"),
+         "sqrt(5) does not belong to Q(sqrt(13)) (at position 5)"),
         ('   "lhs": "[[1,1],[0,1]]"', '   "lhs": "[[1,sqrt(5)],[0,1]]"',
          "malformed certificate: "
-         "sqrt(5) does not belong to Q(sqrt(13)) (at position 11)"),
+         "sqrt(5) does not belong to Q(sqrt(13)) (at position 9)"),
     ], ids=["right-mul-factor", "axiom-side"])
     def test_foreign_square_root_is_usage_error_with_position(
             self, capsys, tmp_path, old, new, where):
@@ -125,6 +125,18 @@ class TestFormcheck:
         code, out, err = run_cli(capsys, "formcheck", str(path))
         assert code == 2
         assert err
+
+    def test_coefficients_beyond_growth_bound_are_usage_error(self, capsys,
+                                                              tmp_path):
+        # the tail bound assumes |a_n| <= n^k; Delta scaled by 10^6 breaks it
+        # at n = 1, and a file must not get a "rigorous" bound it violates
+        delta = eta_product([(1, 24)], 512)
+        scaled = QSeries(delta.offset, [10 ** 6 * c for c in delta.coeffs])
+        path = tmp_path / "scaled.txt"
+        path.write_text(format_coefficient_file(scaled, 12, 1, 1))
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out) == (2, "")
+        assert "n=1 " in err and "|a_n| <= n^k" in err
 
     def test_flag_header_mismatch(self, capsys, tmp_path):
         path = tmp_path / "delta.txt"

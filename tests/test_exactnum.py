@@ -5,6 +5,9 @@ inverse of 2+sqrt(13) comes from (2+sqrt13)(-2+sqrt13) = 13-4 = 9) and are
 frozen here as oracles for the implementation.
 """
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -117,6 +120,120 @@ class TestQuadSign:
     def test_abs(self):
         assert abs(q(2, -1)) == q(-2, 1)
         assert abs(q(2, 1)) == q(2, 1)
+
+
+class _RefQuad:
+    """The former representation, a + b*sqrt(13) as two Fractions, kept
+    here as the reference the integer triples are checked against."""
+
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return _RefQuad(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return _RefQuad(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return _RefQuad(self.a * o.a + 13 * self.b * o.b,
+                        self.a * o.b + self.b * o.a)
+
+    def inv(self):
+        norm = self.a * self.a - 13 * self.b * self.b
+        return _RefQuad(self.a / norm, -self.b / norm)
+
+    def sign(self):
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sb == 0 or sa == 0 or sa == sb:
+            return sb or sa
+        return sa if self.a * self.a > 13 * self.b * self.b else sb
+
+    def text(self):
+        if not self.b:
+            return str(self.a)
+        root = f"{abs(self.b)}*sqrt(13)"
+        if not self.a:
+            return root if self.b > 0 else "-" + root
+        return f"{self.a}{'+' if self.b > 0 else '-'}{root}"
+
+
+class TestIntegerRepresentation:
+    @staticmethod
+    def rand_rational(rng):
+        den = rng.choice((rng.randint(1, 9), rng.randint(1, 10 ** 12)))
+        num = rng.choice((rng.randint(-9, 9), rng.randint(-10 ** 15, 10 ** 15)))
+        return Fraction(num, den)
+
+    @staticmethod
+    def check(x, ref):
+        assert (x.a, x.b) == (ref.a, ref.b)
+        assert x.r > 0 and math.gcd(x.p, x.q, x.r) == 1
+        assert (Fraction(x.p, x.r), Fraction(x.q, x.r)) == (ref.a, ref.b)
+        assert x == QuadElem(ref.a, ref.b)
+        assert hash(x) == hash(QuadElem(ref.a, ref.b))
+        assert x.sign() == ref.sign()
+        assert str(x) == ref.text()
+        assert x.sort_key() == (ref.a, ref.b)
+
+    def test_operations_match_fraction_pairs(self):
+        rng = random.Random(13)
+        for _ in range(400):
+            ra = _RefQuad(self.rand_rational(rng), self.rand_rational(rng))
+            rb = _RefQuad(self.rand_rational(rng), self.rand_rational(rng))
+            if rng.random() < 0.2:
+                rb = _RefQuad(rb.a, 0)
+            if rng.random() < 0.2:
+                rb = _RefQuad(ra.b, ra.a)     # same r: the fast path of + and -
+            x, y = QuadElem(ra.a, ra.b), QuadElem(rb.a, rb.b)
+            self.check(x, ra)
+            self.check(x + y, ra + rb)
+            self.check(x - y, ra - rb)
+            self.check(x * y, ra * rb)
+            self.check(-x, _RefQuad(-ra.a, -ra.b))
+            self.check(x.conj(), _RefQuad(ra.a, -ra.b))
+            if not (rb.a == 0 and rb.b == 0):
+                self.check(y.inv(), rb.inv())
+                self.check(x / y, ra * rb.inv())
+            if ra.a or ra.b:
+                self.check(x ** -2, (ra * ra).inv())
+            self.check(x ** 3, ra * ra * ra)
+            self.check(x + 2, ra + _RefQuad(2, 0))
+            self.check(x * Fraction(3, 7), ra * _RefQuad(Fraction(3, 7), 0))
+            assert (x == y) == ((ra.a, ra.b) == (rb.a, rb.b))
+
+    def test_equal_values_by_different_routes(self):
+        half = QuadElem(Fraction(2, 4), 0)
+        routes = [half, QuadElem.of(Fraction(1, 2)), QuadElem.of(1) / 2,
+                  QuadElem(Fraction(1, 2), Fraction(0)), q(3, 1) * q(3, 1) / q(44, 12),
+                  (q(1, 1) + q(0, -1)) / 2]
+        for x in routes:
+            assert (x.p, x.q, x.r) == (1, 0, 2)
+            assert x == half and hash(x) == hash(half)
+        assert len(set(routes)) == 1
+        zero = q(5, 3) - q(5, 3)
+        assert (zero.p, zero.q, zero.r) == (0, 0, 1) and zero.is_zero
+
+    def test_sign_of_near_zero_unit(self):
+        unit = q(649, -180)       # norm 649^2 - 13*180^2 = 1
+        assert unit * unit.conj() == q(1)
+        assert unit.sign() == 1 and (-unit).sign() == -1
+        # 1/unit = 649 + 180*sqrt(13) = 1297.9992...
+        assert (unit - q(Fraction(1, 1298))).sign() == 1
+        assert (unit - q(Fraction(1, 1297))).sign() == -1
+        assert unit.inv() == q(649, 180)
+
+    def test_value_is_immutable(self):
+        x = q(1, 2)
+        for name in ("p", "q", "r", "a", "b", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 3)
+
+    def test_copy_and_pickle_keep_the_value(self):
+        x = q(Fraction(-7, 6), Fraction(5, 4))
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and (y.p, y.q, y.r) == (-14, 15, 12)
 
 
 class TestFieldSqrt:
@@ -285,6 +402,19 @@ class TestGrammar:
     def test_mismatched_root_rejected(self):
         with pytest.raises(grammar.GrammarError):
             grammar.parse_quad("1+sqrt(5)")
+
+    @pytest.mark.parametrize("parse, text, pos", [
+        (grammar.parse_scalar_poly, "sqrt(5)", 5),
+        (grammar.parse_quad, "1+sqrt( 5 )", 8),
+        (grammar.parse_matrix_entries, "[[1,sqrt(5)],[0,1]]", 9),
+        (grammar.parse_scalar_poly, "1/0 + a2", 2),
+        (grammar.parse_rational, "-3/0", 3),
+    ])
+    def test_error_names_the_offending_token(self, parse, text, pos):
+        # the radicand or the denominator itself, not the token after it
+        with pytest.raises(grammar.GrammarError) as info:
+            parse(text)
+        assert info.value.pos == pos
 
     def test_scalar_poly_round_trip(self):
         rng = random.Random(8)
