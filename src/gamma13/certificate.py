@@ -82,25 +82,20 @@ class Step:
 
 
 @dataclass(frozen=True)
-class CongruenceContext:
-    """A level together with the congruences assumed outright."""
+class Certificate:
+    """A level, the congruences assumed outright, and the steps derived
+    from them; with no steps it is just the context."""
 
+    version: int
     level: int
     axioms: Tuple[Congruence, ...]
+    steps: Tuple[Step, ...]
 
     def axiom(self, ax_id: str) -> Congruence:
         for ax in self.axioms:
             if ax.id == ax_id:
                 return ax
         raise KeyError(ax_id)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    version: int
-    level: int
-    axioms: Tuple[Congruence, ...]
-    steps: Tuple[Step, ...]
 
 
 @dataclass
@@ -162,24 +157,23 @@ def _evaluate_rule(resolved: Dict[str, Congruence],
                 f"step {step.id}: reference to unknown id {name!r}")
         return resolved[name]
 
+    def operand(what: str, parse):
+        # a singular matrix or a huge exponent is bad input, not a crash
+        try:
+            return parse(step.args[1])
+        except (ValueError, OverflowError) as exc:
+            raise CertificateError(f"step {step.id}: bad {what}: {exc}") from exc
+
     if step.rule == "AXIOM":
         return ref(step.args[0]).difference(), ""
     if step.rule == "RIGHT_MUL":
         prior = ref(step.args[0])
-        try:
-            factor = RingElem.parse(step.args[1])
-        except grammar.GrammarError as exc:
-            raise CertificateError(f"step {step.id}: bad factor: {exc}") from exc
-        return prior.difference() * factor, ""
+        return prior.difference() * operand("factor", RingElem.parse), ""
     if step.rule == "ADD":
         return ref(step.args[0]).difference() + ref(step.args[1]).difference(), ""
     if step.rule == "SCALE":
         prior = ref(step.args[0])
-        try:
-            scalar = grammar.parse_scalar_poly(step.args[1])
-        except grammar.GrammarError as exc:
-            raise CertificateError(f"step {step.id}: bad scalar: {exc}") from exc
-        return scalar * prior.difference(), ""
+        return operand("scalar", grammar.parse_scalar_poly) * prior.difference(), ""
     if step.rule == "SYM":
         return -ref(step.args[0]).difference(), ""
     if step.rule == "TRANS":
@@ -192,7 +186,10 @@ def _evaluate_rule(resolved: Dict[str, Congruence],
 
 
 def _check_step(resolved: Dict[str, Congruence], step: Step) -> StepVerdict:
-    recomputed, detail = _evaluate_rule(resolved, step)
+    try:
+        recomputed, detail = _evaluate_rule(resolved, step)
+    except OverflowError as exc:  # a product past the symbolic exponent cap
+        raise CertificateError(f"step {step.id}: {exc}") from exc
     if recomputed is None:
         return StepVerdict(step.id, step.rule, False, None, detail)
     claimed = step.result.difference()
@@ -352,20 +349,31 @@ def certificate_from_json(text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CertificateError(f"malformed certificate: the document is a "
+                               f"JSON {type(doc).__name__}, not an object")
     version = doc.get("version")
     if version != VERSION:
         raise CertificateError(f"unsupported certificate version {version!r}")
+    where = "level"
     try:
         level = int(doc["level"])
-        axioms = tuple(
-            Congruence(str(ax["id"]), RingElem.parse(ax["lhs"]),
-                       RingElem.parse(ax["rhs"]))
-            for ax in doc["axioms"])
-        steps = tuple(
-            Step(str(s["id"]), str(s["rule"]), tuple(map(str, s["args"])),
-                 Congruence(str(s["id"]), RingElem.parse(s["result"]["lhs"]),
-                            RingElem.parse(s["result"]["rhs"])))
-            for s in doc["steps"])
-    except (KeyError, TypeError, grammar.GrammarError) as exc:
-        raise CertificateError(f"malformed certificate: {exc}") from exc
-    return Certificate(version, level, axioms, steps)
+        axioms, steps = [], []
+        where = "axioms"
+        for ax in doc["axioms"]:
+            where = f"axiom {ax['id']}"
+            axioms.append(Congruence(str(ax["id"]), RingElem.parse(ax["lhs"]),
+                                     RingElem.parse(ax["rhs"])))
+        where = "steps"
+        for s in doc["steps"]:
+            where = f"step {s['id']}"
+            steps.append(Step(
+                str(s["id"]), str(s["rule"]), tuple(map(str, s["args"])),
+                Congruence(str(s["id"]), RingElem.parse(s["result"]["lhs"]),
+                           RingElem.parse(s["result"]["rhs"]))))
+    except KeyError as exc:
+        raise CertificateError(
+            f"malformed certificate: {where}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CertificateError(f"malformed certificate: {where}: {exc}") from exc
+    return Certificate(version, level, tuple(axioms), tuple(steps))

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import ast
-import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import List, Optional
 
@@ -52,6 +52,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             with open(args.path, encoding="utf-8") as handle:
                 cert = certificate_from_json(handle.read())
         report = verify_certificate(cert)
+    except UnicodeDecodeError as exc:
+        return _usage(f"{args.path} is not UTF-8 text: {exc}")
     except (OSError, CertificateError) as exc:
         return _usage(str(exc))
     text = report.render() + "\n"
@@ -90,15 +92,22 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
             return _usage(f"HECKE_PREC must be an integer, got {env!r}")
     if prec < 1:
         return _usage(f"{prec_source} must be at least 1 bit, got {prec}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
+    # read exactly: rounding the text can turn a small tolerance into 0
+    try:
+        tol = Decimal(args.tol)
+    except InvalidOperation:
+        tol = Decimal("NaN")
+    if not (tol.is_finite() and tol > 0):
         return _usage(f"--tol must be a positive finite number, got {args.tol}")
+    # Fraction(tol) builds 10^|exponent| exactly
+    if abs(tol.adjusted()) > 9999:
+        return _usage(f"--tol must lie between 1e-9999 and 1e9999, "
+                      f"got {args.tol}")
     try:
         form = FormData(parsed.series, parsed.weight, parsed.level, parsed.sign)
         cfg = EvalConfig(precision=prec, points=None,
                          y_min=formcheck_floor(form.level))
-        report = run_formcheck(form, cfg,
-                               residual_tol=Fraction(args.tol).limit_denominator(
-                                   10 ** 30))
+        report = run_formcheck(form, cfg, residual_tol=Fraction(tol))
     except (ValueError, ConfigurationError, PrecisionError) as exc:
         return _usage(str(exc))
     print("\n".join(report.lines()))
@@ -204,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=int, default=256,
                    help="working precision in bits (default: 256; "
                         "HECKE_PREC overrides)")
-    p.add_argument("--tol", type=float, default=1e-15,
-                   help="residual tolerance (default: 1e-15)")
+    p.add_argument("--tol", default="1e-15",
+                   help="residual tolerance, read exactly (default: 1e-15)")
     p.set_defaults(func=cmd_formcheck)
 
     p = sub.add_parser("decompose",

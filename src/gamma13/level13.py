@@ -32,8 +32,7 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .certificate import (CertBuilder, Certificate, Congruence,
-                          CongruenceContext, certificate_from_json,
-                          certificate_to_json)
+                          certificate_from_json, certificate_to_json)
 from .exactnum import QuadElem, RatFunc, ScalarPoly
 from .gamma0 import GENERATORS
 from .groupring import RingElem, stroke_of_power, stroke_ratfunc
@@ -128,17 +127,26 @@ def _add_f_axioms(b: CertBuilder, level: int) -> None:
     b.axiom("ax:T3", t3_sum(), RingElem.of(ScalarPoly.alpha3()))
 
 
-def _add_g_axioms(b: CertBuilder) -> None:
+def _g_builder() -> CertBuilder:
+    """The reflection axioms, each restated as a step named after its
+    class: the common start of every g-context derivation."""
+    b = CertBuilder(DEFAULT_LEVEL)
     e = RingElem.of(ScalarPoly.eps())
     b.axiom("ax:delta1", RingElem.of(DELTA1_HAT), e)
     b.axiom("ax:delta2", RingElem.of(DELTA2_HAT), -RingElem.one())
     b.axiom("ax:delta3", RingElem.of(DELTA3_HAT), e)
+    b.axiom_step("delta1hat", "ax:delta1")
+    b.axiom_step("delta2hat", "ax:delta2")
+    b.axiom_step("delta3hat", "ax:delta3")
+    return b
 
 
-def f_context(level: int = DEFAULT_LEVEL) -> CongruenceContext:
+def f_context(level: int = DEFAULT_LEVEL) -> Certificate:
+    """The four f-context axioms at a level, as a certificate without
+    steps."""
     b = CertBuilder(level)
     _add_f_axioms(b, level)
-    return CongruenceContext(level, tuple(b.axioms))
+    return b.build()
 
 
 # -- the f-context certificate ------------------------------------------------
@@ -384,11 +392,7 @@ def _fold_word(b: CertBuilder, word: Sequence[str], final_id: str) -> Congruence
 
 
 def build_g_certificate() -> Certificate:
-    b = CertBuilder(DEFAULT_LEVEL)
-    _add_g_axioms(b)
-    b.axiom_step("delta1hat", "ax:delta1")
-    b.axiom_step("delta2hat", "ax:delta2")
-    b.axiom_step("delta3hat", "ax:delta3")
+    b = _g_builder()
 
     # The aggregate of the three reflection congruences.
     b.add("sum.a", "delta1hat", "delta2hat")
@@ -427,12 +431,7 @@ def _h_word_congruence(m: int, n: int) -> Congruence:
     if not word:
         one = RingElem.one()
         return Congruence("h-word", one, one)
-    b = CertBuilder(DEFAULT_LEVEL)
-    _add_g_axioms(b)
-    b.axiom_step("delta1hat", "ax:delta1")
-    b.axiom_step("delta2hat", "ax:delta2")
-    b.axiom_step("delta3hat", "ax:delta3")
-    return _fold_word(b, word, "h-word")
+    return _fold_word(_g_builder(), word, "h-word")
 
 
 def sign_exponent_check(m: int, n: int) -> SignCheck:

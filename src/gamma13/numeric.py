@@ -4,14 +4,19 @@ Evaluation is binary floating point at a configured precision (mpmath),
 but everything that decides *where* to evaluate is exact: sample points
 are rational, images under matrix classes are computed in Q(sqrt 13), and
 the minimum-imaginary-part audit compares field elements by exact sign.
-Truncation error is bounded rigorously from the crude coefficient growth
-bound |a_n| <= n^k, which building a FormData checks on every carried
-coefficient with n >= 1:
+
+One private evaluator, ``_evaluate``, is the only code that sums a
+truncated expansion (by Horner's rule) and bounds what the truncation
+leaves out; ``eval_form``, ``stroke_value``, every congruence residual and
+the cusp-decay check go through it.  The bound rests on the crude
+coefficient growth bound |a_n| <= n^k, which building a FormData checks on
+every carried coefficient with n >= 1:
 
     sum_{n >= M} n^k x^n  <=  M^k x^M / (1 - rho x),   rho = (1 + 1/M)^k,
 
 with x = e^{-2 pi Im z} and M the first exponent beyond the truncation;
-a bound above the configured tolerance raises instead of degrading.
+a bound above the caller's tolerance, or a point too low for the bound to
+exist, raises ``PrecisionError`` instead of degrading.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -42,7 +47,7 @@ from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem
 from .level13 import build_f_certificate
 from .projmat import Mat2, ProjMat
-from .qseries import QSeries, hecke_check, hecke_stroke_identity
+from .qseries import QSeries, hecke_check
 
 
 class ConfigurationError(ValueError):
@@ -154,32 +159,29 @@ def _to_mpf(x) -> mpf:
     return mpf(q.numerator) / q.denominator
 
 
-def _exact_im_sign(value, floor: Fraction) -> int:
-    """Exact sign of value - floor for Fraction or QuadElem value."""
-    if isinstance(value, QuadElem):
-        return (value - floor).sign()
-    diff = Fraction(value) - floor
-    return (diff > 0) - (diff < 0)
-
-
-def _series_value(series: QSeries, zre: mpf, zim: mpf) -> mpc:
+def _evaluate(form: FormData, zre: mpf, zim: mpf, tol: mpf,
+              label: str = "") -> EvalResult:
+    """The truncated expansion at zre + i*zim and the tail bound of the
+    module docstring.  Raises ``PrecisionError`` when the bound exceeds
+    ``tol`` or does not exist at this height (rho x >= 1); ``label``
+    prefixes the message."""
+    series, k = form.series, form.weight
+    first = _to_mpf(series.offset) + series.length + 1
+    x = exp(-2 * pi * zim)
+    rho = (1 + 1 / first) ** k
+    bounded = rho * x < 1
+    tail = first ** k * x ** first / (1 - rho * x) if bounded else mp.inf
+    if not bounded or tail > tol:
+        raise PrecisionError(
+            f"{label}tail bound {mp.nstr(tail, 5)} at Im z = "
+            f"{mp.nstr(zim, 8)} exceeds the tolerance {mp.nstr(tol, 5)}")
     z = mpc(zre, zim)
     qz = exp(mpc(0, 2) * pi * z)
     acc = mpc(0)
     for c in reversed(series.coeffs):
         acc = acc * qz + (c if isinstance(c, int) else _to_mpf(c))
-    return acc * exp(mpc(0, 2) * pi * _to_mpf(series.offset) * z)
-
-
-def _tail_bound(weight: int, series: QSeries, zim: mpf) -> mpf:
-    first = _to_mpf(series.offset) + series.length + 1
-    x = exp(-2 * pi * zim)
-    rho = (1 + 1 / first) ** weight
-    if rho * x >= 1:
-        raise PrecisionError(
-            f"cannot bound the series tail at Im z = {mp.nstr(zim, 8)}; "
-            f"increase the truncation length or move the point up")
-    return first ** weight * x ** first / (1 - rho * x)
+    return EvalResult(acc * exp(mpc(0, 2) * pi * _to_mpf(series.offset) * z),
+                      tail)
 
 
 def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
@@ -189,7 +191,7 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
     with mp.workprec(cfg.precision):
         if isinstance(z, tuple):
             xe, ye = z
-            if _exact_im_sign(ye, cfg.y_min) < 0:
+            if (QuadElem.of(ye) - cfg.y_min).sign() < 0:
                 raise ConfigurationError(
                     f"point has imaginary part {ye} below the floor {cfg.y_min}")
             zre, zim = _to_mpf(xe), _to_mpf(ye)
@@ -200,20 +202,7 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
                 raise ConfigurationError(
                     f"point has imaginary part {mp.nstr(zim, 8)} below the "
                     f"floor {cfg.y_min}")
-        tail = _tail_bound(form.weight, form.series, zim)
-        if tail > _to_mpf(cfg.tolerance):
-            raise PrecisionError(
-                f"tail bound {mp.nstr(tail, 5)} exceeds the tolerance "
-                f"{float(cfg.tolerance):.1e}")
-        return EvalResult(_series_value(form.series, zre, zim), tail)
-
-
-def _matrix_of(matrix) -> Mat2:
-    if isinstance(matrix, ProjMat):
-        return matrix.mat
-    if isinstance(matrix, Mat2):
-        return matrix
-    return Mat2.of(matrix)
+        return _evaluate(form, zre, zim, _to_mpf(cfg.tolerance))
 
 
 def _stroke_factor(det: QuadElem, denom: mpc, k: int) -> mpc:
@@ -226,7 +215,7 @@ def stroke_value(form: FormData, matrix, z,
     """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz), evaluated
     numerically; requires positive determinant."""
     cfg = cfg or DEFAULT_CONFIG
-    m = _matrix_of(matrix)
+    m = Mat2.of(matrix)
     det = m.det()
     if det.sign() <= 0:
         raise ValueError("stroke needs a positive-determinant matrix")
@@ -290,7 +279,7 @@ def _residual(form: FormData, congruence: Congruence,
         row = []
         for _, mat, _ in items:
             image = _exact_image(mat, x, y)
-            if _exact_im_sign(image[1], y_min) < 0:
+            if (image[1] - y_min).sign() < 0:
                 raise ConfigurationError(
                     f"{label}: image of ({x}, {y}) under {mat} has "
                     f"imaginary part below y_min={y_min}")
@@ -312,12 +301,7 @@ def _residual(form: FormData, congruence: Congruence,
             key = (xi, yi)
             if key not in cache:
                 zre, zim = map(_to_mpf, key)
-                tail = _tail_bound(k, form.series, zim)
-                if tail > tol:
-                    raise PrecisionError(
-                        f"{congruence.id}: tail bound {mp.nstr(tail, 5)} at "
-                        f"image Im = {mp.nstr(zim, 8)} exceeds the tolerance")
-                cache[key] = _series_value(form.series, zre, zim)
+                cache[key] = _evaluate(form, zre, zim, tol, f"{label}: ").value
             denom = mpc(_to_mpf(den), _to_mpf(cy))
             factor = _stroke_factor(det, denom, k)
             total += sign * _to_mpf(scalar) * factor * cache[key]
@@ -522,13 +506,11 @@ def cusp_decay_check(form: FormData,
     failures: List[Tuple[str, int]] = []
     with mp.workprec(cfg.precision):
         for yv in (2, 4, 8):
-            value = abs(_series_value(series, mpf(0), mpf(yv)))
-            tail = _tail_bound(form.weight, series, mpf(yv))
+            value, tail = _evaluate(form, mpf(0), mpf(yv), mp.inf)
             limit = 2 * abs(_to_mpf(lead)) * exp(-2 * pi * yv) + tail
-            if value > limit:
-                failures.append(("infinity", yv))
-            if abs(form.sign) * value > limit:
-                failures.append(("zero", yv))
+            if abs(value) > limit:
+                # the 0-cusp image is sign * f, and |sign| = 1
+                failures += [("infinity", yv), ("zero", yv)]
     return CuspDecayVerdict(not failures, tuple(failures))
 
 
@@ -581,10 +563,10 @@ def formcheck_floor(level: int) -> Fraction:
 def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                   residual_tol: Fraction = Fraction(1, 10 ** 15),
                   ) -> FormcheckReport:
-    """Full numeric battery: Hecke recursion and stroke identity at p = 2
-    and 3, stroke residuals for the context axioms and the certificate's
-    headline congruences, and cusp decay.  Forms whose expansion does not
-    start at exponent 1 are rejected."""
+    """Full numeric battery: stroke residuals for the context axioms and
+    the certificate's headline congruences, the Hecke recursion at p = 2
+    and 3 (which settles the stroke identity too), and cusp decay.  Forms
+    whose expansion does not start at exponent 1 are rejected."""
     if Fraction(form.series.offset) != 1:
         raise ValueError(
             f"the battery needs an expansion with leading exponent 1, "
@@ -603,11 +585,12 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
             worst = max(worst, residual)
             rows.append(("CONG", congruence.id, residual, passed))
         for p in (2, 3):
-            ap = form.series.coefficient(p)
-            rec = hecke_check(form.series, p, form.weight, ap)
-            stroke = hecke_stroke_identity(form.series, p, form.weight, ap)
-            ok = ok and rec.ok and stroke.ok
-            rows.append(("HECKE", p, rec.ok, stroke.ok))
+            # the stroke identity is the recursion times p^(1-k/2) != 0,
+            # so one check backs both report fields
+            rec = hecke_check(form.series, p, form.weight,
+                              form.series.coefficient(p))
+            ok = ok and rec.ok
+            rows.append(("HECKE", p, rec.ok, rec.ok))
         decay = cusp_decay_check(form, cfg)
         ok = ok and decay.ok
         rows.append(("CUSP", decay.ok))

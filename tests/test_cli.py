@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report text, output streams."""
 
+import json
 import os
 import re
 import subprocess
@@ -23,6 +24,28 @@ def run_cli(capsys, *argv):
 
 def delta_file_text(length=512, sign=1):
     return format_coefficient_file(eta_product([(1, 24)], length), 12, 1, sign)
+
+
+def shipped_f_with(edit):
+    """The shipped f certificate as JSON bytes, after ``edit(doc)``."""
+    doc = json.loads(certificate_to_json(load_shipped_certificate("f")))
+    edit(doc)
+    return json.dumps(doc).encode("utf-8")
+
+
+def first_step(doc, rule):
+    return next(s for s in doc["steps"] if s["rule"] == rule)
+
+
+def overflowing_product(doc):
+    """T2 == a2^40000, then t2sq.b scales it by a2^40000: each exponent
+    parses, their product passes the cap."""
+    next(ax for ax in doc["axioms"] if ax["id"] == "ax:T2")["rhs"] = "a2^40000"
+    for step in doc["steps"]:
+        if step["id"] == "T2":
+            step["result"]["rhs"] = "a2^40000"
+        if step["id"] == "t2sq.b":
+            step["args"][1] = "a2^40000"
 
 
 class TestVerify:
@@ -71,7 +94,7 @@ class TestVerify:
          "step pinv.a: bad factor: "
          "sqrt(5) does not belong to Q(sqrt(13)) (at position 5)"),
         ('   "lhs": "[[1,1],[0,1]]"', '   "lhs": "[[1,sqrt(5)],[0,1]]"',
-         "malformed certificate: "
+         "malformed certificate: axiom ax:P: "
          "sqrt(5) does not belong to Q(sqrt(13)) (at position 9)"),
     ], ids=["right-mul-factor", "axiom-side"])
     def test_foreign_square_root_is_usage_error_with_position(
@@ -83,6 +106,39 @@ class TestVerify:
         path.write_text(text.replace(old, new, 1))
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out, err.strip()) == (2, "", where)
+
+    @pytest.mark.parametrize("make, where", [
+        (lambda: shipped_f_with(lambda d: d["steps"][0]["result"].update(
+            lhs="a2^70000*[[1,1],[0,1]]")),
+         "malformed certificate: step P: exponent"),
+        (lambda: shipped_f_with(lambda d: first_step(d, "SCALE")["args"]
+                                .__setitem__(1, "a3^70000")),
+         "step w.d: bad scalar: exponent"),
+        (lambda: shipped_f_with(lambda d: d["axioms"][0].update(
+            lhs="[[1,1],[0,0]]")),
+         "malformed certificate: axiom ax:P: projective class requires "
+         "positive determinant"),
+        (lambda: shipped_f_with(lambda d: first_step(d, "RIGHT_MUL")["args"]
+                                .__setitem__(1, "[[1,1],[1,1]]")),
+         "step pinv.a: bad factor: projective class requires positive "
+         "determinant"),
+        (lambda: shipped_f_with(overflowing_product),
+         "step t2sq.b: exponent 80000 exceeds limit 65536"),
+        (lambda: shipped_f_with(lambda d: d.update(level="x")),
+         "malformed certificate: level: "),
+        (lambda: b"[1, 2]",
+         "malformed certificate: the document is a JSON list, not an object"),
+        (lambda: b"\xff\xfe{}", "is not UTF-8 text"),
+    ], ids=["claimed-side-exponent", "scale-exponent", "singular-axiom-side",
+            "singular-factor", "product-exponent", "level-not-integer",
+            "top-level-list", "not-utf8"])
+    def test_malformed_certificate_is_usage_error(self, capsys, tmp_path,
+                                                  make, where):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(make())
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and where in err, err
 
     def test_missing_path(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", str(tmp_path / "no.json"))
@@ -126,6 +182,24 @@ class TestFormcheck:
         assert code == 2
         assert err
 
+    def test_short_expansion_names_congruence_and_tail_bound(self, capsys,
+                                                             tmp_path):
+        path = tmp_path / "delta40.txt"
+        path.write_text(delta_file_text(length=40))
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"[\w:.]+: tail bound \S+ at Im z = \S+ exceeds "
+                            r"the tolerance 1\.0e-20\n", err), err
+
+    def test_small_tolerance_is_kept_exactly(self, capsys, tmp_path):
+        # far below 1e-30 the tolerance must still be kept, not rounded to 0
+        path = tmp_path / "delta.txt"
+        path.write_text(delta_file_text())
+        code, out, err = run_cli(capsys, "formcheck", str(path),
+                                 "--tol", "1e-50")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "FORMCHECK OK"
+
     def test_coefficients_beyond_growth_bound_are_usage_error(self, capsys,
                                                               tmp_path):
         # the tail bound assumes |a_n| <= n^k; Delta scaled by 10^6 breaks it
@@ -150,7 +224,8 @@ class TestFormcheck:
         path = tmp_path / "delta.txt"
         path.write_text(delta_file_text())
         monkeypatch.delenv("HECKE_PREC", raising=False)
-        cases = [(["--tol", tol], "--tol") for tol in ("inf", "nan", "-1", "0")]
+        cases = [(["--tol", tol], "--tol")
+                 for tol in ("inf", "nan", "-1", "0", "abc", "1e-10000")]
         cases.append((["--prec", "0"], "--prec"))
         for flags, named in cases:
             code, out, err = run_cli(capsys, "formcheck", str(path), *flags)

@@ -233,6 +233,16 @@ class TestGCertificate:
         assert back == cert and verify_certificate(back).ok
 
 
+class TestFContext:
+    def test_is_the_f_certificate_without_steps(self):
+        ctx = level13.f_context(7)
+        assert ctx.steps == ()
+        assert ctx.axioms == level13.build_f_certificate(7).axioms
+        assert ctx.axiom("ax:H").lhs == RingElem.of(level13.h_class(7))
+        with pytest.raises(KeyError):
+            ctx.axiom("ax:W")
+
+
 class TestShippedData:
     @pytest.mark.parametrize("name, build", [
         ("f", level13.build_f_certificate),

@@ -101,6 +101,20 @@ class TestEvalForm:
         result = eval_form(delta_form(), (0, 1))
         assert 0 < result.tail_bound < mpf(10) ** -40
 
+    def test_every_tail_failure_has_one_message(self):
+        short = FormData(eta_product([(1, 24)], 20), weight=12, level=1, sign=1)
+        low = EvalConfig(y_min=Fraction(1, 100))
+        with pytest.raises(PrecisionError, match=r"^tail bound \S+ at Im z = "
+                           r"0\.5 exceeds the tolerance 1\.0e-20$"):
+            eval_form(short, (0, Fraction(1, 2)), low)
+        # so low that rho x >= 1 and no bound exists at all
+        with pytest.raises(PrecisionError, match=r"^tail bound \+inf at Im z = "
+                           r"0\.01 exceeds the tolerance 1\.0e-20$"):
+            eval_form(short, (0, Fraction(1, 100)), low)
+        with pytest.raises(PrecisionError, match=r"^ax:T2: tail bound \S+ at "
+                           r"Im z = \S+ exceeds the tolerance 1\.0e-20$"):
+            congruence_residual(short, f_context(1).axiom("ax:T2"))
+
 
 class TestStroke:
     COCYCLE_CFG = EvalConfig(y_min=Fraction(1, 200),
@@ -275,6 +289,15 @@ class TestCuspDecay:
         verdict = cusp_decay_check(const)
         assert not verdict.ok
         assert ("infinity", 2) in verdict.failures
+
+    def test_failures_name_both_cusps_per_height(self):
+        # the 0-cusp image is sign * f with |sign| = 1, so the two always agree
+        for sign in (1, -1):
+            const = FormData(QSeries(0, [1] + [0] * 40), weight=12, level=1,
+                             sign=sign)
+            assert cusp_decay_check(const).failures == (
+                ("infinity", 2), ("zero", 2), ("infinity", 4), ("zero", 4),
+                ("infinity", 8), ("zero", 8))
 
     def test_zero_series_passes(self):
         zero = FormData(QSeries(1, [0] * 40), weight=12, level=1, sign=1)

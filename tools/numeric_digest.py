@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Print the numeric layer's results at full precision, for diffing.
+
+    PYTHONPATH=src python3 tools/numeric_digest.py FILE [FILE ...]
+
+For each coefficient file (the format ``gamma13 eta`` writes) it prints
+every ``run_formcheck`` row, ``certificate_residual_sweep`` over the f
+certificate of the file's level, ``eval_form`` (value and tail bound) and
+``stroke_value`` at a fixed point, and ``cusp_decay_check``.  It ends with
+the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
+``FRICKE_POINTS_13`` for eps = -1 and +1.  Every ``mpf``/``mpc`` is printed
+as its ``repr`` at 256 bits, the working precision of all these calls, so
+two trees agree digit for digit exactly when the outputs of
+
+    PYTHONPATH=old/src python3 tools/numeric_digest.py FILES > old.txt
+    PYTHONPATH=new/src python3 tools/numeric_digest.py FILES > new.txt
+
+are identical.  An exception is printed as one ``ERROR`` line and the
+digest goes on.  It uses only the package's public API.
+"""
+
+from __future__ import annotations
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from mpmath import mp
+
+from gamma13 import level13, numeric, qseries
+
+POINT = (Fraction(1, 3), Fraction(9, 10))
+MATRIX = [[2, 1], [1, 1]]
+
+
+def _show(label: str, compute) -> None:
+    try:
+        value = compute()
+    except Exception as exc:  # the digest reports failures, it does not stop
+        print(f"{label} ERROR {type(exc).__name__}: {exc}")
+        return
+    print(f"{label} {value!r}")
+
+
+def digest_file(path: Path) -> None:
+    parsed = qseries.parse_coefficient_file(path.read_text(encoding="utf-8"))
+    form = numeric.FormData(parsed.series, parsed.weight, parsed.level,
+                            parsed.sign)
+    print(f"== {path.name} k={form.weight} N={form.level} eps={form.sign} "
+          f"L={form.series.length}")
+    try:
+        report = numeric.run_formcheck(form)
+    except Exception as exc:
+        print(f"formcheck ERROR {type(exc).__name__}: {exc}")
+    else:
+        for row in report.rows:
+            print("row", *(repr(x) for x in row))
+        print(f"formcheck ok={report.ok} max_residual={report.max_residual!r}")
+    _show("sweep", lambda: numeric.certificate_residual_sweep(
+        form, level13.build_f_certificate(form.level)))
+    _show("eval_form", lambda: tuple(numeric.eval_form(form, POINT)))
+    z = complex(*POINT)
+    _show("stroke_value", lambda: numeric.stroke_value(form, MATRIX, z))
+    _show("cusp", lambda: numeric.cusp_decay_check(form))
+
+
+def digest_fricke(length: int = 512) -> None:
+    series = qseries.eta_product([(1, 2), (13, 2)], length)
+    axiom = level13.f_context(13).axiom("ax:H")
+    cfg = numeric.EvalConfig(points=numeric.FRICKE_POINTS_13)
+    for sign in (-1, 1):
+        form = numeric.FormData(series, 2, 13, sign)
+        _show(f"fricke ax:H eps={sign:+d}",
+              lambda: numeric.congruence_residual(form, axiom, cfg))
+
+
+def main(argv) -> int:
+    if not argv:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    # the library sets its own working precision; this only widens repr
+    with mp.workprec(256):
+        for name in argv:
+            digest_file(Path(name))
+        digest_fricke()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
