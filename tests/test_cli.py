@@ -110,10 +110,11 @@ class TestVerify:
     @pytest.mark.parametrize("make, where", [
         (lambda: shipped_f_with(lambda d: d["steps"][0]["result"].update(
             lhs="a2^70000*[[1,1],[0,1]]")),
-         "malformed certificate: step P: exponent"),
+         "malformed certificate: step P: "
+         "exponent 70000 exceeds limit 65536"),
         (lambda: shipped_f_with(lambda d: first_step(d, "SCALE")["args"]
                                 .__setitem__(1, "a3^70000")),
-         "step w.d: bad scalar: exponent"),
+         "step w.d: bad scalar: exponent 70000 exceeds limit 65536"),
         (lambda: shipped_f_with(lambda d: d["axioms"][0].update(
             lhs="[[1,1],[0,0]]")),
          "malformed certificate: axiom ax:P: projective class requires "
@@ -324,6 +325,15 @@ class TestAsym:
     def test_odd_weight_rejected(self, capsys):
         code, out, err = run_cli(capsys, "asym", "3")
         assert code == 2
+
+    def test_weight_sixty_four_pole(self, capsys):
+        code, out, err = run_cli(capsys, "asym", "64")
+        assert (code, out.strip()) == (0, "POLE ORDER 32 - NONZERO")
+
+    def test_weight_beyond_bound_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "asym", "130")
+        assert (code, out, err.strip()) == (
+            2, "", "weight is limited to |k| <= 128")
 
 
 class TestEta:

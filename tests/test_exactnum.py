@@ -1,4 +1,4 @@
-"""Exact-arithmetic layer: field of Q(sqrt(13)), scalar polynomials, rational functions.
+"""Exact-arithmetic layer: field of Q(sqrt(13)) and scalar polynomials.
 
 Expected values in this file were derived independently by hand (e.g. the
 inverse of 2+sqrt(13) comes from (2+sqrt13)(-2+sqrt13) = 13-4 = 9) and are
@@ -18,9 +18,7 @@ from gamma13.exactnum import (
     DEFAULT_D,
     EXPONENT_LIMIT,
     ExponentOverflowError,
-    Poly,
     QuadElem,
-    RatFunc,
     ScalarPoly,
 )
 from gamma13 import grammar
@@ -284,6 +282,16 @@ class TestScalarPoly:
         with pytest.raises(ExponentOverflowError):
             big * big
 
+    def test_power_overflow_names_requested_exponent(self):
+        a2, a3 = ScalarPoly.alpha2(), ScalarPoly.alpha3()
+        with pytest.raises(ExponentOverflowError,
+                           match=r"^exponent 70000 exceeds limit 65536$"):
+            a2 ** 70000
+        # the largest exponent of the base counts, checked before squaring
+        with pytest.raises(ExponentOverflowError,
+                           match=r"^exponent 65536 exceeds limit 65536$"):
+            (a2 + a3 ** 2) ** 32768
+
     def test_instantiate(self):
         a2, a3, e = ScalarPoly.alpha2(), ScalarPoly.alpha3(), ScalarPoly.eps()
         p = a2 * a3 * e - 2 * a2 + 3
@@ -295,89 +303,6 @@ class TestScalarPoly:
     def test_is_const(self):
         assert ScalarPoly.const(q(5, 1)).as_const() == q(5, 1)
         assert ScalarPoly.alpha2().as_const() is None
-
-
-class TestPoly:
-    def test_mul_and_divmod(self):
-        f = Poly.of([1, 2, 1])          # 1 + 2z + z^2
-        g = Poly.of([1, 1])             # 1 + z
-        quo, rem = divmod(f, g)
-        assert quo == g and rem.is_zero
-
-    def test_gcd_is_monic(self):
-        f = Poly.of([0, 0, 2])          # 2 z^2
-        g = Poly.of([0, 4])             # 4 z
-        assert Poly.gcd(f, g) == Poly.of([0, 1])
-
-    def test_valuation(self):
-        assert Poly.of([0, 0, 3, 1]).valuation_at_zero() == 2
-        assert Poly.of([5]).valuation_at_zero() == 0
-
-    def test_eval(self):
-        f = Poly.of([1, 0, 1])          # 1 + z^2
-        assert f.eval_at(q(2, 1)) == q(1) + q(2, 1) * q(2, 1)
-
-
-class TestRatFunc:
-    def test_cancellation_to_zero(self):
-        zinv = RatFunc.z_power(-1)
-        assert (zinv + (-zinv)).is_zero
-
-    def test_pole_order_of_z_to_minus_2(self):
-        assert RatFunc.z_power(-2).pole_order_at_zero() == 2
-        assert RatFunc.z_power(3).pole_order_at_zero() == 0
-        assert RatFunc.const(q(7)).pole_order_at_zero() == 0
-
-    def test_reduction_confluent_random(self):
-        rng = random.Random(5)
-
-        def rand_poly():
-            return Poly.of([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
-
-        for _ in range(300):
-            fn, fd, g = rand_poly(), rand_poly(), rand_poly()
-            if fd.is_zero or g.is_zero:
-                continue
-            f = RatFunc(fn, fd)
-            assert (f * RatFunc(g, Poly.one())) / RatFunc(g, Poly.one()) == f
-
-    def test_valuation_self_consistency(self):
-        rng = random.Random(6)
-        for _ in range(200):
-            num = Poly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
-            den = Poly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
-            if den.is_zero:
-                continue
-            f = RatFunc(num, den)
-            if f.is_zero:
-                continue
-            # reduced form: no common z factor, and the pole order is the
-            # denominator valuation surplus
-            assert min(f.num.valuation_at_zero(), f.den.valuation_at_zero()) == 0
-            assert f.pole_order_at_zero() == max(
-                f.den.valuation_at_zero() - f.num.valuation_at_zero(), 0)
-
-    def test_eval_at_pole_rejected(self):
-        f = RatFunc.z_power(-1)
-        with pytest.raises(ZeroDivisionError):
-            f.eval_at(q(0))
-
-    def test_negative_pow(self):
-        f = RatFunc(Poly.of([1, 1]), Poly.one())   # 1 + z
-        assert f ** -2 == RatFunc(Poly.one(), Poly.of([1, 2, 1]))
-        assert f ** 0 == RatFunc.const(q(1))
-
-    def test_weight_minus_2_sum_vanishes(self):
-        # z + (-3z+5-2s)((5+2s)z-3)/36 + (3z+5-2s)((5+2s)z+3)/36 == 0
-        # where s = sqrt(13); the cross terms cancel since (5-2s)(5+2s) = -27.
-        s = S13
-        z = RatFunc.z()
-        t1 = RatFunc(Poly.of([q(5) - 2 * s, q(-3)]), Poly.one()) \
-            * RatFunc(Poly.of([q(-3), q(5) + 2 * s]), Poly.one())
-        t2 = RatFunc(Poly.of([q(5) - 2 * s, q(3)]), Poly.one()) \
-            * RatFunc(Poly.of([q(3), q(5) + 2 * s]), Poly.one())
-        total = z + t1 / RatFunc.const(q(36)) + t2 / RatFunc.const(q(36))
-        assert total.is_zero
 
 
 class TestGrammar:

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from gamma13.exactnum import QuadElem, RatFunc, ScalarPoly, Poly
-from gamma13.groupring import RingElem, stroke_of_power, stroke_ratfunc
+from gamma13.exactnum import QuadElem, ScalarPoly
+from gamma13.groupring import RingElem, stroke_of_power
 from gamma13.projmat import Mat2, ProjMat
 
 
@@ -33,12 +33,38 @@ def rand_positive_det(rng, lo=-6, hi=6):
             return m
 
 
-def rand_ratfunc(rng):
-    num = Poly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
-    den = Poly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
-    if den.is_zero:
-        den = Poly.one()
-    return RatFunc(num, den)
+def rand_point(rng, *mats):
+    """A rational x that is off the poles of z^(-k/2)|m for every m."""
+    while True:
+        x = q(Fraction(rng.randint(-30, 30), rng.randint(1, 7)))
+        if all(not ((m.a * x + m.b) * (m.c * x + m.d)).is_zero
+               for m in mats):
+            return x
+
+
+def horner(coeffs, x):
+    total = q(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def value(pair, x):
+    """An exact (numerator, denominator) pair evaluated at x."""
+    num, den = pair
+    return horner(num, x) / horner(den, x)
+
+
+def slash_at(f, m, k, x):
+    """(f|m)(x) = det(m)^(k/2) (cx+d)^(-k) f(mx), straight from the
+    definition, for a function f on field elements."""
+    mx = (m.a * x + m.b) / (m.c * x + m.d)
+    return m.det() ** (k // 2) * (m.c * x + m.d) ** (-k) * f(mx)
+
+
+def power(k):
+    """z^(-k/2) as a function on field elements."""
+    return lambda w: w ** (-k // 2)
 
 
 class TestRingElem:
@@ -105,57 +131,63 @@ class TestRingElem:
 
 
 class TestStroke:
-    def test_weight_two_inverse_power_under_h(self):
-        h = Mat2.of([[0, -1], [13, 0]])
-        assert stroke_of_power(2, h) == -RatFunc.z_power(-1)
+    H = Mat2.of([[0, -1], [13, 0]])
 
-    def test_weight_zero_is_moebius_substitution(self):
-        m = Mat2.of([[1, 2], [3, 4]])
-        z = RatFunc.z()
-        expected = RatFunc(Poly.of([2, 1]), Poly.of([4, 3]))
-        assert stroke_ratfunc(z, m, 0) == expected
+    def test_weight_two_inverse_power_under_h(self):
+        rng = random.Random(25)
+        for _ in range(10):
+            x = rand_point(rng, self.H)
+            assert value(stroke_of_power(2, self.H), x) == -x.inv()
 
     def test_odd_weight_rejected(self):
         with pytest.raises(ValueError):
-            stroke_ratfunc(RatFunc.z(), Mat2.identity(), 3)
+            stroke_of_power(3, Mat2.identity())
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            stroke_of_power(2, Mat2.of([[1, 2], [2, 4]]))
+
+    def test_closed_form_matches_definition(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            m = rand_positive_det(rng)
+            x = rand_point(rng, m, Mat2.identity())
+            for k in (-6, -2, 0, 2, 4, 8):
+                assert value(stroke_of_power(k, m), x) == \
+                    slash_at(power(k), m, k, x)
 
     def test_identity_matrix_acts_trivially(self):
         rng = random.Random(21)
-        for k in (-2, 0, 2, 4):
-            f = rand_ratfunc(rng)
-            assert stroke_ratfunc(f, Mat2.identity(), k) == f
+        for k in (-4, -2, 0, 2, 4):
+            x = rand_point(rng, Mat2.identity())
+            assert value(stroke_of_power(k, Mat2.identity()), x) == \
+                power(k)(x)
 
     def test_cocycle(self):
+        # (z^(-k/2)|m1)|m2 == z^(-k/2)|(m1 m2), the law tilde_g_check uses
         rng = random.Random(22)
         for _ in range(60):
-            m1, m2 = rand_invertible(rng), rand_invertible(rng)
-            f = rand_ratfunc(rng)
+            m1, m2 = rand_positive_det(rng), rand_positive_det(rng)
+            x = rand_point(rng, m2, m1 * m2)
             for k in (-2, 0, 2, 6):
-                lhs = stroke_ratfunc(stroke_ratfunc(f, m1, k), m2, k)
-                rhs = stroke_ratfunc(f, m1 * m2, k)
-                assert lhs == rhs
+                f1 = stroke_of_power(k, m1)
+                lhs = slash_at(lambda w: value(f1, w), m2, k, x)
+                assert lhs == value(stroke_of_power(k, m1 * m2), x)
 
     def test_scale_invariance_even_weight(self):
         rng = random.Random(23)
         for _ in range(60):
-            m = rand_invertible(rng)
+            m = rand_positive_det(rng)
             r = q(rng.randint(1, 5), rng.randint(-1, 1))
-            if r.is_zero:
-                continue
-            f = rand_ratfunc(rng)
+            x = rand_point(rng, m)
             for k in (-2, 2, 4):
-                assert stroke_ratfunc(f, m.scale(r), k) == stroke_ratfunc(f, m, k)
-
-    def test_linearity(self):
-        rng = random.Random(24)
-        for _ in range(40):
-            m = rand_invertible(rng)
-            f, g = rand_ratfunc(rng), rand_ratfunc(rng)
-            assert stroke_ratfunc(f + g, m, 4) == \
-                stroke_ratfunc(f, m, 4) + stroke_ratfunc(g, m, 4)
+                assert value(stroke_of_power(k, m.scale(r)), x) == \
+                    value(stroke_of_power(k, m), x)
 
     def test_double_h_returns_original(self):
-        h = Mat2.of([[0, -1], [13, 0]])
+        rng = random.Random(27)
         for k in (2, 4, 8):
-            f = RatFunc.z_power(-k // 2)
-            assert stroke_ratfunc(stroke_ratfunc(f, h, k), h, k) == f
+            x = rand_point(rng, self.H)
+            f = stroke_of_power(k, self.H)
+            assert slash_at(lambda w: value(f, w), self.H, k, x) == \
+                power(k)(x)

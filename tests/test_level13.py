@@ -319,12 +319,16 @@ class TestBlowup:
         assert res.pole_order == 0
         assert not res.leading_coeff_nonzero
 
-    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    @pytest.mark.parametrize("k", range(2, 17, 2))
     def test_positive_weights_blow_up(self, k):
         res = level13.blowup_check(k)
         assert not res.identically_zero
         assert res.pole_order == k // 2
         assert res.leading_coeff_nonzero
+
+    @pytest.mark.parametrize("k", range(-16, -3, 2))
+    def test_other_negative_weights_have_no_pole(self, k):
+        assert level13.blowup_check(k) == level13.BlowupResult(0, False, True)
 
     def test_rejects_odd_and_zero(self):
         with pytest.raises(ValueError):
@@ -332,13 +336,20 @@ class TestBlowup:
         with pytest.raises(ValueError):
             level13.blowup_check(0)
 
+    def test_weight_bound(self):
+        assert level13.blowup_check(128).pole_order == 64
+        for k in (130, -130):
+            with pytest.raises(ValueError, match=r"\|k\| <= 128"):
+                level13.blowup_check(k)
+
 
 class TestTildeG:
     @pytest.mark.parametrize("k,expected", [
         (2, (-1, -1, -1)), (6, (-1, -1, -1)), (10, (-1, -1, -1)),
         (4, (1, 1, 1)), (8, (1, 1, 1)), (12, (1, 1, 1)),
         (-2, (-1, -1, -1)), (-4, (1, 1, 1)),
-    ])
+    ] + [(k, ((-1) ** (k // 2),) * 3) for k in range(-16, 17, 2)
+         if k not in (2, 6, 10, 4, 8, 12, -2, -4)])
     def test_sign_pattern(self, k, expected):
         assert level13.tilde_g_check(k) == expected
 
