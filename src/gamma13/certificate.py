@@ -131,9 +131,18 @@ class Report:
                 continue
             msg = f"step {v.id} ({v.rule}): {v.detail or 'mismatch'}"
             if v.diff is not None:
-                msg += f"; difference {v.diff}"
+                msg += f"; difference {_text(v.diff)}"
             out.append(msg)
         return out
+
+
+def _text(elem: RingElem) -> str:
+    """``str(elem)``, or a note when a rational in it has more digits than
+    Python converts to text."""
+    try:
+        return str(elem)
+    except ValueError:
+        return "too long to print"
 
 
 def _evaluate_rule(resolved: Dict[str, Congruence],
@@ -179,7 +188,8 @@ def _evaluate_rule(resolved: Dict[str, Congruence],
     if step.rule == "TRANS":
         first, second = ref(step.args[0]), ref(step.args[1])
         if first.rhs != second.lhs:
-            return None, (f"middle terms differ: {first.rhs} vs {second.lhs}")
+            return None, (f"middle terms differ: {_text(first.rhs)} vs "
+                          f"{_text(second.lhs)}")
         return first.difference() + second.difference(), ""
     # RESCALE: pure restatement
     return ref(step.args[0]).difference(), ""
@@ -367,8 +377,12 @@ def certificate_from_json(text: str) -> Certificate:
         where = "steps"
         for s in doc["steps"]:
             where = f"step {s['id']}"
+            args = s["args"]
+            if not (isinstance(args, list)
+                    and all(isinstance(a, str) for a in args)):
+                raise TypeError("args must be a list of strings")
             steps.append(Step(
-                str(s["id"]), str(s["rule"]), tuple(map(str, s["args"])),
+                str(s["id"]), str(s["rule"]), tuple(args),
                 Congruence(str(s["id"]), RingElem.parse(s["result"]["lhs"]),
                            RingElem.parse(s["result"]["rhs"]))))
     except KeyError as exc:

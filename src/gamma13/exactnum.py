@@ -8,7 +8,7 @@ Provides two layers, the second built on the first:
 * :class:`QuadElem` -- numbers a + b*sqrt(13) with rational a, b, stored as
   three ints (p + q*sqrt(13))/r in lowest terms (r > 0, gcd(p, q, r) = 1),
   so arithmetic, sign, equality and hashing never build a Fraction; the
-  Fractions a = p/r and b = q/r are derived only for text and ordering.
+  Fractions a = p/r and b = q/r are derived only for text and term order.
   Includes exact sign determination and square roots inside the field.
 * :class:`ScalarPoly` -- commutative polynomials in the formal symbols
   ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(13)).
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import List, Mapping, Optional, Union
 
 #: The radicand of the field: every exact value lies in Q(sqrt(DEFAULT_D)).
 DEFAULT_D = 13
@@ -237,9 +237,6 @@ class QuadElem:
             return QuadElem(0, r)
         return None
 
-    def sort_key(self) -> tuple:
-        return (self.a, self.b)
-
     # -- identity -------------------------------------------------------
 
     def __eq__(self, other):
@@ -302,8 +299,9 @@ _MonoKey = tuple  # (exp_a2, exp_a3, exp_e) with exp_e in {0, 1}
 class ScalarPoly:
     """Polynomial in the symbols a2, a3, e over Q(sqrt(13)), with e^2 = 1.
 
-    Instances are canonical: terms are kept sorted with nonzero
-    coefficients, so ``==`` and ``hash`` reflect mathematical equality.
+    Instances are canonical as maps from monomial to nonzero coefficient,
+    so ``==`` and ``hash`` reflect mathematical equality; the terms have
+    an order only in :meth:`terms`, which text is written from.
     """
 
     __slots__ = ("_terms",)
@@ -325,7 +323,7 @@ class ScalarPoly:
                 cleaned.pop(key, None)
             else:
                 cleaned[key] = coeff
-        object.__setattr__(self, "_terms", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "_terms", cleaned)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ScalarPoly is immutable")
@@ -358,12 +356,11 @@ class ScalarPoly:
         """The value as a plain field element, or None if symbols occur."""
         if not self._terms:
             return QuadElem.of(0)
-        if len(self._terms) == 1 and self._terms[0][0] == (0, 0, 0):
-            return self._terms[0][1]
-        return None
+        return self._terms.get((0, 0, 0)) if len(self._terms) == 1 else None
 
-    def terms(self) -> Iterable[tuple]:
-        return self._terms
+    def terms(self) -> List[tuple]:
+        """(monomial, coefficient) pairs by increasing monomial key."""
+        return sorted(self._terms.items())
 
     # -- arithmetic -------------------------------------------------------
 
@@ -379,7 +376,7 @@ class ScalarPoly:
         if o is None:
             return NotImplemented
         acc = dict(self._terms)
-        for key, coeff in o._terms:
+        for key, coeff in o._terms.items():
             acc[key] = acc.get(key, QuadElem.of(0)) + coeff
         return ScalarPoly(acc)
 
@@ -398,15 +395,15 @@ class ScalarPoly:
         return o + (-self)
 
     def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly({k: -c for k, c in self._terms})
+        return ScalarPoly({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         acc: dict = {}
-        for (i2, i3, ie), c in self._terms:
-            for (j2, j3, je), d in o._terms:
+        for (i2, i3, ie), c in self._terms.items():
+            for (j2, j3, je), d in o._terms.items():
                 key = (i2 + j2, i3 + j3, (ie + je) & 1)
                 if max(key[0], key[1]) >= EXPONENT_LIMIT:
                     raise ExponentOverflowError(
@@ -425,11 +422,17 @@ class ScalarPoly:
         if n < 0:
             raise ValueError("negative powers of symbolic scalars")
         # the largest a2/a3 exponent of self^n is n times that of self
-        top = n * max((max(i2, i3) for (i2, i3, _), _ in self._terms),
-                      default=0)
+        top = n * max((max(i2, i3) for i2, i3, _ in self._terms), default=0)
         if top >= EXPONENT_LIMIT:
             raise ExponentOverflowError(
                 f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
+        # each power multiplies the bit length of p, q and r by up to n
+        bits = max((max(c.p.bit_length(), c.q.bit_length(), c.r.bit_length())
+                    for c in self._terms.values()), default=0)
+        if n * bits >= EXPONENT_LIMIT:
+            raise ExponentOverflowError(
+                f"exponent {n} times {bits} coefficient bits exceeds limit "
+                f"{EXPONENT_LIMIT}")
         return binary_power(self, n, ScalarPoly.const(1))
 
     # -- evaluation ---------------------------------------------------------
@@ -441,7 +444,7 @@ class ScalarPoly:
         a2 = QuadElem.of(alpha2)
         a3 = QuadElem.of(alpha3)
         total = QuadElem.of(0)
-        for (i2, i3, ie), coeff in self._terms:
+        for (i2, i3, ie), coeff in self._terms.items():
             val = coeff * a2 ** i2 * a3 ** i3
             if ie and eps == -1:
                 val = -val
@@ -458,7 +461,7 @@ class ScalarPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        return hash(frozenset(self._terms.items()))
 
     # -- text ------------------------------------------------------------------
 
@@ -478,7 +481,7 @@ class ScalarPoly:
         if not self._terms:
             return "0"
         chunks = []
-        for key, coeff in reversed(self._terms):
+        for key, coeff in reversed(self.terms()):
             neg = coeff.sign() < 0
             mag = -coeff if neg else coeff
             mono = self._mono_str(key)

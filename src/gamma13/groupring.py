@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from .exactnum import QuadElem, ScalarPoly
 from .projmat import Mat2, MatrixLike, ProjMat
@@ -34,14 +34,15 @@ Coeffs = Tuple[QuadElem, ...]
 
 
 class RingElem:
-    """A formal sum of projective matrix classes with ScalarPoly weights."""
+    """A formal sum of projective matrix classes with ScalarPoly weights,
+    canonical as a map from class to nonzero coefficient; the terms have an
+    order only in :meth:`terms`, which text is written from."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[ProjMat, ScalarPoly]):
-        items = sorted(((mat, coeff) for mat, coeff in terms.items()
-                        if not coeff.is_zero), key=lambda kv: kv[0].sort_key())
-        object.__setattr__(self, "_terms", tuple(items))
+        object.__setattr__(self, "_terms", {
+            mat: coeff for mat, coeff in terms.items() if not coeff.is_zero})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("RingElem is immutable")
@@ -81,15 +82,13 @@ class RingElem:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterable[Tuple[ProjMat, ScalarPoly]]:
-        return self._terms
+    def terms(self) -> List[Tuple[ProjMat, ScalarPoly]]:
+        """(class, coefficient) pairs by the coordinates of the entries."""
+        return sorted(self._terms.items(), key=lambda kv: [
+            (e.a, e.b) for e in kv[0].entries])
 
     def coeff_of(self, mat: MatrixLike) -> ScalarPoly:
-        target = ProjMat.of(mat)
-        for m, c in self._terms:
-            if m == target:
-                return c
-        return ScalarPoly.const(0)
+        return self._terms.get(ProjMat.of(mat), ScalarPoly.const(0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -105,7 +104,7 @@ class RingElem:
         if o is None:
             return NotImplemented
         acc = dict(self._terms)
-        for mat, coeff in o._terms:
+        for mat, coeff in o._terms.items():
             acc[mat] = acc.get(mat, ScalarPoly.const(0)) + coeff
         return RingElem(acc)
 
@@ -124,15 +123,15 @@ class RingElem:
         return o + (-self)
 
     def __neg__(self) -> "RingElem":
-        return RingElem({m: -c for m, c in self._terms})
+        return RingElem({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         acc: dict = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in o._terms:
+        for m1, c1 in self._terms.items():
+            for m2, c2 in o._terms.items():
                 mat = m1 * m2
                 prod = c1 * c2
                 if mat in acc:
@@ -155,7 +154,7 @@ class RingElem:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        return hash(frozenset(self._terms.items()))
 
     # -- text -------------------------------------------------------------------
 
@@ -163,7 +162,7 @@ class RingElem:
     def _term_str(mat: ProjMat, coeff: ScalarPoly) -> Tuple[str, str]:
         """(sign, body) for one term, with the sign pulled out when easy."""
         sign = "+"
-        terms = list(coeff.terms())
+        terms = coeff.terms()
         if len(terms) == 1 and terms[0][1].sign() < 0:
             sign = "-"
             coeff = -coeff
@@ -179,7 +178,7 @@ class RingElem:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = [self._term_str(m, c) for m, c in self._terms]
+        parts = [self._term_str(m, c) for m, c in self.terms()]
         sign, body = parts[0]
         out = ("-" if sign == "-" else "") + body
         for sign, body in parts[1:]:

@@ -190,9 +190,6 @@ class ProjMat:
         """The representative with coprime integer components."""
         return _primitive(self._entries)
 
-    def sort_key(self) -> tuple:
-        return tuple(e.sort_key() for e in self._entries)
-
     # -- group structure ----------------------------------------------------
 
     def __mul__(self, other):

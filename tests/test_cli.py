@@ -125,13 +125,23 @@ class TestVerify:
          "determinant"),
         (lambda: shipped_f_with(overflowing_product),
          "step t2sq.b: exponent 80000 exceeds limit 65536"),
+        (lambda: shipped_f_with(lambda d: first_step(d, "SCALE")["args"]
+                                .__setitem__(1, "(2)^10000000")),
+         "step w.d: bad scalar: exponent 10000000 times 2 coefficient bits "
+         "exceeds limit 65536"),
+        (lambda: shipped_f_with(lambda d: d["steps"][0].update(
+            args={"ax:P": 1})),
+         "malformed certificate: step P: args must be a list of strings"),
+        (lambda: shipped_f_with(lambda d: d["steps"][0].update(args="ax:P")),
+         "malformed certificate: step P: args must be a list of strings"),
         (lambda: shipped_f_with(lambda d: d.update(level="x")),
          "malformed certificate: level: "),
         (lambda: b"[1, 2]",
          "malformed certificate: the document is a JSON list, not an object"),
         (lambda: b"\xff\xfe{}", "is not UTF-8 text"),
     ], ids=["claimed-side-exponent", "scale-exponent", "singular-axiom-side",
-            "singular-factor", "product-exponent", "level-not-integer",
+            "singular-factor", "product-exponent", "constant-power-bits",
+            "args-object", "args-string", "level-not-integer",
             "top-level-list", "not-utf8"])
     def test_malformed_certificate_is_usage_error(self, capsys, tmp_path,
                                                   make, where):
@@ -140,6 +150,27 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and where in err, err
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: first_step(d, "SCALE")["args"].__setitem__(1, "(2)^20000"),
+         "step w.d (SCALE): claimed result disagrees with recomputation; "
+         "difference too long to print"),
+        (lambda d: next(s for s in d["steps"] if s["id"] == "w.b")["result"]
+         .update(rhs="(2)^20000*[[1,1],[0,1]]"),
+         "step w.c (TRANS): middle terms differ: too long to print vs "
+         "[[0,1],[-13,0]]"),
+    ], ids=["difference", "middle-term"])
+    def test_rational_too_long_for_text_still_fails_cleanly(
+            self, capsys, tmp_path, edit, where):
+        # 2^20000 has 6,021 digits, past the 4,300 that int converts to text
+        path = tmp_path / "long.json"
+        path.write_bytes(shipped_f_with(edit))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        lines = out.splitlines()
+        assert code == 1 and lines[-1] == "CERTIFICATE FAIL"
+        assert len(lines) == 94 and all(line.startswith("STEP ")
+                                        for line in lines[:-1])
+        assert where in err.splitlines()
 
     def test_missing_path(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", str(tmp_path / "no.json"))

@@ -173,7 +173,6 @@ class TestIntegerRepresentation:
         assert hash(x) == hash(QuadElem(ref.a, ref.b))
         assert x.sign() == ref.sign()
         assert str(x) == ref.text()
-        assert x.sort_key() == (ref.a, ref.b)
 
     def test_operations_match_fraction_pairs(self):
         rng = random.Random(13)
@@ -291,6 +290,43 @@ class TestScalarPoly:
         with pytest.raises(ExponentOverflowError,
                            match=r"^exponent 65536 exceeds limit 65536$"):
             (a2 + a3 ** 2) ** 32768
+
+    def test_constant_power_is_capped_on_coefficient_bits(self):
+        two = ScalarPoly.const(2)
+        assert grammar.parse_scalar_poly("(2)^20000") == \
+            ScalarPoly.const(2 ** 20000)
+        # checked before any squaring: 2 bits times 10^7 would be 10^7 bits
+        with pytest.raises(ExponentOverflowError,
+                           match=r"^exponent 10000000 times 2 coefficient "
+                                 r"bits exceeds limit 65536$"):
+            two ** 10000000
+        with pytest.raises(ExponentOverflowError, match=r"times 3 coefficient"):
+            grammar.parse_scalar_poly("(1/2 + 1/4*sqrt(13))^30000")
+
+    def test_value_does_not_depend_on_term_order(self):
+        rng = random.Random(29)
+        monomials = [(i2, i3, ie) for i2 in range(3) for i3 in range(3)
+                     for ie in range(2)]
+        a2, a3, e = ScalarPoly.alpha2(), ScalarPoly.alpha3(), ScalarPoly.eps()
+        for _ in range(60):
+            items = [(key, q(rng.choice((-1, 1)) * rng.randint(1, 9),
+                             rng.randint(-3, 3)))
+                     for key in rng.sample(monomials, rng.randint(1, 8))]
+            built = []
+            for _ in range(4):
+                rng.shuffle(items)
+                built.append(ScalarPoly(dict(items)))
+                total = ScalarPoly.const(0)
+                for (i2, i3, ie), c in items:
+                    total = total + c * a2 ** i2 * a3 ** i3 * e ** ie
+                built.append(total)
+            first = built[0]
+            for poly in built[1:]:
+                assert poly == first and hash(poly) == hash(first)
+                assert str(poly) == str(first)
+                assert list(poly.terms()) == list(first.terms())
+            keys = [key for key, _ in first.terms()]
+            assert keys == sorted(set(key for key, _ in items))
 
     def test_instantiate(self):
         a2, a3, e = ScalarPoly.alpha2(), ScalarPoly.alpha3(), ScalarPoly.eps()

@@ -129,6 +129,42 @@ class TestRingElem:
         assert RingElem.parse(str(elem)) == elem
         assert len(list(elem.terms())) == 4
 
+    def test_value_does_not_depend_on_term_order(self):
+        rng = random.Random(31)
+        syms = [ScalarPoly.const(1), ScalarPoly.alpha2(), ScalarPoly.eps()]
+        for _ in range(60):
+            classes = {ProjMat.of(rand_positive_det(rng))
+                       for _ in range(rng.randint(1, 6))}
+            items = [(mat, rng.choice(syms) * q(rng.choice((-1, 1))
+                                                * rng.randint(1, 9),
+                                                rng.randint(-2, 2)))
+                     for mat in sorted(classes, key=str)]
+            built = []
+            for _ in range(4):
+                rng.shuffle(items)
+                built.append(RingElem(dict(items)))
+                total = RingElem.zero()
+                for mat, coeff in items:
+                    total = total + coeff * RingElem.of(mat)
+                built.append(total)
+            first = built[0]
+            for elem in built[1:]:
+                assert elem == first and hash(elem) == hash(first)
+                assert str(elem) == str(first)
+                assert list(elem.terms()) == list(first.terms())
+            # terms come out by the rational coordinates of the entries
+            keys = [[(x.a, x.b) for x in mat.entries]
+                    for mat, _ in first.terms()]
+            assert len(keys) == len(classes) and keys == sorted(keys)
+
+    def test_coeff_of(self):
+        elem = RingElem.parse("2*[[2,0],[0,1]] - e*[[0,-1],[13,0]]")
+        assert elem.coeff_of([[4, 0], [0, 2]]) == ScalarPoly.const(2)
+        assert elem.coeff_of(ProjMat.of([[0, 1], [-13, 0]])) == \
+            -ScalarPoly.eps()
+        assert elem.coeff_of([[1, 1], [0, 1]]) == ScalarPoly.const(0)
+        assert RingElem.zero().coeff_of(ProjMat.identity()).is_zero
+
 
 class TestStroke:
     H = Mat2.of([[0, -1], [13, 0]])
