@@ -13,19 +13,20 @@ sound:
 * ``TRANS``      -- chain two congruences with a common middle term,
 * ``RESCALE``    -- restate a congruence with terms moved across the sign.
 
-The verifier never searches: it recomputes each step's output exactly and
-compares canonical forms.  Because a congruence's content is its difference
-``lhs - rhs``, every rule is checked on differences; ``TRANS`` additionally
-requires the middle terms to match structurally, and ``RESCALE`` requires
-the claimed difference to equal the prior one (allowing lhs/rhs re-splits).
+Each rule is one function from the congruences it cites to the sides it
+derives.  A congruence's content is its difference ``lhs - rhs``, so a claim
+verifies when its difference equals that of the derived sides (``RESCALE``
+thus allows lhs/rhs re-splits); ``TRANS`` also requires its middle terms to
+match structurally.  The verifier never searches.  :class:`CertBuilder`
+applies each rule once, as a step is pushed, and compares only a claim given
+to it, so a built certificate needs no second pass; :func:`verify_certificate`
+replays certificates from elsewhere, such as JSON loaded from disk.
 
-Each step is checked exactly once.  :class:`CertBuilder` checks a step as
-it is pushed and refuses one that does not verify, so a built certificate
-needs no second pass; :func:`verify_certificate` replays certificates that
-come from elsewhere, such as JSON loaded from disk.
-
-Certificates serialize to versioned JSON; unknown rules, dangling
-references, and malformed steps are hard errors rather than mere failures.
+Operands are values (a ``RIGHT_MUL`` factor is a ring element, a ``SCALE``
+scalar a scalar polynomial): text lives only in the versioned JSON that
+:func:`certificate_from_json` reads and :func:`certificate_to_json` writes.
+Unknown rules, dangling references, and malformed steps are hard errors
+rather than mere failures.
 """
 
 from __future__ import annotations
@@ -50,8 +51,14 @@ _ARITY = {
     "RESCALE": 1,
 }
 
+#: The rules whose second argument is an operand, and how its text reads.
+_OPERAND = {"RIGHT_MUL": ("factor", RingElem.parse),
+            "SCALE": ("scalar", grammar.parse_scalar_poly)}
+
 ElemLike = Union[str, RingElem]
 ScalarLike = Union[str, ScalarPoly]
+Arg = Union[str, RingElem, ScalarPoly]
+Sides = Tuple[RingElem, RingElem]
 
 
 class CertificateError(Exception):
@@ -75,9 +82,12 @@ class Congruence:
 
 @dataclass(frozen=True)
 class Step:
+    """``rule`` applied to ``args`` (the cited ids, then a RingElem factor or
+    a ScalarPoly scalar) claims ``result``, checked on differences."""
+
     id: str
     rule: str
-    args: Tuple[str, ...]
+    args: Tuple[Arg, ...]
     result: Congruence
 
 
@@ -145,68 +155,64 @@ def _text(elem: RingElem) -> str:
         return "too long to print"
 
 
-def _evaluate_rule(resolved: Dict[str, Congruence],
-                   step: Step) -> Tuple[Optional[RingElem], str]:
-    """Recompute the difference a step's rule produces.
-
-    Returns (difference, detail); difference is None when a side condition
-    fails.  Structural problems raise CertificateError.
-    """
-    expected = _ARITY.get(step.rule)
+def _apply_rule(resolved: Dict[str, Congruence], step_id: str, rule: str,
+                args: Tuple[Arg, ...]) -> Tuple[Optional[Sides], str]:
+    """(the sides a rule derives, ""), or (None, detail) when a side
+    condition fails.  Structural problems and a side past the symbolic
+    exponent cap raise CertificateError."""
+    expected = _ARITY.get(rule)
     if expected is None:
-        raise CertificateError(f"step {step.id}: unknown rule {step.rule}")
-    if len(step.args) != expected:
+        raise CertificateError(f"step {step_id}: unknown rule {rule}")
+    if len(args) != expected:
         raise CertificateError(
-            f"step {step.id}: rule {step.rule} takes {expected} argument(s), "
-            f"got {len(step.args)}")
+            f"step {step_id}: rule {rule} takes {expected} argument(s), "
+            f"got {len(args)}")
 
-    def ref(name: str) -> Congruence:
+    def ref(name: Arg) -> Congruence:
         if name not in resolved:
             raise CertificateError(
-                f"step {step.id}: reference to unknown id {name!r}")
+                f"step {step_id}: reference to unknown id {name!r}")
         return resolved[name]
 
-    def operand(what: str, parse):
-        # a singular matrix or a huge exponent is bad input, not a crash
-        try:
-            return parse(step.args[1])
-        except (ValueError, OverflowError) as exc:
-            raise CertificateError(f"step {step.id}: bad {what}: {exc}") from exc
-
-    if step.rule == "AXIOM":
-        return ref(step.args[0]).difference(), ""
-    if step.rule == "RIGHT_MUL":
-        prior = ref(step.args[0])
-        return prior.difference() * operand("factor", RingElem.parse), ""
-    if step.rule == "ADD":
-        return ref(step.args[0]).difference() + ref(step.args[1]).difference(), ""
-    if step.rule == "SCALE":
-        prior = ref(step.args[0])
-        return operand("scalar", grammar.parse_scalar_poly) * prior.difference(), ""
-    if step.rule == "SYM":
-        return -ref(step.args[0]).difference(), ""
-    if step.rule == "TRANS":
-        first, second = ref(step.args[0]), ref(step.args[1])
+    first = ref(args[0])
+    try:
+        if rule == "RIGHT_MUL":
+            return (first.lhs * args[1], first.rhs * args[1]), ""
+        if rule == "SCALE":
+            return (args[1] * first.lhs, args[1] * first.rhs), ""
+    except OverflowError as exc:  # a product past the symbolic exponent cap
+        raise CertificateError(f"step {step_id}: {exc}") from exc
+    if rule == "ADD":
+        second = ref(args[1])
+        return (first.lhs + second.lhs, first.rhs + second.rhs), ""
+    if rule == "SYM":
+        return (first.rhs, first.lhs), ""
+    if rule == "TRANS":
+        second = ref(args[1])
         if first.rhs != second.lhs:
             return None, (f"middle terms differ: {_text(first.rhs)} vs "
                           f"{_text(second.lhs)}")
-        return first.difference() + second.difference(), ""
-    # RESCALE: pure restatement
-    return ref(step.args[0]).difference(), ""
+        return (first.lhs, second.rhs), ""
+    # AXIOM and RESCALE: restate the cited congruence
+    return (first.lhs, first.rhs), ""
 
 
-def _check_step(resolved: Dict[str, Congruence], step: Step) -> StepVerdict:
-    try:
-        recomputed, detail = _evaluate_rule(resolved, step)
-    except OverflowError as exc:  # a product past the symbolic exponent cap
-        raise CertificateError(f"step {step.id}: {exc}") from exc
-    if recomputed is None:
+def _verdict(step: Step, derived: Optional[Sides], detail: str) -> StepVerdict:
+    """Compare a step's claim with the sides its rule derived, on
+    differences."""
+    if derived is None:
         return StepVerdict(step.id, step.rule, False, None, detail)
     claimed = step.result.difference()
+    recomputed = derived[0] - derived[1]
     if claimed == recomputed:
         return StepVerdict(step.id, step.rule, True)
     return StepVerdict(step.id, step.rule, False, claimed - recomputed,
                        "claimed result disagrees with recomputation")
+
+
+def _check_step(resolved: Dict[str, Congruence], step: Step) -> StepVerdict:
+    return _verdict(step, *_apply_rule(resolved, step.id, step.rule,
+                                       step.args))
 
 
 def verify_certificate(cert: Certificate) -> Report:
@@ -249,11 +255,6 @@ class CertBuilder:
     def _scalar(self, x: ScalarLike) -> ScalarPoly:
         return grammar.parse_scalar_poly(x) if isinstance(x, str) else x
 
-    def _require(self, name: str) -> Congruence:
-        if name not in self.resolved:
-            raise CertificateError(f"reference to unknown id {name!r}")
-        return self.resolved[name]
-
     # -- axioms ----------------------------------------------------------------
 
     def axiom(self, ax_id: str, lhs: ElemLike, rhs: ElemLike) -> Congruence:
@@ -266,72 +267,61 @@ class CertBuilder:
 
     # -- steps --------------------------------------------------------------------
 
-    def _push(self, step_id: str, rule: str, args: Tuple[str, ...],
-              lhs: RingElem, rhs: RingElem) -> Congruence:
+    def _push(self, step_id: str, rule: str, args: Tuple[Arg, ...],
+              lhs: Optional[ElemLike] = None,
+              rhs: Optional[ElemLike] = None) -> Congruence:
         if step_id in self.resolved:
             raise CertificateError(f"duplicate id {step_id!r}")
-        step = Step(step_id, rule, args, Congruence(step_id, lhs, rhs))
-        verdict = _check_step(self.resolved, step)
-        if not verdict.ok:
-            raise CertificateError(
-                f"step {step_id} does not verify: {verdict.detail}"
-                + (f"; difference {verdict.diff}" if verdict.diff is not None
-                   else ""))
+        derived, detail = _apply_rule(self.resolved, step_id, rule, args)
+        if derived is None:
+            raise CertificateError(f"step {step_id} does not verify: {detail}")
+        step = Step(step_id, rule, args, Congruence(
+            step_id, derived[0] if lhs is None else self._elem(lhs),
+            derived[1] if rhs is None else self._elem(rhs)))
+        # derived sides equal themselves: only a given claim needs comparing
+        if lhs is not None or rhs is not None:
+            verdict = _verdict(step, derived, detail)
+            if not verdict.ok:
+                raise CertificateError(
+                    f"step {step_id} does not verify: {verdict.detail}; "
+                    f"difference {verdict.diff}")
         self.steps.append(step)
         self.resolved[step_id] = step.result
         return step.result
 
-    def _claim(self, lhs: Optional[ElemLike], rhs: Optional[ElemLike],
-               auto_lhs: RingElem, auto_rhs: RingElem):
-        out_l = auto_lhs if lhs is None else self._elem(lhs)
-        out_r = auto_rhs if rhs is None else self._elem(rhs)
-        return out_l, out_r
-
     def axiom_step(self, step_id: str, ax_id: str) -> Congruence:
-        ax = self._require(ax_id)
-        return self._push(step_id, "AXIOM", (ax_id,), ax.lhs, ax.rhs)
+        return self._push(step_id, "AXIOM", (ax_id,))
 
     def right_mul(self, step_id: str, prior: str, factor: ElemLike,
                   lhs: Optional[ElemLike] = None,
                   rhs: Optional[ElemLike] = None) -> Congruence:
-        p = self._require(prior)
-        f = self._elem(factor)
-        out_l, out_r = self._claim(lhs, rhs, p.lhs * f, p.rhs * f)
-        return self._push(step_id, "RIGHT_MUL", (prior, str(f)), out_l, out_r)
+        return self._push(step_id, "RIGHT_MUL", (prior, self._elem(factor)),
+                          lhs, rhs)
 
     def add(self, step_id: str, first: str, second: str,
             lhs: Optional[ElemLike] = None,
             rhs: Optional[ElemLike] = None) -> Congruence:
-        a, b = self._require(first), self._require(second)
-        out_l, out_r = self._claim(lhs, rhs, a.lhs + b.lhs, a.rhs + b.rhs)
-        return self._push(step_id, "ADD", (first, second), out_l, out_r)
+        return self._push(step_id, "ADD", (first, second), lhs, rhs)
 
     def scale(self, step_id: str, prior: str, scalar: ScalarLike,
               lhs: Optional[ElemLike] = None,
               rhs: Optional[ElemLike] = None) -> Congruence:
-        p = self._require(prior)
-        s = self._scalar(scalar)
-        out_l, out_r = self._claim(lhs, rhs, s * p.lhs, s * p.rhs)
-        return self._push(step_id, "SCALE", (prior, str(s)), out_l, out_r)
+        return self._push(step_id, "SCALE", (prior, self._scalar(scalar)),
+                          lhs, rhs)
 
     def sym(self, step_id: str, prior: str,
             lhs: Optional[ElemLike] = None,
             rhs: Optional[ElemLike] = None) -> Congruence:
-        p = self._require(prior)
-        out_l, out_r = self._claim(lhs, rhs, p.rhs, p.lhs)
-        return self._push(step_id, "SYM", (prior,), out_l, out_r)
+        return self._push(step_id, "SYM", (prior,), lhs, rhs)
 
     def trans(self, step_id: str, first: str, second: str,
               lhs: Optional[ElemLike] = None,
               rhs: Optional[ElemLike] = None) -> Congruence:
-        a, b = self._require(first), self._require(second)
-        out_l, out_r = self._claim(lhs, rhs, a.lhs, b.rhs)
-        return self._push(step_id, "TRANS", (first, second), out_l, out_r)
+        return self._push(step_id, "TRANS", (first, second), lhs, rhs)
 
     def rescale(self, step_id: str, prior: str, lhs: ElemLike,
                 rhs: ElemLike) -> Congruence:
-        return self._push(step_id, "RESCALE", (prior,),
-                          self._elem(lhs), self._elem(rhs))
+        return self._push(step_id, "RESCALE", (prior,), lhs, rhs)
 
     # -- output ---------------------------------------------------------------------
 
@@ -346,7 +336,8 @@ def certificate_to_json(cert: Certificate) -> str:
         "level": cert.level,
         "axioms": [{"id": ax.id, "lhs": str(ax.lhs), "rhs": str(ax.rhs)}
                    for ax in cert.axioms],
-        "steps": [{"id": s.id, "rule": s.rule, "args": list(s.args),
+        "steps": [{"id": s.id, "rule": s.rule,
+                   "args": [str(a) for a in s.args],
                    "result": {"lhs": str(s.result.lhs),
                               "rhs": str(s.result.rhs)}}
                   for s in cert.steps],
@@ -377,14 +368,20 @@ def certificate_from_json(text: str) -> Certificate:
         where = "steps"
         for s in doc["steps"]:
             where = f"step {s['id']}"
-            args = s["args"]
+            step_id, rule, args = str(s["id"]), str(s["rule"]), s["args"]
             if not (isinstance(args, list)
                     and all(isinstance(a, str) for a in args)):
                 raise TypeError("args must be a list of strings")
-            steps.append(Step(
-                str(s["id"]), str(s["rule"]), tuple(args),
-                Congruence(str(s["id"]), RingElem.parse(s["result"]["lhs"]),
-                           RingElem.parse(s["result"]["rhs"]))))
+            result = Congruence(step_id, RingElem.parse(s["result"]["lhs"]),
+                                RingElem.parse(s["result"]["rhs"]))
+            if rule in _OPERAND and len(args) == _ARITY[rule]:
+                what, parse = _OPERAND[rule]
+                try:  # a singular matrix or a huge exponent is bad input
+                    args[1] = parse(args[1])
+                except (ValueError, OverflowError) as exc:
+                    raise CertificateError(
+                        f"{where}: bad {what}: {exc}") from exc
+            steps.append(Step(step_id, rule, tuple(args), result))
     except KeyError as exc:
         raise CertificateError(
             f"malformed certificate: {where}: missing field {exc}") from exc

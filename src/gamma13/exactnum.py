@@ -377,7 +377,7 @@ class ScalarPoly:
             return NotImplemented
         acc = dict(self._terms)
         for key, coeff in o._terms.items():
-            acc[key] = acc.get(key, QuadElem.of(0)) + coeff
+            acc[key] = acc[key] + coeff if key in acc else coeff
         return ScalarPoly(acc)
 
     __radd__ = __add__
@@ -410,10 +410,7 @@ class ScalarPoly:
                         f"exponent {max(key[0], key[1])} exceeds limit "
                         f"{EXPONENT_LIMIT}")
                 prod = c * d
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
+                acc[key] = acc[key] + prod if key in acc else prod
         return ScalarPoly(acc)
 
     __rmul__ = __mul__

@@ -22,10 +22,13 @@ from typing import List, Tuple
 
 from .exactnum import DEFAULT_D, QuadElem, ScalarPoly
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|\*\*|[+\-*/^()\[\],])")
+#: A token, or (second group) any other non-space character.
+_TOKEN = re.compile(r"(\d+|[A-Za-z][A-Za-z0-9]*|\*\*|[+\-*/^()\[\],])|(\S)")
 
 #: Matrix entries as a flat (top-left, top-right, bottom-left, bottom-right).
 Entries = Tuple[QuadElem, QuadElem, QuadElem, QuadElem]
+_IDENTITY: Entries = (QuadElem.of(1), QuadElem.of(0), QuadElem.of(0),
+                      QuadElem.of(1))
 
 
 class GrammarError(ValueError):
@@ -40,17 +43,11 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.toks: List[Tuple[str, int]] = []
-        i = 0
-        while i < len(text):
-            m = _TOKEN.match(text, i)
-            if m is None:
-                stripped = text[i:].lstrip()
-                if not stripped:
-                    break
-                raise GrammarError(f"unexpected character {stripped[0]!r}",
-                                   len(text) - len(stripped))
+        for m in _TOKEN.finditer(text):
+            if m.group(2) is not None:
+                raise GrammarError(f"unexpected character {m.group(2)!r}",
+                                   m.start(2))
             self.toks.append((m.group(1), m.start(1)))
-            i = m.end()
         self.idx = 0
 
     def peek(self) -> str:
@@ -219,7 +216,6 @@ def parse_matrix_entries(text: str) -> Entries:
 
 
 def _ring_term(ts: _Tokens) -> Tuple[ScalarPoly, Entries]:
-    identity = (QuadElem.of(1), QuadElem.of(0), QuadElem.of(0), QuadElem.of(1))
     if ts.peek() == "[":
         return ScalarPoly.const(1), _matrix(ts)
     coeff = _scalar_factor(ts)
@@ -228,7 +224,7 @@ def _ring_term(ts: _Tokens) -> Tuple[ScalarPoly, Entries]:
         if ts.peek() == "[":
             return coeff, _matrix(ts)
         coeff = coeff * _scalar_factor(ts)
-    return coeff, identity
+    return coeff, _IDENTITY
 
 
 def parse_ring_terms(text: str) -> List[Tuple[ScalarPoly, Entries]]:

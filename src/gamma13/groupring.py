@@ -73,7 +73,7 @@ class RingElem:
         acc: dict = {}
         for coeff, entries in grammar.parse_ring_terms(text):
             mat = ProjMat.of(entries)
-            acc[mat] = acc.get(mat, ScalarPoly.const(0)) + coeff
+            acc[mat] = acc[mat] + coeff if mat in acc else coeff
         return cls(acc)
 
     # -- inspection ------------------------------------------------------------
@@ -105,7 +105,7 @@ class RingElem:
             return NotImplemented
         acc = dict(self._terms)
         for mat, coeff in o._terms.items():
-            acc[mat] = acc.get(mat, ScalarPoly.const(0)) + coeff
+            acc[mat] = acc[mat] + coeff if mat in acc else coeff
         return RingElem(acc)
 
     __radd__ = __add__
@@ -134,10 +134,7 @@ class RingElem:
             for m2, c2 in o._terms.items():
                 mat = m1 * m2
                 prod = c1 * c2
-                if mat in acc:
-                    acc[mat] = acc[mat] + prod
-                else:
-                    acc[mat] = prod
+                acc[mat] = acc[mat] + prod if mat in acc else prod
         return RingElem(acc)
 
     def __rmul__(self, other):

@@ -6,6 +6,10 @@ two generator axioms) was verified by hand before being frozen here.
 
 import pytest
 
+import json
+from importlib import resources
+
+from gamma13 import level13
 from gamma13.certificate import (
     CertBuilder,
     Certificate,
@@ -16,6 +20,7 @@ from gamma13.certificate import (
     certificate_to_json,
     verify_certificate,
 )
+from gamma13.exactnum import ScalarPoly
 from gamma13.groupring import RingElem
 
 
@@ -194,3 +199,83 @@ class TestSerialization:
         with pytest.raises(CertificateError, match="oops"):
             b.right_mul("oops", "P", "[[1,-1],[0,1]]",
                         lhs="1", rhs="[[1,1],[0,1]]")
+
+    def test_builder_rejects_wrong_explicit_claim(self):
+        b = w_builder()
+        with pytest.raises(CertificateError,
+                           match="step w5 does not verify: claimed result "
+                                 "disagrees with recomputation; difference "):
+            b.scale("w5", "W", "a2", lhs="a2*[[1,0],[13,1]]", rhs="0")
+        assert "w5" not in b.resolved
+
+    @pytest.mark.parametrize("name", sorted(level13.SHIPPED_FILES))
+    def test_shipped_text_round_trips(self, name):
+        text = (resources.files("gamma13") / "data"
+                / level13.SHIPPED_FILES[name]).read_text(encoding="utf-8")
+        assert certificate_to_json(certificate_from_json(text)) + "\n" == text
+
+
+def operand_types(cert):
+    return {(s.rule, type(s.args[1])) for s in cert.steps
+            if s.rule in ("RIGHT_MUL", "SCALE")}
+
+
+def shipped_f_doc():
+    return json.loads(certificate_to_json(level13.load_shipped_certificate("f")))
+
+
+def step_of(doc, step_id):
+    return next(s for s in doc["steps"] if s["id"] == step_id)
+
+
+class TestOperands:
+    """A step's operand is a value: the reader parses it, the writer prints
+    it, and nothing in between goes through text."""
+
+    def test_loaded_and_built_operands_are_values(self):
+        expected = {("RIGHT_MUL", RingElem), ("SCALE", ScalarPoly)}
+        assert operand_types(level13.load_shipped_certificate("f")) == expected
+        assert operand_types(level13.build_f_certificate(13)) == expected
+        assert operand_types(w_builder().build()) == expected
+
+    def test_bad_operand_is_reported_at_load_before_replay(self):
+        # two faults: a dangling reference in step H, which replay would
+        # meet first, and a foreign square root in the factor of pinv.a
+        doc = shipped_f_doc()
+        step_of(doc, "H")["args"][0] = "nope"
+        step_of(doc, "pinv.a")["args"][1] = "sqrt(5)*[[1,-1],[0,1]]"
+        with pytest.raises(CertificateError) as info:
+            certificate_from_json(json.dumps(doc))
+        assert str(info.value) == ("step pinv.a: bad factor: sqrt(5) does "
+                                   "not belong to Q(sqrt(13)) (at position 5)")
+
+    def test_wrong_arity_keeps_operand_text_for_replay(self):
+        doc = shipped_f_doc()
+        step_of(doc, "pinv.a")["args"].append("[[1,1],[0,1]]")
+        cert = certificate_from_json(json.dumps(doc))
+        with pytest.raises(CertificateError,
+                           match="step pinv.a: rule RIGHT_MUL takes 2 "
+                                 "argument\\(s\\), got 3"):
+            verify_certificate(cert)
+
+    def test_side_product_past_exponent_cap_is_refused(self):
+        # lhs - rhs is [[2,0],[0,1]], but each side carries a2^40000, and
+        # times a2^30000 that passes the cap even though it cancels
+        lhs = "a2^40000*[[1,1],[0,1]] + [[2,0],[0,1]]"
+        rhs = "a2^40000*[[1,1],[0,1]]"
+        doc = {"version": 1, "level": 13,
+               "axioms": [{"id": "ax:X", "lhs": lhs, "rhs": rhs}],
+               "steps": [
+                   {"id": "X", "rule": "AXIOM", "args": ["ax:X"],
+                    "result": {"lhs": lhs, "rhs": rhs}},
+                   {"id": "x.a", "rule": "RIGHT_MUL", "args": ["X", "a2^30000"],
+                    "result": {"lhs": "a2^30000*[[2,0],[0,1]]", "rhs": "0"}}]}
+        cert = certificate_from_json(json.dumps(doc))
+        message = "step x.a: exponent 70000 exceeds limit 65536"
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(cert)
+        b = CertBuilder(level=13)
+        b.axiom("ax:X", lhs, rhs)
+        b.axiom_step("X", "ax:X")
+        with pytest.raises(CertificateError, match=message):
+            b.right_mul("x.a", "X", "a2^30000")

@@ -12,6 +12,7 @@ import pytest
 
 from gamma13.exactnum import QuadElem, ScalarPoly
 from gamma13.groupring import RingElem, stroke_of_power
+from gamma13.level13 import load_shipped_certificate
 from gamma13.projmat import Mat2, ProjMat
 
 
@@ -67,6 +68,20 @@ def power(k):
     return lambda w: w ** (-k // 2)
 
 
+def rand_scalar(rng):
+    """A ScalarPoly of up to three monomials of degree at most 3 in a2, a3."""
+    terms = {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 1)):
+             q(rng.randint(-6, 6), rng.randint(-2, 2))
+             for _ in range(rng.randint(1, 3))}
+    return ScalarPoly(terms)
+
+
+def rand_sum(rng, classes):
+    """Up to four of ``classes``, each weighted by a random ScalarPoly."""
+    return sum((rand_scalar(rng) * RingElem.of(rng.choice(classes))
+                for _ in range(rng.randint(1, 4))), RingElem.zero())
+
+
 class TestRingElem:
     def test_like_terms_merge(self):
         assert RingElem.parse("[[2,0],[0,1]] + [[2,0],[0,1]]") == \
@@ -90,6 +105,21 @@ class TestRingElem:
         h = RingElem.parse("[[0,-1],[13,0]]")
         lhs = RingElem.parse("[[1,1],[0,1]] + 1") * h
         assert lhs == RingElem.parse("[[13,-1],[13,0]] + [[0,-1],[13,0]]")
+        # seeded: the laws a replay on sides relies on, on classes from
+        # the shipped f certificate; f's classes are quotients u^-1 v of
+        # them, so that products often land in one class and must add up
+        rng = random.Random(41)
+        classes = sorted({mat for step in load_shipped_certificate("f").steps
+                          for side in (step.result.lhs, step.result.rhs)
+                          for mat, _ in side.terms()}, key=str)
+        for _ in range(40):
+            pool = rng.sample(classes, 4)
+            x, y = rand_sum(rng, pool), rand_sum(rng, pool)
+            f = rand_sum(rng, [u.inv() * v for u in pool for v in pool])
+            s = rand_scalar(rng)
+            assert (x - y) * f == x * f - y * f
+            assert s * (x - y) == s * x - s * y
+            assert (x + y) - y == x
 
     def test_product_lands_in_expected_class(self):
         g2 = RingElem.parse("[[2,-1],[13,-6]]")

@@ -4,7 +4,10 @@
     PYTHONPATH=src python3 tools/exact_digest.py
 
 It prints the stdout, stderr and exit code of ``gamma13 verify`` on both
-shipped certificates and on a copy of f with one tampered step, the JSON
+shipped certificates and on copies of f with exactly one fault each (a
+tampered factor, a foreign square root, an exponent past the cap, a wrong
+argument count, a dangling reference, an unknown rule, a ``TRANS`` whose
+middle terms differ), the JSON
 of ``build_f_certificate`` at levels 1, 7 and 13 and of
 ``build_g_certificate``, and ``lhs - rhs`` of every step of f.  Two trees
 agree on every certificate text, report line and diagnostic exactly when
@@ -27,9 +30,21 @@ from pathlib import Path
 
 from gamma13 import certificate, cli, level13
 
-#: The tampered step and its new RIGHT_MUL factor: its claimed sides then
-#: disagree with the recomputation in four terms, and later steps still run.
-TAMPER_STEP, TAMPER_FACTOR = "hpinv.a", "[[1,-2],[0,1]]"
+#: Copies of f with one fault each: (label, step id, field, new value).
+#: The first, a new RIGHT_MUL factor, makes the claimed sides disagree with
+#: the recomputation in four terms while later steps still run.
+FAULTS = [
+    ("hpinv.a factor [[1,-2],[0,1]]", "hpinv.a", "args",
+     ["H", "[[1,-2],[0,1]]"]),
+    ("pinv.a factor sqrt(5)*[[1,-1],[0,1]]", "pinv.a", "args",
+     ["P", "sqrt(5)*[[1,-1],[0,1]]"]),
+    ("w.d scalar a3^70000", "w.d", "args", ["w.c", "a3^70000"]),
+    ("pinv.a with three args", "pinv.a", "args",
+     ["P", "[[1,-1],[0,1]]", "[[1,-1],[0,1]]"]),
+    ("H citing an unknown id", "H", "args", ["nope"]),
+    ("P under an unknown rule", "P", "rule", "FROBNICATE"),
+    ("w.c chaining H before w.b", "w.c", "args", ["H", "w.b"]),
+]
 
 
 def _verify(label: str, argv) -> None:
@@ -43,11 +58,10 @@ def _verify(label: str, argv) -> None:
     print(err.getvalue(), end="")
 
 
-def _tampered_f() -> str:
+def _faulty_f(step_id: str, field: str, value) -> str:
     doc = json.loads(certificate.certificate_to_json(
         level13.load_shipped_certificate("f")))
-    step = next(s for s in doc["steps"] if s["id"] == TAMPER_STEP)
-    step["args"][1] = TAMPER_FACTOR
+    next(s for s in doc["steps"] if s["id"] == step_id)[field] = value
     return json.dumps(doc, indent=1)
 
 
@@ -55,9 +69,10 @@ def main() -> int:
     _verify("f", [])
     _verify("g", ["--context", "g"])
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tampered_f.json"
-        path.write_text(_tampered_f(), encoding="utf-8")
-        _verify(f"f with {TAMPER_STEP} factor {TAMPER_FACTOR}", [str(path)])
+        path = Path(tmp) / "faulty_f.json"
+        for label, step_id, field, value in FAULTS:
+            path.write_text(_faulty_f(step_id, field, value), encoding="utf-8")
+            _verify(f"f with {label}", [str(path)])
     for level in (1, 7, 13):
         print(f"== build_f_certificate({level})")
         print(certificate.certificate_to_json(
