@@ -29,7 +29,8 @@ from .level13 import blowup_check, load_shipped_certificate
 from .numeric import (ConfigurationError, DensityError, EvalConfig, FormData,
                       PrecisionError, density_search, formcheck_floor,
                       run_formcheck)
-from .qseries import eta_product, format_coefficient_file, parse_coefficient_file
+from .qseries import (coefficient_file_offset, eta_offset, eta_product,
+                      format_coefficient_file, parse_coefficient_file)
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -172,14 +173,19 @@ def cmd_eta(args: argparse.Namespace) -> int:
         if weight.denominator != 1 or weight <= 0 or weight % 2:
             raise ValueError(f"the exponents give weight {weight}, "
                              f"which is not a positive even integer")
-        series = eta_product(pairs, args.length)
-        level = max((m for m, r in pairs if r != 0), default=1)
+        if args.length < 0:
+            raise ValueError("truncation length must be nonnegative")
+        offset = eta_offset(pairs)
     except ValueError as exc:
         return _usage(f"bad eta product request: {exc}")
+    # refuse an unwritable expansion before computing it
     try:
-        print(format_coefficient_file(series, int(weight), level, 1), end="")
+        coefficient_file_offset(offset)
     except ValueError as exc:
         return _fail(str(exc))
+    series = eta_product(pairs, args.length)
+    level = max((m for m, r in pairs if r != 0), default=1)
+    print(format_coefficient_file(series, int(weight), level, 1), end="")
     return PASS
 
 

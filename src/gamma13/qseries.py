@@ -3,9 +3,13 @@
 A ``QSeries`` is q^offset * (c_0 + c_1 q + ... + c_L q^L) with a rational
 leading exponent (multiples of 1/24 arise from eta factors) and exact
 coefficients.  Multiplication truncates consistently: coefficient i of a
-product depends only on input coefficients <= i.  Eta products expand the
-Euler function by the pentagonal-number series and combine factors by
-binary powering; negative exponents invert the unit series part.
+product depends only on input coefficients <= i.  Every product is one
+big-integer multiplication (Kronecker substitution): each factor's
+coefficients, as integers over a common denominator, are packed into the
+byte-aligned slots of one ``int``, and the low slots of the integer
+product are the product's coefficients.  Eta products expand the Euler
+function by the pentagonal-number series, invert it for a negative
+exponent, and raise it to the exponent's size by binary powering.
 
 The Hecke checks verify, purely on coefficients, the recursion
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .exactnum import binary_power
@@ -32,8 +37,46 @@ Exact = Union[int, Fraction]
 
 
 def _exact(x) -> Exact:
+    if type(x) is int:
+        return x
     q = Fraction(x)
-    return int(q) if q.denominator == 1 else q
+    return q.numerator if q.denominator == 1 else q
+
+
+def _integral(coeffs: Sequence[Exact]) -> Tuple[Sequence[int], int]:
+    """The coefficients as integers over one common denominator."""
+    den = 1
+    for c in coeffs:
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return coeffs, 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _half_slots(count: int, width: int) -> int:
+    """Half a slot, 2^(8*width - 1), in each of the low ``count`` slots
+    of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum values[i] * 2^(8*width*i), for |values[i]| < 2^(8*width - 1)."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(v + half).to_bytes(width, "little") for v in values])
+    return int.from_bytes(raw, "little") - _half_slots(len(values), width)
+
+
+def _unpack(packed: int, count: int, width: int) -> List[int]:
+    """The low ``count`` signed slots of ``packed``, each of absolute value
+    below 2^(8*width - 1).  Adding half a slot to each makes every slot
+    nonnegative, which settles all borrows between slots in one addition."""
+    half = 1 << (8 * width - 1)
+    size = count * width
+    low = (packed + _half_slots(count, width)) & ((1 << (8 * size)) - 1)
+    raw = memoryview(low.to_bytes(size, "little"))
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, size, width)]
 
 
 @dataclass(frozen=True)
@@ -106,19 +149,18 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         L = min(self.length, other.length)
-        a, b = self.coeffs, other.coeffs
-        # Iterate over the sparser factor so eta-style expansions stay fast.
-        if sum(1 for c in a[:L + 1] if c != 0) > sum(1 for c in b[:L + 1] if c != 0):
-            a, b = b, a
-        out: List[Exact] = [0] * (L + 1)
-        for i in range(L + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(L + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
+        a, da = _integral(self.coeffs[:L + 1])
+        b, db = (a, da) if other is self else _integral(other.coeffs[:L + 1])
+        # a product coefficient is a sum of at most L+1 terms a_i*b_j;
+        # "or 1" keeps each factor's own coefficients inside the bound
+        bound = ((max(map(abs, a)) or 1) * (max(map(abs, b)) or 1)
+                 * (L + 1))
+        width = (bound.bit_length() + 8) // 8
+        packed = _pack(a, width)
+        product = packed * packed if b is a else packed * _pack(b, width)
+        out = _unpack(product, L + 1, width)
+        if da * db != 1:
+            out = [Fraction(c, da * db) for c in out]
         return QSeries(Fraction(self.offset) + Fraction(other.offset), out)
 
     def __rmul__(self, other) -> "QSeries":
@@ -136,13 +178,15 @@ class QSeries:
         a = self.coeffs
         if a[0] == 0:
             raise ValueError("cannot invert a series with zero lead")
-        lead = Fraction(1, 1) / a[0]
-        out: List[Exact] = [_exact(lead)]
+        lead = _exact(Fraction(1, 1) / a[0])
+        terms = [(j, c) for j, c in enumerate(a) if j and c != 0]
+        out: List[Exact] = [lead]
         for i in range(1, len(a)):
             acc = 0
-            for j in range(1, i + 1):
-                if a[j] != 0:
-                    acc += a[j] * out[i - j]
+            for j, c in terms:
+                if j > i:
+                    break
+                acc += c * out[i - j]
             out.append(_exact(-lead * acc))
         return QSeries(-Fraction(self.offset), out)
 
@@ -166,6 +210,16 @@ def _euler_function(multiplier: int, L: int) -> QSeries:
     return QSeries(0, coeffs)
 
 
+def eta_offset(factors: Sequence[Tuple[int, int]]) -> Fraction:
+    """The leading exponent sum(m*r)/24 of the product of eta(m z)^r over
+    the given (m, r) pairs; a multiplier must be a positive integer."""
+    for m, _ in factors:
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"eta multiplier must be a positive integer, "
+                             f"got {m!r}")
+    return Fraction(sum(m * int(r) for m, r in factors), 24)
+
+
 def eta_product(factors: Sequence[Tuple[int, int]], L: int) -> QSeries:
     """The product of eta(m z)^r over the given (m, r) pairs, expanded
     exactly to truncation length L.  The leading exponent is the exact
@@ -173,23 +227,22 @@ def eta_product(factors: Sequence[Tuple[int, int]], L: int) -> QSeries:
     check the offset themselves."""
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
+    offset = eta_offset(factors)
     net: dict = {}
     for m, r in factors:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"eta multiplier must be a positive integer, "
-                             f"got {m!r}")
         net[m] = net.get(m, 0) + int(r)
-    offset = Fraction(sum(m * r for m, r in net.items()), 24)
-    acc = QSeries(0, [1] + [0] * L)
+    acc = None
     for m in sorted(net):
         r = net[m]
         if r == 0:
             continue
-        factor = _euler_function(m, L) ** abs(r)
+        factor = _euler_function(m, L)
         if r < 0:
+            # invert while the pentagonal series is still sparse
             factor = factor.invert()
-        acc = acc * factor
-    return QSeries(offset, acc.coeffs)
+        factor = factor ** abs(r)
+        acc = factor if acc is None else acc * factor
+    return QSeries(offset, [1] + [0] * L if acc is None else acc.coeffs)
 
 
 # -- Hecke recursion on coefficients -------------------------------------------
@@ -265,18 +318,24 @@ class CoefficientFile(NamedTuple):
 _HEADER = re.compile(r"#\s*k=(-?\d+)\s+N=(\d+)\s+eps=([+-]1)\Z")
 
 
+def coefficient_file_offset(offset: Exact) -> int:
+    """The first index of a coefficient file for a series that starts at
+    q^offset.  Only integer leading exponents >= 1 are representable."""
+    q = Fraction(offset)
+    if q.denominator != 1 or q < 1:
+        raise ValueError(f"coefficient files need an integer leading "
+                         f"exponent >= 1, got {offset}")
+    return q.numerator
+
+
 def format_coefficient_file(series: QSeries, weight: int, level: int,
                             sign: int) -> str:
     """Render the header '# k=.. N=.. eps=..' plus one 'n a_n' line per
-    coefficient.  Only integer leading exponents >= 1 are representable."""
-    offset = Fraction(series.offset)
-    if offset.denominator != 1 or offset < 1:
-        raise ValueError(f"coefficient files need an integer leading "
-                         f"exponent >= 1, got {series.offset}")
+    coefficient, numbered from ``coefficient_file_offset``."""
+    n = coefficient_file_offset(series.offset)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     lines = [f"# k={weight} N={level} eps={sign:+d}"]
-    n = int(offset)
     for c in series.coeffs:
         lines.append(f"{n} {c}")
         n += 1
@@ -284,25 +343,40 @@ def format_coefficient_file(series: QSeries, weight: int, level: int,
 
 
 def parse_coefficient_file(text: str) -> CoefficientFile:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    """Read the format ``format_coefficient_file`` writes.  Blank lines are
+    skipped; an error names the line of ``text`` it is on."""
+    lines = [(number, line.strip())
+             for number, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
     if not lines:
         raise ValueError("empty coefficient file")
-    m = _HEADER.match(lines[0])
+    number, header = lines[0]
+    m = _HEADER.match(header)
     if not m:
-        raise ValueError(f"bad coefficient file header: {lines[0]!r}")
+        raise ValueError(f"line {number}: bad coefficient file header: "
+                         f"{header!r}")
     weight, level, sign = int(m.group(1)), int(m.group(2)), int(m.group(3))
     offset = None
     coeffs: List[Exact] = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"bad coefficient line: {line!r}")
-        n = int(parts[0])
+            raise ValueError(f"line {number}: bad coefficient line: {line!r}")
+        try:
+            n = int(parts[0])
+        except ValueError:
+            raise ValueError(f"line {number}: bad coefficient index "
+                             f"{parts[0]!r}") from None
         if offset is None:
             offset = n
         elif n != offset + len(coeffs):
-            raise ValueError(f"non-contiguous coefficient index {n}")
-        coeffs.append(_exact(Fraction(parts[1])))
+            raise ValueError(f"line {number}: non-contiguous coefficient "
+                             f"index {n}")
+        try:
+            coeffs.append(_exact(Fraction(parts[1])))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {number}: bad coefficient "
+                             f"{parts[1]!r}") from None
     if offset is None:
         raise ValueError("coefficient file has no coefficient lines")
     return CoefficientFile(QSeries(offset, coeffs), weight, level, sign)

@@ -244,6 +244,16 @@ class TestFormcheck:
         assert (code, out) == (2, "")
         assert "n=1 " in err and "|a_n| <= n^k" in err
 
+    @pytest.mark.parametrize("coefficient", ["1/0", "abc"])
+    def test_bad_coefficient_names_its_line(self, capsys, tmp_path,
+                                            coefficient):
+        # the blank line counts: the message names the file's own line
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# k=12 N=1 eps=+1\n\n1 1\n2 {coefficient}\n")
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out, err) == (
+            2, "", f"line 4: bad coefficient '{coefficient}'\n")
+
     def test_flag_header_mismatch(self, capsys, tmp_path):
         path = tmp_path / "delta.txt"
         path.write_text(delta_file_text())
@@ -381,6 +391,18 @@ class TestEta:
         code, out, err = run_cli(capsys, "eta", "1:2,13:2", "32")
         assert code == 1
         assert "exponent" in err
+
+    @pytest.mark.parametrize("factors", ["1:12", "1:1000000000"])
+    def test_fractional_leading_exponent_is_refused_before_expanding(
+            self, capsys, monkeypatch, factors):
+        def never(*args):
+            raise AssertionError("eta_product was called")
+        monkeypatch.setattr("gamma13.cli.eta_product", never)
+        length = "8" if factors == "1:12" else "4"
+        code, out, err = run_cli(capsys, "eta", factors, length)
+        assert (code, out) == (1, "")
+        assert err.startswith("coefficient files need an integer leading "
+                              "exponent >= 1, got ")
 
     def test_malformed_factor_string(self, capsys):
         code, out, err = run_cli(capsys, "eta", "nonsense", "32")

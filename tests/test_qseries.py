@@ -44,6 +44,44 @@ def delta_series(L):
     return eta_product([(1, 24)], L)
 
 
+def partition_counts(L):
+    """p(0..L) by counting partitions part size by part size."""
+    counts = [1] + [0] * L
+    for part in range(1, L + 1):
+        for n in range(part, L + 1):
+            counts[n] += counts[n - part]
+    return counts
+
+
+def miller_power(f, alpha, L):
+    """f^alpha for f[0] = 1 by J.C.P. Miller's recurrence
+    n g_n = sum_{k=1..n} ((alpha + 1) k - n) f_k g_{n-k}."""
+    support = [(k, c) for k, c in enumerate(f[: L + 1]) if k and c]
+    g = [1] + [0] * L
+    for n in range(1, L + 1):
+        total = sum(((alpha + 1) * k - n) * c * g[n - k]
+                    for k, c in support if k <= n)
+        assert total % n == 0
+        g[n] = total // n
+    return g
+
+
+def random_coeffs(rng, count, kind):
+    if kind == "small":
+        return [rng.randint(-9, 9) for _ in range(count)]
+    if kind == "2^64":
+        return [rng.choice((-1, 1)) * rng.getrandbits(70) for _ in range(count)]
+    if kind == "2^300":
+        return [rng.choice((-1, 1)) * (2 ** 300 + rng.getrandbits(310))
+                for _ in range(count)]
+    if kind == "zero":
+        return [0] * count
+    if kind == "fraction":
+        return [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 7, 12)))
+                for _ in range(count)]
+    raise AssertionError(kind)
+
+
 class TestQSeries:
     def test_constructor_normalizes(self):
         s = QSeries(Fraction(2, 2), [Fraction(4, 2), 3])
@@ -118,6 +156,46 @@ class TestQSeries:
             f.coefficient(Fraction(7, 6) + 3)
 
 
+class TestKernel:
+    KINDS = ("small", "2^64", "2^300", "zero", "fraction")
+
+    def test_matches_brute_convolution_on_seeded_factors(self):
+        rng = random.Random(2024)
+        for trial in range(60):
+            la, lb = rng.choice((0, 1, 7, 40)), rng.choice((0, 3, 40, 65))
+            a = random_coeffs(rng, la + 1, rng.choice(self.KINDS))
+            b = random_coeffs(rng, lb + 1, rng.choice(self.KINDS))
+            oa = Fraction(rng.randint(-30, 30), 24)
+            ob = rng.randint(-2, 3)
+            prod = QSeries(oa, a) * QSeries(ob, b)
+            assert prod.offset == oa + ob
+            assert list(prod.coeffs) == brute_mul(a, b, min(la, lb)), trial
+
+    def test_self_square_matches_brute_convolution(self):
+        rng = random.Random(77)
+        for kind in self.KINDS:
+            for length in (0, 1, 30):
+                a = random_coeffs(rng, length + 1, kind)
+                s = QSeries(Fraction(1, 24), a)
+                square = brute_mul(a, a, length)
+                assert list((s * s).coeffs) == square
+                assert (s ** 2).offset == Fraction(1, 12)
+                assert list((s ** 3).coeffs) == brute_mul(square, a, length)
+
+    def test_length_zero(self):
+        assert (QSeries(1, [-3]) * QSeries(2, [2 ** 300])).coeffs == (
+            -3 * 2 ** 300,)
+        assert (QSeries(0, [Fraction(1, 3)]) * QSeries(0, [0])).coeffs == (0,)
+
+    def test_discriminant_form_matches_miller_recurrence(self):
+        L = 1000
+        euler = [1] + [0] * L
+        for n in range(1, L + 1):  # multiply by (1 - q^n) in place
+            for i in range(L, n - 1, -1):
+                euler[i] -= euler[i - n]
+        assert list(delta_series(L).coeffs) == miller_power(euler, 24, L)
+
+
 class TestEtaProduct:
     def test_euler_product_pentagonal_signs(self):
         eta = eta_product([(1, 1)], 16)
@@ -168,6 +246,34 @@ class TestEtaProduct:
 
     def test_eta_times_inverse_is_one(self):
         assert eta_product([(1, 1), (1, -1)], 8) == eta_product([], 8)
+
+    def test_inverse_euler_product_at_length_300(self):
+        assert list(eta_product([(1, -1)], 300).coeffs) == \
+            partition_counts(300)
+
+    def test_eta_power_times_its_inverse_is_one_at_length_512(self):
+        one = QSeries(0, [1] + [0] * 512)
+        for r in (1, 5):
+            product = eta_product([(1, r)], 512) * eta_product([(1, -r)], 512)
+            assert product == one
+
+    def test_invert_with_rational_lead(self):
+        f = QSeries(Fraction(1, 2), [2, 0, Fraction(-1, 3), 0, 5, 1])
+        assert f * f.invert() == QSeries(0, [1, 0, 0, 0, 0, 0])
+
+    def test_quotients_match_power_then_invert(self):
+        # the order of operations before invert-then-power: each factor
+        # raised to |r| first, the dense power inverted afterwards
+        rng = random.Random(13)
+        for _ in range(8):
+            L = rng.choice((30, 120, 200))
+            ms = rng.sample(range(1, 14), rng.randint(1, 3))
+            factors = [(m, rng.choice((-6, -3, -1, 1, 2, 5))) for m in ms]
+            expected = QSeries(0, [1] + [0] * L)
+            for m, r in factors:
+                factor = eta_product([(m, abs(r))], L)
+                expected = expected * (factor.invert() if r < 0 else factor)
+            assert eta_product(factors, L) == expected, factors
 
     def test_rejects_bad_multiplier(self):
         with pytest.raises(ValueError):
@@ -275,3 +381,18 @@ class TestCoefficientFile:
             parse_coefficient_file("# k=12 N=1\n1 1\n")
         with pytest.raises(ValueError):
             parse_coefficient_file("1 1\n2 -24\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n# k=12 N=1\n", "line 2: bad coefficient file header: "
+                           "'# k=12 N=1'"),
+        ("# k=12 N=1 eps=+1\n1 1\n2\n", "line 3: bad coefficient line: '2'"),
+        ("# k=12 N=1 eps=+1\nx 1\n", "line 2: bad coefficient index 'x'"),
+        ("# k=12 N=1 eps=+1\n1 1\n\n3 252\n",
+         "line 4: non-contiguous coefficient index 3"),
+        ("# k=12 N=1 eps=+1\n1 1\n2 1/0\n", "line 3: bad coefficient '1/0'"),
+        ("# k=12 N=1 eps=+1\n1 abc\n", "line 2: bad coefficient 'abc'"),
+    ])
+    def test_parse_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_coefficient_file(text)
+        assert str(info.value) == message

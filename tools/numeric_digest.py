@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Print the numeric layer's results at full precision, for diffing.
 
-    PYTHONPATH=src python3 tools/numeric_digest.py FILE [FILE ...]
+    PYTHONPATH=src python3 tools/numeric_digest.py [FILE ...]
 
 For each coefficient file (the format ``gamma13 eta`` writes) it prints
 every ``run_formcheck`` row, ``certificate_residual_sweep`` over the f
 certificate of the file's level, ``eval_form`` (value and tail bound) and
 ``stroke_value`` at a fixed point, and ``cusp_decay_check``.  It ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
-``FRICKE_POINTS_13`` for eps = -1 and +1.  Every ``mpf``/``mpc`` is printed
-as its ``repr`` at 256 bits, the working precision of all these calls, so
-two trees agree digit for digit exactly when the outputs of
+``FRICKE_POINTS_13`` for eps = -1 and +1, and then with the length and
+SHA-256 of the stdout of ``gamma13 eta`` for each product in
+``ETA_REQUESTS``.  Every ``mpf``/``mpc`` is printed as its ``repr`` at 256
+bits, the working precision of all these calls, so two trees agree digit
+for digit, and their ``eta`` files byte for byte, exactly when the
+outputs of
 
     PYTHONPATH=old/src python3 tools/numeric_digest.py FILES > old.txt
     PYTHONPATH=new/src python3 tools/numeric_digest.py FILES > new.txt
@@ -21,16 +24,22 @@ digest goes on.  It uses only the package's public API.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from mpmath import mp
 
-from gamma13 import level13, numeric, qseries
+from gamma13 import cli, level13, numeric, qseries
 
 POINT = (Fraction(1, 3), Fraction(9, 10))
 MATRIX = [[2, 1], [1, 1]]
+ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
+                ("1:8,2:8", 2048), ("2:16,1:-8", 2048), ("1:4,5:4", 2048),
+                ("1:2,11:2", 2048)]
 
 
 def _show(label: str, compute) -> None:
@@ -74,15 +83,23 @@ def digest_fricke(length: int = 512) -> None:
               lambda: numeric.congruence_residual(form, axiom, cfg))
 
 
+def digest_eta() -> None:
+    for factors, length in ETA_REQUESTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["eta", factors, str(length)])
+        data = out.getvalue().encode("utf-8")
+        print(f"eta {factors} {length} exit={code} bytes={len(data)} "
+              f"sha256={hashlib.sha256(data).hexdigest()}")
+
+
 def main(argv) -> int:
-    if not argv:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
     # the library sets its own working precision; this only widens repr
     with mp.workprec(256):
         for name in argv:
             digest_file(Path(name))
         digest_fricke()
+    digest_eta()
     return 0
 
 
