@@ -4,154 +4,8 @@ The package splits into an exact layer (field arithmetic, projective
 matrices, a small group-ring calculus with machine-checkable congruence
 certificates) and a numeric layer (high-precision q-expansion checks that
 tie the formal certificates to actual modular forms).
+
+The package root exports nothing: import each name from the module that
+defines it, e.g. ``from gamma13.level13 import build_f_certificate``.
+Importing ``gamma13`` alone loads no submodule.
 """
-
-from .certificate import (
-    Certificate,
-    CertificateError,
-    Congruence,
-    Report,
-    Step,
-    StepVerdict,
-    certificate_from_json,
-    certificate_to_json,
-    verify_certificate,
-)
-from .exactnum import (
-    DEFAULT_D,
-    ExponentOverflowError,
-    QuadElem,
-    ScalarPoly,
-)
-from .gamma0 import (
-    DEFAULT_LEVEL,
-    GENERATORS,
-    DecompositionError,
-    Word,
-    cusps,
-    decompose,
-    is_member,
-)
-from .grammar import GrammarError
-from .groupring import RingElem, stroke_of_power
-from .level13 import (
-    BlowupResult,
-    SignCheck,
-    blowup_check,
-    build_f_certificate,
-    build_g_certificate,
-    f_context,
-    load_shipped_certificate,
-    sign_exponent_check,
-    square_t2_certificate,
-    tilde_g_check,
-    write_shipped_certificates,
-)
-from .numeric import (
-    DEFAULT_POINTS,
-    FRICKE_POINTS_13,
-    H3_EIGENVALUE,
-    STRETCH_BASE,
-    ConfigurationError,
-    CuspDecayVerdict,
-    DensityError,
-    DensityResult,
-    EvalConfig,
-    EvalResult,
-    FormData,
-    FormcheckReport,
-    PrecisionError,
-    certificate_residual_sweep,
-    congruence_residual,
-    cusp_decay_check,
-    density_search,
-    eval_form,
-    lambda_compute,
-    lambda_rational_exclusion,
-    run_formcheck,
-    stroke_value,
-    suggest_points,
-)
-from .projmat import Mat2, MatClass, ProjMat, diagonalize
-from .qseries import (
-    CoefficientFile,
-    HeckeVerdict,
-    QSeries,
-    eta_product,
-    format_coefficient_file,
-    hecke_check,
-    hecke_stroke_identity,
-    parse_coefficient_file,
-)
-
-__all__ = [
-    "BlowupResult",
-    "Certificate",
-    "CertificateError",
-    "CoefficientFile",
-    "ConfigurationError",
-    "Congruence",
-    "CuspDecayVerdict",
-    "DEFAULT_D",
-    "DEFAULT_LEVEL",
-    "DEFAULT_POINTS",
-    "DecompositionError",
-    "DensityError",
-    "DensityResult",
-    "EvalConfig",
-    "EvalResult",
-    "ExponentOverflowError",
-    "FRICKE_POINTS_13",
-    "FormData",
-    "FormcheckReport",
-    "GENERATORS",
-    "GrammarError",
-    "H3_EIGENVALUE",
-    "HeckeVerdict",
-    "Mat2",
-    "MatClass",
-    "PrecisionError",
-    "ProjMat",
-    "QSeries",
-    "QuadElem",
-    "Report",
-    "RingElem",
-    "STRETCH_BASE",
-    "ScalarPoly",
-    "SignCheck",
-    "Step",
-    "StepVerdict",
-    "Word",
-    "blowup_check",
-    "build_f_certificate",
-    "build_g_certificate",
-    "certificate_from_json",
-    "certificate_residual_sweep",
-    "certificate_to_json",
-    "congruence_residual",
-    "cusp_decay_check",
-    "cusps",
-    "decompose",
-    "density_search",
-    "diagonalize",
-    "eta_product",
-    "eval_form",
-    "f_context",
-    "format_coefficient_file",
-    "hecke_check",
-    "hecke_stroke_identity",
-    "is_member",
-    "lambda_compute",
-    "lambda_rational_exclusion",
-    "load_shipped_certificate",
-    "parse_coefficient_file",
-    "run_formcheck",
-    "sign_exponent_check",
-    "square_t2_certificate",
-    "stroke_of_power",
-    "stroke_value",
-    "suggest_points",
-    "tilde_g_check",
-    "verify_certificate",
-    "write_shipped_certificates",
-]

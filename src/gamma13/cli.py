@@ -21,14 +21,9 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import List, Optional
 
-from mpmath import mp
-
 from .certificate import CertificateError, certificate_from_json, verify_certificate
 from .gamma0 import DecompositionError, decompose
 from .level13 import blowup_check, load_shipped_certificate
-from .numeric import (ConfigurationError, DensityError, EvalConfig, FormData,
-                      PrecisionError, density_search, formcheck_floor,
-                      run_formcheck)
 from .qseries import (coefficient_file_offset, eta_offset, eta_product,
                       format_coefficient_file, parse_coefficient_file)
 
@@ -73,6 +68,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_formcheck(args: argparse.Namespace) -> int:
+    # the numeric layer (and mpmath) loads only for the commands that use it
+    from .numeric import (ConfigurationError, EvalConfig, FormData,
+                          PrecisionError, formcheck_floor, run_formcheck)
     try:
         with open(args.path, encoding="utf-8") as handle:
             parsed = parse_coefficient_file(handle.read())
@@ -140,6 +138,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    from mpmath import mp
+
+    from .numeric import DensityError, density_search
     try:
         result = density_search(args.X, args.tol, args.bound)
     except ValueError as exc:

@@ -37,11 +37,9 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 from .certificate import (CertBuilder, Certificate, Congruence,
                           certificate_from_json, certificate_to_json)
 from .exactnum import QuadElem, ScalarPoly
-from .gamma0 import GENERATORS
+from .gamma0 import DEFAULT_LEVEL, GENERATORS
 from .groupring import RingElem, poly_mul, stroke_of_power
 from .projmat import Mat2, ProjMat
-
-DEFAULT_LEVEL = 13
 
 # The fixed level-13 classes.
 P_CLASS, G2, G3 = GENERATORS["P"], GENERATORS["g2"], GENERATORS["g3"]

@@ -316,6 +316,9 @@ class CoefficientFile(NamedTuple):
 
 
 _HEADER = re.compile(r"#\s*k=(-?\d+)\s+N=(\d+)\s+eps=([+-]1)\Z")
+# Fraction alone would also take decimals and exponents, and builds
+# 10^1000000 for '1e1000000' before any check can refuse it
+_COEFFICIENT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def coefficient_file_offset(offset: Exact) -> int:
@@ -343,8 +346,9 @@ def format_coefficient_file(series: QSeries, weight: int, level: int,
 
 
 def parse_coefficient_file(text: str) -> CoefficientFile:
-    """Read the format ``format_coefficient_file`` writes.  Blank lines are
-    skipped; an error names the line of ``text`` it is on."""
+    """Read the format ``format_coefficient_file`` writes: each coefficient
+    is an integer or p/q.  Blank lines are skipped; an error names the line
+    of ``text`` it is on."""
     lines = [(number, line.strip())
              for number, line in enumerate(text.splitlines(), 1)
              if line.strip()]
@@ -373,6 +377,8 @@ def parse_coefficient_file(text: str) -> CoefficientFile:
             raise ValueError(f"line {number}: non-contiguous coefficient "
                              f"index {n}")
         try:
+            if not _COEFFICIENT.match(parts[1]):
+                raise ValueError
             coeffs.append(_exact(Fraction(parts[1])))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {number}: bad coefficient "

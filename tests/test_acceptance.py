@@ -12,40 +12,36 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from gamma13 import (
-    EvalConfig,
-    FormData,
-    FRICKE_POINTS_13,
-    H3_EIGENVALUE,
-    Mat2,
-    ProjMat,
-    QuadElem,
-    STRETCH_BASE,
-    Word,
-    blowup_check,
-    congruence_residual,
-    decompose,
-    density_search,
-    eta_product,
-    f_context,
-    hecke_check,
-    hecke_stroke_identity,
-    lambda_compute,
-    load_shipped_certificate,
-    run_formcheck,
-    tilde_g_check,
-    verify_certificate,
-)
+from gamma13.certificate import verify_certificate
+from gamma13.exactnum import QuadElem
+from gamma13.gamma0 import Word, decompose
 from gamma13.level13 import (
     a_inverse,
     a_matrix,
+    blowup_check,
+    f_context,
     g2_class,
     g3_class,
     h2_mat,
     h3_mat,
     h_class,
+    load_shipped_certificate,
+    tilde_g_check,
     w_class,
 )
+from gamma13.numeric import (
+    FRICKE_POINTS_13,
+    H3_EIGENVALUE,
+    STRETCH_BASE,
+    EvalConfig,
+    FormData,
+    congruence_residual,
+    density_search,
+    lambda_compute,
+    run_formcheck,
+)
+from gamma13.projmat import Mat2, ProjMat
+from gamma13.qseries import eta_product, hecke_check, hecke_stroke_identity
 
 SQRT13 = QuadElem(Fraction(0), Fraction(1))
 IDENTITY = ProjMat.of([[1, 0], [0, 1]])

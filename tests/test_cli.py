@@ -413,12 +413,45 @@ class TestEta:
         assert code == 2
 
 
-def test_module_entry_point():
+def run_child(*args):
     # the child imports the same package as this process, installed or not
     src = str(Path(gamma13.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run([sys.executable, "-m", "gamma13", "asym", "-2"],
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    result = run_child("-m", "gamma13", "asym", "-2")
     assert result.returncode == 0
     assert result.stdout.strip() == "IDENTICALLY ZERO"
+
+
+EXACT_COMMANDS = [["verify"], ["decompose", "[[-9,4],[-52,23]]"],
+                  ["asym", "4"], ["eta", "1:24", "64"]]
+
+# Runs each command in turn; after each, records its exit code and whether
+# mpmath has been loaded so far.
+EXACT_CHILD = """
+import contextlib, io, json, sys
+from gamma13.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([code, "mpmath" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_exact_commands_never_load_mpmath():
+    result = run_child("-c", EXACT_CHILD, json.dumps(EXACT_COMMANDS))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, False]] * len(EXACT_COMMANDS)
+
+
+def test_bare_package_import_loads_no_submodule():
+    result = run_child("-c", "import gamma13, sys; print(sorted(m for m in "
+                             "sys.modules if m.startswith('gamma13.')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -391,6 +391,9 @@ class TestCoefficientFile:
          "line 4: non-contiguous coefficient index 3"),
         ("# k=12 N=1 eps=+1\n1 1\n2 1/0\n", "line 3: bad coefficient '1/0'"),
         ("# k=12 N=1 eps=+1\n1 abc\n", "line 2: bad coefficient 'abc'"),
+        ("# k=12 N=1 eps=+1\n1 1\n2 1e1000000\n",
+         "line 3: bad coefficient '1e1000000'"),
+        ("# k=12 N=1 eps=+1\n1 1\n2 1.5\n", "line 3: bad coefficient '1.5'"),
     ])
     def test_parse_errors_name_the_line(self, text, message):
         with pytest.raises(ValueError) as info:
