@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 from .exactnum import ScalarPoly
@@ -50,10 +51,6 @@ _ARITY = {
     "TRANS": 2,
     "RESCALE": 1,
 }
-
-#: The rules whose second argument is an operand, and how its text reads.
-_OPERAND = {"RIGHT_MUL": ("factor", RingElem.parse),
-            "SCALE": ("scalar", grammar.parse_scalar_poly)}
 
 ElemLike = Union[str, RingElem]
 ScalarLike = Union[str, ScalarPoly]
@@ -346,6 +343,12 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """The certificate a JSON text writes.  Each distinct ring text and
+    matrix in it is parsed once, into a memo that lives for this call."""
+    elem = partial(RingElem.parse, memo={})
+    # the rules whose second argument is an operand, and how its text reads
+    operand = {"RIGHT_MUL": ("factor", elem),
+               "SCALE": ("scalar", grammar.parse_scalar_poly)}
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -363,8 +366,8 @@ def certificate_from_json(text: str) -> Certificate:
         where = "axioms"
         for ax in doc["axioms"]:
             where = f"axiom {ax['id']}"
-            axioms.append(Congruence(str(ax["id"]), RingElem.parse(ax["lhs"]),
-                                     RingElem.parse(ax["rhs"])))
+            axioms.append(Congruence(str(ax["id"]), elem(ax["lhs"]),
+                                     elem(ax["rhs"])))
         where = "steps"
         for s in doc["steps"]:
             where = f"step {s['id']}"
@@ -372,10 +375,10 @@ def certificate_from_json(text: str) -> Certificate:
             if not (isinstance(args, list)
                     and all(isinstance(a, str) for a in args)):
                 raise TypeError("args must be a list of strings")
-            result = Congruence(step_id, RingElem.parse(s["result"]["lhs"]),
-                                RingElem.parse(s["result"]["rhs"]))
-            if rule in _OPERAND and len(args) == _ARITY[rule]:
-                what, parse = _OPERAND[rule]
+            result = Congruence(step_id, elem(s["result"]["lhs"]),
+                                elem(s["result"]["rhs"]))
+            if rule in operand and len(args) == _ARITY[rule]:
+                what, parse = operand[rule]
                 try:  # a singular matrix or a huge exponent is bad input
                     args[1] = parse(args[1])
                 except (ValueError, OverflowError) as exc:

@@ -325,6 +325,15 @@ class ScalarPoly:
                 cleaned[key] = coeff
         object.__setattr__(self, "_terms", cleaned)
 
+    @classmethod
+    def _normal(cls, terms: Mapping[_MonoKey, QuadElem]) -> "ScalarPoly":
+        """``terms`` with zeros dropped: arithmetic results, whose keys are
+        normal and capped and whose coefficients are QuadElems."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", {
+            key: coeff for key, coeff in terms.items() if not coeff.is_zero})
+        return poly
+
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ScalarPoly is immutable")
 
@@ -378,7 +387,7 @@ class ScalarPoly:
         acc = dict(self._terms)
         for key, coeff in o._terms.items():
             acc[key] = acc[key] + coeff if key in acc else coeff
-        return ScalarPoly(acc)
+        return ScalarPoly._normal(acc)
 
     __radd__ = __add__
 
@@ -395,7 +404,7 @@ class ScalarPoly:
         return o + (-self)
 
     def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly({k: -c for k, c in self._terms.items()})
+        return ScalarPoly._normal({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -411,7 +420,7 @@ class ScalarPoly:
                         f"{EXPONENT_LIMIT}")
                 prod = c * d
                 acc[key] = acc[key] + prod if key in acc else prod
-        return ScalarPoly(acc)
+        return ScalarPoly._normal(acc)
 
     __rmul__ = __mul__
 

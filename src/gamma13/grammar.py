@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .exactnum import DEFAULT_D, QuadElem, ScalarPoly
 
@@ -215,29 +215,49 @@ def parse_matrix_entries(text: str) -> Entries:
     return entries
 
 
-def _ring_term(ts: _Tokens) -> Tuple[ScalarPoly, Entries]:
+def _memo_matrix(ts: _Tokens, memo: dict) -> Entries:
+    """``_matrix(ts)``, kept in ``memo`` under its tokens: those from "["
+    to the "]" that closes it, since entries hold no brackets.  A hit thus
+    consumes what a parse would, and only successes are stored."""
+    depth = 0
+    for end in range(ts.idx, len(ts.toks)):
+        tok = ts.toks[end][0]
+        depth += (tok == "[") - (tok == "]")
+        if not depth:
+            break
+    key = tuple(tok for tok, _ in ts.toks[ts.idx:end + 1])
+    if key not in memo:
+        memo[key] = _matrix(ts)
+    ts.idx = end + 1
+    return memo[key]
+
+
+def _ring_term(ts: _Tokens, memo: dict) -> Tuple[ScalarPoly, Entries]:
     if ts.peek() == "[":
-        return ScalarPoly.const(1), _matrix(ts)
+        return ScalarPoly.const(1), _memo_matrix(ts, memo)
     coeff = _scalar_factor(ts)
     while ts.peek() == "*":
         ts.next()
         if ts.peek() == "[":
-            return coeff, _matrix(ts)
+            return coeff, _memo_matrix(ts, memo)
         coeff = coeff * _scalar_factor(ts)
     return coeff, _IDENTITY
 
 
-def parse_ring_terms(text: str) -> List[Tuple[ScalarPoly, Entries]]:
+def parse_ring_terms(text: str, memo: Optional[dict] = None,
+                     ) -> List[Tuple[ScalarPoly, Entries]]:
     """Parse a sum of ``coeff*matrix`` terms (bare coefficients act on the
-    identity matrix).  Returns the raw term list without combining."""
+    identity matrix).  Returns the raw term list without combining.  Each
+    matrix is parsed once per ``memo``, which maps tokens to entries."""
+    memo = {} if memo is None else memo
     ts = _Tokens(text)
     out = []
     sign = _leading_sign(ts)
-    coeff, entries = _ring_term(ts)
+    coeff, entries = _ring_term(ts, memo)
     out.append((coeff if sign > 0 else -coeff, entries))
     while ts.peek() in ("+", "-"):
         op = ts.next()
-        coeff, entries = _ring_term(ts)
+        coeff, entries = _ring_term(ts, memo)
         out.append((coeff if op == "+" else -coeff, entries))
     ts.expect_end()
     return out

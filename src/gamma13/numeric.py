@@ -351,10 +351,11 @@ def suggest_points(congruence: Congruence,
                     score = worst_here
             if best is None or (score - best[0]).sign() > 0:
                 best = (score, pts)
-    if best is None or (best[0] - y_min).sign() < 0:
+    # centers holds 0 and every height is tried, so best is set here
+    if (best[0] - y_min).sign() < 0:
         raise ConfigurationError(
             f"no candidate points keep all images of {congruence.id} above "
-            f"y_min={y_min}")
+            f"y_min={y_min}; the best candidates reach Im = {best[0]}")
     return best[1]
 
 

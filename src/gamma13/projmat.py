@@ -141,7 +141,7 @@ def _primitive(entries: Tuple[QuadElem, ...]) -> Tuple[QuadElem, ...]:
 class ProjMat:
     """A positive-determinant 2x2 matrix up to nonzero scalar multiples."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_hash")  # _hash is set by the first __hash__
 
     def __init__(self, entries: Sequence[QuadElem]):
         entries = tuple(QuadElem.of(x) for x in entries)
@@ -240,7 +240,11 @@ class ProjMat:
         return self._entries == other._entries
 
     def __hash__(self):
-        return hash(self._entries)
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._entries))
+            return self._hash
 
     def __str__(self) -> str:
         a, b, c, d = self.primitive_entries()

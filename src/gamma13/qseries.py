@@ -93,6 +93,14 @@ class QSeries:
         if not self.coeffs:
             raise ValueError("a series needs at least one coefficient")
 
+    @classmethod
+    def _of_exact(cls, offset, coeffs: Sequence[Exact]) -> "QSeries":
+        """A series from arithmetic results: ints and non-integral Fractions."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "offset", _exact(offset))
+        object.__setattr__(series, "coeffs", tuple(coeffs))
+        return series
+
     @property
     def length(self) -> int:
         """Truncation length L: coefficients cover q^offset..q^(offset+L)."""
@@ -134,14 +142,16 @@ class QSeries:
         return QSeries(start, coeffs)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.offset, tuple(-c for c in self.coeffs))
+        return QSeries._of_exact(self.offset, [-c for c in self.coeffs])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def _scaled(self, scalar) -> "QSeries":
         s = _exact(scalar)
-        return QSeries(self.offset, tuple(c * s for c in self.coeffs))
+        return QSeries._of_exact(self.offset, [
+            c * s if type(c) is type(s) is int else _exact(c * s)
+            for c in self.coeffs])
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -160,8 +170,9 @@ class QSeries:
         product = packed * packed if b is a else packed * _pack(b, width)
         out = _unpack(product, L + 1, width)
         if da * db != 1:
-            out = [Fraction(c, da * db) for c in out]
-        return QSeries(Fraction(self.offset) + Fraction(other.offset), out)
+            out = [_exact(Fraction(c, da * db)) for c in out]
+        return QSeries._of_exact(
+            Fraction(self.offset) + Fraction(other.offset), out)
 
     def __rmul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -188,7 +199,7 @@ class QSeries:
                     break
                 acc += c * out[i - j]
             out.append(_exact(-lead * acc))
-        return QSeries(-Fraction(self.offset), out)
+        return QSeries._of_exact(-Fraction(self.offset), out)
 
 
 def _euler_function(multiplier: int, L: int) -> QSeries:
@@ -242,7 +253,8 @@ def eta_product(factors: Sequence[Tuple[int, int]], L: int) -> QSeries:
             factor = factor.invert()
         factor = factor ** abs(r)
         acc = factor if acc is None else acc * factor
-    return QSeries(offset, [1] + [0] * L if acc is None else acc.coeffs)
+    return QSeries._of_exact(offset,
+                             [1] + [0] * L if acc is None else acc.coeffs)
 
 
 # -- Hecke recursion on coefficients -------------------------------------------

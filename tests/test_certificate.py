@@ -279,3 +279,66 @@ class TestOperands:
         b.axiom_step("X", "ax:X")
         with pytest.raises(CertificateError, match=message):
             b.right_mul("x.a", "X", "a2^30000")
+
+
+def matrices_of(cert):
+    """Every ProjMat object a loaded certificate holds."""
+    elems = [c for ax in cert.axioms for c in (ax.lhs, ax.rhs)]
+    for step in cert.steps:
+        elems += [step.result.lhs, step.result.rhs]
+        elems += [a for a in step.args if isinstance(a, RingElem)]
+    return [mat for elem in elems for mat, _ in elem.terms()]
+
+
+class TestLoadMemo:
+    """A load parses each distinct ring text and matrix once; the memo is
+    keyed by tokens, keeps only successes and lives for one load."""
+
+    def test_respaced_matrices_load_to_the_same_classes(self):
+        doc = shipped_f_doc()
+        for i, step in enumerate(doc["steps"]):
+            if i % 2:
+                step["result"]["lhs"] = step["result"]["lhs"].replace(",", " , ")
+            if step["rule"] == "RIGHT_MUL":
+                step["args"][1] = step["args"][1].replace("[", "[ ")
+        original = level13.load_shipped_certificate("f")
+        respaced = certificate_from_json(json.dumps(doc))
+        assert respaced == original
+        assert (verify_certificate(respaced).lines()
+                == verify_certificate(original).lines())
+
+    @pytest.mark.parametrize("step_id, text, message", [
+        ("Pinv", "[[1,-1],[0,1]]]", "malformed certificate: step Pinv: "
+         "trailing input ']' (at position 14)"),
+        ("Pinv", "[[1,-1],[0,1]", "malformed certificate: step Pinv: "
+         "expected ']', got '' (at position 13)"),
+        ("Pinv", "[[1,-1],[0,1]] + [[1,-1],[0,1", "malformed certificate: "
+         "step Pinv: expected ']', got '' (at position 29)"),
+        ("Pinv", "[[1,-1],[0,1]] [[1,-1],[0,1]]", "malformed certificate: "
+         "step Pinv: trailing input '[' (at position 15)"),
+        ("Pinv", "[[1,-1],[0,1],[0,1]]", "malformed certificate: step Pinv: "
+         "expected ']', got ',' (at position 13)"),
+        ("hpinv.a", "[[1,-1],[0,1]]]", "step hpinv.a: bad factor: "
+         "trailing input ']' (at position 14)"),
+        ("hpinv.a", "[[1,-1], [0,1]] + [[1,-1],[0 1]]", "step hpinv.a: "
+         "bad factor: expected ',', got '1' (at position 29)"),
+    ])
+    def test_malformed_copy_of_a_parsed_matrix_keeps_its_error(
+            self, step_id, text, message):
+        # [[1,-1],[0,1]] parses in pinv.a, before Pinv and hpinv.a
+        doc = shipped_f_doc()
+        step = step_of(doc, step_id)
+        if step["rule"] == "RIGHT_MUL":
+            step["args"][1] = text
+        else:
+            step["result"]["lhs"] = text
+        with pytest.raises(CertificateError) as info:
+            certificate_from_json(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_two_loads_share_no_matrix(self):
+        first = level13.load_shipped_certificate("f")
+        second = level13.load_shipped_certificate("f")
+        assert first == second
+        assert not ({id(m) for m in matrices_of(first)}
+                    & {id(m) for m in matrices_of(second)})

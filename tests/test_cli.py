@@ -254,6 +254,17 @@ class TestFormcheck:
         assert (code, out, err) == (
             2, "", f"line 4: bad coefficient '{coefficient}'\n")
 
+    def test_no_candidate_points_names_the_best_height(self, capsys,
+                                                        tmp_path):
+        # at N = 29 the images of W = [[1,0],[29,1]] reach only 5/29^2
+        path = tmp_path / "delta29.txt"
+        path.write_text(format_coefficient_file(
+            eta_product([(1, 24)], 512), 12, 29, 1))
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out, err) == (
+            2, "", "no candidate points keep all images of W above "
+                   "y_min=1/52; the best candidates reach Im = 5/841\n")
+
     def test_flag_header_mismatch(self, capsys, tmp_path):
         path = tmp_path / "delta.txt"
         path.write_text(delta_file_text())

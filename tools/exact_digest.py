@@ -7,8 +7,8 @@ It prints the stdout, stderr and exit code of ``gamma13 verify`` on both
 shipped certificates and on copies of f with exactly one fault each (a
 tampered factor, a foreign square root, an exponent past the cap, a wrong
 argument count, a dangling reference, an unknown rule, a ``TRANS`` whose
-middle terms differ), the JSON
-of ``build_f_certificate`` at levels 1, 7 and 13 and of
+middle terms differ, a matrix malformed where an earlier step has it well
+formed), the JSON of ``build_f_certificate`` at levels 1, 7 and 13 and of
 ``build_g_certificate``, and ``lhs - rhs`` of every step of f.  Two trees
 agree on every certificate text, report line and diagnostic exactly when
 the outputs of
@@ -44,6 +44,8 @@ FAULTS = [
     ("H citing an unknown id", "H", "args", ["nope"]),
     ("P under an unknown rule", "P", "rule", "FROBNICATE"),
     ("w.c chaining H before w.b", "w.c", "args", ["H", "w.b"]),
+    ("Pinv lhs [[1,-1],[0,1]]], well formed in pinv.a", "Pinv", "result",
+     {"lhs": "[[1,-1],[0,1]]]", "rhs": "1"}),
 ]
 
 
