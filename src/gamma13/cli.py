@@ -69,8 +69,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_formcheck(args: argparse.Namespace) -> int:
     # the numeric layer (and mpmath) loads only for the commands that use it
-    from .numeric import (ConfigurationError, EvalConfig, FormData,
-                          PrecisionError, formcheck_floor, run_formcheck)
+    from .numeric import (ConfigurationError, FormData, PrecisionError,
+                          _battery_config, run_formcheck)
     try:
         with open(args.path, encoding="utf-8") as handle:
             parsed = parse_coefficient_file(handle.read())
@@ -104,9 +104,8 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
                       f"got {args.tol}")
     try:
         form = FormData(parsed.series, parsed.weight, parsed.level, parsed.sign)
-        cfg = EvalConfig(precision=prec, points=None,
-                         y_min=formcheck_floor(form.level))
-        report = run_formcheck(form, cfg, residual_tol=Fraction(tol))
+        report = run_formcheck(form, _battery_config(form.level, prec),
+                               residual_tol=Fraction(tol))
     except (ValueError, ConfigurationError, PrecisionError) as exc:
         return _usage(str(exc))
     print("\n".join(report.lines()))

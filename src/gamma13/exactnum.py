@@ -337,6 +337,9 @@ class ScalarPoly:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ScalarPoly is immutable")
 
+    def __reduce__(self):
+        return ScalarPoly, (self._terms,)
+
     # -- construction ---------------------------------------------------
 
     @classmethod

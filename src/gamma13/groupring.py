@@ -47,6 +47,9 @@ class RingElem:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("RingElem is immutable")
 
+    def __reduce__(self):
+        return RingElem, (self._terms,)
+
     # -- construction ----------------------------------------------------
 
     @classmethod

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .certificate import (CertBuilder, Certificate, Congruence,
-                          certificate_from_json, certificate_to_json)
+                          certificate_from_json)
 from .exactnum import QuadElem, ScalarPoly
 from .gamma0 import DEFAULT_LEVEL, GENERATORS
 from .groupring import RingElem, poly_mul, stroke_of_power
@@ -509,18 +508,6 @@ def tilde_g_check(k: int) -> Tuple[int, int, int]:
 
 
 # -- shipped data --------------------------------------------------------------
-
-
-def write_shipped_certificates(directory: Union[str, Path]) -> Tuple[Path, Path]:
-    """Regenerate the bundled certificate files in ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, build in (("f", build_f_certificate), ("g", build_g_certificate)):
-        path = directory / SHIPPED_FILES[name]
-        path.write_text(certificate_to_json(build()) + "\n", encoding="utf-8")
-        paths.append(path)
-    return (paths[0], paths[1])
 
 
 def load_shipped_certificate(name: str = "f") -> Certificate:

@@ -1,9 +1,10 @@
 """High-precision evaluation of exact q-expansions on the upper half-plane.
 
 Evaluation is binary floating point at a configured precision (mpmath),
-but everything that decides *where* to evaluate is exact: sample points
-are rational, images under matrix classes are computed in Q(sqrt 13), and
-the minimum-imaginary-part audit compares field elements by exact sign.
+but everything that decides *where* to evaluate is exact: every point is
+an exact pair (x, y), images under matrix classes are computed in
+Q(sqrt 13), and the minimum-imaginary-part audit compares field elements
+by exact sign.  No point is ever given or computed as a complex float.
 
 One private evaluator, ``_evaluate``, is the only code that sums a
 truncated expansion (by Horner's rule) and bounds what the truncation
@@ -21,6 +22,9 @@ exist, raises ``PrecisionError`` instead of degrading.
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
 M for even k, so any representative of a projective class may be used.
+One private helper, ``_stroke``, computes every stroke: ``stroke_value``
+and each residual term take the exact image, its audit and the factor
+from it.
 The symbols in a congruence are instantiated from the form: the Hecke
 scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
 
@@ -46,7 +50,7 @@ from mpmath import exp, mp, mpc, mpf, pi
 from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem
 from .level13 import build_f_certificate
-from .projmat import Mat2, ProjMat
+from .projmat import ProjMat
 from .qseries import QSeries, hecke_check
 
 
@@ -97,6 +101,9 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.points is not None:
             pts = tuple((Fraction(x), Fraction(y)) for x, y in self.points)
+            if not pts:
+                raise ValueError("the sample point set is empty; "
+                                 "points=None auto-tunes them instead")
             if any(y <= 0 for _, y in pts):
                 raise ValueError("sample points must lie in the upper half-plane")
             object.__setattr__(self, "points", pts)
@@ -185,48 +192,49 @@ def _evaluate(form: FormData, zre: mpf, zim: mpf, tol: mpf,
 
 
 def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
-    """Evaluate the truncated expansion at a point of the upper half-plane,
-    returning the value together with its rigorous tail bound."""
+    """Evaluate the truncated expansion at the exact point z = (x, y) of the
+    upper half-plane, returning the value together with its rigorous tail
+    bound."""
     cfg = cfg or DEFAULT_CONFIG
+    x, y = z
+    if (QuadElem.of(y) - cfg.y_min).sign() < 0:
+        raise ConfigurationError(
+            f"point has imaginary part {y} below the floor {cfg.y_min}")
     with mp.workprec(cfg.precision):
-        if isinstance(z, tuple):
-            xe, ye = z
-            if (QuadElem.of(ye) - cfg.y_min).sign() < 0:
-                raise ConfigurationError(
-                    f"point has imaginary part {ye} below the floor {cfg.y_min}")
-            zre, zim = _to_mpf(xe), _to_mpf(ye)
-        else:
-            w = mpc(z)
-            zre, zim = w.real, w.imag
-            if zim < _to_mpf(cfg.y_min):
-                raise ConfigurationError(
-                    f"point has imaginary part {mp.nstr(zim, 8)} below the "
-                    f"floor {cfg.y_min}")
-        return _evaluate(form, zre, zim, _to_mpf(cfg.tolerance))
+        return _evaluate(form, _to_mpf(x), _to_mpf(y), _to_mpf(cfg.tolerance))
 
 
-def _stroke_factor(det: QuadElem, denom: mpc, k: int) -> mpc:
-    """The weight-k automorphy factor det^{k/2} (cz+d)^{-k}."""
-    return _to_mpf(det) ** (k // 2) * denom ** -k
+def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
+            cache: Dict, label: str = "") -> Tuple[mpc, mpc]:
+    """The automorphy factor det^{k/2} (cz+d)^{-k} of the class at the exact
+    point x + iy, and f at the image.  The image is computed and audited
+    against y_min exactly; ``cache`` keeps f at each image point, so it is
+    evaluated once per point.  ``label`` prefixes error messages."""
+    xi, yi, den, cy, det = _exact_image(mat, x, y)
+    if (yi - cfg.y_min).sign() < 0:
+        raise ConfigurationError(
+            f"{label}image of ({x}, {y}) under {mat} has imaginary part "
+            f"below y_min={cfg.y_min}")
+    key = (xi, yi)
+    if key not in cache:
+        cache[key] = _evaluate(form, _to_mpf(xi), _to_mpf(yi),
+                               _to_mpf(cfg.tolerance), label).value
+    k = form.weight
+    factor = _to_mpf(det) ** (k // 2) * mpc(_to_mpf(den), _to_mpf(cy)) ** -k
+    return factor, cache[key]
 
 
 def stroke_value(form: FormData, matrix, z,
                  cfg: Optional[EvalConfig] = None) -> mpc:
-    """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz), evaluated
-    numerically; requires positive determinant."""
+    """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz) at the exact point
+    z = (x, y), through the same exact image and audit as every residual;
+    requires positive determinant."""
     cfg = cfg or DEFAULT_CONFIG
-    m = Mat2.of(matrix)
-    det = m.det()
-    if det.sign() <= 0:
-        raise ValueError("stroke needs a positive-determinant matrix")
-    a, b, c, d = m.entries()
+    x, y = z
+    mat = ProjMat.of(matrix)
     with mp.workprec(cfg.precision):
-        w = mpc(z)
-        av, bv, cv, dv = (_to_mpf(e) for e in (a, b, c, d))
-        denom = cv * w + dv
-        image = (av * w + bv) / denom
-        factor = _stroke_factor(det, denom, form.weight)
-        return factor * eval_form(form, image, cfg).value
+        factor, value = _stroke(form, mat, x, y, cfg, {})
+        return factor * value
 
 
 # -- congruence residuals -------------------------------------------------------
@@ -239,8 +247,8 @@ def _hecke_scalar(form: FormData, p: int) -> Fraction:
 
 def _exact_image(mat: ProjMat, x, y):
     """Image of the exact point x + iy under the class, as field elements
-    (real part, imaginary part, and the real and imaginary parts of the
-    automorphy denominator c*z + d)."""
+    (real part, imaginary part, the real and imaginary parts of the
+    automorphy denominator c*z + d, and the determinant)."""
     a, b, c, d = mat.entries
     xq, yq = QuadElem.of(x), QuadElem.of(y)
     den, cy = c * xq + d, c * yq
@@ -248,7 +256,7 @@ def _exact_image(mat: ProjMat, x, y):
     det = a * d - b * c
     xi = ((a * xq + b) * den + a * c * yq * yq) / q
     yi = det * yq / q
-    return xi, yi, den, cy
+    return xi, yi, den, cy, det
 
 
 def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
@@ -263,59 +271,46 @@ def _residual(form: FormData, congruence: Congruence,
               cfg: EvalConfig, cache: Dict) -> mpf:
     """Max over the sample points of |f|lhs - f|rhs|: the configured points,
     or with ``points=None`` those ``suggest_points`` picks above y_min.
-    Every point and each of its images is audited against y_min before
-    anything is evaluated; the exact images found there are the ones
-    evaluated."""
+    Terms whose instantiated scalar is zero drop out; every other image is
+    audited against y_min before f is evaluated there."""
     label, y_min = congruence.id, cfg.y_min
     points = cfg.points
     if points is None:
         points = suggest_points(congruence, y_min)
-    items = _signed_terms(congruence)
-    images = []
     for x, y in points:
         if Fraction(y) < y_min:
             raise ConfigurationError(
                 f"{label}: sample point ({x}, {y}) is below y_min={y_min}")
-        row = []
-        for _, mat, _ in items:
-            image = _exact_image(mat, x, y)
-            if (image[1] - y_min).sign() < 0:
-                raise ConfigurationError(
-                    f"{label}: image of ({x}, {y}) under {mat} has "
-                    f"imaginary part below y_min={y_min}")
-            row.append(image)
-        images.append(row)
-    k = form.weight
     a2, a3 = _hecke_scalar(form, 2), _hecke_scalar(form, 3)
     terms = []
-    for sign, mat, poly in items:
-        a, b, c, d = mat.entries
-        terms.append((sign, a * d - b * c, poly.instantiate(a2, a3, form.sign)))
-    tol = _to_mpf(cfg.tolerance)
+    for sign, mat, poly in _signed_terms(congruence):
+        scalar = poly.instantiate(a2, a3, form.sign)
+        if not scalar.is_zero:
+            terms.append((sign, mat, _to_mpf(scalar)))
     worst = mpf(0)
-    for row in images:
+    for x, y in points:
         total = mpc(0)
-        for (sign, det, scalar), (xi, yi, den, cy) in zip(terms, row):
-            if scalar.is_zero:
-                continue
-            key = (xi, yi)
-            if key not in cache:
-                zre, zim = map(_to_mpf, key)
-                cache[key] = _evaluate(form, zre, zim, tol, f"{label}: ").value
-            denom = mpc(_to_mpf(den), _to_mpf(cy))
-            factor = _stroke_factor(det, denom, k)
-            total += sign * _to_mpf(scalar) * factor * cache[key]
+        for sign, mat, scalar in terms:
+            factor, value = _stroke(form, mat, x, y, cfg, cache, f"{label}: ")
+            total += sign * scalar * factor * value
         worst = max(worst, abs(total))
     return worst
+
+
+def _residuals(form: FormData, congruences, cfg: EvalConfig) -> List[mpf]:
+    """``_residual`` of each congruence, at one working precision and with
+    one cache of f at the image points."""
+    with mp.workprec(cfg.precision):
+        cache: Dict = {}
+        return [_residual(form, congruence, cfg, cache)
+                for congruence in congruences]
 
 
 def congruence_residual(form: FormData, congruence: Congruence,
                         cfg: Optional[EvalConfig] = None) -> mpf:
     """Max over the configured sample points of |f|lhs - f|rhs|, with the
     congruence symbols instantiated from the form."""
-    cfg = cfg or DEFAULT_CONFIG
-    with mp.workprec(cfg.precision):
-        return _residual(form, congruence, cfg, {})
+    return _residuals(form, [congruence], cfg or DEFAULT_CONFIG)[0]
 
 
 _SUGGEST_HEIGHTS = (Fraction(1), Fraction(4, 5), Fraction(1, 2),
@@ -556,9 +551,12 @@ def _battery(form: FormData) -> List[Congruence]:
     return list(certificate.axioms) + [by_id[i] for i in wanted if i in by_id]
 
 
-def formcheck_floor(level: int) -> Fraction:
-    """The lowest image height the battery evaluates at on a level."""
-    return Fraction(3, 20) if level == 1 else Fraction(1, 52)
+def _battery_config(level: int,
+                    precision: int = DEFAULT_CONFIG.precision) -> EvalConfig:
+    """The battery's default config on a level: auto-tuned sample points
+    above the lowest image height the battery evaluates at."""
+    y_min = Fraction(3, 20) if level == 1 else Fraction(1, 52)
+    return EvalConfig(precision=precision, points=None, y_min=y_min)
 
 
 def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
@@ -572,30 +570,28 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
         raise ValueError(
             f"the battery needs an expansion with leading exponent 1, "
             f"got {form.series.offset}; fractional-offset forms are rejected")
-    cfg = cfg or EvalConfig(points=None, y_min=formcheck_floor(form.level))
-    rows: List[Tuple] = []
-    ok = True
-    worst = mpf(0)
+    cfg = cfg or _battery_config(form.level)
+    battery = _battery(form)
+    residuals = _residuals(form, battery, cfg)
     with mp.workprec(cfg.precision):
         tol_v = _to_mpf(Fraction(residual_tol))
-        cache: Dict = {}
-        for congruence in _battery(form):
-            residual = _residual(form, congruence, cfg, cache)
-            passed = residual < tol_v
-            ok = ok and passed
-            worst = max(worst, residual)
-            rows.append(("CONG", congruence.id, residual, passed))
-        for p in (2, 3):
-            # the stroke identity is the recursion times p^(1-k/2) != 0,
-            # so one check backs both report fields
-            rec = hecke_check(form.series, p, form.weight,
-                              form.series.coefficient(p))
-            ok = ok and rec.ok
-            rows.append(("HECKE", p, rec.ok, rec.ok))
-        decay = cusp_decay_check(form, cfg)
-        ok = ok and decay.ok
-        rows.append(("CUSP", decay.ok))
-    return FormcheckReport(tuple(rows), ok, worst)
+    rows: List[Tuple] = []
+    ok = True
+    for congruence, residual in zip(battery, residuals):
+        passed = residual < tol_v
+        ok = ok and passed
+        rows.append(("CONG", congruence.id, residual, passed))
+    for p in (2, 3):
+        # the stroke identity is the recursion times p^(1-k/2) != 0,
+        # so one check backs both report fields
+        rec = hecke_check(form.series, p, form.weight,
+                          form.series.coefficient(p))
+        ok = ok and rec.ok
+        rows.append(("HECKE", p, rec.ok, rec.ok))
+    decay = cusp_decay_check(form, cfg)
+    ok = ok and decay.ok
+    rows.append(("CUSP", decay.ok))
+    return FormcheckReport(tuple(rows), ok, max(residuals))
 
 
 def certificate_residual_sweep(form: FormData, certificate: Certificate,
@@ -603,10 +599,6 @@ def certificate_residual_sweep(form: FormData, certificate: Certificate,
     """Max stroke residual of the form over every congruence the
     certificate establishes; the numeric soundness bridge for the
     symbolic layer."""
-    cfg = cfg or EvalConfig(points=None)
-    worst = mpf(0)
-    with mp.workprec(cfg.precision):
-        cache: Dict = {}
-        for step in certificate.steps:
-            worst = max(worst, _residual(form, step.result, cfg, cache))
-    return worst
+    residuals = _residuals(form, [step.result for step in certificate.steps],
+                           cfg or _battery_config(form.level))
+    return max(residuals, default=mpf(0))

@@ -159,6 +159,9 @@ class ProjMat:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ProjMat is immutable")
 
+    def __reduce__(self):  # the cached hash is left out
+        return ProjMat, (self._entries,)
+
     # -- construction -----------------------------------------------------
 
     @classmethod

@@ -22,6 +22,10 @@ from gamma13.exactnum import (
     ScalarPoly,
 )
 from gamma13 import grammar
+from gamma13.certificate import Certificate, verify_certificate
+from gamma13.groupring import RingElem
+from gamma13.level13 import load_shipped_certificate
+from gamma13.projmat import ProjMat
 
 
 def q(a, b=0):
@@ -231,6 +235,21 @@ class TestIntegerRepresentation:
         x = q(Fraction(-7, 6), Fraction(5, 4))
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert y == x and (y.p, y.q, y.r) == (-14, 15, 12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProjMat.of([[2, -1], [13, -6]]),
+        lambda: RingElem.of(ProjMat.of([[2, -1], [13, -6]])),
+        lambda: ScalarPoly.alpha2(),
+        lambda: load_shipped_certificate("f"),
+    ], ids=["ProjMat", "RingElem", "ScalarPoly", "Certificate"])
+    def test_immutable_values_copy_and_pickle(self, build):
+        x = build()
+        hash(x)  # a cached hash must not travel with the copy
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            if isinstance(x, Certificate):
+                assert (verify_certificate(y).lines()
+                        == verify_certificate(x).lines())
 
 
 class TestFieldSqrt:

@@ -119,6 +119,7 @@ class TestEvalForm:
 class TestStroke:
     COCYCLE_CFG = EvalConfig(y_min=Fraction(1, 200),
                              tolerance=Fraction(1, 10 ** 25))
+    I = (Fraction(0), Fraction(1))
 
     def form(self):
         return fricke_form(L=2560)
@@ -131,8 +132,8 @@ class TestStroke:
             r = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             if rng.random() < 0.5:
                 r = -r
-            a = stroke_value(form, base, mpc(0, 1), self.COCYCLE_CFG)
-            b = stroke_value(form, base.scale(r), mpc(0, 1), self.COCYCLE_CFG)
+            a = stroke_value(form, base, self.I, self.COCYCLE_CFG)
+            b = stroke_value(form, base.scale(r), self.I, self.COCYCLE_CFG)
             assert abs(a - b) < mpf(10) ** -30
 
     def test_cocycle_on_random_integer_matrices(self):
@@ -148,19 +149,43 @@ class TestStroke:
             if m1.det().sign() <= 0 or m2.det().sign() <= 0:
                 continue
             checked += 1
+            # the exact image of i under m2: (ac + bd + i det) / (c^2 + d^2)
+            (ea, eb), (ec, ed) = rows2
+            norm = ec * ec + ed * ed
+            w = (Fraction(ea * ec + eb * ed, norm),
+                 Fraction(ea * ed - eb * ec, norm))
             with mp.workprec(cfg.precision):
                 a, b, c, d = (_to_mpf(e) for e in m2.entries())
-                w = (a * z + b) / (c * z + d)
                 factor = (_to_mpf(m2.det()) ** (form.weight // 2)
                           * (c * z + d) ** -form.weight)
                 nested = factor * stroke_value(form, m1, w, cfg)
-                direct = stroke_value(form, m1 * m2, z, cfg)
+                direct = stroke_value(form, m1 * m2, self.I, cfg)
                 assert abs(nested - direct) < mpf(10) ** -30
 
     def test_nonpositive_determinant_rejected(self):
         with pytest.raises(ValueError):
-            stroke_value(self.form(), Mat2.of([[1, 2], [1, 1]]), mpc(0, 1),
+            stroke_value(self.form(), Mat2.of([[1, 2], [1, 1]]), self.I,
                          self.COCYCLE_CFG)
+
+    def test_image_height_is_audited_exactly(self):
+        # z -> -1/z maps (0, 2) to (0, 1/2), exactly on the floor
+        cfg = EvalConfig(y_min=Fraction(1, 2))
+        inversion = [[0, -1], [1, 0]]
+        form = delta_form()
+        on_floor = stroke_value(form, inversion, (0, 2), cfg)
+        # Delta is invariant under the inversion
+        assert abs(on_floor - eval_form(form, (0, 2), cfg).value
+                   ) < mpf(10) ** -30
+        with pytest.raises(ConfigurationError, match="below y_min=1/2"):
+            stroke_value(form, inversion, (0, 2 + Fraction(1, 10 ** 30)), cfg)
+
+    def test_complex_point_is_refused(self):
+        form = self.form()
+        for z in (mpc(0, 1), 1j):
+            with pytest.raises(TypeError):
+                stroke_value(form, [[2, 1], [1, 1]], z, self.COCYCLE_CFG)
+            with pytest.raises(TypeError):
+                eval_form(form, z, self.COCYCLE_CFG)
 
 
 def _to_mpf(q):
@@ -258,6 +283,12 @@ class TestCongruenceResidual:
             congruence_residual(fricke_form(), cong)
 
 
+    def test_empty_point_set_is_refused(self):
+        # a max over no points would read 0, a silent PASS
+        with pytest.raises(ValueError, match="empty"):
+            EvalConfig(points=())
+
+
 class TestSuggestPoints:
     def test_translation_congruence_gets_two_exact_points(self):
         cong = Congruence("P", RingElem.parse("[[1,1],[0,1]]"), RingElem.of(1))
@@ -352,3 +383,8 @@ class TestCertificateBridge:
         cert = build_f_certificate(1)
         residual = certificate_residual_sweep(delta_form(), cert)
         assert residual < mpf(10) ** -15
+
+    def test_default_sweep_uses_the_formcheck_floor(self):
+        # level 13 evaluates down to 1/52, as formcheck does; H4 needs lower
+        with pytest.raises(ConfigurationError, match=r"y_min=1/52"):
+            certificate_residual_sweep(fricke_form(), build_f_certificate(13))

@@ -6,7 +6,7 @@
 For each coefficient file (the format ``gamma13 eta`` writes) it prints
 every ``run_formcheck`` row, ``certificate_residual_sweep`` over the f
 certificate of the file's level, ``eval_form`` (value and tail bound) and
-``stroke_value`` at a fixed point, and ``cusp_decay_check``.  It ends with
+``stroke_value`` at the same exact point, and ``cusp_decay_check``.  It ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
 ``FRICKE_POINTS_13`` for eps = -1 and +1, and then with the length and
 SHA-256 of the stdout of ``gamma13 eta`` for each product in
@@ -68,8 +68,7 @@ def digest_file(path: Path) -> None:
     _show("sweep", lambda: numeric.certificate_residual_sweep(
         form, level13.build_f_certificate(form.level)))
     _show("eval_form", lambda: tuple(numeric.eval_form(form, POINT)))
-    z = complex(*POINT)
-    _show("stroke_value", lambda: numeric.stroke_value(form, MATRIX, z))
+    _show("stroke_value", lambda: numeric.stroke_value(form, MATRIX, POINT))
     _show("cusp", lambda: numeric.cusp_decay_check(form))
 
 
