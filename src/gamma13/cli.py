@@ -67,6 +67,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return FAIL
 
 
+def _positive_number(text: str, name: str) -> Fraction:
+    """``text`` read exactly: rounding it could turn a tiny number into 0."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not (value.is_finite() and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {text}")
+    if abs(value.adjusted()) > 9999:  # Fraction builds 10^|exponent| exactly
+        raise ValueError(f"{name} must lie between 1e-9999 and 1e9999, "
+                         f"got {text}")
+    return Fraction(value)
+
+
 def cmd_formcheck(args: argparse.Namespace) -> int:
     # the numeric layer (and mpmath) loads only for the commands that use it
     from .numeric import (ConfigurationError, FormData, PrecisionError,
@@ -91,21 +105,11 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
             return _usage(f"HECKE_PREC must be an integer, got {env!r}")
     if prec < 1:
         return _usage(f"{prec_source} must be at least 1 bit, got {prec}")
-    # read exactly: rounding the text can turn a small tolerance into 0
     try:
-        tol = Decimal(args.tol)
-    except InvalidOperation:
-        tol = Decimal("NaN")
-    if not (tol.is_finite() and tol > 0):
-        return _usage(f"--tol must be a positive finite number, got {args.tol}")
-    # Fraction(tol) builds 10^|exponent| exactly
-    if abs(tol.adjusted()) > 9999:
-        return _usage(f"--tol must lie between 1e-9999 and 1e9999, "
-                      f"got {args.tol}")
-    try:
+        tol = _positive_number(args.tol, "--tol")
         form = FormData(parsed.series, parsed.weight, parsed.level, parsed.sign)
         report = run_formcheck(form, _battery_config(form.level, prec),
-                               residual_tol=Fraction(tol))
+                               residual_tol=tol)
     except (ValueError, ConfigurationError, PrecisionError) as exc:
         return _usage(str(exc))
     print("\n".join(report.lines()))
@@ -141,7 +145,9 @@ def cmd_density(args: argparse.Namespace) -> int:
 
     from .numeric import DensityError, density_search
     try:
-        result = density_search(args.X, args.tol, args.bound)
+        result = density_search(_positive_number(args.X, "the target"),
+                                 _positive_number(args.tol, "the tolerance"),
+                                 args.bound)
     except ValueError as exc:
         return _usage(str(exc))
     except DensityError as exc:
@@ -228,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density",
                        help="realize a target as a power-lattice value")
-    p.add_argument("X", type=float, help="positive target")
-    p.add_argument("tol", type=float, help="admissible absolute error")
+    p.add_argument("X", help="positive target, read exactly")
+    p.add_argument("tol", help="admissible absolute error, read exactly")
     p.add_argument("--bound", type=int, default=10 ** 6,
                    help="cap on |m| and |n| (default: 1000000)")
     p.set_defaults(func=cmd_density)

@@ -30,17 +30,18 @@ scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
-tying them together and ``density_search`` realizes targets as lattice
-powers, via an Ostrowski-style continued-fraction descent with a brute
-scan fallback.  Irrationality of the stretch and the exponent is assumed,
-not proved here: ``lambda_rational_exclusion`` checks exactly that no
-rational exponent with small denominator works, and callers surface that
-caveat in reports.
+lambda tying them together, and ``lambda_rational_exclusion`` proves
+exactly, from the traces and norms of three field elements, that lambda
+is irrational, so the stretches 2m + n*lambda are dense.
+``density_search`` realizes a target as such a lattice power by one exact
+window search: the window of admissible exponents becomes a window on
+(A*n) mod 2^w in integers, which Euclid's algorithm searches for the
+least |n|, so a failure is a decided fact about the bound, not an
+exhausted budget.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -63,7 +64,7 @@ class PrecisionError(ArithmeticError):
 
 
 class DensityError(RuntimeError):
-    """The lattice search exhausted its bound without reaching the target."""
+    """No lattice power within the bound reaches the target."""
 
 
 #: Larger diagonal stretch of the first commuting generator: (2+sqrt13)/3.
@@ -365,18 +366,20 @@ def lambda_compute(cfg: Optional[EvalConfig] = None) -> mpf:
         return mp.log(_to_mpf(H3_EIGENVALUE)) / mp.log(_to_mpf(STRETCH_BASE))
 
 
-def lambda_rational_exclusion(max_denominator: int = 50) -> bool:
-    """Exactly exclude rational exponents p/q with |q| <= max_denominator:
-    powering in the quadratic field, STRETCH_BASE^p never equals
-    H3_EIGENVALUE^q.  (A bounded check; irrationality itself is assumed.)"""
-    with mp.workprec(128):
-        lam = float(lambda_compute())
-    for q in range(1, max_denominator + 1):
-        t = lam * q
-        for p in {math.floor(t), math.ceil(t), round(t)}:
-            if STRETCH_BASE ** p == H3_EIGENVALUE ** q:
-                return False
-    return True
+def lambda_rational_exclusion() -> bool:
+    """Prove exactly that lambda is irrational.  STRETCH_BASE = e *
+    H3_EIGENVALUE for the integral unit e = (3+sqrt13)/2 > 1, and no nonzero
+    power of H3_EIGENVALUE (norm 1, not integral) is integral, so
+    STRETCH_BASE^p = H3_EIGENVALUE^q forces q = p and e^p = 1: p = q = 0."""
+    def integral(z: QuadElem) -> bool:
+        # 13 = 1 mod 4: integral exactly when trace and norm are integers
+        return all(v.is_rational and v.a.denominator == 1
+                   for v in (z + z.conj(), z * z.conj()))
+
+    unit, one = STRETCH_BASE / H3_EIGENVALUE, QuadElem.of(1)
+    return (integral(unit) and abs(unit * unit.conj()) == one
+            and (unit - one).sign() > 0 and not integral(H3_EIGENVALUE)
+            and H3_EIGENVALUE * H3_EIGENVALUE.conj() == one)
 
 
 class DensityResult(NamedTuple):
@@ -385,92 +388,80 @@ class DensityResult(NamedTuple):
     error: mpf
 
 
-def _convergents(theta: mpf, bound: int) -> List[Tuple[int, mpf]]:
-    """Continued-fraction denominators q of theta with the signed errors
-    q*theta - p, largest q last, q capped by the bound."""
-    out: List[Tuple[int, mpf]] = []
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    x = theta
-    for _ in range(64):
-        d = q1 * theta - p1
-        if q1 > bound or abs(d) < mpf(10) ** -70:
+def _least_in_window(A: int, M: int, L: int, R: int) -> Optional[int]:
+    """The least x >= 0 with L <= (A*x) mod M <= R, for 0 <= A < M and
+    0 <= L <= R < M, or None.  With no multiple of A in [L, R], the least y
+    with (M*y) mod A in [-R mod A, -L mod A] fixes x: one step of Euclid."""
+    steps = []
+    while L:
+        if not A:
+            return None
+        x = -(-L // A)
+        if A * x <= R:
             break
-        if q1 > 0:
-            out.append((q1, d))
-        if x == 0:
-            break
-        a = int(mp.floor(1 / x))
-        if a < 1:
-            break
-        x = 1 / x - a
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-    return out
+        steps.append((A, M, L))
+        A, M, L, R = M % A, A, -R % A, -L % A
+    else:
+        x = 0
+    for A, M, L in reversed(steps):
+        x = -(-(L + M * x) // A)
+    return x
 
 
 def density_search(X, tol, bound: int) -> DensityResult:
     """Integers |m|, |n| <= bound with |STRETCH_BASE^(2m + n*lambda) - X|
-    <= tol, via Ostrowski-style continued-fraction descent on the target
-    exponent with a brute scan fallback; failure is explicit."""
+    <= tol and the least |n| (ties to n > 0), or ``DensityError`` if none.
+    With [lo, hi] the exponents u = 2m + n*lambda near X, some m fits n when
+    (hi/2 - n*lambda/2) mod 1 <= (hi - lo)/2: a window on (A*|n|) mod 2^w,
+    widened by the rounding of A, that ``_least_in_window`` searches.  w and
+    the precision that checks each candidate grow with the bound and X/tol."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    with mp.workprec(256):
-        xv = _to_mpf(X) if isinstance(X, (Fraction, QuadElem)) else mpf(X)
-        if not (mp.isfinite(xv) and xv > 0):
-            raise ValueError(f"the target must be a positive finite number, "
-                             f"got {X}")
-        tolv = _to_mpf(Fraction(tol)) if isinstance(tol, Fraction) else mpf(tol)
-        if not (mp.isfinite(tolv) and tolv > 0):
-            raise ValueError(f"the tolerance must be a positive finite number, "
-                             f"got {tol}")
+
+    def read(v) -> mpf:
+        return _to_mpf(v) if isinstance(v, (Fraction, QuadElem)) else mpf(v)
+
+    with mp.workprec(64):
+        for name, v in (("target", X), ("tolerance", tol)):
+            if not (mp.isfinite(read(v)) and read(v) > 0):
+                raise ValueError(f"the {name} must be a positive finite "
+                                 f"number, got {v}")
+        mag = mp.mag(read(X))
+        width = 64 + bound.bit_length() + max(0, mag - mp.mag(read(tol)))
+    prec = width + abs(mag).bit_length() + 8
+    with mp.workprec(prec):
+        xv, tolv = read(X), read(tol)
         y = _to_mpf(STRETCH_BASE)
-        lam = mp.log(_to_mpf(H3_EIGENVALUE)) / mp.log(y)
+        lam = lambda_compute(EvalConfig(precision=prec))
         t = mp.log(xv) / mp.log(y)
 
         def attempt(n: int) -> Optional[DensityResult]:
-            if abs(n) > bound:
-                return None
             m = int(mp.nint((t - n * lam) / 2))
-            if abs(m) > bound:
-                return None
             err = abs(y ** (2 * m + n * lam) - xv)
-            if err <= tolv:
-                return DensityResult(m, n, err)
-            return None
+            ok = abs(m) <= bound and err <= tolv
+            return DensityResult(m, n, err) if ok else None
 
-        hit = attempt(0)
+        hit = attempt(0)  # a hit at n = 0 leaves nothing to search
+        # |u - t| <= 1 keeps attempt's m the one integer in the window
+        hi = min(t + 1, mp.log(xv + tolv) / mp.log(y))
+        lo = max(t - 1, mp.log(xv - tolv) / mp.log(y)) if xv > tolv else t - 1
+        M = 1 << width
+        span, shift = int((hi - lo) / 2 * M), int(mp.nint(hi / 2 * M))
+        for sign in (1, -1):
+            x, stop = 1, abs(hit.n) - 1 if hit else bound
+            A, slack = int(mp.nint(-sign * lam / 2 * M)) % M, stop + 2
+            found = None
+            while x <= stop and not found:
+                L = (-slack - shift - A * x) % M
+                R = L + span + 2 * slack
+                step = 0 if R >= M else _least_in_window(A, M, L, R)
+                if step is None or x + step > stop:
+                    break
+                found = attempt(sign * (x + step))
+                x += step + 1
+            hit = found or hit
         if hit:
             return hit
-
-        # Ostrowski-style greedy descent on u = t/2 - m - n*(lam/2).
-        eta = lam / 2
-        theta = eta - mp.floor(eta)
-        ladder = _convergents(theta, bound)
-        target = t / 2
-        u = target - mp.nint(target)
-        n = 0
-        for q, d in reversed(ladder):
-            room = (bound - abs(n)) // q
-            if room == 0:
-                continue
-            c = int(mp.nint(u / d))
-            c = max(-room, min(room, c))
-            n += c * q
-            u -= c * d
-        for candidate in (n, -n):
-            hit = attempt(candidate)
-            if hit:
-                return hit
-
-        # Brute scan, cheap float screening before exact recomputation.
-        lam_f, t_f = float(lam), float(t)
-        screen = float(tolv / (xv * mp.log(y))) * 1.5 + 1e-12
-        for absn in range(1, bound + 1):
-            for cand in (absn, -absn):
-                r = (t_f - cand * lam_f) / 2
-                if 2 * abs(r - round(r)) <= screen:
-                    hit = attempt(cand)
-                    if hit:
-                        return hit
         raise DensityError(
             f"no exponent pair with |m|, |n| <= {bound} reaches the target "
             f"within {mp.nstr(tolv, 5)}")

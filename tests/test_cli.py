@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,28 @@ class TestDensity:
             code, out, err = run_cli(capsys, "density", X, tol)
             assert (code, out) == (2, ""), (X, tol)
             assert ("tolerance" if X == "5" else "target") in err, (X, tol)
+
+    @pytest.mark.parametrize("X, tol, expected", [
+        ("5", "1e-400", 1), ("1e-400", "1e-3", 0)])
+    def test_tiny_positive_inputs_are_read_exactly(self, capsys, X, tol,
+                                                   expected):
+        # as floats both underflow to 0 and were refused as nonpositive
+        code, out, err = run_cli(capsys, "density", X, tol)
+        assert code == expected, err
+        assert "positive finite" not in err
+
+    def test_huge_bound_is_decided_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "density", "5", "1e-40",
+                                 "--bound", "1000000000000")
+        assert (code, out) == (1, "")
+        assert "no exponent pair" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_target_is_decided(self, capsys):
+        code, out, err = run_cli(capsys, "density", "1e300", "1e-3")
+        assert (code, out) == (1, "")
+        assert "no exponent pair" in err
 
 
 class TestAsym:

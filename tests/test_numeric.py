@@ -12,6 +12,7 @@ Frozen anchors recomputed independently:
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from gamma13.numeric import (
     eval_form,
     lambda_compute,
     lambda_rational_exclusion,
+    _least_in_window,
     run_formcheck,
     stroke_value,
     suggest_points,
@@ -212,7 +214,12 @@ class TestLambda:
         assert H3_EIGENVALUE == QuadElem(Fraction(7, 6), Fraction(-1, 6))
 
     def test_no_small_rational_exponent(self):
-        assert lambda_rational_exclusion(50)
+        assert lambda_rational_exclusion()
+
+    def test_stretch_is_a_unit_times_the_eigenvalue(self):
+        # the identity the irrationality proof rests on
+        unit = QuadElem(Fraction(3, 2), Fraction(1, 2))
+        assert STRETCH_BASE == unit * H3_EIGENVALUE
 
 
 class TestDensitySearch:
@@ -252,6 +259,59 @@ class TestDensitySearch:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             density_search(0, Fraction(1, 1000), 10)
+
+    def test_exactly_reachable_targets_are_found(self):
+        # X = Y^(2m + n*lambda) with |n| in [10^5, 10^6) is reachable at
+        # 1e-12 by (m, n) itself, so a pair with |n| no larger is found
+        rng = random.Random(31)
+        with mp.workprec(300):
+            y = _to_mpf(STRETCH_BASE)
+            lam = mp.log(_to_mpf(H3_EIGENVALUE)) / mp.log(y)
+        cases = [(344477, 756115)]  # X = 0.570867...
+        for _ in range(40):
+            n = rng.choice((1, -1)) * rng.randrange(10 ** 5, 10 ** 6)
+            cases.append((int(mp.nint(-n * lam / 2)), n))
+        for m, n in cases:
+            with mp.workprec(300):
+                x = y ** (2 * m + n * lam)
+            result = density_search(x, Fraction(1, 10 ** 12), 10 ** 6)
+            assert abs(result.n) <= abs(n), (m, n)
+            with mp.workprec(300):
+                err = abs(y ** (2 * result.m + result.n * lam) - x)
+            assert err <= mpf(10) ** -12, (m, n)
+
+    def test_pair_has_the_least_abs_n(self):
+        # targets where a pair with |n| near 10^6 also reaches 1e-3
+        with mp.workprec(256):
+            y = _to_mpf(STRETCH_BASE)
+            lam = mp.log(_to_mpf(H3_EIGENVALUE)) / mp.log(y)
+            for x in (1.0696012038955054, 1.0101986238561729,
+                      3.3610804760704434):
+                result = density_search(x, Fraction(1, 1000), 10 ** 6)
+                t = mp.log(x) / mp.log(y)
+                for n in range(-abs(result.n) + 1, abs(result.n)):
+                    m = int(mp.nint((t - n * lam) / 2))
+                    assert abs(y ** (2 * m + n * lam) - x) > mpf(1) / 1000
+                if result.n < 0:  # ties go to positive n
+                    m = int(mp.nint((t + result.n * lam) / 2))
+                    assert abs(y ** (2 * m - result.n * lam) - x) > \
+                        mpf(1) / 1000
+
+    def test_unreachable_target_is_decided_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(DensityError, match="within 1.0e-40"):
+            density_search(5, Fraction(1, 10 ** 40), 10 ** 6)
+        assert time.perf_counter() - start < 0.05
+
+    def test_window_helper_matches_brute_force(self):
+        rng = random.Random(47)
+        for _ in range(3000):
+            M = rng.randrange(1, 120)
+            A = rng.randrange(M)
+            L = rng.randrange(M)
+            R = rng.randrange(L, M)
+            least = next((x for x in range(M) if L <= A * x % M <= R), None)
+            assert _least_in_window(A, M, L, R) == least, (A, M, L, R)
 
 
 class TestCongruenceResidual:

@@ -8,12 +8,13 @@ every ``run_formcheck`` row, ``certificate_residual_sweep`` over the f
 certificate of the file's level, ``eval_form`` (value and tail bound) and
 ``stroke_value`` at the same exact point, and ``cusp_decay_check``.  It ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
-``FRICKE_POINTS_13`` for eps = -1 and +1, and then with the length and
-SHA-256 of the stdout of ``gamma13 eta`` for each product in
-``ETA_REQUESTS``.  Every ``mpf``/``mpc`` is printed as its ``repr`` at 256
-bits, the working precision of all these calls, so two trees agree digit
-for digit, and their ``eta`` files byte for byte, exactly when the
-outputs of
+``FRICKE_POINTS_13`` for eps = -1 and +1, then with ``density_search``
+on each request in ``DENSITY_REQUESTS`` as ``(m, n, error)``, and then
+with the length and SHA-256 of the stdout of ``gamma13 eta`` for each
+product in ``ETA_REQUESTS``.  Every ``mpf``/``mpc`` is printed as its
+``repr`` at 256 bits, the working precision of the formcheck and Fricke
+calls (``density_search`` derives its own), so two trees agree digit for
+digit, and their ``eta`` files byte for byte, exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/numeric_digest.py FILES > old.txt
     PYTHONPATH=new/src python3 tools/numeric_digest.py FILES > new.txt
@@ -40,6 +41,28 @@ MATRIX = [[2, 1], [1, 1]]
 ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
                 ("1:8,2:8", 2048), ("2:16,1:-8", 2048), ("1:4,5:4", 2048),
                 ("1:2,11:2", 2048)]
+
+
+def _stretch_power(m: int, n: int):
+    """Y^(2m + n*lambda) at 256 bits, Y = (2 + sqrt 13)/3."""
+    with mp.workprec(256):
+        y = (2 + mp.sqrt(13)) / 3
+        return y ** (2 * m + n * numeric.lambda_compute())
+
+
+#: (label, target, tolerance, bound): targets at 1e-12 (Y^4 is
+#: STRETCH_BASE^4 in the field, and 0.570867 is the decimal near the
+#: lattice value at n = 756115), one unreachable target, one bound of 0.
+DENSITY_REQUESTS = [
+    ("1", 1, Fraction(1, 10 ** 12), 10 ** 6),
+    ("Y^4", numeric.STRETCH_BASE ** 4, Fraction(1, 10 ** 12), 10 ** 6),
+    ("5", 5, Fraction(1, 10 ** 12), 10 ** 6),
+    ("0.570867", Fraction("0.570867"), Fraction(1, 10 ** 12), 10 ** 6),
+    ("Y^(2*344477+756115*lambda)", _stretch_power(344477, 756115),
+     Fraction(1, 10 ** 12), 10 ** 6),
+    ("5", 5, Fraction(1, 10 ** 40), 10 ** 6),
+    ("5", 5, Fraction(1, 10 ** 3), 0),
+]
 
 
 def _show(label: str, compute) -> None:
@@ -82,6 +105,14 @@ def digest_fricke(length: int = 512) -> None:
               lambda: numeric.congruence_residual(form, axiom, cfg))
 
 
+def digest_density() -> None:
+    for label, target, tol, bound in DENSITY_REQUESTS:
+        def search():
+            found = numeric.density_search(target, tol, bound)
+            return found.m, found.n, found.error
+        _show(f"density X={label} tol={float(tol):g} bound={bound}", search)
+
+
 def digest_eta() -> None:
     for factors, length in ETA_REQUESTS:
         out = io.StringIO()
@@ -98,6 +129,7 @@ def main(argv) -> int:
         for name in argv:
             digest_file(Path(name))
         digest_fricke()
+        digest_density()
     digest_eta()
     return 0
 
