@@ -9,7 +9,7 @@ Provides two layers, the second built on the first:
   three ints (p + q*sqrt(13))/r in lowest terms (r > 0, gcd(p, q, r) = 1),
   so arithmetic, sign, equality and hashing never build a Fraction; the
   Fractions a = p/r and b = q/r are derived only for text and term order.
-  Includes exact sign determination and square roots inside the field.
+  Includes exact sign determination.
 * :class:`ScalarPoly` -- commutative polynomials in the formal symbols
   ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(13)).
 
@@ -20,7 +20,7 @@ dictionary keys throughout the rest of the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import List, Mapping, Optional, Union
 
 #: The radicand of the field: every exact value lies in Q(sqrt(DEFAULT_D)).
@@ -52,16 +52,6 @@ def binary_power(base, n: int, one=None):
         if n:
             base = base * base
     return one if result is None else result
-
-
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 class QuadElem:
@@ -217,25 +207,6 @@ class QuadElem:
 
     def __abs__(self) -> "QuadElem":
         return -self if self.sign() < 0 else self
-
-    def field_sqrt(self) -> Optional["QuadElem"]:
-        """A square root within Q(sqrt(13)) for rational inputs, else None.
-
-        Finds r with r^2 == self when self is rational and either a
-        rational square or 13 times one.  Irrational inputs are not
-        supported and return None.
-        """
-        if not self.is_rational:
-            return None
-        if not self._p:
-            return _quad(0, 0, 1)
-        r = _rational_sqrt(self.a)
-        if r is not None:
-            return QuadElem(r, 0)
-        r = _rational_sqrt(self.a / DEFAULT_D)
-        if r is not None:
-            return QuadElem(0, r)
-        return None
 
     # -- identity -------------------------------------------------------
 

@@ -16,8 +16,6 @@ correct by construction; exhausting the budget raises instead of guessing.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -31,8 +29,6 @@ GENERATORS: Dict[str, ProjMat] = {
     "g2": ProjMat.of([[2, -1], [13, -6]]),
     "g3": ProjMat.of([[3, -1], [13, -4]]),
 }
-
-_TOKEN = re.compile(r"(P|W|g2|g3)(?:\^(-?\d+))?\Z")
 
 
 class DecompositionError(RuntimeError):
@@ -63,27 +59,11 @@ class Word:
                 reduced.append((gen, exp))
         return cls(tuple(reduced))
 
-    @classmethod
-    def parse(cls, text: str) -> "Word":
-        pairs = []
-        for token in text.split():
-            m = _TOKEN.match(token)
-            if not m:
-                raise ValueError(f"bad word token {token!r}")
-            pairs.append((m.group(1), int(m.group(2) or 1)))
-        return cls.of(pairs)
-
     def evaluate(self) -> ProjMat:
         acc = ProjMat.identity()
         for gen, exp in self.letters:
             acc = acc * GENERATORS[gen] ** exp
         return acc
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.of(self.letters + other.letters)
-
-    def __len__(self) -> int:
-        return sum(abs(exp) for _, exp in self.letters)
 
     def __str__(self) -> str:
         return " ".join(gen if exp == 1 else f"{gen}^{exp}"
@@ -116,26 +96,6 @@ def is_member(m, level: int = DEFAULT_LEVEL) -> bool:
     """True iff the class of ``m`` has an integer representative with
     determinant 1 and lower-left entry divisible by ``level``."""
     return _member_representative(m, level) is not None
-
-
-# -- cusps -------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
-def cusps(level: int):
-    """Cusp representatives for prime level: infinity and zero."""
-    if not _is_prime(level):
-        raise ValueError(f"cusp data is implemented for prime level only, "
-                         f"got {level}")
-    return {math.inf, 0}
 
 
 # -- decomposition -------------------------------------------------------------

@@ -186,33 +186,11 @@ def _matrix(ts: _Tokens) -> Entries:
     return tuple(rows)  # type: ignore[return-value]
 
 
-def parse_rational(text: str) -> Fraction:
-    ts = _Tokens(text)
-    sign = _leading_sign(ts)
-    value = _parse_fraction(ts)
-    ts.expect_end()
-    return sign * value
-
-
-def parse_quad(text: str) -> QuadElem:
-    ts = _Tokens(text)
-    value = _quad_sum(ts)
-    ts.expect_end()
-    return value
-
-
 def parse_scalar_poly(text: str) -> ScalarPoly:
     ts = _Tokens(text)
     value = _scalar_sum(ts)
     ts.expect_end()
     return value
-
-
-def parse_matrix_entries(text: str) -> Entries:
-    ts = _Tokens(text)
-    entries = _matrix(ts)
-    ts.expect_end()
-    return entries
 
 
 def _memo_matrix(ts: _Tokens, memo: dict) -> Entries:

@@ -41,7 +41,7 @@ from .groupring import RingElem, poly_mul, stroke_of_power
 from .projmat import Mat2, ProjMat
 
 # The fixed level-13 classes.
-P_CLASS, G2, G3 = GENERATORS["P"], GENERATORS["g2"], GENERATORS["g3"]
+P_CLASS, G3 = GENERATORS["P"], GENERATORS["g3"]
 DELTA1_HAT = ProjMat.of([[39, -14], [117, -39]])
 DELTA2_HAT = ProjMat.of([[5, -2], [13, -5]])
 DELTA3_HAT = ProjMat.of([[-26, 8], [-91, 26]])
@@ -51,14 +51,6 @@ SHIPPED_FILES = {"f": "level13_f.json", "g": "level13_g.json"}
 
 def h_class(level: int = DEFAULT_LEVEL) -> ProjMat:
     return ProjMat.of([[0, -1], [level, 0]])
-
-
-def w_class(level: int = DEFAULT_LEVEL) -> ProjMat:
-    return ProjMat.of([[1, 0], [level, 1]])
-
-
-def g2_class(level: int = DEFAULT_LEVEL) -> ProjMat:
-    return ProjMat.of([[4, -2], [2 * level, 1 - level]])
 
 
 def g3_class(level: int = DEFAULT_LEVEL) -> ProjMat:
@@ -178,23 +170,6 @@ def _square_t2_steps(b: CertBuilder) -> None:
     b.add("H4pre", "h4.a", "t2d2p.neg", lhs=x, rhs=rhs)
 
 
-def square_t2_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
-    """Standalone certificate for the T2-squaring identity, using only the
-    linear rules AXIOM / RIGHT_MUL / ADD / SCALE."""
-    b = CertBuilder(level)
-    b.axiom("ax:T2", t2_sum(), RingElem.of(ScalarPoly.alpha2()))
-    b.axiom_step("T2", "ax:T2")
-    _square_t2_steps(b)
-    return b.build()
-
-
-def square_t2_derivation(level: int = DEFAULT_LEVEL) -> Congruence:
-    """The verified congruence
-    [[1,1],[0,4]] + [[1,3],[0,4]] == a2^2 - P - a2*[[2,0],[0,1]] - a2*[[1,0],[0,2]].
-    """
-    return square_t2_certificate(level).steps[-1].result
-
-
 def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
     n = int(level)
     if n < 1:
@@ -203,7 +178,7 @@ def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
     _add_f_axioms(b, n)
     e = ScalarPoly.eps()
     one = RingElem.one()
-    h_elem = RingElem.of([[0, -1], [n, 0]])
+    h_elem = RingElem.of(h_class(n))
 
     b.axiom_step("P", "ax:P")
     b.axiom_step("H", "ax:H")

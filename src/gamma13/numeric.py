@@ -467,7 +467,7 @@ def density_search(X, tol, bound: int) -> DensityResult:
             f"within {mp.nstr(tolv, 5)}")
 
 
-# -- decay at the cusps ----------------------------------------------------------
+# -- cusp decay -----------------------------------------------------------------
 
 
 class CuspDecayVerdict(NamedTuple):
@@ -505,7 +505,7 @@ def cusp_decay_check(form: FormData,
 
 
 _HEADLINE_STEPS = ("W", "HT2", "HT3", "g2", "R3", "S3", "delta1",
-                   "H4", "H5", "H6", "H7", "delta3")
+                   "H4", "H5", "H6", "H7", "delta3", "delta2")
 
 
 @dataclass(frozen=True)
@@ -535,11 +535,12 @@ class FormcheckReport:
 
 
 def _battery(form: FormData) -> List[Congruence]:
-    """The four context axioms (P, H, T2, T3), then the headline steps."""
+    """The four context axioms (P, H, T2, T3), then each headline step
+    that the level's f certificate builds."""
     certificate = build_f_certificate(form.level)
-    wanted = _HEADLINE_STEPS + (("delta2",) if form.level == 13 else ())
     by_id = {step.id: step.result for step in certificate.steps}
-    return list(certificate.axioms) + [by_id[i] for i in wanted if i in by_id]
+    return list(certificate.axioms) + [by_id[i] for i in _HEADLINE_STEPS
+                                       if i in by_id]
 
 
 def _battery_config(level: int,

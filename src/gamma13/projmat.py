@@ -16,13 +16,12 @@ triples with one lcm and one gcd.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
-from .exactnum import DEFAULT_D, QuadElem, Scalar, binary_power
+from .exactnum import QuadElem, Scalar, binary_power
 
 MatrixLike = Union["Mat2", "ProjMat", Sequence]
 
@@ -55,10 +54,6 @@ class Mat2:
     def identity(cls) -> "Mat2":
         return cls.of([[1, 0], [0, 1]])
 
-    @classmethod
-    def diag(cls, x: Scalar, y: Scalar) -> "Mat2":
-        return cls.of([[x, 0], [0, y]])
-
     # -- inspection ---------------------------------------------------------
 
     def entries(self) -> Tuple[QuadElem, QuadElem, QuadElem, QuadElem]:
@@ -66,13 +61,6 @@ class Mat2:
 
     def det(self) -> QuadElem:
         return self.a * self.d - self.b * self.c
-
-    def trace(self) -> QuadElem:
-        return self.a + self.d
-
-    @property
-    def is_identity(self) -> bool:
-        return self == Mat2.identity()
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -119,14 +107,6 @@ class Mat2:
 
     def __repr__(self) -> str:
         return f"Mat2({self})"
-
-
-class MatClass(enum.Enum):
-    """Conjugation-invariant type of a projective matrix class."""
-
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"
 
 
 def _primitive(entries: Tuple[QuadElem, ...]) -> Tuple[QuadElem, ...]:
@@ -209,32 +189,6 @@ class ProjMat:
             return self.inv() ** (-n)
         return ProjMat.of(self.mat ** n)
 
-    # -- invariants -------------------------------------------------------------
-
-    def classify(self) -> MatClass:
-        m = self.mat
-        disc = m.trace() ** 2 - 4 * m.det()
-        s = disc.sign()
-        if s < 0:
-            return MatClass.ELLIPTIC
-        if s == 0:
-            return MatClass.PARABOLIC
-        return MatClass.HYPERBOLIC
-
-    def elliptic_order(self, max_order: int = 12) -> Optional[int]:
-        """Smallest n <= max_order with the n-th power projectively trivial."""
-        power = self
-        for n in range(1, max_order + 1):
-            if power.is_identity:
-                return n
-            power = power * self
-        return None
-
-    def conjugate_by_h(self, N: int) -> "ProjMat":
-        """The class of H M H^-1 for H = [[0, -1], [N, 0]]."""
-        a, b, c, d = self._entries
-        return ProjMat.of([[d, -c / N], [-N * b, a]])
-
     # -- identity -----------------------------------------------------------------
 
     def __eq__(self, other):
@@ -256,37 +210,3 @@ class ProjMat:
     def __repr__(self) -> str:
         return f"ProjMat({self})"
 
-
-def diagonalize(m: Mat2) -> Tuple[Mat2, Tuple[QuadElem, QuadElem]]:
-    """Exact diagonalization over Q(sqrt(13)).
-
-    Returns (A, (lam1, lam2)) with lam1 > lam2, det(A) > 0 and
-    A^-1 * m * A == diag(lam1, lam2) verified exactly.  Raises ValueError
-    when the characteristic roots are outside the field or coincide.
-    """
-    tr, det = m.trace(), m.det()
-    disc = tr * tr - 4 * det
-    s = disc.field_sqrt() if disc.is_rational else None
-    if s is None:
-        raise ValueError(f"characteristic roots of {m} are not in "
-                         f"Q(sqrt({DEFAULT_D}))")
-    if s.is_zero:
-        raise ValueError(f"{m} has a repeated characteristic root")
-    two = QuadElem.of(2)
-    lam1, lam2 = (tr + s) / two, (tr - s) / two
-
-    def eigvec(lam: QuadElem) -> Tuple[QuadElem, QuadElem]:
-        if not m.b.is_zero:
-            return (m.b, lam - m.a)
-        if not m.c.is_zero:
-            return (lam - m.d, m.c)
-        one, zero = QuadElem.of(1), QuadElem.of(0)
-        return (one, zero) if lam == m.a else (zero, one)
-
-    v1, v2 = eigvec(lam1), eigvec(lam2)
-    basis = Mat2(v1[0], v2[0], v1[1], v2[1])
-    if basis.det().sign() < 0:
-        basis = Mat2(basis.a, -basis.b, basis.c, -basis.d)
-    if basis.inv() * m * basis != Mat2.diag(lam1, lam2):
-        raise RuntimeError(f"diagonalization of {m} failed self-check")
-    return basis, (lam1, lam2)

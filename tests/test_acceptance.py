@@ -20,14 +20,12 @@ from gamma13.level13 import (
     a_matrix,
     blowup_check,
     f_context,
-    g2_class,
     g3_class,
     h2_mat,
     h3_mat,
     h_class,
     load_shipped_certificate,
     tilde_g_check,
-    w_class,
 )
 from gamma13.numeric import (
     FRICKE_POINTS_13,
@@ -80,11 +78,11 @@ def test_shipped_certificates_replay_end_to_end_under_five_seconds():
 def test_exact_matrix_identities_hold_with_zero_tolerance():
     H = h_class(13)
     p_inverse = ProjMat.of([[1, -1], [0, 1]])
-    conjugation = (H * p_inverse * H) == w_class(13)
+    conjugation = (H * p_inverse * H) == ProjMat.of([[1, 0], [13, 1]])
 
     g3 = g3_class(13)
     order_three = g3 ** 3 == IDENTITY
-    mixed = g3 ** -1 * g2_class(13)
+    mixed = g3 ** -1 * ProjMat.of([[2, -1], [13, -6]])
     order_two = mixed * mixed == IDENTITY
 
     h2, h3 = h2_mat(), h3_mat()

