@@ -19,6 +19,7 @@ dictionary keys throughout the rest of the package.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Mapping, Optional, Union
@@ -38,19 +39,20 @@ class ExponentOverflowError(OverflowError):
     """Raised when a symbolic exponent exceeds ``EXPONENT_LIMIT``."""
 
 
-def binary_power(base, n: int, one=None):
+def binary_power(base, n: int, one=None, mul=operator.mul):
     """base ** n for n >= 0 by square-and-multiply; ``one`` when n == 0.
 
     The product starts from ``base`` itself, so no multiplication by the
-    identity is made.  Callers apply their own rule to negative n.
+    identity is made; ``mul`` is the product (for integer 4-tuples, say).
+    Callers apply their own rule to negative n.
     """
     result = None
     while n:
         if n & 1:
-            result = base if result is None else result * base
+            result = base if result is None else mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return one if result is None else result
 
 

@@ -1,17 +1,24 @@
 """Congruence-subgroup structure for Gamma_0(N).
 
 Membership is tested on the primitive integer representative of a
-projective class (determinant 1 and N | c).  Level-13 elements decompose
-into words over the four generators
+projective class (determinant 1 and N | c).  At level 13, ``decompose``
+writes a member as a word over
 
     P = [[1,1],[0,1]]   W = [[1,0],[13,1]]
     g2 = [[2,-1],[13,-6]]   g3 = [[3,-1],[13,-4]]
 
-by greedy height reduction -- repeatedly peel the generator whose inverse
-most shrinks the largest entry -- with a bounded breadth-first rescue when
-no single peel makes progress (products such as g2^-1 g3 need it).  Only
-re-verified products are ever returned, so a successful decomposition is
-correct by construction; exhausting the budget raises instead of guessing.
+when it can.  These do not generate all of Gamma_0(13): its image in
+PSL_2(Z) is Z * Z/2 * Z/2 * Z/3 * Z/3 (genus 0, two cusps, two elliptic
+points of each order), of rank 5 by Grushko's theorem, so a member outside
+<P, W, g2, g3>, such as [[8,-5],[13,-8]], raises DecompositionError.
+
+The search runs on integer 4-tuples in one loop.  Each round is a
+breadth-first search of at most four one-letter peels off the left, plus
+at depth one the powers of P and W read off the entries by rounding.  At
+the shallowest depth that lowers the height (largest |entry|) or reaches
+the identity it takes the node of least (height, letters), so depth one is
+greedy height reduction.  A word is returned only after its integer
+product is checked, and a search past its node cap raises.
 """
 
 from __future__ import annotations
@@ -19,20 +26,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .exactnum import binary_power
 from .projmat import ProjMat
 
 DEFAULT_LEVEL = 13
 
+_IntMat = Tuple[int, int, int, int]
+
+_MATRICES: Dict[str, _IntMat] = {"P": (1, 1, 0, 1), "W": (1, 0, 13, 1),
+                                 "g2": (2, -1, 13, -6), "g3": (3, -1, 13, -4)}
+
 GENERATORS: Dict[str, ProjMat] = {
-    "P": ProjMat.of([[1, 1], [0, 1]]),
-    "W": ProjMat.of([[1, 0], [13, 1]]),
-    "g2": ProjMat.of([[2, -1], [13, -6]]),
-    "g3": ProjMat.of([[3, -1], [13, -4]]),
-}
+    gen: ProjMat.of(mat) for gen, mat in _MATRICES.items()}
+
+_IDENTITY: _IntMat = (1, 0, 0, 1)
+
+#: Search nodes one decomposition may visit before it gives up.
+_MAX_NODES = 10 ** 6
 
 
 class DecompositionError(RuntimeError):
-    """The bounded search could not express the matrix as a generator word."""
+    """The search could not express the matrix as a generator word."""
+
+
+def _mul(x: _IntMat, y: _IntMat) -> _IntMat:
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _product(letters: Iterable[Tuple[str, int]]) -> _IntMat:
+    """The integer matrix of a word, each power by binary powering (at
+    determinant 1 the adjugate is the inverse)."""
+    acc = _IDENTITY
+    for gen, exp in letters:
+        a, b, c, d = _MATRICES[gen]
+        base = (a, b, c, d) if exp > 0 else (d, -b, -c, a)
+        acc = _mul(acc, binary_power(base, abs(exp), _IDENTITY, _mul))
+    return acc
+
+
+def _normalize(x: _IntMat) -> _IntMat:
+    # det-1 integer representatives of a class differ by an overall sign
+    for entry in x:
+        if entry:
+            return x if entry > 0 else (-x[0], -x[1], -x[2], -x[3])
+    raise ValueError("zero matrix")
+
+
+def _height(x: _IntMat) -> int:
+    return max(abs(e) for e in x)
 
 
 @dataclass(frozen=True)
@@ -60,10 +102,7 @@ class Word:
         return cls(tuple(reduced))
 
     def evaluate(self) -> ProjMat:
-        acc = ProjMat.identity()
-        for gen, exp in self.letters:
-            acc = acc * GENERATORS[gen] ** exp
-        return acc
+        return ProjMat.of(_product(self.letters))
 
     def __str__(self) -> str:
         return " ".join(gen if exp == 1 else f"{gen}^{exp}"
@@ -72,13 +111,11 @@ class Word:
 
 # -- membership ---------------------------------------------------------------
 
-_IntMat = Tuple[int, int, int, int]
 
-
-def _member_representative(m, level: int) -> Optional[Tuple[ProjMat, _IntMat]]:
-    """The class of ``m`` with its primitive integer representative when
-    that has determinant 1 and lower-left entry divisible by ``level``;
-    None otherwise, including irrational or nonpositive-determinant input."""
+def _member_representative(m, level: int) -> Optional[_IntMat]:
+    """The primitive integer representative of the class of ``m`` when it
+    has determinant 1 and lower-left entry divisible by ``level``; None
+    otherwise, including irrational or nonpositive-determinant input."""
     try:
         cls = m if isinstance(m, ProjMat) else ProjMat.of(m)
     except ValueError:
@@ -89,7 +126,7 @@ def _member_representative(m, level: int) -> Optional[Tuple[ProjMat, _IntMat]]:
     a, b, c, d = (e.p for e in entries)
     if a * d - b * c != 1 or c % level:
         return None
-    return cls, (a, b, c, d)
+    return a, b, c, d
 
 
 def is_member(m, level: int = DEFAULT_LEVEL) -> bool:
@@ -100,103 +137,62 @@ def is_member(m, level: int = DEFAULT_LEVEL) -> bool:
 
 # -- decomposition -------------------------------------------------------------
 
-
-def _mul(x: _IntMat, y: _IntMat) -> _IntMat:
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
-def _normalize(x: _IntMat) -> _IntMat:
-    # det-1 integer representatives of a class differ by an overall sign
-    for entry in x:
-        if entry:
-            return x if entry > 0 else (-x[0], -x[1], -x[2], -x[3])
-    raise ValueError("zero matrix")
+#: (generator, exponent, matrix that peels gen^exp when left-multiplied).
+_PEELS = tuple((gen, exp, _product([(gen, -exp)]))
+               for gen in _MATRICES for exp in (-1, 1))
 
 
-def _height(x: _IntMat) -> int:
-    return max(abs(e) for e in x)
+def _peels(x: _IntMat, depth: int):
+    """The peels from ``x`` in ascending (generator, exponent) order: the
+    eight letters, and at depth zero also each P^q or W^q whose q is the
+    rounded quotient of two entries that peeling it cancels."""
+    if depth:
+        return _PEELS
+    a, b, c, d = x
+    runs = [(gen, (2 * num + den) // (2 * den))   # num / den, rounded
+            for gen, num, den in (("P", b, d), ("P", a, c),
+                                  ("W", c, 13 * a), ("W", d, 13 * b)) if den]
+    return sorted(_PEELS + tuple((gen, q, _product([(gen, -q)]))
+                                 for gen, q in runs if abs(q) > 1))
 
 
-def _adj(x: _IntMat) -> _IntMat:
-    return (x[3], -x[1], -x[2], x[0])
-
-
-def _letters() -> Tuple[Tuple[str, int, _IntMat], ...]:
-    """(generator, exponent, matrix to left-apply when peeling it)."""
-    out = []
-    for gen, cls in GENERATORS.items():
-        mat = tuple(e.p for e in cls.primitive_entries())
-        out.append((gen, 1, _adj(mat)))   # peel gen: left-multiply by inverse
-        out.append((gen, -1, mat))        # peel gen^-1: left-multiply by gen
-    return tuple(out)
-
-
-_LETTERS = _letters()
-
-_IDENTITY: _IntMat = (1, 0, 0, 1)
-
-
-def decompose(m, budget: int = 10 ** 6) -> Word:
+def decompose(m) -> Word:
     """Express a level-13 member as a word in the generators.
 
     Raises ValueError for non-members and DecompositionError when the
-    search budget is exhausted; never returns an unverified word.
+    search stalls or exhausts its node cap; never returns an unverified word.
     """
-    member = _member_representative(m, DEFAULT_LEVEL)
-    if member is None:
+    rep = _member_representative(m, DEFAULT_LEVEL)
+    if rep is None:
         raise ValueError("matrix is not a member of the level-13 group")
-    cls, rep = member
-    cur = _normalize(rep)
+    start = cur = _normalize(rep)
     letters: List[Tuple[str, int]] = []
     nodes = 0
     while cur != _IDENTITY:
-        h0 = _height(cur)
-        best = None
-        for gen, exp, apply_left in _LETTERS:
-            nodes += 1
-            nxt = _normalize(_mul(apply_left, cur))
-            h = _height(nxt)
-            if h < h0 and (best is None or (h, gen, exp) < best[:3]):
-                best = (h, gen, exp, nxt)
-        if nodes > budget:
-            raise DecompositionError("search budget exhausted")
-        if best is not None:
-            letters.append((best[1], best[2]))
-            cur = best[3]
-            continue
-        # Greedy stalled: breadth-first search for any strictly lower
-        # height (or the identity) within four peels.
-        found = None
-        frontier: List[Tuple[Tuple[Tuple[str, int], ...], _IntMat]] = [((), cur)]
-        seen = {cur}
-        for _depth in range(4):
-            nxt_frontier = []
-            for seq, mat in frontier:
-                for gen, exp, apply_left in _LETTERS:
+        h0, frontier, seen = _height(cur), [((), cur)], {cur}
+        for depth in range(4):
+            children = []
+            for path, x in frontier:
+                for gen, exp, peel in _peels(x, depth):
                     nodes += 1
-                    if nodes > budget:
+                    if nodes > _MAX_NODES:
                         raise DecompositionError("search budget exhausted")
-                    nxt = _normalize(_mul(apply_left, mat))
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    step = seq + ((gen, exp),)
-                    if nxt == _IDENTITY or _height(nxt) < h0:
-                        found = (step, nxt)
-                        break
-                    nxt_frontier.append((step, nxt))
-                if found:
-                    break
+                    y = _normalize(_mul(peel, x))
+                    if y not in seen:
+                        seen.add(y)
+                        children.append((path + ((gen, exp),), y))
+            found = [(_height(y), path, y) for path, y in children
+                     if y == _IDENTITY or _height(y) < h0]
             if found:
                 break
-            frontier = nxt_frontier
-        if found is None:
+            frontier = children
+        if not found:
             raise DecompositionError(
-                "height reduction stalled beyond the search horizon")
-        letters.extend(found[0])
-        cur = found[1]
+                "height reduction stalled beyond the search horizon; the matrix"
+                " may lie outside the subgroup that P, W, g2 and g3 generate")
+        _, path, cur = min(found)
+        letters.extend(path)
     word = Word.of(letters)
-    if word.evaluate() != cls:
+    if _normalize(_product(word.letters)) != start:
         raise DecompositionError("internal error: word failed verification")
     return word

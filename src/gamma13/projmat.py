@@ -152,7 +152,7 @@ class ProjMat:
 
     @classmethod
     def identity(cls) -> "ProjMat":
-        return cls.of(Mat2.identity())
+        return _IDENTITY
 
     # -- inspection -----------------------------------------------------------
 
@@ -167,7 +167,7 @@ class ProjMat:
 
     @property
     def is_identity(self) -> bool:
-        return self == ProjMat.identity()
+        return self == _IDENTITY
 
     def primitive_entries(self) -> Tuple[QuadElem, QuadElem, QuadElem, QuadElem]:
         """The representative with coprime integer components."""
@@ -210,3 +210,5 @@ class ProjMat:
     def __repr__(self) -> str:
         return f"ProjMat({self})"
 
+
+_IDENTITY = ProjMat.of(Mat2.identity())  # immutable, so one instance serves

@@ -322,6 +322,21 @@ class TestDecompose:
         assert code == 1
         assert "not in Gamma0(13)" in err
 
+    @pytest.mark.parametrize("matrix, word", [
+        ("[[1,200000],[0,1]]", "P^200000"),
+        ("[[1,0],[2600000,1]]", "W^200000"),
+    ], ids=["P", "W"])
+    def test_parabolic_power_is_one_letter(self, capsys, matrix, word):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "decompose", matrix)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out.strip()) == (0, word)
+
+    def test_member_outside_the_generated_subgroup(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "[[8,-5],[13,-8]]")
+        assert (code, out) == (1, "")
+        assert "outside the subgroup that P, W, g2 and g3 generate" in err
+
     @pytest.mark.parametrize("matrix, entry", [
         ("[[1,0],[0]]", None),
         ("[[1.5,0],[0,1]]", "(1,1)"),

@@ -2,13 +2,14 @@
 
 Frozen products were computed by hand: g2*P*W = [[15,1],[104,7]] and
 g2^-1*g3 = [[-5,2],[-13,5]] (an involution class that stalls pure greedy
-height reduction, exercising the breadth-first fallback).
+height reduction, exercising the search beyond depth one).
 """
 
 import random
 
 import pytest
 
+from gamma13 import gamma0
 from gamma13.exactnum import QuadElem
 from gamma13.gamma0 import (DecompositionError, GENERATORS, Word, decompose,
                             is_member)
@@ -55,6 +56,23 @@ class TestWord:
     def test_evaluate_generators(self):
         assert Word.of([("P", 1)]).evaluate() == ProjMat.of([[1, 1], [0, 1]])
         assert Word.of([("g3", 3)]).evaluate() == ProjMat.identity()
+
+    def test_evaluate_matches_projmat_product(self):
+        # the integer product against the exact ProjMat product, letter by
+        # letter, with small exponents and parabolic ones near 10^6
+        rng = random.Random(16)
+        for _ in range(60):
+            pairs = [(rng.choice(["P", "W", "g2", "g3"]),
+                      rng.choice([-1, 1]) * rng.randint(1, 5))
+                     for _ in range(rng.randint(0, 8))]
+            if rng.random() < 0.3:
+                pairs.insert(rng.randint(0, len(pairs)),
+                             (rng.choice(["P", "W"]),
+                              rng.choice([-1, 1]) * rng.randint(999_990, 1_000_010)))
+            reference = ProjMat.identity()
+            for gen, exp in pairs:
+                reference = reference * GENERATORS[gen] ** exp
+            assert Word.of(pairs).evaluate() == reference
 
     def test_concatenation_is_a_homomorphism(self):
         rng = random.Random(7)
@@ -113,16 +131,22 @@ class TestDecompose:
         target = ProjMat.of([[-5, 2], [-13, 5]])
         assert decompose(target).evaluate() == target
 
+    def test_parabolic_runs_peel_in_one_step(self):
+        # one round per letter of P^-123457 would exhaust the node cap
+        word = Word.of([("g2", 1), ("P", -123457), ("W", 98765), ("g3", -1)])
+        assert decompose(word.evaluate()) == word
+
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             decompose(ProjMat.of([[1, 0], [1, 1]]))
 
-    def test_budget_exhaustion_is_explicit(self):
+    def test_budget_exhaustion_is_explicit(self, monkeypatch):
+        monkeypatch.setattr(gamma0, "_MAX_NODES", 3)
         rng = random.Random(99)
         word = Word.of([(rng.choice(["P", "W", "g2", "g3"]), rng.choice([-2, 2]))
                         for _ in range(12)])
         with pytest.raises(DecompositionError):
-            decompose(word.evaluate(), budget=3)
+            decompose(word.evaluate())
 
     def test_round_trip_random_words(self):
         rng = random.Random(11)

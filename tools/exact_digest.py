@@ -9,9 +9,13 @@ tampered factor, a foreign square root, an exponent past the cap, a wrong
 argument count, a dangling reference, an unknown rule, a ``TRANS`` whose
 middle terms differ, a matrix malformed where an earlier step has it well
 formed), the JSON of ``build_f_certificate`` at levels 1, 7 and 13 and of
-``build_g_certificate``, and ``lhs - rhs`` of every step of f.  Two trees
-agree on every certificate text, report line and diagnostic exactly when
-the outputs of
+``build_g_certificate``, and ``lhs - rhs`` of every step of f.  Last comes
+the stdout, stderr and exit code of ``gamma13 decompose`` on the README
+example, P^200000 and W^200000, a member outside the subgroup the
+generators make, a non-member, each generator and its inverse, and 50
+seeded members of length 0-24, so that two trees' spellings can be diffed.  Two
+trees agree on every certificate text, report line, word and diagnostic
+exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/exact_digest.py > old.txt
     PYTHONPATH=new/src python3 tools/exact_digest.py > new.txt
@@ -24,11 +28,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 from gamma13 import certificate, cli, level13
+from gamma13.gamma0 import GENERATORS, Word
 
 #: Copies of f with one fault each: (label, step id, field, new value).
 #: The first, a new RIGHT_MUL factor, makes the claimed sides disagree with
@@ -49,15 +55,35 @@ FAULTS = [
 ]
 
 
-def _verify(label: str, argv) -> None:
+#: decompose inputs other than the generators and the seeded members: the
+#: README example, P^200000, W^200000, a member that stalls (it lies outside
+#: <P, W, g2, g3>) and a non-member.
+DECOMPOSE = ["[[-9,4],[-52,23]]", "[[1,200000],[0,1]]", "[[1,0],[2600000,1]]",
+             "[[8,-5],[13,-8]]", "[[1,0],[1,1]]"]
+
+
+def _run(label: str, argv) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", *argv])
-    print(f"== verify {label} exit={code}")
+        code = cli.main(argv)
+    print(f"== {label} exit={code}")
     print("-- stdout")
     print(out.getvalue(), end="")
     print("-- stderr")
     print(err.getvalue(), end="")
+
+
+def _verify(label: str, argv) -> None:
+    _run(f"verify {label}", ["verify", *argv])
+
+
+def _decompose_inputs():
+    rng = random.Random(16)
+    members = [Word.of([(rng.choice(tuple(GENERATORS)), rng.choice((1, -1)))
+                        for _ in range(i % 25)]).evaluate() for i in range(50)]
+    return (DECOMPOSE
+            + [str(m) for gen in GENERATORS.values() for m in (gen, gen.inv())]
+            + [str(m) for m in members])
 
 
 def _faulty_f(step_id: str, field: str, value) -> str:
@@ -84,6 +110,8 @@ def main() -> int:
     print("== f step differences")
     for step in level13.load_shipped_certificate("f").steps:
         print(f"{step.id} {step.result.lhs - step.result.rhs}")
+    for matrix in _decompose_inputs():
+        _run(f"decompose {matrix}", ["decompose", matrix])
     return 0
 
 
