@@ -353,6 +353,8 @@ def certificate_from_json(text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise CertificateError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise CertificateError(f"malformed certificate: the document is a "
                                f"JSON {type(doc).__name__}, not an object")
@@ -390,4 +392,7 @@ def certificate_from_json(text: str) -> Certificate:
             f"malformed certificate: {where}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise CertificateError(f"malformed certificate: {where}: {exc}") from exc
+    except RecursionError:
+        raise CertificateError(
+            f"malformed certificate: {where}: nested too deeply") from None
     return Certificate(version, level, tuple(axioms), tuple(steps))

@@ -8,14 +8,14 @@ averaged stretch sum), ``eta`` (print an eta-product coefficient file).
 
 Exit codes: 0 all requested checks passed, 1 a verification failed,
 2 input or usage error.  Reports go to stdout, diagnostics to stderr.
-The environment variable HECKE_PREC overrides --prec for formcheck.
+``formcheck`` runs on the checked form ``parse_coefficient_file`` returns,
+at the working precision --prec alone sets.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -83,32 +83,24 @@ def _positive_number(text: str, name: str) -> Fraction:
 
 def cmd_formcheck(args: argparse.Namespace) -> int:
     # the numeric layer (and mpmath) loads only for the commands that use it
-    from .numeric import (ConfigurationError, FormData, PrecisionError,
-                          _battery_config, run_formcheck)
+    from .numeric import (ConfigurationError, PrecisionError, _battery_config,
+                          run_formcheck)
     try:
         with open(args.path, encoding="utf-8") as handle:
-            parsed = parse_coefficient_file(handle.read())
+            form = parse_coefficient_file(handle.read())
     except (OSError, ValueError) as exc:
         return _usage(str(exc))
-    for flag, header_value in (("k", parsed.weight), ("N", parsed.level),
-                               ("eps", parsed.sign)):
+    for flag, header_value in (("k", form.weight), ("N", form.level),
+                               ("eps", form.sign)):
         given = getattr(args, flag)
         if given is not None and given != header_value:
             return _usage(f"--{flag}={given} contradicts the file header "
                           f"({flag}={header_value})")
-    prec, prec_source = args.prec, "--prec"
-    env = os.environ.get("HECKE_PREC")
-    if env is not None:
-        try:
-            prec, prec_source = int(env), "HECKE_PREC"
-        except ValueError:
-            return _usage(f"HECKE_PREC must be an integer, got {env!r}")
-    if prec < 1:
-        return _usage(f"{prec_source} must be at least 1 bit, got {prec}")
+    if args.prec < 1:
+        return _usage(f"--prec must be at least 1 bit, got {args.prec}")
     try:
         tol = _positive_number(args.tol, "--tol")
-        form = FormData(parsed.series, parsed.weight, parsed.level, parsed.sign)
-        report = run_formcheck(form, _battery_config(form.level, prec),
+        report = run_formcheck(form, _battery_config(form.level, args.prec),
                                residual_tol=tol)
     except (ValueError, ConfigurationError, PrecisionError) as exc:
         return _usage(str(exc))
@@ -130,6 +122,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                                      f"not an integer")
     except (ValueError, TypeError, SyntaxError) as exc:
         return _usage(f"bad matrix {args.matrix!r}: {exc}")
+    except (RecursionError, MemoryError):  # the parser's stack limit
+        return _usage(f"bad matrix {args.matrix!r}: nested too deeply")
     try:
         word = decompose(m)
     except ValueError:
@@ -221,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=int, choices=(1, -1), default=None,
                    help="expected inversion sign (default: from the header)")
     p.add_argument("--prec", type=int, default=256,
-                   help="working precision in bits (default: 256; "
-                        "HECKE_PREC overrides)")
+                   help="working precision in bits, at least 1 "
+                        "(default: 256)")
     p.add_argument("--tol", default="1e-15",
                    help="residual tolerance, read exactly (default: 1e-15)")
     p.set_defaults(func=cmd_formcheck)

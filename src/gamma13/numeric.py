@@ -10,8 +10,8 @@ One private evaluator, ``_evaluate``, is the only code that sums a
 truncated expansion (by Horner's rule) and bounds what the truncation
 leaves out; ``eval_form``, ``stroke_value``, every congruence residual and
 the cusp-decay check go through it.  The bound rests on the crude
-coefficient growth bound |a_n| <= n^k, which building a FormData checks on
-every carried coefficient with n >= 1:
+coefficient growth bound |a_n| <= n^k, which building a ``FormData`` (in
+``qseries``) checks on every carried coefficient with n >= 1:
 
     sum_{n >= M} n^k x^n  <=  M^k x^M / (1 - rho x),   rho = (1 + 1/M)^k,
 
@@ -52,7 +52,7 @@ from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem
 from .level13 import build_f_certificate
 from .projmat import ProjMat
-from .qseries import QSeries, hecke_check
+from .qseries import FormData, hecke_check
 
 
 class ConfigurationError(ValueError):
@@ -115,44 +115,6 @@ class EvalConfig:
 
 
 DEFAULT_CONFIG = EvalConfig()
-
-
-@dataclass(frozen=True)
-class FormData:
-    series: QSeries
-    weight: int
-    level: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.weight, int) or self.weight < 2 or self.weight % 2:
-            raise ValueError(f"weight must be a positive even integer, "
-                             f"got {self.weight}")
-        if self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        _check_growth(self.series, self.weight)
-
-
-def _check_growth(series: QSeries, k: int) -> None:
-    """Refuse a series whose carried coefficients break |a_n| <= n^k, the
-    growth bound every tail bound assumes, at some exponent n >= 1.
-    Exact: with offset u/v, the exponent of the j-th coefficient is
-    (u + j*v)/v, so the test is |a| * v^k <= (u + j*v)^k."""
-    offset = Fraction(series.offset)
-    u, v = offset.numerator, offset.denominator
-    scale = v ** k
-    for j, c in enumerate(series.coeffs):
-        top = u + j * v
-        if top < v or not c:
-            continue
-        num, den = c.as_integer_ratio()
-        if abs(num) * scale > top ** k * den:
-            n = Fraction(top, v)
-            raise ValueError(
-                f"coefficient a_n at n={n} is {c}, beyond n^{k} = {n ** k}: "
-                f"the tail bound assumes |a_n| <= n^k")
 
 
 class EvalResult(NamedTuple):

@@ -1,4 +1,5 @@
-"""Truncated q-expansions with exact rational coefficients.
+"""Truncated q-expansions with exact rational coefficients, and the
+checked form a coefficient file describes.
 
 A ``QSeries`` is q^offset * (c_0 + c_1 q + ... + c_L q^L) with a rational
 leading exponent (multiples of 1/24 arise from eta factors) and exact
@@ -11,16 +12,16 @@ product are the product's coefficients.  Eta products expand the Euler
 function by the pentagonal-number series, invert it for a negative
 exponent, and raise it to the exponent's size by binary powering.
 
-The Hecke checks verify, purely on coefficients, the recursion
+A ``FormData`` is a series with its weight, level and inversion sign.
+Building one checks all three and the growth bound |a_n| <= n^k on every
+carried coefficient, so ``parse_coefficient_file``, which returns one,
+hands on only checked forms.
 
-    a_{pn} - a_p a_n + p^{k-1} a_{n/p} = 0
+The Hecke check verifies, purely on coefficients, the recursion
 
-and its stroke-side restatement
+    a_{pn} - a_p a_n + p^{k-1} a_{n/p} = 0,
 
-    p^{k/2} a_{n/p} + p^{1-k/2} a_{pn} = a_p p^{1-k/2} a_n,
-
-with the convention that a_x = 0 whenever x is not a positive integer
-(centralized in one accessor).
+with a_{n/p} = 0 unless p divides n.
 """
 
 from __future__ import annotations
@@ -265,7 +266,13 @@ class HeckeVerdict(NamedTuple):
     failures: Tuple[int, ...]
 
 
-def _validated_length(series: QSeries, p: int, k: int) -> int:
+def hecke_check(series: QSeries, p: int, k: int, a_p) -> HeckeVerdict:
+    """Verify a_{pn} - a_p a_n + p^{k-1} a_{n/p} = 0 for all pn within
+    the truncation; failures list the offending coefficient indices pn.
+    The stroke identity p^{k/2} a_{n/p} + p^{1-k/2} a_{pn} =
+    a_p p^{1-k/2} a_n, which says that stroking by the weight-k coset sum
+    for p multiplies the series by a_p p^{1-k/2}, is this recursion times
+    p^{1-k/2} != 0, so this one check settles it too."""
     if p not in (2, 3):
         raise ValueError(f"Hecke checks support p in {{2, 3}}, got {p}")
     if Fraction(series.offset) != 1:
@@ -275,56 +282,63 @@ def _validated_length(series: QSeries, p: int, k: int) -> int:
     if series.length < 10 * p:
         raise ValueError(f"series too short for p={p}: "
                          f"need length >= {10 * p}, got {series.length}")
-    return 1 + series.length
-
-
-def _indexed(series: QSeries, x) -> Exact:
-    """a_x under the convention that a_x = 0 unless x is a positive integer."""
-    q = Fraction(x)
-    if q.denominator != 1 or q < 1:
-        return 0
-    return series.coefficient(q)
-
-
-def hecke_check(a: QSeries, p: int, k: int, a_p) -> HeckeVerdict:
-    """Verify a_{pn} - a_p a_n + p^{k-1} a_{n/p} = 0 for all pn within
-    the truncation; failures list the offending coefficient indices pn."""
-    top = _validated_length(a, p, k)
-    ap = _exact(a_p)
+    a = series.coeffs  # the offset is 1, so a_n is a[n - 1]
+    ap, scale = _exact(a_p), p ** (k - 1)
     failures = []
-    for n in range(1, top // p + 1):
-        lhs = (_indexed(a, p * n) - ap * _indexed(a, n)
-               + p ** (k - 1) * _indexed(a, Fraction(n, p)))
+    for n in range(1, len(a) // p + 1):
+        lhs = a[p * n - 1] - ap * a[n - 1]
+        if n % p == 0:
+            lhs += scale * a[n // p - 1]
         if lhs != 0:
             failures.append(p * n)
     return HeckeVerdict(not failures, tuple(failures))
 
 
-def hecke_stroke_identity(a: QSeries, p: int, k: int, a_p) -> HeckeVerdict:
-    """Verify, coefficient by coefficient, that stroking by the standard
-    weight-k coset sum for p multiplies the series by a_p p^{1-k/2}:
-    p^{k/2} a_{n/p} + p^{1-k/2} a_{pn} = a_p p^{1-k/2} a_n."""
-    top = _validated_length(a, p, k)
-    ap = _exact(a_p)
-    up = Fraction(p) ** (k // 2)
-    down = Fraction(1, p ** (k // 2 - 1))
-    failures = []
-    for n in range(1, top // p + 1):
-        lhs = up * _indexed(a, Fraction(n, p)) + down * _indexed(a, p * n)
-        rhs = ap * down * _indexed(a, n)
-        if lhs != rhs:
-            failures.append(p * n)
-    return HeckeVerdict(not failures, tuple(failures))
+# -- checked forms --------------------------------------------------------------
 
 
-# -- coefficient files ---------------------------------------------------------
+@dataclass(frozen=True)
+class FormData:
+    """A series with its weight k, level and inversion sign, all checked,
+    and with |a_n| <= n^k checked on every carried coefficient."""
 
-
-class CoefficientFile(NamedTuple):
     series: QSeries
     weight: int
     level: int
     sign: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.weight, int) or self.weight < 2 or self.weight % 2:
+            raise ValueError(f"weight must be a positive even integer, "
+                             f"got {self.weight}")
+        if self.level < 1:
+            raise ValueError(f"level must be a positive integer, got {self.level}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        _check_growth(self.series, self.weight)
+
+
+def _check_growth(series: QSeries, k: int) -> None:
+    """Refuse a series whose carried coefficients break |a_n| <= n^k, the
+    growth bound every tail bound assumes, at some exponent n >= 1.
+    Exact: with offset u/v, the exponent of the j-th coefficient is
+    (u + j*v)/v, so the test is |a| * v^k <= (u + j*v)^k."""
+    offset = Fraction(series.offset)
+    u, v = offset.numerator, offset.denominator
+    scale = v ** k
+    for j, c in enumerate(series.coeffs):
+        top = u + j * v
+        if top < v or not c:
+            continue
+        num, den = c.as_integer_ratio()
+        if abs(num) * scale > top ** k * den:
+            n = Fraction(top, v)
+            raise ValueError(
+                f"coefficient a_n at n={n} is {c}, beyond n^{k} = {n ** k}: "
+                f"the tail bound assumes |a_n| <= n^k")
+
+
+# -- coefficient files ---------------------------------------------------------
 
 
 _HEADER = re.compile(r"#\s*k=(-?\d+)\s+N=(\d+)\s+eps=([+-]1)\Z")
@@ -357,10 +371,11 @@ def format_coefficient_file(series: QSeries, weight: int, level: int,
     return "\n".join(lines) + "\n"
 
 
-def parse_coefficient_file(text: str) -> CoefficientFile:
-    """Read the format ``format_coefficient_file`` writes: each coefficient
-    is an integer or p/q.  Blank lines are skipped; an error names the line
-    of ``text`` it is on."""
+def parse_coefficient_file(text: str) -> FormData:
+    """The checked form in the format ``format_coefficient_file`` writes:
+    each coefficient is an integer or p/q.  Blank lines are skipped; a
+    format error names the line of ``text`` it is on, and a form that
+    fails a ``FormData`` check is refused with that check's message."""
     lines = [(number, line.strip())
              for number, line in enumerate(text.splitlines(), 1)
              if line.strip()]
@@ -397,4 +412,4 @@ def parse_coefficient_file(text: str) -> CoefficientFile:
                              f"{parts[1]!r}") from None
     if offset is None:
         raise ValueError("coefficient file has no coefficient lines")
-    return CoefficientFile(QSeries(offset, coeffs), weight, level, sign)
+    return FormData(QSeries._of_exact(offset, coeffs), weight, level, sign)

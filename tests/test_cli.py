@@ -140,10 +140,14 @@ class TestVerify:
         (lambda: b"[1, 2]",
          "malformed certificate: the document is a JSON list, not an object"),
         (lambda: b"\xff\xfe{}", "is not UTF-8 text"),
+        (lambda: b"[" * 100000, "malformed JSON: nested too deeply"),
+        (lambda: shipped_f_with(lambda d: d["axioms"][0].update(
+            lhs="(" * 5000 + "1" + ")" * 5000)),
+         "malformed certificate: axiom ax:P: nested too deeply"),
     ], ids=["claimed-side-exponent", "scale-exponent", "singular-axiom-side",
             "singular-factor", "product-exponent", "constant-power-bits",
             "args-object", "args-string", "level-not-integer",
-            "top-level-list", "not-utf8"])
+            "top-level-list", "not-utf8", "deep-json", "deep-axiom-side"])
     def test_malformed_certificate_is_usage_error(self, capsys, tmp_path,
                                                   make, where):
         path = tmp_path / "malformed.json"
@@ -273,11 +277,9 @@ class TestFormcheck:
         assert code == 2
         assert "k" in err
 
-    def test_bad_tolerance_or_precision_is_usage_error(self, capsys, tmp_path,
-                                                        monkeypatch):
+    def test_bad_tolerance_or_precision_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "delta.txt"
         path.write_text(delta_file_text())
-        monkeypatch.delenv("HECKE_PREC", raising=False)
         cases = [(["--tol", tol], "--tol")
                  for tol in ("inf", "nan", "-1", "0", "abc", "1e-10000")]
         cases.append((["--prec", "0"], "--prec"))
@@ -285,19 +287,16 @@ class TestFormcheck:
             code, out, err = run_cli(capsys, "formcheck", str(path), *flags)
             assert (code, out) == (2, ""), flags
             assert named in err
-        monkeypatch.setenv("HECKE_PREC", "0")
-        code, out, err = run_cli(capsys, "formcheck", str(path))
-        assert (code, out) == (2, "")
-        assert "HECKE_PREC" in err
 
-    def test_hecke_prec_env_overrides_flag(self, capsys, tmp_path, monkeypatch):
+    def test_hecke_prec_env_changes_nothing(self, capsys, tmp_path,
+                                            monkeypatch):
         path = tmp_path / "delta.txt"
         path.write_text(delta_file_text())
+        monkeypatch.delenv("HECKE_PREC", raising=False)
+        unset = run_cli(capsys, "formcheck", str(path))
         monkeypatch.setenv("HECKE_PREC", "20")
-        code, out, err = run_cli(capsys, "formcheck", str(path),
-                                 "--prec", "256")
-        assert code == 1
-        assert out.strip().splitlines()[-1] == "FORMCHECK FAIL"
+        assert run_cli(capsys, "formcheck", str(path)) == unset
+        assert unset[0] == 0
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "formcheck", str(tmp_path / "no.txt"))
@@ -343,7 +342,11 @@ class TestDecompose:
         ("[[1,0],[13.9,1]]", "(2,1)"),
         ("[[True,0],[0,1]]", "(1,1)"),
         ("[[1,0,0],[1]]", "2x2"),
-    ], ids=["short-row", "float", "float-w", "bool", "ragged"])
+        # past the recursion limit, then past the parser's own stack
+        ("[[" + "-" * 3000 + "1,0],[0,1]]", "': nested too deeply\n"),
+        ("[[" + "-" * 10000 + "1,0],[0,1]]", "': nested too deeply\n"),
+    ], ids=["short-row", "float", "float-w", "bool", "ragged", "deep-3000",
+            "deep-10000"])
     def test_malformed_matrix(self, capsys, matrix, entry):
         code, out, err = run_cli(capsys, "decompose", matrix)
         assert code == 2

@@ -18,7 +18,6 @@ from gamma13.qseries import (
     eta_product,
     format_coefficient_file,
     hecke_check,
-    hecke_stroke_identity,
     parse_coefficient_file,
 )
 
@@ -280,6 +279,28 @@ class TestEtaProduct:
             eta_product([(0, 2)], 8)
 
 
+def reference_failures(series, p, k, ap, stroke):
+    """The indices pn at which the recursion (or, with ``stroke``, the
+    stroke identity) fails, with a_x read by its Fraction key: zero unless
+    x is a positive integer."""
+    def a(x):
+        x = Fraction(x)
+        return series.coefficient(x) if x.denominator == 1 and x >= 1 else 0
+
+    up = Fraction(p) ** (k // 2)
+    down = Fraction(1, p ** (k // 2 - 1))
+    failures = []
+    for n in range(1, (series.length + 1) // p + 1):
+        if stroke:
+            holds = (up * a(Fraction(n, p)) + down * a(p * n)
+                     == ap * down * a(n))
+        else:
+            holds = a(p * n) - ap * a(n) + p ** (k - 1) * a(Fraction(n, p)) == 0
+        if not holds:
+            failures.append(p * n)
+    return tuple(failures)
+
+
 class TestHeckeChecks:
     def corrupted(self, series, n, value):
         coeffs = list(series.coeffs)
@@ -290,8 +311,6 @@ class TestHeckeChecks:
         d = delta_series(64)
         for p, ap in ((2, -24), (3, 252)):
             verdict = hecke_check(d, p, 12, ap)
-            assert verdict.ok and verdict.failures == ()
-            verdict = hecke_stroke_identity(d, p, 12, ap)
             assert verdict.ok and verdict.failures == ()
 
     def test_recursion_forces_coefficient_four(self):
@@ -306,7 +325,7 @@ class TestHeckeChecks:
 
     def test_corrupted_coefficient_six_fails_stroke(self):
         bad = self.corrupted(delta_series(64), 6, -6048 + 5)
-        verdict = hecke_stroke_identity(bad, 2, 12, -24)
+        verdict = hecke_check(bad, 2, 12, -24)
         assert not verdict.ok
         assert verdict.failures[0] == 6
         assert verdict.failures == (6, 12, 24)
@@ -314,7 +333,7 @@ class TestHeckeChecks:
     def test_zero_series_holds_vacuously(self):
         zero = QSeries(1, [0] * 40)
         assert hecke_check(zero, 2, 12, -24).ok
-        assert hecke_stroke_identity(zero, 3, 12, 252).ok
+        assert hecke_check(zero, 3, 12, 252).ok
 
     def test_check_and_stroke_identity_agree(self):
         rng = random.Random(7)
@@ -324,10 +343,11 @@ class TestHeckeChecks:
             series = QSeries(1, coeffs)
             ap = Fraction(rng.randint(-6, 6))
             k = rng.choice((2, 4, 12))
-            a = hecke_check(series, p, k, ap)
-            b = hecke_stroke_identity(series, p, k, ap)
-            assert a.ok == b.ok
-            assert a.failures == b.failures
+            verdict = hecke_check(series, p, k, ap)
+            for stroke in (False, True):
+                expected = reference_failures(series, p, k, ap, stroke)
+                assert verdict.failures == expected
+                assert verdict.ok == (expected == ())
 
     def test_preconditions(self):
         d = delta_series(64)
@@ -340,7 +360,7 @@ class TestHeckeChecks:
         with pytest.raises(ValueError):
             hecke_check(d, 2, 11, -24)
         with pytest.raises(ValueError):
-            hecke_stroke_identity(d, 7, 12, 0)
+            hecke_check(d, 7, 12, 0)
 
 
 class TestCoefficientFile:
@@ -373,6 +393,13 @@ class TestCoefficientFile:
         f = eta_product([(1, 2), (13, 2)], 8)
         with pytest.raises(ValueError):
             format_coefficient_file(f, weight=2, level=13, sign=-1)
+
+    def test_parser_refuses_coefficients_beyond_the_growth_bound(self):
+        text = format_coefficient_file(QSeries(1, [1, 2 ** 12 + 1]),
+                                       weight=12, level=1, sign=1)
+        with pytest.raises(ValueError) as info:
+            parse_coefficient_file(text)
+        assert str(info.value).startswith("coefficient a_n at n=2 is 4097, ")
 
     def test_parser_rejects_gaps_and_bad_headers(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ shipped certificates and on copies of f with exactly one fault each (a
 tampered factor, a foreign square root, an exponent past the cap, a wrong
 argument count, a dangling reference, an unknown rule, a ``TRANS`` whose
 middle terms differ, a matrix malformed where an earlier step has it well
-formed), the JSON of ``build_f_certificate`` at levels 1, 7 and 13 and of
+formed), the exit code and first stderr line of three inputs nested past
+the parsers' depth (a JSON file of 100000 ``[``, f with ax:P's lhs
+in 5000 parentheses, ``decompose`` of an entry behind 3000 minus signs),
+the JSON of ``build_f_certificate`` at levels 1, 7 and 13 and of
 ``build_g_certificate``, and ``lhs - rhs`` of every step of f.  Last comes
 the stdout, stderr and exit code of ``gamma13 decompose`` on the README
 example, P^200000 and W^200000, a member outside the subgroup the
@@ -62,10 +65,15 @@ DECOMPOSE = ["[[-9,4],[-52,23]]", "[[1,200000],[0,1]]", "[[1,0],[2600000,1]]",
              "[[8,-5],[13,-8]]", "[[1,0],[1,1]]"]
 
 
-def _run(label: str, argv) -> None:
+def _capture(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    return code, out, err
+
+
+def _run(label: str, argv) -> None:
+    code, out, err = _capture(argv)
     print(f"== {label} exit={code}")
     print("-- stdout")
     print(out.getvalue(), end="")
@@ -89,8 +97,26 @@ def _decompose_inputs():
 def _faulty_f(step_id: str, field: str, value) -> str:
     doc = json.loads(certificate.certificate_to_json(
         level13.load_shipped_certificate("f")))
-    next(s for s in doc["steps"] if s["id"] == step_id)[field] = value
+    next(s for s in doc["axioms"] + doc["steps"]
+         if s["id"] == step_id)[field] = value
     return json.dumps(doc, indent=1)
+
+
+def _deep(tmp: Path) -> None:
+    """Inputs nested past the parsers' depth: each exits 2 with one line."""
+    deep_json, deep_f = tmp / "deep.json", tmp / "deep_f.json"
+    deep_json.write_text("[" * 100000, encoding="utf-8")
+    deep_f.write_text(_faulty_f("ax:P", "lhs", "(" * 5000 + "1" + ")" * 5000),
+                      encoding="utf-8")
+    for label, argv in [
+            ("verify a JSON file of 100000 '['", ["verify", str(deep_json)]),
+            ("verify f with ax:P lhs in 5000 parentheses",
+             ["verify", str(deep_f)]),
+            ("decompose an entry behind 3000 minus signs",
+             ["decompose", "[[" + "-" * 3000 + "1,0],[0,1]]"])]:
+        code, _, err = _capture(argv)
+        print(f"== {label} exit={code}")
+        print(err.getvalue().partition("\n")[0])
 
 
 def main() -> int:
@@ -101,6 +127,7 @@ def main() -> int:
         for label, step_id, field, value in FAULTS:
             path.write_text(_faulty_f(step_id, field, value), encoding="utf-8")
             _verify(f"f with {label}", [str(path)])
+        _deep(Path(tmp))
     for level in (1, 7, 13):
         print(f"== build_f_certificate({level})")
         print(certificate.certificate_to_json(

@@ -75,9 +75,7 @@ def _show(label: str, compute) -> None:
 
 
 def digest_file(path: Path) -> None:
-    parsed = qseries.parse_coefficient_file(path.read_text(encoding="utf-8"))
-    form = numeric.FormData(parsed.series, parsed.weight, parsed.level,
-                            parsed.sign)
+    form = qseries.parse_coefficient_file(path.read_text(encoding="utf-8"))
     print(f"== {path.name} k={form.weight} N={form.level} eps={form.sign} "
           f"L={form.series.length}")
     try:
