@@ -15,9 +15,20 @@ coefficient growth bound |a_n| <= n^k, which building a ``FormData`` (in
 
     sum_{n >= M} n^k x^n  <=  M^k x^M / (1 - rho x),   rho = (1 + 1/M)^k,
 
-with x = e^{-2 pi Im z} and M the first exponent beyond the truncation;
-a bound above the caller's tolerance, or a point too low for the bound to
-exist, raises ``PrecisionError`` instead of degrading.
+with x = e^{-2 pi Im z} and M the first exponent beyond the truncation.
+The gate is this bound at M = offset + L + 1, past every carried
+coefficient: above the caller's tolerance, or at a point too low for the
+bound to exist, it raises ``PrecisionError`` instead of degrading.
+
+Past the gate the sum is cut short, by the truncation rule of Johansson's
+Arb (IEEE Trans. Comput. 66(8), 2017): Horner runs over the first n
+carried coefficients only, n the least count whose bound at
+M = offset + n is at most min(tolerance, 2^-(prec + 32)), 32 guard bits
+below the working precision.  The growth bound covers the dropped carried
+terms as it covers those past L, so the bound at the cut bounds all that
+is left out, and it is the tail bound returned.  Once L reaches the cut,
+neither the cut nor the value depends on L, so carrying more coefficients
+costs nothing at the heights the cut serves.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -42,6 +53,7 @@ exhausted budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -129,29 +141,84 @@ def _to_mpf(x) -> mpf:
     return mpf(q.numerator) / q.denominator
 
 
+#: Bits below the working ulp at which the cut in ``_evaluate`` puts the
+#: tail bound.
+_CUT_GUARD = 32
+
+
+def _tail_bound(first: mpf, k: int, x: mpf) -> mpf:
+    """M^k x^M / (1 - rho x) at M = ``first``, or +inf when rho x >= 1."""
+    rho = (1 + 1 / first) ** k
+    if rho * x >= 1:
+        return mp.inf
+    return first ** k * x ** first / (1 - rho * x)
+
+
+def _cut_estimate(k: int, offset: float, least: int, length: int,
+                  y: float, log_thr: float) -> int:
+    """A count n0 no larger than the least n >= ``least`` whose bound at
+    M = offset + n is at most e^log_thr.  The bound is at least M^k x^M,
+    whose log h(M) = k ln M - 2 pi y M is concave, so the counts it admits
+    are those below its left root and those past its right root r; Newton
+    steps from the right converge down to r."""
+    c = 2 * math.pi * y
+
+    def h(m: float) -> float:
+        return k * math.log(m) - c * m - log_thr
+
+    if least > length:
+        return length + 1
+    if h(offset + least) <= 0:
+        return least
+    m = offset + length + 1
+    if h(m) > 0:
+        return length + 1
+    for _ in range(64):
+        step = h(m) / (k / m - c)
+        m -= step
+        if step < 1e-6:
+            break
+    # one count of slack for the rounding of the float estimate
+    return min(length + 1, max(least, math.ceil(m - offset) - 1))
+
+
 def _evaluate(form: FormData, zre: mpf, zim: mpf, tol: mpf,
               label: str = "") -> EvalResult:
-    """The truncated expansion at zre + i*zim and the tail bound of the
-    module docstring.  Raises ``PrecisionError`` when the bound exceeds
+    """The truncated expansion at zre + i*zim and its tail bound, as in the
+    module docstring.  The gate is the bound at M = offset + L + 1, past
+    every carried coefficient: it raises ``PrecisionError`` when it exceeds
     ``tol`` or does not exist at this height (rho x >= 1); ``label``
-    prefixes the message."""
+    prefixes the message.  Horner then runs over the first n coefficients
+    only, n the least count whose bound at M = offset + n is at most
+    min(tol, 2^-(prec + ``_CUT_GUARD``)) with offset + n >= 1, or L + 1
+    when none is.  The returned bound is the one at that cut: it covers the
+    dropped carried terms and everything past L together."""
     series, k = form.series, form.weight
-    first = _to_mpf(series.offset) + series.length + 1
+    offset = _to_mpf(series.offset)
+    length = series.length
     x = exp(-2 * pi * zim)
-    rho = (1 + 1 / first) ** k
-    bounded = rho * x < 1
-    tail = first ** k * x ** first / (1 - rho * x) if bounded else mp.inf
-    if not bounded or tail > tol:
+    tail = _tail_bound(offset + length + 1, k, x)
+    if tail > tol or tail == mp.inf:
         raise PrecisionError(
             f"{label}tail bound {mp.nstr(tail, 5)} at Im z = "
             f"{mp.nstr(zim, 8)} exceeds the tolerance {mp.nstr(tol, 5)}")
+    thr = min(tol, mp.ldexp(1, -(mp.prec + _CUT_GUARD)))
+    # the growth bound covers exponents >= 1 only: no term below is dropped
+    least = max(0, math.ceil(1 - Fraction(series.offset)))
+    n = _cut_estimate(k, float(offset), least, length, float(zim),
+                      float(mp.log(thr)))
+    while n <= length:
+        cut = _tail_bound(offset + n, k, x)
+        if cut <= thr:
+            tail = cut
+            break
+        n += 1
     z = mpc(zre, zim)
     qz = exp(mpc(0, 2) * pi * z)
     acc = mpc(0)
-    for c in reversed(series.coeffs):
+    for c in reversed(series.coeffs[:n]):
         acc = acc * qz + (c if isinstance(c, int) else _to_mpf(c))
-    return EvalResult(acc * exp(mpc(0, 2) * pi * _to_mpf(series.offset) * z),
-                      tail)
+    return EvalResult(acc * exp(mpc(0, 2) * pi * offset * z), tail)
 
 
 def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
@@ -519,11 +586,20 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
     """Full numeric battery: stroke residuals for the context axioms and
     the certificate's headline congruences, the Hecke recursion at p = 2
     and 3 (which settles the stroke identity too), and cusp decay.  Forms
-    whose expansion does not start at exponent 1 are rejected."""
+    whose expansion does not start at exponent 1 are rejected, and so are
+    levels divisible by 2 or 3: ax:T2 and ax:T3 are the Hecke operators
+    for p prime to the level, which a genuine eigenform there need not
+    satisfy."""
     if Fraction(form.series.offset) != 1:
         raise ValueError(
             f"the battery needs an expansion with leading exponent 1, "
             f"got {form.series.offset}; fractional-offset forms are rejected")
+    for p in (2, 3):
+        if form.level % p == 0:
+            raise ValueError(
+                f"level {form.level} is divisible by {p}: the battery's "
+                f"ax:T{p} is the Hecke relation of T_{p}, which holds only at "
+                f"levels prime to {p}")
     cfg = cfg or _battery_config(form.level)
     battery = _battery(form)
     residuals = _residuals(form, battery, cfg)

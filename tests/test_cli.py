@@ -270,6 +270,27 @@ class TestFormcheck:
             2, "", "no candidate points keep all images of W above "
                    "y_min=1/52; the best candidates reach Im = 5/841\n")
 
+    @pytest.mark.parametrize("level, prime", [(2, 2), (3, 3), (6, 2)])
+    def test_level_divisible_by_two_or_three_is_refused(self, capsys, tmp_path,
+                                                        level, prime):
+        # ax:T2 and ax:T3 are the Hecke relations for p prime to the level
+        path = tmp_path / f"delta{level}.txt"
+        path.write_text(format_coefficient_file(
+            eta_product([(1, 24)], 512), 12, level, 1))
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out) == (2, "")
+        assert f"level {level} is divisible by {prime}" in err
+        assert f"ax:T{prime}" in err
+
+    def test_level_five_eigenform_passes(self, capsys, tmp_path):
+        # eta(z)^4 eta(5z)^4 is the newform 5.4.a.a, Fricke sign +1
+        path = tmp_path / "level5.txt"
+        path.write_text(format_coefficient_file(
+            eta_product([(1, 4), (5, 4)], 512), 4, 5, 1))
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, err) == (0, "")
+        assert out.strip().splitlines()[-1] == "FORMCHECK OK"
+
     def test_flag_header_mismatch(self, capsys, tmp_path):
         path = tmp_path / "delta.txt"
         path.write_text(delta_file_text())

@@ -119,6 +119,80 @@ class TestEvalForm:
             congruence_residual(short, f_context(1).axiom("ax:T2"))
 
 
+def full_horner(form, z):
+    """f at the exact point z by Horner over all L + 1 carried coefficients,
+    in the evaluator's order of operations, at the current precision."""
+    x, y = (mpf(q.numerator) / q.denominator for q in map(Fraction, z))
+    offset = Fraction(form.series.offset)
+    point = mpc(x, y)
+    qz = exp(mpc(0, 2) * pi * point)
+    acc = mpc(0)
+    for c in reversed(form.series.coeffs):
+        acc = acc * qz + c
+    return acc * exp(mpc(0, 2) * pi
+                     * (mpf(offset.numerator) / offset.denominator) * point)
+
+
+def bound_past(form, M, y):
+    """The module's tail bound M^k x^M / (1 - rho x) at height y."""
+    k, x = form.weight, exp(-2 * pi * y)
+    rho = (1 + 1 / M) ** k
+    return M ** k * x ** M / (1 - rho * x)
+
+
+class TestTruncationCut:
+    """The evaluator sums only the terms whose tail is not yet below the
+    working precision; what it leaves out must stay within the bound it
+    reports."""
+
+    def test_cut_value_is_within_its_bound_of_the_full_sum(self):
+        # both sums run at one precision in one order of operations, so
+        # they differ only by what the cut leaves out
+        rng = random.Random(1812)
+        for form in (delta_form(), fricke_form()):
+            for _ in range(12):
+                y = Fraction(3, 20) + Fraction(rng.randint(0, 370), 200)
+                z = (Fraction(rng.randint(-50, 50), 40), y)
+                result = eval_form(form, z)
+                with mp.workprec(256):
+                    reference = full_horner(form, z)
+                    assert abs(result.value - reference) <= result.tail_bound
+
+    @pytest.mark.parametrize("y", [Fraction(3, 20), Fraction(1, 2), 1])
+    def test_value_does_not_depend_on_the_carried_length(self, y):
+        short, long = delta_form(512), delta_form(2048)
+        for x in (0, Fraction(1, 3)):
+            a, b = eval_form(short, (x, y)), eval_form(long, (x, y))
+            assert a.value == b.value and a.tail_bound == b.tail_bound
+            for form, result in ((short, a), (long, b)):
+                with mp.workprec(256):
+                    gate = bound_past(form, mpf(form.series.length + 2),
+                                      _to_mpf(QuadElem.of(y)))
+                assert result.tail_bound >= gate
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_level_thirteen_inversion_residual_matches_full_sum(self, sign):
+        # H = [[0,1],[-13,0]] sends z to -1/(13z) with factor 13 (-13z)^-2;
+        # on |z|^2 = 1/13 both |factor| and the image height stay put
+        form = fricke_form(sign=sign)
+        residual = congruence_residual(form, f_context(13).axiom("ax:H"),
+                                       FRICKE_CFG)
+        worst = mpf(0)
+        with mp.workprec(256):
+            for x, y in FRICKE_POINTS_13:
+                norm = 13 * (x * x + y * y)
+                image = (-x / norm, y / norm)
+                z = mpc(mpf(x.numerator) / x.denominator,
+                        mpf(y.numerator) / y.denominator)
+                stroke = 13 * (-13 * z) ** -2 * full_horner(form, image)
+                worst = max(worst, abs(stroke - sign * full_horner(form, (x, y))))
+            assert abs(residual - worst) <= mpf(10) ** -75
+        if sign == -1:
+            assert residual < mpf(10) ** -70
+        else:
+            assert residual > mpf(1) / 100
+
+
 class TestStroke:
     COCYCLE_CFG = EvalConfig(y_min=Fraction(1, 200),
                              tolerance=Fraction(1, 10 ** 25))
