@@ -21,11 +21,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import List, Optional
 
-from .certificate import CertificateError, certificate_from_json, verify_certificate
 from .gamma0 import DecompositionError, decompose
-from .level13 import blowup_check, load_shipped_certificate
-from .qseries import (coefficient_file_offset, eta_offset, eta_product,
-                      format_coefficient_file, parse_coefficient_file)
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -41,6 +37,10 @@ def _usage(message: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # each command imports the layers it uses, so a start loads no others
+    from .certificate import (CertificateError, certificate_from_json,
+                              verify_certificate)
+    from .level13 import load_shipped_certificate
     try:
         if args.path is None:
             cert = load_shipped_certificate(args.context)
@@ -82,9 +82,9 @@ def _positive_number(text: str, name: str) -> Fraction:
 
 
 def cmd_formcheck(args: argparse.Namespace) -> int:
-    # the numeric layer (and mpmath) loads only for the commands that use it
     from .numeric import (ConfigurationError, PrecisionError, _battery_config,
                           run_formcheck)
+    from .qseries import parse_coefficient_file
     try:
         with open(args.path, encoding="utf-8") as handle:
             form = parse_coefficient_file(handle.read())
@@ -152,6 +152,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_asym(args: argparse.Namespace) -> int:
+    from .level13 import blowup_check
     try:
         result = blowup_check(args.k)
     except ValueError as exc:
@@ -164,6 +165,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
+    from .qseries import (coefficient_file_offset, eta_offset, eta_product,
+                          format_coefficient_file)
     try:
         pairs = []
         for chunk in args.factors.split(","):

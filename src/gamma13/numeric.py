@@ -28,7 +28,10 @@ below the working precision.  The growth bound covers the dropped carried
 terms as it covers those past L, so the bound at the cut bounds all that
 is left out, and it is the tail bound returned.  Once L reaches the cut,
 neither the cut nor the value depends on L, so carrying more coefficients
-costs nothing at the heights the cut serves.
+costs nothing at the heights the cut serves.  Horner's steps call
+``mpmath.libmp`` (``mpc_mul``, ``mpc_add_mpf``) at the working precision,
+rounding to nearest: the functions mpc's operators call, so the value is
+theirs bit for bit, without an mpc object per step.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -38,6 +41,17 @@ and each residual term take the exact image, its audit and the factor
 from it.
 The symbols in a congruence are instantiated from the form: the Hecke
 scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
+
+With ``points=None`` the sample points are searched: two candidate points
+per center on the classes' isometric circles, at fixed heights, each
+scored by the least height among the points and their images, the first
+highest score winning.  The search is pruned: a candidate stops being
+scored once its running minimum is at or below the best score so far,
+since only a strictly higher score wins, so the choice is that of the full
+search.  One battery (one ``_residuals`` call) keeps a memo of the exact
+image of each (class, point), shared by the search and ``_stroke``, of the
+points chosen for each set of classes, which congruences on the same
+classes reuse, and of f at each image point.  The memo dies with the call.
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -54,11 +68,13 @@ exhausted budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import exp, mp, mpc, mpf, pi
+from mpmath.libmp import from_int, mpc_add_mpf, mpc_mul, round_nearest
 
 from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem
@@ -136,6 +152,8 @@ class EvalResult(NamedTuple):
 
 def _to_mpf(x) -> mpf:
     if isinstance(x, QuadElem):
+        if x.is_rational:  # a + 0*sqrt13 rounds to a: skip the root
+            return _to_mpf(x.a)
         return _to_mpf(x.a) + _to_mpf(x.b) * mp.sqrt(DEFAULT_D)
     q = Fraction(x)
     return mpf(q.numerator) / q.denominator
@@ -214,11 +232,21 @@ def _evaluate(form: FormData, zre: mpf, zim: mpf, tol: mpf,
             break
         n += 1
     z = mpc(zre, zim)
-    qz = exp(mpc(0, 2) * pi * z)
-    acc = mpc(0)
-    for c in reversed(series.coeffs[:n]):
-        acc = acc * qz + (c if isinstance(c, int) else _to_mpf(c))
-    return EvalResult(acc * exp(mpc(0, 2) * pi * offset * z), tail)
+    value = _horner(series.coeffs[:n], exp(mpc(0, 2) * pi * z))
+    return EvalResult(value * exp(mpc(0, 2) * pi * offset * z), tail)
+
+
+def _horner(coeffs, q: mpc) -> mpc:
+    """sum_j coeffs[j] q^j by Horner's rule at the working precision.  Each
+    step calls the libmp functions that mpc's * and + call, with the same
+    precision and rounding, so the value is theirs bit for bit, without
+    building an mpc per step."""
+    prec, q, acc = mp.prec, q._mpc_, mpc(0)._mpc_
+    for c in reversed(coeffs):
+        term = from_int(c) if isinstance(c, int) else _to_mpf(c)._mpf_
+        acc = mpc_add_mpf(mpc_mul(acc, q, prec, round_nearest), term,
+                          prec, round_nearest)
+    return mp.make_mpc(acc)
 
 
 def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
@@ -234,24 +262,45 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
         return _evaluate(form, _to_mpf(x), _to_mpf(y), _to_mpf(cfg.tolerance))
 
 
+@dataclass
+class _Memo:
+    """What one battery computes once and reuses: f at each image point
+    (``values``), the exact image of each (class, point) (``images``), and
+    the points the search chose for each set of classes (``points``).  It
+    lives for one call, so nothing carries over between calls."""
+
+    values: Dict = field(default_factory=dict)
+    images: Dict = field(default_factory=dict)
+    points: Dict = field(default_factory=dict)
+
+
+def _image(memo: _Memo, mat: ProjMat, x, y):
+    """``_exact_image`` of the class at x + iy, computed once per memo."""
+    key = (mat, x, y)
+    image = memo.images.get(key)
+    if image is None:
+        image = memo.images[key] = _exact_image(mat, x, y)
+    return image
+
+
 def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
-            cache: Dict, label: str = "") -> Tuple[mpc, mpc]:
+            memo: _Memo, label: str = "") -> Tuple[mpc, mpc]:
     """The automorphy factor det^{k/2} (cz+d)^{-k} of the class at the exact
     point x + iy, and f at the image.  The image is computed and audited
-    against y_min exactly; ``cache`` keeps f at each image point, so it is
-    evaluated once per point.  ``label`` prefixes error messages."""
-    xi, yi, den, cy, det = _exact_image(mat, x, y)
+    against y_min exactly; ``memo`` keeps each image and f at each image
+    point, so each is computed once.  ``label`` prefixes error messages."""
+    xi, yi, den, cy, det = _image(memo, mat, x, y)
     if (yi - cfg.y_min).sign() < 0:
         raise ConfigurationError(
             f"{label}image of ({x}, {y}) under {mat} has imaginary part "
             f"below y_min={cfg.y_min}")
     key = (xi, yi)
-    if key not in cache:
-        cache[key] = _evaluate(form, _to_mpf(xi), _to_mpf(yi),
-                               _to_mpf(cfg.tolerance), label).value
+    if key not in memo.values:
+        memo.values[key] = _evaluate(form, _to_mpf(xi), _to_mpf(yi),
+                                     _to_mpf(cfg.tolerance), label).value
     k = form.weight
     factor = _to_mpf(det) ** (k // 2) * mpc(_to_mpf(den), _to_mpf(cy)) ** -k
-    return factor, cache[key]
+    return factor, memo.values[key]
 
 
 def stroke_value(form: FormData, matrix, z,
@@ -263,7 +312,7 @@ def stroke_value(form: FormData, matrix, z,
     x, y = z
     mat = ProjMat.of(matrix)
     with mp.workprec(cfg.precision):
-        factor, value = _stroke(form, mat, x, y, cfg, {})
+        factor, value = _stroke(form, mat, x, y, cfg, _Memo())
         return factor * value
 
 
@@ -298,15 +347,15 @@ def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
 
 
 def _residual(form: FormData, congruence: Congruence,
-              cfg: EvalConfig, cache: Dict) -> mpf:
+              cfg: EvalConfig, memo: _Memo) -> mpf:
     """Max over the sample points of |f|lhs - f|rhs|: the configured points,
-    or with ``points=None`` those ``suggest_points`` picks above y_min.
+    or with ``points=None`` those the point search picks above y_min.
     Terms whose instantiated scalar is zero drop out; every other image is
     audited against y_min before f is evaluated there."""
     label, y_min = congruence.id, cfg.y_min
     points = cfg.points
     if points is None:
-        points = suggest_points(congruence, y_min)
+        points = _chosen_points(congruence, y_min, memo)
     for x, y in points:
         if Fraction(y) < y_min:
             raise ConfigurationError(
@@ -321,7 +370,7 @@ def _residual(form: FormData, congruence: Congruence,
     for x, y in points:
         total = mpc(0)
         for sign, mat, scalar in terms:
-            factor, value = _stroke(form, mat, x, y, cfg, cache, f"{label}: ")
+            factor, value = _stroke(form, mat, x, y, cfg, memo, f"{label}: ")
             total += sign * scalar * factor * value
         worst = max(worst, abs(total))
     return worst
@@ -329,10 +378,10 @@ def _residual(form: FormData, congruence: Congruence,
 
 def _residuals(form: FormData, congruences, cfg: EvalConfig) -> List[mpf]:
     """``_residual`` of each congruence, at one working precision and with
-    one cache of f at the image points."""
+    one memo of images, chosen points and f values."""
     with mp.workprec(cfg.precision):
-        cache: Dict = {}
-        return [_residual(form, congruence, cfg, cache)
+        memo = _Memo()
+        return [_residual(form, congruence, cfg, memo)
                 for congruence in congruences]
 
 
@@ -347,13 +396,30 @@ _SUGGEST_HEIGHTS = (Fraction(1), Fraction(4, 5), Fraction(1, 2),
                     Fraction(1, 4), Fraction(1, 5))
 
 
-def suggest_points(congruence: Congruence,
-                   y_min: Fraction = Fraction(3, 20),
-                   ) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """Two exact sample points keeping every image of every class in the
-    congruence at imaginary part >= y_min, found by centering candidates
-    on the classes' isometric circles and auditing exactly."""
-    mats = {mat for _, mat, _ in _signed_terms(congruence)}
+def _lowest_height(points, mats, memo: _Memo,
+                   floor: Optional[QuadElem]) -> Optional[QuadElem]:
+    """The least imaginary part among the points and their images under
+    the classes, or None as soon as it is at or below ``floor``.  The
+    images are computed lazily, so a stop saves the rest."""
+    heights = chain((QuadElem.of(y) for _, y in points),
+                    (_image(memo, mat, x, y)[1]
+                     for x, y in points for mat in mats))
+    low = None
+    for height in heights:
+        if low is None or (height - low).sign() < 0:
+            low = height
+            if floor is not None and (low - floor).sign() <= 0:
+                return None
+    return low
+
+
+def _search_points(mats, memo: _Memo):
+    """The best candidate pair for a set of classes, with its score: the
+    least height it reaches.  Candidates are centered on the classes'
+    isometric circles and tried in a fixed order, and the first with the
+    highest score wins.  A candidate stops being scored once its running
+    minimum is at or below the best score so far: only a strictly higher
+    score replaces the best, so it could not win."""
     centers = {Fraction(0)}
     for mat in mats:
         _, _, c, d = mat.entries
@@ -361,27 +427,39 @@ def suggest_points(congruence: Congruence,
             ratio = d / c
             if ratio.is_rational:
                 centers.add(Fraction(-ratio.a))
-    best = None
+    best = best_points = None
     for y0 in _SUGGEST_HEIGHTS:
         for x0 in sorted(centers):
             pts = ((x0, y0), (x0 + y0 / 8, y0 * Fraction(9, 10)))
-            score = None
-            for x, y in pts:
-                worst_here = QuadElem.of(y)
-                for mat in mats:
-                    yi = _exact_image(mat, x, y)[1]
-                    if (yi - worst_here).sign() < 0:
-                        worst_here = yi
-                if score is None or (worst_here - score).sign() < 0:
-                    score = worst_here
-            if best is None or (score - best[0]).sign() > 0:
-                best = (score, pts)
+            score = _lowest_height(pts, mats, memo, best)
+            if score is not None:
+                best, best_points = score, pts
     # centers holds 0 and every height is tried, so best is set here
-    if (best[0] - y_min).sign() < 0:
+    return best, best_points
+
+
+def _chosen_points(congruence: Congruence, y_min,
+                   memo: _Memo) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """The searched points of the congruence, refused below y_min.
+    Congruences on the same set of classes share one search per memo."""
+    mats = frozenset(mat for _, mat, _ in _signed_terms(congruence))
+    if mats not in memo.points:
+        memo.points[mats] = _search_points(mats, memo)
+    best, points = memo.points[mats]
+    if (best - y_min).sign() < 0:
         raise ConfigurationError(
             f"no candidate points keep all images of {congruence.id} above "
-            f"y_min={y_min}; the best candidates reach Im = {best[0]}")
-    return best[1]
+            f"y_min={y_min}; the best candidates reach Im = {best}")
+    return points
+
+
+def suggest_points(congruence: Congruence,
+                   y_min: Fraction = Fraction(3, 20),
+                   ) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """Two exact sample points keeping every image of every class in the
+    congruence at imaginary part >= y_min, found by centering candidates
+    on the classes' isometric circles and auditing exactly."""
+    return _chosen_points(congruence, y_min, _Memo())
 
 
 # -- the stretch exponent and the power lattice ---------------------------------

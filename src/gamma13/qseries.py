@@ -403,13 +403,16 @@ def parse_coefficient_file(text: str) -> FormData:
         elif n != offset + len(coeffs):
             raise ValueError(f"line {number}: non-contiguous coefficient "
                              f"index {n}")
+        token = parts[1]
         try:
-            if not _COEFFICIENT.match(parts[1]):
+            if not _COEFFICIENT.match(token):
                 raise ValueError
-            coeffs.append(_exact(Fraction(parts[1])))
+            # int() reads an integer token far faster than Fraction()
+            coeffs.append(_exact(Fraction(token)) if "/" in token
+                          else int(token))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {number}: bad coefficient "
-                             f"{parts[1]!r}") from None
+                             f"{token!r}") from None
     if offset is None:
         raise ValueError("coefficient file has no coefficient lines")
     return FormData(QSeries._of_exact(offset, coeffs), weight, level, sign)

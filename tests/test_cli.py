@@ -470,7 +470,7 @@ class TestEta:
             self, capsys, monkeypatch, factors):
         def never(*args):
             raise AssertionError("eta_product was called")
-        monkeypatch.setattr("gamma13.cli.eta_product", never)
+        monkeypatch.setattr("gamma13.qseries.eta_product", never)
         length = "8" if factors == "1:12" else "4"
         code, out, err = run_cli(capsys, "eta", factors, length)
         assert (code, out) == (1, "")

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from mpmath import exp, gamma, mp, mpc, mpf, pi
 
+from gamma13 import numeric
 from gamma13.certificate import Congruence
 from gamma13.exactnum import QuadElem
 from gamma13.groupring import RingElem
@@ -40,6 +41,8 @@ from gamma13.numeric import (
     lambda_compute,
     lambda_rational_exclusion,
     _battery,
+    _chosen_points,
+    _horner,
     _least_in_window,
     run_formcheck,
     stroke_value,
@@ -131,6 +134,36 @@ def full_horner(form, z):
         acc = acc * qz + c
     return acc * exp(mpc(0, 2) * pi
                      * (mpf(offset.numerator) / offset.denominator) * point)
+
+
+def operator_horner(coeffs, q):
+    """Horner through the mpc operators, as the evaluator summed before it
+    called libmp directly."""
+    acc = mpc(0)
+    for c in reversed(coeffs):
+        acc = acc * q + (c if isinstance(c, int)
+                         else mpf(c.numerator) / c.denominator)
+    return acc
+
+
+class TestHorner:
+    @pytest.mark.parametrize("prec", [53, 256, 1024])
+    def test_libmp_steps_match_the_mpc_operators_bit_for_bit(self, prec):
+        rng = random.Random(4099)
+        delta = list(eta_product([(1, 24)], 512).coeffs)
+        rational = [Fraction(c, rng.choice((1, 3, 7, 12))) for c in delta]
+        rational = [q.numerator if q.denominator == 1 else q for q in rational]
+        assert {type(c) for c in rational} == {int, Fraction}
+        for coeffs in (delta, rational):
+            for _ in range(6):
+                x = Fraction(rng.randint(-50, 50), 40)
+                y = Fraction(3, 20) + Fraction(rng.randint(0, 370), 200)
+                with mp.workprec(prec):
+                    z = mpc(mpf(x.numerator) / x.denominator,
+                            mpf(y.numerator) / y.denominator)
+                    q = exp(mpc(0, 2) * pi * z)
+                    assert (repr(_horner(coeffs, q))
+                            == repr(operator_horner(coeffs, q)))
 
 
 def bound_past(form, M, y):
@@ -445,6 +478,69 @@ class TestSuggestPoints:
         assert suggest_points(cong) == suggest_points(cong)
 
 
+def exhaustive_points(congruence, y_min):
+    """The point search before pruning: every candidate is scored in full,
+    from images computed here, and the first with the highest score wins."""
+    mats = {mat for side in (congruence.lhs, congruence.rhs)
+            for mat, _ in side.terms()}
+    centers = {Fraction(0)}
+    for mat in mats:
+        _, _, c, d = mat.entries
+        if not c.is_zero:
+            ratio = d / c
+            if ratio.is_rational:
+                centers.add(Fraction(-ratio.a))
+    best = None
+    for y0 in (Fraction(1), Fraction(4, 5), Fraction(1, 2), Fraction(1, 4),
+               Fraction(1, 5)):
+        for x0 in sorted(centers):
+            pts = ((x0, y0), (x0 + y0 / 8, y0 * Fraction(9, 10)))
+            score = None
+            for x, y in pts:
+                xq, yq = QuadElem.of(x), QuadElem.of(y)
+                worst_here = yq
+                for mat in mats:
+                    a, b, c, d = mat.entries
+                    yi = ((a * d - b * c) * yq
+                          / ((c * xq + d) ** 2 + (c * yq) ** 2))
+                    if (yi - worst_here).sign() < 0:
+                        worst_here = yi
+                if score is None or (worst_here - score).sign() < 0:
+                    score = worst_here
+            if best is None or (score - best[0]).sign() > 0:
+                best = (score, pts)
+    if (best[0] - y_min).sign() < 0:
+        raise ConfigurationError(
+            f"no candidate points keep all images of {congruence.id} above "
+            f"y_min={y_min}; the best candidates reach Im = {best[0]}")
+    return best[1]
+
+
+class TestPointSearchParity:
+    @pytest.mark.parametrize("level", [1, 13])
+    def test_pruned_search_matches_the_exhaustive_one(self, level):
+        # one memo across the certificate, as a battery shares it, and a
+        # fresh one per call through the public wrapper
+        cert = build_f_certificate(level)
+        memo = numeric._Memo()
+        refused = 0
+        for congruence in list(cert.axioms) + [s.result for s in cert.steps]:
+            for y_min in (Fraction(3, 20), Fraction(1, 52)):
+                try:
+                    expected = exhaustive_points(congruence, y_min)
+                except ConfigurationError as exc:
+                    refused += 1
+                    for search in (suggest_points, lambda c, y: _chosen_points(
+                            c, y, memo)):
+                        with pytest.raises(ConfigurationError) as info:
+                            search(congruence, y_min)
+                        assert str(info.value) == str(exc)
+                else:
+                    assert suggest_points(congruence, y_min) == expected
+                    assert _chosen_points(congruence, y_min, memo) == expected
+        assert refused > 0 if level == 13 else refused == 0
+
+
 class TestCuspDecay:
     def test_discriminant_form_passes(self):
         verdict = cusp_decay_check(delta_form())
@@ -511,6 +607,22 @@ class TestFormcheck:
     def test_fractional_offset_forms_are_rejected(self):
         with pytest.raises(ValueError):
             run_formcheck(fricke_form())
+
+    def test_battery_computes_each_exact_image_once(self, monkeypatch):
+        # the exhaustive search and a fresh image per stroke took 1,496
+        # images, and 16 searches: S3/delta1, H4/H5 and H7/delta3 each
+        # share one set of classes
+        calls = {"_exact_image": [], "_search_points": []}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(numeric, name)):
+                calls[name].append(args)
+                return original(*args)
+            monkeypatch.setattr(numeric, name, counted)
+        assert run_formcheck(delta_form()).ok
+        images = calls["_exact_image"]
+        assert len(images) <= 300
+        assert len(set(images)) == len(images)
+        assert len(calls["_search_points"]) == 13
 
     @pytest.mark.parametrize("level", [1, 7, 13])
     def test_battery_has_delta2_exactly_where_the_builder_makes_it(self, level):

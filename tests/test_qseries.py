@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from gamma13.qseries import (
+    FormData,
     QSeries,
     eta_product,
     format_coefficient_file,
@@ -388,6 +389,20 @@ class TestCoefficientFile:
         assert "eps=-1" in text.splitlines()[0]
         assert "2 -1/3" in text
         assert parse_coefficient_file(text).series == s
+
+    def test_integer_tokens_parse_as_the_fraction_route_does(self):
+        # integer tokens are read by int(), p/q tokens by Fraction()
+        tokens = ["1", "-24", "+252", "0007", "-00", "+0", "10/1", "-6/3",
+                  "-1/3", "+4/006", "0/5", "84480", "-113643/1"]
+        text = "# k=12 N=1 eps=-1\n" + "".join(
+            f"{n} {t}\n" for n, t in enumerate(tokens, 1))
+        reference = [Fraction(t) for t in tokens]
+        reference = [q.numerator if q.denominator == 1 else q
+                     for q in reference]
+        data = parse_coefficient_file(text)
+        assert data == FormData(QSeries(1, reference), 12, 1, -1)
+        assert ([type(c) for c in data.series.coeffs]
+                == [type(c) for c in reference])
 
     def test_writer_rejects_fractional_offset(self):
         f = eta_product([(1, 2), (13, 2)], 8)

@@ -11,10 +11,13 @@ the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
 ``FRICKE_POINTS_13`` for eps = -1 and +1, then with ``density_search``
 on each request in ``DENSITY_REQUESTS`` as ``(m, n, error)``, and then
 with the length and SHA-256 of the stdout of ``gamma13 eta`` for each
-product in ``ETA_REQUESTS``.  Every ``mpf``/``mpc`` is printed as its
-``repr`` at 256 bits, the working precision of the formcheck and Fricke
-calls (``density_search`` derives its own), so two trees agree digit for
-digit, and their ``eta`` files byte for byte, exactly when the outputs of
+product in ``ETA_REQUESTS``, and last with the points ``suggest_points``
+picks (or its error) for every axiom and step of the level-1 and
+level-13 f certificates at each floor in ``FLOORS``.  Every
+``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the working
+precision of the formcheck and Fricke calls (``density_search`` derives
+its own), so two trees agree digit for digit, and their ``eta`` files
+byte for byte, exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/numeric_digest.py FILES > old.txt
     PYTHONPATH=new/src python3 tools/numeric_digest.py FILES > new.txt
@@ -41,6 +44,10 @@ MATRIX = [[2, 1], [1, 1]]
 ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
                 ("1:8,2:8", 2048), ("2:16,1:-8", 2048), ("1:4,5:4", 2048),
                 ("1:2,11:2", 2048)]
+
+
+#: The battery's two floors: 3/20 at level 1, 1/52 at every other level.
+FLOORS = (Fraction(3, 20), Fraction(1, 52))
 
 
 def _stretch_power(m: int, n: int):
@@ -121,6 +128,16 @@ def digest_eta() -> None:
               f"sha256={hashlib.sha256(data).hexdigest()}")
 
 
+def digest_points() -> None:
+    for level in (1, 13):
+        certificate = level13.build_f_certificate(level)
+        for congruence in (list(certificate.axioms)
+                           + [step.result for step in certificate.steps]):
+            for y_min in FLOORS:
+                _show(f"points N={level} {congruence.id} y_min={y_min}",
+                      lambda: numeric.suggest_points(congruence, y_min))
+
+
 def main(argv) -> int:
     # the library sets its own working precision; this only widens repr
     with mp.workprec(256):
@@ -129,6 +146,7 @@ def main(argv) -> int:
         digest_fricke()
         digest_density()
     digest_eta()
+    digest_points()
     return 0
 
 
