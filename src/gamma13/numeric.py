@@ -28,10 +28,14 @@ below the working precision.  The growth bound covers the dropped carried
 terms as it covers those past L, so the bound at the cut bounds all that
 is left out, and it is the tail bound returned.  Once L reaches the cut,
 neither the cut nor the value depends on L, so carrying more coefficients
-costs nothing at the heights the cut serves.  Horner's steps call
-``mpmath.libmp`` (``mpc_mul``, ``mpc_add_mpf``) at the working precision,
-rounding to nearest: the functions mpc's operators call, so the value is
-theirs bit for bit, without an mpc object per step.
+costs nothing at the heights the cut serves.  Horner's rule runs on
+signed Python-int mantissas and exponents (``_horner``, ``_sum``,
+``_round``) and reproduces mpc's * and + bit for bit: the four products of
+a complex step are exact, the real and the imaginary part are each rounded
+once to the working precision, to nearest with ties to even, and the real
+part plus the coefficient is rounded once more, as ``mpmath.libmp`` does,
+its perturbation of sums whose exponents lie over 100 apart included.  At
+offset 1 the shift q^offset is q itself, since 2 pi i * 1 is exact.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -50,8 +54,10 @@ scored once its running minimum is at or below the best score so far,
 since only a strictly higher score wins, so the choice is that of the full
 search.  One battery (one ``_residuals`` call) keeps a memo of the exact
 image of each (class, point), shared by the search and ``_stroke``, of the
-points chosen for each set of classes, which congruences on the same
-classes reuse, and of f at each image point.  The memo dies with the call.
+automorphy factor and f value of each (class, point) that ``_stroke``
+audited, of the points chosen for each set of classes, which congruences
+on the same classes reuse, and of f at each image point.  The memo dies
+with the call.
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -74,7 +80,6 @@ from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import exp, mp, mpc, mpf, pi
-from mpmath.libmp import from_int, mpc_add_mpf, mpc_mul, round_nearest
 
 from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem
@@ -232,21 +237,72 @@ def _evaluate(form: FormData, zre: mpf, zim: mpf, tol: mpf,
             break
         n += 1
     z = mpc(zre, zim)
-    value = _horner(series.coeffs[:n], exp(mpc(0, 2) * pi * z))
-    return EvalResult(value * exp(mpc(0, 2) * pi * offset * z), tail)
+    q = exp(mpc(0, 2) * pi * z)
+    value = _horner(series.coeffs[:n], q)
+    # 2 pi i * 1 is exact, so at offset 1 the shift's exp is q's bit for bit
+    shift = q if offset == 1 else exp(mpc(0, 2) * pi * offset * z)
+    return EvalResult(value * shift, tail)
+
+
+def _round(m: int, e: int, prec: int) -> Tuple[int, int]:
+    """m 2^e rounded to ``prec`` bits, to nearest with ties to even, as a
+    signed mantissa with its trailing zeros stripped (0 comes back as
+    (0, 0)): libmp's normalization at round_nearest."""
+    n = m.bit_length() - prec
+    if n > 0:
+        half = 1 << (n - 1)
+        r = (m + half) >> n
+        if r & 1 and m & (2 * half - 1) == half:  # a tie: keep the even one
+            r -= 1
+        m, e = r, e + n
+    if not m:
+        return 0, 0
+    tz = (m & -m).bit_length() - 1
+    return m >> tz, e + tz
+
+
+def _sum(sm: int, se: int, tm: int, te: int, prec: int) -> Tuple[int, int]:
+    """libmp's mpf_add of sm 2^se and tm 2^te at ``prec`` bits and
+    round_nearest, on signed odd mantissas or 0.  Like mpf_add, when the
+    exponents differ by more than 100 and the larger operand's top bit lies
+    more than prec + 4 bits above the other's, the smaller one counts only
+    as +-1 at prec + 4 bits below the larger one's lowest bit."""
+    if not tm:
+        return _round(sm, se, prec)
+    if not sm:
+        return _round(tm, te, prec)
+    offset = se - te
+    if offset < 0:
+        sm, se, tm, te, offset = tm, te, sm, se, -offset
+    if offset > 100 and (sm.bit_length() + offset - tm.bit_length()
+                         > prec + 4):
+        return _round((sm << (prec + 4)) + (1 if tm > 0 else -1),
+                      se - prec - 4, prec)
+    return _round((sm << offset) + tm, te, prec)
 
 
 def _horner(coeffs, q: mpc) -> mpc:
-    """sum_j coeffs[j] q^j by Horner's rule at the working precision.  Each
-    step calls the libmp functions that mpc's * and + call, with the same
-    precision and rounding, so the value is theirs bit for bit, without
-    building an mpc per step."""
-    prec, q, acc = mp.prec, q._mpc_, mpc(0)._mpc_
+    """sum_j coeffs[j] q^j by Horner's rule at the working precision, on
+    signed integer mantissas and exponents.  Each step is libmp's mpc_mul
+    (four exact products, the real and imaginary parts each rounded once)
+    and mpc_add_mpf (the real part plus the coefficient, rounded once), all
+    at round_nearest, so the value is that of mpc's * and + bit for bit."""
+    prec = mp.prec
+    (qs, a, ae, _), (ps, b, be, _) = q._mpc_
+    a, b = -a if qs else a, -b if ps else b
+    re = re_e = im = im_e = 0
     for c in reversed(coeffs):
-        term = from_int(c) if isinstance(c, int) else _to_mpf(c)._mpf_
-        acc = mpc_add_mpf(mpc_mul(acc, q, prec, round_nearest), term,
-                          prec, round_nearest)
-    return mp.make_mpc(acc)
+        re, re_e, im, im_e = (
+            *_sum(re * a, re_e + ae, -(im * b), im_e + be, prec),
+            *_sum(re * b, re_e + be, im * a, im_e + ae, prec))
+        if type(c) is not int:
+            cs, cm, ce, _ = _to_mpf(c)._mpf_
+            re, re_e = _sum(re, re_e, -cm if cs else cm, ce, prec)
+        elif c:
+            tz = (c & -c).bit_length() - 1
+            re, re_e = _sum(re, re_e, c >> tz, tz, prec)
+    # both parts already fit the precision, so mpf((m, e)) is exact
+    return mpc(mpf((re, re_e)), mpf((im, im_e)))
 
 
 def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
@@ -265,12 +321,15 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
 @dataclass
 class _Memo:
     """What one battery computes once and reuses: f at each image point
-    (``values``), the exact image of each (class, point) (``images``), and
-    the points the search chose for each set of classes (``points``).  It
-    lives for one call, so nothing carries over between calls."""
+    (``values``), the exact image of each (class, point) (``images``), the
+    automorphy factor and f value of each audited (class, point)
+    (``strokes``), and the points the search chose for each set of classes
+    (``points``).  It lives for one call, so nothing carries over between
+    calls."""
 
     values: Dict = field(default_factory=dict)
     images: Dict = field(default_factory=dict)
+    strokes: Dict = field(default_factory=dict)
     points: Dict = field(default_factory=dict)
 
 
@@ -283,24 +342,35 @@ def _image(memo: _Memo, mat: ProjMat, x, y):
     return image
 
 
+def _automorphy(k: int, det: QuadElem, den: QuadElem, cy: QuadElem) -> mpc:
+    """det^{k/2} (cz+d)^{-k} at the working precision, from the exact
+    determinant and the real and imaginary parts of cz + d."""
+    return _to_mpf(det) ** (k // 2) * mpc(_to_mpf(den), _to_mpf(cy)) ** -k
+
+
 def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
             memo: _Memo, label: str = "") -> Tuple[mpc, mpc]:
     """The automorphy factor det^{k/2} (cz+d)^{-k} of the class at the exact
     point x + iy, and f at the image.  The image is computed and audited
-    against y_min exactly; ``memo`` keeps each image and f at each image
-    point, so each is computed once.  ``label`` prefixes error messages."""
-    xi, yi, den, cy, det = _image(memo, mat, x, y)
-    if (yi - cfg.y_min).sign() < 0:
-        raise ConfigurationError(
-            f"{label}image of ({x}, {y}) under {mat} has imaginary part "
-            f"below y_min={cfg.y_min}")
-    key = (xi, yi)
-    if key not in memo.values:
-        memo.values[key] = _evaluate(form, _to_mpf(xi), _to_mpf(yi),
-                                     _to_mpf(cfg.tolerance), label).value
-    k = form.weight
-    factor = _to_mpf(det) ** (k // 2) * mpc(_to_mpf(den), _to_mpf(cy)) ** -k
-    return factor, memo.values[key]
+    against y_min exactly; ``memo`` keeps the factor and value of each
+    (class, point) and f at each image point, so each is computed once.
+    ``label`` prefixes error messages."""
+    key = (mat, x, y)
+    stroke = memo.strokes.get(key)
+    if stroke is None:
+        xi, yi, den, cy, det = _image(memo, mat, x, y)
+        if (yi - cfg.y_min).sign() < 0:
+            raise ConfigurationError(
+                f"{label}image of ({x}, {y}) under {mat} has imaginary part "
+                f"below y_min={cfg.y_min}")
+        point = (xi, yi)
+        if point not in memo.values:
+            memo.values[point] = _evaluate(
+                form, _to_mpf(xi), _to_mpf(yi), _to_mpf(cfg.tolerance),
+                label).value
+        stroke = memo.strokes[key] = (
+            _automorphy(form.weight, det, den, cy), memo.values[point])
+    return stroke
 
 
 def stroke_value(form: FormData, matrix, z,

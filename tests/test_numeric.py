@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import exp, gamma, mp, mpc, mpf, pi
+from mpmath.libmp import from_man_exp, fzero, mpf_add, round_nearest
 
 from gamma13 import numeric
 from gamma13.certificate import Congruence
@@ -44,6 +45,7 @@ from gamma13.numeric import (
     _chosen_points,
     _horner,
     _least_in_window,
+    _sum,
     run_formcheck,
     stroke_value,
     suggest_points,
@@ -137,8 +139,8 @@ def full_horner(form, z):
 
 
 def operator_horner(coeffs, q):
-    """Horner through the mpc operators, as the evaluator summed before it
-    called libmp directly."""
+    """Horner through the mpc operators: the oracle that the integer kernel
+    must match bit for bit."""
     acc = mpc(0)
     for c in reversed(coeffs):
         acc = acc * q + (c if isinstance(c, int)
@@ -146,8 +148,14 @@ def operator_horner(coeffs, q):
     return acc
 
 
+#: Real parts at which, at y = 1, the imaginary part of q lies hundreds of
+#: binary places below its real part, so Horner's sums take libmp's
+#: far-exponent perturbation (36 times in a 256-bit Delta evaluation).
+FAR_XS = (Fraction(1, 2 ** 300), Fraction(-1, 2 ** 300), Fraction(3, 2 ** 400))
+
+
 class TestHorner:
-    @pytest.mark.parametrize("prec", [53, 256, 1024])
+    @pytest.mark.parametrize("prec", [1, 2, 53, 256, 1024])
     def test_libmp_steps_match_the_mpc_operators_bit_for_bit(self, prec):
         rng = random.Random(4099)
         delta = list(eta_product([(1, 24)], 512).coeffs)
@@ -155,15 +163,58 @@ class TestHorner:
         rational = [q.numerator if q.denominator == 1 else q for q in rational]
         assert {type(c) for c in rational} == {int, Fraction}
         for coeffs in (delta, rational):
-            for _ in range(6):
-                x = Fraction(rng.randint(-50, 50), 40)
-                y = Fraction(3, 20) + Fraction(rng.randint(0, 370), 200)
+            points = [(Fraction(rng.randint(-50, 50), 40),
+                       Fraction(3, 20) + Fraction(rng.randint(0, 370), 200))
+                      for _ in range(6)]
+            points += [(x, Fraction(1)) for x in FAR_XS]
+            for x, y in points:
                 with mp.workprec(prec):
                     z = mpc(mpf(x.numerator) / x.denominator,
                             mpf(y.numerator) / y.denominator)
                     q = exp(mpc(0, 2) * pi * z)
                     assert (repr(_horner(coeffs, q))
                             == repr(operator_horner(coeffs, q)))
+
+
+def _signed(raw):
+    """A libmp tuple as the kernel's (signed mantissa, exponent)."""
+    sign, man, exp_, _ = raw
+    return (-man if sign else man, exp_) if man else (0, 0)
+
+
+class TestSum:
+    @pytest.mark.parametrize("prec", [1, 2, 53, 256, 1024])
+    def test_matches_libmp_mpf_add(self, prec):
+        rng = random.Random(prec)
+
+        def operand():
+            if rng.random() < 0.05:
+                return 0, 0
+            bits = rng.randint(1, 3 * prec)
+            man = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+            return rng.choice((-1, 1)) * man, rng.randint(-300, 300)
+
+        perturbed = 0
+        for _ in range(2000):
+            (sm, se), (tm, te) = operand(), operand()
+            if rng.random() < 0.5:  # gaps on both sides of 100
+                te = se + rng.choice((-1, 1)) * rng.randint(90, 110)
+            s = from_man_exp(sm, se) if sm else fzero
+            t = from_man_exp(tm, te) if tm else fzero
+            want = _signed(mpf_add(s, t, prec, round_nearest))
+            assert _sum(sm, se, tm, te, prec) == want
+            assert _sum(tm, te, sm, se, prec) == want
+            (bm, be), (lm, le) = sorted(((sm, se), (tm, te)),
+                                        key=lambda op: -op[1])
+            perturbed += (sm and tm and be - le > 100 and bm.bit_length()
+                          + be - lm.bit_length() - le > prec + 4)
+        assert perturbed > 100
+
+    def test_ties_round_to_even(self):
+        # 2^53 + 1 and 2^53 + 3 lie halfway between neighbours at 53 bits
+        assert _sum(1, 53, 1, 0, 53) == (1, 53)
+        assert _sum(1, 53, 3, 0, 53) == ((1 << 51) + 1, 2)
+        assert _sum(-1, 53, -1, 0, 53) == (-1, 53)
 
 
 def bound_past(form, M, y):
@@ -623,6 +674,20 @@ class TestFormcheck:
         assert len(images) <= 300
         assert len(set(images)) == len(images)
         assert len(calls["_search_points"]) == 13
+
+    def test_battery_work_stays_at_its_floor(self, monkeypatch):
+        # a stroke factor per (class, point) instead of per stroke (116);
+        # f once per image point and cusp height; Horner cut at the tail
+        calls = {"_automorphy": [], "_evaluate": [], "_horner": []}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(numeric, name)):
+                calls[name].append(args)
+                return original(*args)
+            monkeypatch.setattr(numeric, name, counted)
+        assert run_formcheck(delta_form()).ok
+        assert len(calls["_automorphy"]) <= 62
+        assert len(calls["_evaluate"]) == 59
+        assert sum(len(coeffs) for coeffs, _ in calls["_horner"]) == 4482
 
     @pytest.mark.parametrize("level", [1, 7, 13])
     def test_battery_has_delta2_exactly_where_the_builder_makes_it(self, level):

@@ -11,12 +11,15 @@ the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
 ``FRICKE_POINTS_13`` for eps = -1 and +1, then with ``density_search``
 on each request in ``DENSITY_REQUESTS`` as ``(m, n, error)``, and then
 with the length and SHA-256 of the stdout of ``gamma13 eta`` for each
-product in ``ETA_REQUESTS``, and last with the points ``suggest_points``
+product in ``ETA_REQUESTS``, and then with the points ``suggest_points``
 picks (or its error) for every axiom and step of the level-1 and
-level-13 f certificates at each floor in ``FLOORS``.  Every
+level-13 f certificates at each floor in ``FLOORS``, and last with
+``eval_form`` (value and tail bound) of Delta at every point of
+``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``.  Every
 ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the working
 precision of the formcheck and Fricke calls (``density_search`` derives
-its own), so two trees agree digit for digit, and their ``eta`` files
+its own), or at 1024 bits in the ``eval_form`` section, whose precisions
+reach 1024, so two trees agree digit for digit, and their ``eta`` files
 byte for byte, exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/numeric_digest.py FILES > old.txt
@@ -48,6 +51,18 @@ ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
 
 #: The battery's two floors: 3/20 at level 1, 1/52 at every other level.
 FLOORS = (Fraction(3, 20), Fraction(1, 52))
+
+
+#: Real parts of the ``eval_form`` points, with their labels.  At +-2^-300
+#: and 3/2^400 the imaginary part of q = e^{2 pi i z} is about 2^-300 (or
+#: 2^-400) times its real part, so Horner's sums add operands whose
+#: exponents lie more than 100 apart, where libmp's mpf_add perturbs.
+EVAL_XS = (("0", Fraction(0)), ("1/3", Fraction(1, 3)),
+           ("2^-300", Fraction(1, 2 ** 300)),
+           ("-2^-300", Fraction(-1, 2 ** 300)),
+           ("3/2^400", Fraction(3, 2 ** 400)))
+EVAL_YS = (Fraction(1), Fraction(3, 20))
+EVAL_PRECS = (1, 2, 53, 256, 1024)
 
 
 def _stretch_power(m: int, n: int):
@@ -138,6 +153,18 @@ def digest_points() -> None:
                       lambda: numeric.suggest_points(congruence, y_min))
 
 
+def digest_eval(length: int = 512) -> None:
+    form = numeric.FormData(qseries.eta_product([(1, 24)], length), 12, 1, 1)
+    with mp.workprec(1024):
+        for prec in EVAL_PRECS:
+            cfg = numeric.EvalConfig(precision=prec)
+            for y in EVAL_YS:
+                for label, x in EVAL_XS:
+                    _show(f"eval_form delta L={length} prec={prec} x={label} "
+                          f"y={y}",
+                          lambda: tuple(numeric.eval_form(form, (x, y), cfg)))
+
+
 def main(argv) -> int:
     # the library sets its own working precision; this only widens repr
     with mp.workprec(256):
@@ -147,6 +174,7 @@ def main(argv) -> int:
         digest_density()
     digest_eta()
     digest_points()
+    digest_eval()
     return 0
 
 
