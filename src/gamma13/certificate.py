@@ -342,9 +342,19 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _string(obj: dict, key: str) -> str:
+    """``obj[key]``, which must be a JSON string."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
 def certificate_from_json(text: str) -> Certificate:
-    """The certificate a JSON text writes.  Each distinct ring text and
-    matrix in it is parsed once, into a memo that lives for this call."""
+    """The certificate a JSON text writes.  Its level must be a positive
+    JSON integer and each id and rule a JSON string; nothing is coerced.
+    Each distinct ring text and matrix in it is parsed once, into a memo
+    that lives for this call."""
     elem = partial(RingElem.parse, memo={})
     # the rules whose second argument is an operand, and how its text reads
     operand = {"RIGHT_MUL": ("factor", elem),
@@ -363,17 +373,20 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(f"unsupported certificate version {version!r}")
     where = "level"
     try:
-        level = int(doc["level"])
+        level = doc["level"]
+        if type(level) is not int or level < 1:  # bool is an int, too
+            raise TypeError(f"must be a positive JSON integer, got {level!r}")
         axioms, steps = [], []
         where = "axioms"
         for ax in doc["axioms"]:
             where = f"axiom {ax['id']}"
-            axioms.append(Congruence(str(ax["id"]), elem(ax["lhs"]),
+            axioms.append(Congruence(_string(ax, "id"), elem(ax["lhs"]),
                                      elem(ax["rhs"])))
         where = "steps"
         for s in doc["steps"]:
             where = f"step {s['id']}"
-            step_id, rule, args = str(s["id"]), str(s["rule"]), s["args"]
+            step_id, rule = _string(s, "id"), _string(s, "rule")
+            args = s["args"]
             if not (isinstance(args, list)
                     and all(isinstance(a, str) for a in args)):
                 raise TypeError("args must be a list of strings")

@@ -317,7 +317,7 @@ class ScalarPoly:
 
     @classmethod
     def const(cls, x: Scalar) -> "ScalarPoly":
-        return cls({(0, 0, 0): x})
+        return cls._normal({(0, 0, 0): QuadElem.of(x)})
 
     @classmethod
     def alpha2(cls) -> "ScalarPoly":
@@ -371,13 +371,16 @@ class ScalarPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        acc = dict(self._terms)
+        for key, coeff in o._terms.items():
+            acc[key] = acc[key] - coeff if key in acc else -coeff
+        return ScalarPoly._normal(acc)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self) -> "ScalarPoly":
         return ScalarPoly._normal({k: -c for k, c in self._terms.items()})

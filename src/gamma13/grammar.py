@@ -18,17 +18,22 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import List, Optional, Tuple, Union
 
 from .exactnum import DEFAULT_D, QuadElem, ScalarPoly
+from .projmat import Entries
 
-#: A token, or (second group) any other non-space character.
-_TOKEN = re.compile(r"(\d+|[A-Za-z][A-Za-z0-9]*|\*\*|[+\-*/^()\[\],])|(\S)")
+#: A token; every other non-space character is an error.
+_TOKEN = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\*\*|[+\-*/^()\[\],]")
+#: A character that is neither space nor part of any token.
+_BAD = re.compile(r"[^\s\dA-Za-z+\-*/^()\[\],]")
 
-#: Matrix entries as a flat (top-left, top-right, bottom-left, bottom-right).
-Entries = Tuple[QuadElem, QuadElem, QuadElem, QuadElem]
 _IDENTITY: Entries = (QuadElem.of(1), QuadElem.of(0), QuadElem.of(0),
                       QuadElem.of(1))
+#: The symbols a scalar names, each its own first power.
+_SYMBOLS = {"a2": ScalarPoly.alpha2(), "a3": ScalarPoly.alpha3(),
+            "e": ScalarPoly.eps()}
 
 
 class GrammarError(ValueError):
@@ -40,30 +45,33 @@ class GrammarError(ValueError):
 
 
 class _Tokens:
+    """The tokens of a text, read by index.  Where a token starts in the
+    text is found again only for an error message."""
+
     def __init__(self, text: str):
+        bad = _BAD.search(text)
+        if bad:
+            raise GrammarError(f"unexpected character {bad.group()!r}",
+                               bad.start())
         self.text = text
-        self.toks: List[Tuple[str, int]] = []
-        for m in _TOKEN.finditer(text):
-            if m.group(2) is not None:
-                raise GrammarError(f"unexpected character {m.group(2)!r}",
-                                   m.start(2))
-            self.toks.append((m.group(1), m.start(1)))
+        self.toks: List[str] = _TOKEN.findall(text)
         self.idx = 0
 
     def peek(self) -> str:
-        return self.toks[self.idx][0] if self.idx < len(self.toks) else ""
+        return self.toks[self.idx] if self.idx < len(self.toks) else ""
 
-    def pos(self) -> int:
-        if self.idx < len(self.toks):
-            return self.toks[self.idx][1]
-        return len(self.text)
+    def pos(self, idx: Optional[int] = None) -> int:
+        """Where token ``idx`` (by default the current one) starts, or the
+        length of the text past the last token."""
+        idx = self.idx if idx is None else idx
+        match = next(islice(_TOKEN.finditer(self.text), idx, None), None)
+        return len(self.text) if match is None else match.start()
 
     def next(self) -> str:
         if self.idx >= len(self.toks):
             raise GrammarError("unexpected end of input", len(self.text))
-        tok, _ = self.toks[self.idx]
         self.idx += 1
-        return tok
+        return self.toks[self.idx - 1]
 
     def expect(self, tok: str) -> None:
         got = self.peek()
@@ -83,16 +91,16 @@ def _parse_uint(ts: _Tokens) -> int:
     return int(ts.next())
 
 
-def _parse_fraction(ts: _Tokens) -> Fraction:
+def _parse_rational(ts: _Tokens) -> Union[int, Fraction]:
     num = _parse_uint(ts)
     if ts.peek() == "/":
         ts.next()
-        pos = ts.pos()
+        at = ts.idx
         den = _parse_uint(ts)
         if den == 0:
-            raise GrammarError("zero denominator", pos)
+            raise GrammarError("zero denominator", ts.pos(at))
         return Fraction(num, den)
-    return Fraction(num)
+    return num
 
 
 def _parse_exponent(ts: _Tokens) -> int:
@@ -110,26 +118,23 @@ def _scalar_factor(ts: _Tokens) -> ScalarPoly:
         ts.expect(")")
         return inner ** _parse_exponent(ts)
     if tok.isdigit():
-        return ScalarPoly.const(_parse_fraction(ts))
+        return ScalarPoly.const(_parse_rational(ts))
     if tok == "sqrt":
         ts.next()
         ts.expect("(")
-        pos = ts.pos()
+        at = ts.idx
         d = _parse_uint(ts)
         ts.expect(")")
         if d != DEFAULT_D:
             raise GrammarError(
-                f"sqrt({d}) does not belong to Q(sqrt({DEFAULT_D}))", pos)
+                f"sqrt({d}) does not belong to Q(sqrt({DEFAULT_D}))",
+                ts.pos(at))
         return ScalarPoly.const(QuadElem.sqrt_d())
-    if tok == "a2":
+    symbol = _SYMBOLS.get(tok)
+    if symbol is not None:
         ts.next()
-        return ScalarPoly.alpha2() ** _parse_exponent(ts)
-    if tok == "a3":
-        ts.next()
-        return ScalarPoly.alpha3() ** _parse_exponent(ts)
-    if tok == "e":
-        ts.next()
-        return ScalarPoly.eps() ** _parse_exponent(ts)
+        n = _parse_exponent(ts)
+        return symbol if n == 1 else symbol ** n
     raise GrammarError(f"expected a factor, got {tok!r}", ts.pos())
 
 
@@ -163,10 +168,11 @@ def _scalar_sum(ts: _Tokens) -> ScalarPoly:
 
 
 def _quad_sum(ts: _Tokens) -> QuadElem:
-    start = ts.pos()
+    at = ts.idx
     value = _scalar_sum(ts).as_const()
     if value is None:
-        raise GrammarError("expected a field constant, found symbols", start)
+        raise GrammarError("expected a field constant, found symbols",
+                           ts.pos(at))
     return value
 
 
@@ -199,11 +205,11 @@ def _memo_matrix(ts: _Tokens, memo: dict) -> Entries:
     consumes what a parse would, and only successes are stored."""
     depth = 0
     for end in range(ts.idx, len(ts.toks)):
-        tok = ts.toks[end][0]
+        tok = ts.toks[end]
         depth += (tok == "[") - (tok == "]")
         if not depth:
             break
-    key = tuple(tok for tok, _ in ts.toks[ts.idx:end + 1])
+    key = tuple(ts.toks[ts.idx:end + 1])
     if key not in memo:
         memo[key] = _matrix(ts)
     ts.idx = end + 1

@@ -29,6 +29,7 @@ from .projmat import Mat2, MatrixLike, ProjMat
 from . import grammar
 
 Coeff = Union[int, Fraction, QuadElem, ScalarPoly]
+_SCALARS = (int, Fraction, QuadElem, ScalarPoly)
 #: A dense univariate polynomial: its coefficients, lowest degree first.
 Coeffs = Tuple[QuadElem, ...]
 
@@ -66,7 +67,7 @@ class RingElem:
             return x
         if isinstance(x, (ProjMat, Mat2, list, tuple)):
             return cls({ProjMat.of(x): ScalarPoly.const(1)})
-        if isinstance(x, (int, Fraction, QuadElem, ScalarPoly)):
+        if isinstance(x, _SCALARS):
             coeff = x if isinstance(x, ScalarPoly) else ScalarPoly.const(x)
             return cls({ProjMat.identity(): coeff})
         raise TypeError(f"cannot build a ring element from {x!r}")
@@ -105,7 +106,7 @@ class RingElem:
     def _coerce(self, other) -> Optional["RingElem"]:
         if isinstance(other, RingElem):
             return other
-        if isinstance(other, (int, Fraction, QuadElem, ScalarPoly, ProjMat, Mat2)):
+        if isinstance(other, (*_SCALARS, ProjMat, Mat2)):
             return RingElem.of(other)
         return None
 
@@ -124,18 +125,29 @@ class RingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        acc = dict(self._terms)
+        for mat, coeff in o._terms.items():
+            acc[mat] = acc[mat] - coeff if mat in acc else -coeff
+        return RingElem(acc)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self) -> "RingElem":
         return RingElem({m: -c for m, c in self._terms.items()})
 
+    def _scaled(self, s: Coeff) -> "RingElem":
+        """Each coefficient times the scalar ``s``: the product with
+        ``s`` times the identity class, without the class products."""
+        s = s if isinstance(s, ScalarPoly) else ScalarPoly.const(s)
+        return RingElem({m: c * s for m, c in self._terms.items()})
+
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -148,6 +160,9 @@ class RingElem:
         return RingElem(acc)
 
     def __rmul__(self, other):
+        # scalars commute with every class
+        if isinstance(other, _SCALARS):
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -8,10 +8,14 @@ class of a matrix modulo nonzero scalar multiples, restricted to positive
 determinant (scaling by r multiplies the determinant by r^2 > 0, so the sign
 is an invariant of the class).  ProjMat instances are canonicalized -- the
 first nonzero entry in row-major order is scaled to 1 -- which makes equality
-and hashing structural.  Each entry is a reduced integer triple
-(p + q*sqrt(13))/r, so the primitive representative (coprime integer
-components, used for text and for Gamma_0(N) membership) is read off the
-triples with one lcm and one gcd.
+and hashing structural.  A positive determinant puts that entry in the top
+row.  Products and inverses of classes work on the canonical entries
+directly: det(AB) = det A * det B and det(adj A) = det A are positive
+already, so only a construction from outside checks the determinant, and a
+result is rescaled only when its leading entry is not 1.  Each entry is a
+reduced integer triple (p + q*sqrt(13))/r, so the primitive representative
+(coprime integer components, used for text and for Gamma_0(N) membership)
+is read off the triples with one lcm and one gcd.
 """
 
 from __future__ import annotations
@@ -24,6 +28,17 @@ from typing import Sequence, Tuple, Union
 from .exactnum import QuadElem, Scalar, binary_power
 
 MatrixLike = Union["Mat2", "ProjMat", Sequence]
+#: Matrix entries as a flat (top-left, top-right, bottom-left, bottom-right).
+Entries = Tuple[QuadElem, QuadElem, QuadElem, QuadElem]
+
+_ONE = QuadElem.of(1)
+
+
+def _product(x: Entries, y: Entries) -> Entries:
+    """The entries of the 2x2 product of matrices with entries x and y."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 @dataclass(frozen=True)
@@ -56,7 +71,7 @@ class Mat2:
 
     # -- inspection ---------------------------------------------------------
 
-    def entries(self) -> Tuple[QuadElem, QuadElem, QuadElem, QuadElem]:
+    def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
 
     def det(self) -> QuadElem:
@@ -66,10 +81,7 @@ class Mat2:
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            return Mat2(self.a * other.a + self.b * other.c,
-                        self.a * other.b + self.b * other.d,
-                        self.c * other.a + self.d * other.c,
-                        self.c * other.b + self.d * other.d)
+            return Mat2(*_product(self.entries(), other.entries()))
         if isinstance(other, (int, Fraction, QuadElem)):
             return self.scale(other)
         return NotImplemented
@@ -109,6 +121,24 @@ class Mat2:
         return f"Mat2({self})"
 
 
+def _canonical(entries: Entries) -> Entries:
+    """``entries`` of a positive-determinant matrix scaled so that the first
+    nonzero one, which lies in the top row, is 1."""
+    a, b, c, d = entries
+    lead = b if a.is_zero else a
+    if lead == _ONE:
+        return entries
+    inv = lead.inv()
+    return (inv * a, inv * b, inv * c, inv * d)
+
+
+def _class(entries: Entries) -> "ProjMat":
+    """The class whose canonical entries are ``entries``, unchecked."""
+    mat = object.__new__(ProjMat)
+    object.__setattr__(mat, "_entries", entries)
+    return mat
+
+
 def _primitive(entries: Tuple[QuadElem, ...]) -> Tuple[QuadElem, ...]:
     """Rescale so all rational components are coprime integers."""
     denom = lcm(*(e.r for e in entries))
@@ -132,9 +162,7 @@ class ProjMat:
             raise ValueError(
                 f"projective class requires positive determinant, got {det} "
                 f"for [[{entries[0]},{entries[1]}],[{entries[2]},{entries[3]}]]")
-        first = next(e for e in entries if not e.is_zero)
-        inv = first.inv()
-        object.__setattr__(self, "_entries", tuple(inv * e for e in entries))
+        object.__setattr__(self, "_entries", _canonical(entries))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ProjMat is immutable")
@@ -157,7 +185,7 @@ class ProjMat:
     # -- inspection -----------------------------------------------------------
 
     @property
-    def entries(self) -> Tuple[QuadElem, QuadElem, QuadElem, QuadElem]:
+    def entries(self) -> Entries:
         return self._entries
 
     @property
@@ -169,7 +197,7 @@ class ProjMat:
     def is_identity(self) -> bool:
         return self == _IDENTITY
 
-    def primitive_entries(self) -> Tuple[QuadElem, QuadElem, QuadElem, QuadElem]:
+    def primitive_entries(self) -> Entries:
         """The representative with coprime integer components."""
         return _primitive(self._entries)
 
@@ -178,16 +206,17 @@ class ProjMat:
     def __mul__(self, other):
         if not isinstance(other, ProjMat):
             return NotImplemented
-        return ProjMat.of(self.mat * other.mat)
+        return _class(_canonical(_product(self._entries, other._entries)))
 
     def inv(self) -> "ProjMat":
         # the adjugate represents the same class as the inverse
-        return ProjMat.of(self.mat.adj())
+        a, b, c, d = self._entries
+        return _class(_canonical((d, -b, -c, a)))
 
     def __pow__(self, n: int) -> "ProjMat":
         if n < 0:
             return self.inv() ** (-n)
-        return ProjMat.of(self.mat ** n)
+        return binary_power(self, n, _IDENTITY)
 
     # -- identity -----------------------------------------------------------------
 

@@ -208,6 +208,37 @@ class TestSerialization:
             b.scale("w5", "W", "a2", lhs="a2*[[1,0],[13,1]]", rhs="0")
         assert "w5" not in b.resolved
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(level=1.5),
+         "level: must be a positive JSON integer, got 1.5"),
+        (lambda d: d.update(level=True),
+         "level: must be a positive JSON integer, got True"),
+        (lambda d: d.update(level="13"),
+         "level: must be a positive JSON integer, got '13'"),
+        (lambda d: d.update(level=0),
+         "level: must be a positive JSON integer, got 0"),
+        (lambda d: d.update(level=None),
+         "level: must be a positive JSON integer, got None"),
+        (lambda d: d["axioms"][0].update(id=5),
+         "axiom 5: id must be a JSON string, got 5"),
+        (lambda d: step_of(d, "P").update(id=5),
+         "step 5: id must be a JSON string, got 5"),
+        (lambda d: step_of(d, "P").update(rule=7),
+         "step P: rule must be a JSON string, got 7"),
+        (lambda d: step_of(d, "P").update(rule=["AXIOM"]),
+         "step P: rule must be a JSON string, got ['AXIOM']"),
+    ], ids=["level-float", "level-bool", "level-string", "level-zero",
+            "level-null", "axiom-id-integer", "step-id-integer",
+            "rule-integer", "rule-list"])
+    def test_field_types_are_not_coerced(self, edit, message):
+        # an integer id once became a string, and the fault surfaced as a
+        # dangling reference at a later step
+        doc = shipped_f_doc()
+        edit(doc)
+        with pytest.raises(CertificateError) as info:
+            certificate_from_json(json.dumps(doc))
+        assert str(info.value) == f"malformed certificate: {message}"
+
     @pytest.mark.parametrize("name", sorted(level13.SHIPPED_FILES))
     def test_shipped_text_round_trips(self, name):
         text = (resources.files("gamma13") / "data"
@@ -279,6 +310,29 @@ class TestOperands:
         b.axiom_step("X", "ax:X")
         with pytest.raises(CertificateError, match=message):
             b.right_mul("x.a", "X", "a2^30000")
+
+    def test_scale_past_exponent_cap_is_refused(self):
+        # the sides carry a2^40000; times the scalar a2^30000 they pass the
+        # cap during replay, although neither text does
+        lhs = "a2^40000*[[1,1],[0,1]] + [[2,0],[0,1]]"
+        rhs = "a2^40000*[[1,1],[0,1]]"
+        doc = {"version": 1, "level": 13,
+               "axioms": [{"id": "ax:X", "lhs": lhs, "rhs": rhs}],
+               "steps": [
+                   {"id": "X", "rule": "AXIOM", "args": ["ax:X"],
+                    "result": {"lhs": lhs, "rhs": rhs}},
+                   {"id": "x.s", "rule": "SCALE", "args": ["X", "a2^30000"],
+                    "result": {"lhs": "a2^30000*[[2,0],[0,1]]", "rhs": "0"}}]}
+        cert = certificate_from_json(json.dumps(doc))
+        message = "step x.s: exponent 70000 exceeds limit 65536"
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(cert)
+        b = CertBuilder(level=13)
+        b.axiom("ax:X", lhs, rhs)
+        b.axiom_step("X", "ax:X")
+        with pytest.raises(CertificateError, match=message):
+            b.scale("x.s", "X", "a2^30000")
+
 
 
 def matrices_of(cert):

@@ -137,6 +137,20 @@ class TestVerify:
          "malformed certificate: step P: args must be a list of strings"),
         (lambda: shipped_f_with(lambda d: d.update(level="x")),
          "malformed certificate: level: "),
+        (lambda: shipped_f_with(lambda d: d.update(level=1.5)),
+         "malformed certificate: level: must be a positive JSON integer, "
+         "got 1.5"),
+        (lambda: shipped_f_with(lambda d: d.update(level=True)),
+         "malformed certificate: level: must be a positive JSON integer, "
+         "got True"),
+        (lambda: shipped_f_with(lambda d: d.update(level="13")),
+         "malformed certificate: level: must be a positive JSON integer, "
+         "got '13'"),
+        (lambda: shipped_f_with(lambda d: first_step(d, "RIGHT_MUL")
+                                .update(id=5)),
+         "malformed certificate: step 5: id must be a JSON string, got 5"),
+        (lambda: shipped_f_with(lambda d: d["steps"][0].update(rule=7)),
+         "malformed certificate: step P: rule must be a JSON string, got 7"),
         (lambda: b"[1, 2]",
          "malformed certificate: the document is a JSON list, not an object"),
         (lambda: b"\xff\xfe{}", "is not UTF-8 text"),
@@ -147,6 +161,8 @@ class TestVerify:
     ], ids=["claimed-side-exponent", "scale-exponent", "singular-axiom-side",
             "singular-factor", "product-exponent", "constant-power-bits",
             "args-object", "args-string", "level-not-integer",
+            "level-float", "level-bool", "level-string", "step-id-integer",
+            "rule-not-string",
             "top-level-list", "not-utf8", "deep-json", "deep-axiom-side"])
     def test_malformed_certificate_is_usage_error(self, capsys, tmp_path,
                                                   make, where):

@@ -408,6 +408,51 @@ class TestGrammar:
         [(coeff, entries)] = grammar.parse_ring_terms("[[39,-14],[117,-39]]")
         assert coeff == 1 and entries == (q(39), q(-14), q(117), q(-39))
 
+    @pytest.mark.parametrize("kind, text, message, pos", [
+        ("scalar", "1 + 2 $ 3", "unexpected character '$'", 6),
+        ("ring", "[[1,0],[0,1]] # [[1,1],[0,1]]", "unexpected character '#'",
+         14),
+        ("scalar", "a2\u00d73", "unexpected character '\u00d7'", 2),
+        ("scalar", "1/0 + a2", "zero denominator", 2),
+        ("ring", "[[1,0],[0, 7/ 0]]", "zero denominator", 14),
+        ("scalar", "1+sqrt( 5 )", "sqrt(5) does not belong to Q(sqrt(13))", 8),
+        ("ring", "[[1,sqrt(5)],[0,1]]",
+         "sqrt(5) does not belong to Q(sqrt(13))", 9),
+        ("ring", "[[1,  a2],[0,1]]", "expected a field constant, found symbols",
+         6),
+        ("ring", "2*[[1,0],[ e+1,1]]",
+         "expected a field constant, found symbols", 11),
+        ("scalar", "3/", "expected digits, got ''", 2),
+        ("scalar", "1/x", "expected digits, got 'x'", 2),
+        ("ring", "a2^e*[[1,0],[0,1]]", "expected digits, got 'e'", 3),
+        ("scalar", "1 2", "trailing input '2'", 2),
+        ("ring", "[[1,0],[0,1]]]", "trailing input ']'", 13),
+        ("ring", "a2 a3", "trailing input 'a3'", 3),
+        ("scalar", "a2 + + a3", "expected a factor, got '+'", 5),
+        ("scalar", "", "expected a factor, got ''", 0),
+        ("ring", "[[1,2],[3]]", "expected ',', got ']'", 9),
+        ("ring", "sqrt 13", "expected '(', got '13'", 5),
+    ])
+    def test_every_raise_site_pins_message_and_position(self, kind, text,
+                                                        message, pos):
+        # tokens carry no positions: each is found again for the error
+        parse = grammar.parse_scalar_poly if kind == "scalar" else RingElem.parse
+        with pytest.raises(grammar.GrammarError) as info:
+            parse(text)
+        assert (str(info.value), info.value.pos) == (
+            f"{message} (at position {pos})", pos)
+
+    @pytest.mark.parametrize("text, pos", [("", 0), ("1 + a2", 6)])
+    def test_reading_past_the_last_token_is_unexpected_end(self, text, pos):
+        # the parsers peek before they read, so only the tokenizer sees this
+        ts = grammar._Tokens(text)
+        while ts.peek():
+            ts.next()
+        with pytest.raises(grammar.GrammarError) as info:
+            ts.next()
+        assert (str(info.value), info.value.pos) == (
+            f"unexpected end of input (at position {pos})", pos)
+
     def test_garbage_rejected_with_position(self):
         with pytest.raises(grammar.GrammarError):
             grammar.parse_scalar_poly("3/")

@@ -121,6 +121,31 @@ class TestRingElem:
             assert s * (x - y) == s * x - s * y
             assert (x + y) - y == x
 
+    def test_scalar_product_scales_coefficients(self):
+        # a scalar acts as itself times the identity class, on either side
+        rng = random.Random(42)
+        classes = [ProjMat.of(rand_positive_det(rng)) for _ in range(8)]
+        e = ScalarPoly.eps()
+        for _ in range(60):
+            x = rand_sum(rng, classes)
+            for s in (rand_scalar(rng), rng.randint(-5, 5),
+                      Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                      q(rng.randint(-3, 3), rng.randint(-2, 2))):
+                expected = RingElem.of(s) * x
+                assert s * x == expected == x * s
+                assert str(s * x) == str(expected)
+            # e is a zero divisor: (1 + e)(1 - e) = 0 drops every term
+            assert ((1 + e) * x) * (1 - e) == RingElem.zero()
+
+    def test_difference_is_sum_with_negation(self):
+        rng = random.Random(43)
+        classes = [ProjMat.of(rand_positive_det(rng)) for _ in range(6)]
+        for _ in range(60):
+            x, y = rand_sum(rng, classes), rand_sum(rng, classes)
+            assert x - y == x + (-y)
+            assert x - x == RingElem.zero()
+            assert 2 - x == RingElem.of(2) + (-x)
+
     def test_product_lands_in_expected_class(self):
         g2 = RingElem.parse("[[2,-1],[13,-6]]")
         d2 = RingElem.parse("[[5,-2],[13,-5]]")

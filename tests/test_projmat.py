@@ -97,6 +97,73 @@ class TestProjMatCanonical:
         assert str(m) == "[[39,-14],[117,-39]]"
 
 
+S = [[0, -1], [1, 0]]
+
+
+def rand_class(rng) -> ProjMat:
+    """A class with entries a + b*sqrt(13), a and b in [-3, 3] over 1 to 3:
+    zeros, irrational entries and negative leading entries all occur."""
+    while True:
+        m = Mat2.of([q(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                       Fraction(rng.choice((0, 0, 1, -1, 2)), rng.randint(1, 3)))
+                     for _ in range(4)])
+        if m.det().sign() > 0:
+            return ProjMat.of(m)
+
+
+def is_canonical(m: ProjMat) -> bool:
+    return next(e for e in m.entries if not e.is_zero) == q(1)
+
+
+class TestClassProducts:
+    """Products, inverses and powers of classes work on canonical entries;
+    each must be the class of the matrix product, canonicalised."""
+
+    SPECIAL = [S, [[0, 1], [-13, 0]], [[-2, 1], [-5, 2]], [[-1, 0], [3, -1]],
+               [[q(0, 1), 1], [-1, q(1, 1)]], [[q(-1, -1), 2], [-3, q(1, -1)]]]
+
+    def classes(self, seed):
+        rng = random.Random(seed)
+        return [pm(rows) for rows in self.SPECIAL] + [
+            rand_class(rng) for _ in range(40)]
+
+    def test_product_matches_matrix_product(self):
+        classes = self.classes(60)
+        rng = random.Random(61)
+        pairs = [(a, b) for a in classes[:6] for b in classes[:6]] + [
+            (rng.choice(classes), rng.choice(classes)) for _ in range(200)]
+        leads = []
+        for a, b in pairs:
+            prod = a * b
+            assert prod.entries == ProjMat.of(a.mat * b.mat).entries
+            assert is_canonical(prod)
+            leads.append((a.mat * b.mat).a)
+        # the products lead with zero, negative and irrational entries
+        assert any(x.is_zero for x in leads)
+        assert any(x.sign() < 0 for x in leads)
+        assert any(not x.is_rational for x in leads)
+
+    def test_inverse_matches_matrix_inverse(self):
+        for a in self.classes(62):
+            inv = a.inv()
+            assert inv.entries == ProjMat.of(a.mat.inv()).entries
+            assert is_canonical(inv)
+            assert a * inv == ProjMat.identity() == inv * a
+
+    @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3, 5])
+    def test_power_matches_matrix_power(self, n):
+        for a in self.classes(63)[:20]:
+            power = a ** n
+            assert power.entries == ProjMat.of(a.mat ** n).entries
+            assert is_canonical(power)
+
+    def test_zero_top_left_leads_with_top_right(self):
+        s = pm(S)
+        assert s.entries == (q(0), q(1), q(-1), q(0))
+        assert s * s == ProjMat.identity()
+        assert s.inv() == s and s ** 3 == s
+
+
 def trace_squared_minus_4det(m: ProjMat) -> QuadElem:
     a, b, c, d = m.entries
     return (a + d) ** 2 - 4 * (a * d - b * c)

@@ -16,9 +16,13 @@ the JSON of ``build_f_certificate`` at levels 1, 7 and 13 and of
 the stdout, stderr and exit code of ``gamma13 decompose`` on the README
 example, P^200000 and W^200000, a member outside the subgroup the
 generators make, a non-member, each generator and its inverse, and 50
-seeded members of length 0-24, so that two trees' spellings can be diffed.  Two
-trees agree on every certificate text, report line, word and diagnostic
-exactly when the outputs of
+seeded members of length 0-24, so that two trees' spellings can be diffed.  It
+ends with the rest of the exact bench workload: the stdout, stderr and exit
+code of ``gamma13 asym k`` for every k from -2 to 16, ``tilde_g_check(k)``
+for k = 2, 4, 6, 8, and both congruences of ``sign_exponent_check(m, n)``
+for m in +-1, +-4, +-7 and n in +-2, +-5, +-8, which holds every pair the
+bench's seeds draw.  Two trees agree on every certificate text, report line,
+word and diagnostic exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/exact_digest.py > old.txt
     PYTHONPATH=new/src python3 tools/exact_digest.py > new.txt
@@ -63,6 +67,13 @@ FAULTS = [
 #: <P, W, g2, g3>) and a non-member.
 DECOMPOSE = ["[[-9,4],[-52,23]]", "[[1,200000],[0,1]]", "[[1,0],[2600000,1]]",
              "[[8,-5],[13,-8]]", "[[1,0],[1,1]]"]
+
+
+#: The weights and word exponents of the exact bench's other commands.
+ASYM_WEIGHTS = range(-2, 17)
+TILDE_WEIGHTS = (2, 4, 6, 8)
+SIGN_MS = (1, -1, 4, -4, 7, -7)
+SIGN_NS = (2, -2, 5, -5, 8, -8)
 
 
 def _capture(argv):
@@ -139,6 +150,16 @@ def main() -> int:
         print(f"{step.id} {step.result.lhs - step.result.rhs}")
     for matrix in _decompose_inputs():
         _run(f"decompose {matrix}", ["decompose", matrix])
+    for k in ASYM_WEIGHTS:
+        _run(f"asym {k}", ["asym", str(k)])
+    for k in TILDE_WEIGHTS:
+        print(f"== tilde_g_check({k}) {level13.tilde_g_check(k)}")
+    for m in SIGN_MS:
+        for n in SIGN_NS:
+            check = level13.sign_exponent_check(m, n)
+            print(f"== sign_exponent_check({m},{n})")
+            print(check.power_sign)
+            print(check.even_power)
     return 0
 
 
