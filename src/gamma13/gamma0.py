@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import binary_power
-from .projmat import ProjMat
+from .projmat import ProjMat, _product as _entries_product
 
 DEFAULT_LEVEL = 13
 
@@ -49,11 +49,6 @@ class DecompositionError(RuntimeError):
     """The search could not express the matrix as a generator word."""
 
 
-def _mul(x: _IntMat, y: _IntMat) -> _IntMat:
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
 def _product(letters: Iterable[Tuple[str, int]]) -> _IntMat:
     """The integer matrix of a word, each power by binary powering (at
     determinant 1 the adjugate is the inverse)."""
@@ -61,7 +56,8 @@ def _product(letters: Iterable[Tuple[str, int]]) -> _IntMat:
     for gen, exp in letters:
         a, b, c, d = _MATRICES[gen]
         base = (a, b, c, d) if exp > 0 else (d, -b, -c, a)
-        acc = _mul(acc, binary_power(base, abs(exp), _IDENTITY, _mul))
+        acc = _entries_product(acc, binary_power(base, abs(exp), _IDENTITY,
+                                                  _entries_product))
     return acc
 
 
@@ -177,7 +173,7 @@ def decompose(m) -> Word:
                     nodes += 1
                     if nodes > _MAX_NODES:
                         raise DecompositionError("search budget exhausted")
-                    y = _normalize(_mul(peel, x))
+                    y = _normalize(_entries_product(peel, x))
                     if y not in seen:
                         seen.add(y)
                         children.append((path + ((gen, exp),), y))

@@ -1,6 +1,6 @@
 """High-precision evaluation of exact q-expansions on the upper half-plane.
 
-Evaluation is binary floating point at a configured precision (mpmath),
+Evaluation is midpoint-radius ball arithmetic at a configured precision,
 but everything that decides *where* to evaluate is exact: every point is
 an exact pair (x, y), images under matrix classes are computed in
 Q(sqrt 13), and the minimum-imaginary-part audit compares field elements
@@ -23,19 +23,21 @@ bound to exist, it raises ``PrecisionError`` instead of degrading.
 Past the gate the sum is cut short, by the truncation rule of Johansson's
 Arb (IEEE Trans. Comput. 66(8), 2017): Horner runs over the first n
 carried coefficients only, n the least count whose bound at
-M = offset + n is at most min(tolerance, 2^-(prec + 32)), 32 guard bits
-below the working precision.  The growth bound covers the dropped carried
-terms as it covers those past L, so the bound at the cut bounds all that
-is left out, and it is the tail bound returned.  Once L reaches the cut,
-neither the cut nor the value depends on L, so carrying more coefficients
-costs nothing at the heights the cut serves.  Horner's rule runs on
-signed Python-int mantissas and exponents (``_horner``, ``_sum``,
-``_round``) and reproduces mpc's * and + bit for bit: the four products of
-a complex step are exact, the real and the imaginary part are each rounded
-once to the working precision, to nearest with ties to even, and the real
-part plus the coefficient is rounded once more, as ``mpmath.libmp`` does,
-its perturbation of sums whose exponents lie over 100 apart included.  At
-offset 1 the shift q^offset is q itself, since 2 pi i * 1 is exact.
+M = offset + n is at most min(tolerance, 2^-W), W = prec + 32 bits.  The
+growth bound covers the dropped carried terms as it covers those past L,
+so the bound at the cut bounds all that is left out.  Once L reaches the
+cut, neither the cut nor the value depends on L, so carrying more
+coefficients costs nothing at the heights the cut serves.  The sum is a
+ball, as in Arb (Brent-Zimmermann, Modern Computer Arithmetic, section 3):
+a midpoint re + i im and a radius r, three Python ints in units of 2^-W.
+mpmath's ``iv`` encloses q (and q^offset) at W + 16 bits from the exact
+point; a Horner step truncates the product's parts and sets
+r = ((|acc|_1 dq + r (|q|_1 + dq)) >> W) + 3, dq the radius of q.  The
+tail bound, from upper bounds on |q| and |q^offset| rounded up, joins r,
+so the ball holds f(z).  Stroke factors times instantiated scalars are
+exact in Q(sqrt 13) and rounded once; a residual, the ``max_residual``
+that ``formcheck`` prints and compares, is |sum of the midpoints| plus the
+sum of the radii: a certified bound.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -54,7 +56,7 @@ scored once its running minimum is at or below the best score so far,
 since only a strictly higher score wins, so the choice is that of the full
 search.  One battery (one ``_residuals`` call) keeps a memo of the exact
 image of each (class, point), shared by the search and ``_stroke``, of the
-automorphy factor and f value of each (class, point) that ``_stroke``
+exact automorphy factor and f value of each (class, point) that ``_stroke``
 audited, of the points chosen for each set of classes, which congruences
 on the same classes reuse, and of f at each image point.  The memo dies
 with the call.
@@ -79,10 +81,12 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from mpmath import exp, mp, mpc, mpf, pi
+from mpmath import exp, iv, mp, mpc, mpf, pi
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_div, mpf_mul,
+                          mpf_shift, round_ceiling, round_floor, to_int)
 
 from .certificate import Certificate, Congruence
-from .exactnum import DEFAULT_D, QuadElem
+from .exactnum import DEFAULT_D, QuadElem, binary_power
 from .level13 import build_f_certificate
 from .projmat import ProjMat
 from .qseries import FormData, hecke_check
@@ -152,7 +156,7 @@ DEFAULT_CONFIG = EvalConfig()
 
 class EvalResult(NamedTuple):
     value: mpc
-    tail_bound: mpf
+    radius: mpf
 
 
 def _to_mpf(x) -> mpf:
@@ -169,12 +173,25 @@ def _to_mpf(x) -> mpf:
 _CUT_GUARD = 32
 
 
-def _tail_bound(first: mpf, k: int, x: mpf) -> mpf:
-    """M^k x^M / (1 - rho x) at M = ``first``, or +inf when rho x >= 1."""
-    rho = (1 + 1 / first) ** k
-    if rho * x >= 1:
+#: A ball (re, im, r) at scale 2^-W: the midpoint re + i im and the
+#: radius r, all ints counting units (ulps) of 2^-W.
+Ball = Tuple[int, int, int]
+
+
+def _tail_bound(offset: Fraction, n: int, k: int, x: int, x_offset: int,
+                W: int) -> mpf:
+    """M^k x^M / (1 - rho x) at M = offset + n, or +inf when rho x >= 1,
+    rounded up from upper bounds x 2^-W on x = |q| = e^{-2 pi Im z} and
+    x_offset 2^-W on x^offset = |q^offset|, as x^M = x^offset x^n."""
+    a, b = (offset + n).numerator, (offset + n).denominator
+    gap = (a ** k << W) - (a + b) ** k * x  # (1 - rho x) a^k 2^W
+    if gap <= 0:
         return mp.inf
-    return first ** k * x ** first / (1 - rho * x)
+    # x^n rounded up at each product, so it stays an upper bound
+    power = binary_power(from_man_exp(x, -W), n, fone,
+                         lambda u, v: mpf_mul(u, v, W, round_ceiling))
+    top = mpf_mul(power, from_int(a ** (2 * k) * x_offset), W, round_ceiling)
+    return mp.make_mpf(mpf_div(top, from_int(b ** k * gap), W, round_ceiling))
 
 
 def _cut_estimate(k: int, offset: float, least: int, length: int,
@@ -205,124 +222,146 @@ def _cut_estimate(k: int, offset: float, least: int, length: int,
     return min(length + 1, max(least, math.ceil(m - offset) - 1))
 
 
-def _evaluate(form: FormData, zre: mpf, zim: mpf, tol: mpf,
-              label: str = "") -> EvalResult:
-    """The truncated expansion at zre + i*zim and its tail bound, as in the
-    module docstring.  The gate is the bound at M = offset + L + 1, past
-    every carried coefficient: it raises ``PrecisionError`` when it exceeds
-    ``tol`` or does not exist at this height (rho x >= 1); ``label``
-    prefixes the message.  Horner then runs over the first n coefficients
-    only, n the least count whose bound at M = offset + n is at most
-    min(tol, 2^-(prec + ``_CUT_GUARD``)) with offset + n >= 1, or L + 1
-    when none is.  The returned bound is the one at that cut: it covers the
-    dropped carried terms and everything past L together."""
+def _evaluate(form: FormData, z, tol: mpf, label: str = "") -> Ball:
+    """The ball at scale 2^-W, W = prec + ``_CUT_GUARD``, that holds f at
+    the exact point z = (x, y), by the gate and the cut of the module
+    docstring against ``tol``: ``PrecisionError``, prefixed by ``label``,
+    when the bound past L exceeds ``tol`` or does not exist (rho x >= 1).
+    The cut is the least n with offset + n >= 1 whose bound is at most
+    min(tol, 2^-W), or L + 1 when none is."""
     series, k = form.series, form.weight
-    offset = _to_mpf(series.offset)
-    length = series.length
-    x = exp(-2 * pi * zim)
-    tail = _tail_bound(offset + length + 1, k, x)
+    offset, length = Fraction(series.offset), series.length
+    W = mp.prec + _CUT_GUARD
+    q = _q_power(z, 1, W)
+    shift = q if offset == 1 else _q_power(z, offset, W)
+    x, x_offset = (math.isqrt(re * re + im * im) + 1 + r
+                   for re, im, r in (q, shift))
+    zim = _to_mpf(z[1])
+    tail = _tail_bound(offset, length + 1, k, x, x_offset, W)
     if tail > tol or tail == mp.inf:
         raise PrecisionError(
             f"{label}tail bound {mp.nstr(tail, 5)} at Im z = "
             f"{mp.nstr(zim, 8)} exceeds the tolerance {mp.nstr(tol, 5)}")
-    thr = min(tol, mp.ldexp(1, -(mp.prec + _CUT_GUARD)))
+    thr = min(tol, mp.ldexp(1, -W))
     # the growth bound covers exponents >= 1 only: no term below is dropped
-    least = max(0, math.ceil(1 - Fraction(series.offset)))
+    least = max(0, math.ceil(1 - offset))
     n = _cut_estimate(k, float(offset), least, length, float(zim),
                       float(mp.log(thr)))
     while n <= length:
-        cut = _tail_bound(offset + n, k, x)
+        cut = _tail_bound(offset, n, k, x, x_offset, W)
         if cut <= thr:
             tail = cut
             break
         n += 1
-    z = mpc(zre, zim)
-    q = exp(mpc(0, 2) * pi * z)
-    value = _horner(series.coeffs[:n], q)
-    # 2 pi i * 1 is exact, so at offset 1 the shift's exp is q's bit for bit
-    shift = q if offset == 1 else exp(mpc(0, 2) * pi * offset * z)
-    return EvalResult(value * shift, tail)
+    re, im, r = _mul(_horner(series.coeffs[:n], q, W), shift, W)
+    # the bound at the cut joins the radius, rounded up to whole ulps
+    return re, im, r + to_int(mpf_shift(tail._mpf_, W), round_ceiling)
 
 
-def _round(m: int, e: int, prec: int) -> Tuple[int, int]:
-    """m 2^e rounded to ``prec`` bits, to nearest with ties to even, as a
-    signed mantissa with its trailing zeros stripped (0 comes back as
-    (0, 0)): libmp's normalization at round_nearest."""
-    n = m.bit_length() - prec
-    if n > 0:
-        half = 1 << (n - 1)
-        r = (m + half) >> n
-        if r & 1 and m & (2 * half - 1) == half:  # a tie: keep the even one
-            r -= 1
-        m, e = r, e + n
-    if not m:
-        return 0, 0
-    tz = (m & -m).bit_length() - 1
-    return m >> tz, e + tz
+def _mul(a: Ball, b: Ball, W: int) -> Ball:
+    """The product of two balls.  The midpoint's parts are truncated to the
+    scale, each off by less than one ulp; the radius is |a| rb + ra |b| +
+    ra rb, with |a| <= |Re a| + |Im a|, rounded up: one ulp for the
+    radius's own truncation and two for the midpoint's (sqrt 2 < 2)."""
+    ar, ai, ra = a
+    br, bi, rb = b
+    return ((ar * br - ai * bi) >> W, (ar * bi + ai * br) >> W,
+            ((((abs(ar) + abs(ai)) * rb + ra * (abs(br) + abs(bi) + rb)) >> W)
+             + 3))
 
 
-def _sum(sm: int, se: int, tm: int, te: int, prec: int) -> Tuple[int, int]:
-    """libmp's mpf_add of sm 2^se and tm 2^te at ``prec`` bits and
-    round_nearest, on signed odd mantissas or 0.  Like mpf_add, when the
-    exponents differ by more than 100 and the larger operand's top bit lies
-    more than prec + 4 bits above the other's, the smaller one counts only
-    as +-1 at prec + 4 bits below the larger one's lowest bit."""
-    if not tm:
-        return _round(sm, se, prec)
-    if not sm:
-        return _round(tm, te, prec)
-    offset = se - te
-    if offset < 0:
-        sm, se, tm, te, offset = tm, te, sm, se, -offset
-    if offset > 100 and (sm.bit_length() + offset - tm.bit_length()
-                         > prec + 4):
-        return _round((sm << (prec + 4)) + (1 if tm > 0 else -1),
-                      se - prec - 4, prec)
-    return _round((sm << offset) + tm, te, prec)
-
-
-def _horner(coeffs, q: mpc) -> mpc:
-    """sum_j coeffs[j] q^j by Horner's rule at the working precision, on
-    signed integer mantissas and exponents.  Each step is libmp's mpc_mul
-    (four exact products, the real and imaginary parts each rounded once)
-    and mpc_add_mpf (the real part plus the coefficient, rounded once), all
-    at round_nearest, so the value is that of mpc's * and + bit for bit."""
-    prec = mp.prec
-    (qs, a, ae, _), (ps, b, be, _) = q._mpc_
-    a, b = -a if qs else a, -b if ps else b
-    re = re_e = im = im_e = 0
+def _horner(coeffs, q: Ball, W: int) -> Ball:
+    """sum_j coeffs[j] q^j by Horner's rule on balls at scale 2^-W: each
+    step is ``_mul`` by q, written out because the call costs about a fifth
+    of the step, then the coefficient, exact when it is an int and floored,
+    with one more ulp, when it is a fraction."""
+    qr, qi, dq = q
+    qn = abs(qr) + abs(qi) + dq
+    re = im = r = 0
     for c in reversed(coeffs):
-        re, re_e, im, im_e = (
-            *_sum(re * a, re_e + ae, -(im * b), im_e + be, prec),
-            *_sum(re * b, re_e + be, im * a, im_e + ae, prec))
-        if type(c) is not int:
-            cs, cm, ce, _ = _to_mpf(c)._mpf_
-            re, re_e = _sum(re, re_e, -cm if cs else cm, ce, prec)
-        elif c:
-            tz = (c & -c).bit_length() - 1
-            re, re_e = _sum(re, re_e, c >> tz, tz, prec)
-    # both parts already fit the precision, so mpf((m, e)) is exact
-    return mpc(mpf((re, re_e)), mpf((im, im_e)))
+        re, im, r = ((re * qr - im * qi) >> W, (re * qi + im * qr) >> W,
+                     (((abs(re) + abs(im)) * dq + r * qn) >> W) + 3)
+        if type(c) is int:
+            re += c << W
+        else:
+            re += (c.numerator << W) // c.denominator
+            r += 1
+    return re, im, r
+
+
+def _interval(v: QuadElem, K: int):
+    """An ``iv`` interval that contains v: ``_fixed(v, K)`` 2^-K, 2 ulps
+    wide on each side."""
+    m = _fixed(v, K)
+    return iv.make_mpf((from_man_exp(m - 2, -K), from_man_exp(m + 2, -K)))
+
+
+def _q_power(z, t, W: int) -> Ball:
+    """q^t = e^{2 pi i t z} at the exact point z = (x, y), enclosed by
+    mpmath's ``iv`` at K = W + 16 bits from t x and t y taken exactly, as
+    a ball at scale 2^-W that contains it: each part's endpoints are
+    rounded outward to the scale, the midpoint lies between them, and the
+    two half-widths add up to the radius."""
+    K = W + 16
+    x, y = (QuadElem.of(t) * QuadElem.of(v) for v in z)
+    prec, iv.prec = iv.prec, K
+    try:
+        tau = 2 * iv.pi
+        value = iv.exp(iv.mpc(-tau * _interval(y, K), tau * _interval(x, K)))
+    finally:
+        iv.prec = prec
+    mid, radius = [], 0
+    for lo, hi in (value.real._mpi_, value.imag._mpi_):
+        a = to_int(mpf_shift(lo, W), round_floor)
+        b = to_int(mpf_shift(hi, W), round_ceiling)
+        mid.append((a + b) >> 1)
+        radius += b - mid[-1]
+    return mid[0], mid[1], radius
+
+
+def _fixed(v: QuadElem, W: int) -> int:
+    """(p + q sqrt13)/r times 2^W, off by less than 2 ulps: q sqrt13 2^W is
+    taken as +-isqrt(13 q^2 4^W), off by less than 1, and the quotient by r
+    is floored."""
+    root = math.isqrt(DEFAULT_D * v.q * v.q << 2 * W)
+    return ((v.p << W) + (root if v.q > 0 else -root)) // v.r
+
+
+def _term(scalar: QuadElem, factor, value: Ball, W: int) -> Ball:
+    """scalar * factor * value: the exact scalar times the exact complex
+    factor, rounded once to the scale (each part within 2 ulps, so radius
+    3 > 2 sqrt 2), times the ball ``value``."""
+    re, im = factor
+    return _mul((_fixed(scalar * re, W), _fixed(scalar * im, W), 3), value, W)
+
+
+def _result(ball: Ball, W: int) -> EvalResult:
+    """The ball as its exact midpoint and radius."""
+    re, im, r = ball
+    return EvalResult(
+        mp.make_mpc((from_man_exp(re, -W), from_man_exp(im, -W))),
+        mp.make_mpf(from_man_exp(r, -W)))
 
 
 def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
     """Evaluate the truncated expansion at the exact point z = (x, y) of the
-    upper half-plane, returning the value together with its rigorous tail
-    bound."""
+    upper half-plane, returning the midpoint of the ball with its radius,
+    which bounds |f(z) - value|."""
     cfg = cfg or DEFAULT_CONFIG
     x, y = z
     if (QuadElem.of(y) - cfg.y_min).sign() < 0:
         raise ConfigurationError(
             f"point has imaginary part {y} below the floor {cfg.y_min}")
     with mp.workprec(cfg.precision):
-        return _evaluate(form, _to_mpf(x), _to_mpf(y), _to_mpf(cfg.tolerance))
+        return _result(_evaluate(form, (x, y), _to_mpf(cfg.tolerance)),
+                       mp.prec + _CUT_GUARD)
 
 
 @dataclass
 class _Memo:
     """What one battery computes once and reuses: f at each image point
     (``values``), the exact image of each (class, point) (``images``), the
-    automorphy factor and f value of each audited (class, point)
+    exact automorphy factor and f value of each audited (class, point)
     (``strokes``), and the points the search chose for each set of classes
     (``points``).  It lives for one call, so nothing carries over between
     calls."""
@@ -342,19 +381,25 @@ def _image(memo: _Memo, mat: ProjMat, x, y):
     return image
 
 
-def _automorphy(k: int, det: QuadElem, den: QuadElem, cy: QuadElem) -> mpc:
-    """det^{k/2} (cz+d)^{-k} at the working precision, from the exact
-    determinant and the real and imaginary parts of cz + d."""
-    return _to_mpf(det) ** (k // 2) * mpc(_to_mpf(den), _to_mpf(cy)) ** -k
+def _automorphy(k: int, det: QuadElem, den: QuadElem,
+                cy: QuadElem) -> Tuple[QuadElem, QuadElem]:
+    """det^{k/2} (cz+d)^{-k} = det^{k/2} conj(cz+d)^k / |cz+d|^{2k}, exactly,
+    as its real and imaginary parts, from the exact determinant and the
+    real and imaginary parts of cz + d."""
+    scale = det ** (k // 2) / (den * den + cy * cy) ** k
+    re, im = binary_power((den, -cy), k, (QuadElem.of(1), QuadElem.of(0)),
+                          lambda u, v: (u[0] * v[0] - u[1] * v[1],
+                                        u[0] * v[1] + u[1] * v[0]))
+    return re * scale, im * scale
 
 
 def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
-            memo: _Memo, label: str = "") -> Tuple[mpc, mpc]:
-    """The automorphy factor det^{k/2} (cz+d)^{-k} of the class at the exact
-    point x + iy, and f at the image.  The image is computed and audited
-    against y_min exactly; ``memo`` keeps the factor and value of each
-    (class, point) and f at each image point, so each is computed once.
-    ``label`` prefixes error messages."""
+            memo: _Memo, label: str = "") -> Tuple[Tuple, Ball]:
+    """The exact automorphy factor det^{k/2} (cz+d)^{-k} of the class at the
+    exact point x + iy, and the ball of f at the image.  The image is
+    computed and audited against y_min exactly; ``memo`` keeps the factor
+    and value of each (class, point) and f at each image point, so each is
+    computed once.  ``label`` prefixes error messages."""
     key = (mat, x, y)
     stroke = memo.strokes.get(key)
     if stroke is None:
@@ -366,8 +411,7 @@ def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
         point = (xi, yi)
         if point not in memo.values:
             memo.values[point] = _evaluate(
-                form, _to_mpf(xi), _to_mpf(yi), _to_mpf(cfg.tolerance),
-                label).value
+                form, point, _to_mpf(cfg.tolerance), label)
         stroke = memo.strokes[key] = (
             _automorphy(form.weight, det, den, cy), memo.values[point])
     return stroke
@@ -382,8 +426,9 @@ def stroke_value(form: FormData, matrix, z,
     x, y = z
     mat = ProjMat.of(matrix)
     with mp.workprec(cfg.precision):
+        W = mp.prec + _CUT_GUARD
         factor, value = _stroke(form, mat, x, y, cfg, _Memo())
-        return factor * value
+        return _result(_term(QuadElem.of(1), factor, value, W), W).value
 
 
 # -- congruence residuals -------------------------------------------------------
@@ -418,10 +463,12 @@ def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
 
 def _residual(form: FormData, congruence: Congruence,
               cfg: EvalConfig, memo: _Memo) -> mpf:
-    """Max over the sample points of |f|lhs - f|rhs|: the configured points,
-    or with ``points=None`` those the point search picks above y_min.
-    Terms whose instantiated scalar is zero drop out; every other image is
-    audited against y_min before f is evaluated there."""
+    """A certified bound on the max over the sample points of
+    |f|lhs - f|rhs|: the configured points, or with ``points=None`` those
+    the point search picks above y_min.  At each point it is |sum of the
+    terms' midpoints|, rounded up, plus the sum of their radii, a multiple
+    of 2^-W.  Terms whose instantiated scalar is zero drop out; every other
+    image is audited against y_min before f is evaluated there."""
     label, y_min = congruence.id, cfg.y_min
     points = cfg.points
     if points is None:
@@ -435,15 +482,19 @@ def _residual(form: FormData, congruence: Congruence,
     for sign, mat, poly in _signed_terms(congruence):
         scalar = poly.instantiate(a2, a3, form.sign)
         if not scalar.is_zero:
-            terms.append((sign, mat, _to_mpf(scalar)))
-    worst = mpf(0)
+            terms.append((mat, sign * scalar))
+    W = mp.prec + _CUT_GUARD
+    worst = 0
     for x, y in points:
-        total = mpc(0)
-        for sign, mat, scalar in terms:
+        re = im = radius = 0
+        for mat, scalar in terms:
             factor, value = _stroke(form, mat, x, y, cfg, memo, f"{label}: ")
-            total += sign * scalar * factor * value
-        worst = max(worst, abs(total))
-    return worst
+            term_re, term_im, term_radius = _term(scalar, factor, value, W)
+            re, im, radius = re + term_re, im + term_im, radius + term_radius
+        # ceil(|midpoint|), from the integer square root
+        norm = re * re + im * im
+        worst = max(worst, (math.isqrt(norm - 1) + 1 if norm else 0) + radius)
+    return mp.make_mpf(from_man_exp(worst, -W))
 
 
 def _residuals(form: FormData, congruences, cfg: EvalConfig) -> List[mpf]:
@@ -655,11 +706,12 @@ class CuspDecayVerdict(NamedTuple):
 def cusp_decay_check(form: FormData,
                      cfg: Optional[EvalConfig] = None) -> CuspDecayVerdict:
     """Check |f(iy)| <= 2|a_1| e^{-2 pi y} for y in {2, 4, 8} and the same
-    for the inversion image.  The image expansion is the carried sign
-    times the expansion itself (that is what the sign means; the relation
-    is verified separately by the inversion residual), so direct
-    evaluation near 0 -- where no truncated series could certify
-    anything -- is never needed."""
+    for the inversion image: a height fails when the ball's midpoint
+    exceeds the limit, taken at W bits, by more than the radius.  The image
+    expansion is the carried sign times the expansion itself (that is what
+    the sign means; the relation is verified separately by the inversion
+    residual), so direct evaluation near 0 -- where no truncated series
+    could certify anything -- is never needed."""
     cfg = cfg or DEFAULT_CONFIG
     series = form.series
     shift = 1 - Fraction(series.offset)
@@ -669,10 +721,13 @@ def cusp_decay_check(form: FormData,
         lead = series.coeffs[0]
     failures: List[Tuple[str, int]] = []
     with mp.workprec(cfg.precision):
+        W = mp.prec + _CUT_GUARD
         for yv in (2, 4, 8):
-            value, tail = _evaluate(form, mpf(0), mpf(yv), mp.inf)
-            limit = 2 * abs(_to_mpf(lead)) * exp(-2 * pi * yv) + tail
-            if abs(value) > limit:
+            value, radius = _result(_evaluate(form, (0, yv), mp.inf), W)
+            with mp.workprec(W):
+                limit = 2 * abs(_to_mpf(lead)) * exp(-2 * pi * yv)
+                failed = abs(value) > limit + radius
+            if failed:
                 # the 0-cusp image is sign * f, and |sign| = 1
                 failures += [("infinity", yv), ("zero", yv)]
     return CuspDecayVerdict(not failures, tuple(failures))
@@ -700,10 +755,11 @@ class FormcheckReport:
                 out.append(f"CONG {cid} max_residual={float(residual):.2e} "
                            f"verdict={'PASS' if passed else 'FAIL'}")
             elif kind == "HECKE":
-                _, p, rec_ok, stroke_ok = row
-                out.append(f"HECKE p={p} "
-                           f"recursion={'PASS' if rec_ok else 'FAIL'} "
-                           f"stroke={'PASS' if stroke_ok else 'FAIL'}")
+                # the stroke identity is the recursion times p^(1-k/2) != 0,
+                # so one verdict backs both fields
+                _, p, passed = row
+                verdict = "PASS" if passed else "FAIL"
+                out.append(f"HECKE p={p} recursion={verdict} stroke={verdict}")
             else:
                 _, passed = row
                 out.append(f"CUSP decay verdict={'PASS' if passed else 'FAIL'}")
@@ -751,21 +807,19 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
     cfg = cfg or _battery_config(form.level)
     battery = _battery(form)
     residuals = _residuals(form, battery, cfg)
-    with mp.workprec(cfg.precision):
-        tol_v = _to_mpf(Fraction(residual_tol))
     rows: List[Tuple] = []
     ok = True
     for congruence, residual in zip(battery, residuals):
-        passed = residual < tol_v
+        # a residual is a dyadic rational, so it compares exactly
+        man, exp2 = residual.man_exp
+        passed = Fraction(man) * Fraction(2) ** exp2 < Fraction(residual_tol)
         ok = ok and passed
         rows.append(("CONG", congruence.id, residual, passed))
     for p in (2, 3):
-        # the stroke identity is the recursion times p^(1-k/2) != 0,
-        # so one check backs both report fields
         rec = hecke_check(form.series, p, form.weight,
                           form.series.coefficient(p))
         ok = ok and rec.ok
-        rows.append(("HECKE", p, rec.ok, rec.ok))
+        rows.append(("HECKE", p, rec.ok))
     decay = cusp_decay_check(form, cfg)
     ok = ok and decay.ok
     rows.append(("CUSP", decay.ok))

@@ -5,7 +5,7 @@
 
 For each coefficient file (the format ``gamma13 eta`` writes) it prints
 every ``run_formcheck`` row, ``certificate_residual_sweep`` over the f
-certificate of the file's level, ``eval_form`` (value and tail bound) and
+certificate of the file's level, ``eval_form`` (value and radius) and
 ``stroke_value`` at the same exact point, and ``cusp_decay_check``.  It ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
 ``FRICKE_POINTS_13`` for eps = -1 and +1, then with ``density_search``
@@ -14,7 +14,7 @@ with the length and SHA-256 of the stdout of ``gamma13 eta`` for each
 product in ``ETA_REQUESTS``, and then with the points ``suggest_points``
 picks (or its error) for every axiom and step of the level-1 and
 level-13 f certificates at each floor in ``FLOORS``, and last with
-``eval_form`` (value and tail bound) of Delta at every point of
+``eval_form`` (value and radius) of Delta at every point of
 ``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``.  Every
 ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the working
 precision of the formcheck and Fricke calls (``density_search`` derives
@@ -55,8 +55,7 @@ FLOORS = (Fraction(3, 20), Fraction(1, 52))
 
 #: Real parts of the ``eval_form`` points, with their labels.  At +-2^-300
 #: and 3/2^400 the imaginary part of q = e^{2 pi i z} is about 2^-300 (or
-#: 2^-400) times its real part, so Horner's sums add operands whose
-#: exponents lie more than 100 apart, where libmp's mpf_add perturbs.
+#: 2^-400) times its real part.
 EVAL_XS = (("0", Fraction(0)), ("1/3", Fraction(1, 3)),
            ("2^-300", Fraction(1, 2 ** 300)),
            ("-2^-300", Fraction(-1, 2 ** 300)),
