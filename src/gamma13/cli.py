@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="working precision in bits, at least 1 "
                         "(default: 256)")
     p.add_argument("--tol", default="1e-15",
-                   help="residual tolerance, read exactly (default: 1e-15)")
+                   help="the one tolerance, read exactly: bounds below it "
+                        "pass, radii reaching it exit 2 (default: 1e-15)")
     p.set_defaults(func=cmd_formcheck)
 
     p = sub.add_parser("decompose",

@@ -8,22 +8,20 @@ by exact sign.  No point is ever given or computed as a complex float.
 
 One private evaluator, ``_evaluate``, is the only code that sums a
 truncated expansion (by Horner's rule) and bounds what the truncation
-leaves out; ``eval_form``, ``stroke_value``, every congruence residual and
-the cusp-decay check go through it.  The bound rests on the crude
-coefficient growth bound |a_n| <= n^k, which building a ``FormData`` (in
-``qseries``) checks on every carried coefficient with n >= 1:
+leaves out; ``eval_form``, ``stroke_value`` and every congruence residual
+go through it.  The bound rests on the crude coefficient growth bound
+|a_n| <= n^k, which building a ``FormData`` (in ``qseries``) checks on
+every carried coefficient with n >= 1:
 
     sum_{n >= M} n^k x^n  <=  M^k x^M / (1 - rho x),   rho = (1 + 1/M)^k,
 
 with x = e^{-2 pi Im z} and M the first exponent beyond the truncation.
-The gate is this bound at M = offset + L + 1, past every carried
-coefficient: above the caller's tolerance, or at a point too low for the
-bound to exist, it raises ``PrecisionError`` instead of degrading.
-
-Past the gate the sum is cut short, by the truncation rule of Johansson's
-Arb (IEEE Trans. Comput. 66(8), 2017): Horner runs over the first n
-carried coefficients only, n the least count whose bound at
-M = offset + n is at most min(tolerance, 2^-W), W = prec + 32 bits.  The
+The sum is cut short by the truncation rule of Johansson's Arb (IEEE
+Trans. Comput. 66(8), 2017): Horner runs over the first n carried
+coefficients only, n the least count whose bound at M = offset + n is at
+most 2^-W, W = prec + 32 bits, or over all of them when no count is; at a
+point too low for the bound to exist even past L (rho x >= 1 at
+M = offset + L + 1), ``_evaluate`` raises ``PrecisionError``.  The
 growth bound covers the dropped carried terms as it covers those past L,
 so the bound at the cut bounds all that is left out.  Once L reaches the
 cut, neither the cut nor the value depends on L, so carrying more
@@ -34,10 +32,13 @@ mpmath's ``iv`` encloses q (and q^offset) at W + 16 bits from the exact
 point; a Horner step truncates the product's parts and sets
 r = ((|acc|_1 dq + r (|q|_1 + dq)) >> W) + 3, dq the radius of q.  The
 tail bound, from upper bounds on |q| and |q^offset| rounded up, joins r,
-so the ball holds f(z).  Stroke factors times instantiated scalars are
-exact in Q(sqrt 13) and rounded once; a residual, the ``max_residual``
-that ``formcheck`` prints and compares, is |sum of the midpoints| plus the
-sum of the radii: a certified bound.
+so the ball holds f(z) even where the cut is not reached.  Stroke factors
+times instantiated scalars are exact in Q(sqrt 13) and rounded once; a
+residual, the ``max_residual`` that ``formcheck`` prints and compares, is
+|sum of the midpoints| plus the sum of the radii: a certified bound.
+``run_formcheck``'s tolerance is the only one: a congruence passes when
+that bound is below it, and radii that alone reach it decide nothing, so
+the battery stops with ``PrecisionError``.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -81,7 +82,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from mpmath import exp, iv, mp, mpc, mpf, pi
+from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import (fone, from_int, from_man_exp, mpf_div, mpf_mul,
                           mpf_shift, round_ceiling, round_floor, to_int)
 
@@ -97,7 +98,7 @@ class ConfigurationError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """The rigorous tail bound exceeds the configured tolerance."""
+    """The numerics cannot decide: no tail bound, or radii at the tolerance."""
 
 
 class DensityError(RuntimeError):
@@ -134,7 +135,6 @@ class EvalConfig:
     precision: int = 256
     points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = DEFAULT_POINTS
     y_min: Fraction = Fraction(3, 20)
-    tolerance: Fraction = Fraction(1, 10 ** 20)
 
     def __post_init__(self) -> None:
         if self.points is not None:
@@ -146,9 +146,8 @@ class EvalConfig:
                 raise ValueError("sample points must lie in the upper half-plane")
             object.__setattr__(self, "points", pts)
         object.__setattr__(self, "y_min", Fraction(self.y_min))
-        object.__setattr__(self, "tolerance", Fraction(self.tolerance))
-        if self.tolerance <= 0 or self.y_min <= 0:
-            raise ValueError("tolerance and y_min must be positive")
+        if self.y_min <= 0:
+            raise ValueError("y_min must be positive")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -195,16 +194,17 @@ def _tail_bound(offset: Fraction, n: int, k: int, x: int, x_offset: int,
 
 
 def _cut_estimate(k: int, offset: float, least: int, length: int,
-                  y: float, log_thr: float) -> int:
+                  y: QuadElem, W: int) -> int:
     """A count n0 no larger than the least n >= ``least`` whose bound at
-    M = offset + n is at most e^log_thr.  The bound is at least M^k x^M,
+    M = offset + n is at most 2^-W.  The bound is at least M^k x^M,
     whose log h(M) = k ln M - 2 pi y M is concave, so the counts it admits
     are those below its left root and those past its right root r; Newton
-    steps from the right converge down to r."""
-    c = 2 * math.pi * y
+    steps from the right converge down to r.  y is read to float precision
+    from 64 fractional bits, whatever the working precision is."""
+    c = 2 * math.pi * math.ldexp(_fixed(y, 64), -64)
 
     def h(m: float) -> float:
-        return k * math.log(m) - c * m - log_thr
+        return k * math.log(m) - c * m + W * math.log(2)
 
     if least > length:
         return length + 1
@@ -222,13 +222,12 @@ def _cut_estimate(k: int, offset: float, least: int, length: int,
     return min(length + 1, max(least, math.ceil(m - offset) - 1))
 
 
-def _evaluate(form: FormData, z, tol: mpf, label: str = "") -> Ball:
+def _evaluate(form: FormData, z, label: str = "") -> Ball:
     """The ball at scale 2^-W, W = prec + ``_CUT_GUARD``, that holds f at
-    the exact point z = (x, y), by the gate and the cut of the module
-    docstring against ``tol``: ``PrecisionError``, prefixed by ``label``,
-    when the bound past L exceeds ``tol`` or does not exist (rho x >= 1).
-    The cut is the least n with offset + n >= 1 whose bound is at most
-    min(tol, 2^-W), or L + 1 when none is."""
+    the exact point z = (x, y), by the cut of the module docstring:
+    ``PrecisionError``, prefixed by ``label``, when no bound past L exists
+    (rho x >= 1).  The cut is the least n with offset + n >= 1 whose bound
+    is at most 2^-W, or L + 1 when none is."""
     series, k = form.series, form.weight
     offset, length = Fraction(series.offset), series.length
     W = mp.prec + _CUT_GUARD
@@ -236,23 +235,20 @@ def _evaluate(form: FormData, z, tol: mpf, label: str = "") -> Ball:
     shift = q if offset == 1 else _q_power(z, offset, W)
     x, x_offset = (math.isqrt(re * re + im * im) + 1 + r
                    for re, im, r in (q, shift))
-    zim = _to_mpf(z[1])
-    tail = _tail_bound(offset, length + 1, k, x, x_offset, W)
-    if tail > tol or tail == mp.inf:
-        raise PrecisionError(
-            f"{label}tail bound {mp.nstr(tail, 5)} at Im z = "
-            f"{mp.nstr(zim, 8)} exceeds the tolerance {mp.nstr(tol, 5)}")
-    thr = min(tol, mp.ldexp(1, -W))
+    height = QuadElem.of(z[1])
     # the growth bound covers exponents >= 1 only: no term below is dropped
     least = max(0, math.ceil(1 - offset))
-    n = _cut_estimate(k, float(offset), least, length, float(zim),
-                      float(mp.log(thr)))
+    n = _cut_estimate(k, float(offset), least, length, height, W)
     while n <= length:
-        cut = _tail_bound(offset, n, k, x, x_offset, W)
-        if cut <= thr:
-            tail = cut
+        tail = _tail_bound(offset, n, k, x, x_offset, W)
+        if tail <= mp.ldexp(1, -W):
             break
         n += 1
+    else:  # no cut within L, so every carried term is summed
+        tail = _tail_bound(offset, length + 1, k, x, x_offset, W)
+        if tail == mp.inf:
+            raise PrecisionError(
+                f"{label}no tail bound past L={length} at Im z = {height}")
     re, im, r = _mul(_horner(series.coeffs[:n], q, W), shift, W)
     # the bound at the cut joins the radius, rounded up to whole ulps
     return re, im, r + to_int(mpf_shift(tail._mpf_, W), round_ceiling)
@@ -353,8 +349,7 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
         raise ConfigurationError(
             f"point has imaginary part {y} below the floor {cfg.y_min}")
     with mp.workprec(cfg.precision):
-        return _result(_evaluate(form, (x, y), _to_mpf(cfg.tolerance)),
-                       mp.prec + _CUT_GUARD)
+        return _result(_evaluate(form, (x, y)), mp.prec + _CUT_GUARD)
 
 
 @dataclass
@@ -410,8 +405,7 @@ def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
                 f"below y_min={cfg.y_min}")
         point = (xi, yi)
         if point not in memo.values:
-            memo.values[point] = _evaluate(
-                form, point, _to_mpf(cfg.tolerance), label)
+            memo.values[point] = _evaluate(form, point, label)
         stroke = memo.strokes[key] = (
             _automorphy(form.weight, det, den, cy), memo.values[point])
     return stroke
@@ -461,14 +455,16 @@ def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
     return items
 
 
-def _residual(form: FormData, congruence: Congruence,
-              cfg: EvalConfig, memo: _Memo) -> mpf:
+def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
+              memo: _Memo, tol: Optional[Fraction] = None) -> mpf:
     """A certified bound on the max over the sample points of
     |f|lhs - f|rhs|: the configured points, or with ``points=None`` those
     the point search picks above y_min.  At each point it is |sum of the
     terms' midpoints|, rounded up, plus the sum of their radii, a multiple
     of 2^-W.  Terms whose instantiated scalar is zero drop out; every other
-    image is audited against y_min before f is evaluated there."""
+    image is audited against y_min before f is evaluated there.  Radii that
+    alone reach a tolerance ``tol`` at a point raise ``PrecisionError``,
+    naming them, ``tol`` and the lowest exact image height."""
     label, y_min = congruence.id, cfg.y_min
     points = cfg.points
     if points is None:
@@ -484,7 +480,7 @@ def _residual(form: FormData, congruence: Congruence,
         if not scalar.is_zero:
             terms.append((mat, sign * scalar))
     W = mp.prec + _CUT_GUARD
-    worst = 0
+    worst = widest = 0
     for x, y in points:
         re = im = radius = 0
         for mat, scalar in terms:
@@ -494,16 +490,33 @@ def _residual(form: FormData, congruence: Congruence,
         # ceil(|midpoint|), from the integer square root
         norm = re * re + im * im
         worst = max(worst, (math.isqrt(norm - 1) + 1 if norm else 0) + radius)
+        widest = max(widest, radius)
+    if tol is not None and widest >= tol * (1 << W):
+        height = _lowest_height(points, [mat for mat, _ in terms], memo, None)
+        with mp.workprec(53):  # 5 digits of each, whatever prec is
+            raise PrecisionError(
+                f"{label}: ball radius {mp.nstr(mp.ldexp(widest, -W), 5)} is "
+                f"not below the tolerance {mp.nstr(_to_mpf(tol), 5)}; the "
+                f"points and their images reach down to Im = {height}")
     return mp.make_mpf(from_man_exp(worst, -W))
 
 
-def _residuals(form: FormData, congruences, cfg: EvalConfig) -> List[mpf]:
+def _residuals(form: FormData, congruences, cfg: EvalConfig,
+               tol: Optional[Fraction] = None) -> List[mpf]:
     """``_residual`` of each congruence, at one working precision and with
-    one memo of images, chosen points and f values."""
+    one memo of images, chosen points and f values.  A ``PrecisionError``
+    waits until every congruence is tried: a ``ConfigurationError``, which
+    no precision or L mends, comes first."""
     with mp.workprec(cfg.precision):
-        memo = _Memo()
-        return [_residual(form, congruence, cfg, memo)
-                for congruence in congruences]
+        memo, residuals, undecided = _Memo(), [], []
+        for congruence in congruences:
+            try:
+                residuals.append(_residual(form, congruence, cfg, memo, tol))
+            except PrecisionError as exc:
+                undecided.append(exc)
+        if undecided:
+            raise undecided[0]
+        return residuals
 
 
 def congruence_residual(form: FormData, congruence: Congruence,
@@ -700,37 +713,21 @@ def density_search(X, tol, bound: int) -> DensityResult:
 
 class CuspDecayVerdict(NamedTuple):
     ok: bool
-    failures: Tuple[Tuple[str, int], ...]
+    failures: Tuple[Tuple[str, object], ...]
 
 
-def cusp_decay_check(form: FormData,
-                     cfg: Optional[EvalConfig] = None) -> CuspDecayVerdict:
-    """Check |f(iy)| <= 2|a_1| e^{-2 pi y} for y in {2, 4, 8} and the same
-    for the inversion image: a height fails when the ball's midpoint
-    exceeds the limit, taken at W bits, by more than the radius.  The image
-    expansion is the carried sign times the expansion itself (that is what
-    the sign means; the relation is verified separately by the inversion
-    residual), so direct evaluation near 0 -- where no truncated series
-    could certify anything -- is never needed."""
-    cfg = cfg or DEFAULT_CONFIG
-    series = form.series
-    shift = 1 - Fraction(series.offset)
-    if shift.denominator == 1 and 0 <= shift <= series.length:
-        lead = series.coefficient(1)
-    else:
-        lead = series.coeffs[0]
-    failures: List[Tuple[str, int]] = []
-    with mp.workprec(cfg.precision):
-        W = mp.prec + _CUT_GUARD
-        for yv in (2, 4, 8):
-            value, radius = _result(_evaluate(form, (0, yv), mp.inf), W)
-            with mp.workprec(W):
-                limit = 2 * abs(_to_mpf(lead)) * exp(-2 * pi * yv)
-                failed = abs(value) > limit + radius
-            if failed:
-                # the 0-cusp image is sign * f, and |sign| = 1
-                failures += [("infinity", yv), ("zero", yv)]
-    return CuspDecayVerdict(not failures, tuple(failures))
+def cusp_decay_check(form: FormData) -> CuspDecayVerdict:
+    """Decide exactly, evaluating nothing, that f vanishes at both cusps.
+    At infinity it does exactly when no carried coefficient at an exponent
+    <= 0 is nonzero: the other terms vanish as Im z grows, and past L the
+    growth bound |a_n| <= n^k that ``FormData`` checks bounds the rest.  At
+    0, f|H = eps f with |eps| = 1, which ax:H tests, so both cusps fail
+    together, each named with the first such exponent."""
+    # the exponents rise, so the first nonzero coefficient decides
+    lead = next((form.series.offset + j
+                 for j, c in enumerate(form.series.coeffs) if c), 1)
+    failures = () if lead > 0 else (("infinity", lead), ("zero", lead))
+    return CuspDecayVerdict(not failures, failures)
 
 
 # -- the battery -----------------------------------------------------------------
@@ -788,12 +785,12 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                   residual_tol: Fraction = Fraction(1, 10 ** 15),
                   ) -> FormcheckReport:
     """Full numeric battery: stroke residuals for the context axioms and
-    the certificate's headline congruences, the Hecke recursion at p = 2
-    and 3 (which settles the stroke identity too), and cusp decay.  Forms
-    whose expansion does not start at exponent 1 are rejected, and so are
-    levels divisible by 2 or 3: ax:T2 and ax:T3 are the Hecke operators
-    for p prime to the level, which a genuine eigenform there need not
-    satisfy."""
+    the certificate's headline congruences, judged by ``residual_tol`` as
+    the module docstring says, the Hecke recursion at p = 2 and 3 (which
+    settles the stroke identity too), and cusp decay.  Forms whose
+    expansion does not start at exponent 1 are rejected, and so are levels
+    divisible by 2 or 3: ax:T2 and ax:T3 are the Hecke operators for p
+    prime to the level, which a genuine eigenform there need not satisfy."""
     if Fraction(form.series.offset) != 1:
         raise ValueError(
             f"the battery needs an expansion with leading exponent 1, "
@@ -805,14 +802,15 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                 f"ax:T{p} is the Hecke relation of T_{p}, which holds only at "
                 f"levels prime to {p}")
     cfg = cfg or _battery_config(form.level)
+    tol = Fraction(residual_tol)
     battery = _battery(form)
-    residuals = _residuals(form, battery, cfg)
+    residuals = _residuals(form, battery, cfg, tol)
     rows: List[Tuple] = []
     ok = True
     for congruence, residual in zip(battery, residuals):
         # a residual is a dyadic rational, so it compares exactly
         man, exp2 = residual.man_exp
-        passed = Fraction(man) * Fraction(2) ** exp2 < Fraction(residual_tol)
+        passed = Fraction(man) * Fraction(2) ** exp2 < tol
         ok = ok and passed
         rows.append(("CONG", congruence.id, residual, passed))
     for p in (2, 3):
@@ -820,7 +818,7 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                           form.series.coefficient(p))
         ok = ok and rec.ok
         rows.append(("HECKE", p, rec.ok))
-    decay = cusp_decay_check(form, cfg)
+    decay = cusp_decay_check(form)
     ok = ok and decay.ok
     rows.append(("CUSP", decay.ok))
     return FormcheckReport(tuple(rows), ok, max(residuals))

@@ -237,12 +237,15 @@ class TestFormcheck:
 
     def test_short_expansion_names_congruence_and_tail_bound(self, capsys,
                                                              tmp_path):
+        # at L=40 the bound past L alone makes S3's radius reach --tol:
+        # a budget error, not a verdict
         path = tmp_path / "delta40.txt"
         path.write_text(delta_file_text(length=40))
         code, out, err = run_cli(capsys, "formcheck", str(path))
         assert (code, out) == (2, "")
-        assert re.fullmatch(r"[\w:.]+: tail bound \S+ at Im z = \S+ exceeds "
-                            r"the tolerance 1\.0e-20\n", err), err
+        assert re.fullmatch(r"S3: ball radius \d\.\d+e-7 is not below the "
+                            r"tolerance 1\.0e-15; the points and their images "
+                            r"reach down to Im = 9/40\n", err), err
 
     def test_small_tolerance_is_kept_exactly(self, capsys, tmp_path):
         # far below 1e-30 the tolerance must still be kept, not rounded to 0
@@ -252,6 +255,12 @@ class TestFormcheck:
                                  "--tol", "1e-50")
         assert code == 0
         assert out.strip().splitlines()[-1] == "FORMCHECK OK"
+        # below every radius at 256 bits nothing can pass: a budget error,
+        # naming the tolerance that float() would print as 0
+        code, out, err = run_cli(capsys, "formcheck", str(path),
+                                 "--tol", "1e-400")
+        assert (code, out) == (2, "")
+        assert "not below the tolerance 1.0e-400;" in err, err
 
     def test_coefficients_beyond_growth_bound_are_usage_error(self, capsys,
                                                               tmp_path):

@@ -41,6 +41,7 @@ from gamma13.numeric import (
     lambda_compute,
     lambda_rational_exclusion,
     _battery,
+    _battery_config,
     _chosen_points,
     _least_in_window,
     run_formcheck,
@@ -98,9 +99,11 @@ class TestEvalForm:
             eval_form(delta_form(), (0, Fraction(1, 10)))
 
     def test_unboundable_tail_raises(self):
+        # rho x >= 1 at M = L + 2: no tail bound exists, so no ball does
         short = FormData(eta_product([(1, 24)], 20), weight=12, level=1, sign=1)
         with pytest.raises(PrecisionError):
-            eval_form(short, (0, Fraction(3, 20)))
+            eval_form(short, (0, Fraction(1, 100)),
+                      EvalConfig(y_min=Fraction(1, 100)))
 
     def test_tail_bound_is_reported(self):
         # the radius holds the tail bound at the cut
@@ -108,18 +111,18 @@ class TestEvalForm:
         assert 0 < result.radius < mpf(10) ** -40
 
     def test_every_tail_failure_has_one_message(self):
+        # the height is printed exactly, not rounded to the working precision
         short = FormData(eta_product([(1, 24)], 20), weight=12, level=1, sign=1)
-        low = EvalConfig(y_min=Fraction(1, 100))
-        with pytest.raises(PrecisionError, match=r"^tail bound \S+ at Im z = "
-                           r"0\.5 exceeds the tolerance 1\.0e-20$"):
-            eval_form(short, (0, Fraction(1, 2)), low)
-        # so low that rho x >= 1 and no bound exists at all
-        with pytest.raises(PrecisionError, match=r"^tail bound \+inf at Im z = "
-                           r"0\.01 exceeds the tolerance 1\.0e-20$"):
-            eval_form(short, (0, Fraction(1, 100)), low)
-        with pytest.raises(PrecisionError, match=r"^ax:T2: tail bound \S+ at "
-                           r"Im z = \S+ exceeds the tolerance 1\.0e-20$"):
-            congruence_residual(short, f_context(1).axiom("ax:T2"))
+        for prec in (1, 2, 256):
+            low = EvalConfig(precision=prec, y_min=Fraction(1, 1000))
+            with pytest.raises(PrecisionError, match=r"^no tail bound past "
+                               r"L=20 at Im z = 1/100$"):
+                eval_form(short, (0, Fraction(1, 100)), low)
+            fixed = EvalConfig(precision=prec, y_min=Fraction(1, 1000),
+                               points=((0, Fraction(1, 100)),))
+            with pytest.raises(PrecisionError, match=r"^ax:T2: no tail bound "
+                               r"past L=20 at Im z = 1/\d+$"):
+                congruence_residual(short, f_context(1).axiom("ax:T2"), fixed)
 
 
 def full_horner(form, z):
@@ -164,6 +167,25 @@ class TestBall:
                 with mp.workprec(2 * prec + 64):
                     reference = full_horner(form, z)
                     assert abs(result.value - reference) <= result.radius
+
+    @pytest.mark.parametrize("prec", [1, 53, 256])
+    @pytest.mark.parametrize("length", [20, 40])
+    def test_ball_contains_the_sum_of_a_short_expansion(self, length, prec):
+        # where the cut is not reached every carried term is summed, and the
+        # bound past L, however large, joins the radius
+        form = delta_form(length)
+        rng = random.Random(length * 1000 + prec)
+        cfg = EvalConfig(precision=prec)
+        for y in (Fraction(3, 20), Fraction(1, 5), Fraction(3, 10),
+                  Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            z = (Fraction(rng.randint(-50, 50), 40), y)
+            result = eval_form(form, z, cfg)
+            with mp.workprec(2 * prec + 64):
+                reference = full_horner(form, z)
+                assert abs(result.value - reference) <= result.radius, z
+                past = bound_past(form, mpf(length + 2),
+                                  _to_mpf(QuadElem.of(y)))
+                assert result.radius >= past, z
 
 
 def bound_past(form, M, y):
@@ -228,8 +250,7 @@ class TestTruncationCut:
 
 
 class TestStroke:
-    COCYCLE_CFG = EvalConfig(y_min=Fraction(1, 200),
-                             tolerance=Fraction(1, 10 ** 25))
+    COCYCLE_CFG = EvalConfig(y_min=Fraction(1, 200))
     I = (Fraction(0), Fraction(1))
 
     def form(self):
@@ -566,16 +587,26 @@ class TestCuspDecay:
         const = FormData(QSeries(0, [1] + [0] * 40), weight=12, level=1, sign=1)
         verdict = cusp_decay_check(const)
         assert not verdict.ok
-        assert ("infinity", 2) in verdict.failures
+        assert ("infinity", 0) in verdict.failures
 
     def test_failures_name_both_cusps_per_height(self):
-        # the 0-cusp image is sign * f with |sign| = 1, so the two always agree
+        # f|H = sign * f with |sign| = 1, so the two cusps always agree, and
+        # each names the first exponent <= 0 with a nonzero coefficient
         for sign in (1, -1):
             const = FormData(QSeries(0, [1] + [0] * 40), weight=12, level=1,
                              sign=sign)
             assert cusp_decay_check(const).failures == (
-                ("infinity", 2), ("zero", 2), ("infinity", 4), ("zero", 4),
-                ("infinity", 8), ("zero", 8))
+                ("infinity", 0), ("zero", 0))
+            pole = FormData(QSeries(-2, [0, 3, 0, 1] + [0] * 40), weight=12,
+                            level=1, sign=sign)
+            assert cusp_decay_check(pole).failures == (
+                ("infinity", -1), ("zero", -1))
+
+    def test_cusp_check_evaluates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the cusp check evaluated f")
+        monkeypatch.setattr(numeric, "_evaluate", refuse)
+        assert cusp_decay_check(delta_form()).ok
 
     def test_zero_series_passes(self):
         zero = FormData(QSeries(1, [0] * 40), weight=12, level=1, sign=1)
@@ -642,7 +673,8 @@ class TestFormcheck:
 
     def test_battery_work_stays_at_its_floor(self, monkeypatch):
         # a stroke factor per (class, point) instead of per stroke (116);
-        # f once per image point and cusp height; Horner cut at the tail
+        # f once per image point and none for the cusps; Horner cut at the
+        # tail
         calls = {"_automorphy": [], "_evaluate": [], "_horner": []}
         for name in calls:
             def counted(*args, name=name, original=getattr(numeric, name)):
@@ -651,8 +683,24 @@ class TestFormcheck:
             monkeypatch.setattr(numeric, name, counted)
         assert run_formcheck(delta_form()).ok
         assert len(calls["_automorphy"]) <= 62
-        assert len(calls["_evaluate"]) == 59
-        assert sum(len(coeffs) for coeffs, *_ in calls["_horner"]) == 4482
+        assert len(calls["_evaluate"]) == 56
+        assert sum(len(coeffs) for coeffs, *_ in calls["_horner"]) == 4452
+
+    def test_radius_at_the_tolerance_is_a_budget_error(self):
+        # at 20 bits the balls are too wide to decide anything at 1e-15
+        with pytest.raises(PrecisionError, match=r"^ax:P: ball radius \S+ is "
+                           r"not below the tolerance 1\.0e-15; the points and "
+                           r"their images reach down to Im = 9/10$"):
+            run_formcheck(delta_form(), _battery_config(1, 20))
+
+    def test_configuration_error_comes_before_a_budget_error(self):
+        # at 20 bits ax:P reaches 1e-15 first, but at N = 29 no points keep
+        # W's images above 1/52, and no precision or L mends that
+        form = FormData(eta_product([(1, 24)], 512), weight=12, level=29,
+                        sign=1)
+        with pytest.raises(ConfigurationError, match=r"^no candidate points "
+                           r"keep all images of W above"):
+            run_formcheck(form, _battery_config(29, 20))
 
     @pytest.mark.parametrize("level", [1, 7, 13])
     def test_battery_has_delta2_exactly_where_the_builder_makes_it(self, level):

@@ -4,9 +4,11 @@
     PYTHONPATH=src python3 tools/numeric_digest.py [FILE ...]
 
 For each coefficient file (the format ``gamma13 eta`` writes) it prints
-every ``run_formcheck`` row, ``certificate_residual_sweep`` over the f
-certificate of the file's level, ``eval_form`` (value and radius) and
-``stroke_value`` at the same exact point, and ``cusp_decay_check``.  It ends with
+every ``run_formcheck`` row (or its budget error),
+``certificate_residual_sweep`` over the f certificate of the file's level,
+``eval_form`` (value and radius) and ``stroke_value`` at the same exact
+point, and ``cusp_decay_check``, which decides exactly from the carried
+exponents and evaluates nothing.  It ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
 ``FRICKE_POINTS_13`` for eps = -1 and +1, then with ``density_search``
 on each request in ``DENSITY_REQUESTS`` as ``(m, n, error)``, and then
