@@ -186,7 +186,11 @@ def cmd_eta(args: argparse.Namespace) -> int:
         coefficient_file_offset(offset)
     except ValueError as exc:
         return _fail(str(exc))
-    series = eta_product(pairs, args.length)
+    try:
+        series = eta_product(pairs, args.length)
+    except (MemoryError, OverflowError):  # no list of L + 1 entries fits
+        return _usage(f"bad eta product request: truncation length "
+                      f"{args.length} is too large")
     level = max((m for m, r in pairs if r != 0), default=1)
     print(format_coefficient_file(series, int(weight), level, 1), end="")
     return PASS

@@ -30,7 +30,11 @@ ball, as in Arb (Brent-Zimmermann, Modern Computer Arithmetic, section 3):
 a midpoint re + i im and a radius r, three Python ints in units of 2^-W.
 mpmath's ``iv`` encloses q (and q^offset) at W + 16 bits from the exact
 point; a Horner step truncates the product's parts and sets
-r = ((|acc|_1 dq + r (|q|_1 + dq)) >> W) + 3, dq the radius of q.  The
+r = ((|acc|_1 dq + r (|q| + dq)) >> W) + 3, dq the radius of q and |q|
+bounded by isqrt(qr^2 + qi^2) + 1, the Euclidean norm of its midpoint
+rounded up: rigorous because the ball is a disk, and below 1 with |q|,
+so the radius does not compound over the steps as it would under
+|qr| + |qi|, which exceeds 1 wherever |q| > 1/sqrt 2.  The
 tail bound, from upper bounds on |q| and |q^offset| rounded up, joins r,
 so the ball holds f(z) even where the cut is not reached.  Stroke factors
 times instantiated scalars are exact in Q(sqrt 13) and rounded once; a
@@ -249,7 +253,7 @@ def _evaluate(form: FormData, z, label: str = "") -> Ball:
         if tail == mp.inf:
             raise PrecisionError(
                 f"{label}no tail bound past L={length} at Im z = {height}")
-    re, im, r = _mul(_horner(series.coeffs[:n], q, W), shift, W)
+    re, im, r = _mul(_horner(series.coeffs[:n], q, x, W), shift, W)
     # the bound at the cut joins the radius, rounded up to whole ulps
     return re, im, r + to_int(mpf_shift(tail._mpf_, W), round_ceiling)
 
@@ -266,13 +270,15 @@ def _mul(a: Ball, b: Ball, W: int) -> Ball:
              + 3))
 
 
-def _horner(coeffs, q: Ball, W: int) -> Ball:
+def _horner(coeffs, q: Ball, qn: int, W: int) -> Ball:
     """sum_j coeffs[j] q^j by Horner's rule on balls at scale 2^-W: each
     step is ``_mul`` by q, written out because the call costs about a fifth
-    of the step, then the coefficient, exact when it is an int and floored,
-    with one more ulp, when it is a fraction."""
+    of the step, except that |q| + dq is ``qn``, the Euclidean bound
+    isqrt(qr^2 + qi^2) + 1 + dq that ``_evaluate`` also bounds the tail
+    with: r = ((|acc|_1 dq + r qn) >> W) + 3.  Then the coefficient, exact
+    when it is an int and floored, with one more ulp, when it is a
+    fraction."""
     qr, qi, dq = q
-    qn = abs(qr) + abs(qi) + dq
     re = im = r = 0
     for c in reversed(coeffs):
         re, im, r = ((re * qr - im * qi) >> W, (re * qi + im * qr) >> W,

@@ -8,9 +8,13 @@ product depends only on input coefficients <= i.  Every product is one
 big-integer multiplication (Kronecker substitution): each factor's
 coefficients, as integers over a common denominator, are packed into the
 byte-aligned slots of one ``int``, and the low slots of the integer
-product are the product's coefficients.  Eta products expand the Euler
-function by the pentagonal-number series, invert it for a negative
-exponent, and raise it to the exponent's size by binary powering.
+product are the product's coefficients.  An eta product expands each
+factor eta(m z)^r as eta(z)^r to L // m terms, placed on the exponents
+0, m, 2m, ... of the length-L series.  With |r| = 2^s t and t odd, it
+raises eta^t as (eta^3)^(t // 3) eta^(t % 3), eta^3 from Jacobi's sparse
+series sum (-1)^n (2n+1) q^{n(n+1)/2} and eta from Euler's
+pentagonal-number series, each inverted while still sparse when r < 0,
+and squares the result s times.
 
 A ``FormData`` is a series with its weight, level and inversion sign.
 Building one checks all three and the growth bound |a_n| <= n^k on every
@@ -203,23 +207,50 @@ class QSeries:
         return QSeries._of_exact(-Fraction(self.offset), out)
 
 
-def _euler_function(multiplier: int, L: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{multiplier*n}) truncated at q^L, via the
-    pentagonal-number series."""
-    coeffs: List[Exact] = [0] * (L + 1)
+def _euler_function(L: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n) truncated at q^L, by Euler's pentagonal-number
+    series sum_k (-1)^k q^{k(3k-1)/2} over all integers k."""
+    coeffs = [0] * (L + 1)
     coeffs[0] = 1
     k = 1
-    while True:
-        hit = False
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            e = multiplier * g
-            if e <= L:
-                coeffs[e] += (-1) ** k
-                hit = True
-        if not hit:
-            break
+    while k * (3 * k - 1) // 2 <= L:
+        sign = -1 if k & 1 else 1
+        coeffs[k * (3 * k - 1) // 2] = sign
+        if k * (3 * k + 1) // 2 <= L:
+            coeffs[k * (3 * k + 1) // 2] = sign
         k += 1
-    return QSeries(0, coeffs)
+    return QSeries._of_exact(0, coeffs)
+
+
+def _euler_cube(L: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n)^3 truncated at q^L, by Jacobi's identity
+    sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2} (Hardy-Wright, Thm 357)."""
+    coeffs = [0] * (L + 1)
+    n = 0
+    while n * (n + 1) // 2 <= L:
+        coeffs[n * (n + 1) // 2] = -(2 * n + 1) if n & 1 else 2 * n + 1
+        n += 1
+    return QSeries._of_exact(0, coeffs)
+
+
+def _euler_power(r: int, L: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n)^r truncated at q^L, for r != 0.  With
+    |r| = 2^s t and t odd, the t-th power is the Jacobi cube to the power
+    t // 3 times the pentagonal series to the power t % 3, each sparse base
+    inverted before powering when r < 0; s squarings follow, so the widest
+    products are squarings, which cost less than general products."""
+    s = (r & -r).bit_length() - 1
+    acc = None
+    for base, e in zip((_euler_cube, _euler_function), divmod(abs(r) >> s, 3)):
+        if e:
+            factor = base(L)
+            if r < 0:
+                factor = factor.invert()
+            factor = factor ** e
+            acc = factor if acc is None else acc * factor
+    for _ in range(s):
+        acc = acc * acc
+    return acc
 
 
 def eta_offset(factors: Sequence[Tuple[int, int]]) -> Fraction:
@@ -234,9 +265,11 @@ def eta_offset(factors: Sequence[Tuple[int, int]]) -> Fraction:
 
 def eta_product(factors: Sequence[Tuple[int, int]], L: int) -> QSeries:
     """The product of eta(m z)^r over the given (m, r) pairs, expanded
-    exactly to truncation length L.  The leading exponent is the exact
-    rational sum(m*r)/24; callers that need an integer exponent must
-    check the offset themselves."""
+    exactly to truncation length L.  Each eta(m z)^r is eta(z)^r expanded
+    to L // m terms, through Jacobi's cube and squarings, and spread onto
+    the multiples of m.  The leading exponent is the exact rational
+    sum(m*r)/24; callers that need an integer exponent must check the
+    offset themselves."""
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
     offset = eta_offset(factors)
@@ -248,11 +281,10 @@ def eta_product(factors: Sequence[Tuple[int, int]], L: int) -> QSeries:
         r = net[m]
         if r == 0:
             continue
-        factor = _euler_function(m, L)
-        if r < 0:
-            # invert while the pentagonal series is still sparse
-            factor = factor.invert()
-        factor = factor ** abs(r)
+        # eta(m z)^r carries q^{mj} only: expand to L // m terms and spread
+        coeffs = [0] * (L + 1)
+        coeffs[::m] = _euler_power(r, L // m).coeffs
+        factor = QSeries._of_exact(0, coeffs)
         acc = factor if acc is None else acc * factor
     return QSeries._of_exact(offset,
                              [1] + [0] * L if acc is None else acc.coeffs)

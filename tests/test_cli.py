@@ -510,6 +510,17 @@ class TestEta:
         code, out, err = run_cli(capsys, "eta", "0:2", "32")
         assert code == 2
 
+    # 2^62 entries overflow the size a list may ask for (MemoryError) and
+    # 2^63 does not fit an index (OverflowError): both are refused before
+    # any memory is allocated, so no test may use a length in between
+    @pytest.mark.parametrize("length", ["4611686018427387904",
+                                        "9223372036854775808"])
+    def test_huge_length_is_a_usage_error(self, capsys, length):
+        code, out, err = run_cli(capsys, "eta", "1:24", length)
+        assert (code, out) == (2, "")
+        assert err == (f"bad eta product request: truncation length "
+                       f"{length} is too large\n")
+
 
 def run_child(*args):
     # the child imports the same package as this process, installed or not

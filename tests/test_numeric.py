@@ -702,6 +702,17 @@ class TestFormcheck:
                            r"keep all images of W above"):
             run_formcheck(form, _battery_config(29, 20))
 
+    def test_level_eleven_newform_passes_below_the_default_floor(self):
+        # 11.2.a.a = eta(z)^2 eta(11z)^2, a Fricke eigenform with eps = -1:
+        # H4's images reach Im = 15/484 there, where |q| > 1/sqrt 2, and a
+        # radius grown by |Re q| + |Im q| per Horner step reached 9.8e-14
+        form = FormData(eta_product([(1, 2), (11, 2)], 1200), weight=2,
+                        level=11, sign=-1)
+        report = run_formcheck(form, EvalConfig(points=None,
+                                                y_min=Fraction(1, 80)))
+        assert report.ok, report.lines()
+        assert report.lines()[-1] == "FORMCHECK OK"
+
     @pytest.mark.parametrize("level", [1, 7, 13])
     def test_battery_has_delta2_exactly_where_the_builder_makes_it(self, level):
         form = FormData(QSeries(1, [1, 0] * 20), weight=12, level=level, sign=1)

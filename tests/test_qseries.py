@@ -16,6 +16,9 @@ import pytest
 from gamma13.qseries import (
     FormData,
     QSeries,
+    _euler_cube,
+    _euler_function,
+    eta_offset,
     eta_product,
     format_coefficient_file,
     hecke_check,
@@ -278,6 +281,43 @@ class TestEtaProduct:
     def test_rejects_bad_multiplier(self):
         with pytest.raises(ValueError):
             eta_product([(0, 2)], 8)
+
+
+def reference_eta_product(factors, L):
+    """The product of eta(m z)^r the long way: for each (m, r), the
+    full-length pentagonal series of prod (1 - q^{mn}), inverted when
+    r < 0, raised to |r| by repeated multiplication, then multiplied in."""
+    acc = QSeries(0, [1] + [0] * L)
+    for m, r in factors:
+        euler = [0] * (L + 1)
+        euler[0] = 1
+        for k in range(1, L + 1):
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if m * g <= L:
+                    euler[m * g] += (-1) ** k
+        base = QSeries(0, euler)
+        if r < 0:
+            base = base.invert()
+        for _ in range(abs(r)):
+            acc = acc * base
+    return QSeries(eta_offset(factors), acc.coeffs)
+
+
+class TestEtaFloor:
+    """The expansion of each eta(m z)^r to L // m terms, raised through
+    Jacobi's cube and squarings, against the full-length pentagonal
+    reference; r covers every residue mod 3 and 2^s for s <= 3."""
+
+    def test_jacobi_series_is_the_pentagonal_cube(self):
+        L = 600
+        assert _euler_cube(L) == _euler_function(L) ** 3
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 13])
+    @pytest.mark.parametrize("r", [*range(-7, 0), *range(1, 9), 24])
+    def test_matches_full_length_reference(self, m, r):
+        for L in sorted({0, 1, m - 1, m, 97, 300}):
+            assert eta_product([(m, r)], L) == \
+                reference_eta_product([(m, r)], L), (m, r, L)
 
 
 def reference_failures(series, p, k, ap, stroke):
