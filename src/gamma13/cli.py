@@ -82,8 +82,7 @@ def _positive_number(text: str, name: str) -> Fraction:
 
 
 def cmd_formcheck(args: argparse.Namespace) -> int:
-    from .numeric import (ConfigurationError, PrecisionError, _battery_config,
-                          run_formcheck)
+    from .numeric import EvalConfig, PrecisionError, run_formcheck
     from .qseries import parse_coefficient_file
     try:
         with open(args.path, encoding="utf-8") as handle:
@@ -100,9 +99,9 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
         return _usage(f"--prec must be at least 1 bit, got {args.prec}")
     try:
         tol = _positive_number(args.tol, "--tol")
-        report = run_formcheck(form, _battery_config(form.level, args.prec),
-                               residual_tol=tol)
-    except (ValueError, ConfigurationError, PrecisionError) as exc:
+        cfg = EvalConfig(precision=args.prec, points=None)
+        report = run_formcheck(form, cfg, residual_tol=tol)
+    except (ValueError, PrecisionError) as exc:
         return _usage(str(exc))
     print("\n".join(report.lines()))
     return PASS if report.ok else FAIL

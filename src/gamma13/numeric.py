@@ -3,8 +3,9 @@
 Evaluation is midpoint-radius ball arithmetic at a configured precision,
 but everything that decides *where* to evaluate is exact: every point is
 an exact pair (x, y), images under matrix classes are computed in
-Q(sqrt 13), and the minimum-imaginary-part audit compares field elements
-by exact sign.  No point is ever given or computed as a complex float.
+Q(sqrt 13), and the point search compares their heights by exact sign.
+No point is ever given or computed as a complex float, and no floor
+bounds how low an image may lie: the ball radius decides, as below.
 
 One private evaluator, ``_evaluate``, is the only code that sums a
 truncated expansion (by Horner's rule) and bounds what the truncation
@@ -48,8 +49,7 @@ Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
 M for even k, so any representative of a projective class may be used.
 One private helper, ``_stroke``, computes every stroke: ``stroke_value``
-and each residual term take the exact image, its audit and the factor
-from it.
+and each residual term take the exact image and the factor from it.
 The symbols in a congruence are instantiated from the form: the Hecke
 scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
 
@@ -62,7 +62,7 @@ since only a strictly higher score wins, so the choice is that of the full
 search.  One battery (one ``_residuals`` call) keeps a memo of the exact
 image of each (class, point), shared by the search and ``_stroke``, of the
 exact automorphy factor and f value of each (class, point) that ``_stroke``
-audited, of the points chosen for each set of classes, which congruences
+took, of the points chosen for each set of classes, which congruences
 on the same classes reuse, and of f at each image point.  The memo dies
 with the call.
 
@@ -98,7 +98,8 @@ from .qseries import FormData, hecke_check
 
 
 class ConfigurationError(ValueError):
-    """A sample point or an image point violates the evaluation config."""
+    """``suggest_points`` finds no candidate points above the floor asked
+    for."""
 
 
 class PrecisionError(ArithmeticError):
@@ -138,7 +139,6 @@ class EvalConfig:
 
     precision: int = 256
     points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = DEFAULT_POINTS
-    y_min: Fraction = Fraction(3, 20)
 
     def __post_init__(self) -> None:
         if self.points is not None:
@@ -149,9 +149,6 @@ class EvalConfig:
             if any(y <= 0 for _, y in pts):
                 raise ValueError("sample points must lie in the upper half-plane")
             object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "y_min", Fraction(self.y_min))
-        if self.y_min <= 0:
-            raise ValueError("y_min must be positive")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -345,15 +342,21 @@ def _result(ball: Ball, W: int) -> EvalResult:
         mp.make_mpf(from_man_exp(r, -W)))
 
 
+def _upper(z):
+    """The exact point z = (x, y), or ``ValueError`` naming it unless
+    Im z = y > 0."""
+    x, y = z
+    if QuadElem.of(y).sign() <= 0:
+        raise ValueError(f"point ({x}, {y}) is not in the upper half-plane")
+    return x, y
+
+
 def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
     """Evaluate the truncated expansion at the exact point z = (x, y) of the
     upper half-plane, returning the midpoint of the ball with its radius,
     which bounds |f(z) - value|."""
     cfg = cfg or DEFAULT_CONFIG
-    x, y = z
-    if (QuadElem.of(y) - cfg.y_min).sign() < 0:
-        raise ConfigurationError(
-            f"point has imaginary part {y} below the floor {cfg.y_min}")
+    x, y = _upper(z)
     with mp.workprec(cfg.precision):
         return _result(_evaluate(form, (x, y)), mp.prec + _CUT_GUARD)
 
@@ -362,10 +365,10 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
 class _Memo:
     """What one battery computes once and reuses: f at each image point
     (``values``), the exact image of each (class, point) (``images``), the
-    exact automorphy factor and f value of each audited (class, point)
-    (``strokes``), and the points the search chose for each set of classes
-    (``points``).  It lives for one call, so nothing carries over between
-    calls."""
+    exact automorphy factor and f value of each (class, point) that
+    ``_stroke`` took (``strokes``), and the points the search chose for each
+    set of classes (``points``).  It lives for one call, so nothing carries
+    over between calls."""
 
     values: Dict = field(default_factory=dict)
     images: Dict = field(default_factory=dict)
@@ -394,21 +397,17 @@ def _automorphy(k: int, det: QuadElem, den: QuadElem,
     return re * scale, im * scale
 
 
-def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
-            memo: _Memo, label: str = "") -> Tuple[Tuple, Ball]:
+def _stroke(form: FormData, mat: ProjMat, x, y, memo: _Memo,
+            label: str = "") -> Tuple[Tuple, Ball]:
     """The exact automorphy factor det^{k/2} (cz+d)^{-k} of the class at the
-    exact point x + iy, and the ball of f at the image.  The image is
-    computed and audited against y_min exactly; ``memo`` keeps the factor
+    exact point x + iy, and the ball of f at the image, which lies in the
+    upper half-plane with x + iy since det > 0.  ``memo`` keeps the factor
     and value of each (class, point) and f at each image point, so each is
     computed once.  ``label`` prefixes error messages."""
     key = (mat, x, y)
     stroke = memo.strokes.get(key)
     if stroke is None:
         xi, yi, den, cy, det = _image(memo, mat, x, y)
-        if (yi - cfg.y_min).sign() < 0:
-            raise ConfigurationError(
-                f"{label}image of ({x}, {y}) under {mat} has imaginary part "
-                f"below y_min={cfg.y_min}")
         point = (xi, yi)
         if point not in memo.values:
             memo.values[point] = _evaluate(form, point, label)
@@ -420,14 +419,14 @@ def _stroke(form: FormData, mat: ProjMat, x, y, cfg: EvalConfig,
 def stroke_value(form: FormData, matrix, z,
                  cfg: Optional[EvalConfig] = None) -> mpc:
     """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz) at the exact point
-    z = (x, y), through the same exact image and audit as every residual;
-    requires positive determinant."""
+    z = (x, y) of the upper half-plane, through the same exact image as
+    every residual; requires positive determinant."""
     cfg = cfg or DEFAULT_CONFIG
-    x, y = z
+    x, y = _upper(z)
     mat = ProjMat.of(matrix)
     with mp.workprec(cfg.precision):
         W = mp.prec + _CUT_GUARD
-        factor, value = _stroke(form, mat, x, y, cfg, _Memo())
+        factor, value = _stroke(form, mat, x, y, _Memo())
         return _result(_term(QuadElem.of(1), factor, value, W), W).value
 
 
@@ -465,23 +464,23 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
               memo: _Memo, tol: Optional[Fraction] = None) -> mpf:
     """A certified bound on the max over the sample points of
     |f|lhs - f|rhs|: the configured points, or with ``points=None`` those
-    the point search picks above y_min.  At each point it is |sum of the
-    terms' midpoints|, rounded up, plus the sum of their radii, a multiple
-    of 2^-W.  Terms whose instantiated scalar is zero drop out; every other
-    image is audited against y_min before f is evaluated there.  Radii that
-    alone reach a tolerance ``tol`` at a point raise ``PrecisionError``,
-    naming them, ``tol`` and the lowest exact image height."""
-    label, y_min = congruence.id, cfg.y_min
+    the point search picks, however low their images lie; congruences on
+    the same set of classes share one search per memo.  At each point it is
+    |sum of the terms' midpoints|, rounded up, plus the sum of their radii,
+    a multiple of 2^-W.  Terms whose instantiated scalar is zero drop out.
+    Radii that alone reach a tolerance ``tol`` at a point raise
+    ``PrecisionError``, naming them, ``tol`` and the lowest exact image
+    height: the radius, not a floor, says where the points lie too low."""
+    label, signed = congruence.id, _signed_terms(congruence)
     points = cfg.points
     if points is None:
-        points = _chosen_points(congruence, y_min, memo)
-    for x, y in points:
-        if Fraction(y) < y_min:
-            raise ConfigurationError(
-                f"{label}: sample point ({x}, {y}) is below y_min={y_min}")
+        mats = frozenset(mat for _, mat, _ in signed)
+        if mats not in memo.points:
+            memo.points[mats] = _search_points(mats, memo)[1]
+        points = memo.points[mats]
     a2, a3 = _hecke_scalar(form, 2), _hecke_scalar(form, 3)
     terms = []
-    for sign, mat, poly in _signed_terms(congruence):
+    for sign, mat, poly in signed:
         scalar = poly.instantiate(a2, a3, form.sign)
         if not scalar.is_zero:
             terms.append((mat, sign * scalar))
@@ -490,7 +489,7 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
     for x, y in points:
         re = im = radius = 0
         for mat, scalar in terms:
-            factor, value = _stroke(form, mat, x, y, cfg, memo, f"{label}: ")
+            factor, value = _stroke(form, mat, x, y, memo, f"{label}: ")
             term_re, term_im, term_radius = _term(scalar, factor, value, W)
             re, im, radius = re + term_re, im + term_im, radius + term_radius
         # ceil(|midpoint|), from the integer square root
@@ -510,19 +509,12 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
 def _residuals(form: FormData, congruences, cfg: EvalConfig,
                tol: Optional[Fraction] = None) -> List[mpf]:
     """``_residual`` of each congruence, at one working precision and with
-    one memo of images, chosen points and f values.  A ``PrecisionError``
-    waits until every congruence is tried: a ``ConfigurationError``, which
-    no precision or L mends, comes first."""
+    one memo of images, chosen points and f values; the first congruence
+    that cannot be decided raises its ``PrecisionError``."""
     with mp.workprec(cfg.precision):
-        memo, residuals, undecided = _Memo(), [], []
-        for congruence in congruences:
-            try:
-                residuals.append(_residual(form, congruence, cfg, memo, tol))
-            except PrecisionError as exc:
-                undecided.append(exc)
-        if undecided:
-            raise undecided[0]
-        return residuals
+        memo = _Memo()
+        return [_residual(form, congruence, cfg, memo, tol)
+                for congruence in congruences]
 
 
 def congruence_residual(form: FormData, congruence: Congruence,
@@ -578,28 +570,19 @@ def _search_points(mats, memo: _Memo):
     return best, best_points
 
 
-def _chosen_points(congruence: Congruence, y_min,
-                   memo: _Memo) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """The searched points of the congruence, refused below y_min.
-    Congruences on the same set of classes share one search per memo."""
+def suggest_points(congruence: Congruence,
+                   y_min: Fraction = Fraction(3, 20),
+                   ) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """The two exact sample points that the battery's search picks for the
+    congruence, or ``ConfigurationError`` naming the height they reach when
+    some image of some class in it lies below y_min."""
     mats = frozenset(mat for _, mat, _ in _signed_terms(congruence))
-    if mats not in memo.points:
-        memo.points[mats] = _search_points(mats, memo)
-    best, points = memo.points[mats]
+    best, points = _search_points(mats, _Memo())
     if (best - y_min).sign() < 0:
         raise ConfigurationError(
             f"no candidate points keep all images of {congruence.id} above "
             f"y_min={y_min}; the best candidates reach Im = {best}")
     return points
-
-
-def suggest_points(congruence: Congruence,
-                   y_min: Fraction = Fraction(3, 20),
-                   ) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """Two exact sample points keeping every image of every class in the
-    congruence at imaginary part >= y_min, found by centering candidates
-    on the classes' isometric circles and auditing exactly."""
-    return _chosen_points(congruence, y_min, _Memo())
 
 
 # -- the stretch exponent and the power lattice ---------------------------------
@@ -779,20 +762,13 @@ def _battery(form: FormData) -> List[Congruence]:
                                        if i in by_id]
 
 
-def _battery_config(level: int,
-                    precision: int = DEFAULT_CONFIG.precision) -> EvalConfig:
-    """The battery's default config on a level: auto-tuned sample points
-    above the lowest image height the battery evaluates at."""
-    y_min = Fraction(3, 20) if level == 1 else Fraction(1, 52)
-    return EvalConfig(precision=precision, points=None, y_min=y_min)
-
-
 def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                   residual_tol: Fraction = Fraction(1, 10 ** 15),
                   ) -> FormcheckReport:
     """Full numeric battery: stroke residuals for the context axioms and
-    the certificate's headline congruences, judged by ``residual_tol`` as
-    the module docstring says, the Hecke recursion at p = 2 and 3 (which
+    the certificate's headline congruences, by default at the searched
+    points whatever height their images reach, judged by ``residual_tol``
+    as the module docstring says, the Hecke recursion at p = 2 and 3 (which
     settles the stroke identity too), and cusp decay.  Forms whose
     expansion does not start at exponent 1 are rejected, and so are levels
     divisible by 2 or 3: ax:T2 and ax:T3 are the Hecke operators for p
@@ -807,7 +783,7 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                 f"level {form.level} is divisible by {p}: the battery's "
                 f"ax:T{p} is the Hecke relation of T_{p}, which holds only at "
                 f"levels prime to {p}")
-    cfg = cfg or _battery_config(form.level)
+    cfg = cfg or EvalConfig(points=None)
     tol = Fraction(residual_tol)
     battery = _battery(form)
     residuals = _residuals(form, battery, cfg, tol)
@@ -833,8 +809,8 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
 def certificate_residual_sweep(form: FormData, certificate: Certificate,
                                cfg: Optional[EvalConfig] = None) -> mpf:
     """Max stroke residual of the form over every congruence the
-    certificate establishes; the numeric soundness bridge for the
-    symbolic layer."""
+    certificate establishes, by default at the points the battery searches;
+    the numeric soundness bridge for the symbolic layer."""
     residuals = _residuals(form, [step.result for step in certificate.steps],
-                           cfg or _battery_config(form.level))
+                           cfg or EvalConfig(points=None))
     return max(residuals, default=mpf(0))

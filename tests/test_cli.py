@@ -286,14 +286,16 @@ class TestFormcheck:
 
     def test_no_candidate_points_names_the_best_height(self, capsys,
                                                         tmp_path):
-        # at N = 29 the images of W = [[1,0],[29,1]] reach only 5/29^2
+        # at N = 29 the best points for W = [[1,0],[29,1]] have images only
+        # at 5/29^2, where the radius alone reaches --tol: a budget error
         path = tmp_path / "delta29.txt"
         path.write_text(format_coefficient_file(
             eta_product([(1, 24)], 512), 12, 29, 1))
         code, out, err = run_cli(capsys, "formcheck", str(path))
-        assert (code, out, err) == (
-            2, "", "no candidate points keep all images of W above "
-                   "y_min=1/52; the best candidates reach Im = 5/841\n")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"W: ball radius \S+ is not below the tolerance "
+                            r"1\.0e-15; the points and their images reach "
+                            r"down to Im = 5/841\n", err), err
 
     @pytest.mark.parametrize("level, prime", [(2, 2), (3, 3), (6, 2)])
     def test_level_divisible_by_two_or_three_is_refused(self, capsys, tmp_path,
@@ -307,14 +309,28 @@ class TestFormcheck:
         assert f"level {level} is divisible by {prime}" in err
         assert f"ax:T{prime}" in err
 
-    def test_level_five_eigenform_passes(self, capsys, tmp_path):
-        # eta(z)^4 eta(5z)^4 is the newform 5.4.a.a, Fricke sign +1
-        path = tmp_path / "level5.txt"
-        path.write_text(format_coefficient_file(
-            eta_product([(1, 4), (5, 4)], 512), 4, 5, 1))
+    @pytest.mark.parametrize("factors, length, weight, level, sign", [
+        ([(1, 4), (5, 4)], 512, 4, 5, 1),
+        ([(1, 2), (11, 2)], 1200, 2, 11, -1),
+    ], ids=["5.4.a.a", "11.2.a.a"])
+    def test_level_five_eigenform_passes(self, capsys, tmp_path, factors,
+                                         length, weight, level, sign):
+        # eta(z)^4 eta(5z)^4 is the newform 5.4.a.a, Fricke sign +1, and
+        # eta(z)^2 eta(11z)^2 is 11.2.a.a, Fricke sign -1, whose H4 images
+        # reach Im = 20/1089; the flipped sign must fail ax:H
+        series = eta_product(factors, length)
+        path = tmp_path / "newform.txt"
+        path.write_text(format_coefficient_file(series, weight, level, sign))
         code, out, err = run_cli(capsys, "formcheck", str(path))
         assert (code, err) == (0, "")
         assert out.strip().splitlines()[-1] == "FORMCHECK OK"
+        path.write_text(format_coefficient_file(series, weight, level, -sign))
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, err) == (1, "")
+        lines = out.strip().splitlines()
+        assert lines[-1] == "FORMCHECK FAIL"
+        assert any(line.startswith("CONG ax:H ") and line.endswith("FAIL")
+                   for line in lines)
 
     def test_flag_header_mismatch(self, capsys, tmp_path):
         path = tmp_path / "delta.txt"

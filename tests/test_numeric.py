@@ -41,8 +41,6 @@ from gamma13.numeric import (
     lambda_compute,
     lambda_rational_exclusion,
     _battery,
-    _battery_config,
-    _chosen_points,
     _least_in_window,
     run_formcheck,
     stroke_value,
@@ -94,16 +92,24 @@ class TestEvalForm:
             factor = exp(mpc(0, 1) * pi / 3)
             assert abs(shifted - factor * eval_form(form, z).value) < mpf(10) ** -40
 
-    def test_point_below_y_min_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            eval_form(delta_form(), (0, Fraction(1, 10)))
+    @pytest.mark.parametrize("z", [(-1, 0), (0, 0), (0, Fraction(-1, 2))],
+                             ids=["-1", "0", "-i/2"])
+    def test_point_off_the_upper_half_plane_is_refused(self, z):
+        # at (-1, 0) the class of [[1,0],[1,1]] has cz + d = 0: its image
+        # would divide by zero
+        form = delta_form()
+        pattern = re.escape(f"point ({z[0]}, {z[1]}) is not in the upper "
+                            f"half-plane")
+        with pytest.raises(ValueError, match=pattern):
+            eval_form(form, z)
+        with pytest.raises(ValueError, match=pattern):
+            stroke_value(form, [[1, 0], [1, 1]], z)
 
     def test_unboundable_tail_raises(self):
         # rho x >= 1 at M = L + 2: no tail bound exists, so no ball does
         short = FormData(eta_product([(1, 24)], 20), weight=12, level=1, sign=1)
         with pytest.raises(PrecisionError):
-            eval_form(short, (0, Fraction(1, 100)),
-                      EvalConfig(y_min=Fraction(1, 100)))
+            eval_form(short, (0, Fraction(1, 100)))
 
     def test_tail_bound_is_reported(self):
         # the radius holds the tail bound at the cut
@@ -114,12 +120,11 @@ class TestEvalForm:
         # the height is printed exactly, not rounded to the working precision
         short = FormData(eta_product([(1, 24)], 20), weight=12, level=1, sign=1)
         for prec in (1, 2, 256):
-            low = EvalConfig(precision=prec, y_min=Fraction(1, 1000))
+            low = EvalConfig(precision=prec)
             with pytest.raises(PrecisionError, match=r"^no tail bound past "
                                r"L=20 at Im z = 1/100$"):
                 eval_form(short, (0, Fraction(1, 100)), low)
-            fixed = EvalConfig(precision=prec, y_min=Fraction(1, 1000),
-                               points=((0, Fraction(1, 100)),))
+            fixed = EvalConfig(precision=prec, points=((0, Fraction(1, 100)),))
             with pytest.raises(PrecisionError, match=r"^ax:T2: no tail bound "
                                r"past L=20 at Im z = 1/\d+$"):
                 congruence_residual(short, f_context(1).axiom("ax:T2"), fixed)
@@ -250,7 +255,7 @@ class TestTruncationCut:
 
 
 class TestStroke:
-    COCYCLE_CFG = EvalConfig(y_min=Fraction(1, 200))
+    COCYCLE_CFG = EvalConfig()
     I = (Fraction(0), Fraction(1))
 
     def form(self):
@@ -300,16 +305,13 @@ class TestStroke:
                          self.COCYCLE_CFG)
 
     def test_image_height_is_audited_exactly(self):
-        # z -> -1/z maps (0, 2) to (0, 1/2), exactly on the floor
-        cfg = EvalConfig(y_min=Fraction(1, 2))
+        # z -> -1/z maps (0, 2 + 10^-30) exactly to a point just below
+        # Im = 1/2; no floor refuses it, and Delta is invariant there
         inversion = [[0, -1], [1, 0]]
         form = delta_form()
-        on_floor = stroke_value(form, inversion, (0, 2), cfg)
-        # Delta is invariant under the inversion
-        assert abs(on_floor - eval_form(form, (0, 2), cfg).value
-                   ) < mpf(10) ** -30
-        with pytest.raises(ConfigurationError, match="below y_min=1/2"):
-            stroke_value(form, inversion, (0, 2 + Fraction(1, 10 ** 30)), cfg)
+        z = (0, 2 + Fraction(1, 10 ** 30))
+        assert abs(stroke_value(form, inversion, z)
+                   - eval_form(form, z).value) < mpf(10) ** -30
 
     def test_complex_point_is_refused(self):
         form = self.form()
@@ -482,11 +484,6 @@ class TestCongruenceResidual:
                                     points=cfg.points))
         assert finer <= residual <= finer + mpf(10) ** -70
 
-    def test_level_thirteen_images_fail_default_y_min(self):
-        cong = Congruence("W", RingElem.parse("[[1,0],[13,1]]"), RingElem.of(1))
-        with pytest.raises(ConfigurationError):
-            congruence_residual(fricke_form(), cong)
-
 
     def test_empty_point_set_is_refused(self):
         # a max over no points would read 0, a silent PASS
@@ -515,9 +512,10 @@ class TestSuggestPoints:
         assert suggest_points(cong) == suggest_points(cong)
 
 
-def exhaustive_points(congruence, y_min):
+def exhaustive_search(congruence):
     """The point search before pruning: every candidate is scored in full,
-    from images computed here, and the first with the highest score wins."""
+    from images computed here, and the first with the highest score wins.
+    Returns the winner's score with its points."""
     mats = {mat for side in (congruence.lhs, congruence.rhs)
             for mat, _ in side.terms()}
     centers = {Fraction(0)}
@@ -546,35 +544,34 @@ def exhaustive_points(congruence, y_min):
                     score = worst_here
             if best is None or (score - best[0]).sign() > 0:
                 best = (score, pts)
-    if (best[0] - y_min).sign() < 0:
-        raise ConfigurationError(
-            f"no candidate points keep all images of {congruence.id} above "
-            f"y_min={y_min}; the best candidates reach Im = {best[0]}")
-    return best[1]
+    return best
 
 
 class TestPointSearchParity:
     @pytest.mark.parametrize("level", [1, 13])
     def test_pruned_search_matches_the_exhaustive_one(self, level):
         # one memo across the certificate, as a battery shares it, and a
-        # fresh one per call through the public wrapper
+        # fresh one per call through the public wrapper, which refuses the
+        # points below the floor it is asked for
         cert = build_f_certificate(level)
         memo = numeric._Memo()
         refused = 0
         for congruence in list(cert.axioms) + [s.result for s in cert.steps]:
+            best, expected = exhaustive_search(congruence)
+            mats = frozenset(mat for side in (congruence.lhs, congruence.rhs)
+                             for mat, _ in side.terms())
+            assert numeric._search_points(mats, memo) == (best, expected)
             for y_min in (Fraction(3, 20), Fraction(1, 52)):
-                try:
-                    expected = exhaustive_points(congruence, y_min)
-                except ConfigurationError as exc:
+                if (best - y_min).sign() < 0:
                     refused += 1
-                    for search in (suggest_points, lambda c, y: _chosen_points(
-                            c, y, memo)):
-                        with pytest.raises(ConfigurationError) as info:
-                            search(congruence, y_min)
-                        assert str(info.value) == str(exc)
+                    with pytest.raises(ConfigurationError) as info:
+                        suggest_points(congruence, y_min)
+                    assert str(info.value) == (
+                        f"no candidate points keep all images of "
+                        f"{congruence.id} above y_min={y_min}; the best "
+                        f"candidates reach Im = {best}")
                 else:
                     assert suggest_points(congruence, y_min) == expected
-                    assert _chosen_points(congruence, y_min, memo) == expected
         assert refused > 0 if level == 13 else refused == 0
 
 
@@ -691,27 +688,19 @@ class TestFormcheck:
         with pytest.raises(PrecisionError, match=r"^ax:P: ball radius \S+ is "
                            r"not below the tolerance 1\.0e-15; the points and "
                            r"their images reach down to Im = 9/10$"):
-            run_formcheck(delta_form(), _battery_config(1, 20))
-
-    def test_configuration_error_comes_before_a_budget_error(self):
-        # at 20 bits ax:P reaches 1e-15 first, but at N = 29 no points keep
-        # W's images above 1/52, and no precision or L mends that
-        form = FormData(eta_product([(1, 24)], 512), weight=12, level=29,
-                        sign=1)
-        with pytest.raises(ConfigurationError, match=r"^no candidate points "
-                           r"keep all images of W above"):
-            run_formcheck(form, _battery_config(29, 20))
+            run_formcheck(delta_form(), EvalConfig(precision=20, points=None))
 
     def test_level_eleven_newform_passes_below_the_default_floor(self):
         # 11.2.a.a = eta(z)^2 eta(11z)^2, a Fricke eigenform with eps = -1:
-        # H4's images reach Im = 15/484 there, where |q| > 1/sqrt 2, and a
-        # radius grown by |Re q| + |Im q| per Horner step reached 9.8e-14
+        # H4's images reach Im = 20/1089 there, below the 1/52 that the
+        # battery once refused, and the radius still certifies every row
         form = FormData(eta_product([(1, 2), (11, 2)], 1200), weight=2,
                         level=11, sign=-1)
-        report = run_formcheck(form, EvalConfig(points=None,
-                                                y_min=Fraction(1, 80)))
+        report = run_formcheck(form)
         assert report.ok, report.lines()
         assert report.lines()[-1] == "FORMCHECK OK"
+        assert certificate_residual_sweep(
+            form, build_f_certificate(11)) < mpf(10) ** -15
 
     @pytest.mark.parametrize("level", [1, 7, 13])
     def test_battery_has_delta2_exactly_where_the_builder_makes_it(self, level):
@@ -729,8 +718,3 @@ class TestCertificateBridge:
         cert = build_f_certificate(1)
         residual = certificate_residual_sweep(delta_form(), cert)
         assert residual < mpf(10) ** -15
-
-    def test_default_sweep_uses_the_formcheck_floor(self):
-        # level 13 evaluates down to 1/52, as formcheck does; H4 needs lower
-        with pytest.raises(ConfigurationError, match=r"y_min=1/52"):
-            certificate_residual_sweep(fricke_form(), build_f_certificate(13))

@@ -51,7 +51,8 @@ ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
                 ("1:2,11:2", 2048)]
 
 
-#: The battery's two floors: 3/20 at level 1, 1/52 at every other level.
+#: The floors ``suggest_points`` is asked to keep the points above; the
+#: battery itself sets none.
 FLOORS = (Fraction(3, 20), Fraction(1, 52))
 
 
