@@ -29,21 +29,30 @@ cut, neither the cut nor the value depends on L, so carrying more
 coefficients costs nothing at the heights the cut serves.  The sum is a
 ball, as in Arb (Brent-Zimmermann, Modern Computer Arithmetic, section 3):
 a midpoint re + i im and a radius r, three Python ints in units of 2^-W.
-mpmath's ``iv`` encloses q (and q^offset) at W + 16 bits from the exact
-point; a Horner step truncates the product's parts and sets
+q (and q^offset) is enclosed on Python ints too, from the exact point:
+t x is reduced mod 1 exactly on its fixed-point integer, and exp of
+2 pi i t z / 2^s is summed by Taylor's series at W + 2s + 10 bits and
+squared back s times, each error carried in the radius, so q's ball is
+one or two ulps wide; pi is mpmath's ``mpf_pi``, taken as 2 ulps off.  A
+Horner step truncates the product's parts and sets
 r = ((|acc|_1 dq + r (|q| + dq)) >> W) + 3, dq the radius of q and |q|
 bounded by isqrt(qr^2 + qi^2) + 1, the Euclidean norm of its midpoint
 rounded up: rigorous because the ball is a disk, and below 1 with |q|,
 so the radius does not compound over the steps as it would under
 |qr| + |qi|, which exceeds 1 wherever |q| > 1/sqrt 2.  The
-tail bound, from upper bounds on |q| and |q^offset| rounded up, joins r,
-so the ball holds f(z) even where the cut is not reached.  Stroke factors
-times instantiated scalars are exact in Q(sqrt 13) and rounded once; a
-residual, the ``max_residual`` that ``formcheck`` prints and compares, is
-|sum of the midpoints| plus the sum of the radii: a certified bound.
-``run_formcheck``'s tolerance is the only one: a congruence passes when
-that bound is below it, and radii that alone reach it decide nothing, so
-the battery stops with ``PrecisionError``.
+tail bound, from upper bounds on |q| and |q^offset| rounded up, is an int
+of ulps rounded up: x^n keeps its own binary exponent, with its W-bit
+mantissa rounded up at each product, and one ceiling division ends it.
+It joins r, so the ball holds f(z) even where the cut is not reached.
+Stroke factors times instantiated scalars are exact in Q(sqrt 13) and
+rounded once; a residual, the ``max_residual`` that ``formcheck`` prints
+and compares, is |sum of the midpoints| plus the sum of the radii: a
+certified bound.  ``run_formcheck``'s tolerance is the only one: a
+congruence passes when that bound is below it, and radii that alone reach
+it decide nothing, so the battery stops with ``PrecisionError``.  Of
+mpmath the balls take only pi: ``mp.prec`` sets the working precision,
+``_result`` turns a ball into an mpc midpoint and an mpf radius, and
+lambda and ``density_search`` run in mpmath's floats.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -59,12 +68,14 @@ scored by the least height among the points and their images, the first
 highest score winning.  The search is pruned: a candidate stops being
 scored once its running minimum is at or below the best score so far,
 since only a strictly higher score wins, so the choice is that of the full
-search.  One battery (one ``_residuals`` call) keeps a memo of the exact
-image of each (class, point), shared by the search and ``_stroke``, of the
-exact automorphy factor and f value of each (class, point) that ``_stroke``
-took, of the points chosen for each set of classes, which congruences
-on the same classes reuse, and of f at each image point.  The memo dies
-with the call.
+search.  A candidate is scored by the image heights det y / |cz + d|^2
+alone; only the (class, point) pairs that ``_stroke`` takes get their
+full exact image.  One battery (one ``_residuals`` call) keeps a memo of
+the image height of each (class, point) that the search scored, of the
+exact automorphy factor and f value of each (class, point) that
+``_stroke`` took, of the points chosen for each set of classes, which
+congruences on the same classes reuse, and of f at each image point.  The
+memo dies with the call.
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -86,9 +97,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from mpmath import iv, mp, mpc, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, mpf_div, mpf_mul,
-                          mpf_shift, round_ceiling, round_floor, to_int)
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpf_pi
 
 from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem, binary_power
@@ -179,19 +189,33 @@ Ball = Tuple[int, int, int]
 
 
 def _tail_bound(offset: Fraction, n: int, k: int, x: int, x_offset: int,
-                W: int) -> mpf:
-    """M^k x^M / (1 - rho x) at M = offset + n, or +inf when rho x >= 1,
-    rounded up from upper bounds x 2^-W on x = |q| = e^{-2 pi Im z} and
-    x_offset 2^-W on x^offset = |q^offset|, as x^M = x^offset x^n."""
+                W: int) -> Optional[int]:
+    """M^k x^M / (1 - rho x) at M = offset + n in ulps of 2^-W, rounded up,
+    or None when rho x >= 1, from upper bounds x 2^-W on x = |q| =
+    e^{-2 pi Im z} and x_offset 2^-W on x^offset = |q^offset|, as x^M =
+    x^offset x^n.  x^n carries its own binary exponent: the integer x^n is
+    bounded by man 2^e, man rounded up to W bits at each product, so a
+    power far below 2^-W keeps its relative precision.  With M = a/b the
+    bound is a^2k x_offset x^n 2^W / (b^k gap), gap = (1 - rho x) a^k 2^W,
+    and one ceiling division rounds it up."""
     a, b = (offset + n).numerator, (offset + n).denominator
-    gap = (a ** k << W) - (a + b) ** k * x  # (1 - rho x) a^k 2^W
+    gap = (a ** k << W) - (a + b) ** k * x
     if gap <= 0:
-        return mp.inf
-    # x^n rounded up at each product, so it stays an upper bound
-    power = binary_power(from_man_exp(x, -W), n, fone,
-                         lambda u, v: mpf_mul(u, v, W, round_ceiling))
-    top = mpf_mul(power, from_int(a ** (2 * k) * x_offset), W, round_ceiling)
-    return mp.make_mpf(mpf_div(top, from_int(b ** k * gap), W, round_ceiling))
+        return None
+
+    def mul(u, v):
+        man, e = u[0] * v[0], u[1] + v[1]
+        extra = man.bit_length() - W
+        return (-(-man >> extra), e + extra) if extra > 0 else (man, e)
+
+    man, e = binary_power((x, 0), n, (1, 0), mul)
+    top, bottom = a ** (2 * k) * x_offset * man, b ** k * gap
+    e -= (n - 1) * W  # x^n 2^W = man 2^(e - (n - 1) W)
+    if e >= 0:
+        top <<= e
+    else:
+        bottom <<= -e
+    return -(-top // bottom)
 
 
 def _cut_estimate(k: int, offset: float, least: int, length: int,
@@ -227,8 +251,11 @@ def _evaluate(form: FormData, z, label: str = "") -> Ball:
     """The ball at scale 2^-W, W = prec + ``_CUT_GUARD``, that holds f at
     the exact point z = (x, y), by the cut of the module docstring:
     ``PrecisionError``, prefixed by ``label``, when no bound past L exists
-    (rho x >= 1).  The cut is the least n with offset + n >= 1 whose bound
-    is at most 2^-W, or L + 1 when none is."""
+    (rho x >= 1).  The cut is the least n with offset + n >= 1 whose bound,
+    rounded up to whole ulps by ``_tail_bound``, is at most one ulp, or
+    L + 1 when none is; that bound joins the radius.  q and q^offset come
+    from ``_q_power``, and x bounds |q| by the Euclidean norm of q's
+    midpoint rounded up plus its radius."""
     series, k = form.series, form.weight
     offset, length = Fraction(series.offset), series.length
     W = mp.prec + _CUT_GUARD
@@ -242,17 +269,17 @@ def _evaluate(form: FormData, z, label: str = "") -> Ball:
     n = _cut_estimate(k, float(offset), least, length, height, W)
     while n <= length:
         tail = _tail_bound(offset, n, k, x, x_offset, W)
-        if tail <= mp.ldexp(1, -W):
+        if tail is not None and tail <= 1:
             break
         n += 1
     else:  # no cut within L, so every carried term is summed
         tail = _tail_bound(offset, length + 1, k, x, x_offset, W)
-        if tail == mp.inf:
+        if tail is None:
             raise PrecisionError(
                 f"{label}no tail bound past L={length} at Im z = {height}")
     re, im, r = _mul(_horner(series.coeffs[:n], q, x, W), shift, W)
-    # the bound at the cut joins the radius, rounded up to whole ulps
-    return re, im, r + to_int(mpf_shift(tail._mpf_, W), round_ceiling)
+    # the bound at the cut, in whole ulps, joins the radius
+    return re, im, r + tail
 
 
 def _mul(a: Ball, b: Ball, W: int) -> Ball:
@@ -288,34 +315,61 @@ def _horner(coeffs, q: Ball, qn: int, W: int) -> Ball:
     return re, im, r
 
 
-def _interval(v: QuadElem, K: int):
-    """An ``iv`` interval that contains v: ``_fixed(v, K)`` 2^-K, 2 ulps
-    wide on each side."""
-    m = _fixed(v, K)
-    return iv.make_mpf((from_man_exp(m - 2, -K), from_man_exp(m + 2, -K)))
+#: Halvings of the q argument below its size: the Taylor series of exp
+#: runs at |w| < 2^-_HALVINGS.
+_HALVINGS = 8
 
 
 def _q_power(z, t, W: int) -> Ball:
-    """q^t = e^{2 pi i t z} at the exact point z = (x, y), enclosed by
-    mpmath's ``iv`` at K = W + 16 bits from t x and t y taken exactly, as
-    a ball at scale 2^-W that contains it: each part's endpoints are
-    rounded outward to the scale, the midpoint lies between them, and the
-    two half-widths add up to the radius."""
-    K = W + 16
+    """q^t = e^{2 pi i t z} at the exact point z = (x, y) as a ball at scale
+    2^-W, from t x and t y taken exactly, on Python ints (Brent-Zimmermann,
+    Modern Computer Arithmetic, sections 4.2-4.4).  The work runs at
+    K = W + g bits, g = 2s + 10 guard bits for the s squarings:
+
+    * t x is reduced mod 1 on its fixed-point integer ``_fixed(t x, K)``
+      into [-1/2, 1/2): exact, so it keeps ``_fixed``'s error, below 2 ulps;
+    * pi is ``mpf_pi`` at K + 2 bits, within 2^-K and a hair: 2 ulps;
+    * w = 2 pi i t z / 2^s, |w| < 2^-_HALVINGS, has each part within 2 ulps:
+      1 for the floor, below 1 for the errors of pi, t x and t y, which the
+      division by 2^s shrinks;
+    * exp(w) is Taylor's series, summed until a term has |Re| + |Im| <= 2
+      ulps.  Each term is within 2 ulps in each part, so 3 on the disk; the
+      terms after the last add below 1, and the error of w adds below 3,
+      as |exp w| < 1.01;
+    * s squarings by ``_mul`` carry the ball to exp(2^s w) = q^t;
+    * the midpoint is rounded to nearest at scale W, off by at most
+      sqrt 2/2 < 3/4 ulp, which joins the radius, rounded up.
+
+    When t y >= W/9, 2 pi t y > W ln 2, so |q^t| < 2^-W and the ball is
+    (0, 0, 1) with nothing summed."""
     x, y = (QuadElem.of(t) * QuadElem.of(v) for v in z)
-    prec, iv.prec = iv.prec, K
-    try:
-        tau = 2 * iv.pi
-        value = iv.exp(iv.mpc(-tau * _interval(y, K), tau * _interval(x, K)))
-    finally:
-        iv.prec = prec
-    mid, radius = [], 0
-    for lo, hi in (value.real._mpi_, value.imag._mpi_):
-        a = to_int(mpf_shift(lo, W), round_floor)
-        b = to_int(mpf_shift(hi, W), round_ceiling)
-        mid.append((a + b) >> 1)
-        radius += b - mid[-1]
-    return mid[0], mid[1], radius
+    whole = _fixed(y, 0)  # within 2 of t y
+    if 9 * (whole - 2) >= W:
+        return 0, 0, 1
+    # |2 pi i t z| < 2 pi (|t y| + 1/2) < 7 (|whole| + 3) < 2^(s - _HALVINGS)
+    s = _HALVINGS + 3 + (abs(whole) + 3).bit_length()
+    g = 2 * s + 10
+    K = W + g
+    _, man, exp, _ = mpf_pi(K + 2)
+    pi = man << (exp + K)
+    turn = _fixed(x, K) % (1 << K)
+    if turn >> (K - 1):
+        turn -= 1 << K
+    shift = K + s - 1
+    wr, wi = -(pi * _fixed(y, K) >> shift), pi * turn >> shift
+    re = tr = 1 << K
+    im = ti = j = 0
+    while abs(tr) + abs(ti) > 2:
+        j += 1
+        tr, ti = (((tr * wr - ti * wi) >> K) // j,
+                  ((tr * wi + ti * wr) >> K) // j)
+        re, im = re + tr, im + ti
+    ball = re, im, 3 * j + 4
+    for _ in range(s):
+        ball = _mul(ball, ball, K)
+    re, im, r = ball
+    half = 1 << (g - 1)
+    return (re + half) >> g, (im + half) >> g, (r + (7 << (g - 2)) - 1) >> g
 
 
 def _fixed(v: QuadElem, W: int) -> int:
@@ -364,25 +418,31 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
 @dataclass
 class _Memo:
     """What one battery computes once and reuses: f at each image point
-    (``values``), the exact image of each (class, point) (``images``), the
-    exact automorphy factor and f value of each (class, point) that
-    ``_stroke`` took (``strokes``), and the points the search chose for each
-    set of classes (``points``).  It lives for one call, so nothing carries
-    over between calls."""
+    (``values``), the exact image height of each (class, point) that the
+    search scored (``heights``), the exact automorphy factor and f value of
+    each (class, point) that ``_stroke`` took (``strokes``), and the points
+    the search chose for each set of classes (``points``).  It lives for one
+    call, so nothing carries over between calls."""
 
     values: Dict = field(default_factory=dict)
-    images: Dict = field(default_factory=dict)
+    heights: Dict = field(default_factory=dict)
     strokes: Dict = field(default_factory=dict)
     points: Dict = field(default_factory=dict)
 
 
-def _image(memo: _Memo, mat: ProjMat, x, y):
-    """``_exact_image`` of the class at x + iy, computed once per memo."""
+def _height(memo: _Memo, mat: ProjMat, x, y) -> QuadElem:
+    """The imaginary part det y / |cz + d|^2 of the class's image of the
+    exact point z = x + iy, computed once per memo: the search scores by it
+    alone, so only the images ``_stroke`` takes are built in full."""
     key = (mat, x, y)
-    image = memo.images.get(key)
-    if image is None:
-        image = memo.images[key] = _exact_image(mat, x, y)
-    return image
+    height = memo.heights.get(key)
+    if height is None:
+        a, b, c, d = mat.entries
+        yq = QuadElem.of(y)
+        den, cy = c * QuadElem.of(x) + d, c * yq
+        height = memo.heights[key] = (a * d - b * c) * yq / (den * den
+                                                             + cy * cy)
+    return height
 
 
 def _automorphy(k: int, det: QuadElem, den: QuadElem,
@@ -407,7 +467,7 @@ def _stroke(form: FormData, mat: ProjMat, x, y, memo: _Memo,
     key = (mat, x, y)
     stroke = memo.strokes.get(key)
     if stroke is None:
-        xi, yi, den, cy, det = _image(memo, mat, x, y)
+        xi, yi, den, cy, det = _exact_image(mat, x, y)
         point = (xi, yi)
         if point not in memo.values:
             memo.values[point] = _evaluate(form, point, label)
@@ -509,8 +569,8 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
 def _residuals(form: FormData, congruences, cfg: EvalConfig,
                tol: Optional[Fraction] = None) -> List[mpf]:
     """``_residual`` of each congruence, at one working precision and with
-    one memo of images, chosen points and f values; the first congruence
-    that cannot be decided raises its ``PrecisionError``."""
+    one memo of image heights, chosen points and f values; the first
+    congruence that cannot be decided raises its ``PrecisionError``."""
     with mp.workprec(cfg.precision):
         memo = _Memo()
         return [_residual(form, congruence, cfg, memo, tol)
@@ -532,9 +592,9 @@ def _lowest_height(points, mats, memo: _Memo,
                    floor: Optional[QuadElem]) -> Optional[QuadElem]:
     """The least imaginary part among the points and their images under
     the classes, or None as soon as it is at or below ``floor``.  The
-    images are computed lazily, so a stop saves the rest."""
+    image heights are computed lazily, so a stop saves the rest."""
     heights = chain((QuadElem.of(y) for _, y in points),
-                    (_image(memo, mat, x, y)[1]
+                    (_height(memo, mat, x, y)
                      for x, y in points for mat in mats))
     low = None
     for height in heights:

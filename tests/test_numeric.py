@@ -10,6 +10,7 @@ Frozen anchors recomputed independently:
     (leading exponent 7/6), and has Fricke sign -1.
 """
 
+import math
 import random
 import re
 import time
@@ -252,6 +253,133 @@ class TestTruncationCut:
             assert residual < mpf(10) ** -70
         else:
             assert residual > mpf(1) / 100
+
+
+#: Points for the q ball: rational ones, one with both coordinates in
+#: Q(sqrt 13), a large real part (argument reduction), a low one, and
+#: Im z = 50, where |q| < 2^-W up to 256 bits.
+Q_POINTS = (
+    (Fraction(13, 40), Fraction(3, 20)), (Fraction(-1, 2), Fraction(4, 5)),
+    (Fraction(0), Fraction(1)),
+    (QuadElem(Fraction(1, 7), Fraction(1, 7)),
+     QuadElem(Fraction(-3, 2), Fraction(1, 2))),
+    (10 ** 6 + Fraction(1, 3), Fraction(1, 2)),
+    (Fraction(1, 7), Fraction(5, 841)), (Fraction(1, 3), Fraction(50)),
+)
+
+
+def q_ball(z, t, W):
+    """The ball of q^t at z and e^{2 pi i t z} in ulps of 2^-W, the latter
+    at the current precision."""
+    ball = numeric._q_power(z, t, W)
+    tx, ty = (_to_mpf(QuadElem.of(t) * QuadElem.of(v)) for v in z)
+    return ball, exp(2 * pi * mpc(-ty, tx)) * mpf(2) ** W
+
+
+class TestQPower:
+    """q^t is enclosed on Python ints: the ball holds the value mpmath
+    computes at twice the bits and 64 more, and it is one or two ulps wide,
+    as tight as the midpoint's rounding allows."""
+
+    @pytest.mark.parametrize("prec", [1, 2, 53, 256, 1024])
+    @pytest.mark.parametrize("t", [1, Fraction(7, 6)], ids=["1", "7/6"])
+    def test_ball_holds_q_and_is_tight(self, prec, t):
+        W = prec + numeric._CUT_GUARD
+        for z in Q_POINTS:
+            with mp.workprec(2 * W + 64):
+                (re, im, r), q = q_ball(z, t, W)
+                assert abs(mpc(re, im) - q) <= r, z
+            assert 1 <= r <= 2, z
+
+    @pytest.mark.parametrize("prec", [1, 256])
+    def test_exponents_at_most_zero_are_enclosed(self, prec):
+        # a series with offset <= 0 needs q^t with |q^t| >= 1; the radius
+        # stays within 2 ulps and 2^-W relative
+        W = prec + numeric._CUT_GUARD
+        for t in (0, -2, Fraction(-7, 6)):
+            for z in Q_POINTS:
+                with mp.workprec(2 * W + 64):
+                    (re, im, r), q = q_ball(z, t, W)
+                    assert abs(mpc(re, im) - q) <= r <= 2 + abs(q) / 2 ** W
+
+    def test_q_below_one_ulp_is_the_unit_ball_at_zero(self):
+        # t y >= W/9 gives 2 pi t y > W ln 2: nothing is summed, and 0 is
+        # within 1 ulp of q; at 1024 bits Im z = 50 is summed
+        for t in (1, Fraction(7, 6)):
+            assert numeric._q_power((Fraction(1, 3), 50), t, 288) == (0, 0, 1)
+        assert numeric._q_power((Fraction(1, 3), 50), 1, 1056) != (0, 0, 1)
+
+
+def reference_tail(offset, n, k, X, X_offset, W):
+    """M^k x^M / (1 - rho x) at M = offset + n in ulps of 2^-W, from
+    x = X 2^-W and x^offset = X_offset 2^-W, at the current precision; None
+    when rho x >= 1."""
+    M, x = _to_mpf(QuadElem.of(offset + n)), mp.ldexp(X, -W)
+    rho = (1 + 1 / M) ** k
+    if rho * x >= 1:
+        return None
+    return M ** k * X_offset * x ** n / (1 - rho * x)
+
+
+class TestTailBound:
+    """The tail bound on Python ints is rigorous, and no cruder than its
+    roundings: x^n keeps a W-bit mantissa rounded up at each of at most
+    2 log2 n products, each a factor below 1 + 2^(1-W), and the quotient
+    is rounded up once."""
+
+    @staticmethod
+    def slack(W):
+        return 1 + mp.ldexp(1, 6 - W)
+
+    @pytest.mark.parametrize("prec", [1, 2, 53, 256, 1024])
+    def test_bound_holds_the_true_tail_and_is_tight(self, prec):
+        # n = 300 at Im z = 3/20 and n = 1000 at Im z = 1 put x^n far
+        # below 2^-W, where a power kept at the fixed scale would stop at
+        # one ulp and the cut would never be reached
+        W = prec + numeric._CUT_GUARD
+        for form in (delta_form(), fricke_form()):
+            k, offset = form.weight, Fraction(form.series.offset)
+            for y in (Fraction(3, 20), Fraction(1, 2), 1):
+                z = (Fraction(1, 3), y)
+                X, X_offset = (math.isqrt(re * re + im * im) + 1 + r
+                               for re, im, r in (numeric._q_power(z, t, W)
+                                                 for t in (1, offset)))
+                for n in (0, 1, 10, 50, 300, 1000):
+                    tail = numeric._tail_bound(offset, n, k, X, X_offset, W)
+                    with mp.workprec(2 * W + 64):
+                        ref = reference_tail(offset, n, k, X, X_offset, W)
+                        if ref is None:
+                            assert tail is None
+                            continue
+                        assert ref <= tail <= ref * self.slack(W) + 1
+                        true = bound_past(form, offset + n,
+                                          _to_mpf(QuadElem.of(y)))
+                        assert mp.ldexp(true, W) <= tail
+
+    def test_no_bound_where_rho_x_reaches_one(self):
+        # x = 1 gives (1 + 1/M)^k x > 1 at every M: no bound exists
+        X = 1 << 288
+        assert numeric._tail_bound(Fraction(1), 0, 12, X, X, 288) is None
+
+    def test_every_cut_of_the_battery_is_the_least(self, monkeypatch):
+        # each Horner length n of the Delta L=512 battery is the least count
+        # whose bound is at most one ulp
+        cuts = []
+
+        def counted(coeffs, q, qn, W):
+            cuts.append((len(coeffs), qn, W))
+            return original(coeffs, q, qn, W)
+        original = numeric._horner
+        monkeypatch.setattr(numeric, "_horner", counted)
+        assert run_formcheck(delta_form()).ok
+        assert len(cuts) == 56
+        for n, X, W in cuts:
+            assert n <= 512
+            with mp.workprec(2 * W + 64):
+                assert reference_tail(1, n, 12, X, X, W) <= 1
+                if n:
+                    above = reference_tail(1, n - 1, 12, X, X, W)
+                    assert above is None or above * self.slack(W) > 1
 
 
 class TestStroke:
@@ -655,7 +783,8 @@ class TestFormcheck:
     def test_battery_computes_each_exact_image_once(self, monkeypatch):
         # the exhaustive search and a fresh image per stroke took 1,496
         # images, and 16 searches: S3/delta1, H4/H5 and H7/delta3 each
-        # share one set of classes
+        # share one set of classes; the search scores by heights alone, so
+        # only the 62 (class, point) pairs the strokes take get an image
         calls = {"_exact_image": [], "_search_points": []}
         for name in calls:
             def counted(*args, name=name, original=getattr(numeric, name)):
@@ -664,7 +793,7 @@ class TestFormcheck:
             monkeypatch.setattr(numeric, name, counted)
         assert run_formcheck(delta_form()).ok
         images = calls["_exact_image"]
-        assert len(images) <= 300
+        assert len(images) <= 62
         assert len(set(images)) == len(images)
         assert len(calls["_search_points"]) == 13
 

@@ -16,9 +16,9 @@ with the length and SHA-256 of the stdout of ``gamma13 eta`` for each
 product in ``ETA_REQUESTS``, and then with the points ``suggest_points``
 picks (or its error) for every axiom and step of the level-1 and
 level-13 f certificates at each floor in ``FLOORS``, and last with
-``eval_form`` (value and radius) of Delta at every point of
-``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``.  Every
-``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the working
+``eval_form`` (value and radius) of each form in ``EVAL_FORMS`` at every
+point of ``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``.
+Every ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the working
 precision of the formcheck and Fricke calls (``density_search`` derives
 its own), or at 1024 bits in the ``eval_form`` section, whose precisions
 reach 1024, so two trees agree digit for digit, and their ``eta`` files
@@ -58,13 +58,20 @@ FLOORS = (Fraction(3, 20), Fraction(1, 52))
 
 #: Real parts of the ``eval_form`` points, with their labels.  At +-2^-300
 #: and 3/2^400 the imaginary part of q = e^{2 pi i z} is about 2^-300 (or
-#: 2^-400) times its real part.
+#: 2^-400) times its real part; 10^6 + 1/3 is reduced mod 1 before q is
+#: summed.
 EVAL_XS = (("0", Fraction(0)), ("1/3", Fraction(1, 3)),
            ("2^-300", Fraction(1, 2 ** 300)),
            ("-2^-300", Fraction(-1, 2 ** 300)),
-           ("3/2^400", Fraction(3, 2 ** 400)))
-EVAL_YS = (Fraction(1), Fraction(3, 20))
+           ("3/2^400", Fraction(3, 2 ** 400)),
+           ("10^6+1/3", 10 ** 6 + Fraction(1, 3)))
+#: At Im z = 50, |q| < 2^-W up to 256 bits, so q is the ball (0, 0, 1).
+EVAL_YS = (Fraction(1), Fraction(3, 20), Fraction(50))
 EVAL_PRECS = (1, 2, 53, 256, 1024)
+#: (label, eta factors, weight, level, sign): Delta, and eta(z)^2 eta(13z)^2,
+#: whose leading exponent 7/6 needs q^(7/6) besides q.
+EVAL_FORMS = (("delta", [(1, 24)], 12, 1, 1),
+              ("eta13", [(1, 2), (13, 2)], 2, 13, -1))
 
 
 def _stretch_power(m: int, n: int):
@@ -156,15 +163,18 @@ def digest_points() -> None:
 
 
 def digest_eval(length: int = 512) -> None:
-    form = numeric.FormData(qseries.eta_product([(1, 24)], length), 12, 1, 1)
     with mp.workprec(1024):
-        for prec in EVAL_PRECS:
-            cfg = numeric.EvalConfig(precision=prec)
-            for y in EVAL_YS:
-                for label, x in EVAL_XS:
-                    _show(f"eval_form delta L={length} prec={prec} x={label} "
-                          f"y={y}",
-                          lambda: tuple(numeric.eval_form(form, (x, y), cfg)))
+        for name, factors, weight, level, sign in EVAL_FORMS:
+            form = numeric.FormData(qseries.eta_product(factors, length),
+                                    weight, level, sign)
+            for prec in EVAL_PRECS:
+                cfg = numeric.EvalConfig(precision=prec)
+                for y in EVAL_YS:
+                    for label, x in EVAL_XS:
+                        _show(f"eval_form {name} L={length} prec={prec} "
+                              f"x={label} y={y}",
+                              lambda: tuple(numeric.eval_form(form, (x, y),
+                                                              cfg)))
 
 
 def main(argv) -> int:
