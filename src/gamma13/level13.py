@@ -40,12 +40,6 @@ from .gamma0 import DEFAULT_LEVEL, GENERATORS
 from .groupring import RingElem, poly_mul, stroke_of_power
 from .projmat import Mat2, ProjMat
 
-# The fixed level-13 classes.
-P_CLASS, G3 = GENERATORS["P"], GENERATORS["g3"]
-DELTA1_HAT = ProjMat.of([[39, -14], [117, -39]])
-DELTA2_HAT = ProjMat.of([[5, -2], [13, -5]])
-DELTA3_HAT = ProjMat.of([[-26, 8], [-91, 26]])
-
 SHIPPED_FILES = {"f": "level13_f.json", "g": "level13_g.json"}
 
 
@@ -64,6 +58,12 @@ def delta1_class(level: int = DEFAULT_LEVEL) -> ProjMat:
 def delta3_class(level: int = DEFAULT_LEVEL) -> ProjMat:
     return ProjMat.of([[4 * level, -16],
                        [level * (level + 1), -4 * level]])
+
+
+# The fixed level-13 classes.
+P_CLASS, G3 = GENERATORS["P"], GENERATORS["g3"]
+DELTA1_HAT, DELTA3_HAT = delta1_class(13), delta3_class(13)
+DELTA2_HAT = ProjMat.of([[5, -2], [13, -5]])
 
 
 def t2_sum() -> RingElem:

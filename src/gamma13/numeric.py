@@ -49,10 +49,10 @@ rounded once; a residual, the ``max_residual`` that ``formcheck`` prints
 and compares, is |sum of the midpoints| plus the sum of the radii: a
 certified bound.  ``run_formcheck``'s tolerance is the only one: a
 congruence passes when that bound is below it, and radii that alone reach
-it decide nothing, so the battery stops with ``PrecisionError``.  Of
-mpmath the balls take only pi: ``mp.prec`` sets the working precision,
-``_result`` turns a ball into an mpc midpoint and an mpf radius, and
-lambda and ``density_search`` run in mpmath's floats.
+it decide nothing, so the battery stops with ``PrecisionError``.  The
+balls take W as an argument and never read or set mpmath's global context:
+of mpmath they take pi, and ``_ulps`` makes their results exact mpfs.  Only
+lambda and ``density_search`` run in mpmath's floats at its precision.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -98,7 +98,8 @@ from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_pi
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_pi,
+                          round_nearest, to_str)
 
 from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem, binary_power
@@ -151,6 +152,8 @@ class EvalConfig:
     points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = DEFAULT_POINTS
 
     def __post_init__(self) -> None:
+        if self.precision < 1:
+            raise ValueError(f"precision {self.precision} is below 1 bit")
         if self.points is not None:
             pts = tuple((Fraction(x), Fraction(y)) for x, y in self.points)
             if not pts:
@@ -247,18 +250,17 @@ def _cut_estimate(k: int, offset: float, least: int, length: int,
     return min(length + 1, max(least, math.ceil(m - offset) - 1))
 
 
-def _evaluate(form: FormData, z, label: str = "") -> Ball:
-    """The ball at scale 2^-W, W = prec + ``_CUT_GUARD``, that holds f at
-    the exact point z = (x, y), by the cut of the module docstring:
-    ``PrecisionError``, prefixed by ``label``, when no bound past L exists
-    (rho x >= 1).  The cut is the least n with offset + n >= 1 whose bound,
-    rounded up to whole ulps by ``_tail_bound``, is at most one ulp, or
-    L + 1 when none is; that bound joins the radius.  q and q^offset come
-    from ``_q_power``, and x bounds |q| by the Euclidean norm of q's
-    midpoint rounded up plus its radius."""
+def _evaluate(form: FormData, z, W: int, label: str = "") -> Ball:
+    """The ball at scale 2^-W, W an argument, that holds f at the exact
+    point z = (x, y), by the cut of the module docstring: ``PrecisionError``,
+    prefixed by ``label``, when no bound past L exists (rho x >= 1).  The
+    cut is the least n with offset + n >= 1 whose bound, rounded up to
+    whole ulps by ``_tail_bound``, is at most one ulp, or L + 1 when none
+    is; that bound joins the radius.  q and q^offset come from
+    ``_q_power``, and x bounds |q| by the Euclidean norm of q's midpoint
+    rounded up plus its radius."""
     series, k = form.series, form.weight
     offset, length = Fraction(series.offset), series.length
-    W = mp.prec + _CUT_GUARD
     q = _q_power(z, 1, W)
     shift = q if offset == 1 else _q_power(z, offset, W)
     x, x_offset = (math.isqrt(re * re + im * im) + 1 + r
@@ -388,12 +390,17 @@ def _term(scalar: QuadElem, factor, value: Ball, W: int) -> Ball:
     return _mul((_fixed(scalar * re, W), _fixed(scalar * im, W), 3), value, W)
 
 
+def _ulps(n: int, W: int) -> mpf:
+    """n ulps of 2^-W as an exact mpf."""
+    return mp.make_mpf(from_man_exp(n, -W))
+
+
 def _result(ball: Ball, W: int) -> EvalResult:
     """The ball as its exact midpoint and radius."""
     re, im, r = ball
     return EvalResult(
         mp.make_mpc((from_man_exp(re, -W), from_man_exp(im, -W))),
-        mp.make_mpf(from_man_exp(r, -W)))
+        _ulps(r, W))
 
 
 def _upper(z):
@@ -409,10 +416,8 @@ def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult
     """Evaluate the truncated expansion at the exact point z = (x, y) of the
     upper half-plane, returning the midpoint of the ball with its radius,
     which bounds |f(z) - value|."""
-    cfg = cfg or DEFAULT_CONFIG
-    x, y = _upper(z)
-    with mp.workprec(cfg.precision):
-        return _result(_evaluate(form, (x, y)), mp.prec + _CUT_GUARD)
+    W = (cfg or DEFAULT_CONFIG).precision + _CUT_GUARD
+    return _result(_evaluate(form, _upper(z), W), W)
 
 
 @dataclass
@@ -457,20 +462,20 @@ def _automorphy(k: int, det: QuadElem, den: QuadElem,
     return re * scale, im * scale
 
 
-def _stroke(form: FormData, mat: ProjMat, x, y, memo: _Memo,
+def _stroke(form: FormData, mat: ProjMat, x, y, memo: _Memo, W: int,
             label: str = "") -> Tuple[Tuple, Ball]:
     """The exact automorphy factor det^{k/2} (cz+d)^{-k} of the class at the
-    exact point x + iy, and the ball of f at the image, which lies in the
-    upper half-plane with x + iy since det > 0.  ``memo`` keeps the factor
-    and value of each (class, point) and f at each image point, so each is
-    computed once.  ``label`` prefixes error messages."""
+    exact point x + iy, and the ball at scale 2^-W of f at the image, which
+    lies in the upper half-plane with x + iy since det > 0.  ``memo`` keeps
+    the factor and value of each (class, point) and f at each image point,
+    so each is computed once.  ``label`` prefixes error messages."""
     key = (mat, x, y)
     stroke = memo.strokes.get(key)
     if stroke is None:
         xi, yi, den, cy, det = _exact_image(mat, x, y)
         point = (xi, yi)
         if point not in memo.values:
-            memo.values[point] = _evaluate(form, point, label)
+            memo.values[point] = _evaluate(form, point, W, label)
         stroke = memo.strokes[key] = (
             _automorphy(form.weight, det, den, cy), memo.values[point])
     return stroke
@@ -481,13 +486,10 @@ def stroke_value(form: FormData, matrix, z,
     """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz) at the exact point
     z = (x, y) of the upper half-plane, through the same exact image as
     every residual; requires positive determinant."""
-    cfg = cfg or DEFAULT_CONFIG
+    W = (cfg or DEFAULT_CONFIG).precision + _CUT_GUARD
     x, y = _upper(z)
-    mat = ProjMat.of(matrix)
-    with mp.workprec(cfg.precision):
-        W = mp.prec + _CUT_GUARD
-        factor, value = _stroke(form, mat, x, y, _Memo())
-        return _result(_term(QuadElem.of(1), factor, value, W), W).value
+    factor, value = _stroke(form, ProjMat.of(matrix), x, y, _Memo(), W)
+    return _result(_term(QuadElem.of(1), factor, value, W), W).value
 
 
 # -- congruence residuals -------------------------------------------------------
@@ -513,21 +515,19 @@ def _exact_image(mat: ProjMat, x, y):
 
 
 def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
-    items: List[Tuple[int, ProjMat, object]] = []
-    for sign, side in ((1, congruence.lhs), (-1, congruence.rhs)):
-        for mat, poly in side.terms():
-            items.append((sign, mat, poly))
-    return items
+    return [(sign, mat, poly) for sign, side in ((1, congruence.lhs),
+                                                 (-1, congruence.rhs))
+            for mat, poly in side.terms()]
 
 
 def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
-              memo: _Memo, tol: Optional[Fraction] = None) -> mpf:
-    """A certified bound on the max over the sample points of
-    |f|lhs - f|rhs|: the configured points, or with ``points=None`` those
+              memo: _Memo, W: int, tol: Optional[Fraction] = None) -> int:
+    """A certified bound, in ulps of 2^-W, on the max over the sample points
+    of |f|lhs - f|rhs|: the configured points, or with ``points=None`` those
     the point search picks, however low their images lie; congruences on
     the same set of classes share one search per memo.  At each point it is
-    |sum of the terms' midpoints|, rounded up, plus the sum of their radii,
-    a multiple of 2^-W.  Terms whose instantiated scalar is zero drop out.
+    |sum of the terms' midpoints|, rounded up, plus the sum of their radii.
+    Terms whose instantiated scalar is zero drop out.
     Radii that alone reach a tolerance ``tol`` at a point raise
     ``PrecisionError``, naming them, ``tol`` and the lowest exact image
     height: the radius, not a floor, says where the points lie too low."""
@@ -544,12 +544,11 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
         scalar = poly.instantiate(a2, a3, form.sign)
         if not scalar.is_zero:
             terms.append((mat, sign * scalar))
-    W = mp.prec + _CUT_GUARD
     worst = widest = 0
     for x, y in points:
         re = im = radius = 0
         for mat, scalar in terms:
-            factor, value = _stroke(form, mat, x, y, memo, f"{label}: ")
+            factor, value = _stroke(form, mat, x, y, memo, W, f"{label}: ")
             term_re, term_im, term_radius = _term(scalar, factor, value, W)
             re, im, radius = re + term_re, im + term_im, radius + term_radius
         # ceil(|midpoint|), from the integer square root
@@ -558,30 +557,32 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
         widest = max(widest, radius)
     if tol is not None and widest >= tol * (1 << W):
         height = _lowest_height(points, [mat for mat, _ in terms], memo, None)
-        with mp.workprec(53):  # 5 digits of each, whatever prec is
-            raise PrecisionError(
-                f"{label}: ball radius {mp.nstr(mp.ldexp(widest, -W), 5)} is "
-                f"not below the tolerance {mp.nstr(_to_mpf(tol), 5)}; the "
-                f"points and their images reach down to Im = {height}")
-    return mp.make_mpf(from_man_exp(worst, -W))
+        # 5 digits of the exact radius and of p/q as mpf(p)/q at 53 bits
+        shown = mpf_div(from_int(tol.numerator, 53, round_nearest),
+                        from_int(tol.denominator), 53, round_nearest)
+        raise PrecisionError(
+            f"{label}: ball radius {to_str(from_man_exp(widest, -W), 5)} is "
+            f"not below the tolerance {to_str(shown, 5)}; the points and "
+            f"their images reach down to Im = {height}")
+    return worst
 
 
 def _residuals(form: FormData, congruences, cfg: EvalConfig,
-               tol: Optional[Fraction] = None) -> List[mpf]:
-    """``_residual`` of each congruence, at one working precision and with
-    one memo of image heights, chosen points and f values; the first
-    congruence that cannot be decided raises its ``PrecisionError``."""
-    with mp.workprec(cfg.precision):
-        memo = _Memo()
-        return [_residual(form, congruence, cfg, memo, tol)
-                for congruence in congruences]
+               tol: Optional[Fraction] = None) -> Tuple[List[int], int]:
+    """``_residual`` of each congruence and the W = prec + ``_CUT_GUARD`` of
+    their ulps, with one memo of image heights, chosen points and f values;
+    the first congruence that cannot be decided raises ``PrecisionError``."""
+    W, memo = cfg.precision + _CUT_GUARD, _Memo()
+    return [_residual(form, congruence, cfg, memo, W, tol)
+            for congruence in congruences], W
 
 
 def congruence_residual(form: FormData, congruence: Congruence,
                         cfg: Optional[EvalConfig] = None) -> mpf:
     """Max over the configured sample points of |f|lhs - f|rhs|, with the
     congruence symbols instantiated from the form."""
-    return _residuals(form, [congruence], cfg or DEFAULT_CONFIG)[0]
+    (residual,), W = _residuals(form, [congruence], cfg or DEFAULT_CONFIG)
+    return _ulps(residual, W)
 
 
 _SUGGEST_HEIGHTS = (Fraction(1), Fraction(4, 5), Fraction(1, 2),
@@ -846,24 +847,20 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
     cfg = cfg or EvalConfig(points=None)
     tol = Fraction(residual_tol)
     battery = _battery(form)
-    residuals = _residuals(form, battery, cfg, tol)
+    residuals, W = _residuals(form, battery, cfg, tol)
     rows: List[Tuple] = []
-    ok = True
     for congruence, residual in zip(battery, residuals):
-        # a residual is a dyadic rational, so it compares exactly
-        man, exp2 = residual.man_exp
-        passed = Fraction(man) * Fraction(2) ** exp2 < tol
-        ok = ok and passed
-        rows.append(("CONG", congruence.id, residual, passed))
+        # residual 2^-W < p/q, exactly in integers
+        passed = residual * tol.denominator < tol.numerator << W
+        rows.append(("CONG", congruence.id, _ulps(residual, W), passed))
     for p in (2, 3):
         rec = hecke_check(form.series, p, form.weight,
                           form.series.coefficient(p))
-        ok = ok and rec.ok
         rows.append(("HECKE", p, rec.ok))
-    decay = cusp_decay_check(form)
-    ok = ok and decay.ok
-    rows.append(("CUSP", decay.ok))
-    return FormcheckReport(tuple(rows), ok, max(residuals))
+    rows.append(("CUSP", cusp_decay_check(form).ok))
+    # every row ends with its verdict
+    return FormcheckReport(tuple(rows), all(row[-1] for row in rows),
+                           _ulps(max(residuals), W))
 
 
 def certificate_residual_sweep(form: FormData, certificate: Certificate,
@@ -871,6 +868,6 @@ def certificate_residual_sweep(form: FormData, certificate: Certificate,
     """Max stroke residual of the form over every congruence the
     certificate establishes, by default at the points the battery searches;
     the numeric soundness bridge for the symbolic layer."""
-    residuals = _residuals(form, [step.result for step in certificate.steps],
-                           cfg or EvalConfig(points=None))
-    return max(residuals, default=mpf(0))
+    residuals, W = _residuals(form, [step.result for step in certificate.steps],
+                              cfg or EvalConfig(points=None))
+    return _ulps(max(residuals, default=0), W)

@@ -116,6 +116,11 @@ class TestVerify:
         (lambda: shipped_f_with(lambda d: first_step(d, "SCALE")["args"]
                                 .__setitem__(1, "a3^70000")),
          "step w.d: bad scalar: exponent 70000 exceeds limit 65536"),
+        (lambda: shipped_f_with(lambda d: next(
+            s for s in d["steps"] if s["id"] == "Pinv")["result"].update(
+                lhs="[[1,2],[2,4]] + (")),
+         "malformed certificate: step Pinv: expected a factor, got '' "
+         "(at position 17)"),
         (lambda: shipped_f_with(lambda d: d["axioms"][0].update(
             lhs="[[1,1],[0,0]]")),
          "malformed certificate: axiom ax:P: projective class requires "
@@ -158,7 +163,8 @@ class TestVerify:
         (lambda: shipped_f_with(lambda d: d["axioms"][0].update(
             lhs="(" * 5000 + "1" + ")" * 5000)),
          "malformed certificate: axiom ax:P: nested too deeply"),
-    ], ids=["claimed-side-exponent", "scale-exponent", "singular-axiom-side",
+    ], ids=["claimed-side-exponent", "scale-exponent",
+            "grammar-error-after-singular-matrix", "singular-axiom-side",
             "singular-factor", "product-exponent", "constant-power-bits",
             "args-object", "args-string", "level-not-integer",
             "level-float", "level-bool", "level-string", "step-id-integer",

@@ -108,16 +108,16 @@ class TestQuadSign:
         assert q(-7, 0).sign() == -1
 
     def test_sign_matches_float_embedding(self):
-        mp.prec = 256
-        s = mpsqrt(mpf(13))
-        rng = random.Random(4)
-        for _ in range(10_000):
-            x = q(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
-                  Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
-            approx = mpf(x.a.numerator) / x.a.denominator \
-                + (mpf(x.b.numerator) / x.b.denominator) * s
-            expected = 0 if approx == 0 else (1 if approx > 0 else -1)
-            assert x.sign() == expected
+        with mp.workprec(256):
+            s = mpsqrt(mpf(13))
+            rng = random.Random(4)
+            for _ in range(10_000):
+                x = q(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+                      Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+                approx = mpf(x.a.numerator) / x.a.denominator \
+                    + (mpf(x.b.numerator) / x.b.denominator) * s
+                expected = 0 if approx == 0 else (1 if approx > 0 else -1)
+                assert x.sign() == expected
 
     def test_abs(self):
         assert abs(q(2, -1)) == q(-2, 1)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from gamma13.exactnum import QuadElem, ScalarPoly
+from gamma13.grammar import GrammarError
 from gamma13.groupring import RingElem, stroke_of_power
 from gamma13.level13 import load_shipped_certificate
 from gamma13.projmat import Mat2, ProjMat
@@ -90,6 +91,15 @@ class TestRingElem:
     def test_projective_classes_merge(self):
         assert RingElem.parse("[[2,0],[0,1]] + [[4,0],[0,2]]") == \
             RingElem.parse("2*[[2,0],[0,1]]")
+
+    def test_grammar_error_is_reported_before_a_singular_matrix(self):
+        # the text is parsed in full before any class is formed, so a
+        # grammar error after a singular matrix is the one reported
+        with pytest.raises(GrammarError, match=r"^expected a factor, got '' "
+                           r"\(at position 17\)$"):
+            RingElem.parse("[[1,2],[2,4]] + (")
+        with pytest.raises(ValueError, match="positive determinant, got 0"):
+            RingElem.parse("[[1,2],[2,4]]")
 
     def test_cancellation(self):
         x = RingElem.parse("e*[[0,-1],[13,0]] - e*[[0,-1],[13,0]]")

@@ -38,6 +38,12 @@ class TestGeneratorIdentities:
         w = ProjMat.of([[1, 0], [13, 1]])
         assert h * p.inv() * h == w
 
+    def test_fixed_classes_are_the_builders_at_level_13(self):
+        assert level13.G3 == level13.g3_class(13) == G3
+        assert level13.DELTA1_HAT == level13.delta1_class(13) == D1HAT
+        assert level13.DELTA3_HAT == level13.delta3_class(13) == D3HAT
+        assert level13.DELTA2_HAT == D2HAT
+
     def test_g3_has_order_three(self):
         assert G3 ** 3 == ProjMat.identity()
 

@@ -13,6 +13,7 @@ Frozen anchors recomputed independently:
 import math
 import random
 import re
+import threading
 import time
 from fractions import Fraction
 
@@ -847,3 +848,69 @@ class TestCertificateBridge:
         cert = build_f_certificate(1)
         residual = certificate_residual_sweep(delta_form(), cert)
         assert residual < mpf(10) ** -15
+
+
+class TestAmbientPrecision:
+    """The balls take W as an argument: mpmath's global precision, whatever
+    it is and however it moves during a call, changes no digit."""
+
+    def test_battery_ignores_precision_set_between_steps(self, monkeypatch):
+        plain = run_formcheck(delta_form()).lines()
+        calls, horner = [], numeric._horner
+
+        def noisy(*args):
+            calls.append(None)
+            mp.prec = 20 if len(calls) % 2 else 1024
+            return horner(*args)
+        monkeypatch.setattr(numeric, "_horner", noisy)
+        with mp.workprec(53):
+            assert run_formcheck(delta_form()).lines() == plain
+            assert mp.prec in (20, 1024)  # the noise reached the context
+        assert calls
+
+    def test_public_results_ignore_ambient_precision(self):
+        form, fricke = delta_form(), fricke_form()
+        axiom = f_context(13).axiom("ax:H")
+        cfg = EvalConfig(points=FRICKE_POINTS_13)
+
+        def results():
+            return (eval_form(form, (Fraction(1, 3), Fraction(9, 10))),
+                    stroke_value(form, Mat2.of([[2, 1], [1, 1]]), (0, 1)),
+                    congruence_residual(fricke, axiom, cfg))
+        plain = results()
+        with mp.workprec(20):
+            assert results() == plain
+
+    def test_budget_error_ignores_ambient_precision(self):
+        def message():
+            with pytest.raises(PrecisionError) as info:
+                run_formcheck(delta_form(), EvalConfig(precision=30,
+                                                       points=None),
+                              Fraction("1.23456789e-16"))
+            return str(info.value)
+        plain = message()
+        assert "is not below the tolerance 1.2346e-16;" in plain
+        with mp.workprec(20):
+            assert message() == plain
+
+    def test_battery_ignores_a_thread_that_moves_the_precision(self):
+        plain = run_formcheck(delta_form()).lines()
+        stop = threading.Event()
+
+        def noise():
+            while not stop.is_set():
+                for prec in (20, 1024):
+                    mp.prec = prec
+        with mp.workprec(53):
+            thread = threading.Thread(target=noise)
+            thread.start()
+            try:
+                lines = run_formcheck(delta_form()).lines()
+            finally:
+                stop.set()
+                thread.join()
+        assert lines == plain
+
+    def test_precision_below_one_bit_is_refused(self):
+        with pytest.raises(ValueError, match="precision 0 is below 1 bit"):
+            EvalConfig(precision=0)

@@ -7,8 +7,10 @@ For each coefficient file (the format ``gamma13 eta`` writes) it prints
 every ``run_formcheck`` row (or its budget error),
 ``certificate_residual_sweep`` over the f certificate of the file's level,
 ``eval_form`` (value and radius) and ``stroke_value`` at the same exact
-point, and ``cusp_decay_check``, which decides exactly from the carried
-exponents and evaluates nothing.  It ends with
+point, ``cusp_decay_check``, which decides exactly from the carried
+exponents and evaluates nothing, and the verdict line or the error text of
+``run_formcheck`` at each (precision, tolerance) pair in ``BUDGETS``.  It
+ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
 ``FRICKE_POINTS_13`` for eps = -1 and +1, then with ``density_search``
 on each request in ``DENSITY_REQUESTS`` as ``(m, n, error)``, and then
@@ -18,11 +20,14 @@ picks (or its error) for every axiom and step of the level-1 and
 level-13 f certificates at each floor in ``FLOORS``, and last with
 ``eval_form`` (value and radius) of each form in ``EVAL_FORMS`` at every
 point of ``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``.
-Every ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the working
-precision of the formcheck and Fricke calls (``density_search`` derives
-its own), or at 1024 bits in the ``eval_form`` section, whose precisions
-reach 1024, so two trees agree digit for digit, and their ``eta`` files
-byte for byte, exactly when the outputs of
+Every ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the default
+``EvalConfig`` precision of the formcheck and Fricke calls, or at 1024 bits
+in the ``eval_form`` section, whose precisions reach 1024.  The balls take
+their precision from ``EvalConfig`` as an argument, and only lambda and
+``density_search`` use mpmath's global precision (``density_search``
+derives its own), so the ``repr`` precision moves no digit of a result.
+Two trees agree digit for digit, and their ``eta`` files byte for byte,
+exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/numeric_digest.py FILES > old.txt
     PYTHONPATH=new/src python3 tools/numeric_digest.py FILES > new.txt
@@ -49,6 +54,14 @@ MATRIX = [[2, 1], [1, 1]]
 ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
                 ("1:8,2:8", 2048), ("2:16,1:-8", 2048), ("1:4,5:4", 2048),
                 ("1:2,11:2", 2048)]
+
+
+#: (precision, tolerance) pairs of ``run_formcheck``: on Delta at L = 512
+#: each ends in a budget error, whose text rounds the radius and the
+#: tolerance to 5 digits (a tolerance of 1e-9999 underflows a float, one
+#: of 1.23456789e-16 rounds up in its fifth digit).
+BUDGETS = ((1, "1e-15"), (20, "1e-15"), (40, "1e-400"),
+           (30, "1.23456789e-16"), (8, "1e-9999"), (200, "1e-70"))
 
 
 #: The floors ``suggest_points`` is asked to keep the points above; the
@@ -122,6 +135,11 @@ def digest_file(path: Path) -> None:
     _show("eval_form", lambda: tuple(numeric.eval_form(form, POINT)))
     _show("stroke_value", lambda: numeric.stroke_value(form, MATRIX, POINT))
     _show("cusp", lambda: numeric.cusp_decay_check(form))
+    for prec, tol in BUDGETS:
+        cfg = numeric.EvalConfig(precision=prec, points=None)
+        _show(f"formcheck prec={prec} tol={tol}",
+              lambda: numeric.run_formcheck(form, cfg, Fraction(tol))
+              .lines()[-1])
 
 
 def digest_fricke(length: int = 512) -> None:
@@ -178,7 +196,7 @@ def digest_eval(length: int = 512) -> None:
 
 
 def main(argv) -> int:
-    # the library sets its own working precision; this only widens repr
+    # the balls take their precision as an argument; this only widens repr
     with mp.workprec(256):
         for name in argv:
             digest_file(Path(name))
