@@ -99,7 +99,7 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
         return _usage(f"--prec must be at least 1 bit, got {args.prec}")
     try:
         tol = _positive_number(args.tol, "--tol")
-        cfg = EvalConfig(precision=args.prec, points=None)
+        cfg = EvalConfig(precision=args.prec)
         report = run_formcheck(form, cfg, residual_tol=tol)
     except (ValueError, PrecisionError) as exc:
         return _usage(str(exc))

@@ -62,20 +62,21 @@ and each residual term take the exact image and the factor from it.
 The symbols in a congruence are instantiated from the form: the Hecke
 scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
 
-With ``points=None`` the sample points are searched: two candidate points
-per center on the classes' isometric circles, at fixed heights, each
-scored by the least height among the points and their images, the first
-highest score winning.  The search is pruned: a candidate stops being
-scored once its running minimum is at or below the best score so far,
-since only a strictly higher score wins, so the choice is that of the full
-search.  A candidate is scored by the image heights det y / |cz + d|^2
-alone; only the (class, point) pairs that ``_stroke`` takes get their
-full exact image.  One battery (one ``_residuals`` call) keeps a memo of
-the image height of each (class, point) that the search scored, of the
-exact automorphy factor and f value of each (class, point) that
-``_stroke`` took, of the points chosen for each set of classes, which
-congruences on the same classes reuse, and of f at each image point.  The
-memo dies with the call.
+By default (``points=None``) the sample points are searched: two
+candidate points per center on the classes' isometric circles, at fixed
+heights, each scored by the least height among the points and their
+images, the first highest score winning; a fixed set such as
+``FRICKE_POINTS_13`` is the other choice.  The search is pruned: a
+candidate stops being scored once its running minimum is at or below the
+best score so far, since only a strictly higher score wins, so the choice
+is that of the full search.  Each (class, point) has one exact record,
+``_image``: cz + d, 1/|cz + d|^2, det and the image height
+det y / |cz + d|^2, by which the search scores; ``_stroke`` finishes the
+image and the automorphy factor from it.  One battery (one ``_residuals``
+call) keeps a memo of these records, of the factor and f value of each
+(class, point) that ``_stroke`` took, of the points chosen for each set
+of classes, which congruences on the same classes reuse, and of f at each
+image point.  The memo dies with the call.
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -92,6 +93,7 @@ exhausted budget.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -127,14 +129,6 @@ STRETCH_BASE = QuadElem(Fraction(2, 3), Fraction(1, 3))
 #: Smaller diagonal stretch of the second generator: (7-sqrt13)/6.
 H3_EIGENVALUE = QuadElem(Fraction(7, 6), Fraction(-1, 6))
 
-DEFAULT_POINTS: Tuple[Tuple[Fraction, Fraction], ...] = tuple(
-    (Fraction(x), Fraction(y)) for x, y in (
-        (0, 1), (Fraction(1, 3), Fraction(9, 10)),
-        (Fraction(-1, 2), Fraction(4, 5)), (Fraction(2, 7), Fraction(6, 5)),
-        (Fraction(-2, 5), 1), (Fraction(1, 2), Fraction(11, 10)),
-        (Fraction(-1, 4), Fraction(17, 20)), (Fraction(3, 8), Fraction(5, 4)),
-    ))
-
 #: Points on the circle |z| = 1/sqrt(13), which the level-13 inversion
 #: maps to itself, so both the points and their images keep Im >= 2/13.
 FRICKE_POINTS_13: Tuple[Tuple[Fraction, Fraction], ...] = (
@@ -145,26 +139,23 @@ FRICKE_POINTS_13: Tuple[Tuple[Fraction, Fraction], ...] = (
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation settings.  ``points=None`` means: auto-tune sample
-    points per congruence instead of using a fixed set."""
+    """Evaluation settings: the working precision in bits, and the sample
+    points, by default (``points=None``) searched per set of classes, or a
+    fixed nonempty set of exact points in the upper half-plane."""
 
     precision: int = 256
-    points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = DEFAULT_POINTS
+    points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
 
     def __post_init__(self) -> None:
         if self.precision < 1:
             raise ValueError(f"precision {self.precision} is below 1 bit")
         if self.points is not None:
-            pts = tuple((Fraction(x), Fraction(y)) for x, y in self.points)
+            pts = tuple(_upper((Fraction(x), Fraction(y)))
+                        for x, y in self.points)
             if not pts:
                 raise ValueError("the sample point set is empty; "
-                                 "points=None auto-tunes them instead")
-            if any(y <= 0 for _, y in pts):
-                raise ValueError("sample points must lie in the upper half-plane")
+                                 "points=None searches them instead")
             object.__setattr__(self, "points", pts)
-
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 class EvalResult(NamedTuple):
@@ -412,51 +403,54 @@ def _upper(z):
     return x, y
 
 
-def eval_form(form: FormData, z, cfg: Optional[EvalConfig] = None) -> EvalResult:
+def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the truncated expansion at the exact point z = (x, y) of the
     upper half-plane, returning the midpoint of the ball with its radius,
     which bounds |f(z) - value|."""
-    W = (cfg or DEFAULT_CONFIG).precision + _CUT_GUARD
+    W = cfg.precision + _CUT_GUARD
     return _result(_evaluate(form, _upper(z), W), W)
 
 
 @dataclass
 class _Memo:
     """What one battery computes once and reuses: f at each image point
-    (``values``), the exact image height of each (class, point) that the
-    search scored (``heights``), the exact automorphy factor and f value of
-    each (class, point) that ``_stroke`` took (``strokes``), and the points
-    the search chose for each set of classes (``points``).  It lives for one
-    call, so nothing carries over between calls."""
+    (``values``), the ``_image`` record of each (class, point) (``images``),
+    the exact automorphy factor and f value of each (class, point) that
+    ``_stroke`` took (``strokes``), and the points the search chose for each
+    set of classes (``points``).  It lives for one call, so nothing carries
+    over between calls."""
 
     values: Dict = field(default_factory=dict)
-    heights: Dict = field(default_factory=dict)
+    images: Dict = field(default_factory=dict)
     strokes: Dict = field(default_factory=dict)
     points: Dict = field(default_factory=dict)
 
 
-def _height(memo: _Memo, mat: ProjMat, x, y) -> QuadElem:
-    """The imaginary part det y / |cz + d|^2 of the class's image of the
-    exact point z = x + iy, computed once per memo: the search scores by it
-    alone, so only the images ``_stroke`` takes are built in full."""
+#: The exact geometry of a class at a point z = x + iy: the image height
+#: det y inv, cz + d = den + i cy, inv = 1/|cz + d|^2 and det = ad - bc.
+_Image = namedtuple("_Image", "height den cy inv det")
+
+
+def _image(memo: _Memo, mat: ProjMat, x, y) -> _Image:
+    """The record of the class at the exact point x + iy, made once per
+    memo, whether the search or ``_stroke`` asks first."""
     key = (mat, x, y)
-    height = memo.heights.get(key)
-    if height is None:
+    image = memo.images.get(key)
+    if image is None:
         a, b, c, d = mat.entries
         yq = QuadElem.of(y)
-        den, cy = c * QuadElem.of(x) + d, c * yq
-        height = memo.heights[key] = (a * d - b * c) * yq / (den * den
-                                                             + cy * cy)
-    return height
+        den, cy, det = c * QuadElem.of(x) + d, c * yq, a * d - b * c
+        inv = (den * den + cy * cy).inv()
+        image = memo.images[key] = _Image(det * yq * inv, den, cy, inv, det)
+    return image
 
 
-def _automorphy(k: int, det: QuadElem, den: QuadElem,
-                cy: QuadElem) -> Tuple[QuadElem, QuadElem]:
+def _automorphy(k: int, image: _Image) -> Tuple[QuadElem, QuadElem]:
     """det^{k/2} (cz+d)^{-k} = det^{k/2} conj(cz+d)^k / |cz+d|^{2k}, exactly,
-    as its real and imaginary parts, from the exact determinant and the
-    real and imaginary parts of cz + d."""
-    scale = det ** (k // 2) / (den * den + cy * cy) ** k
-    re, im = binary_power((den, -cy), k, (QuadElem.of(1), QuadElem.of(0)),
+    as its real and imaginary parts, from the record of the class at z."""
+    scale = image.det ** (k // 2) * image.inv ** k
+    re, im = binary_power((image.den, -image.cy), k,
+                          (QuadElem.of(1), QuadElem.of(0)),
                           lambda u, v: (u[0] * v[0] - u[1] * v[1],
                                         u[0] * v[1] + u[1] * v[0]))
     return re * scale, im * scale
@@ -466,27 +460,32 @@ def _stroke(form: FormData, mat: ProjMat, x, y, memo: _Memo, W: int,
             label: str = "") -> Tuple[Tuple, Ball]:
     """The exact automorphy factor det^{k/2} (cz+d)^{-k} of the class at the
     exact point x + iy, and the ball at scale 2^-W of f at the image, which
-    lies in the upper half-plane with x + iy since det > 0.  ``memo`` keeps
+    lies in the upper half-plane with x + iy since det > 0.  The image is
+    finished from the class's ``_image`` record: its real part is
+    ((ax + b) den + a c y^2) inv, its height the record's.  ``memo`` keeps
     the factor and value of each (class, point) and f at each image point,
     so each is computed once.  ``label`` prefixes error messages."""
     key = (mat, x, y)
     stroke = memo.strokes.get(key)
     if stroke is None:
-        xi, yi, den, cy, det = _exact_image(mat, x, y)
-        point = (xi, yi)
+        image = _image(memo, mat, x, y)
+        a, b, c, _ = mat.entries
+        yq = QuadElem.of(y)
+        point = (((a * QuadElem.of(x) + b) * image.den + a * c * yq * yq)
+                 * image.inv, image.height)
         if point not in memo.values:
             memo.values[point] = _evaluate(form, point, W, label)
-        stroke = memo.strokes[key] = (
-            _automorphy(form.weight, det, den, cy), memo.values[point])
+        stroke = memo.strokes[key] = (_automorphy(form.weight, image),
+                                      memo.values[point])
     return stroke
 
 
 def stroke_value(form: FormData, matrix, z,
-                 cfg: Optional[EvalConfig] = None) -> mpc:
+                 cfg: EvalConfig = EvalConfig()) -> mpc:
     """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz) at the exact point
     z = (x, y) of the upper half-plane, through the same exact image as
     every residual; requires positive determinant."""
-    W = (cfg or DEFAULT_CONFIG).precision + _CUT_GUARD
+    W = cfg.precision + _CUT_GUARD
     x, y = _upper(z)
     factor, value = _stroke(form, ProjMat.of(matrix), x, y, _Memo(), W)
     return _result(_term(QuadElem.of(1), factor, value, W), W).value
@@ -500,20 +499,6 @@ def _hecke_scalar(form: FormData, p: int) -> Fraction:
         form.series.coefficient(p))
 
 
-def _exact_image(mat: ProjMat, x, y):
-    """Image of the exact point x + iy under the class, as field elements
-    (real part, imaginary part, the real and imaginary parts of the
-    automorphy denominator c*z + d, and the determinant)."""
-    a, b, c, d = mat.entries
-    xq, yq = QuadElem.of(x), QuadElem.of(y)
-    den, cy = c * xq + d, c * yq
-    q = den * den + cy * cy
-    det = a * d - b * c
-    xi = ((a * xq + b) * den + a * c * yq * yq) / q
-    yi = det * yq / q
-    return xi, yi, den, cy, det
-
-
 def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
     return [(sign, mat, poly) for sign, side in ((1, congruence.lhs),
                                                  (-1, congruence.rhs))
@@ -523,8 +508,8 @@ def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
 def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
               memo: _Memo, W: int, tol: Optional[Fraction] = None) -> int:
     """A certified bound, in ulps of 2^-W, on the max over the sample points
-    of |f|lhs - f|rhs|: the configured points, or with ``points=None`` those
-    the point search picks, however low their images lie; congruences on
+    of |f|lhs - f|rhs|: by default (``points=None``) those the point search
+    picks, or the configured fixed ones, however low their images lie; congruences on
     the same set of classes share one search per memo.  At each point it is
     |sum of the terms' midpoints|, rounded up, plus the sum of their radii.
     Terms whose instantiated scalar is zero drop out.
@@ -570,7 +555,7 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
 def _residuals(form: FormData, congruences, cfg: EvalConfig,
                tol: Optional[Fraction] = None) -> Tuple[List[int], int]:
     """``_residual`` of each congruence and the W = prec + ``_CUT_GUARD`` of
-    their ulps, with one memo of image heights, chosen points and f values;
+    their ulps, with one memo of image records, chosen points and f values;
     the first congruence that cannot be decided raises ``PrecisionError``."""
     W, memo = cfg.precision + _CUT_GUARD, _Memo()
     return [_residual(form, congruence, cfg, memo, W, tol)
@@ -578,10 +563,11 @@ def _residuals(form: FormData, congruences, cfg: EvalConfig,
 
 
 def congruence_residual(form: FormData, congruence: Congruence,
-                        cfg: Optional[EvalConfig] = None) -> mpf:
-    """Max over the configured sample points of |f|lhs - f|rhs|, with the
-    congruence symbols instantiated from the form."""
-    (residual,), W = _residuals(form, [congruence], cfg or DEFAULT_CONFIG)
+                        cfg: EvalConfig = EvalConfig()) -> mpf:
+    """Certified max of |f|lhs - f|rhs| over the sample points, by default
+    those the battery's search picks for the congruence, with its symbols
+    instantiated from the form."""
+    (residual,), W = _residuals(form, [congruence], cfg)
     return _ulps(residual, W)
 
 
@@ -595,7 +581,7 @@ def _lowest_height(points, mats, memo: _Memo,
     the classes, or None as soon as it is at or below ``floor``.  The
     image heights are computed lazily, so a stop saves the rest."""
     heights = chain((QuadElem.of(y) for _, y in points),
-                    (_height(memo, mat, x, y)
+                    (_image(memo, mat, x, y).height
                      for x, y in points for mat in mats))
     low = None
     for height in heights:
@@ -649,10 +635,9 @@ def suggest_points(congruence: Congruence,
 # -- the stretch exponent and the power lattice ---------------------------------
 
 
-def lambda_compute(cfg: Optional[EvalConfig] = None) -> mpf:
+def lambda_compute(cfg: EvalConfig = EvalConfig()) -> mpf:
     """The exponent tying the two diagonal stretches together:
     STRETCH_BASE ** lambda = H3_EIGENVALUE, both inputs exact."""
-    cfg = cfg or DEFAULT_CONFIG
     with mp.workprec(cfg.precision):
         return mp.log(_to_mpf(H3_EIGENVALUE)) / mp.log(_to_mpf(STRETCH_BASE))
 
@@ -823,7 +808,7 @@ def _battery(form: FormData) -> List[Congruence]:
                                        if i in by_id]
 
 
-def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
+def run_formcheck(form: FormData, cfg: EvalConfig = EvalConfig(),
                   residual_tol: Fraction = Fraction(1, 10 ** 15),
                   ) -> FormcheckReport:
     """Full numeric battery: stroke residuals for the context axioms and
@@ -844,8 +829,11 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
                 f"level {form.level} is divisible by {p}: the battery's "
                 f"ax:T{p} is the Hecke relation of T_{p}, which holds only at "
                 f"levels prime to {p}")
-    cfg = cfg or EvalConfig(points=None)
     tol = Fraction(residual_tol)
+    # first, so that a series too short for them is named by its length
+    hecke = [("HECKE", p, hecke_check(form.series, p, form.weight,
+                                      form.series.coefficient(p)).ok)
+             for p in (2, 3)]
     battery = _battery(form)
     residuals, W = _residuals(form, battery, cfg, tol)
     rows: List[Tuple] = []
@@ -853,10 +841,7 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
         # residual 2^-W < p/q, exactly in integers
         passed = residual * tol.denominator < tol.numerator << W
         rows.append(("CONG", congruence.id, _ulps(residual, W), passed))
-    for p in (2, 3):
-        rec = hecke_check(form.series, p, form.weight,
-                          form.series.coefficient(p))
-        rows.append(("HECKE", p, rec.ok))
+    rows += hecke
     rows.append(("CUSP", cusp_decay_check(form).ok))
     # every row ends with its verdict
     return FormcheckReport(tuple(rows), all(row[-1] for row in rows),
@@ -864,10 +849,10 @@ def run_formcheck(form: FormData, cfg: Optional[EvalConfig] = None,
 
 
 def certificate_residual_sweep(form: FormData, certificate: Certificate,
-                               cfg: Optional[EvalConfig] = None) -> mpf:
+                               cfg: EvalConfig = EvalConfig()) -> mpf:
     """Max stroke residual of the form over every congruence the
     certificate establishes, by default at the points the battery searches;
     the numeric soundness bridge for the symbolic layer."""
     residuals, W = _residuals(form, [step.result for step in certificate.steps],
-                              cfg or EvalConfig(points=None))
+                              cfg)
     return _ulps(max(residuals, default=0), W)

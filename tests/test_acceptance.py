@@ -38,7 +38,7 @@ from gamma13.numeric import (
     lambda_compute,
     run_formcheck,
 )
-from gamma13.projmat import Mat2, ProjMat
+from gamma13.projmat import ProjMat
 from gamma13.qseries import eta_product, hecke_check
 
 SQRT13 = QuadElem(Fraction(0), Fraction(1))

@@ -238,8 +238,20 @@ class TestFormcheck:
         path = tmp_path / "short.txt"
         path.write_text(delta_file_text(length=20))
         code, out, err = run_cli(capsys, "formcheck", str(path))
-        assert code == 2
-        assert err
+        assert (code, out) == (2, "")
+        assert err == "series too short for p=3: need length >= 30, got 20\n"
+
+    @pytest.mark.parametrize("length, p, need", [(10, 2, 20), (29, 3, 30)])
+    def test_short_file_names_the_length_it_needs(self, capsys, tmp_path,
+                                                  length, p, need):
+        # the Hecke rows run first: a file too short for them is named by
+        # its length, not by the radius it leaves at some congruence
+        path = tmp_path / "short.txt"
+        path.write_text(delta_file_text(length=length))
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"series too short for p={p}: need length >= {need}, "
+                       f"got {length}\n")
 
     def test_short_expansion_names_congruence_and_tail_bound(self, capsys,
                                                              tmp_path):

@@ -15,7 +15,6 @@ import pytest
 from mpmath import mp, mpf, sqrt as mpsqrt
 
 from gamma13.exactnum import (
-    DEFAULT_D,
     EXPONENT_LIMIT,
     ExponentOverflowError,
     QuadElem,

@@ -26,7 +26,6 @@ from gamma13.exactnum import QuadElem
 from gamma13.groupring import RingElem
 from gamma13.level13 import build_f_certificate, f_context
 from gamma13.numeric import (
-    DEFAULT_POINTS,
     FRICKE_POINTS_13,
     H3_EIGENVALUE,
     STRETCH_BASE,
@@ -611,13 +610,26 @@ class TestCongruenceResidual:
         finer = congruence_residual(
             form, axiom, EvalConfig(precision=2 * cfg.precision,
                                     points=cfg.points))
-        assert finer <= residual <= finer + mpf(10) ** -70
+        # the difference taken exactly: at 53 bits, finer + 1e-70 is finer
+        assert 0 <= mp.fsub(residual, finer, exact=True) <= mpf(10) ** -70
 
 
     def test_empty_point_set_is_refused(self):
         # a max over no points would read 0, a silent PASS
         with pytest.raises(ValueError, match="empty"):
             EvalConfig(points=())
+
+    @pytest.mark.parametrize("point", [(0, 0), (Fraction(1, 3), -1)])
+    def test_point_off_the_upper_half_plane_is_refused(self, point):
+        # one check, and one message, for fixed points and evaluated ones
+        message = (f"point ({point[0]}, {point[1]}) is not in the upper "
+                   f"half-plane")
+        with pytest.raises(ValueError) as info:
+            EvalConfig(points=(point,))
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            eval_form(delta_form(), point)
+        assert str(info.value) == message
 
 
 class TestSuggestPoints:
@@ -784,19 +796,41 @@ class TestFormcheck:
     def test_battery_computes_each_exact_image_once(self, monkeypatch):
         # the exhaustive search and a fresh image per stroke took 1,496
         # images, and 16 searches: S3/delta1, H4/H5 and H7/delta3 each
-        # share one set of classes; the search scores by heights alone, so
-        # only the 62 (class, point) pairs the strokes take get an image
-        calls = {"_exact_image": [], "_search_points": []}
-        for name in calls:
-            def counted(*args, name=name, original=getattr(numeric, name)):
-                calls[name].append(args)
-                return original(*args)
+        # share one set of classes; each (class, point) gets one record,
+        # which the search makes and the strokes only read
+        made, keys, searches, in_stroke = [], set(), [], []
+        record, image = numeric._Image, numeric._image
+        stroke, search = numeric._stroke, numeric._search_points
+
+        def counted_record(*fields):
+            made.append(bool(in_stroke))
+            return record(*fields)
+
+        def counted_image(memo, *key):
+            keys.add(key)
+            return image(memo, *key)
+
+        def counted_stroke(*args):
+            in_stroke.append(None)
+            try:
+                return stroke(*args)
+            finally:
+                in_stroke.pop()
+
+        def counted_search(*args):
+            searches.append(args)
+            return search(*args)
+        for name, counted in (("_Image", counted_record),
+                              ("_image", counted_image),
+                              ("_stroke", counted_stroke),
+                              ("_search_points", counted_search)):
             monkeypatch.setattr(numeric, name, counted)
         assert run_formcheck(delta_form()).ok
-        images = calls["_exact_image"]
-        assert len(images) <= 62
-        assert len(set(images)) == len(images)
-        assert len(calls["_search_points"]) == 13
+        # as many records made as (class, point) pairs asked for, and none
+        # of them made by a stroke
+        assert len(made) == len(keys) == 227
+        assert not any(made)
+        assert len(searches) == 13
 
     def test_battery_work_stays_at_its_floor(self, monkeypatch):
         # a stroke factor per (class, point) instead of per stroke (116);
@@ -818,7 +852,7 @@ class TestFormcheck:
         with pytest.raises(PrecisionError, match=r"^ax:P: ball radius \S+ is "
                            r"not below the tolerance 1\.0e-15; the points and "
                            r"their images reach down to Im = 9/10$"):
-            run_formcheck(delta_form(), EvalConfig(precision=20, points=None))
+            run_formcheck(delta_form(), EvalConfig(precision=20))
 
     def test_level_eleven_newform_passes_below_the_default_floor(self):
         # 11.2.a.a = eta(z)^2 eta(11z)^2, a Fricke eigenform with eps = -1:
@@ -884,8 +918,7 @@ class TestAmbientPrecision:
     def test_budget_error_ignores_ambient_precision(self):
         def message():
             with pytest.raises(PrecisionError) as info:
-                run_formcheck(delta_form(), EvalConfig(precision=30,
-                                                       points=None),
+                run_formcheck(delta_form(), EvalConfig(precision=30),
                               Fraction("1.23456789e-16"))
             return str(info.value)
         plain = message()

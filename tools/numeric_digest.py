@@ -136,7 +136,7 @@ def digest_file(path: Path) -> None:
     _show("stroke_value", lambda: numeric.stroke_value(form, MATRIX, POINT))
     _show("cusp", lambda: numeric.cusp_decay_check(form))
     for prec, tol in BUDGETS:
-        cfg = numeric.EvalConfig(precision=prec, points=None)
+        cfg = numeric.EvalConfig(precision=prec)
         _show(f"formcheck prec={prec} tol={tol}",
               lambda: numeric.run_formcheck(form, cfg, Fraction(tol))
               .lines()[-1])
