@@ -2,10 +2,11 @@
 
 Evaluation is midpoint-radius ball arithmetic at a configured precision,
 but everything that decides *where* to evaluate is exact: every point is
-an exact pair (x, y), images under matrix classes are computed in
-Q(sqrt 13), and the point search compares their heights by exact sign.
-No point is ever given or computed as a complex float, and no floor
-bounds how low an image may lie: the ball radius decides, as below.
+an exact pair (x, y), images under matrix classes are computed on Python
+ints and Fractions, and the point search compares their heights by
+integer cross-multiplication.  No point is ever given or computed as a
+complex float, and no floor bounds how low an image may lie: the ball
+radius decides, as below.
 
 One private evaluator, ``_evaluate``, is the only code that sums a
 truncated expansion (by Horner's rule) and bounds what the truncation
@@ -44,15 +45,16 @@ tail bound, from upper bounds on |q| and |q^offset| rounded up, is an int
 of ulps rounded up: x^n keeps its own binary exponent, with its W-bit
 mantissa rounded up at each product, and one ceiling division ends it.
 It joins r, so the ball holds f(z) even where the cut is not reached.
-Stroke factors times instantiated scalars are exact in Q(sqrt 13) and
-rounded once; a residual, the ``max_residual`` that ``formcheck`` prints
-and compares, is |sum of the midpoints| plus the sum of the radii: a
-certified bound.  ``run_formcheck``'s tolerance is the only one: a
-congruence passes when that bound is below it, and radii that alone reach
-it decide nothing, so the battery stops with ``PrecisionError``.  The
-balls take W as an argument and never read or set mpmath's global context:
-of mpmath they take pi, and ``_ulps`` makes their results exact mpfs.  Only
-lambda and ``density_search`` run in mpmath's floats at its precision.
+Stroke factors times instantiated scalars are exact rationals, each part
+floored once to the scale; a residual, the ``max_residual`` that
+``formcheck`` prints and compares, is |sum of the midpoints| plus the sum
+of the radii: a certified bound.  ``run_formcheck``'s tolerance is the
+only one: a congruence passes when that bound is below it, and radii that
+alone reach it decide nothing, so the battery stops with
+``PrecisionError``.  The balls take W as an argument and never read or set
+mpmath's global context: of mpmath they take pi, and ``_ulps`` makes their
+results exact mpfs.  Only lambda and ``density_search`` run in mpmath's
+floats at its precision.
 
 Congruences are tested pointwise through the weight-k stroke action
 f|M = det(M)^{k/2} (cz+d)^{-k} f(Mz), which is invariant under rescaling
@@ -62,21 +64,33 @@ and each residual term take the exact image and the factor from it.
 The symbols in a congruence are instantiated from the form: the Hecke
 scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
 
+The stroke geometry is rational.  Each class is taken once per memo as
+its representative (A, B, C, D) with coprime integer entries, and each
+point as (X + iY)/R over a common denominator R.  Then cz + d is
+(u + iv)/R with u = CX + DR and v = CY, N = u^2 + v^2 and det = AD - BC:
+the image height is det Y R / N, kept as a pair of ints; the image point
+is (((AX + BR) u + ACY^2) + i det Y R)/N; and the automorphy factor is
+det^{k/2} R^k (u - iv)^k / N^k, three ints.  A term p/q times a factor
+(re + i im)/den is floored as (p re 2^W) // (q den).  Every certificate's
+classes and scalars are rational; a class with an irrational entry (only
+``stroke_value`` can be given one) or an irrational instantiated scalar
+raises ``ValueError`` naming it.
+
 By default (``points=None``) the sample points are searched: two
-candidate points per center on the classes' isometric circles, at fixed
-heights, each scored by the least height among the points and their
+candidate points per center -D/C on the classes' isometric circles, at
+fixed heights, each scored by the least height among the points and their
 images, the first highest score winning; a fixed set such as
 ``FRICKE_POINTS_13`` is the other choice.  The search is pruned: a
 candidate stops being scored once its running minimum is at or below the
 best score so far, since only a strictly higher score wins, so the choice
-is that of the full search.  Each (class, point) has one exact record,
-``_image``: cz + d, 1/|cz + d|^2, det and the image height
-det y / |cz + d|^2, by which the search scores; ``_stroke`` finishes the
-image and the automorphy factor from it.  One battery (one ``_residuals``
-call) keeps a memo of these records, of the factor and f value of each
-(class, point) that ``_stroke`` took, of the points chosen for each set
-of classes, which congruences on the same classes reuse, and of f at each
-image point.  The memo dies with the call.
+is that of the full search.  Each (class, point) has one record,
+``_image``, by whose height the search scores and from which ``_stroke``
+finishes the image and the factor.  One battery (one ``_residuals``
+call) keeps a memo of the classes' representatives, of these records, of
+the factor and f value of each (class, point) that ``_stroke`` took, of
+the points chosen for each set of classes, which congruences on the same
+classes reuse, and of f at each image point.  The memo dies with the
+call.
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -373,12 +387,14 @@ def _fixed(v: QuadElem, W: int) -> int:
     return ((v.p << W) + (root if v.q > 0 else -root)) // v.r
 
 
-def _term(scalar: QuadElem, factor, value: Ball, W: int) -> Ball:
-    """scalar * factor * value: the exact scalar times the exact complex
-    factor, rounded once to the scale (each part within 2 ulps, so radius
-    3 > 2 sqrt 2), times the ball ``value``."""
-    re, im = factor
-    return _mul((_fixed(scalar * re, W), _fixed(scalar * im, W), 3), value, W)
+def _term(scalar: Fraction, factor, value: Ball, W: int) -> Ball:
+    """scalar * factor * value: the exact rational scalar p/q times the
+    exact factor (re + i im)/den, each part floored once to the scale,
+    (p re 2^W) // (q den), so within one ulp (radius 3 > sqrt 2), times the
+    ball ``value``."""
+    re, im, den = factor
+    p, q = scalar.numerator, scalar.denominator * den
+    return _mul(((p * re << W) // q, (p * im << W) // q, 3), value, W)
 
 
 def _ulps(n: int, W: int) -> mpf:
@@ -406,73 +422,102 @@ def _upper(z):
 def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the truncated expansion at the exact point z = (x, y) of the
     upper half-plane, returning the midpoint of the ball with its radius,
-    which bounds |f(z) - value|."""
+    which bounds |f(z) - value|.  x and y may be ints, Fractions or
+    elements of Q(sqrt 13): no matrix acts here, so the rational contract
+    of ``stroke_value`` and the residuals (rational points, classes and
+    scalars) does not apply."""
     W = cfg.precision + _CUT_GUARD
     return _result(_evaluate(form, _upper(z), W), W)
 
 
 @dataclass
 class _Memo:
-    """What one battery computes once and reuses: f at each image point
-    (``values``), the ``_image`` record of each (class, point) (``images``),
-    the exact automorphy factor and f value of each (class, point) that
-    ``_stroke`` took (``strokes``), and the points the search chose for each
-    set of classes (``points``).  It lives for one call, so nothing carries
-    over between calls."""
+    """What one battery computes once and reuses: the primitive integer
+    representative and determinant of each class (``classes``), f at each
+    image point (``values``), the ``_image`` record of each (class, point)
+    (``images``), the exact automorphy factor and f value of each (class,
+    point) that ``_stroke`` took (``strokes``), and the points the search
+    chose for each set of classes (``points``).  It lives for one call, so
+    nothing carries over between calls."""
 
+    classes: Dict = field(default_factory=dict)
     values: Dict = field(default_factory=dict)
     images: Dict = field(default_factory=dict)
     strokes: Dict = field(default_factory=dict)
     points: Dict = field(default_factory=dict)
 
 
-#: The exact geometry of a class at a point z = x + iy: the image height
-#: det y inv, cz + d = den + i cy, inv = 1/|cz + d|^2 and det = ad - bc.
-_Image = namedtuple("_Image", "height den cy inv det")
+def _integral(memo: _Memo, mat: ProjMat) -> Tuple[int, int, int, int, int]:
+    """(A, B, C, D, AD - BC): the class's representative with coprime
+    integer entries and its determinant, read once per memo, or
+    ``ValueError`` naming a class with an irrational entry."""
+    rep = memo.classes.get(mat)
+    if rep is None:
+        entries = mat.primitive_entries()
+        if any(e.q for e in entries):
+            raise ValueError(f"class {mat} has an irrational entry; the "
+                             f"numeric layer takes rational classes only")
+        a, b, c, d = (e.p for e in entries)
+        rep = memo.classes[mat] = (a, b, c, d, a * d - b * c)
+    return rep
 
 
-def _image(memo: _Memo, mat: ProjMat, x, y) -> _Image:
-    """The record of the class at the exact point x + iy, made once per
-    memo, whether the search or ``_stroke`` asks first."""
-    key = (mat, x, y)
+def _common(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
+    """The rational point x + iy as (X, Y, R), x = X/R and y = Y/R with R
+    the lcm of the denominators: the ints that key and feed the geometry."""
+    R = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (R // x.denominator),
+            y.numerator * (R // y.denominator), R)
+
+
+#: The exact geometry of a class (A, B, C, D) at z = (X + iY)/R, in ints:
+#: cz + d = (u + iv)/R with u = CX + DR and v = CY, the image height
+#: det Y R / N as the pair (top, norm), N = u^2 + v^2 > 0, and R and det.
+_Image = namedtuple("_Image", "top norm u v r det")
+
+
+def _image(memo: _Memo, mat: ProjMat, z: Tuple[int, int, int]) -> _Image:
+    """The record of the class at the point z = (X, Y, R) of ``_common``,
+    made once per memo, whether the search or ``_stroke`` asks first."""
+    key = (mat, z)
     image = memo.images.get(key)
     if image is None:
-        a, b, c, d = mat.entries
-        yq = QuadElem.of(y)
-        den, cy, det = c * QuadElem.of(x) + d, c * yq, a * d - b * c
-        inv = (den * den + cy * cy).inv()
-        image = memo.images[key] = _Image(det * yq * inv, den, cy, inv, det)
+        _, _, c, d, det = _integral(memo, mat)
+        X, Y, R = z
+        u, v = c * X + d * R, c * Y
+        image = memo.images[key] = _Image(det * Y * R, u * u + v * v, u, v,
+                                          R, det)
     return image
 
 
-def _automorphy(k: int, image: _Image) -> Tuple[QuadElem, QuadElem]:
-    """det^{k/2} (cz+d)^{-k} = det^{k/2} conj(cz+d)^k / |cz+d|^{2k}, exactly,
-    as its real and imaginary parts, from the record of the class at z."""
-    scale = image.det ** (k // 2) * image.inv ** k
-    re, im = binary_power((image.den, -image.cy), k,
-                          (QuadElem.of(1), QuadElem.of(0)),
-                          lambda u, v: (u[0] * v[0] - u[1] * v[1],
-                                        u[0] * v[1] + u[1] * v[0]))
-    return re * scale, im * scale
+def _automorphy(k: int, image: _Image) -> Tuple[int, int, int]:
+    """det^{k/2} (cz+d)^{-k} = det^{k/2} R^k (u - iv)^k / N^k, exactly, as
+    the ints (re, im, den) of (re + i im)/den, from the record of the class
+    at z."""
+    re, im = binary_power((image.u, -image.v), k, (1, 0),
+                          lambda s, t: (s[0] * t[0] - s[1] * t[1],
+                                        s[0] * t[1] + s[1] * t[0]))
+    scale = image.det ** (k // 2) * image.r ** k
+    return re * scale, im * scale, image.norm ** k
 
 
-def _stroke(form: FormData, mat: ProjMat, x, y, memo: _Memo, W: int,
-            label: str = "") -> Tuple[Tuple, Ball]:
+def _stroke(form: FormData, mat: ProjMat, z: Tuple[int, int, int],
+            memo: _Memo, W: int, label: str = "") -> Tuple[Tuple, Ball]:
     """The exact automorphy factor det^{k/2} (cz+d)^{-k} of the class at the
-    exact point x + iy, and the ball at scale 2^-W of f at the image, which
-    lies in the upper half-plane with x + iy since det > 0.  The image is
-    finished from the class's ``_image`` record: its real part is
-    ((ax + b) den + a c y^2) inv, its height the record's.  ``memo`` keeps
-    the factor and value of each (class, point) and f at each image point,
-    so each is computed once.  ``label`` prefixes error messages."""
-    key = (mat, x, y)
+    point z = (X, Y, R) of ``_common``, and the ball at scale 2^-W of f at
+    the image, which lies in the upper half-plane with z since det > 0.  The
+    image is finished from the class's ``_image`` record: Mz is
+    (((AX + BR) u + ACY^2) + i det Y R)/N.  ``memo`` keeps the factor and
+    value of each (class, point) and f at each image point, so each is
+    computed once.  ``label`` prefixes error messages."""
+    key = (mat, z)
     stroke = memo.strokes.get(key)
     if stroke is None:
-        image = _image(memo, mat, x, y)
-        a, b, c, _ = mat.entries
-        yq = QuadElem.of(y)
-        point = (((a * QuadElem.of(x) + b) * image.den + a * c * yq * yq)
-                 * image.inv, image.height)
+        image = _image(memo, mat, z)
+        a, b, c, _, _ = _integral(memo, mat)
+        X, Y, R = z
+        point = (Fraction((a * X + b * R) * image.u + a * c * Y * Y,
+                          image.norm), Fraction(image.top, image.norm))
         if point not in memo.values:
             memo.values[point] = _evaluate(form, point, W, label)
         stroke = memo.strokes[key] = (_automorphy(form.weight, image),
@@ -484,11 +529,16 @@ def stroke_value(form: FormData, matrix, z,
                  cfg: EvalConfig = EvalConfig()) -> mpc:
     """The weight-k stroke det^{k/2} (cz+d)^{-k} f(Mz) at the exact point
     z = (x, y) of the upper half-plane, through the same exact image as
-    every residual; requires positive determinant."""
+    every residual; requires positive determinant.  The geometry runs on
+    integers, so the point's coordinates must be ints or Fractions and the
+    class of M must have a rational representative: a class with an
+    irrational entry, such as that of ``level13.a_matrix()``, raises
+    ``ValueError`` naming it."""
     W = cfg.precision + _CUT_GUARD
-    x, y = _upper(z)
-    factor, value = _stroke(form, ProjMat.of(matrix), x, y, _Memo(), W)
-    return _result(_term(QuadElem.of(1), factor, value, W), W).value
+    x, y = (Fraction(v) for v in _upper(z))
+    factor, value = _stroke(form, ProjMat.of(matrix), _common(x, y), _Memo(),
+                            W)
+    return _result(_term(Fraction(1), factor, value, W), W).value
 
 
 # -- congruence residuals -------------------------------------------------------
@@ -512,28 +562,33 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
     picks, or the configured fixed ones, however low their images lie; congruences on
     the same set of classes share one search per memo.  At each point it is
     |sum of the terms' midpoints|, rounded up, plus the sum of their radii.
-    Terms whose instantiated scalar is zero drop out.
+    Terms whose instantiated scalar is zero drop out, and an irrational
+    one raises ``ValueError`` naming it and its class.
     Radii that alone reach a tolerance ``tol`` at a point raise
     ``PrecisionError``, naming them, ``tol`` and the lowest exact image
     height: the radius, not a floor, says where the points lie too low."""
     label, signed = congruence.id, _signed_terms(congruence)
+    a2, a3 = _hecke_scalar(form, 2), _hecke_scalar(form, 3)
+    terms = []
+    for sign, mat, poly in signed:
+        scalar = poly.instantiate(a2, a3, form.sign)
+        if not scalar.is_rational:
+            raise ValueError(f"{label}: the scalar {scalar} of class {mat} is "
+                             f"irrational; the numeric layer takes rational "
+                             f"scalars only")
+        if not scalar.is_zero:
+            terms.append((mat, sign * scalar.a))
     points = cfg.points
     if points is None:
         mats = frozenset(mat for _, mat, _ in signed)
         if mats not in memo.points:
             memo.points[mats] = _search_points(mats, memo)[1]
         points = memo.points[mats]
-    a2, a3 = _hecke_scalar(form, 2), _hecke_scalar(form, 3)
-    terms = []
-    for sign, mat, poly in signed:
-        scalar = poly.instantiate(a2, a3, form.sign)
-        if not scalar.is_zero:
-            terms.append((mat, sign * scalar))
     worst = widest = 0
     for x, y in points:
-        re = im = radius = 0
+        z, re, im, radius = _common(x, y), 0, 0, 0
         for mat, scalar in terms:
-            factor, value = _stroke(form, mat, x, y, memo, W, f"{label}: ")
+            factor, value = _stroke(form, mat, z, memo, W, f"{label}: ")
             term_re, term_im, term_radius = _term(scalar, factor, value, W)
             re, im, radius = re + term_re, im + term_im, radius + term_radius
         # ceil(|midpoint|), from the integer square root
@@ -541,14 +596,14 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
         worst = max(worst, (math.isqrt(norm - 1) + 1 if norm else 0) + radius)
         widest = max(widest, radius)
     if tol is not None and widest >= tol * (1 << W):
-        height = _lowest_height(points, [mat for mat, _ in terms], memo, None)
+        low = _lowest_height(points, [mat for mat, _ in terms], memo, None)
         # 5 digits of the exact radius and of p/q as mpf(p)/q at 53 bits
         shown = mpf_div(from_int(tol.numerator, 53, round_nearest),
                         from_int(tol.denominator), 53, round_nearest)
         raise PrecisionError(
             f"{label}: ball radius {to_str(from_man_exp(widest, -W), 5)} is "
             f"not below the tolerance {to_str(shown, 5)}; the points and "
-            f"their images reach down to Im = {height}")
+            f"their images reach down to Im = {Fraction(*low)}")
     return worst
 
 
@@ -566,55 +621,62 @@ def congruence_residual(form: FormData, congruence: Congruence,
                         cfg: EvalConfig = EvalConfig()) -> mpf:
     """Certified max of |f|lhs - f|rhs| over the sample points, by default
     those the battery's search picks for the congruence, with its symbols
-    instantiated from the form."""
+    instantiated from the form.  Its classes and instantiated scalars must
+    be rational, as every certificate's are: ``ValueError`` names the
+    first that is not."""
     (residual,), W = _residuals(form, [congruence], cfg)
     return _ulps(residual, W)
 
 
-_SUGGEST_HEIGHTS = (Fraction(1), Fraction(4, 5), Fraction(1, 2),
-                    Fraction(1, 4), Fraction(1, 5))
+#: The candidates' heights y0, each with the second point's shift y0/8
+#: and height 9 y0/10.
+_SUGGEST_HEIGHTS = tuple((y0, y0 / 8, y0 * Fraction(9, 10)) for y0 in (
+    Fraction(1), Fraction(4, 5), Fraction(1, 2), Fraction(1, 4),
+    Fraction(1, 5)))
 
 
 def _lowest_height(points, mats, memo: _Memo,
-                   floor: Optional[QuadElem]) -> Optional[QuadElem]:
+                   floor: Optional[Tuple[int, int]],
+                   ) -> Optional[Tuple[int, int]]:
     """The least imaginary part among the points and their images under
-    the classes, or None as soon as it is at or below ``floor``.  The
-    image heights are computed lazily, so a stop saves the rest."""
-    heights = chain((QuadElem.of(y) for _, y in points),
-                    (_image(memo, mat, x, y).height
-                     for x, y in points for mat in mats))
+    the classes, as a pair (top, bottom) of ints with bottom > 0, or None as
+    soon as it is at or below ``floor``.  Heights are compared by
+    cross-multiplication, and the image heights are computed lazily, so a
+    stop saves the rest."""
+    zs = [_common(x, y) for x, y in points]
+    heights = chain(((Y, R) for _, Y, R in zs),
+                    (_image(memo, mat, z)[:2] for z in zs for mat in mats))
     low = None
-    for height in heights:
-        if low is None or (height - low).sign() < 0:
-            low = height
-            if floor is not None and (low - floor).sign() <= 0:
+    for top, bottom in heights:
+        if low is None or top * low[1] < low[0] * bottom:
+            low = top, bottom
+            if floor is not None and top * floor[1] <= floor[0] * bottom:
                 return None
     return low
 
 
 def _search_points(mats, memo: _Memo):
     """The best candidate pair for a set of classes, with its score: the
-    least height it reaches.  Candidates are centered on the classes'
-    isometric circles and tried in a fixed order, and the first with the
-    highest score wins.  A candidate stops being scored once its running
-    minimum is at or below the best score so far: only a strictly higher
-    score replaces the best, so it could not win."""
+    least height it reaches, as a field element.  Candidates are centered
+    on the classes' isometric circles, at -D/C, and tried in a fixed order,
+    and the first with the highest score wins.  A candidate stops being
+    scored once its running minimum is at or below the best score so far:
+    only a strictly higher score replaces the best, so it could not win."""
     centers = {Fraction(0)}
     for mat in mats:
-        _, _, c, d = mat.entries
-        if not c.is_zero:
-            ratio = d / c
-            if ratio.is_rational:
-                centers.add(Fraction(-ratio.a))
+        _, _, c, d, _ = _integral(memo, mat)
+        if c:
+            centers.add(Fraction(-d, c))
+    centers = sorted(centers)
     best = best_points = None
-    for y0 in _SUGGEST_HEIGHTS:
-        for x0 in sorted(centers):
-            pts = ((x0, y0), (x0 + y0 / 8, y0 * Fraction(9, 10)))
+    for y0, shift, y1 in _SUGGEST_HEIGHTS:
+        for x0 in centers:
+            pts = ((x0, y0), (x0 + shift, y1))
             score = _lowest_height(pts, mats, memo, best)
             if score is not None:
                 best, best_points = score, pts
     # centers holds 0 and every height is tried, so best is set here
-    return best, best_points
+    return QuadElem(Fraction(*best), 0), best_points
 
 
 def suggest_points(congruence: Congruence,
@@ -830,10 +892,14 @@ def run_formcheck(form: FormData, cfg: EvalConfig = EvalConfig(),
                 f"ax:T{p} is the Hecke relation of T_{p}, which holds only at "
                 f"levels prime to {p}")
     tol = Fraction(residual_tol)
-    # first, so that a series too short for them is named by its length
-    hecke = [("HECKE", p, hecke_check(form.series, p, form.weight,
-                                      form.series.coefficient(p)).ok)
-             for p in (2, 3)]
+    # first, so that a series too short for them is named by its length;
+    # with L < p it is below the 10p that hecke_check checks before it
+    # reads a_p, so 0 stands in for the a_p it does not carry
+    series = form.series
+    hecke = [("HECKE", p, hecke_check(
+        series, p, form.weight,
+        series.coefficient(p) if p <= series.length else 0).ok)
+        for p in (2, 3)]
     battery = _battery(form)
     residuals, W = _residuals(form, battery, cfg, tol)
     rows: List[Tuple] = []

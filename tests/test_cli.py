@@ -241,11 +241,13 @@ class TestFormcheck:
         assert (code, out) == (2, "")
         assert err == "series too short for p=3: need length >= 30, got 20\n"
 
-    @pytest.mark.parametrize("length, p, need", [(10, 2, 20), (29, 3, 30)])
+    @pytest.mark.parametrize("length, p, need",
+                             [(0, 2, 20), (10, 2, 20), (29, 3, 30)])
     def test_short_file_names_the_length_it_needs(self, capsys, tmp_path,
                                                   length, p, need):
         # the Hecke rows run first: a file too short for them is named by
-        # its length, not by the radius it leaves at some congruence
+        # its length, not by the radius it leaves at some congruence; at
+        # L = 0 (the file `eta 1:24 0` writes, a_1 alone) before a_2 is read
         path = tmp_path / "short.txt"
         path.write_text(delta_file_text(length=length))
         code, out, err = run_cli(capsys, "formcheck", str(path))

@@ -24,7 +24,7 @@ from gamma13 import numeric
 from gamma13.certificate import Congruence
 from gamma13.exactnum import QuadElem
 from gamma13.groupring import RingElem
-from gamma13.level13 import build_f_certificate, f_context
+from gamma13.level13 import a_matrix, build_f_certificate, f_context
 from gamma13.numeric import (
     FRICKE_POINTS_13,
     H3_EIGENVALUE,
@@ -47,7 +47,7 @@ from gamma13.numeric import (
     stroke_value,
     suggest_points,
 )
-from gamma13.projmat import Mat2
+from gamma13.projmat import Mat2, ProjMat
 from gamma13.qseries import QSeries, eta_product
 
 
@@ -714,6 +714,83 @@ class TestPointSearchParity:
                 else:
                     assert suggest_points(congruence, y_min) == expected
         assert refused > 0 if level == 13 else refused == 0
+
+
+def quad_geometry(mat, x, y, k):
+    """The image height, the image point and the automorphy factor
+    det^{k/2} (cz+d)^{-k} of the class at x + iy, computed here in
+    Q(sqrt 13) from the canonical entries: the reference for the integer
+    geometry."""
+    a, b, c, d = mat.entries
+    xq, yq = QuadElem.of(x), QuadElem.of(y)
+    den, cy, det = c * xq + d, c * yq, a * d - b * c
+    inv = (den * den + cy * cy).inv()
+    height = det * yq * inv
+    real = ((a * xq + b) * den + a * c * yq * yq) * inv
+    re, im = QuadElem.of(1), QuadElem.of(0)
+    for _ in range(k):  # times conj(cz + d) = den - i cy
+        re, im = re * den + im * cy, im * den - re * cy
+    scale = det ** (k // 2) * inv ** k
+    return height, (real, height), (re * scale, im * scale)
+
+
+class TestIntegerGeometry:
+    #: records the searches of each level's battery make
+    RECORDS = {1: 227, 13: 668}
+
+    @pytest.mark.parametrize("level", [1, 13])
+    def test_every_visited_record_matches_the_field_computation(
+            self, level, monkeypatch):
+        # every (class, point) that the battery's searches score, which
+        # covers the points its strokes use; at level 13 delta2's classes
+        # are among them
+        form = FormData(QSeries(1, [1, 0] * 20), weight=12, level=level,
+                        sign=1)
+        battery = _battery(form)
+        assert (battery[-1].id == "delta2") == (level == 13)
+        memo = numeric._Memo()
+        for congruence in battery:
+            numeric._search_points(frozenset(
+                mat for _, mat, _ in numeric._signed_terms(congruence)), memo)
+        points = []
+        monkeypatch.setattr(numeric, "_evaluate",
+                            lambda form, point, W, label="":
+                            points.append(point) or (0, 0, 0))
+        for (mat, z), image in memo.images.items():
+            X, Y, R = z
+            x, y = Fraction(X, R), Fraction(Y, R)
+            assert numeric._common(x, y) == z
+            height, point, _ = quad_geometry(mat, x, y, 2)
+            assert height.is_rational
+            assert Fraction(image.top, image.norm) == height.a
+            numeric._stroke(form, mat, z, numeric._Memo(), 64)
+            assert all(v.is_rational for v in point)
+            assert points[-1] == tuple(v.a for v in point)
+            for k in (2, 4, 8, 12, 16):
+                _, _, (re, im) = quad_geometry(mat, x, y, k)
+                top_re, top_im, den = numeric._automorphy(k, image)
+                assert re.is_rational and im.is_rational
+                assert (Fraction(top_re, den), Fraction(top_im, den)) == (
+                    re.a, im.a)
+        assert len(memo.images) == self.RECORDS[level]
+
+    def test_class_with_an_irrational_entry_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                f"class {ProjMat.of(a_matrix())} has an irrational entry")):
+            stroke_value(delta_form(), a_matrix(), (0, 1))
+
+    def test_irrational_scalar_is_refused(self):
+        root = Congruence("root", RingElem.parse("sqrt(13)*[[1,1],[0,1]]"),
+                          RingElem.of(1))
+        with pytest.raises(ValueError, match=re.escape(
+                "root: the scalar 1*sqrt(13) of class [[1,1],[0,1]] is "
+                "irrational")):
+            congruence_residual(delta_form(), root)
+
+    def test_stroke_point_must_be_rational(self):
+        with pytest.raises(TypeError):
+            stroke_value(delta_form(), [[2, 1], [1, 1]],
+                         (QuadElem.sqrt_d(), 1))
 
 
 class TestCuspDecay:

@@ -12,7 +12,9 @@ exponents and evaluates nothing, and the verdict line or the error text of
 ``run_formcheck`` at each (precision, tolerance) pair in ``BUDGETS``.  It
 ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
-``FRICKE_POINTS_13`` for eps = -1 and +1, then with ``density_search``
+``FRICKE_POINTS_13`` for eps = -1 and +1 and its
+``certificate_residual_sweep`` over every step of the level-13 f
+certificate there for eps = -1, then with ``density_search``
 on each request in ``DENSITY_REQUESTS`` as ``(m, n, error)``, and then
 with the length and SHA-256 of the stdout of ``gamma13 eta`` for each
 product in ``ETA_REQUESTS``, and then with the points ``suggest_points``
@@ -150,6 +152,13 @@ def digest_fricke(length: int = 512) -> None:
         form = numeric.FormData(series, 2, 13, sign)
         _show(f"fricke ax:H eps={sign:+d}",
               lambda: numeric.congruence_residual(form, axiom, cfg))
+    # all 47 classes of the level-13 f certificate, delta2's included; the
+    # form picks up e^{i pi/3} under z -> z + 1, so the residual is large:
+    # it pins the digits of the geometry, not a congruence
+    form = numeric.FormData(series, 2, 13, -1)
+    _show("fricke sweep N=13 eps=-1",
+          lambda: numeric.certificate_residual_sweep(
+              form, level13.build_f_certificate(13), cfg))
 
 
 def digest_density() -> None:
