@@ -1,12 +1,13 @@
 """High-precision evaluation of exact q-expansions on the upper half-plane.
 
 Evaluation is midpoint-radius ball arithmetic at a configured precision,
-but everything that decides *where* to evaluate is exact: every point is
-an exact pair (x, y), images under matrix classes are computed on Python
-ints and Fractions, and the point search compares their heights by
-integer cross-multiplication.  No point is ever given or computed as a
-complex float, and no floor bounds how low an image may lie: the ball
-radius decides, as below.
+but everything that decides *where* to evaluate is exact: a point is
+given as (x, y) with int or Fraction coordinates (``_upper`` refuses a
+float, a string or an element of Q(sqrt 13) with ``TypeError``), and from
+there to Horner's rule it is the int triple (X, Y, R) of ``_common``,
+z = (X + iY)/R, as are its images under matrix classes; the point search
+compares heights by integer cross-multiplication.  No floor bounds how
+low an image may lie: the ball radius decides.
 
 One private evaluator, ``_evaluate``, is the only code that sums a
 truncated expansion (by Horner's rule) and bounds what the truncation
@@ -30,8 +31,8 @@ cut, neither the cut nor the value depends on L, so carrying more
 coefficients costs nothing at the heights the cut serves.  The sum is a
 ball, as in Arb (Brent-Zimmermann, Modern Computer Arithmetic, section 3):
 a midpoint re + i im and a radius r, three Python ints in units of 2^-W.
-q (and q^offset) is enclosed on Python ints too, from the exact point:
-t x is reduced mod 1 exactly on its fixed-point integer, and exp of
+q (and q^offset) is enclosed on Python ints too, from the triple: t x
+is floored to the working scale and reduced mod 1 exactly, and exp of
 2 pi i t z / 2^s is summed by Taylor's series at W + 2s + 10 bits and
 squared back s times, each error carried in the radius, so q's ball is
 one or two ulps wide; pi is mpmath's ``mpf_pi``, taken as 2 ulps off.  A
@@ -65,16 +66,15 @@ The symbols in a congruence are instantiated from the form: the Hecke
 scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
 
 The stroke geometry is rational.  Each class is taken once per memo as
-its representative (A, B, C, D) with coprime integer entries, and each
-point as (X + iY)/R over a common denominator R.  Then cz + d is
-(u + iv)/R with u = CX + DR and v = CY, N = u^2 + v^2 and det = AD - BC:
-the image height is det Y R / N, kept as a pair of ints; the image point
-is (((AX + BR) u + ACY^2) + i det Y R)/N; and the automorphy factor is
-det^{k/2} R^k (u - iv)^k / N^k, three ints.  A term p/q times a factor
-(re + i im)/den is floored as (p re 2^W) // (q den).  Every certificate's
-classes and scalars are rational; a class with an irrational entry (only
-``stroke_value`` can be given one) or an irrational instantiated scalar
-raises ``ValueError`` naming it.
+its representative (A, B, C, D) with coprime integer entries.  At the
+point (X + iY)/R, cz + d is (u + iv)/R with u = CX + DR and v = CY,
+N = u^2 + v^2 and det = AD - BC: the image height is det Y R / N, a pair
+of ints; the image point is (((AX + BR) u + ACY^2) + i det Y R)/N, a
+triple once the gcd of its three ints is divided out; and the automorphy
+factor is det^{k/2} R^k (u - iv)^k / N^k, three ints.  Every
+certificate's classes and scalars are rational; a class with an
+irrational entry (only ``stroke_value`` can be given one) or an
+irrational instantiated scalar raises ``ValueError`` naming it.
 
 By default (``points=None``) the sample points are searched: two
 candidate points per center -D/C on the classes' isometric circles, at
@@ -164,8 +164,7 @@ class EvalConfig:
         if self.precision < 1:
             raise ValueError(f"precision {self.precision} is below 1 bit")
         if self.points is not None:
-            pts = tuple(_upper((Fraction(x), Fraction(y)))
-                        for x, y in self.points)
+            pts = tuple(_upper(z) for z in self.points)
             if not pts:
                 raise ValueError("the sample point set is empty; "
                                  "points=None searches them instead")
@@ -179,8 +178,6 @@ class EvalResult(NamedTuple):
 
 def _to_mpf(x) -> mpf:
     if isinstance(x, QuadElem):
-        if x.is_rational:  # a + 0*sqrt13 rounds to a: skip the root
-            return _to_mpf(x.a)
         return _to_mpf(x.a) + _to_mpf(x.b) * mp.sqrt(DEFAULT_D)
     q = Fraction(x)
     return mpf(q.numerator) / q.denominator
@@ -226,15 +223,15 @@ def _tail_bound(offset: Fraction, n: int, k: int, x: int, x_offset: int,
     return -(-top // bottom)
 
 
-def _cut_estimate(k: int, offset: float, least: int, length: int,
-                  y: QuadElem, W: int) -> int:
+def _cut_estimate(k: int, offset: float, least: int, length: int, z,
+                  W: int) -> int:
     """A count n0 no larger than the least n >= ``least`` whose bound at
     M = offset + n is at most 2^-W.  The bound is at least M^k x^M,
     whose log h(M) = k ln M - 2 pi y M is concave, so the counts it admits
     are those below its left root and those past its right root r; Newton
-    steps from the right converge down to r.  y is read to float precision
-    from 64 fractional bits, whatever the working precision is."""
-    c = 2 * math.pi * math.ldexp(_fixed(y, 64), -64)
+    steps from the right converge down to r.  y = Y/R, z = (X, Y, R), is
+    read to float precision from 64 fractional bits, whatever W is."""
+    c = 2 * math.pi * math.ldexp((z[1] << 64) // z[2], -64)
 
     def h(m: float) -> float:
         return k * math.log(m) - c * m + W * math.log(2)
@@ -256,24 +253,23 @@ def _cut_estimate(k: int, offset: float, least: int, length: int,
 
 
 def _evaluate(form: FormData, z, W: int, label: str = "") -> Ball:
-    """The ball at scale 2^-W, W an argument, that holds f at the exact
-    point z = (x, y), by the cut of the module docstring: ``PrecisionError``,
-    prefixed by ``label``, when no bound past L exists (rho x >= 1).  The
-    cut is the least n with offset + n >= 1 whose bound, rounded up to
-    whole ulps by ``_tail_bound``, is at most one ulp, or L + 1 when none
-    is; that bound joins the radius.  q and q^offset come from
-    ``_q_power``, and x bounds |q| by the Euclidean norm of q's midpoint
-    rounded up plus its radius."""
+    """The ball at scale 2^-W, W an argument, that holds f at the point
+    z = (X, Y, R) of ``_common``, by the cut of the module docstring:
+    ``PrecisionError``, prefixed by ``label``, when no bound past L exists
+    (rho x >= 1).  The cut is the least n with offset + n >= 1 whose bound,
+    rounded up to whole ulps by ``_tail_bound``, is at most one ulp, or
+    L + 1 when none is; that bound joins the radius.  q and q^offset come
+    from ``_q_power``, and x bounds |q| by the Euclidean norm of q's
+    midpoint rounded up plus its radius."""
     series, k = form.series, form.weight
     offset, length = Fraction(series.offset), series.length
     q = _q_power(z, 1, W)
     shift = q if offset == 1 else _q_power(z, offset, W)
     x, x_offset = (math.isqrt(re * re + im * im) + 1 + r
                    for re, im, r in (q, shift))
-    height = QuadElem.of(z[1])
     # the growth bound covers exponents >= 1 only: no term below is dropped
     least = max(0, math.ceil(1 - offset))
-    n = _cut_estimate(k, float(offset), least, length, height, W)
+    n = _cut_estimate(k, float(offset), least, length, z, W)
     while n <= length:
         tail = _tail_bound(offset, n, k, x, x_offset, W)
         if tail is not None and tail <= 1:
@@ -282,8 +278,8 @@ def _evaluate(form: FormData, z, W: int, label: str = "") -> Ball:
     else:  # no cut within L, so every carried term is summed
         tail = _tail_bound(offset, length + 1, k, x, x_offset, W)
         if tail is None:
-            raise PrecisionError(
-                f"{label}no tail bound past L={length} at Im z = {height}")
+            raise PrecisionError(f"{label}no tail bound past L={length} at "
+                                 f"Im z = {Fraction(z[1], z[2])}")
     re, im, r = _mul(_horner(series.coeffs[:n], q, x, W), shift, W)
     # the bound at the cut, in whole ulps, joins the radius
     return re, im, r + tail
@@ -328,13 +324,14 @@ _HALVINGS = 8
 
 
 def _q_power(z, t, W: int) -> Ball:
-    """q^t = e^{2 pi i t z} at the exact point z = (x, y) as a ball at scale
-    2^-W, from t x and t y taken exactly, on Python ints (Brent-Zimmermann,
-    Modern Computer Arithmetic, sections 4.2-4.4).  The work runs at
-    K = W + g bits, g = 2s + 10 guard bits for the s squarings:
+    """q^t = e^{2 pi i t z} at the point z = (X, Y, R) of ``_common`` as a
+    ball at scale 2^-W, on Python ints (Brent-Zimmermann, Modern Computer
+    Arithmetic, sections 4.2-4.4), from t x = t_num X / (t_den R) and t y
+    alike.  The work runs at K = W + g bits, g = 2s + 10 guard bits for the
+    s squarings:
 
-    * t x is reduced mod 1 on its fixed-point integer ``_fixed(t x, K)``
-      into [-1/2, 1/2): exact, so it keeps ``_fixed``'s error, below 2 ulps;
+    * t x is reduced mod 1 on its floor at scale 2^-K into [-1/2, 1/2):
+      exact, so it keeps the floor's error, below 1 ulp (2 are budgeted);
     * pi is ``mpf_pi`` at K + 2 bits, within 2^-K and a hair: 2 ulps;
     * w = 2 pi i t z / 2^s, |w| < 2^-_HALVINGS, has each part within 2 ulps:
       1 for the floor, below 1 for the errors of pi, t x and t y, which the
@@ -349,8 +346,9 @@ def _q_power(z, t, W: int) -> Ball:
 
     When t y >= W/9, 2 pi t y > W ln 2, so |q^t| < 2^-W and the ball is
     (0, 0, 1) with nothing summed."""
-    x, y = (QuadElem.of(t) * QuadElem.of(v) for v in z)
-    whole = _fixed(y, 0)  # within 2 of t y
+    X, Y, R = z
+    x, y, den = t.numerator * X, t.numerator * Y, t.denominator * R
+    whole = y // den  # the floor of t y = y/den, as t x = x/den
     if 9 * (whole - 2) >= W:
         return 0, 0, 1
     # |2 pi i t z| < 2 pi (|t y| + 1/2) < 7 (|whole| + 3) < 2^(s - _HALVINGS)
@@ -359,11 +357,11 @@ def _q_power(z, t, W: int) -> Ball:
     K = W + g
     _, man, exp, _ = mpf_pi(K + 2)
     pi = man << (exp + K)
-    turn = _fixed(x, K) % (1 << K)
+    turn = ((x << K) // den) % (1 << K)
     if turn >> (K - 1):
         turn -= 1 << K
     shift = K + s - 1
-    wr, wi = -(pi * _fixed(y, K) >> shift), pi * turn >> shift
+    wr, wi = -(pi * ((y << K) // den) >> shift), pi * turn >> shift
     re = tr = 1 << K
     im = ti = j = 0
     while abs(tr) + abs(ti) > 2:
@@ -377,14 +375,6 @@ def _q_power(z, t, W: int) -> Ball:
     re, im, r = ball
     half = 1 << (g - 1)
     return (re + half) >> g, (im + half) >> g, (r + (7 << (g - 2)) - 1) >> g
-
-
-def _fixed(v: QuadElem, W: int) -> int:
-    """(p + q sqrt13)/r times 2^W, off by less than 2 ulps: q sqrt13 2^W is
-    taken as +-isqrt(13 q^2 4^W), off by less than 1, and the quotient by r
-    is floored."""
-    root = math.isqrt(DEFAULT_D * v.q * v.q << 2 * W)
-    return ((v.p << W) + (root if v.q > 0 else -root)) // v.r
 
 
 def _term(scalar: Fraction, factor, value: Ball, W: int) -> Ball:
@@ -410,24 +400,31 @@ def _result(ball: Ball, W: int) -> EvalResult:
         _ulps(r, W))
 
 
-def _upper(z):
-    """The exact point z = (x, y), or ``ValueError`` naming it unless
-    Im z = y > 0."""
+def _rational(v, name: str) -> Fraction:
+    """An int or Fraction v as a Fraction, else ``TypeError`` naming it."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"{name}: {v!r} is a {type(v).__name__}, not an int "
+                        f"or a Fraction")
+    return Fraction(v)
+
+
+def _upper(z) -> Tuple[Fraction, Fraction]:
+    """The point z = (x, y) as Fractions: ``TypeError`` names it unless x
+    and y are ints or Fractions, ``ValueError`` unless Im z = y > 0."""
     x, y = z
-    if QuadElem.of(y).sign() <= 0:
-        raise ValueError(f"point ({x}, {y}) is not in the upper half-plane")
+    name = f"point ({x}, {y})"
+    x, y = _rational(x, name), _rational(y, name)
+    if y <= 0:
+        raise ValueError(f"{name} is not in the upper half-plane")
     return x, y
 
 
 def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the truncated expansion at the exact point z = (x, y) of the
-    upper half-plane, returning the midpoint of the ball with its radius,
-    which bounds |f(z) - value|.  x and y may be ints, Fractions or
-    elements of Q(sqrt 13): no matrix acts here, so the rational contract
-    of ``stroke_value`` and the residuals (rational points, classes and
-    scalars) does not apply."""
+    upper half-plane, x and y ints or Fractions, returning the midpoint of
+    the ball with its radius, which bounds |f(z) - value|."""
     W = cfg.precision + _CUT_GUARD
-    return _result(_evaluate(form, _upper(z), W), W)
+    return _result(_evaluate(form, _common(*_upper(z)), W), W)
 
 
 @dataclass
@@ -507,8 +504,9 @@ def _stroke(form: FormData, mat: ProjMat, z: Tuple[int, int, int],
     point z = (X, Y, R) of ``_common``, and the ball at scale 2^-W of f at
     the image, which lies in the upper half-plane with z since det > 0.  The
     image is finished from the class's ``_image`` record: Mz is
-    (((AX + BR) u + ACY^2) + i det Y R)/N.  ``memo`` keeps the factor and
-    value of each (class, point) and f at each image point, so each is
+    (((AX + BR) u + ACY^2) + i det Y R)/N, kept as the triple of
+    ``_common``, the three ints over their gcd.  ``memo`` keeps the factor
+    and value of each (class, point) and f at each image point, so each is
     computed once.  ``label`` prefixes error messages."""
     key = (mat, z)
     stroke = memo.strokes.get(key)
@@ -516,8 +514,9 @@ def _stroke(form: FormData, mat: ProjMat, z: Tuple[int, int, int],
         image = _image(memo, mat, z)
         a, b, c, _, _ = _integral(memo, mat)
         X, Y, R = z
-        point = (Fraction((a * X + b * R) * image.u + a * c * Y * Y,
-                          image.norm), Fraction(image.top, image.norm))
+        P = (a * X + b * R) * image.u + a * c * Y * Y
+        g = math.gcd(P, image.top, image.norm)
+        point = P // g, image.top // g, image.norm // g
         if point not in memo.values:
             memo.values[point] = _evaluate(form, point, W, label)
         stroke = memo.strokes[key] = (_automorphy(form.weight, image),
@@ -535,9 +534,8 @@ def stroke_value(form: FormData, matrix, z,
     irrational entry, such as that of ``level13.a_matrix()``, raises
     ``ValueError`` naming it."""
     W = cfg.precision + _CUT_GUARD
-    x, y = (Fraction(v) for v in _upper(z))
-    factor, value = _stroke(form, ProjMat.of(matrix), _common(x, y), _Memo(),
-                            W)
+    factor, value = _stroke(form, ProjMat.of(matrix), _common(*_upper(z)),
+                            _Memo(), W)
     return _result(_term(Fraction(1), factor, value, W), W).value
 
 
@@ -657,7 +655,7 @@ def _lowest_height(points, mats, memo: _Memo,
 
 def _search_points(mats, memo: _Memo):
     """The best candidate pair for a set of classes, with its score: the
-    least height it reaches, as a field element.  Candidates are centered
+    least height it reaches, as a Fraction.  Candidates are centered
     on the classes' isometric circles, at -D/C, and tried in a fixed order,
     and the first with the highest score wins.  A candidate stops being
     scored once its running minimum is at or below the best score so far:
@@ -676,7 +674,7 @@ def _search_points(mats, memo: _Memo):
             if score is not None:
                 best, best_points = score, pts
     # centers holds 0 and every height is tried, so best is set here
-    return QuadElem(Fraction(*best), 0), best_points
+    return Fraction(*best), best_points
 
 
 def suggest_points(congruence: Congruence,
@@ -684,10 +682,11 @@ def suggest_points(congruence: Congruence,
                    ) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """The two exact sample points that the battery's search picks for the
     congruence, or ``ConfigurationError`` naming the height they reach when
-    some image of some class in it lies below y_min."""
+    some image of some class in it lies below y_min, an int or a Fraction."""
+    floor = _rational(y_min, "y_min")
     mats = frozenset(mat for _, mat, _ in _signed_terms(congruence))
     best, points = _search_points(mats, _Memo())
-    if (best - y_min).sign() < 0:
+    if best < floor:
         raise ConfigurationError(
             f"no candidate points keep all images of {congruence.id} above "
             f"y_min={y_min}; the best candidates reach Im = {best}")

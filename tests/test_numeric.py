@@ -255,24 +255,22 @@ class TestTruncationCut:
             assert residual > mpf(1) / 100
 
 
-#: Points for the q ball: rational ones, one with both coordinates in
-#: Q(sqrt 13), a large real part (argument reduction), a low one, and
-#: Im z = 50, where |q| < 2^-W up to 256 bits.
+#: Points for the q ball: rational ones, a large real part (argument
+#: reduction), a low one, and Im z = 50, where |q| < 2^-W up to 256 bits.
 Q_POINTS = (
     (Fraction(13, 40), Fraction(3, 20)), (Fraction(-1, 2), Fraction(4, 5)),
     (Fraction(0), Fraction(1)),
-    (QuadElem(Fraction(1, 7), Fraction(1, 7)),
-     QuadElem(Fraction(-3, 2), Fraction(1, 2))),
     (10 ** 6 + Fraction(1, 3), Fraction(1, 2)),
     (Fraction(1, 7), Fraction(5, 841)), (Fraction(1, 3), Fraction(50)),
 )
 
 
 def q_ball(z, t, W):
-    """The ball of q^t at z and e^{2 pi i t z} in ulps of 2^-W, the latter
-    at the current precision."""
-    ball = numeric._q_power(z, t, W)
-    tx, ty = (_to_mpf(QuadElem.of(t) * QuadElem.of(v)) for v in z)
+    """The ball of q^t at the rational point z and e^{2 pi i t z} in ulps
+    of 2^-W, the latter at the current precision."""
+    ball = numeric._q_power(numeric._common(*z), t, W)
+    tx, ty = (mpf(r.numerator) / r.denominator
+              for r in (Fraction(t) * v for v in z))
     return ball, exp(2 * pi * mpc(-ty, tx)) * mpf(2) ** W
 
 
@@ -305,9 +303,22 @@ class TestQPower:
     def test_q_below_one_ulp_is_the_unit_ball_at_zero(self):
         # t y >= W/9 gives 2 pi t y > W ln 2: nothing is summed, and 0 is
         # within 1 ulp of q; at 1024 bits Im z = 50 is summed
+        z = numeric._common(Fraction(1, 3), Fraction(50))
         for t in (1, Fraction(7, 6)):
-            assert numeric._q_power((Fraction(1, 3), 50), t, 288) == (0, 0, 1)
-        assert numeric._q_power((Fraction(1, 3), 50), 1, 1056) != (0, 0, 1)
+            assert numeric._q_power(z, t, 288) == (0, 0, 1)
+        assert numeric._q_power(z, 1, 1056) != (0, 0, 1)
+
+    @pytest.mark.parametrize("k", [3, 2 ** 70], ids=["3", "2^70"])
+    def test_ball_does_not_depend_on_the_scale_of_the_triple(self, k):
+        # t x and t y are read as floors of quotients, which (kX, kY, kR)
+        # leaves as (X, Y, R) has them
+        for prec in (1, 53, 256):
+            W = prec + numeric._CUT_GUARD
+            for z in Q_POINTS:
+                X, Y, R = numeric._common(*z)
+                for t in (1, Fraction(7, 6), -2):
+                    assert (numeric._q_power((k * X, k * Y, k * R), t, W)
+                            == numeric._q_power((X, Y, R), t, W)), (z, t)
 
 
 def reference_tail(offset, n, k, X, X_offset, W):
@@ -340,7 +351,7 @@ class TestTailBound:
         for form in (delta_form(), fricke_form()):
             k, offset = form.weight, Fraction(form.series.offset)
             for y in (Fraction(3, 20), Fraction(1, 2), 1):
-                z = (Fraction(1, 3), y)
+                z = numeric._common(Fraction(1, 3), y)
                 X, X_offset = (math.isqrt(re * re + im * im) + 1 + r
                                for re, im, r in (numeric._q_power(z, t, W)
                                                  for t in (1, offset)))
@@ -701,7 +712,9 @@ class TestPointSearchParity:
             best, expected = exhaustive_search(congruence)
             mats = frozenset(mat for side in (congruence.lhs, congruence.rhs)
                              for mat, _ in side.terms())
-            assert numeric._search_points(mats, memo) == (best, expected)
+            score, points = numeric._search_points(mats, memo)
+            assert type(score) is Fraction
+            assert (QuadElem.of(score), points) == (best, expected)
             for y_min in (Fraction(3, 20), Fraction(1, 52)):
                 if (best - y_min).sign() < 0:
                     refused += 1
@@ -765,7 +778,7 @@ class TestIntegerGeometry:
             assert Fraction(image.top, image.norm) == height.a
             numeric._stroke(form, mat, z, numeric._Memo(), 64)
             assert all(v.is_rational for v in point)
-            assert points[-1] == tuple(v.a for v in point)
+            assert points[-1] == numeric._common(*(v.a for v in point))
             for k in (2, 4, 8, 12, 16):
                 _, _, (re, im) = quad_geometry(mat, x, y, k)
                 top_re, top_im, den = numeric._automorphy(k, image)
@@ -787,10 +800,30 @@ class TestIntegerGeometry:
                 "irrational")):
             congruence_residual(delta_form(), root)
 
-    def test_stroke_point_must_be_rational(self):
-        with pytest.raises(TypeError):
-            stroke_value(delta_form(), [[2, 1], [1, 1]],
-                         (QuadElem.sqrt_d(), 1))
+    @pytest.mark.parametrize("entry", ["eval_form", "stroke_value",
+                                       "EvalConfig"])
+    @pytest.mark.parametrize("z, bad", [
+        ((Fraction(1, 2), 0.5), "0.5 is a float"),
+        ((QuadElem.sqrt_d(), 1), "QuadElem(1*sqrt(13)) is a QuadElem"),
+        (("1/2", 1), "'1/2' is a str"),
+    ], ids=["float", "quad", "str"])
+    def test_every_entry_point_takes_ints_and_fractions_only(self, entry, z,
+                                                            bad):
+        # one converter, one message, naming the point and the coordinate
+        calls = {"eval_form": lambda: eval_form(delta_form(), z),
+                 "stroke_value": lambda: stroke_value(
+                     delta_form(), [[2, 1], [1, 1]], z),
+                 "EvalConfig": lambda: EvalConfig(points=(z,))}
+        with pytest.raises(TypeError) as info:
+            calls[entry]()
+        assert str(info.value) == (f"point ({z[0]}, {z[1]}): {bad}, not an "
+                                   f"int or a Fraction")
+
+    def test_floor_of_the_point_search_must_be_rational(self):
+        cong = Congruence("P", RingElem.parse("[[1,1],[0,1]]"), RingElem.of(1))
+        with pytest.raises(TypeError, match=re.escape(
+                "y_min: 0.15 is a float, not an int or a Fraction")):
+            suggest_points(cong, 0.15)
 
 
 class TestCuspDecay:

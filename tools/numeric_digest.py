@@ -21,7 +21,9 @@ product in ``ETA_REQUESTS``, and then with the points ``suggest_points``
 picks (or its error) for every axiom and step of the level-1 and
 level-13 f certificates at each floor in ``FLOORS``, and last with
 ``eval_form`` (value and radius) of each form in ``EVAL_FORMS`` at every
-point of ``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``.
+point of ``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``,
+then at each point of ``REFUSED_POINTS``, whose coordinates are not ints or
+Fractions, so that the evaluator refuses it.
 Every ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the default
 ``EvalConfig`` precision of the formcheck and Fricke calls, or at 1024 bits
 in the ``eval_form`` section, whose precisions reach 1024.  The balls take
@@ -50,6 +52,7 @@ from pathlib import Path
 from mpmath import mp
 
 from gamma13 import cli, level13, numeric, qseries
+from gamma13.exactnum import QuadElem
 
 POINT = (Fraction(1, 3), Fraction(9, 10))
 MATRIX = [[2, 1], [1, 1]]
@@ -83,6 +86,12 @@ EVAL_XS = (("0", Fraction(0)), ("1/3", Fraction(1, 3)),
 #: At Im z = 50, |q| < 2^-W up to 256 bits, so q is the ball (0, 0, 1).
 EVAL_YS = (Fraction(1), Fraction(3, 20), Fraction(50))
 EVAL_PRECS = (1, 2, 53, 256, 1024)
+#: (label, point) pairs outside the evaluator's contract: a point of
+#: Q(sqrt 13), Im z = (sqrt 13 - 3)/2, and a float one.
+REFUSED_POINTS = (
+    ("sqrt13", (QuadElem(Fraction(1, 7), Fraction(1, 7)),
+                QuadElem(Fraction(-3, 2), Fraction(1, 2)))),
+    ("float", (0.5, 1.0)))
 #: (label, eta factors, weight, level, sign): Delta, and eta(z)^2 eta(13z)^2,
 #: whose leading exponent 7/6 needs q^(7/6) besides q.
 EVAL_FORMS = (("delta", [(1, 24)], 12, 1, 1),
@@ -202,6 +211,9 @@ def digest_eval(length: int = 512) -> None:
                               f"x={label} y={y}",
                               lambda: tuple(numeric.eval_form(form, (x, y),
                                                               cfg)))
+            for label, z in REFUSED_POINTS:
+                _show(f"eval_form {name} L={length} z={label}",
+                      lambda: tuple(numeric.eval_form(form, z)))
 
 
 def main(argv) -> int:
