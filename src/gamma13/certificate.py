@@ -52,8 +52,6 @@ _ARITY = {
     "RESCALE": 1,
 }
 
-ElemLike = Union[str, RingElem]
-ScalarLike = Union[str, ScalarPoly]
 Arg = Union[str, RingElem, ScalarPoly]
 Sides = Tuple[RingElem, RingElem]
 
@@ -238,6 +236,7 @@ class CertBuilder:
     Every step is checked once, when it is pushed, and a step that does not
     verify raises :class:`CertificateError`.  Ids are unique and references
     only point back, so :meth:`build` returns the steps without a replay.
+    Sides and operands are values (RingElem, ScalarPoly), never text.
     """
 
     def __init__(self, level: int):
@@ -246,20 +245,12 @@ class CertBuilder:
         self.steps: List[Step] = []
         self.resolved: Dict[str, Congruence] = {}
 
-    # -- inputs ------------------------------------------------------------
-
-    def _elem(self, x: ElemLike) -> RingElem:
-        return RingElem.parse(x) if isinstance(x, str) else x
-
-    def _scalar(self, x: ScalarLike) -> ScalarPoly:
-        return grammar.parse_scalar_poly(x) if isinstance(x, str) else x
-
     # -- axioms ----------------------------------------------------------------
 
-    def axiom(self, ax_id: str, lhs: ElemLike, rhs: ElemLike) -> Congruence:
+    def axiom(self, ax_id: str, lhs: RingElem, rhs: RingElem) -> Congruence:
         if ax_id in self.resolved:
             raise CertificateError(f"duplicate id {ax_id!r}")
-        cong = Congruence(ax_id, self._elem(lhs), self._elem(rhs))
+        cong = Congruence(ax_id, lhs, rhs)
         self.axioms.append(cong)
         self.resolved[ax_id] = cong
         return cong
@@ -267,16 +258,16 @@ class CertBuilder:
     # -- steps --------------------------------------------------------------------
 
     def _push(self, step_id: str, rule: str, args: Tuple[Arg, ...],
-              lhs: Optional[ElemLike] = None,
-              rhs: Optional[ElemLike] = None) -> Congruence:
+              lhs: Optional[RingElem] = None,
+              rhs: Optional[RingElem] = None) -> Congruence:
         if step_id in self.resolved:
             raise CertificateError(f"duplicate id {step_id!r}")
         derived, detail = _apply_rule(self.resolved, step_id, rule, args)
         if derived is None:
             raise CertificateError(f"step {step_id} does not verify: {detail}")
         step = Step(step_id, rule, args, Congruence(
-            step_id, derived[0] if lhs is None else self._elem(lhs),
-            derived[1] if rhs is None else self._elem(rhs)))
+            step_id, derived[0] if lhs is None else lhs,
+            derived[1] if rhs is None else rhs))
         # derived sides equal themselves: only a given claim needs comparing
         if lhs is not None or rhs is not None:
             verdict = _verdict(step, derived, detail)
@@ -291,35 +282,33 @@ class CertBuilder:
     def axiom_step(self, step_id: str, ax_id: str) -> Congruence:
         return self._push(step_id, "AXIOM", (ax_id,))
 
-    def right_mul(self, step_id: str, prior: str, factor: ElemLike,
-                  lhs: Optional[ElemLike] = None,
-                  rhs: Optional[ElemLike] = None) -> Congruence:
-        return self._push(step_id, "RIGHT_MUL", (prior, self._elem(factor)),
-                          lhs, rhs)
+    def right_mul(self, step_id: str, prior: str, factor: RingElem,
+                  lhs: Optional[RingElem] = None,
+                  rhs: Optional[RingElem] = None) -> Congruence:
+        return self._push(step_id, "RIGHT_MUL", (prior, factor), lhs, rhs)
 
     def add(self, step_id: str, first: str, second: str,
-            lhs: Optional[ElemLike] = None,
-            rhs: Optional[ElemLike] = None) -> Congruence:
+            lhs: Optional[RingElem] = None,
+            rhs: Optional[RingElem] = None) -> Congruence:
         return self._push(step_id, "ADD", (first, second), lhs, rhs)
 
-    def scale(self, step_id: str, prior: str, scalar: ScalarLike,
-              lhs: Optional[ElemLike] = None,
-              rhs: Optional[ElemLike] = None) -> Congruence:
-        return self._push(step_id, "SCALE", (prior, self._scalar(scalar)),
-                          lhs, rhs)
+    def scale(self, step_id: str, prior: str, scalar: ScalarPoly,
+              lhs: Optional[RingElem] = None,
+              rhs: Optional[RingElem] = None) -> Congruence:
+        return self._push(step_id, "SCALE", (prior, scalar), lhs, rhs)
 
     def sym(self, step_id: str, prior: str,
-            lhs: Optional[ElemLike] = None,
-            rhs: Optional[ElemLike] = None) -> Congruence:
+            lhs: Optional[RingElem] = None,
+            rhs: Optional[RingElem] = None) -> Congruence:
         return self._push(step_id, "SYM", (prior,), lhs, rhs)
 
     def trans(self, step_id: str, first: str, second: str,
-              lhs: Optional[ElemLike] = None,
-              rhs: Optional[ElemLike] = None) -> Congruence:
+              lhs: Optional[RingElem] = None,
+              rhs: Optional[RingElem] = None) -> Congruence:
         return self._push(step_id, "TRANS", (first, second), lhs, rhs)
 
-    def rescale(self, step_id: str, prior: str, lhs: ElemLike,
-                rhs: ElemLike) -> Congruence:
+    def rescale(self, step_id: str, prior: str, lhs: RingElem,
+                rhs: RingElem) -> Congruence:
         return self._push(step_id, "RESCALE", (prior,), lhs, rhs)
 
     # -- output ---------------------------------------------------------------------

@@ -7,7 +7,8 @@ target as a power-lattice value), ``asym`` (pole/vanishing verdict of the
 averaged stretch sum), ``eta`` (print an eta-product coefficient file).
 
 Exit codes: 0 all requested checks passed, 1 a verification failed,
-2 input or usage error.  Reports go to stdout, diagnostics to stderr.
+2 input or usage error, or a stdout whose reader has gone (reported
+quietly).  Reports go to stdout, diagnostics to stderr.
 ``formcheck`` runs on the checked form ``parse_coefficient_file`` returns,
 at the working precision --prec alone sets.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -260,7 +262,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else PASS
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away, so no verdict reached it.  Output
+        # still buffered would fail again at exit: send it to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -3,15 +3,22 @@
 The field is fixed: every object of the level-13 argument lives in
 Q(sqrt(13)), and ``DEFAULT_D`` is the one place that names it.
 
-Provides two layers, the second built on the first:
+Provides three layers, each built on the one before:
 
 * :class:`QuadElem` -- numbers a + b*sqrt(13) with rational a, b, stored as
   three ints (p + q*sqrt(13))/r in lowest terms (r > 0, gcd(p, q, r) = 1),
   so arithmetic, sign, equality and hashing never build a Fraction; the
   Fractions a = p/r and b = q/r are derived only for text and term order.
   Includes exact sign determination.
+* ``_FormalSum`` -- the one arithmetic of finite formal sums, stored as a
+  map from key to nonzero coefficient: +, -, the product loop, hash,
+  pickling and "a + b - c" text.  A subclass names how two keys multiply
+  (``_key_mul``) and how its terms are ordered and written (``_text_terms``
+  and ``_term_str``).
 * :class:`ScalarPoly` -- commutative polynomials in the formal symbols
-  ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(13)).
+  ``a2``, ``a3`` and an involution ``e`` (with e^2 = 1) over Q(sqrt(13)):
+  formal sums over monomials.  ``groupring.RingElem``, the sums over
+  matrix classes, is the other.
 
 Everything here is immutable and hashable, so values can be used as
 dictionary keys throughout the rest of the package.
@@ -22,7 +29,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Mapping, Optional, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 #: The radicand of the field: every exact value lies in Q(sqrt(DEFAULT_D)).
 DEFAULT_D = 13
@@ -266,10 +273,105 @@ def _coerce(x) -> Optional[QuadElem]:
     return None
 
 
+class _FormalSum:
+    """A finite formal sum, stored as a map from key to nonzero coefficient.
+
+    A subclass supplies ``_coerce`` (an operand as its own kind, or None),
+    the key product ``_key_mul(k1, k2)`` and the text hooks ``_text_terms``
+    (the terms in written order) and ``_term_str`` (one term as a (sign,
+    body) pair), and restates ``__hash__`` if it defines ``__eq__``.
+    """
+
+    __slots__ = ("_terms",)
+
+    @classmethod
+    def _normal(cls, terms: Mapping) -> "_FormalSum":
+        """``terms`` with zero coefficients dropped, for arithmetic results,
+        whose keys and coefficients are already of the subclass's kind."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "_terms", {
+            key: coeff for key, coeff in terms.items() if not coeff.is_zero})
+        return x
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard rail
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._terms,)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        acc = dict(self._terms)
+        for key, coeff in o._terms.items():
+            acc[key] = acc[key] + coeff if key in acc else coeff
+        return self._normal(acc)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        acc = dict(self._terms)
+        for key, coeff in o._terms.items():
+            acc[key] = acc[key] - coeff if key in acc else -coeff
+        return self._normal(acc)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return self._normal({k: -c for k, c in self._terms.items()})
+
+    def _times(self, other):
+        """The product, with each key of self on the left of ``_key_mul``;
+        NotImplemented for an operand ``_coerce`` refuses."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        key_mul = self._key_mul
+        acc: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in o._terms.items():
+                key = key_mul(k1, k2)
+                prod = c1 * c2
+                acc[key] = acc[key] + prod if key in acc else prod
+        return self._normal(acc)
+
+    # -- identity and text --------------------------------------------------
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        chunks = [self._term_str(k, c) for k, c in self._text_terms()]
+        sign, body = chunks[0]
+        out = ("-" if sign == "-" else "") + body
+        for sign, body in chunks[1:]:
+            out += f" {sign} {body}"
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
 _MonoKey = tuple  # (exp_a2, exp_a3, exp_e) with exp_e in {0, 1}
 
 
-class ScalarPoly:
+class ScalarPoly(_FormalSum):
     """Polynomial in the symbols a2, a3, e over Q(sqrt(13)), with e^2 = 1.
 
     Instances are canonical as maps from monomial to nonzero coefficient,
@@ -277,7 +379,7 @@ class ScalarPoly:
     an order only in :meth:`terms`, which text is written from.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[_MonoKey, Scalar]):
         cleaned = {}
@@ -297,21 +399,6 @@ class ScalarPoly:
             else:
                 cleaned[key] = coeff
         object.__setattr__(self, "_terms", cleaned)
-
-    @classmethod
-    def _normal(cls, terms: Mapping[_MonoKey, QuadElem]) -> "ScalarPoly":
-        """``terms`` with zeros dropped: arithmetic results, whose keys are
-        normal and capped and whose coefficients are QuadElems."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", {
-            key: coeff for key, coeff in terms.items() if not coeff.is_zero})
-        return poly
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("ScalarPoly is immutable")
-
-    def __reduce__(self):
-        return ScalarPoly, (self._terms,)
 
     # -- construction ---------------------------------------------------
 
@@ -333,10 +420,6 @@ class ScalarPoly:
 
     # -- inspection -------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def as_const(self) -> Optional[QuadElem]:
         """The value as a plain field element, or None if symbols occur."""
         if not self._terms:
@@ -356,52 +439,17 @@ class ScalarPoly:
             return ScalarPoly.const(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in o._terms.items():
-            acc[key] = acc[key] + coeff if key in acc else coeff
-        return ScalarPoly._normal(acc)
+    @staticmethod
+    def _key_mul(k1: _MonoKey, k2: _MonoKey) -> _MonoKey:
+        i2, i3, ie = k1
+        j2, j3, je = k2
+        e2, e3 = i2 + j2, i3 + j3
+        if e2 >= EXPONENT_LIMIT or e3 >= EXPONENT_LIMIT:
+            raise ExponentOverflowError(
+                f"exponent {max(e2, e3)} exceeds limit {EXPONENT_LIMIT}")
+        return e2, e3, (ie + je) & 1
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in o._terms.items():
-            acc[key] = acc[key] - coeff if key in acc else -coeff
-        return ScalarPoly._normal(acc)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly._normal({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc: dict = {}
-        for (i2, i3, ie), c in self._terms.items():
-            for (j2, j3, je), d in o._terms.items():
-                key = (i2 + j2, i3 + j3, (ie + je) & 1)
-                if max(key[0], key[1]) >= EXPONENT_LIMIT:
-                    raise ExponentOverflowError(
-                        f"exponent {max(key[0], key[1])} exceeds limit "
-                        f"{EXPONENT_LIMIT}")
-                prod = c * d
-                acc[key] = acc[key] + prod if key in acc else prod
-        return ScalarPoly._normal(acc)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _FormalSum._times
 
     def __pow__(self, n: int) -> "ScalarPoly":
         if n < 0:
@@ -445,8 +493,7 @@ class ScalarPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    __hash__ = _FormalSum.__hash__
 
     # -- text ------------------------------------------------------------------
 
@@ -462,25 +509,16 @@ class ScalarPoly:
             parts.append("a3" if i3 == 1 else f"a3^{i3}")
         return "*".join(parts)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for key, coeff in reversed(self.terms()):
-            neg = coeff.sign() < 0
-            mag = -coeff if neg else coeff
-            mono = self._mono_str(key)
-            text = str(mag)
-            if mag.a and mag.b:
-                text = f"({text})"
-            if mono:
-                text = mono if mag == QuadElem.of(1) else f"{text}*{mono}"
-            chunks.append(("-" if neg else "+", text))
-        first_sign, first = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, text in chunks[1:]:
-            out += f" {sign} {text}"
-        return out
+    def _text_terms(self):
+        return reversed(self.terms())
 
-    def __repr__(self) -> str:
-        return f"ScalarPoly({self})"
+    def _term_str(self, key: _MonoKey, coeff: QuadElem) -> Tuple[str, str]:
+        neg = coeff.sign() < 0
+        mag = -coeff if neg else coeff
+        mono = self._mono_str(key)
+        text = str(mag)
+        if mag.a and mag.b:
+            text = f"({text})"
+        if mono:
+            text = mono if mag == QuadElem.of(1) else f"{text}*{mono}"
+        return "-" if neg else "+", text

@@ -3,7 +3,9 @@
 A :class:`RingElem` is a finite formal sum ``sum coeff_i * [M_i]`` where each
 ``M_i`` is a positive-determinant projective class and each coefficient is a
 :class:`~gamma13.exactnum.ScalarPoly`.  These are the objects congruence
-certificates manipulate.
+certificates manipulate.  Their +, -, product loop, hash, pickling and
+text come from ``exactnum._FormalSum``, which ScalarPoly shares; here the
+key product ``_key_mul`` is the class product.
 
 The weight-k "slash" action
 
@@ -20,11 +22,12 @@ action is invariant under rescaling M).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb
 from typing import List, Mapping, Optional, Tuple, Union
 
-from .exactnum import QuadElem, ScalarPoly
+from .exactnum import QuadElem, ScalarPoly, _FormalSum
 from .projmat import Mat2, MatrixLike, ProjMat
 from . import grammar
 
@@ -34,28 +37,21 @@ _SCALARS = (int, Fraction, QuadElem, ScalarPoly)
 Coeffs = Tuple[QuadElem, ...]
 
 
-class RingElem:
+class RingElem(_FormalSum):
     """A formal sum of projective matrix classes with ScalarPoly weights,
     canonical as a map from class to nonzero coefficient; the terms have an
     order only in :meth:`terms`, which text is written from."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[ProjMat, ScalarPoly]):
-        object.__setattr__(self, "_terms", {
-            mat: coeff for mat, coeff in terms.items() if not coeff.is_zero})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("RingElem is immutable")
-
-    def __reduce__(self):
-        return RingElem, (self._terms,)
+    def __new__(cls, terms: Mapping[ProjMat, ScalarPoly]) -> "RingElem":
+        return cls._normal(terms)
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "RingElem":
-        return cls({})
+        return cls._normal({})
 
     @classmethod
     def one(cls) -> "RingElem":
@@ -66,10 +62,10 @@ class RingElem:
         if isinstance(x, RingElem):
             return x
         if isinstance(x, (ProjMat, Mat2, list, tuple)):
-            return cls({ProjMat.of(x): ScalarPoly.const(1)})
+            return cls._normal({ProjMat.of(x): ScalarPoly.const(1)})
         if isinstance(x, _SCALARS):
             coeff = x if isinstance(x, ScalarPoly) else ScalarPoly.const(x)
-            return cls({ProjMat.identity(): coeff})
+            return cls._normal({ProjMat.identity(): coeff})
         raise TypeError(f"cannot build a ring element from {x!r}")
 
     @classmethod
@@ -85,13 +81,9 @@ class RingElem:
             mat = memo.get(entries) or memo.setdefault(
                 entries, ProjMat.of(entries))
             acc[mat] = acc[mat] + coeff if mat in acc else coeff
-        return memo.setdefault(text, cls(acc))
+        return memo.setdefault(text, cls._normal(acc))
 
     # -- inspection ------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def terms(self) -> List[Tuple[ProjMat, ScalarPoly]]:
         """(class, coefficient) pairs by the coordinates of the entries."""
@@ -110,54 +102,18 @@ class RingElem:
             return RingElem.of(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for mat, coeff in o._terms.items():
-            acc[mat] = acc[mat] + coeff if mat in acc else coeff
-        return RingElem(acc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for mat, coeff in o._terms.items():
-            acc[mat] = acc[mat] - coeff if mat in acc else -coeff
-        return RingElem(acc)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "RingElem":
-        return RingElem({m: -c for m, c in self._terms.items()})
-
     def _scaled(self, s: Coeff) -> "RingElem":
         """Each coefficient times the scalar ``s``: the product with
         ``s`` times the identity class, without the class products."""
         s = s if isinstance(s, ScalarPoly) else ScalarPoly.const(s)
-        return RingElem({m: c * s for m, c in self._terms.items()})
+        return self._normal({m: c * s for m, c in self._terms.items()})
+
+    _key_mul = operator.mul
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self._scaled(other)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                mat = m1 * m2
-                prod = c1 * c2
-                acc[mat] = acc[mat] + prod if mat in acc else prod
-        return RingElem(acc)
+        return self._times(other)
 
     def __rmul__(self, other):
         # scalars commute with every class
@@ -175,10 +131,11 @@ class RingElem:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    __hash__ = _FormalSum.__hash__
 
     # -- text -------------------------------------------------------------------
+
+    _text_terms = terms
 
     @staticmethod
     def _term_str(mat: ProjMat, coeff: ScalarPoly) -> Tuple[str, str]:
@@ -196,19 +153,6 @@ class RingElem:
         if coeff == ScalarPoly.const(1):
             return sign, str(mat)
         return sign, f"{coeff_str}*{mat}"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [self._term_str(m, c) for m, c in self.terms()]
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"RingElem({self})"
 
 
 def poly_mul(f: Coeffs, g: Coeffs) -> Coeffs:

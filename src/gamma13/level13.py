@@ -89,13 +89,23 @@ def a_inverse() -> Mat2:
 
 
 def h2_mat() -> Mat2:
-    """The determinant-1 hyperbolic element delta2 * delta1."""
+    """The determinant-1 hyperbolic element delta2 * delta1.
+
+    Public because the acceptance test of the exact matrix identities
+    checks the diagonalization A^-1 h2 A = diag(lambda-, lambda+), which
+    needs this matrix itself: its projective class fixes it, and so the
+    eigenvalues, only up to a scalar.
+    """
     s = QuadElem.sqrt_d()
     return Mat2.of([[-s, 8 * s / 39], [-2 * s, s / 3]])
 
 
 def h3_mat() -> Mat2:
-    """The determinant-1 hyperbolic element delta3 * delta1."""
+    """The determinant-1 hyperbolic element delta3 * delta1.
+
+    Public for the same reason as :func:`h2_mat`: the acceptance test
+    checks the exact diagonalization A^-1 h3 A = diag(mu-, mu+).
+    """
     return Mat2.of([[-1, Fraction(2, 3)],
                     [Fraction(-13, 2), Fraction(10, 3)]])
 

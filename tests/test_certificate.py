@@ -9,7 +9,7 @@ import pytest
 import json
 from importlib import resources
 
-from gamma13 import level13
+from gamma13 import grammar, level13
 from gamma13.certificate import (
     CertBuilder,
     Certificate,
@@ -26,9 +26,11 @@ from gamma13.groupring import RingElem
 
 def axioms():
     return [
-        ("ax:P", "[[1,1],[0,1]]", "1"),
-        ("ax:H", "[[0,-1],[13,0]]", "e"),
-        ("ax:T2", "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]", "a2"),
+        ("ax:P", RingElem.parse("[[1,1],[0,1]]"), RingElem.parse("1")),
+        ("ax:H", RingElem.parse("[[0,-1],[13,0]]"), RingElem.parse("e")),
+        ("ax:T2", RingElem.parse(
+            "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]"),
+         RingElem.parse("a2")),
     ]
 
 
@@ -38,12 +40,12 @@ def w_builder():
         b.axiom(ax_id, lhs, rhs)
     b.axiom_step("P", "ax:P")
     b.axiom_step("H", "ax:H")
-    b.right_mul("pinv.1", "P", "[[1,-1],[0,1]]")
+    b.right_mul("pinv.1", "P", RingElem.parse("[[1,-1],[0,1]]"))
     b.sym("pinv", "pinv.1")
-    b.right_mul("w1", "H", "[[-13,-1],[13,0]]")
-    b.right_mul("w2", "pinv", "[[0,-1],[13,0]]")
+    b.right_mul("w1", "H", RingElem.parse("[[-13,-1],[13,0]]"))
+    b.right_mul("w2", "pinv", RingElem.parse("[[0,-1],[13,0]]"))
     b.trans("w3", "w2", "H")
-    b.scale("w4", "w3", "e")
+    b.scale("w4", "w3", grammar.parse_scalar_poly("e"))
     b.trans("W", "w1", "w4")
     return b
 
@@ -101,8 +103,9 @@ class TestVerification:
         for ax_id, lhs, rhs in axioms():
             b.axiom(ax_id, lhs, rhs)
         b.axiom_step("T2", "ax:T2")
-        b.rescale("moved", "T2",
-                  "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]] - a2", "0")
+        b.rescale("moved", "T2", RingElem.parse(
+            "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]] - a2"),
+            RingElem.parse("0"))
         report = verify_certificate(b.build())
         assert report.ok
 
@@ -112,8 +115,9 @@ class TestVerification:
             b.axiom(ax_id, lhs, rhs)
         b.axiom_step("T2", "ax:T2")
         with pytest.raises(CertificateError, match="moved"):
-            b.rescale("moved", "T2",
-                      "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]", "0")
+            b.rescale("moved", "T2", RingElem.parse(
+                "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]"),
+                RingElem.parse("0"))
 
     def test_unknown_rule_is_hard_error(self):
         cert = w_builder().build()
@@ -194,18 +198,21 @@ class TestSerialization:
 
     def test_builder_catches_bad_claims_immediately(self):
         b = CertBuilder(level=13)
-        b.axiom("ax:P", "[[1,1],[0,1]]", "1")
+        b.axiom("ax:P", RingElem.parse("[[1,1],[0,1]]"), RingElem.parse("1"))
         b.axiom_step("P", "ax:P")
         with pytest.raises(CertificateError, match="oops"):
-            b.right_mul("oops", "P", "[[1,-1],[0,1]]",
-                        lhs="1", rhs="[[1,1],[0,1]]")
+            b.right_mul("oops", "P", RingElem.parse("[[1,-1],[0,1]]"),
+                        lhs=RingElem.parse("1"),
+                        rhs=RingElem.parse("[[1,1],[0,1]]"))
 
     def test_builder_rejects_wrong_explicit_claim(self):
         b = w_builder()
         with pytest.raises(CertificateError,
                            match="step w5 does not verify: claimed result "
                                  "disagrees with recomputation; difference "):
-            b.scale("w5", "W", "a2", lhs="a2*[[1,0],[13,1]]", rhs="0")
+            b.scale("w5", "W", grammar.parse_scalar_poly("a2"),
+                    lhs=RingElem.parse("a2*[[1,0],[13,1]]"),
+                    rhs=RingElem.parse("0"))
         assert "w5" not in b.resolved
 
     @pytest.mark.parametrize("edit, message", [
@@ -306,10 +313,10 @@ class TestOperands:
         with pytest.raises(CertificateError, match=message):
             verify_certificate(cert)
         b = CertBuilder(level=13)
-        b.axiom("ax:X", lhs, rhs)
+        b.axiom("ax:X", RingElem.parse(lhs), RingElem.parse(rhs))
         b.axiom_step("X", "ax:X")
         with pytest.raises(CertificateError, match=message):
-            b.right_mul("x.a", "X", "a2^30000")
+            b.right_mul("x.a", "X", RingElem.parse("a2^30000"))
 
     def test_scale_past_exponent_cap_is_refused(self):
         # the sides carry a2^40000; times the scalar a2^30000 they pass the
@@ -328,10 +335,10 @@ class TestOperands:
         with pytest.raises(CertificateError, match=message):
             verify_certificate(cert)
         b = CertBuilder(level=13)
-        b.axiom("ax:X", lhs, rhs)
+        b.axiom("ax:X", RingElem.parse(lhs), RingElem.parse(rhs))
         b.axiom_step("X", "ax:X")
         with pytest.raises(CertificateError, match=message):
-            b.scale("x.s", "X", "a2^30000")
+            b.scale("x.s", "X", grammar.parse_scalar_poly("a2^30000"))
 
 
 

@@ -558,12 +558,30 @@ class TestEta:
                        f"{length} is too large\n")
 
 
-def run_child(*args):
+def run_child(*args, stdout=subprocess.PIPE):
     # the child imports the same package as this process, installed or not
     src = str(Path(gamma13.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("command", ["formcheck", "eta"])
+def test_closed_stdout_is_a_quiet_usage_exit(tmp_path, command):
+    # the read end of stdout's pipe is closed before the child writes
+    # anything, so every write fails with EPIPE
+    path = tmp_path / "delta512.txt"
+    path.write_text(delta_file_text())
+    argv = {"formcheck": ["formcheck", str(path)],
+            "eta": ["eta", "1:24", "20000"]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_child("-m", "gamma13", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (2, "")
 
 
 def test_module_entry_point():

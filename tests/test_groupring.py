@@ -5,6 +5,8 @@ of [[3,-1],[13,-4]], and z^-1 slashed with [[0,-1],[13,0]] at weight 2 gives
 -1/z (13 * (-1)^-1 * (13 z)^-1).
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -81,6 +83,40 @@ def rand_sum(rng, classes):
     """Up to four of ``classes``, each weighted by a random ScalarPoly."""
     return sum((rand_scalar(rng) * RingElem.of(rng.choice(classes))
                 for _ in range(rng.randint(1, 4))), RingElem.zero())
+
+
+#: P, its inverse, W = [[0,-1],[13,0]] and the classes of T2: products of
+#: these often land in one class, and P and W do not commute.
+LAW_CLASSES = [ProjMat.of(m) for m in (
+    [[1, 1], [0, 1]], [[1, -1], [0, 1]], [[0, -1], [13, 0]],
+    [[2, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 1], [0, 2]])]
+
+
+class TestFormalSum:
+    """The arithmetic ScalarPoly and RingElem share, on both."""
+
+    @pytest.mark.parametrize("rand", [
+        rand_scalar, lambda rng: rand_sum(rng, LAW_CLASSES),
+    ], ids=["ScalarPoly", "RingElem"])
+    def test_ring_laws_hash_and_pickle(self, rand):
+        rng = random.Random(44)
+        for _ in range(30):
+            a, b, c = rand(rng), rand(rng), rand(rng)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert (a + b) * c == a * c + b * c
+            assert hash((a + b) * c) == hash(a * c + b * c)
+            assert (a - b) + b == a
+            assert (a + (-a)).is_zero
+            for y in (copy.copy(a), copy.deepcopy(a),
+                      pickle.loads(pickle.dumps(a))):
+                assert type(y) is type(a) and y == a and hash(y) == hash(a)
+
+    def test_product_keeps_the_order_of_the_classes(self):
+        p, w = LAW_CLASSES[0], LAW_CLASSES[2]
+        assert p * w != w * p
+        assert RingElem.of(p) * RingElem.of(w) == RingElem.of(p * w)
+        assert RingElem.of(w) * RingElem.of(p) == RingElem.of(w * p)
 
 
 class TestRingElem:
