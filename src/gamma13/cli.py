@@ -197,8 +197,14 @@ def cmd_eta(args: argparse.Namespace) -> int:
     return PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own hides a failed write from main; subparsers inherit it
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gamma13",
         description="Exact and numeric verification for weight-k congruences "
                     "on Gamma0(13).")
@@ -257,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code else PASS
-    try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            code = USAGE if exc.code else PASS
+        else:
+            code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader of stdout went away, so no verdict reached it.  Output

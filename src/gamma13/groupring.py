@@ -16,8 +16,9 @@ is only ever applied to f = z^(-k/2), where it has the closed form
     (z^(-k/2) | M)(z) = (det(M) / ((az + b)(cz + d)))^(k/2).
 
 The composition law f|M1|M2 = f|(M1 M2) reduces repeated slashes to one.
-Only even k is supported (half-integer powers never arise then, and the
-action is invariant under rescaling M).
+Only even k is supported: half-integer powers never arise then, and the
+action is invariant under rescaling M, so ``stroke_of_power`` acts by a
+class, read off its canonical entries.
 """
 
 from __future__ import annotations
@@ -96,9 +97,7 @@ class RingElem(_FormalSum):
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> Optional["RingElem"]:
-        if isinstance(other, RingElem):
-            return other
-        if isinstance(other, (*_SCALARS, ProjMat, Mat2)):
+        if isinstance(other, (RingElem, *_SCALARS, ProjMat, Mat2)):
             return RingElem.of(other)
         return None
 
@@ -166,20 +165,19 @@ def poly_mul(f: Coeffs, g: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-def stroke_of_power(k: int, m: Mat2) -> Tuple[Coeffs, Coeffs]:
-    """The weight-k slash of z^(-k/2) by m, as (numerator, denominator).
+def stroke_of_power(k: int, m: ProjMat) -> Tuple[Coeffs, Coeffs]:
+    """The weight-k slash of z^(-k/2) by the class m, as (numerator,
+    denominator) from m's canonical entries a, b, c, d and det = ad - bc.
 
-    With j = k/2 this is det(m)^j / ((az + b)(cz + d))^j: the binomial
+    With j = k/2 this is det^j / ((az + b)(cz + d))^j: the binomial
     expansion of (az + b)^|j| (cz + d)^|j| is the denominator for j >= 0
-    and, times det(m)^j, the numerator for j < 0.  Both polynomials have
-    a fixed length for a given k (1, or 2|j| + 1), so two results of the
+    and, times det^j, the numerator for j < 0.  Both polynomials have a
+    fixed length for a given k (1, or 2|j| + 1), so two results of the
     same weight can be compared coefficient by coefficient.
     """
     if k % 2:
         raise ValueError(f"weight must be even, got {k}")
-    det = m.det()
-    if det.is_zero:
-        raise ZeroDivisionError("slash action of a singular matrix")
+    a, b, c, d = m.entries
     j = k // 2
     n = abs(j)
 
@@ -187,8 +185,8 @@ def stroke_of_power(k: int, m: Mat2) -> Tuple[Coeffs, Coeffs]:
         """(x*z + y)^n."""
         return tuple(comb(n, i) * x ** i * y ** (n - i) for i in range(n + 1))
 
-    linear = poly_mul(binomial(m.a, m.b), binomial(m.c, m.d))
-    scale = det ** j
+    linear = poly_mul(binomial(a, b), binomial(c, d))
+    scale = (a * d - b * c) ** j
     if j >= 0:
         return (scale,), linear
-    return tuple(scale * c for c in linear), (QuadElem.of(1),)
+    return tuple(scale * x for x in linear), (QuadElem.of(1),)

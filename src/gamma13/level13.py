@@ -21,10 +21,10 @@ The module also hosts the exact rational-function checks that close the
 argument: ``blowup_check`` (the z -> 0 behaviour of
 z^{-k/2} + z^{-k/2}|B + z^{-k/2}|B^2 for B = A^-1 g3 A) and
 ``tilde_g_check`` (the eigen-signs of z^{-k/2}|A^-1 under the three
-reflections).  Both work on the numerator/denominator pairs of
-``groupring.stroke_of_power`` and never reduce a fraction: a zero test, a
-pole order at z = 0 and a sign comparison are all unchanged by a common
-factor.
+reflections).  Both slash by classes, reading the numerator/denominator
+pairs of ``groupring.stroke_of_power`` off canonical representatives, and
+never reduce a fraction: a zero test, a pole order at z = 0 and a sign
+comparison are unchanged by a common factor, as by the representative.
 """
 
 from __future__ import annotations
@@ -448,11 +448,11 @@ def blowup_check(k: int) -> BlowupResult:
         raise ValueError("weight must be a nonzero even integer")
     if abs(k) > 128:
         raise ValueError("weight is limited to |k| <= 128")
-    b1, b2 = conjugated_g3_matrices()
+    b1, b2 = map(ProjMat.of, conjugated_g3_matrices())
     # z^{-k/2} is its own slash by the identity, so all three terms have
     # numerators and denominators of the same lengths
     (n0, d0), (n1, d1), (n2, d2) = (stroke_of_power(k, m)
-                                    for m in (Mat2.identity(), b1, b2))
+                                    for m in (ProjMat.identity(), b1, b2))
     num = [x + y + w for x, y, w in zip(poly_mul(n0, poly_mul(d1, d2)),
                                         poly_mul(n1, poly_mul(d0, d2)),
                                         poly_mul(n2, poly_mul(d0, d1)))]
@@ -477,11 +477,11 @@ def tilde_g_check(k: int) -> Tuple[int, int, int]:
         raise ValueError("weight must be even")
     if abs(k) > 16:
         raise ValueError("weight is limited to |k| <= 16")
-    ainv = a_inverse()
+    ainv = ProjMat.of(a_inverse())
     num, den = stroke_of_power(k, ainv)
     signs = []
     for cls in (DELTA1_HAT, DELTA2_HAT, DELTA3_HAT):
-        inum, iden = stroke_of_power(k, ainv * cls.mat)
+        inum, iden = stroke_of_power(k, ainv * cls)
         lhs, rhs = poly_mul(inum, den), poly_mul(num, iden)
         if lhs == rhs:
             signs.append(1)

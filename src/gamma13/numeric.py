@@ -111,17 +111,17 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_pi,
                           round_nearest, to_str)
 
-from .certificate import Certificate, Congruence
 from .exactnum import DEFAULT_D, QuadElem, binary_power
-from .level13 import build_f_certificate
 from .projmat import ProjMat
 from .qseries import FormData, hecke_check
+if TYPE_CHECKING:  # annotations only: density loads no certificate layer
+    from .certificate import Certificate, Congruence
 
 
 class ConfigurationError(ValueError):
@@ -863,6 +863,7 @@ class FormcheckReport:
 def _battery(form: FormData) -> List[Congruence]:
     """The four context axioms (P, H, T2, T3), then each headline step
     that the level's f certificate builds."""
+    from .level13 import build_f_certificate
     certificate = build_f_certificate(form.level)
     by_id = {step.id: step.result for step in certificate.steps}
     return list(certificate.axioms) + [by_id[i] for i in _HEADLINE_STEPS

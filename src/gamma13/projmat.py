@@ -3,19 +3,20 @@
 The field is fixed, as in :mod:`gamma13.exactnum`: entries are coerced to
 :class:`~gamma13.exactnum.QuadElem` and no matrix carries a field of its own.
 
-:class:`Mat2` is a plain matrix with exact entries.  :class:`ProjMat` is the
-class of a matrix modulo nonzero scalar multiples, restricted to positive
-determinant (scaling by r multiplies the determinant by r^2 > 0, so the sign
-is an invariant of the class).  ProjMat instances are canonicalized -- the
-first nonzero entry in row-major order is scaled to 1 -- which makes equality
-and hashing structural.  A positive determinant puts that entry in the top
-row.  Products and inverses of classes work on the canonical entries
-directly: det(AB) = det A * det B and det(adj A) = det A are positive
-already, so only a construction from outside checks the determinant, and a
-result is rescaled only when its leading entry is not 1.  Each entry is a
-reduced integer triple (p + q*sqrt(13))/r, so the primitive representative
-(coprime integer components, used for text and for Gamma_0(N) membership)
-is read off the triples with one lcm and one gcd.
+:class:`Mat2` is a plain matrix with exact entries, kept for the determinant
+a class forgets: the level-13 diagonalization data and the tests' reference.
+:class:`ProjMat` is the class of a matrix modulo nonzero scalar multiples,
+restricted to positive determinant (scaling by r multiplies the determinant
+by r^2 > 0, so the sign is an invariant of the class).  ProjMat instances are
+canonicalized -- the first nonzero entry in row-major order is scaled to 1 --
+which makes equality and hashing structural.  A positive determinant puts
+that entry in the top row.  Products and inverses of classes work on the
+canonical entries directly: det(AB) = det A * det B and det(adj A) = det A
+are positive already, so only a construction from outside checks the
+determinant, and a result is rescaled only when its leading entry is not 1.
+Each entry is a reduced integer triple (p + q*sqrt(13))/r, so the primitive
+representative (coprime integer components, used for text and for Gamma_0(N)
+membership) is read off the triples with one lcm and one gcd.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ MatrixLike = Union["Mat2", "ProjMat", Sequence]
 Entries = Tuple[QuadElem, QuadElem, QuadElem, QuadElem]
 
 _ONE = QuadElem.of(1)
+
+
+def _flat(rows: MatrixLike) -> Sequence:
+    """The four entries, uncoerced, of a Mat2, two rows or a flat list."""
+    flat = list(rows.entries() if isinstance(rows, Mat2) else rows)
+    if len(flat) == 2:
+        flat = list(flat[0]) + list(flat[1])
+    if len(flat) != 4:
+        raise ValueError("expected 2x2 matrix data")
+    return flat
 
 
 def _product(x: Entries, y: Entries) -> Entries:
@@ -54,16 +65,7 @@ class Mat2:
 
     @classmethod
     def of(cls, rows: MatrixLike) -> "Mat2":
-        if isinstance(rows, Mat2):
-            return rows
-        if isinstance(rows, ProjMat):
-            return rows.mat
-        flat = list(rows)
-        if len(flat) == 2:
-            flat = list(flat[0]) + list(flat[1])
-        if len(flat) != 4:
-            raise ValueError("expected 2x2 matrix data")
-        return cls(*[QuadElem.of(x) for x in flat])
+        return cls(*[QuadElem.of(x) for x in _flat(rows)])
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -98,14 +100,11 @@ class Mat2:
     def __neg__(self) -> "Mat2":
         return self.scale(-1)
 
-    def adj(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
     def inv(self) -> "Mat2":
         det = self.det()
         if det.is_zero:
             raise ZeroDivisionError("singular matrix")
-        return self.adj().scale(det.inv())
+        return Mat2(self.d, -self.b, -self.c, self.a).scale(det.inv())
 
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
@@ -153,10 +152,8 @@ class ProjMat:
 
     __slots__ = ("_entries", "_hash")  # _hash is set by the first __hash__
 
-    def __init__(self, entries: Sequence[QuadElem]):
-        entries = tuple(QuadElem.of(x) for x in entries)
-        if len(entries) != 4:
-            raise ValueError("expected 4 entries")
+    def __init__(self, rows: MatrixLike):
+        entries = tuple(QuadElem.of(x) for x in _flat(rows))
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if det.sign() <= 0:
             raise ValueError(
@@ -174,9 +171,7 @@ class ProjMat:
 
     @classmethod
     def of(cls, rows: MatrixLike) -> "ProjMat":
-        if isinstance(rows, ProjMat):
-            return rows
-        return cls(Mat2.of(rows).entries())
+        return rows if isinstance(rows, ProjMat) else cls(rows)
 
     @classmethod
     def identity(cls) -> "ProjMat":
@@ -240,4 +235,4 @@ class ProjMat:
         return f"ProjMat({self})"
 
 
-_IDENTITY = ProjMat.of(Mat2.identity())  # immutable, so one instance serves
+_IDENTITY = ProjMat((1, 0, 0, 1))  # immutable, so one instance serves

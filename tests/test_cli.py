@@ -567,14 +567,25 @@ def run_child(*args, stdout=subprocess.PIPE):
                           env={**os.environ, "PYTHONPATH": path})
 
 
-@pytest.mark.parametrize("command", ["formcheck", "eta"])
-def test_closed_stdout_is_a_quiet_usage_exit(tmp_path, command):
+# unbuffered: True sets PYTHONUNBUFFERED, so the first write fails; False
+# unsets it, so the flush fails; None leaves the environment as it is
+@pytest.mark.parametrize("command, unbuffered", [
+    ("formcheck", None), ("eta", None), ("--help", True), ("--help", False),
+    ("formcheck --help", True), ("formcheck --help", False)], ids=[
+    "formcheck", "eta", "help-unbuffered", "help-buffered",
+    "formcheck-help-unbuffered", "formcheck-help-buffered"])
+def test_closed_stdout_is_a_quiet_usage_exit(tmp_path, monkeypatch, command,
+                                             unbuffered):
     # the read end of stdout's pipe is closed before the child writes
     # anything, so every write fails with EPIPE
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    elif unbuffered is not None:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     path = tmp_path / "delta512.txt"
     path.write_text(delta_file_text())
     argv = {"formcheck": ["formcheck", str(path)],
-            "eta": ["eta", "1:24", "20000"]}[command]
+            "eta": ["eta", "1:24", "20000"]}.get(command, command.split())
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -611,6 +622,25 @@ def test_exact_commands_never_load_mpmath():
     result = run_child("-c", EXACT_CHILD, json.dumps(EXACT_COMMANDS))
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[0, False]] * len(EXACT_COMMANDS)
+
+
+DENSITY_CHILD = """
+import contextlib, io, json, sys
+from gamma13.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["density", "5", "1e-3"])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("gamma13."))]))
+"""
+
+
+def test_density_loads_no_exact_certificate_layer():
+    result = run_child("-c", DENSITY_CHILD)
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(result.stdout)
+    assert code == 0
+    assert not {"gamma13.level13", "gamma13.certificate",
+                "gamma13.groupring", "gamma13.grammar"} & set(loaded)
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -76,6 +76,33 @@ class TestProjMatCanonical:
     def test_identity_and_negation(self):
         assert pm([[-1, 0], [0, -1]]) == ProjMat.identity()
 
+    def test_of_builds_no_mat2(self, monkeypatch):
+        # nested rows, flat rows and a Mat2 give one class, and malformed
+        # data the same messages, without a Mat2 built on the way
+        given = Mat2.of([[4, 2], [2, 2]])
+        built = []
+        init = Mat2.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Mat2, "__init__", spy)
+        half = q(Fraction(1, 2))
+        for rows in ([[2, 1], [1, 1]], (2, 1, 1, 1), given):
+            assert ProjMat.of(rows).entries == (q(1), half, half, half)
+        for rows, message in [
+                ([[1, 2], [3]], "expected 2x2 matrix data"),
+                ([1, 2, 3], "expected 2x2 matrix data"),
+                ([[1, 2], [2, 4]], "projective class requires positive "
+                                   "determinant, got 0 for [[1,2],[2,4]]"),
+                ([[1, 2, 3], [4]], "projective class requires positive "
+                                   "determinant, got -2 for [[1,2],[3,4]]")]:
+            with pytest.raises(ValueError) as info:
+                ProjMat.of(rows)
+            assert str(info.value) == message
+        assert built == []
+
     def test_mul_and_inv(self):
         h = pm([[0, -1], [13, 0]])
         p_inv_h = pm([[-13, -1], [13, 0]])

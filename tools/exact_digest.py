@@ -18,10 +18,11 @@ example, P^200000 and W^200000, a member outside the subgroup the
 generators make, a non-member, each generator and its inverse, and 50
 seeded members of length 0-24, so that two trees' spellings can be diffed.  It
 ends with the rest of the exact bench workload: the stdout, stderr and exit
-code of ``gamma13 asym k`` for every k from -2 to 16, ``tilde_g_check(k)``
-for k = 2, 4, 6, 8, and both congruences of ``sign_exponent_check(m, n)``
-for m in +-1, +-4, +-7 and n in +-2, +-5, +-8, which holds every pair the
-bench's seeds draw.  Two trees agree on every certificate text, report line,
+code of ``gamma13 asym k`` for every k from -2 to 16 and for k = +-32, +-64,
++-128, where class representatives and determinant-1 matrices give the
+largest expansions, ``tilde_g_check(k)`` for every even k with |k| <= 16,
+and both congruences of ``sign_exponent_check(m, n)`` for m in +-1, +-4,
++-7 and n in +-2, +-5, +-8, which holds every pair the bench's seeds draw.  Two trees agree on every certificate text, report line,
 word and diagnostic exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/exact_digest.py > old.txt
@@ -70,8 +71,8 @@ DECOMPOSE = ["[[-9,4],[-52,23]]", "[[1,200000],[0,1]]", "[[1,0],[2600000,1]]",
 
 
 #: The weights and word exponents of the exact bench's other commands.
-ASYM_WEIGHTS = range(-2, 17)
-TILDE_WEIGHTS = (2, 4, 6, 8)
+ASYM_WEIGHTS = (-128, -64, -32, *range(-2, 17), 32, 64, 128)
+TILDE_WEIGHTS = range(-16, 17, 2)
 SIGN_MS = (1, -1, 4, -4, 7, -7)
 SIGN_NS = (2, -2, 5, -5, 8, -8)
 
