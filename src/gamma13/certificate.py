@@ -240,6 +240,10 @@ class CertBuilder:
     """
 
     def __init__(self, level: int):
+        if type(level) is not int:  # bool is an int, too
+            raise TypeError(f"level must be an int, got {level!r}")
+        if level < 1:
+            raise ValueError("level must be a positive integer")
         self.level = level
         self.axioms: List[Congruence] = []
         self.steps: List[Step] = []

@@ -7,11 +7,14 @@ and the diagonalizing basis A -- and builds the two certificates that replay
 the whole derivation:
 
 * the f-context certificate: from the four axioms (P == 1, H == e,
-  T2-sum == a2, T3-sum == a3) it derives W == 1, g2 == 1, and the three
-  factored annihilators ``(1 - g3)(1 -+ ...) == 0`` named delta1, delta3,
-  delta2;
+  T2 == a2, T3 == a3, with the Hecke coset sums ``t_sum(2)`` and
+  ``t_sum(3)``) it derives W == 1, g2 == 1, and the three factored
+  annihilators ``(1 - g3)(1 -+ ...) == 0`` named delta1, delta3, delta2;
+  HT2 and HT3, the Hecke axioms conjugated by H, come from one chain in p;
 * the g-context certificate: from the reflection axioms it derives the
   sign bookkeeping for words in h2 = delta2*delta1 and h3 = delta3*delta1.
+  One table holds each reflection's class and sign, and feeds both the
+  axioms and every word the chains fold.
 
 The chains are uniform in the level N wherever possible; only the final
 ``delta2`` step needs N = 13, because g3^-1 g2 is an involution exactly
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .certificate import (CertBuilder, Certificate, Congruence,
                           certificate_from_json)
@@ -64,15 +67,19 @@ def delta3_class(level: int = DEFAULT_LEVEL) -> ProjMat:
 P_CLASS, G3 = GENERATORS["P"], GENERATORS["g3"]
 DELTA1_HAT, DELTA3_HAT = delta1_class(13), delta3_class(13)
 DELTA2_HAT = ProjMat.of([[5, -2], [13, -5]])
+# Each reflection's step id, with its class and the sign that its axiom
+# ax:delta<i> gives it in the g-context.
+_REFLECTIONS = {"delta1hat": (DELTA1_HAT, ScalarPoly.eps()),
+                "delta2hat": (DELTA2_HAT, ScalarPoly.const(-1)),
+                "delta3hat": (DELTA3_HAT, ScalarPoly.eps())}
+# The Hecke primes of the f-context, each with its eigenvalue symbol.
+_HECKE = ((2, ScalarPoly.alpha2()), (3, ScalarPoly.alpha3()))
 
 
-def t2_sum() -> RingElem:
-    return RingElem.parse("[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]")
-
-
-def t3_sum() -> RingElem:
-    return RingElem.parse(
-        "[[3,0],[0,1]] + [[1,0],[0,3]] + [[1,1],[0,3]] + [[1,2],[0,3]]")
+def t_sum(p: int) -> RingElem:
+    """The Hecke coset sum T_p = [[p,0],[0,1]] + sum_{j mod p} [[1,j],[0,p]]."""
+    return sum((RingElem.of([[1, j], [0, p]]) for j in range(p)),
+               RingElem.of([[p, 0], [0, 1]]))
 
 
 # -- diagonalization data ---------------------------------------------------
@@ -121,34 +128,32 @@ def conjugated_g3_matrices() -> Tuple[Mat2, Mat2]:
 # -- contexts ---------------------------------------------------------------
 
 
-def _add_f_axioms(b: CertBuilder, level: int) -> None:
+def _f_builder(level: int) -> CertBuilder:
+    """A builder holding the f-context axioms P, H, T2 and T3 at a level."""
+    b = CertBuilder(level)
     b.axiom("ax:P", RingElem.of(P_CLASS), RingElem.one())
     b.axiom("ax:H", RingElem.of(h_class(level)),
             RingElem.of(ScalarPoly.eps()))
-    b.axiom("ax:T2", t2_sum(), RingElem.of(ScalarPoly.alpha2()))
-    b.axiom("ax:T3", t3_sum(), RingElem.of(ScalarPoly.alpha3()))
+    for p, alpha in _HECKE:
+        b.axiom(f"ax:T{p}", t_sum(p), RingElem.of(alpha))
+    return b
 
 
 def _g_builder() -> CertBuilder:
     """The reflection axioms, each restated as a step named after its
     class: the common start of every g-context derivation."""
     b = CertBuilder(DEFAULT_LEVEL)
-    e = RingElem.of(ScalarPoly.eps())
-    b.axiom("ax:delta1", RingElem.of(DELTA1_HAT), e)
-    b.axiom("ax:delta2", RingElem.of(DELTA2_HAT), -RingElem.one())
-    b.axiom("ax:delta3", RingElem.of(DELTA3_HAT), e)
-    b.axiom_step("delta1hat", "ax:delta1")
-    b.axiom_step("delta2hat", "ax:delta2")
-    b.axiom_step("delta3hat", "ax:delta3")
+    for step_id, (cls, sign) in _REFLECTIONS.items():
+        ax_id = "ax:" + step_id.removesuffix("hat")
+        b.axiom(ax_id, RingElem.of(cls), RingElem.of(sign))
+        b.axiom_step(step_id, ax_id)
     return b
 
 
 def f_context(level: int = DEFAULT_LEVEL) -> Certificate:
     """The four f-context axioms at a level, as a certificate without
     steps."""
-    b = CertBuilder(level)
-    _add_f_axioms(b, level)
-    return b.build()
+    return _f_builder(level).build()
 
 
 # -- the f-context certificate ------------------------------------------------
@@ -161,7 +166,7 @@ def _square_t2_steps(b: CertBuilder) -> None:
     Level-independent: no step below touches H or W.
     """
     a2 = ScalarPoly.alpha2()
-    b.right_mul("t2sq.a", "T2", t2_sum())
+    b.right_mul("t2sq.a", "T2", t_sum(2))
     b.scale("t2sq.b", "T2", a2)
     squared = (2 * RingElem.one() + RingElem.of([[1, 1], [0, 1]])
                + RingElem.of([[4, 0], [0, 1]]) + RingElem.of([[1, 0], [0, 4]])
@@ -181,19 +186,14 @@ def _square_t2_steps(b: CertBuilder) -> None:
 
 
 def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
-    n = int(level)
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    b = CertBuilder(n)
-    _add_f_axioms(b, n)
+    b = _f_builder(level)
+    n = level
     e = ScalarPoly.eps()
     one = RingElem.one()
     h_elem = RingElem.of(h_class(n))
 
-    b.axiom_step("P", "ax:P")
-    b.axiom_step("H", "ax:H")
-    b.axiom_step("T2", "ax:T2")
-    b.axiom_step("T3", "ax:T3")
+    for name in ("P", "H", "T2", "T3"):
+        b.axiom_step(name, "ax:" + name)
 
     # P^-1 == 1
     b.right_mul("pinv.a", "P", RingElem.of([[1, -1], [0, 1]]))
@@ -216,36 +216,28 @@ def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
         b.right_mul(prefix + ".a", "HPinv", mat)
         b.scale(prefix, prefix + ".a", e)
 
-    def h_replace(prefix: str, mat: RingElem) -> None:
-        """prefix: M == e * (H M)."""
+    def h_replace(prefix: str, mat: RingElem, s: ScalarPoly = e) -> None:
+        """prefix: s*e * M == s * (H M), so M == e * (H M) for s = e."""
         b.right_mul(prefix + ".a", "H", mat)
-        b.scale(prefix + ".b", prefix + ".a", e)
+        b.scale(prefix + ".b", prefix + ".a", s)
         b.sym(prefix, prefix + ".b")
 
     def w_replace(prefix: str, mat: RingElem) -> None:
         """prefix: (W M) == M."""
         b.right_mul(prefix, "W", mat)
 
-    # HT2: conjugate the T2 axiom by H on both sides.
-    t2h = (RingElem.of([[0, -2], [n, 0]]) + RingElem.of([[0, -1], [2 * n, 0]])
-           + RingElem.of([[n, -1], [2 * n, 0]]))
-    b.right_mul("ht2.a", "H", t2h)
-    b.right_mul("ht2.b", "T2", h_elem)
-    b.scale("ht2.c", "ht2.b", e)
-    b.scale("ht2.d", "H", e * ScalarPoly.alpha2())
-    b.trans("ht2.e", "ht2.a", "ht2.c")
-    b.trans("HT2", "ht2.e", "ht2.d")
-
-    # HT3: same shape, four summands.
-    t3h = (RingElem.of([[0, -3], [n, 0]]) + RingElem.of([[0, -1], [3 * n, 0]])
-           + RingElem.of([[n, -1], [3 * n, 0]])
-           + RingElem.of([[2 * n, -1], [3 * n, 0]]))
-    b.right_mul("ht3.a", "H", t3h)
-    b.right_mul("ht3.b", "T3", h_elem)
-    b.scale("ht3.c", "ht3.b", e)
-    b.scale("ht3.d", "H", e * ScalarPoly.alpha3())
-    b.trans("ht3.e", "ht3.a", "ht3.c")
-    b.trans("HT3", "ht3.e", "ht3.d")
+    # HT2, HT3: conjugate the Tp axiom by H on both sides; H Tp has the
+    # classes of [[0,-p],[n,0]] and [[j*n,-1],[p*n,0]] for j < p.
+    for p, alpha in _HECKE:
+        ht = f"ht{p}"
+        conj = sum((RingElem.of([[j * n, -1], [p * n, 0]]) for j in range(p)),
+                   RingElem.of([[0, -p], [n, 0]]))
+        b.right_mul(ht + ".a", "H", conj)
+        b.right_mul(ht + ".b", f"T{p}", h_elem)
+        b.scale(ht + ".c", ht + ".b", e)
+        b.scale(ht + ".d", "H", e * alpha)
+        b.trans(ht + ".e", ht + ".a", ht + ".c")
+        b.trans(f"HT{p}", ht + ".e", ht + ".d")
 
     # g2 == 1: subtract T2 from HT2, clear the remaining factor through W.
     b.sym("T2.swap", "T2")
@@ -296,12 +288,8 @@ def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
     b.trans("ph.b", "ph.a", "H")
     b.scale("ph.c", "ph.b", e)
     b.sym("ph.d", "ph.c")
-    b.right_mul("c1.a", "H", RingElem.of([[1, 0], [0, 2]]))
-    b.scale("c1.b", "c1.a", e * ScalarPoly.alpha2())
-    b.sym("c1", "c1.b")
-    b.right_mul("c2.a", "H", RingElem.of([[2, 0], [0, 1]]))
-    b.scale("c2.b", "c2.a", e * ScalarPoly.alpha2())
-    b.sym("c2", "c2.b")
+    h_replace("c1", RingElem.of([[1, 0], [0, 2]]), e * ScalarPoly.alpha2())
+    h_replace("c2", RingElem.of([[2, 0], [0, 1]]), e * ScalarPoly.alpha2())
     b.sym("h4.swap", "H4pre")
     b.add("h4.s1", "h4.conj", "h4.pa")
     b.add("h4.s2", "h4.s1", "ph.d")
@@ -350,28 +338,32 @@ def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
 
 # -- the g-context certificate ----------------------------------------------
 
-_G_CLASSES = {"delta1hat": DELTA1_HAT, "delta2hat": DELTA2_HAT,
-              "delta3hat": DELTA3_HAT}
 
-
-def _g_signs() -> Dict[str, ScalarPoly]:
-    return {"delta1hat": ScalarPoly.eps(),
-            "delta2hat": ScalarPoly.const(-1),
-            "delta3hat": ScalarPoly.eps()}
+def _h_word(m: int, n: int) -> List[str]:
+    """h2^m h3^n as reflection step ids, h2 = delta2*delta1 and
+    h3 = delta3*delta1; a reflection is an involution, so a negative power
+    spells the letters of its pair swapped."""
+    word: List[str] = []
+    for k, delta in ((m, "delta2hat"), (n, "delta3hat")):
+        word += [delta, "delta1hat"] * k if k >= 0 else ["delta1hat", delta] * -k
+    return word
 
 
 def _fold_word(b: CertBuilder, word: Sequence[str], final_id: str) -> Congruence:
     """Derive ``(product of the word's classes) == (product of their signs)``
-    by repeated right-multiplication; the word entries are axiom-step ids."""
-    signs = _g_signs()
+    by repeated right-multiplication; the word entries are axiom-step ids,
+    and the empty word gives 1 == 1."""
+    if not word:
+        return Congruence(final_id, RingElem.one(), RingElem.one())
     cur = word[0]
-    s = signs[word[0]]
+    s = _REFLECTIONS[cur][1]
     for i, letter in enumerate(word[1:], start=1):
+        cls, sign = _REFLECTIONS[letter]
         sid = final_id if i == len(word) - 1 else f"{final_id}.{i}"
-        b.right_mul(f"{sid}.a", cur, RingElem.of(_G_CLASSES[letter]))
+        b.right_mul(f"{sid}.a", cur, RingElem.of(cls))
         b.scale(f"{sid}.b", letter, s)
         b.trans(sid, f"{sid}.a", f"{sid}.b")
-        s = s * signs[letter]
+        s = s * sign
         cur = sid
     return b.resolved[cur]
 
@@ -383,18 +375,15 @@ def build_g_certificate() -> Certificate:
     b.add("sum.a", "delta1hat", "delta2hat")
     b.add("threedeltas", "sum.a", "delta3hat")
 
-    # h2 == -e and h3 == 1.
-    d1 = RingElem.of(DELTA1_HAT)
-    b.right_mul("h2.a", "delta2hat", d1)
-    b.scale("h2.b", "delta1hat", ScalarPoly.const(-1))
-    b.trans("h2-sign", "h2.a", "h2.b")
-    b.right_mul("h3.a", "delta3hat", d1)
-    b.scale("h3.b", "delta1hat", ScalarPoly.eps())
-    b.trans("h3-sign", "h3.a", "h3.b")
+    # h2 == -e and h3 == 1: delta_p delta1 == sign(delta_p) * sign(delta1).
+    for p in (2, 3):
+        delta = f"delta{p}hat"
+        b.right_mul(f"h{p}.a", delta, RingElem.of(DELTA1_HAT))
+        b.scale(f"h{p}.b", "delta1hat", _REFLECTIONS[delta][1])
+        b.trans(f"h{p}-sign", f"h{p}.a", f"h{p}.b")
 
     # The squared word h2^2 h3 telescopes to the scalar 1.
-    _fold_word(b, ["delta2hat", "delta1hat", "delta2hat", "delta1hat",
-                   "delta3hat", "delta1hat"], "h-power-sign")
+    _fold_word(b, _h_word(2, 1), "h-power-sign")
     return b.build()
 
 
@@ -403,29 +392,14 @@ class SignCheck(NamedTuple):
     even_power: Congruence   # h2^(2m) h3^n == 1
 
 
-def _h_word_congruence(m: int, n: int) -> Congruence:
-    word: List[str] = []
-    if m >= 0:
-        word += ["delta2hat", "delta1hat"] * m
-    else:
-        word += ["delta1hat", "delta2hat"] * (-m)
-    if n >= 0:
-        word += ["delta3hat", "delta1hat"] * n
-    else:
-        word += ["delta1hat", "delta3hat"] * (-n)
-    if not word:
-        one = RingElem.one()
-        return Congruence("h-word", one, one)
-    return _fold_word(_g_builder(), word, "h-word")
-
-
 def sign_exponent_check(m: int, n: int) -> SignCheck:
     """Verify the sign of h2^m h3^n: each h2 contributes -e, each h3
     contributes 1, so the word reduces to (-e)^m; doubling m kills the sign.
     """
     if abs(m) > 8 or abs(n) > 8:
         raise ValueError("word exponents are limited to |m|, |n| <= 8")
-    return SignCheck(_h_word_congruence(m, n), _h_word_congruence(2 * m, n))
+    return SignCheck(*(_fold_word(_g_builder(), _h_word(k, n), "h-word")
+                       for k in (m, 2 * m)))
 
 
 # -- exact rational-function checks -------------------------------------------

@@ -833,6 +833,26 @@ _HEADLINE_STEPS = ("W", "HT2", "HT3", "g2", "R3", "S3", "delta1",
                    "H4", "H5", "H6", "H7", "delta3", "delta2")
 
 
+def _format_residual(x: mpf) -> str:
+    """x >= 0 as ``%.2e`` writes it.  Below 2^-1022 a double keeps too few
+    bits (and none from 2^-1075 down), so there the exact man*2^exp of x
+    is rounded to 3 significant digits in ints."""
+    man, exp = x.man_exp
+    top = man.bit_length() + exp  # 2^(top-1) <= x < 2^top
+    if not man or top > -1022:
+        return f"{float(x):.2e}"
+    den = 1 << -exp
+    # x < 2^top < 10^d; lower d until 10^d <= x
+    d = math.floor(top * math.log10(2)) + 1
+    while man * 10 ** -d < den:
+        d -= 1
+    # to nearest: x * 10^(2-d) is odd / 2^j with j > 700, never a tie
+    r = (2 * man * 10 ** (2 - d) + den) // (2 * den)
+    if r == 1000:
+        r, d = 100, d + 1
+    return f"{r // 100}.{r % 100:02d}e{d:+03d}"
+
+
 @dataclass(frozen=True)
 class FormcheckReport:
     rows: Tuple[Tuple, ...]
@@ -845,7 +865,8 @@ class FormcheckReport:
             kind = row[0]
             if kind == "CONG":
                 _, cid, residual, passed = row
-                out.append(f"CONG {cid} max_residual={float(residual):.2e} "
+                out.append(f"CONG {cid} "
+                           f"max_residual={_format_residual(residual)} "
                            f"verdict={'PASS' if passed else 'FAIL'}")
             elif kind == "HECKE":
                 # the stroke identity is the recursion times p^(1-k/2) != 0,

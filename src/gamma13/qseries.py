@@ -343,8 +343,8 @@ class FormData:
         if not isinstance(self.weight, int) or self.weight < 2 or self.weight % 2:
             raise ValueError(f"weight must be a positive even integer, "
                              f"got {self.weight}")
-        if self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level}")
+        if type(self.level) is not int or self.level < 1:  # bool is no level
+            raise ValueError(f"level must be a positive integer, got {self.level!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         _check_growth(self.series, self.weight)

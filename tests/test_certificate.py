@@ -7,6 +7,7 @@ two generator axioms) was verified by hand before being frozen here.
 import pytest
 
 import json
+import re
 from importlib import resources
 
 from gamma13 import grammar, level13
@@ -204,6 +205,18 @@ class TestSerialization:
             b.right_mul("oops", "P", RingElem.parse("[[1,-1],[0,1]]"),
                         lhs=RingElem.parse("1"),
                         rhs=RingElem.parse("[[1,1],[0,1]]"))
+
+    @pytest.mark.parametrize("level, error, message", [
+        (2.7, TypeError, "level must be an int, got 2.7"),
+        ("13", TypeError, "level must be an int, got '13'"),
+        (True, TypeError, "level must be an int, got True"),
+        (0, ValueError, "level must be a positive integer"),
+        (-13, ValueError, "level must be a positive integer"),
+    ], ids=["float", "string", "bool", "zero", "negative"])
+    def test_builder_refuses_a_level_that_is_no_positive_int(self, level, error,
+                                                             message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CertBuilder(level)
 
     def test_builder_rejects_wrong_explicit_claim(self):
         b = w_builder()

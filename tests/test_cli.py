@@ -224,6 +224,20 @@ class TestFormcheck:
         assert "HECKE p=3 recursion=PASS stroke=PASS" in lines
         assert "CUSP decay verdict=PASS" in lines
 
+    def test_residual_below_the_doubles_is_printed_not_zeroed(self, capsys,
+                                                                tmp_path):
+        # at 1100 bits every bound lies below 2^-1022, where a double keeps
+        # too few bits, and no nonzero bound may print as a zero
+        path = tmp_path / "delta3000.txt"
+        path.write_text(delta_file_text(length=3000))
+        code, out, err = run_cli(capsys, "formcheck", str(path), "--prec",
+                                 "1100", "--tol", "1e-300")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "CONG ax:P max_residual=2.74e-340 verdict=PASS"
+        assert "CONG S3 max_residual=1.64e-335 verdict=PASS" in lines
+        assert not any("0.00e+00" in line for line in lines)
+
     def test_wrong_sign_fails_on_inversion_residual(self, capsys, tmp_path):
         path = tmp_path / "delta_wrong_eps.txt"
         path.write_text(delta_file_text(sign=-1))

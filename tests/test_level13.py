@@ -6,6 +6,7 @@ g3 * d2hat = g2, g3 * d3hat = [[13,-2],[26,0]]) was recomputed by hand
 before being asserted here.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -37,6 +38,12 @@ class TestGeneratorIdentities:
         p = ProjMat.of([[1, 1], [0, 1]])
         w = ProjMat.of([[1, 0], [13, 1]])
         assert h * p.inv() * h == w
+
+    def test_hecke_sums_are_their_coset_sums(self):
+        assert level13.t_sum(2) == RingElem.parse(
+            "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]")
+        assert level13.t_sum(3) == RingElem.parse(
+            "[[3,0],[0,1]] + [[1,0],[0,3]] + [[1,1],[0,3]] + [[1,2],[0,3]]")
 
     def test_fixed_classes_are_the_builders_at_level_13(self):
         assert level13.G3 == level13.g3_class(13) == G3
@@ -156,6 +163,32 @@ class TestFCertificate:
         ids = {s.id for s in cert.steps}
         assert "delta1" in ids and "delta3" in ids
         assert "delta2" not in ids  # involution trick needs level 13
+
+    def test_json_is_pinned_beyond_level_13(self):
+        # SHA-256 of each text, so that every level the battery builds is
+        # pinned byte for byte, as level 13 is by the shipped file
+        digests = {
+            1: "a045256c606dea9f5e251a9ae2f5d0994f92c5827477c75011a52befb7708a69",
+            2: "dd42a22cce67deba0e43065182ed91ef4bbaa3aacf1c42eb808c73ab82dcc7d9",
+            5: "16aae4c960712026b6733cafe820a3bdc60eb3f8151f540db242e5e7750d3bf5",
+            7: "2f98c5d058b221f8d485baf1a2383584b6e3264b07b8c945b70f0077a55e02bf",
+            11: "54494b8590ea62ba45553f80cf720e63520e73ed22cce15ebb99abcf7d43a5fa",
+            26: "a6b067d64d9302eb01f16f757786c4de8ca45ee332701ec3aea74ca18eb06221",
+        }
+        for level, digest in digests.items():
+            text = certificate_to_json(level13.build_f_certificate(level))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, \
+                level
+
+    @pytest.mark.parametrize("level, error", [
+        (2.7, TypeError), ("13", TypeError), (True, TypeError),
+        (0, ValueError), (-1, ValueError),
+    ], ids=["float", "string", "bool", "zero", "negative"])
+    def test_level_must_be_a_positive_int(self, level, error):
+        # no level is truncated or coerced into some other level's chain
+        for build in (level13.build_f_certificate, level13.f_context):
+            with pytest.raises(error, match="^level must be "):
+                build(level)
 
     def test_level_one_g2_is_integral(self):
         cert = level13.build_f_certificate(1)

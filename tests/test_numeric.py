@@ -33,6 +33,7 @@ from gamma13.numeric import (
     DensityError,
     EvalConfig,
     FormData,
+    FormcheckReport,
     PrecisionError,
     certificate_residual_sweep,
     congruence_residual,
@@ -873,6 +874,14 @@ class TestFormData:
         with pytest.raises(ValueError):
             FormData(QSeries(1, [1, 0] * 20), weight=12, level=1, sign=2)
 
+    @pytest.mark.parametrize("level", [2.7, "13", True, 0],
+                             ids=["float", "string", "bool", "zero"])
+    def test_rejects_a_level_that_is_no_positive_int(self, level):
+        # the battery builds the chain of exactly this level
+        with pytest.raises(ValueError, match="^level must be a positive "
+                           f"integer, got {re.escape(repr(level))}$"):
+            FormData(QSeries(1, [1, 0] * 20), weight=12, level=level, sign=1)
+
 
 class TestFormcheck:
     def test_discriminant_battery_passes(self):
@@ -890,6 +899,24 @@ class TestFormcheck:
         assert any(line.startswith("HECKE p=2 ") for line in lines)
         assert any(line.startswith("CUSP ") for line in lines)
         assert lines[-1] == "FORMCHECK OK"
+
+    @pytest.mark.parametrize("residual, text", [
+        (mpf(0), "0.00e+00"),
+        (mpf(2) ** -1022, "2.23e-308"),
+        (mpf(2) ** -1023, "1.11e-308"),
+        (7 * mpf(2) ** -1130, "4.80e-340"),
+        (mpf(2) ** -1075, "2.47e-324"),
+        (mpf("9.9996e-321"), "1.00e-320"),
+        (mpf(1) / 3, "3.33e-01"),
+    ], ids=["zero", "least-normal", "subnormal", "below-subnormals",
+            "half-least-subnormal", "rounds-up-a-decade", "normal"])
+    def test_report_line_prints_a_tiny_residual_as_it_is(self, residual, text):
+        # a double holds x >= 2^-1022 to full precision and %.2e prints it;
+        # below, float() loses digits, and x <= 2^-1075 reads 0
+        report = FormcheckReport((("CONG", "ax:P", residual, True),), True,
+                                 residual)
+        assert report.lines() == [f"CONG ax:P max_residual={text} verdict=PASS",
+                                  "FORMCHECK OK"]
 
     def test_wrong_sign_fails_the_inversion_residual(self):
         report = run_formcheck(FormData(eta_product([(1, 24)], 512),

@@ -11,18 +11,19 @@ middle terms differ, a matrix malformed where an earlier step has it well
 formed), the exit code and first stderr line of three inputs nested past
 the parsers' depth (a JSON file of 100000 ``[``, f with ax:P's lhs
 in 5000 parentheses, ``decompose`` of an entry behind 3000 minus signs),
-the JSON of ``build_f_certificate`` at levels 1, 7 and 13 and of
-``build_g_certificate``, and ``lhs - rhs`` of every step of f.  Last comes
-the stdout, stderr and exit code of ``gamma13 decompose`` on the README
-example, P^200000 and W^200000, a member outside the subgroup the
+the JSON of ``build_f_certificate`` at levels 1, 2, 5, 7, 11, 13 and 26 and
+of ``build_g_certificate``, and ``lhs - rhs`` of every step of f.  Last
+comes the stdout, stderr and exit code of ``gamma13 decompose`` on the
+README example, P^200000 and W^200000, a member outside the subgroup the
 generators make, a non-member, each generator and its inverse, and 50
-seeded members of length 0-24, so that two trees' spellings can be diffed.  It
-ends with the rest of the exact bench workload: the stdout, stderr and exit
-code of ``gamma13 asym k`` for every k from -2 to 16 and for k = +-32, +-64,
-+-128, where class representatives and determinant-1 matrices give the
-largest expansions, ``tilde_g_check(k)`` for every even k with |k| <= 16,
-and both congruences of ``sign_exponent_check(m, n)`` for m in +-1, +-4,
-+-7 and n in +-2, +-5, +-8, which holds every pair the bench's seeds draw.  Two trees agree on every certificate text, report line,
+seeded members of length 0-24, so that two trees' spellings can be diffed.
+It ends with the rest of the exact bench workload: the stdout, stderr and
+exit code of ``gamma13 asym k`` for every k from -2 to 16 and for k = +-32,
++-64, +-128, where class representatives and determinant-1 matrices give
+the largest expansions, ``tilde_g_check(k)`` for every even k with
+|k| <= 16, and both congruences of ``sign_exponent_check(m, n)`` for every
+|m|, |n| <= 8, the whole range it accepts.  Two trees agree on every
+certificate text, report line,
 word and diagnostic exactly when the outputs of
 
     PYTHONPATH=old/src python3 tools/exact_digest.py > old.txt
@@ -73,8 +74,7 @@ DECOMPOSE = ["[[-9,4],[-52,23]]", "[[1,200000],[0,1]]", "[[1,0],[2600000,1]]",
 #: The weights and word exponents of the exact bench's other commands.
 ASYM_WEIGHTS = (-128, -64, -32, *range(-2, 17), 32, 64, 128)
 TILDE_WEIGHTS = range(-16, 17, 2)
-SIGN_MS = (1, -1, 4, -4, 7, -7)
-SIGN_NS = (2, -2, 5, -5, 8, -8)
+SIGN_EXPONENTS = range(-8, 9)
 
 
 def _capture(argv):
@@ -140,7 +140,7 @@ def main() -> int:
             path.write_text(_faulty_f(step_id, field, value), encoding="utf-8")
             _verify(f"f with {label}", [str(path)])
         _deep(Path(tmp))
-    for level in (1, 7, 13):
+    for level in (1, 2, 5, 7, 11, 13, 26):
         print(f"== build_f_certificate({level})")
         print(certificate.certificate_to_json(
             level13.build_f_certificate(level)))
@@ -155,8 +155,8 @@ def main() -> int:
         _run(f"asym {k}", ["asym", str(k)])
     for k in TILDE_WEIGHTS:
         print(f"== tilde_g_check({k}) {level13.tilde_g_check(k)}")
-    for m in SIGN_MS:
-        for n in SIGN_NS:
+    for m in SIGN_EXPONENTS:
+        for n in SIGN_EXPONENTS:
             check = level13.sign_exponent_check(m, n)
             print(f"== sign_exponent_check({m},{n})")
             print(check.power_sign)
