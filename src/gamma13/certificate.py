@@ -17,10 +17,11 @@ Each rule is one function from the congruences it cites to the sides it
 derives.  A congruence's content is its difference ``lhs - rhs``, so a claim
 verifies when its difference equals that of the derived sides (``RESCALE``
 thus allows lhs/rhs re-splits); ``TRANS`` also requires its middle terms to
-match structurally.  The verifier never searches.  :class:`CertBuilder`
-applies each rule once, as a step is pushed, and compares only a claim given
-to it, so a built certificate needs no second pass; :func:`verify_certificate`
-replays certificates from elsewhere, such as JSON loaded from disk.
+match structurally.  The verifier never searches.  :meth:`CertBuilder.step`,
+the one way to push a step, takes the rule name and arguments a stored step
+holds, applies the rule once and compares only a claim given to it, so a
+built certificate needs no second pass; :func:`verify_certificate` replays
+certificates from elsewhere, such as JSON loaded from disk.
 
 Operands are values (a ``RIGHT_MUL`` factor is a ring element, a ``SCALE``
 scalar a scalar polynomial): text lives only in the versioned JSON that
@@ -261,9 +262,12 @@ class CertBuilder:
 
     # -- steps --------------------------------------------------------------------
 
-    def _push(self, step_id: str, rule: str, args: Tuple[Arg, ...],
-              lhs: Optional[RingElem] = None,
-              rhs: Optional[RingElem] = None) -> Congruence:
+    def step(self, step_id: str, rule: str, *args: Arg,
+             lhs: Optional[RingElem] = None,
+             rhs: Optional[RingElem] = None) -> Congruence:
+        """Push ``Step(step_id, rule, args, ...)``: the sides the rule
+        derives, or the claim ``lhs``/``rhs`` where given.  An unknown rule
+        or a wrong argument count raises as it does for a loaded step."""
         if step_id in self.resolved:
             raise CertificateError(f"duplicate id {step_id!r}")
         derived, detail = _apply_rule(self.resolved, step_id, rule, args)
@@ -282,38 +286,6 @@ class CertBuilder:
         self.steps.append(step)
         self.resolved[step_id] = step.result
         return step.result
-
-    def axiom_step(self, step_id: str, ax_id: str) -> Congruence:
-        return self._push(step_id, "AXIOM", (ax_id,))
-
-    def right_mul(self, step_id: str, prior: str, factor: RingElem,
-                  lhs: Optional[RingElem] = None,
-                  rhs: Optional[RingElem] = None) -> Congruence:
-        return self._push(step_id, "RIGHT_MUL", (prior, factor), lhs, rhs)
-
-    def add(self, step_id: str, first: str, second: str,
-            lhs: Optional[RingElem] = None,
-            rhs: Optional[RingElem] = None) -> Congruence:
-        return self._push(step_id, "ADD", (first, second), lhs, rhs)
-
-    def scale(self, step_id: str, prior: str, scalar: ScalarPoly,
-              lhs: Optional[RingElem] = None,
-              rhs: Optional[RingElem] = None) -> Congruence:
-        return self._push(step_id, "SCALE", (prior, scalar), lhs, rhs)
-
-    def sym(self, step_id: str, prior: str,
-            lhs: Optional[RingElem] = None,
-            rhs: Optional[RingElem] = None) -> Congruence:
-        return self._push(step_id, "SYM", (prior,), lhs, rhs)
-
-    def trans(self, step_id: str, first: str, second: str,
-              lhs: Optional[RingElem] = None,
-              rhs: Optional[RingElem] = None) -> Congruence:
-        return self._push(step_id, "TRANS", (first, second), lhs, rhs)
-
-    def rescale(self, step_id: str, prior: str, lhs: RingElem,
-                rhs: RingElem) -> Congruence:
-        return self._push(step_id, "RESCALE", (prior,), lhs, rhs)
 
     # -- output ---------------------------------------------------------------------
 

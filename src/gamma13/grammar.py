@@ -22,15 +22,13 @@ from itertools import islice
 from typing import List, Optional, Tuple, Union
 
 from .exactnum import DEFAULT_D, QuadElem, ScalarPoly
-from .projmat import Entries
+from .projmat import Entries, ProjMat
 
 #: A token; every other non-space character is an error.
 _TOKEN = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\*\*|[+\-*/^()\[\],]")
 #: A character that is neither space nor part of any token.
 _BAD = re.compile(r"[^\s\dA-Za-z+\-*/^()\[\],]")
 
-_IDENTITY: Entries = (QuadElem.of(1), QuadElem.of(0), QuadElem.of(0),
-                      QuadElem.of(1))
 #: The symbols a scalar names, each its own first power.
 _SYMBOLS = {"a2": ScalarPoly.alpha2(), "a3": ScalarPoly.alpha3(),
             "e": ScalarPoly.eps()}
@@ -199,10 +197,12 @@ def parse_scalar_poly(text: str) -> ScalarPoly:
     return value
 
 
-def _memo_matrix(ts: _Tokens, memo: dict) -> Entries:
-    """``_matrix(ts)``, kept in ``memo`` under its tokens: those from "["
-    to the "]" that closes it, since entries hold no brackets.  A hit thus
-    consumes what a parse would, and only successes are stored."""
+def _memo_matrix(ts: _Tokens, memo: dict) -> ProjMat:
+    """The class of ``_matrix(ts)``, kept in ``memo`` under its tokens:
+    those from "[" to the "]" that closes it, since entries hold no
+    brackets.  A hit thus consumes what a parse would, and only successes
+    are stored; a singular matrix raises here, before any later grammar
+    error in the same text."""
     depth = 0
     for end in range(ts.idx, len(ts.toks)):
         tok = ts.toks[end]
@@ -211,12 +211,12 @@ def _memo_matrix(ts: _Tokens, memo: dict) -> Entries:
             break
     key = tuple(ts.toks[ts.idx:end + 1])
     if key not in memo:
-        memo[key] = _matrix(ts)
+        memo[key] = ProjMat.of(_matrix(ts))
     ts.idx = end + 1
     return memo[key]
 
 
-def _ring_term(ts: _Tokens, memo: dict) -> Tuple[ScalarPoly, Entries]:
+def _ring_term(ts: _Tokens, memo: dict) -> Tuple[ScalarPoly, ProjMat]:
     if ts.peek() == "[":
         return ScalarPoly.const(1), _memo_matrix(ts, memo)
     coeff = _scalar_factor(ts)
@@ -225,23 +225,24 @@ def _ring_term(ts: _Tokens, memo: dict) -> Tuple[ScalarPoly, Entries]:
         if ts.peek() == "[":
             return coeff, _memo_matrix(ts, memo)
         coeff = coeff * _scalar_factor(ts)
-    return coeff, _IDENTITY
+    return coeff, ProjMat.identity()
 
 
 def parse_ring_terms(text: str, memo: Optional[dict] = None,
-                     ) -> List[Tuple[ScalarPoly, Entries]]:
+                     ) -> List[Tuple[ScalarPoly, ProjMat]]:
     """Parse a sum of ``coeff*matrix`` terms (bare coefficients act on the
-    identity matrix).  Returns the raw term list without combining.  Each
-    matrix is parsed once per ``memo``, which maps tokens to entries."""
+    identity class) into (coefficient, class) pairs, without combining.
+    Each matrix is parsed once per ``memo``, which maps tokens to its
+    class."""
     memo = {} if memo is None else memo
     ts = _Tokens(text)
     out = []
     sign = _leading_sign(ts)
-    coeff, entries = _ring_term(ts, memo)
-    out.append((coeff if sign > 0 else -coeff, entries))
+    coeff, mat = _ring_term(ts, memo)
+    out.append((coeff if sign > 0 else -coeff, mat))
     while ts.peek() in ("+", "-"):
         op = ts.next()
-        coeff, entries = _ring_term(ts, memo)
-        out.append((coeff if op == "+" else -coeff, entries))
+        coeff, mat = _ring_term(ts, memo)
+        out.append((coeff if op == "+" else -coeff, mat))
     ts.expect_end()
     return out

@@ -71,16 +71,14 @@ class RingElem(_FormalSum):
 
     @classmethod
     def parse(cls, text: str, memo: Optional[dict] = None) -> "RingElem":
-        """The element ``text`` writes.  ``memo`` maps each ring text,
-        matrix token sequence and entry tuple parsed with it to its value."""
+        """The element ``text`` writes.  ``memo`` maps each ring text and
+        matrix token sequence parsed with it to its value."""
         memo = {} if memo is None else memo
         # a text that is no str (so maybe unhashable) fails in the grammar
         if isinstance(text, str) and text in memo:
             return memo[text]
         acc: dict = {}
-        for coeff, entries in grammar.parse_ring_terms(text, memo):
-            mat = memo.get(entries) or memo.setdefault(
-                entries, ProjMat.of(entries))
+        for coeff, mat in grammar.parse_ring_terms(text, memo):
             acc[mat] = acc[mat] + coeff if mat in acc else coeff
         return memo.setdefault(text, cls._normal(acc))
 

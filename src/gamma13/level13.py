@@ -146,7 +146,7 @@ def _g_builder() -> CertBuilder:
     for step_id, (cls, sign) in _REFLECTIONS.items():
         ax_id = "ax:" + step_id.removesuffix("hat")
         b.axiom(ax_id, RingElem.of(cls), RingElem.of(sign))
-        b.axiom_step(step_id, ax_id)
+        b.step(step_id, "AXIOM", ax_id)
     return b
 
 
@@ -166,23 +166,24 @@ def _square_t2_steps(b: CertBuilder) -> None:
     Level-independent: no step below touches H or W.
     """
     a2 = ScalarPoly.alpha2()
-    b.right_mul("t2sq.a", "T2", t_sum(2))
-    b.scale("t2sq.b", "T2", a2)
+    b.step("t2sq.a", "RIGHT_MUL", "T2", t_sum(2))
+    b.step("t2sq.b", "SCALE", "T2", a2)
     squared = (2 * RingElem.one() + RingElem.of([[1, 1], [0, 1]])
                + RingElem.of([[4, 0], [0, 1]]) + RingElem.of([[1, 0], [0, 4]])
                + RingElem.of([[1, 1], [0, 4]]) + RingElem.of([[2, 1], [0, 2]])
                + RingElem.of([[1, 2], [0, 4]]) + RingElem.of([[1, 3], [0, 4]]))
-    b.add("t2sq", "t2sq.a", "t2sq.b", lhs=squared, rhs=RingElem.of(a2 * a2))
-    b.right_mul("t2d2", "T2", RingElem.of([[2, 0], [0, 1]]))
-    b.right_mul("t2d2p", "T2", RingElem.of([[1, 0], [0, 2]]))
-    b.scale("t2d2.neg", "t2d2", ScalarPoly.const(-1))
-    b.scale("t2d2p.neg", "t2d2p", ScalarPoly.const(-1))
-    b.add("h4.a", "t2sq", "t2d2.neg")
+    b.step("t2sq", "ADD", "t2sq.a", "t2sq.b", lhs=squared,
+           rhs=RingElem.of(a2 * a2))
+    b.step("t2d2", "RIGHT_MUL", "T2", RingElem.of([[2, 0], [0, 1]]))
+    b.step("t2d2p", "RIGHT_MUL", "T2", RingElem.of([[1, 0], [0, 2]]))
+    b.step("t2d2.neg", "SCALE", "t2d2", ScalarPoly.const(-1))
+    b.step("t2d2p.neg", "SCALE", "t2d2p", ScalarPoly.const(-1))
+    b.step("h4.a", "ADD", "t2sq", "t2d2.neg")
     x = RingElem.of([[1, 1], [0, 4]]) + RingElem.of([[1, 3], [0, 4]])
     rhs = (RingElem.of(a2 * a2) - RingElem.of([[1, 1], [0, 1]])
            - a2 * RingElem.of([[2, 0], [0, 1]])
            - a2 * RingElem.of([[1, 0], [0, 2]]))
-    b.add("H4pre", "h4.a", "t2d2p.neg", lhs=x, rhs=rhs)
+    b.step("H4pre", "ADD", "h4.a", "t2d2p.neg", lhs=x, rhs=rhs)
 
 
 def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
@@ -193,38 +194,38 @@ def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
     h_elem = RingElem.of(h_class(n))
 
     for name in ("P", "H", "T2", "T3"):
-        b.axiom_step(name, "ax:" + name)
+        b.step(name, "AXIOM", "ax:" + name)
 
     # P^-1 == 1
-    b.right_mul("pinv.a", "P", RingElem.of([[1, -1], [0, 1]]))
-    b.sym("Pinv", "pinv.a")
+    b.step("pinv.a", "RIGHT_MUL", "P", RingElem.of([[1, -1], [0, 1]]))
+    b.step("Pinv", "SYM", "pinv.a")
 
     # W == 1: stroke H through P^-1 H, then cancel the two e factors.
-    b.right_mul("w.a", "H", RingElem.of([[-n, -1], [n, 0]]))
-    b.right_mul("w.b", "Pinv", h_elem)
-    b.trans("w.c", "w.b", "H")
-    b.scale("w.d", "w.c", e)
-    b.trans("W", "w.a", "w.d")
+    b.step("w.a", "RIGHT_MUL", "H", RingElem.of([[-n, -1], [n, 0]]))
+    b.step("w.b", "RIGHT_MUL", "Pinv", h_elem)
+    b.step("w.c", "TRANS", "w.b", "H")
+    b.step("w.d", "SCALE", "w.c", e)
+    b.step("W", "TRANS", "w.a", "w.d")
 
     # H * P^-1 == e, the workhorse behind "replace M by e*H*P^-1*M".
-    b.right_mul("hpinv.a", "H", RingElem.of([[1, -1], [0, 1]]))
-    b.scale("hpinv.b", "Pinv", e)
-    b.trans("HPinv", "hpinv.a", "hpinv.b")
+    b.step("hpinv.a", "RIGHT_MUL", "H", RingElem.of([[1, -1], [0, 1]]))
+    b.step("hpinv.b", "SCALE", "Pinv", e)
+    b.step("HPinv", "TRANS", "hpinv.a", "hpinv.b")
 
     def hp_replace(prefix: str, mat: RingElem) -> None:
         """prefix: e * (H P^-1 M) == M."""
-        b.right_mul(prefix + ".a", "HPinv", mat)
-        b.scale(prefix, prefix + ".a", e)
+        b.step(prefix + ".a", "RIGHT_MUL", "HPinv", mat)
+        b.step(prefix, "SCALE", prefix + ".a", e)
 
     def h_replace(prefix: str, mat: RingElem, s: ScalarPoly = e) -> None:
         """prefix: s*e * M == s * (H M), so M == e * (H M) for s = e."""
-        b.right_mul(prefix + ".a", "H", mat)
-        b.scale(prefix + ".b", prefix + ".a", s)
-        b.sym(prefix, prefix + ".b")
+        b.step(prefix + ".a", "RIGHT_MUL", "H", mat)
+        b.step(prefix + ".b", "SCALE", prefix + ".a", s)
+        b.step(prefix, "SYM", prefix + ".b")
 
     def w_replace(prefix: str, mat: RingElem) -> None:
         """prefix: (W M) == M."""
-        b.right_mul(prefix, "W", mat)
+        b.step(prefix, "RIGHT_MUL", "W", mat)
 
     # HT2, HT3: conjugate the Tp axiom by H on both sides; H Tp has the
     # classes of [[0,-p],[n,0]] and [[j*n,-1],[p*n,0]] for j < p.
@@ -232,107 +233,108 @@ def build_f_certificate(level: int = DEFAULT_LEVEL) -> Certificate:
         ht = f"ht{p}"
         conj = sum((RingElem.of([[j * n, -1], [p * n, 0]]) for j in range(p)),
                    RingElem.of([[0, -p], [n, 0]]))
-        b.right_mul(ht + ".a", "H", conj)
-        b.right_mul(ht + ".b", f"T{p}", h_elem)
-        b.scale(ht + ".c", ht + ".b", e)
-        b.scale(ht + ".d", "H", e * alpha)
-        b.trans(ht + ".e", ht + ".a", ht + ".c")
-        b.trans(f"HT{p}", ht + ".e", ht + ".d")
+        b.step(ht + ".a", "RIGHT_MUL", "H", conj)
+        b.step(ht + ".b", "RIGHT_MUL", f"T{p}", h_elem)
+        b.step(ht + ".c", "SCALE", ht + ".b", e)
+        b.step(ht + ".d", "SCALE", "H", e * alpha)
+        b.step(ht + ".e", "TRANS", ht + ".a", ht + ".c")
+        b.step(f"HT{p}", "TRANS", ht + ".e", ht + ".d")
 
     # g2 == 1: subtract T2 from HT2, clear the remaining factor through W.
-    b.sym("T2.swap", "T2")
-    b.add("R2", "HT2", "T2.swap",
-          lhs=RingElem.of([[2, 0], [-n, 1]]), rhs=RingElem.of([[1, 1], [0, 2]]))
-    b.right_mul("g2.a", "R2", RingElem.of([[2, -1], [0, 1]]))
-    b.right_mul("g2.b", "W", RingElem.of([[4, -2], [-2 * n, n + 1]]))
-    b.trans("g2", "g2.b", "g2.a")
+    b.step("T2.swap", "SYM", "T2")
+    b.step("R2", "ADD", "HT2", "T2.swap", lhs=RingElem.of([[2, 0], [-n, 1]]),
+           rhs=RingElem.of([[1, 1], [0, 2]]))
+    b.step("g2.a", "RIGHT_MUL", "R2", RingElem.of([[2, -1], [0, 1]]))
+    b.step("g2.b", "RIGHT_MUL", "W", RingElem.of([[4, -2], [-2 * n, n + 1]]))
+    b.step("g2", "TRANS", "g2.b", "g2.a")
 
     # R3: subtract T3 from HT3.
     v1 = RingElem.of([[3, 0], [-n, 1]])
     v2 = RingElem.of([[3, 0], [-2 * n, 1]])
     u31 = RingElem.of([[1, 1], [0, 3]])
     u32 = RingElem.of([[1, 2], [0, 3]])
-    b.sym("T3.swap", "T3")
-    b.add("r3.a", "HT3", "T3.swap", lhs=v1 + v2, rhs=u31 + u32)
-    b.sym("R3", "r3.a")
+    b.step("T3.swap", "SYM", "T3")
+    b.step("r3.a", "ADD", "HT3", "T3.swap", lhs=v1 + v2, rhs=u31 + u32)
+    b.step("R3", "SYM", "r3.a")
 
     # S3: rewrite R3 with the three unit replacements, then clear u31.
     hp_replace("rep.u32", u32)
     h_replace("rep.v1", v1)
     w_replace("rep.v2", v2)
-    b.sym("rep.v2.swap", "rep.v2")
-    b.add("s3.a", "R3", "rep.u32")
-    b.add("s3.b", "s3.a", "rep.v1")
+    b.step("rep.v2.swap", "SYM", "rep.v2")
+    b.step("s3.a", "ADD", "R3", "rep.u32")
+    b.step("s3.b", "ADD", "s3.a", "rep.v1")
     s3pre = (u31 + e * RingElem.of([[0, -3], [n, -n]])
              - e * RingElem.of([[n, -1], [3 * n, 0]])
              - RingElem.of([[3, 0], [n, 1]]))
-    b.add("S3pre", "s3.b", "rep.v2.swap", lhs=s3pre, rhs=RingElem.zero())
-    b.right_mul("S3", "S3pre", RingElem.of([[3, -1], [0, 1]]))
+    b.step("S3pre", "ADD", "s3.b", "rep.v2.swap", lhs=s3pre,
+           rhs=RingElem.zero())
+    b.step("S3", "RIGHT_MUL", "S3pre", RingElem.of([[3, -1], [0, 1]]))
 
     # delta1: the factored form of S3.
-    b.rescale("delta1", "S3",
-              (one - RingElem.of(g3_class(n)))
-              * (one - e * RingElem.of(delta1_class(n))),
-              RingElem.zero())
+    b.step("delta1", "RESCALE", "S3",
+           lhs=((one - RingElem.of(g3_class(n)))
+                * (one - e * RingElem.of(delta1_class(n)))),
+           rhs=RingElem.zero())
 
     # H4: the T2-squaring identity, then conjugation by H fixes its rhs.
     _square_t2_steps(b)
     xh = (RingElem.of([[n, -1], [4 * n, 0]])
           + RingElem.of([[3 * n, -1], [4 * n, 0]]))
-    b.right_mul("h4.lhs", "H", xh)
-    b.right_mul("h4.rhs", "H4pre", h_elem)
-    b.scale("h4.rhs.e", "h4.rhs", e)
-    b.trans("h4.conj", "h4.lhs", "h4.rhs.e")
-    b.scale("h4.pa", "H", e * ScalarPoly.alpha2() ** 2)
-    b.right_mul("ph.a", "P", h_elem)
-    b.trans("ph.b", "ph.a", "H")
-    b.scale("ph.c", "ph.b", e)
-    b.sym("ph.d", "ph.c")
+    b.step("h4.lhs", "RIGHT_MUL", "H", xh)
+    b.step("h4.rhs", "RIGHT_MUL", "H4pre", h_elem)
+    b.step("h4.rhs.e", "SCALE", "h4.rhs", e)
+    b.step("h4.conj", "TRANS", "h4.lhs", "h4.rhs.e")
+    b.step("h4.pa", "SCALE", "H", e * ScalarPoly.alpha2() ** 2)
+    b.step("ph.a", "RIGHT_MUL", "P", h_elem)
+    b.step("ph.b", "TRANS", "ph.a", "H")
+    b.step("ph.c", "SCALE", "ph.b", e)
+    b.step("ph.d", "SYM", "ph.c")
     h_replace("c1", RingElem.of([[1, 0], [0, 2]]), e * ScalarPoly.alpha2())
     h_replace("c2", RingElem.of([[2, 0], [0, 1]]), e * ScalarPoly.alpha2())
-    b.sym("h4.swap", "H4pre")
-    b.add("h4.s1", "h4.conj", "h4.pa")
-    b.add("h4.s2", "h4.s1", "ph.d")
-    b.add("h4.s3", "h4.s2", "c1")
-    b.add("h4.s4", "h4.s3", "c2")
-    b.add("h4.s5", "h4.s4", "h4.swap")
+    b.step("h4.swap", "SYM", "H4pre")
+    b.step("h4.s1", "ADD", "h4.conj", "h4.pa")
+    b.step("h4.s2", "ADD", "h4.s1", "ph.d")
+    b.step("h4.s3", "ADD", "h4.s2", "c1")
+    b.step("h4.s4", "ADD", "h4.s3", "c2")
+    b.step("h4.s5", "ADD", "h4.s4", "h4.swap")
     hxh = (RingElem.of([[4, 0], [-n, 1]])
            + RingElem.of([[4, 0], [-3 * n, 1]]))
     x = RingElem.of([[1, 1], [0, 4]]) + RingElem.of([[1, 3], [0, 4]])
-    b.add("H4", "h4.s5", "P", lhs=hxh, rhs=x)
+    b.step("H4", "ADD", "h4.s5", "P", lhs=hxh, rhs=x)
 
     # H5: the same identity collected on one side.
-    b.sym("H5", "H4", lhs=x - hxh, rhs=RingElem.zero())
+    b.step("H5", "SYM", "H4", lhs=x - hxh, rhs=RingElem.zero())
 
     # H6: rewrite H5 with the unit replacements.
     hp_replace("rep.u34", RingElem.of([[1, 3], [0, 4]]))
     h_replace("rep.v41", RingElem.of([[4, 0], [-n, 1]]))
     w_replace("rep.v42", RingElem.of([[4, 0], [-3 * n, 1]]))
-    b.sym("rep.v42.swap", "rep.v42")
-    b.add("h6.s1", "H5", "rep.u34")
-    b.add("h6.s2", "h6.s1", "rep.v41")
+    b.step("rep.v42.swap", "SYM", "rep.v42")
+    b.step("h6.s1", "ADD", "H5", "rep.u34")
+    b.step("h6.s2", "ADD", "h6.s1", "rep.v41")
     h6 = (RingElem.of([[1, 1], [0, 4]])
           + e * RingElem.of([[0, -4], [n, -n]])
           - e * RingElem.of([[n, -1], [4 * n, 0]])
           - RingElem.of([[4, 0], [n, 1]]))
-    b.add("H6", "h6.s2", "rep.v42.swap", lhs=h6, rhs=RingElem.zero())
+    b.step("H6", "ADD", "h6.s2", "rep.v42.swap", lhs=h6, rhs=RingElem.zero())
 
     # H7: clear the first factor of H6.
-    b.right_mul("H7", "H6", RingElem.of([[1, 0], [-n, 4]]))
+    b.step("H7", "RIGHT_MUL", "H6", RingElem.of([[1, 0], [-n, 4]]))
 
     # delta3: the factored form of H7.
     g3p = RingElem.of([[1 - n, 4], [-4 * n, 16]])
-    b.rescale("delta3", "H7",
-              -((one - g3p) * (one - e * RingElem.of(delta3_class(n)))),
-              RingElem.zero())
+    b.step("delta3", "RESCALE", "H7",
+           lhs=-((one - g3p) * (one - e * RingElem.of(delta3_class(n)))),
+           rhs=RingElem.zero())
 
     # delta2 needs the involution g3^-1 g2, which exists only at level 13.
     if n == DEFAULT_LEVEL:
-        b.sym("d2.a", "g2")
-        b.right_mul("d2.b", "d2.a", RingElem.of(DELTA2_HAT))
-        b.add("delta2", "d2.b", "d2.a",
-              lhs=(one - RingElem.of(G3)) * (one + RingElem.of(DELTA2_HAT)),
-              rhs=RingElem.zero())
+        b.step("d2.a", "SYM", "g2")
+        b.step("d2.b", "RIGHT_MUL", "d2.a", RingElem.of(DELTA2_HAT))
+        b.step("delta2", "ADD", "d2.b", "d2.a",
+               lhs=(one - RingElem.of(G3)) * (one + RingElem.of(DELTA2_HAT)),
+               rhs=RingElem.zero())
     return b.build()
 
 
@@ -360,9 +362,9 @@ def _fold_word(b: CertBuilder, word: Sequence[str], final_id: str) -> Congruence
     for i, letter in enumerate(word[1:], start=1):
         cls, sign = _REFLECTIONS[letter]
         sid = final_id if i == len(word) - 1 else f"{final_id}.{i}"
-        b.right_mul(f"{sid}.a", cur, RingElem.of(cls))
-        b.scale(f"{sid}.b", letter, s)
-        b.trans(sid, f"{sid}.a", f"{sid}.b")
+        b.step(f"{sid}.a", "RIGHT_MUL", cur, RingElem.of(cls))
+        b.step(f"{sid}.b", "SCALE", letter, s)
+        b.step(sid, "TRANS", f"{sid}.a", f"{sid}.b")
         s = s * sign
         cur = sid
     return b.resolved[cur]
@@ -372,15 +374,15 @@ def build_g_certificate() -> Certificate:
     b = _g_builder()
 
     # The aggregate of the three reflection congruences.
-    b.add("sum.a", "delta1hat", "delta2hat")
-    b.add("threedeltas", "sum.a", "delta3hat")
+    b.step("sum.a", "ADD", "delta1hat", "delta2hat")
+    b.step("threedeltas", "ADD", "sum.a", "delta3hat")
 
     # h2 == -e and h3 == 1: delta_p delta1 == sign(delta_p) * sign(delta1).
     for p in (2, 3):
         delta = f"delta{p}hat"
-        b.right_mul(f"h{p}.a", delta, RingElem.of(DELTA1_HAT))
-        b.scale(f"h{p}.b", "delta1hat", _REFLECTIONS[delta][1])
-        b.trans(f"h{p}-sign", f"h{p}.a", f"h{p}.b")
+        b.step(f"h{p}.a", "RIGHT_MUL", delta, RingElem.of(DELTA1_HAT))
+        b.step(f"h{p}.b", "SCALE", "delta1hat", _REFLECTIONS[delta][1])
+        b.step(f"h{p}-sign", "TRANS", f"h{p}.a", f"h{p}.b")
 
     # The squared word h2^2 h3 telescopes to the scalar 1.
     _fold_word(b, _h_word(2, 1), "h-power-sign")

@@ -345,8 +345,9 @@ class FormData:
                              f"got {self.weight}")
         if type(self.level) is not int or self.level < 1:  # bool is no level
             raise ValueError(f"level must be a positive integer, got {self.level!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        # bool is no sign
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         _check_growth(self.series, self.weight)
 
 
@@ -394,8 +395,8 @@ def format_coefficient_file(series: QSeries, weight: int, level: int,
     """Render the header '# k=.. N=.. eps=..' plus one 'n a_n' line per
     coefficient, numbered from ``coefficient_file_offset``."""
     n = coefficient_file_offset(series.offset)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if type(sign) is not int or sign not in (1, -1):  # bool is no sign
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     lines = [f"# k={weight} N={level} eps={sign:+d}"]
     for c in series.coeffs:
         lines.append(f"{n} {c}")

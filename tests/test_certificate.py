@@ -23,6 +23,7 @@ from gamma13.certificate import (
 )
 from gamma13.exactnum import ScalarPoly
 from gamma13.groupring import RingElem
+from gamma13.projmat import ProjMat
 
 
 def axioms():
@@ -39,15 +40,15 @@ def w_builder():
     b = CertBuilder(level=13)
     for ax_id, lhs, rhs in axioms():
         b.axiom(ax_id, lhs, rhs)
-    b.axiom_step("P", "ax:P")
-    b.axiom_step("H", "ax:H")
-    b.right_mul("pinv.1", "P", RingElem.parse("[[1,-1],[0,1]]"))
-    b.sym("pinv", "pinv.1")
-    b.right_mul("w1", "H", RingElem.parse("[[-13,-1],[13,0]]"))
-    b.right_mul("w2", "pinv", RingElem.parse("[[0,-1],[13,0]]"))
-    b.trans("w3", "w2", "H")
-    b.scale("w4", "w3", grammar.parse_scalar_poly("e"))
-    b.trans("W", "w1", "w4")
+    b.step("P", "AXIOM", "ax:P")
+    b.step("H", "AXIOM", "ax:H")
+    b.step("pinv.1", "RIGHT_MUL", "P", RingElem.parse("[[1,-1],[0,1]]"))
+    b.step("pinv", "SYM", "pinv.1")
+    b.step("w1", "RIGHT_MUL", "H", RingElem.parse("[[-13,-1],[13,0]]"))
+    b.step("w2", "RIGHT_MUL", "pinv", RingElem.parse("[[0,-1],[13,0]]"))
+    b.step("w3", "TRANS", "w2", "H")
+    b.step("w4", "SCALE", "w3", grammar.parse_scalar_poly("e"))
+    b.step("W", "TRANS", "w1", "w4")
     return b
 
 
@@ -103,10 +104,10 @@ class TestVerification:
         b = CertBuilder(level=13)
         for ax_id, lhs, rhs in axioms():
             b.axiom(ax_id, lhs, rhs)
-        b.axiom_step("T2", "ax:T2")
-        b.rescale("moved", "T2", RingElem.parse(
+        b.step("T2", "AXIOM", "ax:T2")
+        b.step("moved", "RESCALE", "T2", lhs=RingElem.parse(
             "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]] - a2"),
-            RingElem.parse("0"))
+            rhs=RingElem.parse("0"))
         report = verify_certificate(b.build())
         assert report.ok
 
@@ -114,11 +115,11 @@ class TestVerification:
         b = CertBuilder(level=13)
         for ax_id, lhs, rhs in axioms():
             b.axiom(ax_id, lhs, rhs)
-        b.axiom_step("T2", "ax:T2")
+        b.step("T2", "AXIOM", "ax:T2")
         with pytest.raises(CertificateError, match="moved"):
-            b.rescale("moved", "T2", RingElem.parse(
+            b.step("moved", "RESCALE", "T2", lhs=RingElem.parse(
                 "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]"),
-                RingElem.parse("0"))
+                rhs=RingElem.parse("0"))
 
     def test_unknown_rule_is_hard_error(self):
         cert = w_builder().build()
@@ -200,11 +201,11 @@ class TestSerialization:
     def test_builder_catches_bad_claims_immediately(self):
         b = CertBuilder(level=13)
         b.axiom("ax:P", RingElem.parse("[[1,1],[0,1]]"), RingElem.parse("1"))
-        b.axiom_step("P", "ax:P")
+        b.step("P", "AXIOM", "ax:P")
         with pytest.raises(CertificateError, match="oops"):
-            b.right_mul("oops", "P", RingElem.parse("[[1,-1],[0,1]]"),
-                        lhs=RingElem.parse("1"),
-                        rhs=RingElem.parse("[[1,1],[0,1]]"))
+            b.step("oops", "RIGHT_MUL", "P", RingElem.parse("[[1,-1],[0,1]]"),
+                   lhs=RingElem.parse("1"),
+                   rhs=RingElem.parse("[[1,1],[0,1]]"))
 
     @pytest.mark.parametrize("level, error, message", [
         (2.7, TypeError, "level must be an int, got 2.7"),
@@ -223,10 +224,28 @@ class TestSerialization:
         with pytest.raises(CertificateError,
                            match="step w5 does not verify: claimed result "
                                  "disagrees with recomputation; difference "):
-            b.scale("w5", "W", grammar.parse_scalar_poly("a2"),
-                    lhs=RingElem.parse("a2*[[1,0],[13,1]]"),
-                    rhs=RingElem.parse("0"))
+            b.step("w5", "SCALE", "W", grammar.parse_scalar_poly("a2"),
+                   lhs=RingElem.parse("a2*[[1,0],[13,1]]"),
+                   rhs=RingElem.parse("0"))
         assert "w5" not in b.resolved
+
+    @pytest.mark.parametrize("rule, args, message", [
+        ("FROBNICATE", ("W",), "step x: unknown rule FROBNICATE"),
+        ("RIGHT_MUL", ("W",),
+         "step x: rule RIGHT_MUL takes 2 argument(s), got 1"),
+    ], ids=["unknown-rule", "right-mul-one-argument"])
+    def test_builder_refuses_a_malformed_step_as_replay_does(self, rule, args,
+                                                             message):
+        b = w_builder()
+        cert = b.build()
+        with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+            b.step("x", rule, *args)
+        assert "x" not in b.resolved and b.build() == cert
+        stored = Step("x", rule, args,
+                      Congruence("x", RingElem.one(), RingElem.one()))
+        with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+            verify_certificate(
+                Certificate(1, 13, cert.axioms, cert.steps + (stored,)))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(level=1.5),
@@ -327,9 +346,9 @@ class TestOperands:
             verify_certificate(cert)
         b = CertBuilder(level=13)
         b.axiom("ax:X", RingElem.parse(lhs), RingElem.parse(rhs))
-        b.axiom_step("X", "ax:X")
+        b.step("X", "AXIOM", "ax:X")
         with pytest.raises(CertificateError, match=message):
-            b.right_mul("x.a", "X", RingElem.parse("a2^30000"))
+            b.step("x.a", "RIGHT_MUL", "X", RingElem.parse("a2^30000"))
 
     def test_scale_past_exponent_cap_is_refused(self):
         # the sides carry a2^40000; times the scalar a2^30000 they pass the
@@ -349,9 +368,9 @@ class TestOperands:
             verify_certificate(cert)
         b = CertBuilder(level=13)
         b.axiom("ax:X", RingElem.parse(lhs), RingElem.parse(rhs))
-        b.axiom_step("X", "ax:X")
+        b.step("X", "AXIOM", "ax:X")
         with pytest.raises(CertificateError, match=message):
-            b.scale("x.s", "X", grammar.parse_scalar_poly("a2^30000"))
+            b.step("x.s", "SCALE", "X", grammar.parse_scalar_poly("a2^30000"))
 
 
 
@@ -411,8 +430,14 @@ class TestLoadMemo:
         assert str(info.value) == message
 
     def test_two_loads_share_no_matrix(self):
+        # a bare coefficient stands on the package's one identity class;
+        # every matrix parsed from text is a new object per load
         first = level13.load_shipped_certificate("f")
         second = level13.load_shipped_certificate("f")
         assert first == second
-        assert not ({id(m) for m in matrices_of(first)}
-                    & {id(m) for m in matrices_of(second)})
+        parsed = [{id(m) for m in matrices_of(cert) if not m.is_identity}
+                  for cert in (first, second)]
+        assert not parsed[0] & parsed[1]
+        assert all(m is ProjMat.identity()
+                   for cert in (first, second) for m in matrices_of(cert)
+                   if m.is_identity)

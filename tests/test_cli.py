@@ -119,8 +119,8 @@ class TestVerify:
         (lambda: shipped_f_with(lambda d: next(
             s for s in d["steps"] if s["id"] == "Pinv")["result"].update(
                 lhs="[[1,2],[2,4]] + (")),
-         "malformed certificate: step Pinv: expected a factor, got '' "
-         "(at position 17)"),
+         "malformed certificate: step Pinv: projective class requires "
+         "positive determinant, got 0 for [[1,2],[2,4]]"),
         (lambda: shipped_f_with(lambda d: d["axioms"][0].update(
             lhs="[[1,1],[0,0]]")),
          "malformed certificate: axiom ax:P: projective class requires "
@@ -164,7 +164,7 @@ class TestVerify:
             lhs="(" * 5000 + "1" + ")" * 5000)),
          "malformed certificate: axiom ax:P: nested too deeply"),
     ], ids=["claimed-side-exponent", "scale-exponent",
-            "grammar-error-after-singular-matrix", "singular-axiom-side",
+            "singular-matrix-before-grammar-error", "singular-axiom-side",
             "singular-factor", "product-exponent", "constant-power-bits",
             "args-object", "args-string", "level-not-integer",
             "level-float", "level-bool", "level-string", "step-id-integer",

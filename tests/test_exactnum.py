@@ -404,8 +404,9 @@ class TestGrammar:
             q(2, 1) * ScalarPoly.alpha3()
 
     def test_matrix_entries(self):
-        [(coeff, entries)] = grammar.parse_ring_terms("[[39,-14],[117,-39]]")
-        assert coeff == 1 and entries == (q(39), q(-14), q(117), q(-39))
+        [(coeff, mat)] = grammar.parse_ring_terms("[[39,-14],[117,-39]]")
+        assert coeff == 1 and mat.primitive_entries() == (
+            q(39), q(-14), q(117), q(-39))
 
     @pytest.mark.parametrize("kind, text, message, pos", [
         ("scalar", "1 + 2 $ 3", "unexpected character '$'", 6),

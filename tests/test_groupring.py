@@ -128,14 +128,20 @@ class TestRingElem:
         assert RingElem.parse("[[2,0],[0,1]] + [[4,0],[0,2]]") == \
             RingElem.parse("2*[[2,0],[0,1]]")
 
-    def test_grammar_error_is_reported_before_a_singular_matrix(self):
-        # the text is parsed in full before any class is formed, so a
-        # grammar error after a singular matrix is the one reported
-        with pytest.raises(GrammarError, match=r"^expected a factor, got '' "
-                           r"\(at position 17\)$"):
-            RingElem.parse("[[1,2],[2,4]] + (")
-        with pytest.raises(ValueError, match="positive determinant, got 0"):
-            RingElem.parse("[[1,2],[2,4]]")
+    def test_singular_matrix_is_reported_before_a_later_grammar_error(self):
+        # each matrix becomes its class as it is read, so a singular one
+        # raises before a grammar error later in the text; an earlier
+        # grammar error is still the one reported
+        singular = ("projective class requires positive determinant, "
+                    "got 0 for [[1,1],[1,1]]")
+        for text in ("[[1,1],[1,1]] + + [[1,0],[0,1]]", "[[1,1],[1,1]] + ("):
+            with pytest.raises(ValueError) as info:
+                RingElem.parse(text)
+            assert (type(info.value), str(info.value)) == (ValueError,
+                                                           singular)
+        with pytest.raises(GrammarError, match=r"^expected a factor, got "
+                           r"'\+' \(at position 2\)$"):
+            RingElem.parse("+ + [[1,1],[1,1]]")
 
     def test_cancellation(self):
         x = RingElem.parse("e*[[0,-1],[13,0]] - e*[[0,-1],[13,0]]")

@@ -114,8 +114,8 @@ class TestProjMatCanonical:
         for rows in ([[39, -14], [117, -39]], [[2, -1], [13, -6]],
                      [[0, -1], [13, 0]]):
             m = pm(rows)
-            [(coeff, entries)] = grammar.parse_ring_terms(str(m))
-            assert coeff == 1 and ProjMat.of(entries) == m
+            [(coeff, mat)] = grammar.parse_ring_terms(str(m))
+            assert coeff == 1 and mat == m
 
     def test_text_uses_primitive_integer_form(self):
         assert str(pm([[-4, 2], [-26, 12]])) == "[[2,-1],[13,-6]]"

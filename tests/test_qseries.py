@@ -9,6 +9,7 @@ The inverse Euler product doubles as a partition-number oracle.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -448,6 +449,17 @@ class TestCoefficientFile:
         f = eta_product([(1, 2), (13, 2)], 8)
         with pytest.raises(ValueError):
             format_coefficient_file(f, weight=2, level=13, sign=-1)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, 0],
+                             ids=["bool", "float-plus", "float-minus", "zero"])
+    def test_sign_that_is_no_int_unit_is_refused(self, sign):
+        # 1.0 and -1.0 equal a sign by value, and True equals 1
+        series = eta_product([(1, 24)], 20)
+        message = f"^sign must be \\+1 or -1, got {re.escape(repr(sign))}$"
+        with pytest.raises(ValueError, match=message):
+            FormData(series, 12, 1, sign)
+        with pytest.raises(ValueError, match=message):
+            format_coefficient_file(series, weight=12, level=1, sign=sign)
 
     def test_parser_refuses_coefficients_beyond_the_growth_bound(self):
         text = format_coefficient_file(QSeries(1, [1, 2 ** 12 + 1]),
