@@ -65,7 +65,7 @@ and each residual term take the exact image and the factor from it.
 The symbols in a congruence are instantiated from the form: the Hecke
 scalars as p^{1-k/2} a_p and the inversion sign as the carried +-1.
 
-The stroke geometry is rational.  Each class is taken once per memo as
+The stroke geometry is rational.  Each class is taken once per plan as
 its representative (A, B, C, D) with coprime integer entries.  At the
 point (X + iY)/R, cz + d is (u + iv)/R with u = CX + DR and v = CY,
 N = u^2 + v^2 and det = AD - BC: the image height is det Y R / N, a pair
@@ -85,12 +85,19 @@ candidate stops being scored once its running minimum is at or below the
 best score so far, since only a strictly higher score wins, so the choice
 is that of the full search.  Each (class, point) has one record,
 ``_image``, by whose height the search scores and from which ``_stroke``
-finishes the image and the factor.  One battery (one ``_residuals``
-call) keeps a memo of the classes' representatives, of these records, of
-the factor and f value of each (class, point) that ``_stroke`` took, of
-the points chosen for each set of classes, which congruences on the same
-classes reuse, and of f at each image point.  The memo dies with the
-call.
+finishes the image and the factor.
+
+What does not depend on the form is a plan, ``_Plan``: the classes'
+representatives, these records, the points chosen for each set of
+classes (congruences on the same classes reuse them), each image point
+that ``_stroke`` took and q there.  ``run_formcheck`` takes the plan of
+its (level, points, W) from ``_plan``, which keeps the last ``_PLANS``
+for the process, so a second battery there builds no certificate,
+searches no points and encloses no q.  The other entry points take
+arbitrary congruences, classes or points and make a plan per call.  What
+depends on the form is a memo, ``_Memo``, that dies with the call: the
+instantiated scalars, f at each image point, and the factor and value of
+each (class, point).
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -106,6 +113,7 @@ exhausted budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -252,18 +260,17 @@ def _cut_estimate(k: int, offset: float, least: int, length: int, z,
     return min(length + 1, max(least, math.ceil(m - offset) - 1))
 
 
-def _evaluate(form: FormData, z, W: int, label: str = "") -> Ball:
+def _evaluate(form: FormData, z, q: Ball, W: int, label: str = "") -> Ball:
     """The ball at scale 2^-W, W an argument, that holds f at the point
     z = (X, Y, R) of ``_common``, by the cut of the module docstring:
     ``PrecisionError``, prefixed by ``label``, when no bound past L exists
     (rho x >= 1).  The cut is the least n with offset + n >= 1 whose bound,
     rounded up to whole ulps by ``_tail_bound``, is at most one ulp, or
-    L + 1 when none is; that bound joins the radius.  q and q^offset come
-    from ``_q_power``, and x bounds |q| by the Euclidean norm of q's
-    midpoint rounded up plus its radius."""
+    L + 1 when none is; that bound joins the radius.  q is the caller's
+    ``_q_power(z, 1, W)`` and q^offset comes from ``_q_power``, and x bounds
+    |q| by the Euclidean norm of q's midpoint rounded up plus its radius."""
     series, k = form.series, form.weight
     offset, length = Fraction(series.offset), series.length
-    q = _q_power(z, 1, W)
     shift = q if offset == 1 else _q_power(z, offset, W)
     x, x_offset = (math.isqrt(re * re + im * im) + 1 + r
                    for re, im, r in (q, shift))
@@ -423,39 +430,80 @@ def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the truncated expansion at the exact point z = (x, y) of the
     upper half-plane, x and y ints or Fractions, returning the midpoint of
     the ball with its radius, which bounds |f(z) - value|."""
-    W = cfg.precision + _CUT_GUARD
-    return _result(_evaluate(form, _common(*_upper(z)), W), W)
+    W, z = cfg.precision + _CUT_GUARD, _common(*_upper(z))
+    return _result(_evaluate(form, z, _q_power(z, 1, W), W), W)
+
+
+@dataclass
+class _Plan:
+    """What a battery computes without reading the form, at scale 2^-W (W
+    None where nothing is evaluated): its ``congruences`` (empty outside
+    ``_plan``) and fixed ``points`` (None: searched), and, filled in as
+    first asked for, each class's integer representative (``classes``),
+    the points chosen per set of classes (``chosen``), each (class,
+    point)'s ``_image`` record (``images``) and reduced image point
+    (``targets``), and q as a ball at each image point (``qs``).  An entry
+    is a function of its key, so threads that fill one plan at once can
+    only repeat work, never store a different value."""
+
+    W: Optional[int] = None
+    points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
+    congruences: Tuple = ()
+    classes: Dict = field(default_factory=dict)
+    chosen: Dict = field(default_factory=dict)
+    images: Dict = field(default_factory=dict)
+    targets: Dict = field(default_factory=dict)
+    qs: Dict = field(default_factory=dict)
+
+
+#: The most plans ``_plan`` keeps: one per (level, points, W), each of
+#: about 0.14 MB (level 1) to 0.3 MB (level 13), as tracemalloc counts.
+_PLANS = 8
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(level: int, points, W: int) -> _Plan:
+    """The battery's plan at a level, sample points (None: searched) and
+    scale, kept for the process: a second battery there reads its
+    congruences, points, image records and q balls instead of making them
+    again.  The least recently used of more than ``_PLANS`` plans is
+    dropped."""
+    return _Plan(W, points, _battery(level))
 
 
 @dataclass
 class _Memo:
-    """What one battery computes once and reuses: the primitive integer
-    representative and determinant of each class (``classes``), f at each
-    image point (``values``), the ``_image`` record of each (class, point)
-    (``images``), the exact automorphy factor and f value of each (class,
-    point) that ``_stroke`` took (``strokes``), and the points the search
-    chose for each set of classes (``points``).  It lives for one call, so
-    nothing carries over between calls."""
+    """What one call computes from the form, beside its ``plan``: the
+    instantiated scalar of each ``ScalarPoly`` (``scalars``), f at each
+    image point (``values``), and the exact automorphy factor and f value
+    of each (class, point) that ``_stroke`` took (``strokes``).  It lives
+    for one call."""
 
-    classes: Dict = field(default_factory=dict)
+    form: FormData
+    plan: _Plan
+    scalars: Dict = field(default_factory=dict)
     values: Dict = field(default_factory=dict)
-    images: Dict = field(default_factory=dict)
     strokes: Dict = field(default_factory=dict)
-    points: Dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def symbols(self) -> Tuple[Fraction, Fraction, int]:
+        """The values of a2, a3 and e: the Hecke scalars and the sign."""
+        form = self.form
+        return _hecke_scalar(form, 2), _hecke_scalar(form, 3), form.sign
 
 
-def _integral(memo: _Memo, mat: ProjMat) -> Tuple[int, int, int, int, int]:
+def _integral(plan: _Plan, mat: ProjMat) -> Tuple[int, int, int, int, int]:
     """(A, B, C, D, AD - BC): the class's representative with coprime
-    integer entries and its determinant, read once per memo, or
+    integer entries and its determinant, read once per plan, or
     ``ValueError`` naming a class with an irrational entry."""
-    rep = memo.classes.get(mat)
+    rep = plan.classes.get(mat)
     if rep is None:
         entries = mat.primitive_entries()
         if any(e.q for e in entries):
             raise ValueError(f"class {mat} has an irrational entry; the "
                              f"numeric layer takes rational classes only")
         a, b, c, d = (e.p for e in entries)
-        rep = memo.classes[mat] = (a, b, c, d, a * d - b * c)
+        rep = plan.classes[mat] = (a, b, c, d, a * d - b * c)
     return rep
 
 
@@ -473,16 +521,16 @@ def _common(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
 _Image = namedtuple("_Image", "top norm u v r det")
 
 
-def _image(memo: _Memo, mat: ProjMat, z: Tuple[int, int, int]) -> _Image:
+def _image(plan: _Plan, mat: ProjMat, z: Tuple[int, int, int]) -> _Image:
     """The record of the class at the point z = (X, Y, R) of ``_common``,
-    made once per memo, whether the search or ``_stroke`` asks first."""
+    made once per plan, whether the search or ``_stroke`` asks first."""
     key = (mat, z)
-    image = memo.images.get(key)
+    image = plan.images.get(key)
     if image is None:
-        _, _, c, d, det = _integral(memo, mat)
+        _, _, c, d, det = _integral(plan, mat)
         X, Y, R = z
         u, v = c * X + d * R, c * Y
-        image = memo.images[key] = _Image(det * Y * R, u * u + v * v, u, v,
+        image = plan.images[key] = _Image(det * Y * R, u * u + v * v, u, v,
                                           R, det)
     return image
 
@@ -498,29 +546,38 @@ def _automorphy(k: int, image: _Image) -> Tuple[int, int, int]:
     return re * scale, im * scale, image.norm ** k
 
 
-def _stroke(form: FormData, mat: ProjMat, z: Tuple[int, int, int],
-            memo: _Memo, W: int, label: str = "") -> Tuple[Tuple, Ball]:
+def _stroke(memo: _Memo, mat: ProjMat, z: Tuple[int, int, int],
+            label: str = "") -> Tuple[Tuple, Ball]:
     """The exact automorphy factor det^{k/2} (cz+d)^{-k} of the class at the
-    point z = (X, Y, R) of ``_common``, and the ball at scale 2^-W of f at
-    the image, which lies in the upper half-plane with z since det > 0.  The
-    image is finished from the class's ``_image`` record: Mz is
-    (((AX + BR) u + ACY^2) + i det Y R)/N, kept as the triple of
-    ``_common``, the three ints over their gcd.  ``memo`` keeps the factor
-    and value of each (class, point) and f at each image point, so each is
-    computed once.  ``label`` prefixes error messages."""
+    point z = (X, Y, R) of ``_common``, and the ball at scale 2^-W of the
+    memo's f at the image, which lies in the upper half-plane with z since
+    det > 0.  The image is finished from the class's ``_image`` record: Mz
+    is (((AX + BR) u + ACY^2) + i det Y R)/N, kept as the triple of
+    ``_common``, the three ints over their gcd.  The plan keeps the image
+    point of each (class, point) and q there, the memo the factor and value
+    of each (class, point) and f at each image point, so each is computed
+    once.  ``label`` prefixes error messages."""
     key = (mat, z)
     stroke = memo.strokes.get(key)
     if stroke is None:
-        image = _image(memo, mat, z)
-        a, b, c, _, _ = _integral(memo, mat)
-        X, Y, R = z
-        P = (a * X + b * R) * image.u + a * c * Y * Y
-        g = math.gcd(P, image.top, image.norm)
-        point = P // g, image.top // g, image.norm // g
-        if point not in memo.values:
-            memo.values[point] = _evaluate(form, point, W, label)
-        stroke = memo.strokes[key] = (_automorphy(form.weight, image),
-                                      memo.values[point])
+        plan, form = memo.plan, memo.form
+        image = _image(plan, mat, z)
+        point = plan.targets.get(key)
+        if point is None:
+            a, b, c, _, _ = _integral(plan, mat)
+            X, Y, R = z
+            P = (a * X + b * R) * image.u + a * c * Y * Y
+            g = math.gcd(P, image.top, image.norm)
+            point = plan.targets[key] = (P // g, image.top // g,
+                                         image.norm // g)
+        value = memo.values.get(point)
+        if value is None:
+            q = plan.qs.get(point)
+            if q is None:
+                q = plan.qs[point] = _q_power(point, 1, plan.W)
+            value = memo.values[point] = _evaluate(form, point, q, plan.W,
+                                                   label)
+        stroke = memo.strokes[key] = _automorphy(form.weight, image), value
     return stroke
 
 
@@ -534,8 +591,8 @@ def stroke_value(form: FormData, matrix, z,
     irrational entry, such as that of ``level13.a_matrix()``, raises
     ``ValueError`` naming it."""
     W = cfg.precision + _CUT_GUARD
-    factor, value = _stroke(form, ProjMat.of(matrix), _common(*_upper(z)),
-                            _Memo(), W)
+    factor, value = _stroke(_Memo(form, _Plan(W)), ProjMat.of(matrix),
+                            _common(*_upper(z)))
     return _result(_term(Fraction(1), factor, value, W), W).value
 
 
@@ -553,40 +610,43 @@ def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
             for mat, poly in side.terms()]
 
 
-def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
-              memo: _Memo, W: int, tol: Optional[Fraction] = None) -> int:
+def _residual(congruence: Congruence, memo: _Memo,
+              tol: Optional[Fraction] = None) -> int:
     """A certified bound, in ulps of 2^-W, on the max over the sample points
-    of |f|lhs - f|rhs|: by default (``points=None``) those the point search
-    picks, or the configured fixed ones, however low their images lie; congruences on
-    the same set of classes share one search per memo.  At each point it is
-    |sum of the terms' midpoints|, rounded up, plus the sum of their radii.
-    Terms whose instantiated scalar is zero drop out, and an irrational
-    one raises ``ValueError`` naming it and its class.
+    of the memo's |f|lhs - f|rhs|: by default (``points=None``) those the
+    point search picks, or the plan's fixed ones, however low their images
+    lie; congruences on the same set of classes share one search per plan.
+    At each point it is |sum of the terms' midpoints|, rounded up, plus the
+    sum of their radii.  Each ``ScalarPoly`` is instantiated once per memo;
+    terms whose scalar is zero drop out, and an irrational one raises
+    ``ValueError`` naming it and its class.
     Radii that alone reach a tolerance ``tol`` at a point raise
     ``PrecisionError``, naming them, ``tol`` and the lowest exact image
     height: the radius, not a floor, says where the points lie too low."""
     label, signed = congruence.id, _signed_terms(congruence)
-    a2, a3 = _hecke_scalar(form, 2), _hecke_scalar(form, 3)
+    plan, W = memo.plan, memo.plan.W
     terms = []
     for sign, mat, poly in signed:
-        scalar = poly.instantiate(a2, a3, form.sign)
+        scalar = memo.scalars.get(poly)
+        if scalar is None:
+            scalar = memo.scalars[poly] = poly.instantiate(*memo.symbols)
         if not scalar.is_rational:
             raise ValueError(f"{label}: the scalar {scalar} of class {mat} is "
                              f"irrational; the numeric layer takes rational "
                              f"scalars only")
         if not scalar.is_zero:
             terms.append((mat, sign * scalar.a))
-    points = cfg.points
+    points = plan.points
     if points is None:
         mats = frozenset(mat for _, mat, _ in signed)
-        if mats not in memo.points:
-            memo.points[mats] = _search_points(mats, memo)[1]
-        points = memo.points[mats]
+        points = plan.chosen.get(mats)
+        if points is None:
+            points = plan.chosen[mats] = _search_points(mats, plan)[1]
     worst = widest = 0
     for x, y in points:
         z, re, im, radius = _common(x, y), 0, 0, 0
         for mat, scalar in terms:
-            factor, value = _stroke(form, mat, z, memo, W, f"{label}: ")
+            factor, value = _stroke(memo, mat, z, f"{label}: ")
             term_re, term_im, term_radius = _term(scalar, factor, value, W)
             re, im, radius = re + term_re, im + term_im, radius + term_radius
         # ceil(|midpoint|), from the integer square root
@@ -594,7 +654,7 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
         worst = max(worst, (math.isqrt(norm - 1) + 1 if norm else 0) + radius)
         widest = max(widest, radius)
     if tol is not None and widest >= tol * (1 << W):
-        low = _lowest_height(points, [mat for mat, _ in terms], memo, None)
+        low = _lowest_height(points, [mat for mat, _ in terms], plan, None)
         # 5 digits of the exact radius and of p/q as mpf(p)/q at 53 bits
         shown = mpf_div(from_int(tol.numerator, 53, round_nearest),
                         from_int(tol.denominator), 53, round_nearest)
@@ -605,14 +665,13 @@ def _residual(form: FormData, congruence: Congruence, cfg: EvalConfig,
     return worst
 
 
-def _residuals(form: FormData, congruences, cfg: EvalConfig,
-               tol: Optional[Fraction] = None) -> Tuple[List[int], int]:
-    """``_residual`` of each congruence and the W = prec + ``_CUT_GUARD`` of
-    their ulps, with one memo of image records, chosen points and f values;
-    the first congruence that cannot be decided raises ``PrecisionError``."""
-    W, memo = cfg.precision + _CUT_GUARD, _Memo()
-    return [_residual(form, congruence, cfg, memo, W, tol)
-            for congruence in congruences], W
+def _residuals(form: FormData, congruences, plan: _Plan,
+               tol: Optional[Fraction] = None) -> List[int]:
+    """``_residual`` of each congruence, in ulps of the plan's 2^-W, with
+    one memo of the form's scalars, strokes and f values; the first
+    congruence that cannot be decided raises ``PrecisionError``."""
+    memo = _Memo(form, plan)
+    return [_residual(congruence, memo, tol) for congruence in congruences]
 
 
 def congruence_residual(form: FormData, congruence: Congruence,
@@ -622,8 +681,9 @@ def congruence_residual(form: FormData, congruence: Congruence,
     instantiated from the form.  Its classes and instantiated scalars must
     be rational, as every certificate's are: ``ValueError`` names the
     first that is not."""
-    (residual,), W = _residuals(form, [congruence], cfg)
-    return _ulps(residual, W)
+    plan = _Plan(cfg.precision + _CUT_GUARD, cfg.points)
+    (residual,) = _residuals(form, [congruence], plan)
+    return _ulps(residual, plan.W)
 
 
 #: The candidates' heights y0, each with the second point's shift y0/8
@@ -633,7 +693,7 @@ _SUGGEST_HEIGHTS = tuple((y0, y0 / 8, y0 * Fraction(9, 10)) for y0 in (
     Fraction(1, 5)))
 
 
-def _lowest_height(points, mats, memo: _Memo,
+def _lowest_height(points, mats, plan: _Plan,
                    floor: Optional[Tuple[int, int]],
                    ) -> Optional[Tuple[int, int]]:
     """The least imaginary part among the points and their images under
@@ -643,7 +703,7 @@ def _lowest_height(points, mats, memo: _Memo,
     stop saves the rest."""
     zs = [_common(x, y) for x, y in points]
     heights = chain(((Y, R) for _, Y, R in zs),
-                    (_image(memo, mat, z)[:2] for z in zs for mat in mats))
+                    (_image(plan, mat, z)[:2] for z in zs for mat in mats))
     low = None
     for top, bottom in heights:
         if low is None or top * low[1] < low[0] * bottom:
@@ -653,7 +713,7 @@ def _lowest_height(points, mats, memo: _Memo,
     return low
 
 
-def _search_points(mats, memo: _Memo):
+def _search_points(mats, plan: _Plan):
     """The best candidate pair for a set of classes, with its score: the
     least height it reaches, as a Fraction.  Candidates are centered
     on the classes' isometric circles, at -D/C, and tried in a fixed order,
@@ -662,7 +722,7 @@ def _search_points(mats, memo: _Memo):
     only a strictly higher score replaces the best, so it could not win."""
     centers = {Fraction(0)}
     for mat in mats:
-        _, _, c, d, _ = _integral(memo, mat)
+        _, _, c, d, _ = _integral(plan, mat)
         if c:
             centers.add(Fraction(-d, c))
     centers = sorted(centers)
@@ -670,7 +730,7 @@ def _search_points(mats, memo: _Memo):
     for y0, shift, y1 in _SUGGEST_HEIGHTS:
         for x0 in centers:
             pts = ((x0, y0), (x0 + shift, y1))
-            score = _lowest_height(pts, mats, memo, best)
+            score = _lowest_height(pts, mats, plan, best)
             if score is not None:
                 best, best_points = score, pts
     # centers holds 0 and every height is tried, so best is set here
@@ -685,7 +745,7 @@ def suggest_points(congruence: Congruence,
     some image of some class in it lies below y_min, an int or a Fraction."""
     floor = _rational(y_min, "y_min")
     mats = frozenset(mat for _, mat, _ in _signed_terms(congruence))
-    best, points = _search_points(mats, _Memo())
+    best, points = _search_points(mats, _Plan())
     if best < floor:
         raise ConfigurationError(
             f"no candidate points keep all images of {congruence.id} above "
@@ -881,14 +941,14 @@ class FormcheckReport:
         return out
 
 
-def _battery(form: FormData) -> List[Congruence]:
+def _battery(level: int) -> Tuple[Congruence, ...]:
     """The four context axioms (P, H, T2, T3), then each headline step
     that the level's f certificate builds."""
     from .level13 import build_f_certificate
-    certificate = build_f_certificate(form.level)
+    certificate = build_f_certificate(level)
     by_id = {step.id: step.result for step in certificate.steps}
-    return list(certificate.axioms) + [by_id[i] for i in _HEADLINE_STEPS
-                                       if i in by_id]
+    return (*certificate.axioms,
+            *(by_id[i] for i in _HEADLINE_STEPS if i in by_id))
 
 
 def run_formcheck(form: FormData, cfg: EvalConfig = EvalConfig(),
@@ -921,10 +981,11 @@ def run_formcheck(form: FormData, cfg: EvalConfig = EvalConfig(),
         series, p, form.weight,
         series.coefficient(p) if p <= series.length else 0).ok)
         for p in (2, 3)]
-    battery = _battery(form)
-    residuals, W = _residuals(form, battery, cfg, tol)
+    W = cfg.precision + _CUT_GUARD
+    plan = _plan(form.level, cfg.points, W)
+    residuals = _residuals(form, plan.congruences, plan, tol)
     rows: List[Tuple] = []
-    for congruence, residual in zip(battery, residuals):
+    for congruence, residual in zip(plan.congruences, residuals):
         # residual 2^-W < p/q, exactly in integers
         passed = residual * tol.denominator < tol.numerator << W
         rows.append(("CONG", congruence.id, _ulps(residual, W), passed))
@@ -940,6 +1001,7 @@ def certificate_residual_sweep(form: FormData, certificate: Certificate,
     """Max stroke residual of the form over every congruence the
     certificate establishes, by default at the points the battery searches;
     the numeric soundness bridge for the symbolic layer."""
-    residuals, W = _residuals(form, [step.result for step in certificate.steps],
-                              cfg)
-    return _ulps(max(residuals, default=0), W)
+    plan = _Plan(cfg.precision + _CUT_GUARD, cfg.points)
+    residuals = _residuals(form, [step.result for step in certificate.steps],
+                           plan)
+    return _ulps(max(residuals, default=0), plan.W)

@@ -13,6 +13,7 @@ Frozen anchors recomputed independently:
 import math
 import random
 import re
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 from mpmath import exp, gamma, mp, mpc, mpf, pi
 
-from gamma13 import numeric
+from gamma13 import cli, level13, numeric
 from gamma13.certificate import Congruence
 from gamma13.exactnum import QuadElem
 from gamma13.groupring import RingElem
@@ -49,11 +50,31 @@ from gamma13.numeric import (
     suggest_points,
 )
 from gamma13.projmat import Mat2, ProjMat
-from gamma13.qseries import QSeries, eta_product
+from gamma13.qseries import QSeries, eta_product, format_coefficient_file
+
+
+@pytest.fixture(autouse=True)
+def cold_plans():
+    """No test sees a battery plan that another test warmed, or filled
+    while it patched a helper."""
+    numeric._plan.cache_clear()
+    yield
+    numeric._plan.cache_clear()
 
 
 def delta_form(L=512):
     return FormData(eta_product([(1, 24)], L), weight=12, level=1, sign=1)
+
+
+def delta_e4_form(L=512):
+    """Delta E4, E4 = 1 + 240 sum sigma_3(n) q^n: the weight-16 eigenform."""
+    sigma3 = [0] * (L + 1)
+    for d in range(1, L + 1):
+        for multiple in range(d, L + 1, d):
+            sigma3[multiple] += d ** 3
+    e4 = QSeries(0, [1] + [240 * s for s in sigma3[1:]])
+    return FormData(eta_product([(1, 24)], L) * e4, weight=16, level=1,
+                    sign=1)
 
 
 def fricke_form(L=512, sign=-1):
@@ -703,17 +724,17 @@ def exhaustive_search(congruence):
 class TestPointSearchParity:
     @pytest.mark.parametrize("level", [1, 13])
     def test_pruned_search_matches_the_exhaustive_one(self, level):
-        # one memo across the certificate, as a battery shares it, and a
+        # one plan across the certificate, as a battery shares it, and a
         # fresh one per call through the public wrapper, which refuses the
         # points below the floor it is asked for
         cert = build_f_certificate(level)
-        memo = numeric._Memo()
+        plan = numeric._Plan()
         refused = 0
         for congruence in list(cert.axioms) + [s.result for s in cert.steps]:
             best, expected = exhaustive_search(congruence)
             mats = frozenset(mat for side in (congruence.lhs, congruence.rhs)
                              for mat, _ in side.terms())
-            score, points = numeric._search_points(mats, memo)
+            score, points = numeric._search_points(mats, plan)
             assert type(score) is Fraction
             assert (QuadElem.of(score), points) == (best, expected)
             for y_min in (Fraction(3, 20), Fraction(1, 52)):
@@ -760,24 +781,24 @@ class TestIntegerGeometry:
         # are among them
         form = FormData(QSeries(1, [1, 0] * 20), weight=12, level=level,
                         sign=1)
-        battery = _battery(form)
+        battery = _battery(level)
         assert (battery[-1].id == "delta2") == (level == 13)
-        memo = numeric._Memo()
+        plan = numeric._Plan()
         for congruence in battery:
             numeric._search_points(frozenset(
-                mat for _, mat, _ in numeric._signed_terms(congruence)), memo)
+                mat for _, mat, _ in numeric._signed_terms(congruence)), plan)
         points = []
         monkeypatch.setattr(numeric, "_evaluate",
-                            lambda form, point, W, label="":
+                            lambda form, point, q, W, label="":
                             points.append(point) or (0, 0, 0))
-        for (mat, z), image in memo.images.items():
+        for (mat, z), image in plan.images.items():
             X, Y, R = z
             x, y = Fraction(X, R), Fraction(Y, R)
             assert numeric._common(x, y) == z
             height, point, _ = quad_geometry(mat, x, y, 2)
             assert height.is_rational
             assert Fraction(image.top, image.norm) == height.a
-            numeric._stroke(form, mat, z, numeric._Memo(), 64)
+            numeric._stroke(numeric._Memo(form, numeric._Plan(64)), mat, z)
             assert all(v.is_rational for v in point)
             assert points[-1] == numeric._common(*(v.a for v in point))
             for k in (2, 4, 8, 12, 16):
@@ -786,7 +807,7 @@ class TestIntegerGeometry:
                 assert re.is_rational and im.is_rational
                 assert (Fraction(top_re, den), Fraction(top_im, den)) == (
                     re.a, im.a)
-        assert len(memo.images) == self.RECORDS[level]
+        assert len(plan.images) == self.RECORDS[level]
 
     def test_class_with_an_irrational_entry_is_refused(self):
         with pytest.raises(ValueError, match=re.escape(
@@ -931,10 +952,11 @@ class TestFormcheck:
             run_formcheck(fricke_form())
 
     def test_battery_computes_each_exact_image_once(self, monkeypatch):
-        # the exhaustive search and a fresh image per stroke took 1,496
-        # images, and 16 searches: S3/delta1, H4/H5 and H7/delta3 each
-        # share one set of classes; each (class, point) gets one record,
-        # which the search makes and the strokes only read
+        # on a cold plan: the exhaustive search and a fresh image per
+        # stroke took 1,496 images, and 16 searches: S3/delta1, H4/H5 and
+        # H7/delta3 each share one set of classes; each (class, point) gets
+        # one record, which the search makes and the strokes only read
+        assert numeric._plan.cache_info().currsize == 0
         made, keys, searches, in_stroke = [], set(), [], []
         record, image = numeric._Image, numeric._image
         stroke, search = numeric._stroke, numeric._search_points
@@ -968,6 +990,59 @@ class TestFormcheck:
         assert len(made) == len(keys) == 227
         assert not any(made)
         assert len(searches) == 13
+
+    def test_second_battery_reads_the_plan(self, monkeypatch):
+        # the plan is the level's, not the form's: a battery on another
+        # form at the same level, points and precision makes no record, no
+        # search, no certificate and no q at an image point; it
+        # instantiates each distinct scalar once, in 12 field products
+        assert run_formcheck(delta_form()).ok
+        calls = {name: [] for name in ("_Image", "_search_points", "_q_power",
+                                       "build_f_certificate", "__mul__")}
+        for owner, name in ((numeric, "_Image"), (numeric, "_search_points"),
+                            (numeric, "_q_power"),
+                            (level13, "build_f_certificate"),
+                            (QuadElem, "__mul__")):
+            def counted(*args, name=name, original=getattr(owner, name)):
+                calls[name].append(args)
+                return original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        cold = run_formcheck(delta_e4_form()).lines()
+        assert cold[-1] == "FORMCHECK OK"
+        assert [len(calls[name]) for name in calls] == [0, 0, 0, 0, 12]
+        numeric._plan.cache_clear()
+        monkeypatch.undo()
+        assert run_formcheck(delta_e4_form()).lines() == cold
+
+    def test_warm_plans_print_what_cold_ones_do(self, capsys, tmp_path):
+        # each (form, precision) alone on a cleared plan, then all of them
+        # in a mixed order in one process, plans kept: at 20 bits the
+        # battery stops at a budget error, which names the image heights
+        files = {}
+        for name, form in (
+                ("delta", delta_form()), ("delta-e4", delta_e4_form()),
+                ("11.2.a.a", FormData(eta_product([(1, 2), (11, 2)], 1200),
+                                      weight=2, level=11, sign=-1)),
+                ("5.4.a.a", FormData(eta_product([(1, 4), (5, 4)], 512),
+                                     weight=4, level=5, sign=1))):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(format_coefficient_file(
+                form.series, form.weight, form.level, form.sign))
+        runs = [(name, prec) for name in files for prec in ("20", "256",
+                                                            "512")]
+
+        def formcheck(name, prec):
+            code = cli.main(["formcheck", str(files[name]), "--prec", prec])
+            return (code, *capsys.readouterr())
+        alone = {}
+        for run in runs:
+            numeric._plan.cache_clear()
+            alone[run] = formcheck(*run)
+        assert alone[("delta", "20")][0] == 2
+        assert "ball radius" in alone[("delta", "20")][2]
+        numeric._plan.cache_clear()
+        for run in random.Random(7).sample(runs * 2, 2 * len(runs)):
+            assert formcheck(*run) == alone[run], run
 
     def test_battery_work_stays_at_its_floor(self, monkeypatch):
         # a stroke factor per (class, point) instead of per stroke (116);
@@ -1005,8 +1080,7 @@ class TestFormcheck:
 
     @pytest.mark.parametrize("level", [1, 7, 13])
     def test_battery_has_delta2_exactly_where_the_builder_makes_it(self, level):
-        form = FormData(QSeries(1, [1, 0] * 20), weight=12, level=level, sign=1)
-        ids = [cong.id for cong in _battery(form)]
+        ids = [cong.id for cong in _battery(level)]
         assert ids[:4] == ["ax:P", "ax:H", "ax:T2", "ax:T3"]
         if level == 13:
             assert len(ids) == 17 and ids[-1] == "delta2"
@@ -1080,6 +1154,42 @@ class TestAmbientPrecision:
                 stop.set()
                 thread.join()
         assert lines == plain
+
+    def test_threads_on_cold_plans_get_the_serial_reports(self):
+        # threads that build and fill the same plans at once, switching
+        # often, get the reports of one battery at a time, in every run;
+        # in odd runs the plans are made, empty, before the threads start,
+        # so that every thread fills the same ones
+        forms = {1: delta_form(), 11: FormData(
+            eta_product([(1, 2), (11, 2)], 512), weight=2, level=11, sign=-1)}
+        serial = {level: run_formcheck(form).lines()
+                  for level, form in forms.items()}
+        orders = ((1, 11), (11, 1), (1, 11))
+        W = EvalConfig().precision + numeric._CUT_GUARD
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for run in range(8):
+                numeric._plan.cache_clear()
+                if run % 2:
+                    for level in forms:
+                        numeric._plan(level, None, W)
+                got = [None] * len(orders)
+
+                def battery(slot):
+                    got[slot] = [run_formcheck(forms[level]).lines()
+                                 for level in orders[slot]]
+                threads = [threading.Thread(target=battery, args=(slot,))
+                           for slot in range(len(orders))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == [[serial[level] for level in levels]
+                               for levels in orders], run
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_precision_below_one_bit_is_refused(self):
         with pytest.raises(ValueError, match="precision 0 is below 1 bit"):

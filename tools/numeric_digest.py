@@ -19,11 +19,16 @@ on each request in ``DENSITY_REQUESTS`` as ``(m, n, error)``, and then
 with the length and SHA-256 of the stdout of ``gamma13 eta`` for each
 product in ``ETA_REQUESTS``, and then with the points ``suggest_points``
 picks (or its error) for every axiom and step of the level-1 and
-level-13 f certificates at each floor in ``FLOORS``, and last with
+level-13 f certificates at each floor in ``FLOORS``, then with
 ``eval_form`` (value and radius) of each form in ``EVAL_FORMS`` at every
 point of ``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``,
 then at each point of ``REFUSED_POINTS``, whose coordinates are not ints or
-Fractions, so that the evaluator refuses it.
+Fractions, so that the evaluator refuses it.  Last, each file's default
+``run_formcheck`` rows are printed once more.  The process keeps the
+battery plans (congruences, points, image records and q balls) of its
+last eight (level, points, precision) triples, so with a file or two this
+block runs on the plan the first block made, after the ``BUDGETS`` runs
+at other precisions, and it must repeat the first block.
 Every ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the default
 ``EvalConfig`` precision of the formcheck and Fricke calls, or at 1024 bits
 in the ``eval_form`` section, whose precisions reach 1024.  The balls take
@@ -129,10 +134,11 @@ def _show(label: str, compute) -> None:
     print(f"{label} {value!r}")
 
 
-def digest_file(path: Path) -> None:
-    form = qseries.parse_coefficient_file(path.read_text(encoding="utf-8"))
-    print(f"== {path.name} k={form.weight} N={form.level} eps={form.sign} "
-          f"L={form.series.length}")
+def _read(path: Path) -> qseries.FormData:
+    return qseries.parse_coefficient_file(path.read_text(encoding="utf-8"))
+
+
+def digest_rows(form: qseries.FormData) -> None:
     try:
         report = numeric.run_formcheck(form)
     except Exception as exc:
@@ -141,6 +147,13 @@ def digest_file(path: Path) -> None:
         for row in report.rows:
             print("row", *(repr(x) for x in row))
         print(f"formcheck ok={report.ok} max_residual={report.max_residual!r}")
+
+
+def digest_file(path: Path) -> None:
+    form = _read(path)
+    print(f"== {path.name} k={form.weight} N={form.level} eps={form.sign} "
+          f"L={form.series.length}")
+    digest_rows(form)
     _show("sweep", lambda: numeric.certificate_residual_sweep(
         form, level13.build_f_certificate(form.level)))
     _show("eval_form", lambda: tuple(numeric.eval_form(form, POINT)))
@@ -226,6 +239,10 @@ def main(argv) -> int:
     digest_eta()
     digest_points()
     digest_eval()
+    with mp.workprec(256):
+        for name in argv:
+            print(f"== {Path(name).name} again")
+            digest_rows(_read(Path(name)))
     return 0
 
 
