@@ -17,15 +17,19 @@ Each rule is one function from the congruences it cites to the sides it
 derives.  A congruence's content is its difference ``lhs - rhs``, so a claim
 verifies when its difference equals that of the derived sides (``RESCALE``
 thus allows lhs/rhs re-splits); ``TRANS`` also requires its middle terms to
-match structurally.  The verifier never searches.  :meth:`CertBuilder.step`,
-the one way to push a step, takes the rule name and arguments a stored step
-holds, applies the rule once and compares only a claim given to it, so a
-built certificate needs no second pass; :func:`verify_certificate` replays
-certificates from elsewhere, such as JSON loaded from disk.
+match structurally.  A claim is first compared side by side with the
+derived sides, as most claims state exactly those; only a claim with other
+sides has its difference computed and compared.  The verifier never
+searches.  :meth:`CertBuilder.step`, the one way to push a step, takes the
+rule name and arguments a stored step holds, applies the rule once and
+compares only a claim given to it, so a built certificate needs no second
+pass; :func:`verify_certificate` replays certificates from elsewhere, such
+as JSON loaded from disk.
 
 Operands are values (a ``RIGHT_MUL`` factor is a ring element, a ``SCALE``
 scalar a scalar polynomial): text lives only in the versioned JSON that
-:func:`certificate_from_json` reads and :func:`certificate_to_json` writes.
+:func:`certificate_from_json` reads and :func:`certificate_to_json` writes,
+and in the bundled chains :func:`load_shipped_certificate` reads.
 Unknown rules, dangling references, and malformed steps are hard errors
 rather than mere failures.
 """
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from importlib import resources
 from typing import Dict, List, Optional, Tuple, Union
 
 from .exactnum import ScalarPoly
@@ -42,6 +47,9 @@ from .groupring import RingElem
 from . import grammar
 
 VERSION = 1
+
+#: The bundled certificates: "f" the main chain, "g" the reflection signs.
+SHIPPED_FILES = {"f": "level13_f.json", "g": "level13_g.json"}
 
 _ARITY = {
     "AXIOM": 1,
@@ -79,7 +87,8 @@ class Congruence:
 @dataclass(frozen=True)
 class Step:
     """``rule`` applied to ``args`` (the cited ids, then a RingElem factor or
-    a ScalarPoly scalar) claims ``result``, checked on differences."""
+    a ScalarPoly scalar) claims ``result``, checked against the derived
+    sides and, where they differ, on differences."""
 
     id: str
     rule: str
@@ -194,10 +203,13 @@ def _apply_rule(resolved: Dict[str, Congruence], step_id: str, rule: str,
 
 
 def _verdict(step: Step, derived: Optional[Sides], detail: str) -> StepVerdict:
-    """Compare a step's claim with the sides its rule derived, on
+    """Compare a step's claim with the sides its rule derived: equal sides
+    have equal differences, and only other claims are compared on
     differences."""
     if derived is None:
         return StepVerdict(step.id, step.rule, False, None, detail)
+    if (step.result.lhs, step.result.rhs) == derived:
+        return StepVerdict(step.id, step.rule, True)
     claimed = step.result.difference()
     recomputed = derived[0] - derived[1]
     if claimed == recomputed:
@@ -320,12 +332,14 @@ def _string(obj: dict, key: str) -> str:
 def certificate_from_json(text: str) -> Certificate:
     """The certificate a JSON text writes.  Its level must be a positive
     JSON integer and each id and rule a JSON string; nothing is coerced.
-    Each distinct ring text and matrix in it is parsed once, into a memo
-    that lives for this call."""
-    elem = partial(RingElem.parse, memo={})
+    Each distinct ring text, matrix, entry and scalar operand in it is
+    read once, into a memo that lives for this call."""
+    memo: dict = {}
+    elem = partial(RingElem.parse, memo=memo)
     # the rules whose second argument is an operand, and how its text reads
     operand = {"RIGHT_MUL": ("factor", elem),
-               "SCALE": ("scalar", grammar.parse_scalar_poly)}
+               "SCALE": ("scalar", partial(grammar.parse_scalar_poly,
+                                           memo=memo))}
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -376,3 +390,13 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(
             f"malformed certificate: {where}: nested too deeply") from None
     return Certificate(version, level, tuple(axioms), tuple(steps))
+
+
+def load_shipped_certificate(name: str = "f") -> Certificate:
+    """Load the bundled certificate: "f" for the main chain, "g" for the
+    reflection-sign chain."""
+    if name not in SHIPPED_FILES:
+        raise ValueError(f"unknown certificate {name!r}; expected 'f' or 'g'")
+    text = (resources.files(__package__) / "data" / SHIPPED_FILES[name]
+            ).read_text(encoding="utf-8")
+    return certificate_from_json(text)

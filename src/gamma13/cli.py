@@ -41,8 +41,7 @@ def _usage(message: str) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     # each command imports the layers it uses, so a start loads no others
     from .certificate import (CertificateError, certificate_from_json,
-                              verify_certificate)
-    from .level13 import load_shipped_certificate
+                              load_shipped_certificate, verify_certificate)
     try:
         if args.path is None:
             cert = load_shipped_certificate(args.context)

@@ -12,6 +12,15 @@ The accepted surface syntax:
 Parsing is whitespace-tolerant and slightly more lenient than the printers
 (e.g. a bare ``sqrt(13)`` is accepted); printers in the rest of the package
 always emit strictly conformant text.
+
+A ring text is first read with each well-formed matrix ``[[a,b],[c,d]]``
+(entries free of brackets and commas) as one token.  A memo that lives for
+one caller's batch, such as one certificate load, maps the exact text of
+each such token to its class, and each entry or scalar text to its value,
+so none is read twice.  Those keys are tuples, so the memo can also hold
+whole ring texts under their strings, as ``RingElem.parse`` keeps them.
+A text this reading rejects is read again token by token, so every error
+names the message and position of that token grammar.
 """
 
 from __future__ import annotations
@@ -26,6 +35,14 @@ from .projmat import Entries, ProjMat
 
 #: A token; every other non-space character is an error.
 _TOKEN = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\*\*|[+\-*/^()\[\],]")
+#: The form of a matrix, {0} standing for an entry, which holds no bracket
+#: or comma; every text ``_matrix`` accepts has it.
+_MATRIX_FORM = r"\[\s*\[{0},{0}\]\s*,\s*\[{0},{0}\]\s*\]"
+#: Such a matrix, with its entries a, b, c, d as groups.
+_MATRIX = re.compile(_MATRIX_FORM.format(r"([^\[\],]*)"))
+#: A token of a ring text: such a matrix, whole, or a token.
+_RING_TOKEN = re.compile(_MATRIX_FORM.format(r"[^\[\],]*") + "|"
+                         + _TOKEN.pattern)
 #: A character that is neither space nor part of any token.
 _BAD = re.compile(r"[^\s\dA-Za-z+\-*/^()\[\],]")
 
@@ -43,16 +60,17 @@ class GrammarError(ValueError):
 
 
 class _Tokens:
-    """The tokens of a text, read by index.  Where a token starts in the
-    text is found again only for an error message."""
+    """The tokens ``pattern`` finds in a text, read by index.  Where a
+    token starts in the text is found again only for an error message."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pattern: re.Pattern = _TOKEN):
         bad = _BAD.search(text)
         if bad:
             raise GrammarError(f"unexpected character {bad.group()!r}",
                                bad.start())
         self.text = text
-        self.toks: List[str] = _TOKEN.findall(text)
+        self.pattern = pattern
+        self.toks: List[str] = pattern.findall(text)
         self.idx = 0
 
     def peek(self) -> str:
@@ -62,7 +80,8 @@ class _Tokens:
         """Where token ``idx`` (by default the current one) starts, or the
         length of the text past the last token."""
         idx = self.idx if idx is None else idx
-        match = next(islice(_TOKEN.finditer(self.text), idx, None), None)
+        match = next(islice(self.pattern.finditer(self.text), idx, None),
+                     None)
         return len(self.text) if match is None else match.start()
 
     def next(self) -> str:
@@ -190,40 +209,54 @@ def _matrix(ts: _Tokens) -> Entries:
     return tuple(rows)  # type: ignore[return-value]
 
 
-def parse_scalar_poly(text: str) -> ScalarPoly:
-    ts = _Tokens(text)
-    value = _scalar_sum(ts)
-    ts.expect_end()
-    return value
-
-
-def _memo_matrix(ts: _Tokens, memo: dict) -> ProjMat:
-    """The class of ``_matrix(ts)``, kept in ``memo`` under its tokens:
-    those from "[" to the "]" that closes it, since entries hold no
-    brackets.  A hit thus consumes what a parse would, and only successes
-    are stored; a singular matrix raises here, before any later grammar
-    error in the same text."""
-    depth = 0
-    for end in range(ts.idx, len(ts.toks)):
-        tok = ts.toks[end]
-        depth += (tok == "[") - (tok == "]")
-        if not depth:
-            break
-    key = tuple(ts.toks[ts.idx:end + 1])
+def _read(parse, text: str, memo: dict):
+    """``parse`` of the whole of ``text``, kept in ``memo`` under
+    ``(parse, text)``."""
+    key = (parse, text)
     if key not in memo:
-        memo[key] = ProjMat.of(_matrix(ts))
-    ts.idx = end + 1
+        ts = _Tokens(text)
+        value = parse(ts)
+        ts.expect_end()
+        memo[key] = value
+    return memo[key]
+
+
+def parse_scalar_poly(text: str, memo: Optional[dict] = None) -> ScalarPoly:
+    """The polynomial ``text`` writes, read once per ``memo``."""
+    return _read(_scalar_sum, text, {} if memo is None else memo)
+
+
+#: The coefficient of a bare matrix term, shared: a ScalarPoly is immutable.
+_ONE = ScalarPoly.const(1)
+
+
+def _class(ts: _Tokens, memo: dict) -> ProjMat:
+    """The class of the matrix at the current token.  A matrix token is
+    read once per ``memo``, under its exact text, as spacing can decide
+    whether a text is well formed, and so is each distinct entry in it.
+    Only successes are stored, and a singular matrix raises here, before
+    any later grammar error in the same text.  A lone "[" starts a matrix
+    the token does not match, read by ``_matrix``."""
+    tok = ts.peek()
+    if tok == "[":
+        return ProjMat.of(_matrix(ts))
+    ts.next()
+    key = (ProjMat, tok)
+    if key not in memo:
+        entries = _MATRIX.fullmatch(tok).groups()
+        memo[key] = ProjMat.of(tuple(_read(_quad_sum, entry, memo)
+                                     for entry in entries))
     return memo[key]
 
 
 def _ring_term(ts: _Tokens, memo: dict) -> Tuple[ScalarPoly, ProjMat]:
-    if ts.peek() == "[":
-        return ScalarPoly.const(1), _memo_matrix(ts, memo)
+    if ts.peek()[:1] == "[":
+        return _ONE, _class(ts, memo)
     coeff = _scalar_factor(ts)
     while ts.peek() == "*":
         ts.next()
-        if ts.peek() == "[":
-            return coeff, _memo_matrix(ts, memo)
+        if ts.peek()[:1] == "[":
+            return coeff, _class(ts, memo)
         coeff = coeff * _scalar_factor(ts)
     return coeff, ProjMat.identity()
 
@@ -232,10 +265,17 @@ def parse_ring_terms(text: str, memo: Optional[dict] = None,
                      ) -> List[Tuple[ScalarPoly, ProjMat]]:
     """Parse a sum of ``coeff*matrix`` terms (bare coefficients act on the
     identity class) into (coefficient, class) pairs, without combining.
-    Each matrix is parsed once per ``memo``, which maps tokens to its
-    class."""
+    Each matrix token and entry is read once per ``memo``."""
     memo = {} if memo is None else memo
-    ts = _Tokens(text)
+    try:
+        return _ring_sum(_Tokens(text, _RING_TOKEN), memo)
+    except GrammarError:
+        # a matrix token hides where in it a fault lies, and the token after
+        # a lone "[" may be one: the token grammar names the fault
+        return _ring_sum(_Tokens(text), memo)
+
+
+def _ring_sum(ts: _Tokens, memo: dict) -> List[Tuple[ScalarPoly, ProjMat]]:
     out = []
     sign = _leading_sign(ts)
     coeff, mat = _ring_term(ts, memo)

@@ -71,8 +71,8 @@ class RingElem(_FormalSum):
 
     @classmethod
     def parse(cls, text: str, memo: Optional[dict] = None) -> "RingElem":
-        """The element ``text`` writes.  ``memo`` maps each ring text and
-        matrix token sequence parsed with it to its value."""
+        """The element ``text`` writes.  ``memo`` maps each ring text
+        parsed with it to its value, beside the grammar's own entries."""
         memo = {} if memo is None else memo
         # a text that is no str (so maybe unhashable) fails in the grammar
         if isinstance(text, str) and text in memo:

@@ -33,18 +33,13 @@ comparison are unchanged by a common factor, as by the representative.
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .certificate import (CertBuilder, Certificate, Congruence,
-                          certificate_from_json)
+from .certificate import CertBuilder, Certificate, Congruence
 from .exactnum import QuadElem, ScalarPoly
 from .gamma0 import DEFAULT_LEVEL, GENERATORS
 from .groupring import RingElem, poly_mul, stroke_of_power
 from .projmat import Mat2, ProjMat
-
-SHIPPED_FILES = {"f": "level13_f.json", "g": "level13_g.json"}
-
 
 def h_class(level: int = DEFAULT_LEVEL) -> ProjMat:
     return ProjMat.of([[0, -1], [level, 0]])
@@ -467,15 +462,3 @@ def tilde_g_check(k: int) -> Tuple[int, int, int]:
             raise ArithmeticError("stroke image is not +/- the original")
     return (signs[0], signs[1], signs[2])
 
-
-# -- shipped data --------------------------------------------------------------
-
-
-def load_shipped_certificate(name: str = "f") -> Certificate:
-    """Load the bundled certificate: "f" for the main chain, "g" for the
-    reflection-sign chain."""
-    if name not in SHIPPED_FILES:
-        raise ValueError(f"unknown certificate {name!r}; expected 'f' or 'g'")
-    text = (resources.files(__package__) / "data" / SHIPPED_FILES[name]
-            ).read_text(encoding="utf-8")
-    return certificate_from_json(text)

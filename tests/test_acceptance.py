@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from gamma13.certificate import verify_certificate
+from gamma13.certificate import load_shipped_certificate, verify_certificate
 from gamma13.exactnum import QuadElem
 from gamma13.gamma0 import Word, decompose
 from gamma13.level13 import (
@@ -24,7 +24,6 @@ from gamma13.level13 import (
     h2_mat,
     h3_mat,
     h_class,
-    load_shipped_certificate,
     tilde_g_check,
 )
 from gamma13.numeric import (

@@ -10,15 +10,17 @@ import json
 import re
 from importlib import resources
 
-from gamma13 import grammar, level13
+from gamma13 import certificate, grammar, level13
 from gamma13.certificate import (
     CertBuilder,
     Certificate,
     CertificateError,
     Congruence,
+    SHIPPED_FILES,
     Step,
     certificate_from_json,
     certificate_to_json,
+    load_shipped_certificate,
     verify_certificate,
 )
 from gamma13.exactnum import ScalarPoly
@@ -104,12 +106,17 @@ class TestVerification:
         b = CertBuilder(level=13)
         for ax_id, lhs, rhs in axioms():
             b.axiom(ax_id, lhs, rhs)
-        b.step("T2", "AXIOM", "ax:T2")
-        b.step("moved", "RESCALE", "T2", lhs=RingElem.parse(
+        cited = b.step("T2", "AXIOM", "ax:T2")
+        moved = b.step("moved", "RESCALE", "T2", lhs=RingElem.parse(
             "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]] - a2"),
             rhs=RingElem.parse("0"))
-        report = verify_certificate(b.build())
-        assert report.ok
+        # other sides than the rule derives, so only differences can agree
+        assert (moved.lhs, moved.rhs) != (cited.lhs, cited.rhs)
+        cert = b.build()
+        assert verify_certificate(cert).ok
+        loaded = certificate_from_json(certificate_to_json(cert))
+        assert verify_certificate(loaded).lines() == [
+            "STEP T2 OK", "STEP moved OK", "CERTIFICATE OK"]
 
     def test_rescale_rejects_changed_content(self):
         b = CertBuilder(level=13)
@@ -120,6 +127,30 @@ class TestVerification:
             b.step("moved", "RESCALE", "T2", lhs=RingElem.parse(
                 "[[2,0],[0,1]] + [[1,0],[0,2]] + [[1,1],[0,2]]"),
                 rhs=RingElem.parse("0"))
+
+    @pytest.mark.parametrize("name, steps, differences", [
+        ("f", 93, 9), ("g", 26, 0)])
+    def test_only_claims_other_than_the_derived_sides_take_differences(
+            self, monkeypatch, name, steps, differences):
+        # replay calls _check_step once per step by its module name, which
+        # the benchmark's counters and spans wrap; equal sides need no
+        # subtraction, so only re-split claims compute their difference
+        cert = load_shipped_certificate(name)
+        calls = {"check": 0, "difference": 0}
+        check, difference = certificate._check_step, Congruence.difference
+
+        def counted_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        def counted_difference(self):
+            calls["difference"] += 1
+            return difference(self)
+
+        monkeypatch.setattr(certificate, "_check_step", counted_check)
+        monkeypatch.setattr(Congruence, "difference", counted_difference)
+        assert verify_certificate(cert).ok
+        assert calls == {"check": steps, "difference": differences}
 
     def test_unknown_rule_is_hard_error(self):
         cert = w_builder().build()
@@ -278,10 +309,10 @@ class TestSerialization:
             certificate_from_json(json.dumps(doc))
         assert str(info.value) == f"malformed certificate: {message}"
 
-    @pytest.mark.parametrize("name", sorted(level13.SHIPPED_FILES))
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FILES))
     def test_shipped_text_round_trips(self, name):
         text = (resources.files("gamma13") / "data"
-                / level13.SHIPPED_FILES[name]).read_text(encoding="utf-8")
+                / SHIPPED_FILES[name]).read_text(encoding="utf-8")
         assert certificate_to_json(certificate_from_json(text)) + "\n" == text
 
 
@@ -291,7 +322,7 @@ def operand_types(cert):
 
 
 def shipped_f_doc():
-    return json.loads(certificate_to_json(level13.load_shipped_certificate("f")))
+    return json.loads(certificate_to_json(load_shipped_certificate("f")))
 
 
 def step_of(doc, step_id):
@@ -304,7 +335,7 @@ class TestOperands:
 
     def test_loaded_and_built_operands_are_values(self):
         expected = {("RIGHT_MUL", RingElem), ("SCALE", ScalarPoly)}
-        assert operand_types(level13.load_shipped_certificate("f")) == expected
+        assert operand_types(load_shipped_certificate("f")) == expected
         assert operand_types(level13.build_f_certificate(13)) == expected
         assert operand_types(w_builder().build()) == expected
 
@@ -384,8 +415,9 @@ def matrices_of(cert):
 
 
 class TestLoadMemo:
-    """A load parses each distinct ring text and matrix once; the memo is
-    keyed by tokens, keeps only successes and lives for one load."""
+    """A load reads each distinct ring text, matrix, entry and scalar once;
+    the memo is keyed by exact text, keeps only successes and lives for one
+    load."""
 
     def test_respaced_matrices_load_to_the_same_classes(self):
         doc = shipped_f_doc()
@@ -394,7 +426,7 @@ class TestLoadMemo:
                 step["result"]["lhs"] = step["result"]["lhs"].replace(",", " , ")
             if step["rule"] == "RIGHT_MUL":
                 step["args"][1] = step["args"][1].replace("[", "[ ")
-        original = level13.load_shipped_certificate("f")
+        original = load_shipped_certificate("f")
         respaced = certificate_from_json(json.dumps(doc))
         assert respaced == original
         assert (verify_certificate(respaced).lines()
@@ -432,8 +464,8 @@ class TestLoadMemo:
     def test_two_loads_share_no_matrix(self):
         # a bare coefficient stands on the package's one identity class;
         # every matrix parsed from text is a new object per load
-        first = level13.load_shipped_certificate("f")
-        second = level13.load_shipped_certificate("f")
+        first = load_shipped_certificate("f")
+        second = load_shipped_certificate("f")
         assert first == second
         parsed = [{id(m) for m in matrices_of(cert) if not m.is_identity}
                   for cert in (first, second)]
@@ -441,3 +473,56 @@ class TestLoadMemo:
         assert all(m is ProjMat.identity()
                    for cert in (first, second) for m in matrices_of(cert)
                    if m.is_identity)
+
+    def test_two_loads_each_read_every_text_once(self, monkeypatch):
+        # one _Tokens per distinct ring text, matrix entry and scalar
+        # operand, in each load: nothing is kept from one load to the next
+        doc = shipped_f_doc()
+        rings = {ax[side] for ax in doc["axioms"] for side in ("lhs", "rhs")}
+        rings |= {s["result"][side] for s in doc["steps"]
+                  for side in ("lhs", "rhs")}
+        rings |= {s["args"][1] for s in doc["steps"]
+                  if s["rule"] == "RIGHT_MUL"}
+        entries = {entry for text in rings
+                   for entries in grammar._MATRIX.findall(text)
+                   for entry in entries}
+        scalars = {s["args"][1] for s in doc["steps"] if s["rule"] == "SCALE"}
+        made = []
+
+        class Counted(grammar._Tokens):
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(grammar, "_Tokens", Counted)
+        text = json.dumps(doc)
+        reads = []
+        for _ in range(2):
+            certificate_from_json(text)
+            reads.append(sorted(made))
+            made.clear()
+        assert reads[0] == reads[1] == sorted([*rings, *entries, *scalars])
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_a_ring_text_that_is_one_matrix_shares_the_memo(self, first):
+        # the ring text "[[1,1],[0,1]]" and the matrix token in it are two
+        # memo entries of different kinds
+        memo: dict = {}
+        texts = ["[[1,1],[0,1]]", "2*[[1,1],[0,1]] + 1"]
+        values = [RingElem.of([[1, 1], [0, 1]]),
+                  2 * RingElem.of([[1, 1], [0, 1]]) + 1]
+        if not first:
+            texts.reverse()
+            values.reverse()
+        assert [RingElem.parse(text, memo) for text in texts] == values
+        assert [RingElem.parse(text, memo) for text in texts] == values
+
+    def test_a_respaced_matrix_is_not_the_one_parsed_before(self):
+        # "[0,13]" is well formed and "[0,1 3]" is not: the memo keys a
+        # matrix by its exact text, spaces included
+        memo: dict = {}
+        RingElem.parse("[[1,-1],[0,13]]", memo)
+        with pytest.raises(grammar.GrammarError) as info:
+            RingElem.parse("[[1,-1],[0,1 3]]", memo)
+        assert (str(info.value), info.value.pos) == (
+            "expected ']', got '3' (at position 13)", 13)

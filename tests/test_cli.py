@@ -12,8 +12,7 @@ import pytest
 
 import gamma13
 from gamma13.cli import main
-from gamma13.level13 import load_shipped_certificate
-from gamma13.certificate import certificate_to_json
+from gamma13.certificate import certificate_to_json, load_shipped_certificate
 from gamma13.qseries import QSeries, eta_product, format_coefficient_file
 
 
@@ -198,6 +197,45 @@ class TestVerify:
         assert len(lines) == 94 and all(line.startswith("STEP ")
                                         for line in lines[:-1])
         assert where in err.splitlines()
+
+    @pytest.mark.parametrize("step_id, failures", [
+        ("P", [("P", "AXIOM", "[[1,1],[0,1]]"), ("pinv.a", "RIGHT_MUL", "-1"),
+               ("ph.a", "RIGHT_MUL", "-[[13,-1],[13,0]]"),
+               ("H4", "ADD", "-[[1,1],[0,1]]")]),
+        ("pinv.a", [("pinv.a", "RIGHT_MUL", "[[1,1],[0,1]]"),
+                    ("Pinv", "SYM", "[[1,1],[0,1]]")]),
+        ("Pinv", [("Pinv", "SYM", "[[1,1],[0,1]]"),
+                  ("w.b", "RIGHT_MUL", "-[[13,-1],[13,0]]"),
+                  ("hpinv.b", "SCALE", "-e*[[1,1],[0,1]]")]),
+        ("w.c", [("w.c", "TRANS", "[[1,1],[0,1]]"),
+                 ("w.d", "SCALE", "-e*[[1,1],[0,1]]")]),
+        ("w.d", [("w.d", "SCALE", "[[1,1],[0,1]]"),
+                 ("W", "TRANS", None)]),
+        ("R2", [("R2", "ADD", "[[1,1],[0,1]]"),
+                ("g2.a", "RIGHT_MUL", "-[[2,0],[0,1]]")]),
+        ("delta1", [("delta1", "RESCALE", "[[1,1],[0,1]]")]),
+    ], ids=["AXIOM", "RIGHT_MUL", "SYM", "TRANS", "SCALE", "ADD", "RESCALE"])
+    def test_tampered_claim_names_each_failing_step(self, capsys, tmp_path,
+                                                    step_id, failures):
+        # the first step of each rule claims one more term on its lhs; the
+        # steps that cite it fail against its claim
+        def tamper(doc):
+            step = next(s for s in doc["steps"] if s["id"] == step_id)
+            step["result"]["lhs"] += " + [[1,1],[0,1]]"
+
+        path = tmp_path / "tampered.json"
+        path.write_bytes(shipped_f_with(tamper))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        expected = [
+            f"step {sid} ({rule}): claimed result disagrees with "
+            f"recomputation; difference {diff}" if diff else
+            f"step {sid} ({rule}): middle terms differ: e*[[13,1],[-13,0]] "
+            f"vs e*[[13,1],[-13,0]] + [[1,1],[0,1]]"
+            for sid, rule, diff in failures]
+        assert (code, err) == (1, "".join(f"{line}\n" for line in expected))
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            *(f"STEP {sid} FAIL" for sid, _, _ in failures),
+            "CERTIFICATE FAIL"]
 
     def test_missing_path(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", str(tmp_path / "no.json"))
@@ -638,23 +676,35 @@ def test_exact_commands_never_load_mpmath():
     assert json.loads(result.stdout) == [[0, False]] * len(EXACT_COMMANDS)
 
 
-DENSITY_CHILD = """
+# Runs one command; prints its exit code and the package modules loaded.
+LOADED_CHILD = """
 import contextlib, io, json, sys
 from gamma13.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["density", "5", "1e-3"])
+    code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("gamma13."))]))
 """
 
 
-def test_density_loads_no_exact_certificate_layer():
-    result = run_child("-c", DENSITY_CHILD)
+def loaded_by(argv):
+    result = run_child("-c", LOADED_CHILD, json.dumps(argv))
     assert result.returncode == 0, result.stderr
     code, loaded = json.loads(result.stdout)
     assert code == 0
+    return set(loaded)
+
+
+def test_density_loads_no_exact_certificate_layer():
     assert not {"gamma13.level13", "gamma13.certificate",
-                "gamma13.groupring", "gamma13.grammar"} & set(loaded)
+                "gamma13.groupring", "gamma13.grammar"} & loaded_by(
+                    ["density", "5", "1e-3"])
+
+
+def test_verify_loads_no_level13():
+    # the bundled certificates are read by the certificate format itself
+    assert not {"gamma13.level13", "gamma13.numeric",
+                "gamma13.qseries"} & loaded_by(["verify"])
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -21,9 +21,9 @@ from gamma13.exactnum import (
     ScalarPoly,
 )
 from gamma13 import grammar
-from gamma13.certificate import Certificate, verify_certificate
+from gamma13.certificate import (Certificate, load_shipped_certificate,
+                                 verify_certificate)
 from gamma13.groupring import RingElem
-from gamma13.level13 import load_shipped_certificate
 from gamma13.projmat import ProjMat
 
 
@@ -415,6 +415,7 @@ class TestGrammar:
         ("scalar", "a2\u00d73", "unexpected character '\u00d7'", 2),
         ("scalar", "1/0 + a2", "zero denominator", 2),
         ("ring", "[[1,0],[0, 7/ 0]]", "zero denominator", 14),
+        ("ring", "a2*[[1,0],[0, 7/ 0]]", "zero denominator", 17),
         ("scalar", "1+sqrt( 5 )", "sqrt(5) does not belong to Q(sqrt(13))", 8),
         ("ring", "[[1,sqrt(5)],[0,1]]",
          "sqrt(5) does not belong to Q(sqrt(13))", 9),
@@ -441,6 +442,15 @@ class TestGrammar:
             parse(text)
         assert (str(info.value), info.value.pos) == (
             f"{message} (at position {pos})", pos)
+
+    @pytest.mark.parametrize("text", [
+        "[[(2+sqrt(13))^70000,0],[0,1]]", "[[1,0],[0,1]] - a2*[[1 ,0],"
+        "[0,(2+sqrt(13))^70000]]"])
+    def test_matrix_entry_past_the_exponent_cap_is_refused(self, text):
+        # a matrix entry is read by the scalar parser, with its cap
+        with pytest.raises(ExponentOverflowError, match="^exponent 70000 "
+                           "times 2 coefficient bits exceeds limit 65536$"):
+            RingElem.parse(text)
 
     @pytest.mark.parametrize("text, pos", [("", 0), ("1 + a2", 6)])
     def test_reading_past_the_last_token_is_unexpected_end(self, text, pos):

@@ -14,8 +14,8 @@ import pytest
 
 from gamma13.exactnum import QuadElem, ScalarPoly
 from gamma13.grammar import GrammarError
+from gamma13.certificate import load_shipped_certificate
 from gamma13.groupring import RingElem, stroke_of_power
-from gamma13.level13 import load_shipped_certificate
 from gamma13.projmat import Mat2, ProjMat
 
 

@@ -15,7 +15,8 @@ from importlib import resources
 import pytest
 
 from gamma13 import level13
-from gamma13.certificate import certificate_from_json, certificate_to_json, verify_certificate
+from gamma13.certificate import (SHIPPED_FILES, certificate_from_json,
+                                 certificate_to_json, verify_certificate)
 from gamma13.exactnum import QuadElem, ScalarPoly
 from gamma13.groupring import RingElem
 from gamma13.projmat import Mat2, ProjMat
@@ -300,7 +301,7 @@ class TestShippedData:
     ], ids=["f", "g"])
     def test_shipped_json_matches_builder(self, name, build):
         shipped = (resources.files("gamma13") / "data"
-                   / level13.SHIPPED_FILES[name]).read_bytes()
+                   / SHIPPED_FILES[name]).read_bytes()
         assert (certificate_to_json(build()) + "\n").encode("utf-8") == shipped
 
 

@@ -8,7 +8,8 @@ shipped certificates and on copies of f with exactly one fault each (a
 tampered factor, a foreign square root, an exponent past the cap, a wrong
 argument count, a dangling reference, an unknown rule, a ``TRANS`` whose
 middle terms differ, a matrix malformed where an earlier step has it well
-formed), the exit code and first stderr line of three inputs nested past
+formed, an entry fault in a matrix token, and, for the first step of each
+rule, a claim with one more term on its lhs), the exit code and first stderr line of three inputs nested past
 the parsers' depth (a JSON file of 100000 ``[``, f with ax:P's lhs
 in 5000 parentheses, ``decompose`` of an entry behind 3000 minus signs),
 the JSON of ``build_f_certificate`` at levels 1, 2, 5, 7, 11, 13 and 26 and
@@ -29,7 +30,9 @@ word and diagnostic exactly when the outputs of
     PYTHONPATH=old/src python3 tools/exact_digest.py > old.txt
     PYTHONPATH=new/src python3 tools/exact_digest.py > new.txt
 
-are identical.  It uses only the package's public API.
+are identical.  It uses only the package's public API, and reads the
+bundled f through ``certificate_from_json`` so that it runs on older trees
+too.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import json
 import random
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 from gamma13 import certificate, cli, level13
@@ -61,7 +65,14 @@ FAULTS = [
     ("w.c chaining H before w.b", "w.c", "args", ["H", "w.b"]),
     ("Pinv lhs [[1,-1],[0,1]]], well formed in pinv.a", "Pinv", "result",
      {"lhs": "[[1,-1],[0,1]]]", "rhs": "1"}),
+    ("Pinv lhs with an entry fault behind a prefix", "Pinv", "result",
+     {"lhs": "a2*[[1,-1],[0, 7/ 0]]", "rhs": "1"}),
+    ("Pinv lhs [[1,-1],[0,1 3]], [[1,-1],[0,13]] parsed before", "Pinv",
+     "result", {"lhs": "[[1,-1],[0,13]] - [[1,-1],[0,1 3]]", "rhs": "1"}),
 ]
+
+#: The term each tampered claim adds to its lhs.
+EXTRA_TERM = " + [[1,1],[0,1]]"
 
 
 #: decompose inputs other than the generators and the seeded members: the
@@ -106,9 +117,14 @@ def _decompose_inputs():
             + [str(m) for m in members])
 
 
+def _shipped_f() -> certificate.Certificate:
+    text = (resources.files("gamma13") / "data" / "level13_f.json"
+            ).read_text(encoding="utf-8")
+    return certificate.certificate_from_json(text)
+
+
 def _faulty_f(step_id: str, field: str, value) -> str:
-    doc = json.loads(certificate.certificate_to_json(
-        level13.load_shipped_certificate("f")))
+    doc = json.loads(certificate.certificate_to_json(_shipped_f()))
     next(s for s in doc["axioms"] + doc["steps"]
          if s["id"] == step_id)[field] = value
     return json.dumps(doc, indent=1)
@@ -139,6 +155,15 @@ def main() -> int:
         for label, step_id, field, value in FAULTS:
             path.write_text(_faulty_f(step_id, field, value), encoding="utf-8")
             _verify(f"f with {label}", [str(path)])
+        first = {}
+        for step in _shipped_f().steps:
+            first.setdefault(step.rule, step)
+        for rule, step in sorted(first.items()):
+            result = {"lhs": str(step.result.lhs) + EXTRA_TERM,
+                      "rhs": str(step.result.rhs)}
+            path.write_text(_faulty_f(step.id, "result", result),
+                            encoding="utf-8")
+            _verify(f"f with the {rule} step {step.id} tampered", [str(path)])
         _deep(Path(tmp))
     for level in (1, 2, 5, 7, 11, 13, 26):
         print(f"== build_f_certificate({level})")
@@ -147,7 +172,7 @@ def main() -> int:
     print("== build_g_certificate()")
     print(certificate.certificate_to_json(level13.build_g_certificate()))
     print("== f step differences")
-    for step in level13.load_shipped_certificate("f").steps:
+    for step in _shipped_f().steps:
         print(f"{step.id} {step.result.lhs - step.result.rhs}")
     for matrix in _decompose_inputs():
         _run(f"decompose {matrix}", ["decompose", matrix])
