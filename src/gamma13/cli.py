@@ -192,7 +192,16 @@ def cmd_eta(args: argparse.Namespace) -> int:
         return _usage(f"bad eta product request: truncation length "
                       f"{args.length} is too large")
     level = max((m for m, r in pairs if r != 0), default=1)
-    print(format_coefficient_file(series, int(weight), level, 1), end="")
+    exponents = {}
+    for m, r in pairs:
+        exponents[m] = exponents.get(m, 0) + r
+    # eta(-1/z) = sqrt(z/i) eta(z) gives f|H = (-1)^(k/2) f when the
+    # exponents are symmetric under m <-> N/m; otherwise +1 is a placeholder
+    # that ax:H tests
+    symmetric = all(level % m == 0 and exponents.get(level // m) == r
+                    for m, r in exponents.items() if r)
+    sign = -1 if symmetric and weight % 4 else 1
+    print(format_coefficient_file(series, int(weight), level, sign), end="")
     return PASS
 
 
@@ -250,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym",
                        help="pole/vanishing verdict of the averaged stretch sum")
-    p.add_argument("k", type=int, help="nonzero even weight, |k| <= 128")
+    p.add_argument("k", type=int, help="nonzero even weight, k >= -128")
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("eta", help="print an eta-product coefficient file")

@@ -1,4 +1,4 @@
-"""The group ring of projective matrix classes, and the weight-k action.
+"""The group ring of projective matrix classes.
 
 A :class:`RingElem` is a finite formal sum ``sum coeff_i * [M_i]`` where each
 ``M_i`` is a positive-determinant projective class and each coefficient is a
@@ -6,26 +6,12 @@ A :class:`RingElem` is a finite formal sum ``sum coeff_i * [M_i]`` where each
 certificates manipulate.  Their +, -, product loop, hash, pickling and
 text come from ``exactnum._FormalSum``, which ScalarPoly shares; here the
 key product ``_key_mul`` is the class product.
-
-The weight-k "slash" action
-
-    (f | M)(z) = det(M)^(k/2) (cz + d)^(-k) f((az + b) / (cz + d))
-
-is only ever applied to f = z^(-k/2), where it has the closed form
-
-    (z^(-k/2) | M)(z) = (det(M) / ((az + b)(cz + d)))^(k/2).
-
-The composition law f|M1|M2 = f|(M1 M2) reduces repeated slashes to one.
-Only even k is supported: half-integer powers never arise then, and the
-action is invariant under rescaling M, so ``stroke_of_power`` acts by a
-class, read off its canonical entries.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb
 from typing import List, Mapping, Optional, Tuple, Union
 
 from .exactnum import QuadElem, ScalarPoly, _FormalSum
@@ -34,8 +20,6 @@ from . import grammar
 
 Coeff = Union[int, Fraction, QuadElem, ScalarPoly]
 _SCALARS = (int, Fraction, QuadElem, ScalarPoly)
-#: A dense univariate polynomial: its coefficients, lowest degree first.
-Coeffs = Tuple[QuadElem, ...]
 
 
 class RingElem(_FormalSum):
@@ -151,40 +135,3 @@ class RingElem(_FormalSum):
             return sign, str(mat)
         return sign, f"{coeff_str}*{mat}"
 
-
-def poly_mul(f: Coeffs, g: Coeffs) -> Coeffs:
-    """The product of two dense polynomials."""
-    out = [QuadElem.of(0)] * (len(f) + len(g) - 1)
-    for i, c in enumerate(f):
-        if c.is_zero:
-            continue
-        for j, d in enumerate(g):
-            out[i + j] = out[i + j] + c * d
-    return tuple(out)
-
-
-def stroke_of_power(k: int, m: ProjMat) -> Tuple[Coeffs, Coeffs]:
-    """The weight-k slash of z^(-k/2) by the class m, as (numerator,
-    denominator) from m's canonical entries a, b, c, d and det = ad - bc.
-
-    With j = k/2 this is det^j / ((az + b)(cz + d))^j: the binomial
-    expansion of (az + b)^|j| (cz + d)^|j| is the denominator for j >= 0
-    and, times det^j, the numerator for j < 0.  Both polynomials have a
-    fixed length for a given k (1, or 2|j| + 1), so two results of the
-    same weight can be compared coefficient by coefficient.
-    """
-    if k % 2:
-        raise ValueError(f"weight must be even, got {k}")
-    a, b, c, d = m.entries
-    j = k // 2
-    n = abs(j)
-
-    def binomial(x: QuadElem, y: QuadElem) -> Coeffs:
-        """(x*z + y)^n."""
-        return tuple(comb(n, i) * x ** i * y ** (n - i) for i in range(n + 1))
-
-    linear = poly_mul(binomial(a, b), binomial(c, d))
-    scale = (a * d - b * c) ** j
-    if j >= 0:
-        return (scale,), linear
-    return tuple(scale * x for x in linear), (QuadElem.of(1),)

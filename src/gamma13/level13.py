@@ -20,14 +20,17 @@ The chains are uniform in the level N wherever possible; only the final
 ``delta2`` step needs N = 13, because g3^-1 g2 is an involution exactly
 when its trace (13 - N)/6 vanishes.
 
-The module also hosts the exact rational-function checks that close the
-argument: ``blowup_check`` (the z -> 0 behaviour of
+The module also hosts the exact checks that close the argument:
+``blowup_check`` (the z -> 0 behaviour of
 z^{-k/2} + z^{-k/2}|B + z^{-k/2}|B^2 for B = A^-1 g3 A) and
 ``tilde_g_check`` (the eigen-signs of z^{-k/2}|A^-1 under the three
-reflections).  Both slash by classes, reading the numerator/denominator
-pairs of ``groupring.stroke_of_power`` off canonical representatives, and
-never reduce a fraction: a zero test, a pole order at z = 0 and a sign
-comparison are unchanged by a common factor, as by the representative.
+reflections).  Both use the weight-k slash of z^{-k/2} in closed form,
+
+    (z^{-k/2} | M)(z) = (det(M) / ((az + b)(cz + d)))^{k/2},
+
+and reduce their premises to facts about the entries of a few exact
+matrices, which hold at every even weight; only the negative weights of
+``blowup_check`` evaluate anything that grows with |k|.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .certificate import CertBuilder, Certificate, Congruence
 from .exactnum import QuadElem, ScalarPoly
 from .gamma0 import DEFAULT_LEVEL, GENERATORS
-from .groupring import RingElem, poly_mul, stroke_of_power
+from .groupring import RingElem
 from .projmat import Mat2, ProjMat
 
 def h_class(level: int = DEFAULT_LEVEL) -> ProjMat:
@@ -414,51 +417,56 @@ def blowup_check(k: int) -> BlowupResult:
 
     Averaging over the order-3 rotation makes S formally invariant; the check
     shows S has a genuine pole for positive k and vanishes outright at k = -2.
+
+    For k > 0 the first term has a pole of order k/2 at 0 with coefficient
+    1, and the term of M = B or B^2 is (det M / ((az + b)(cz + d)))^{k/2},
+    holomorphic at 0 once b != 0 and d != 0.  Those four entries are checked
+    exactly (ArithmeticError otherwise), so S has a pole of order exactly
+    k/2 with leading coefficient 1 at every k > 0.
+
+    For k < 0 every term is a polynomial of degree at most |k|, so S is zero
+    exactly when it vanishes at z = 0, 1, ..., |k|; it is evaluated there,
+    up to the first nonzero value.  That work grows with |k|, and k may come
+    from the command line, so k >= -128 is required.
     """
     if k % 2 != 0 or k == 0:
         raise ValueError("weight must be a nonzero even integer")
-    if abs(k) > 128:
-        raise ValueError("weight is limited to |k| <= 128")
-    b1, b2 = map(ProjMat.of, conjugated_g3_matrices())
-    # z^{-k/2} is its own slash by the identity, so all three terms have
-    # numerators and denominators of the same lengths
-    (n0, d0), (n1, d1), (n2, d2) = (stroke_of_power(k, m)
-                                    for m in (ProjMat.identity(), b1, b2))
-    num = [x + y + w for x, y, w in zip(poly_mul(n0, poly_mul(d1, d2)),
-                                        poly_mul(n1, poly_mul(d0, d2)),
-                                        poly_mul(n2, poly_mul(d0, d1)))]
-    nonzero = [i for i, c in enumerate(num) if not c.is_zero]
-    if not nonzero:
-        return BlowupResult(0, True, False)
-    den = poly_mul(d0, poly_mul(d1, d2))
-    vden = next(i for i, c in enumerate(den) if not c.is_zero)
-    # the lowest nonzero coefficients of num and den have a nonzero
-    # quotient: that quotient leads the expansion at z = 0
-    return BlowupResult(max(vden - nonzero[0], 0), False, True)
+    if k < -128:
+        raise ValueError("a negative weight is limited to k >= -128")
+    mats = conjugated_g3_matrices()
+    if k > 0:
+        if any(m.b.is_zero or m.d.is_zero for m in mats):
+            raise ArithmeticError("a conjugate of g3 has a zero entry b or d")
+        return BlowupResult(k // 2, False, True)
+    n = -k // 2
+    for x in range(-k + 1):
+        total = QuadElem.of(x) ** n
+        for m in mats:
+            total = total + ((m.a * x + m.b) * (m.c * x + m.d) / m.det()) ** n
+        if not total.is_zero:
+            return BlowupResult(0, False, True)
+    return BlowupResult(0, True, False)
 
 
 def tilde_g_check(k: int) -> Tuple[int, int, int]:
     """Eigen-signs of g-tilde = z^{-k/2}|A^-1 under the three reflections.
 
-    Each reflection conjugates to an antidiagonal matrix in the A basis, so
-    the image g-tilde|delta = z^{-k/2}|(A^-1 delta) is exactly (+/-1) times
-    g-tilde; the sign is (-1)^(k/2) for all three.
+    By the composition law g-tilde|delta = (z^{-k/2}|M)|A^-1 with
+    M = A^-1 delta A, and M is checked to be antidiagonal, [[0, b], [c, 0]]
+    with det M = -bc > 0 (ArithmeticError otherwise).  For such M,
+
+        z^{-k/2}|M = (-bc)^{k/2} (cz)^{-k} (b/(cz))^{-k/2}
+                   = (-1)^{k/2} z^{-k/2},
+
+    so the sign is (-1)^(k/2) for all three, at every even k.
     """
     if k % 2 != 0:
         raise ValueError("weight must be even")
-    if abs(k) > 16:
-        raise ValueError("weight is limited to |k| <= 16")
-    ainv = ProjMat.of(a_inverse())
-    num, den = stroke_of_power(k, ainv)
-    signs = []
-    for cls in (DELTA1_HAT, DELTA2_HAT, DELTA3_HAT):
-        inum, iden = stroke_of_power(k, ainv * cls)
-        lhs, rhs = poly_mul(inum, den), poly_mul(num, iden)
-        if lhs == rhs:
-            signs.append(1)
-        elif lhs == tuple(-c for c in rhs):
-            signs.append(-1)
-        else:  # pragma: no cover - the conjugates are antidiagonal
-            raise ArithmeticError("stroke image is not +/- the original")
-    return (signs[0], signs[1], signs[2])
-
+    a = ProjMat.of(a_matrix())
+    ainv = a.inv()
+    for cls, _ in _REFLECTIONS.values():
+        top_left, _, _, bottom_right = (ainv * cls * a).entries
+        if not (top_left.is_zero and bottom_right.is_zero):
+            raise ArithmeticError(f"A^-1 {cls} A is not antidiagonal")
+    sign = -1 if k % 4 else 1
+    return (sign, sign, sign)

@@ -558,9 +558,12 @@ class TestAsym:
         assert (code, out.strip()) == (0, "POLE ORDER 32 - NONZERO")
 
     def test_weight_beyond_bound_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "asym", "130")
+        # only a negative weight is bounded: its check evaluates |k| + 1 points
+        code, out, err = run_cli(capsys, "asym", "-130")
         assert (code, out, err.strip()) == (
-            2, "", "weight is limited to |k| <= 128")
+            2, "", "a negative weight is limited to k >= -128")
+        code, out, err = run_cli(capsys, "asym", "130")
+        assert (code, out, err) == (0, "POLE ORDER 65 - NONZERO\n", "")
 
 
 class TestEta:
@@ -572,6 +575,18 @@ class TestEta:
         assert lines[1] == "1 1"
         assert lines[2] == "2 -24"
         assert len(lines) == 66
+
+    def test_fricke_sign_of_a_symmetric_product(self, capsys, tmp_path):
+        # eta(z)^2 eta(11z)^2 is 11.2.a.a, Fricke sign (-1)^(2/2) = -1, and
+        # eta(z)^4 eta(5z)^4 is 5.4.a.a, Fricke sign +1
+        code, out, err = run_cli(capsys, "eta", "1:4,5:4", "32")
+        assert (code, out.splitlines()[0]) == (0, "# k=4 N=5 eps=+1")
+        code, out, err = run_cli(capsys, "eta", "1:2,11:2", "1200")
+        assert (code, out.splitlines()[0]) == (0, "# k=2 N=11 eps=-1")
+        path = tmp_path / "f.txt"
+        path.write_text(out)
+        code, out, err = run_cli(capsys, "formcheck", str(path))
+        assert (code, out.splitlines()[-1], err) == (0, "FORMCHECK OK", "")
 
     def test_level13_square_has_no_integer_expansion(self, capsys):
         code, out, err = run_cli(capsys, "eta", "1:2,13:2", "32")

@@ -1,4 +1,5 @@
-"""Formal sums of matrix classes and the weight-k slash action.
+"""Formal sums of matrix classes, and the weight-k slash of z^(-k/2) in
+the tests' polynomial reference (``slash_reference``).
 
 Hand-derived oracles: [[2,-1],[13,-6]] * [[5,-2],[13,-5]] lands in the class
 of [[3,-1],[13,-4]], and z^-1 slashed with [[0,-1],[13,0]] at weight 2 gives
@@ -15,8 +16,9 @@ import pytest
 from gamma13.exactnum import QuadElem, ScalarPoly
 from gamma13.grammar import GrammarError
 from gamma13.certificate import load_shipped_certificate
-from gamma13.groupring import RingElem, stroke_of_power
+from gamma13.groupring import RingElem
 from gamma13.projmat import Mat2, ProjMat
+from slash_reference import stroke_of_power
 
 
 def q(a, b=0):
@@ -304,7 +306,8 @@ class TestStroke:
                 power(k)(x)
 
     def test_cocycle(self):
-        # (z^(-k/2)|m1)|m2 == z^(-k/2)|(m1 m2), the law tilde_g_check uses
+        # (z^(-k/2)|m1)|m2 == z^(-k/2)|(m1 m2), the law both closing
+        # checks use
         rng = random.Random(22)
         for _ in range(60):
             m1, m2 = rand_positive_det(rng), rand_positive_det(rng)

@@ -9,6 +9,7 @@ before being asserted here.
 import hashlib
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -20,6 +21,7 @@ from gamma13.certificate import (SHIPPED_FILES, certificate_from_json,
 from gamma13.exactnum import QuadElem, ScalarPoly
 from gamma13.groupring import RingElem
 from gamma13.projmat import Mat2, ProjMat
+from slash_reference import blowup_reference, tilde_g_reference
 
 
 def q(a, b=0):
@@ -388,10 +390,31 @@ class TestBlowup:
             level13.blowup_check(0)
 
     def test_weight_bound(self):
-        assert level13.blowup_check(128).pole_order == 64
-        for k in (130, -130):
-            with pytest.raises(ValueError, match=r"\|k\| <= 128"):
-                level13.blowup_check(k)
+        # no cap for k > 0; below -128 the evaluation is refused
+        assert level13.blowup_check(130).pole_order == 65
+        with pytest.raises(ValueError, match=r"k >= -128"):
+            level13.blowup_check(-130)
+
+    def test_huge_weight_answers_at_once(self):
+        start = time.perf_counter()
+        assert level13.blowup_check(10 ** 6) == \
+            level13.BlowupResult(5 * 10 ** 5, False, True)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k", [-128, -64, -32, -2, *range(2, 17, 2),
+                                   32, 64, 128])
+    def test_closed_form_matches_polynomial_reference(self, k):
+        assert level13.blowup_check(k) == blowup_reference(k)
+
+    @pytest.mark.parametrize("which, entry", [(0, "b"), (1, "d")])
+    def test_conjugate_with_a_zero_entry_is_refused(self, monkeypatch,
+                                                   which, entry):
+        mats = list(level13.conjugated_g3_matrices())
+        mats[which] = replace(mats[which], **{entry: q(0)})
+        monkeypatch.setattr(level13, "conjugated_g3_matrices",
+                            lambda: tuple(mats))
+        with pytest.raises(ArithmeticError):
+            level13.blowup_check(4)
 
 
 class TestTildeG:
@@ -405,7 +428,22 @@ class TestTildeG:
         assert level13.tilde_g_check(k) == expected
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            level13.tilde_g_check(18)
+        # every even weight answers, however large; odd weights are refused
+        assert level13.tilde_g_check(18) == (-1, -1, -1)
+        start = time.perf_counter()
+        assert level13.tilde_g_check(10 ** 6) == (1, 1, 1)
+        assert time.perf_counter() - start < 1.0
         with pytest.raises(ValueError):
             level13.tilde_g_check(5)
+
+    @pytest.mark.parametrize("k", range(-16, 17, 2))
+    def test_closed_form_matches_polynomial_reference(self, k):
+        assert level13.tilde_g_check(k) == tilde_g_reference(k)
+
+    def test_reflection_that_is_not_antidiagonal_is_refused(self,
+                                                           monkeypatch):
+        # A^-1 g3 A has nonzero diagonal entries (TestConjugatedMatrices)
+        monkeypatch.setitem(level13._REFLECTIONS, "delta2hat",
+                            (level13.G3, ScalarPoly.const(-1)))
+        with pytest.raises(ArithmeticError, match="not antidiagonal"):
+            level13.tilde_g_check(4)

@@ -7,9 +7,10 @@ It extracts ``git archive REV src`` into a temporary directory, writes
 Delta at L=512 with ``gamma13 eta 1:24 512``, and runs this tree's
 ``tools/exact_digest.py``, and ``tools/numeric_digest.py`` on that file,
 once with REV's ``src`` and once with this tree's ``src`` on PYTHONPATH.
-For each digest it prints ``identical`` or the first differing lines, and
-it exits 0 when both are identical and 1 otherwise.  It uses only the
-standard library and git.
+It first prints the line count of ``src/gamma13/*.py`` (as ``wc -l``
+counts it) at REV and here.  For each digest it prints ``identical`` or
+the first differing lines, and it exits 0 when both are identical and 1
+otherwise.  It uses only the standard library and git.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def _run(src: Path, *argv: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, *argv], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+def _lines(src: Path) -> int:
+    """The newlines in ``src/gamma13/*.py``, the total ``wc -l`` prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "gamma13").glob("*.py"))
 
 
 def _compare(name: str, old: str, new: str, rev: str) -> bool:
@@ -67,6 +74,8 @@ def main(argv) -> int:
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, **safe)
+        print(f"src/gamma13/*.py: {_lines(old / 'src')} lines at {rev}, "
+              f"{_lines(new_src)} here")
         delta = old / "delta.txt"
         delta.write_text(_run(new_src, "-m", "gamma13", "eta", "1:24", "512"))
         digests = {"exact digest": ["exact_digest.py"],
