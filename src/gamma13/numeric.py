@@ -24,7 +24,8 @@ Trans. Comput. 66(8), 2017): Horner runs over the first n carried
 coefficients only, n the least count whose bound at M = offset + n is at
 most 2^-W, W = prec + 32 bits, or over all of them when no count is; at a
 point too low for the bound to exist even past L (rho x >= 1 at
-M = offset + L + 1), ``_evaluate`` raises ``PrecisionError``.  The
+M = offset + L + 1), ``_evaluate`` raises ``PrecisionError``.  The search
+for n starts from a float estimate proven not to pass it.  The
 growth bound covers the dropped carried terms as it covers those past L,
 so the bound at the cut bounds all that is left out.  Once L reaches the
 cut, neither the cut nor the value depends on L, so carrying more
@@ -36,8 +37,9 @@ is floored to the working scale and reduced mod 1 exactly, and exp of
 2 pi i t z / 2^s is summed by Taylor's series at W + 2s + 10 bits and
 squared back s times, each error carried in the radius, so q's ball is
 one or two ulps wide; pi is mpmath's ``mpf_pi``, taken as 2 ulps off.  A
-Horner step truncates the product's parts and sets
-r = ((|acc|_1 dq + r (|q| + dq)) >> W) + 3, dq the radius of q and |q|
+Horner step forms the product's parts from three products (Gauss), floors
+them, adds the coefficient scaled once per call and sets r = ((|acc|_1 dq
++ r (|q| + dq)) >> W) + 3 (4 after a Fraction), dq the radius of q and |q|
 bounded by isqrt(qr^2 + qi^2) + 1, the Euclidean norm of its midpoint
 rounded up: rigorous because the ball is a disk, and below 1 with |q|,
 so the radius does not compound over the steps as it would under
@@ -90,14 +92,15 @@ finishes the image and the factor.
 What does not depend on the form is a plan, ``_Plan``: the classes'
 representatives, these records, the points chosen for each set of
 classes (congruences on the same classes reuse them), each image point
-that ``_stroke`` took and q there.  ``run_formcheck`` takes the plan of
+that ``_stroke`` took and q there, by the point mod 1, where q's ball is
+the same ints.  ``run_formcheck`` takes the plan of
 its (level, points, W) from ``_plan``, which keeps the last ``_PLANS``
 for the process, so a second battery there builds no certificate,
 searches no points and encloses no q.  The other entry points take
 arbitrary congruences, classes or points and make a plan per call.  What
 depends on the form is a memo, ``_Memo``, that dies with the call: the
-instantiated scalars, f at each image point, and the factor and value of
-each (class, point).
+instantiated scalars, the scaled coefficients, f at each image point (mod
+1 for an int offset), and the factor and value of each (class, point).
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -234,15 +237,22 @@ def _tail_bound(offset: Fraction, n: int, k: int, x: int, x_offset: int,
 def _cut_estimate(k: int, offset: float, least: int, length: int, z,
                   W: int) -> int:
     """A count n0 no larger than the least n >= ``least`` whose bound at
-    M = offset + n is at most 2^-W.  The bound is at least M^k x^M,
-    whose log h(M) = k ln M - 2 pi y M is concave, so the counts it admits
-    are those below its left root and those past its right root r; Newton
-    steps from the right converge down to r.  y = Y/R, z = (X, Y, R), is
-    read to float precision from 64 fractional bits, whatever W is."""
+    M = offset + n is at most 2^-W.  The bound is at least M^k x^M =
+    e^H(M) 2^-W, H(M) = k ln M - c M + W ln 2, c = 2 pi y, and H is concave.
+    h is H in floats less 2^-40 ((k + c) M + W), more than the roundings of
+    log, c and M move it (M >= 1): h is concave and h > 0 proves H > 0.
+    Newton from the right of h stays >= its root and ends about its last
+    step from it, so ceil(m - offset), m the last iterate, is mostly the
+    least count past the root; n0 steps down from there until h > 0 at
+    offset + n0 - 1.  As h > 0 at offset + ``least``, H > 0 on the whole
+    span between, so no count below n0 is admitted, converged or not.
+    y = Y/R, z = (X, Y, R), is read to float precision from 64 fractional
+    bits, whatever W is."""
     c = 2 * math.pi * math.ldexp((z[1] << 64) // z[2], -64)
+    slope = c + (k + c) * 2.0 ** -40  # h: H less 2^-40 ((k + c) M + W)
 
     def h(m: float) -> float:
-        return k * math.log(m) - c * m + W * math.log(2)
+        return k * math.log(m) - slope * m + W * (math.log(2) - 2.0 ** -40)
 
     if least > length:
         return length + 1
@@ -252,15 +262,17 @@ def _cut_estimate(k: int, offset: float, least: int, length: int, z,
     if h(m) > 0:
         return length + 1
     for _ in range(64):
-        step = h(m) / (k / m - c)
+        step = h(m) / (k / m - slope)
         m -= step
         if step < 1e-6:
             break
-    # one count of slack for the rounding of the float estimate
-    return min(length + 1, max(least, math.ceil(m - offset) - 1))
+    n = math.ceil(m - offset)
+    while n > least and h(offset + n - 1) <= 0:
+        n -= 1
+    return min(length + 1, max(least, n))
 
 
-def _evaluate(form: FormData, z, q: Ball, W: int, label: str = "") -> Ball:
+def _evaluate(form: FormData, z, q: Ball, W: int, scaled, label="") -> Ball:
     """The ball at scale 2^-W, W an argument, that holds f at the point
     z = (X, Y, R) of ``_common``, by the cut of the module docstring:
     ``PrecisionError``, prefixed by ``label``, when no bound past L exists
@@ -268,9 +280,10 @@ def _evaluate(form: FormData, z, q: Ball, W: int, label: str = "") -> Ball:
     rounded up to whole ulps by ``_tail_bound``, is at most one ulp, or
     L + 1 when none is; that bound joins the radius.  q is the caller's
     ``_q_power(z, 1, W)`` and q^offset comes from ``_q_power``, and x bounds
-    |q| by the Euclidean norm of q's midpoint rounded up plus its radius."""
+    |q| by the Euclidean norm of q's midpoint rounded up plus its radius.
+    ``scaled``, the caller's ``_scaled`` list, is extended to the cut."""
     series, k = form.series, form.weight
-    offset, length = Fraction(series.offset), series.length
+    offset, length = series.offset, series.length  # an int or a Fraction
     shift = q if offset == 1 else _q_power(z, offset, W)
     x, x_offset = (math.isqrt(re * re + im * im) + 1 + r
                    for re, im, r in (q, shift))
@@ -287,7 +300,8 @@ def _evaluate(form: FormData, z, q: Ball, W: int, label: str = "") -> Ball:
         if tail is None:
             raise PrecisionError(f"{label}no tail bound past L={length} at "
                                  f"Im z = {Fraction(z[1], z[2])}")
-    re, im, r = _mul(_horner(series.coeffs[:n], q, x, W), shift, W)
+    scaled += _scaled(series.coeffs[len(scaled):n], W)
+    re, im, r = _mul(_horner(scaled[:n], q, x, W), shift, W)
     # the bound at the cut, in whole ulps, joins the radius
     return re, im, r + tail
 
@@ -304,24 +318,28 @@ def _mul(a: Ball, b: Ball, W: int) -> Ball:
              + 3))
 
 
+def _scaled(coeffs, W: int) -> List[Tuple[int, int]]:
+    """Each coefficient with the radius its Horner step adds: (c 2^W, 3)
+    for an int c and (floor(p 2^W / q), 4) for a Fraction p/q."""
+    return [(c << W, 3) if type(c) is int
+            else ((c.numerator << W) // c.denominator, 4) for c in coeffs]
+
+
 def _horner(coeffs, q: Ball, qn: int, W: int) -> Ball:
-    """sum_j coeffs[j] q^j by Horner's rule on balls at scale 2^-W: each
-    step is ``_mul`` by q, written out because the call costs about a fifth
-    of the step, except that |q| + dq is ``qn``, the Euclidean bound
-    isqrt(qr^2 + qi^2) + 1 + dq that ``_evaluate`` also bounds the tail
-    with: r = ((|acc|_1 dq + r qn) >> W) + 3.  Then the coefficient, exact
-    when it is an int and floored, with one more ulp, when it is a
-    fraction."""
+    """sum_j c_j q^j by Horner's rule on balls at scale 2^-W from the
+    ``_scaled`` pairs (c_j 2^W, step): each step is ``_mul`` by q, written
+    out as a call costs a fifth of it, but with |q| + dq as ``qn``, the
+    Euclidean bound isqrt(qr^2 + qi^2) + 1 + dq of the tail bound:
+    r = ((|acc|_1 dq + r qn) >> W) + step.  Three products make the parts,
+    the same ints as four (Gauss; Knuth, TAOCP 2, 4.6.4): t = qr (re + im),
+    re qr - im qi = t - im (qr + qi) and re qi + im qr = t + re (qi - qr)."""
     qr, qi, dq = q
+    qs, qd = qr + qi, qi - qr
     re = im = r = 0
-    for c in reversed(coeffs):
-        re, im, r = ((re * qr - im * qi) >> W, (re * qi + im * qr) >> W,
-                     (((abs(re) + abs(im)) * dq + r * qn) >> W) + 3)
-        if type(c) is int:
-            re += c << W
-        else:
-            re += (c.numerator << W) // c.denominator
-            r += 1
+    for c, step in reversed(coeffs):
+        t = qr * (re + im)
+        re, im, r = (((t - im * qs) >> W) + c, (t + re * qd) >> W,
+                     (((abs(re) + abs(im)) * dq + r * qn) >> W) + step)
     return re, im, r
 
 
@@ -431,7 +449,7 @@ def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     upper half-plane, x and y ints or Fractions, returning the midpoint of
     the ball with its radius, which bounds |f(z) - value|."""
     W, z = cfg.precision + _CUT_GUARD, _common(*_upper(z))
-    return _result(_evaluate(form, z, _q_power(z, 1, W), W), W)
+    return _result(_evaluate(form, z, _q_power(z, 1, W), W, []), W)
 
 
 @dataclass
@@ -475,15 +493,16 @@ def _plan(level: int, points, W: int) -> _Plan:
 class _Memo:
     """What one call computes from the form, beside its ``plan``: the
     instantiated scalar of each ``ScalarPoly`` (``scalars``), f at each
-    image point (``values``), and the exact automorphy factor and f value
-    of each (class, point) that ``_stroke`` took (``strokes``).  It lives
-    for one call."""
+    image point, mod 1 for an int offset (``values``), the exact factor and
+    f value of each (class, point) that ``_stroke`` took (``strokes``), and
+    the ``_scaled`` coefficients read so far (``scaled``), for one call."""
 
     form: FormData
     plan: _Plan
     scalars: Dict = field(default_factory=dict)
     values: Dict = field(default_factory=dict)
     strokes: Dict = field(default_factory=dict)
+    scaled: List = field(default_factory=list)
 
     @functools.cached_property
     def symbols(self) -> Tuple[Fraction, Fraction, int]:
@@ -554,9 +573,9 @@ def _stroke(memo: _Memo, mat: ProjMat, z: Tuple[int, int, int],
     det > 0.  The image is finished from the class's ``_image`` record: Mz
     is (((AX + BR) u + ACY^2) + i det Y R)/N, kept as the triple of
     ``_common``, the three ints over their gcd.  The plan keeps the image
-    point of each (class, point) and q there, the memo the factor and value
-    of each (class, point) and f at each image point, so each is computed
-    once.  ``label`` prefixes error messages."""
+    point of each (class, point) and q there mod 1, the memo the factor and
+    value of each (class, point) and f at each image point, mod 1 for an
+    int offset, so each is computed once.  ``label`` prefixes errors."""
     key = (mat, z)
     stroke = memo.strokes.get(key)
     if stroke is None:
@@ -570,13 +589,16 @@ def _stroke(memo: _Memo, mat: ProjMat, z: Tuple[int, int, int],
             g = math.gcd(P, image.top, image.norm)
             point = plan.targets[key] = (P // g, image.top // g,
                                          image.norm // g)
-        value = memo.values.get(point)
+        # q, and f for an int offset, are the same balls at z + 1 as at z
+        reduced = (point[0] % point[2], *point[1:])
+        at = reduced if type(form.series.offset) is int else point
+        value = memo.values.get(at)
         if value is None:
-            q = plan.qs.get(point)
+            q = plan.qs.get(reduced)
             if q is None:
-                q = plan.qs[point] = _q_power(point, 1, plan.W)
-            value = memo.values[point] = _evaluate(form, point, q, plan.W,
-                                                   label)
+                q = plan.qs[reduced] = _q_power(reduced, 1, plan.W)
+            value = memo.values[at] = _evaluate(form, at, q, plan.W,
+                                                memo.scaled, label)
         stroke = memo.strokes[key] = _automorphy(form.weight, image), value
     return stroke
 

@@ -355,7 +355,8 @@ def _check_growth(series: QSeries, k: int) -> None:
     """Refuse a series whose carried coefficients break |a_n| <= n^k, the
     growth bound every tail bound assumes, at some exponent n >= 1.
     Exact: with offset u/v, the exponent of the j-th coefficient is
-    (u + j*v)/v, so the test is |a| * v^k <= (u + j*v)^k."""
+    (u + j*v)/v, so the test is |a| * v^k <= (u + j*v)^k, passed unpowered
+    by a left side below 2^(k (b - 1)) <= (u + j*v)^k, b = bits of u + j*v."""
     offset = Fraction(series.offset)
     u, v = offset.numerator, offset.denominator
     scale = v ** k
@@ -364,7 +365,9 @@ def _check_growth(series: QSeries, k: int) -> None:
         if top < v or not c:
             continue
         num, den = c.as_integer_ratio()
-        if abs(num) * scale > top ** k * den:
+        lhs = abs(num) * scale
+        if (lhs.bit_length() > k * (top.bit_length() - 1)
+                and lhs > top ** k * den):
             n = Fraction(top, v)
             raise ValueError(
                 f"coefficient a_n at n={n} is {c}, beyond n^{k} = {n ** k}: "

@@ -51,6 +51,7 @@ from gamma13.numeric import (
 )
 from gamma13.projmat import Mat2, ProjMat
 from gamma13.qseries import QSeries, eta_product, format_coefficient_file
+from horner_reference import horner as reference_horner
 
 
 @pytest.fixture(autouse=True)
@@ -216,6 +217,31 @@ class TestBall:
                 assert result.radius >= past, z
 
 
+class TestHorner:
+    """The three-product step on pre-scaled coefficients is the
+    four-product step of ``horner_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("W", [1, 2, 53, 288, 1056])
+    def test_step_matches_the_reference(self, W):
+        # q balls at seeded points, and seeded ints of either sign that no
+        # point gives; every length from none to all 513 coefficients
+        rng = random.Random(W)
+        balls = [numeric._q_power(numeric._common(
+            Fraction(rng.randint(-50, 50), 40),
+            Fraction(3, 20) + Fraction(rng.randint(0, 370), 200)), 1, W)
+            for _ in range(3)]
+        balls.append((rng.randint(-1 << W, 1 << W),
+                      rng.randint(-1 << W, 1 << W), rng.randint(1, 9)))
+        for form in (delta_form(), delta_e4_form(), rational_delta_form()):
+            coeffs = form.series.coeffs
+            scaled = numeric._scaled(coeffs, W)
+            for q in balls:
+                qn = math.isqrt(q[0] ** 2 + q[1] ** 2) + 1 + q[2]
+                for n in (0, 1, rng.randint(2, 512), 513):
+                    assert (numeric._horner(scaled[:n], q, qn, W)
+                            == reference_horner(coeffs[:n], q, qn, W)), n
+
+
 def bound_past(form, M, y):
     """The module's tail bound M^k x^M / (1 - rho x) at height y."""
     k, x = form.weight, exp(-2 * pi * y)
@@ -343,6 +369,58 @@ class TestQPower:
                             == numeric._q_power((X, Y, R), t, W)), (z, t)
 
 
+class TestTranslation:
+    """q, and f for an int offset, are the same ints at z + j as at z: the
+    reduction of t x mod 1 is exact.  A battery shares them between image
+    points that differ by an integer; a fractional offset shares no f."""
+
+    POINTS = ((Fraction(13, 40), Fraction(3, 20)),
+              (Fraction(-1, 2), Fraction(4, 5)), (Fraction(0), Fraction(1)),
+              (Fraction(1, 3), Fraction(50)))
+
+    @pytest.mark.parametrize("W", [53, 288, 1056])
+    def test_q_and_f_repeat_bit_for_bit(self, W):
+        forms = (delta_form(), delta_e4_form(), rational_delta_form())
+        for x, y in self.POINTS:
+            X, Y, R = numeric._common(x, y)
+            q = numeric._q_power((X, Y, R), 1, W)
+            values = [numeric._evaluate(form, (X, Y, R), q, W, [])
+                      for form in forms]
+            for j in (-7, -1, 1, 2, 13, 10 ** 6):
+                moved = (X + j * R, Y, R)
+                assert numeric._q_power(moved, 1, W) == q, (x, y, j)
+                assert [numeric._evaluate(form, moved, q, W, [])
+                        for form in forms] == values, (x, y, j)
+
+    def test_a_fractional_offset_shares_no_value(self, monkeypatch):
+        # the identity and z -> z + 1 at one point: Delta is evaluated once,
+        # eta(z)^2 eta(13z)^2 twice, its values a factor e^(2 pi i 7/6) apart
+        points = []
+        original = numeric._evaluate
+
+        def counted(form, z, *args):
+            points.append(z)
+            return original(form, z, *args)
+        monkeypatch.setattr(numeric, "_evaluate", counted)
+        z, W = numeric._common(Fraction(1, 5), Fraction(1, 2)), 288
+        shift = ProjMat.of([[1, 1], [0, 1]])
+        for form, evaluations in ((delta_form(), 1), (fricke_form(), 2)):
+            points.clear()
+            memo = numeric._Memo(form, numeric._Plan(W))
+            (_, at_z), (_, at_z1) = (numeric._stroke(memo, mat, z)
+                                     for mat in (ProjMat.identity(), shift))
+            assert len(points) == evaluations
+            a, b = (numeric._result(ball, W) for ball in (at_z, at_z1))
+            with mp.workprec(2 * W):
+                phase = mp.expjpi(2 * mpf(form.series.offset.numerator)
+                                  / form.series.offset.denominator)
+                assert abs(b.value - phase * a.value) <= a.radius + b.radius
+                # so sharing one ball would be wrong by far more than it is wide
+                if evaluations == 2:
+                    assert abs(b.value - a.value) > 10 ** 6 * (a.radius
+                                                               + b.radius)
+
+
 def reference_tail(offset, n, k, X, X_offset, W):
     """M^k x^M / (1 - rho x) at M = offset + n in ulps of 2^-W, from
     x = X 2^-W and x^offset = X_offset 2^-W, at the current precision; None
@@ -389,14 +467,53 @@ class TestTailBound:
                                           _to_mpf(QuadElem.of(y)))
                         assert mp.ldexp(true, W) <= tail
 
+    @pytest.mark.parametrize("prec", [1, 53, 256, 1024])
+    def test_cut_estimate_never_passes_the_least_cut(self, prec):
+        # at seeded weights, offsets and heights the estimate is at most the
+        # least count whose bound is at most one ulp, found by trying every
+        # count from the first, and mostly it is that count
+        W, rng = prec + numeric._CUT_GUARD, random.Random(prec)
+        length, exact = 400, 0
+        for _ in range(40):
+            k = rng.choice((2, 4, 12, 16, 24))
+            offset = rng.choice((1, 2, Fraction(7, 6), 0, -2))
+            z = numeric._common(Fraction(rng.randint(0, 9), 10),
+                                Fraction(rng.randint(1, 2000), 1000))
+            X, X_offset = (math.isqrt(re * re + im * im) + 1 + r
+                           for re, im, r in (numeric._q_power(z, t, W)
+                                             for t in (1, offset)))
+            least = max(0, math.ceil(1 - offset))
+            estimate = numeric._cut_estimate(k, float(offset), least, length,
+                                             z, W)
+            cut = least
+            while cut <= length:
+                tail = numeric._tail_bound(offset, cut, k, X, X_offset, W)
+                if tail is not None and tail <= 1:
+                    break
+                cut += 1
+            assert estimate <= cut, (k, offset, z)
+            exact += estimate == cut
+        assert exact >= 35
+
     def test_no_bound_where_rho_x_reaches_one(self):
         # x = 1 gives (1 + 1/M)^k x > 1 at every M: no bound exists
         X = 1 << 288
         assert numeric._tail_bound(Fraction(1), 0, 12, X, X, 288) is None
 
+    #: (form, level, --prec, tolerance, Horner calls) of the batteries the
+    #: cut test runs: at level 13 the level-1 Delta fails ax:H, but its cuts
+    #: are made alike; at 20 bits the tolerance is one the radii can meet
+    CUT_BATTERIES = (
+        (delta_form, 1, 256, Fraction(1, 10 ** 15), 45),
+        (delta_e4_form, 1, 256, Fraction(1, 10 ** 15), 45),
+        (lambda: delta_form(2048), 13, 256, Fraction(1, 10 ** 15), 86),
+        (delta_form, 1, 20, Fraction(1, 10 ** 3), 45),
+        (delta_form, 1, 1024, Fraction(1, 10 ** 15), 45),
+    )
+
     def test_every_cut_of_the_battery_is_the_least(self, monkeypatch):
-        # each Horner length n of the Delta L=512 battery is the least count
-        # whose bound is at most one ulp
+        # each Horner length n of each battery is the least count whose
+        # bound is at most one ulp, so the cut's estimate never passes it
         cuts = []
 
         def counted(coeffs, q, qn, W):
@@ -404,15 +521,23 @@ class TestTailBound:
             return original(coeffs, q, qn, W)
         original = numeric._horner
         monkeypatch.setattr(numeric, "_horner", counted)
-        assert run_formcheck(delta_form()).ok
-        assert len(cuts) == 56
-        for n, X, W in cuts:
-            assert n <= 512
-            with mp.workprec(2 * W + 64):
-                assert reference_tail(1, n, 12, X, X, W) <= 1
-                if n:
-                    above = reference_tail(1, n - 1, 12, X, X, W)
-                    assert above is None or above * self.slack(W) > 1
+        for make, level, prec, tol, count in self.CUT_BATTERIES:
+            cuts.clear()
+            form = make()
+            form = FormData(form.series, form.weight, level, form.sign)
+            report = run_formcheck(form, EvalConfig(precision=prec), tol)
+            assert report.ok == (level == 1)
+            assert len(cuts) == count, (level, prec)
+            k, length = form.weight, form.series.length
+            for n, X, W in cuts:
+                # n = L + 1 sums every carried term: no count up to L is a cut
+                assert n <= length + 1
+                with mp.workprec(2 * W + 64):
+                    if n <= length:
+                        assert reference_tail(1, n, k, X, X, W) <= 1
+                    if n:
+                        above = reference_tail(1, n - 1, k, X, X, W)
+                        assert above is None or above * self.slack(W) > 1
 
 
 class TestStroke:
@@ -789,7 +914,7 @@ class TestIntegerGeometry:
                 mat for _, mat, _ in numeric._signed_terms(congruence)), plan)
         points = []
         monkeypatch.setattr(numeric, "_evaluate",
-                            lambda form, point, q, W, label="":
+                            lambda form, point, q, W, scaled, label="":
                             points.append(point) or (0, 0, 0))
         for (mat, z), image in plan.images.items():
             X, Y, R = z
@@ -800,7 +925,9 @@ class TestIntegerGeometry:
             assert Fraction(image.top, image.norm) == height.a
             numeric._stroke(numeric._Memo(form, numeric._Plan(64)), mat, z)
             assert all(v.is_rational for v in point)
-            assert points[-1] == numeric._common(*(v.a for v in point))
+            # the offset is an int, so f is evaluated at the image mod 1
+            X, Y, R = numeric._common(*(v.a for v in point))
+            assert points[-1] == (X % R, Y, R)
             for k in (2, 4, 8, 12, 16):
                 _, _, (re, im) = quad_geometry(mat, x, y, k)
                 top_re, top_im, den = numeric._automorphy(k, image)
@@ -1046,9 +1173,10 @@ class TestFormcheck:
 
     def test_battery_work_stays_at_its_floor(self, monkeypatch):
         # a stroke factor per (class, point) instead of per stroke (116);
-        # f once per image point and none for the cusps; Horner cut at the
-        # tail
-        calls = {"_automorphy": [], "_evaluate": [], "_horner": []}
+        # f once per image point mod 1 (56 image points) and none for the
+        # cusps; Horner cut at the tail; usually one tail bound per cut
+        calls = {"_automorphy": [], "_evaluate": [], "_horner": [],
+                 "_tail_bound": []}
         for name in calls:
             def counted(*args, name=name, original=getattr(numeric, name)):
                 calls[name].append(args)
@@ -1056,8 +1184,9 @@ class TestFormcheck:
             monkeypatch.setattr(numeric, name, counted)
         assert run_formcheck(delta_form()).ok
         assert len(calls["_automorphy"]) <= 62
-        assert len(calls["_evaluate"]) == 56
-        assert sum(len(coeffs) for coeffs, *_ in calls["_horner"]) == 4452
+        assert len(calls["_evaluate"]) == 45
+        assert sum(len(coeffs) for coeffs, *_ in calls["_horner"]) == 4087
+        assert len(calls["_tail_bound"]) == 48
 
     def test_radius_at_the_tolerance_is_a_budget_error(self):
         # at 20 bits the balls are too wide to decide anything at 1e-15

@@ -8,6 +8,7 @@ the series part of eta(z)^2 eta(13z)^2 = q^{7/6}(1 - 2q - q^2 + ...).
 The inverse Euler product doubles as a partition-number oracle.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -467,6 +468,31 @@ class TestCoefficientFile:
         with pytest.raises(ValueError) as info:
             parse_coefficient_file(text)
         assert str(info.value).startswith("coefficient a_n at n=2 is 4097, ")
+
+    @pytest.mark.parametrize("offset", [1, Fraction(7, 6), -2])
+    @pytest.mark.parametrize("k", [2, 12])
+    def test_growth_check_refuses_exactly_past_the_bound(self, offset, k):
+        # a lone coefficient at, just past and far below n^k, as an int and
+        # as a fraction: the check decided by bit lengths refuses exactly
+        # what |a_n| > n^k refuses, with the same message
+        for j in range(40):
+            n = offset + j
+            if n < 1:
+                continue
+            bound = Fraction(n) ** k
+            near = (bound, bound + Fraction(1, 10 ** 9), math.floor(bound),
+                    math.floor(bound) + 1, Fraction(1, 3), 1 - (1 << 2 * j))
+            for c in near + tuple(-v for v in near):
+                series = QSeries(offset, [0] * j + [c])
+                if abs(c) <= bound:
+                    FormData(series, k, 1, 1)
+                    continue
+                stored = series.coeffs[j]
+                with pytest.raises(ValueError) as info:
+                    FormData(series, k, 1, 1)
+                assert str(info.value) == (
+                    f"coefficient a_n at n={n} is {stored}, beyond n^{k} = "
+                    f"{bound}: the tail bound assumes |a_n| <= n^k")
 
     def test_parser_rejects_gaps_and_bad_headers(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,11 @@ Delta at L=512 with ``gamma13 eta 1:24 512``, and runs this tree's
 ``tools/exact_digest.py``, and ``tools/numeric_digest.py`` on that file,
 once with REV's ``src`` and once with this tree's ``src`` on PYTHONPATH.
 It first prints the line count of ``src/gamma13/*.py`` (as ``wc -l``
-counts it) at REV and here.  For each digest it prints ``identical`` or
-the first differing lines, and it exits 0 when both are identical and 1
-otherwise.  It uses only the standard library and git.
+counts it) at REV and here.  For each digest it prints ``identical``, or
+how many lines differ on each side, the first ``SHOWN`` lines of the
+diff, and the ``@@`` header of every hunk past them, so the extent of a
+change shows however many places it touches.  It exits 0 when both are
+identical and 1 otherwise.  It uses only the standard library and git.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-#: At most this many lines of a differing digest's diff are printed.
+#: At most this many lines of a differing digest's diff are printed in
+#: full; past them only the hunk headers are.
 SHOWN = 12
 
 
@@ -46,12 +49,20 @@ def _compare(name: str, old: str, new: str, rev: str) -> bool:
     if old == new:
         print(f"{name}: identical")
         return True
-    diff = difflib.unified_diff(old.splitlines(), new.splitlines(),
-                                f"{name} at {rev}", f"{name} here",
-                                n=0, lineterm="")
-    print(f"{name}: differs")
-    for _, line in zip(range(SHOWN), diff):
+    diff = list(difflib.unified_diff(old.splitlines(), new.splitlines(),
+                                     f"{name} at {rev}", f"{name} here",
+                                     n=0, lineterm=""))
+    body = diff[2:]  # past the ---/+++ file lines
+    hunks = sum(line.startswith("@@") for line in body)
+    removed = sum(line.startswith("-") for line in body)
+    added = sum(line.startswith("+") for line in body)
+    print(f"{name}: differs in {hunks} hunks, {removed} lines at {rev} and "
+          f"{added} here")
+    for line in diff[:SHOWN]:
         print(line)
+    for line in diff[SHOWN:]:
+        if line.startswith("@@"):
+            print(line)
     return False
 
 
