@@ -191,10 +191,10 @@ def cmd_eta(args: argparse.Namespace) -> int:
     except (MemoryError, OverflowError):  # no list of L + 1 entries fits
         return _usage(f"bad eta product request: truncation length "
                       f"{args.length} is too large")
-    level = max((m for m, r in pairs if r != 0), default=1)
     exponents = {}
     for m, r in pairs:
         exponents[m] = exponents.get(m, 0) + r
+    level = max((m for m, r in exponents.items() if r), default=1)
     # eta(-1/z) = sqrt(z/i) eta(z) gives f|H = (-1)^(k/2) f when the
     # exponents are symmetric under m <-> N/m; otherwise +1 is a placeholder
     # that ax:H tests

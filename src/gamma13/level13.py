@@ -408,7 +408,6 @@ def sign_exponent_check(m: int, n: int) -> SignCheck:
 class BlowupResult(NamedTuple):
     pole_order: int
     identically_zero: bool
-    leading_coeff_nonzero: bool
 
 
 def blowup_check(k: int) -> BlowupResult:
@@ -437,15 +436,15 @@ def blowup_check(k: int) -> BlowupResult:
     if k > 0:
         if any(m.b.is_zero or m.d.is_zero for m in mats):
             raise ArithmeticError("a conjugate of g3 has a zero entry b or d")
-        return BlowupResult(k // 2, False, True)
+        return BlowupResult(k // 2, False)
     n = -k // 2
     for x in range(-k + 1):
         total = QuadElem.of(x) ** n
         for m in mats:
             total = total + ((m.a * x + m.b) * (m.c * x + m.d) / m.det()) ** n
         if not total.is_zero:
-            return BlowupResult(0, False, True)
-    return BlowupResult(0, True, False)
+            return BlowupResult(0, False)
+    return BlowupResult(0, True)
 
 
 def tilde_g_check(k: int) -> Tuple[int, int, int]:

@@ -89,18 +89,18 @@ is that of the full search.  Each (class, point) has one record,
 ``_image``, by whose height the search scores and from which ``_stroke``
 finishes the image and the factor.
 
-What does not depend on the form is a plan, ``_Plan``: the classes'
-representatives, these records, the points chosen for each set of
-classes (congruences on the same classes reuse them), each image point
-that ``_stroke`` took and q there, by the point mod 1, where q's ball is
-the same ints.  ``run_formcheck`` takes the plan of
-its (level, points, W) from ``_plan``, which keeps the last ``_PLANS``
-for the process, so a second battery there builds no certificate,
-searches no points and encloses no q.  The other entry points take
-arbitrary congruences, classes or points and make a plan per call.  What
-depends on the form is a memo, ``_Memo``, that dies with the call: the
-instantiated scalars, the scaled coefficients, f at each image point (mod
-1 for an int offset), and the factor and value of each (class, point).
+What does not depend on the form is a plan, ``_Plan``: each congruence's
+``_row``, the classes' representatives, these records, the points chosen
+for each set of classes (congruences on the same classes reuse them), each
+image point that ``_stroke`` took and q there, by the point mod 1, where
+q's ball is the same ints.  ``run_formcheck`` takes the plan of its (level,
+points, W) from ``_plan``, which keeps the last ``_PLANS`` for the process,
+so a second battery there builds no certificate, derives no terms, searches
+no points and encloses no q.  The other entry points take arbitrary
+congruences, classes or points and make a plan per call.  What depends on
+the form is a memo, ``_Memo``, that dies with the call: each scalar's
+rational value, the scaled coefficients, f at each image point (mod 1 for
+an int offset), and the factor and value of each (class, point).
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -455,18 +455,18 @@ def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
 @dataclass
 class _Plan:
     """What a battery computes without reading the form, at scale 2^-W (W
-    None where nothing is evaluated): its ``congruences`` (empty outside
-    ``_plan``) and fixed ``points`` (None: searched), and, filled in as
-    first asked for, each class's integer representative (``classes``),
-    the points chosen per set of classes (``chosen``), each (class,
-    point)'s ``_image`` record (``images``) and reduced image point
+    None where nothing is evaluated): the ``_row`` of each congruence it
+    tests (``rows``) and its fixed ``points`` (None: searched), and, filled
+    in as first asked for, each class's integer representative
+    (``classes``), the points chosen per set of classes (``chosen``), each
+    (class, point)'s ``_image`` record (``images``) and reduced image point
     (``targets``), and q as a ball at each image point (``qs``).  An entry
     is a function of its key, so threads that fill one plan at once can
     only repeat work, never store a different value."""
 
     W: Optional[int] = None
     points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
-    congruences: Tuple = ()
+    rows: Tuple = ()
     classes: Dict = field(default_factory=dict)
     chosen: Dict = field(default_factory=dict)
     images: Dict = field(default_factory=dict)
@@ -482,17 +482,17 @@ _PLANS = 8
 @functools.lru_cache(maxsize=_PLANS)
 def _plan(level: int, points, W: int) -> _Plan:
     """The battery's plan at a level, sample points (None: searched) and
-    scale, kept for the process: a second battery there reads its
-    congruences, points, image records and q balls instead of making them
-    again.  The least recently used of more than ``_PLANS`` plans is
-    dropped."""
-    return _Plan(W, points, _battery(level))
+    scale, kept for the process: a second battery there reads its rows,
+    points, image records and q balls instead of deriving them again; the
+    f certificate the rows come from is built once and dropped.  The least
+    recently used of more than ``_PLANS`` plans is dropped."""
+    return _Plan(W, points, tuple(map(_row, _battery(level))))
 
 
 @dataclass
 class _Memo:
-    """What one call computes from the form, beside its ``plan``: the
-    instantiated scalar of each ``ScalarPoly`` (``scalars``), f at each
+    """What one call computes from the form, beside its ``plan``: each
+    ``ScalarPoly``'s rational value, a Fraction (``scalars``), f at each
     image point, mod 1 for an int offset (``values``), the exact factor and
     f value of each (class, point) that ``_stroke`` took (``strokes``), and
     the ``_scaled`` coefficients read so far (``scaled``), for one call."""
@@ -626,41 +626,44 @@ def _hecke_scalar(form: FormData, p: int) -> Fraction:
         form.series.coefficient(p))
 
 
-def _signed_terms(congruence: Congruence) -> List[Tuple[int, ProjMat, object]]:
-    return [(sign, mat, poly) for sign, side in ((1, congruence.lhs),
-                                                 (-1, congruence.rhs))
-            for mat, poly in side.terms()]
+def _row(congruence: Congruence) -> Tuple[str, Tuple, frozenset]:
+    """What ``_residual`` reads: the id, the signed terms (sign, class,
+    ``ScalarPoly``), lhs then rhs by ``RingElem.terms()``, the class set."""
+    terms = tuple((sign, mat, poly) for sign, side in ((1, congruence.lhs),
+                                                       (-1, congruence.rhs))
+                  for mat, poly in side.terms())
+    return congruence.id, terms, frozenset(mat for _, mat, _ in terms)
 
 
-def _residual(congruence: Congruence, memo: _Memo,
+def _residual(row: Tuple[str, Tuple, frozenset], memo: _Memo,
               tol: Optional[Fraction] = None) -> int:
     """A certified bound, in ulps of 2^-W, on the max over the sample points
     of the memo's |f|lhs - f|rhs|: by default (``points=None``) those the
     point search picks, or the plan's fixed ones, however low their images
     lie; congruences on the same set of classes share one search per plan.
     At each point it is |sum of the terms' midpoints|, rounded up, plus the
-    sum of their radii.  Each ``ScalarPoly`` is instantiated once per memo;
-    terms whose scalar is zero drop out, and an irrational one raises
-    ``ValueError`` naming it and its class.
+    sum of their radii.  Each ``ScalarPoly`` is read once per memo, as a
+    Fraction; terms whose scalar is zero drop out, and an irrational one
+    raises ``ValueError`` naming it and its class.
     Radii that alone reach a tolerance ``tol`` at a point raise
     ``PrecisionError``, naming them, ``tol`` and the lowest exact image
     height: the radius, not a floor, says where the points lie too low."""
-    label, signed = congruence.id, _signed_terms(congruence)
+    label, signed, mats = row
     plan, W = memo.plan, memo.plan.W
     terms = []
     for sign, mat, poly in signed:
         scalar = memo.scalars.get(poly)
         if scalar is None:
-            scalar = memo.scalars[poly] = poly.instantiate(*memo.symbols)
-        if not scalar.is_rational:
-            raise ValueError(f"{label}: the scalar {scalar} of class {mat} is "
-                             f"irrational; the numeric layer takes rational "
-                             f"scalars only")
-        if not scalar.is_zero:
-            terms.append((mat, sign * scalar.a))
+            scalar = poly.instantiate(*memo.symbols)
+            if not scalar.is_rational:
+                raise ValueError(f"{label}: the scalar {scalar} of class "
+                                 f"{mat} is irrational; the numeric layer "
+                                 f"takes rational scalars only")
+            scalar = memo.scalars[poly] = scalar.a
+        if scalar:
+            terms.append((mat, sign * scalar))
     points = plan.points
     if points is None:
-        mats = frozenset(mat for _, mat, _ in signed)
         points = plan.chosen.get(mats)
         if points is None:
             points = plan.chosen[mats] = _search_points(mats, plan)[1]
@@ -687,13 +690,13 @@ def _residual(congruence: Congruence, memo: _Memo,
     return worst
 
 
-def _residuals(form: FormData, congruences, plan: _Plan,
+def _residuals(form: FormData, plan: _Plan,
                tol: Optional[Fraction] = None) -> List[int]:
-    """``_residual`` of each congruence, in ulps of the plan's 2^-W, with
+    """``_residual`` of each of the plan's rows, in ulps of its 2^-W, with
     one memo of the form's scalars, strokes and f values; the first
     congruence that cannot be decided raises ``PrecisionError``."""
     memo = _Memo(form, plan)
-    return [_residual(congruence, memo, tol) for congruence in congruences]
+    return [_residual(row, memo, tol) for row in plan.rows]
 
 
 def congruence_residual(form: FormData, congruence: Congruence,
@@ -703,8 +706,8 @@ def congruence_residual(form: FormData, congruence: Congruence,
     instantiated from the form.  Its classes and instantiated scalars must
     be rational, as every certificate's are: ``ValueError`` names the
     first that is not."""
-    plan = _Plan(cfg.precision + _CUT_GUARD, cfg.points)
-    (residual,) = _residuals(form, [congruence], plan)
+    plan = _Plan(cfg.precision + _CUT_GUARD, cfg.points, (_row(congruence),))
+    (residual,) = _residuals(form, plan)
     return _ulps(residual, plan.W)
 
 
@@ -766,8 +769,7 @@ def suggest_points(congruence: Congruence,
     congruence, or ``ConfigurationError`` naming the height they reach when
     some image of some class in it lies below y_min, an int or a Fraction."""
     floor = _rational(y_min, "y_min")
-    mats = frozenset(mat for _, mat, _ in _signed_terms(congruence))
-    best, points = _search_points(mats, _Plan())
+    best, points = _search_points(_row(congruence)[2], _Plan())
     if best < floor:
         raise ConfigurationError(
             f"no candidate points keep all images of {congruence.id} above "
@@ -1005,12 +1007,12 @@ def run_formcheck(form: FormData, cfg: EvalConfig = EvalConfig(),
         for p in (2, 3)]
     W = cfg.precision + _CUT_GUARD
     plan = _plan(form.level, cfg.points, W)
-    residuals = _residuals(form, plan.congruences, plan, tol)
+    residuals = _residuals(form, plan, tol)
     rows: List[Tuple] = []
-    for congruence, residual in zip(plan.congruences, residuals):
+    for (cid, _, _), residual in zip(plan.rows, residuals):
         # residual 2^-W < p/q, exactly in integers
         passed = residual * tol.denominator < tol.numerator << W
-        rows.append(("CONG", congruence.id, _ulps(residual, W), passed))
+        rows.append(("CONG", cid, _ulps(residual, W), passed))
     rows += hecke
     rows.append(("CUSP", cusp_decay_check(form).ok))
     # every row ends with its verdict
@@ -1023,7 +1025,6 @@ def certificate_residual_sweep(form: FormData, certificate: Certificate,
     """Max stroke residual of the form over every congruence the
     certificate establishes, by default at the points the battery searches;
     the numeric soundness bridge for the symbolic layer."""
-    plan = _Plan(cfg.precision + _CUT_GUARD, cfg.points)
-    residuals = _residuals(form, [step.result for step in certificate.steps],
-                           plan)
-    return _ulps(max(residuals, default=0), plan.W)
+    plan = _Plan(cfg.precision + _CUT_GUARD, cfg.points,
+                 tuple(_row(step.result) for step in certificate.steps))
+    return _ulps(max(_residuals(form, plan), default=0), plan.W)

@@ -83,12 +83,12 @@ def blowup_reference(k: int) -> BlowupResult:
                                         poly_mul(n2, poly_mul(d0, d1)))]
     nonzero = [i for i, c in enumerate(num) if not c.is_zero]
     if not nonzero:
-        return BlowupResult(0, True, False)
+        return BlowupResult(0, True)
     den = poly_mul(d0, poly_mul(d1, d2))
     vden = next(i for i, c in enumerate(den) if not c.is_zero)
     # the lowest nonzero coefficients of num and den have a nonzero
     # quotient: that quotient leads the expansion at z = 0
-    return BlowupResult(max(vden - nonzero[0], 0), False, True)
+    return BlowupResult(max(vden - nonzero[0], 0), False)
 
 
 def tilde_g_reference(k: int) -> Tuple[int, int, int]:

@@ -588,6 +588,17 @@ class TestEta:
         code, out, err = run_cli(capsys, "formcheck", str(path))
         assert (code, out.splitlines()[-1], err) == (0, "FORMCHECK OK", "")
 
+    @pytest.mark.parametrize("factors, plain, header", [
+        ("1:24,13:2,13:-2", "1:24", "# k=12 N=1 eps=+1"),
+        ("1:2,11:2,13:1,13:-1", "1:2,11:2", "# k=2 N=11 eps=-1")])
+    def test_level_is_read_from_the_net_exponents(self, capsys, factors,
+                                                  plain, header):
+        # the pairs at 13 cancel: the product is the one without them, and
+        # so are its header's level and Fricke sign
+        code, out, err = run_cli(capsys, "eta", factors, "3")
+        assert (code, out.splitlines()[0], err) == (0, header, "")
+        assert run_cli(capsys, "eta", plain, "3") == (code, out, err)
+
     def test_level13_square_has_no_integer_expansion(self, capsys):
         code, out, err = run_cli(capsys, "eta", "1:2,13:2", "32")
         assert code == 1

@@ -910,8 +910,7 @@ class TestIntegerGeometry:
         assert (battery[-1].id == "delta2") == (level == 13)
         plan = numeric._Plan()
         for congruence in battery:
-            numeric._search_points(frozenset(
-                mat for _, mat, _ in numeric._signed_terms(congruence)), plan)
+            numeric._search_points(numeric._row(congruence)[2], plan)
         points = []
         monkeypatch.setattr(numeric, "_evaluate",
                             lambda form, point, q, W, scaled, label="":
@@ -1121,22 +1120,24 @@ class TestFormcheck:
     def test_second_battery_reads_the_plan(self, monkeypatch):
         # the plan is the level's, not the form's: a battery on another
         # form at the same level, points and precision makes no record, no
-        # search, no certificate and no q at an image point; it
+        # search, no certificate and no q at an image point, and reads each
+        # congruence's terms off the plan without sorting a side again; it
         # instantiates each distinct scalar once, in 12 field products
         assert run_formcheck(delta_form()).ok
         calls = {name: [] for name in ("_Image", "_search_points", "_q_power",
-                                       "build_f_certificate", "__mul__")}
+                                       "build_f_certificate", "__mul__",
+                                       "terms")}
         for owner, name in ((numeric, "_Image"), (numeric, "_search_points"),
                             (numeric, "_q_power"),
                             (level13, "build_f_certificate"),
-                            (QuadElem, "__mul__")):
+                            (QuadElem, "__mul__"), (RingElem, "terms")):
             def counted(*args, name=name, original=getattr(owner, name)):
                 calls[name].append(args)
                 return original(*args)
             monkeypatch.setattr(owner, name, counted)
         cold = run_formcheck(delta_e4_form()).lines()
         assert cold[-1] == "FORMCHECK OK"
-        assert [len(calls[name]) for name in calls] == [0, 0, 0, 0, 12]
+        assert [len(calls[name]) for name in calls] == [0, 0, 0, 0, 12, 0]
         numeric._plan.cache_clear()
         monkeypatch.undo()
         assert run_formcheck(delta_e4_form()).lines() == cold

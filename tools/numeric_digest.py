@@ -25,10 +25,10 @@ point of ``EVAL_XS`` x ``EVAL_YS`` and every precision in ``EVAL_PRECS``,
 then at each point of ``REFUSED_POINTS``, whose coordinates are not ints or
 Fractions, so that the evaluator refuses it.  Last, each file's default
 ``run_formcheck`` rows are printed once more.  The process keeps the
-battery plans (congruences, points, image records and q balls) of its
-last eight (level, points, precision) triples, so with a file or two this
-block runs on the plan the first block made, after the ``BUDGETS`` runs
-at other precisions, and it must repeat the first block.
+battery plans (each congruence's row, points, image records and q balls)
+of its last eight (level, points, precision) triples, so with a file or
+two this block runs on the plan the first block made, after the
+``BUDGETS`` runs at other precisions, and it must repeat the first block.
 Every ``mpf``/``mpc`` is printed as its ``repr`` at 256 bits, the default
 ``EvalConfig`` precision of the formcheck and Fricke calls, or at 1024 bits
 in the ``eval_form`` section, whose precisions reach 1024.  The balls take
