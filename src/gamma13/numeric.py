@@ -4,13 +4,13 @@ Evaluation is midpoint-radius ball arithmetic at a configured precision,
 but everything that decides *where* to evaluate is exact: a point is
 given as (x, y) with int or Fraction coordinates (``_upper`` refuses a
 float, a string or an element of Q(sqrt 13) with ``TypeError``), and from
-there to Horner's rule it is the int triple (X, Y, R) of ``_common``,
+there to the sum it is the int triple (X, Y, R) of ``_common``,
 z = (X + iY)/R, as are its images under matrix classes; the point search
 compares heights by integer cross-multiplication.  No floor bounds how
 low an image may lie: the ball radius decides.
 
 One private evaluator, ``_evaluate``, is the only code that sums a
-truncated expansion (by Horner's rule) and bounds what the truncation
+truncated expansion (by blocks, below) and bounds what the truncation
 leaves out; ``eval_form``, ``stroke_value`` and every congruence residual
 go through it.  The bound rests on the crude coefficient growth bound
 |a_n| <= n^k, which building a ``FormData`` (in ``qseries``) checks on
@@ -20,7 +20,7 @@ every carried coefficient with n >= 1:
 
 with x = e^{-2 pi Im z} and M the first exponent beyond the truncation.
 The sum is cut short by the truncation rule of Johansson's Arb (IEEE
-Trans. Comput. 66(8), 2017): Horner runs over the first n carried
+Trans. Comput. 66(8), 2017): the sum runs over the first n carried
 coefficients only, n the least count whose bound at M = offset + n is at
 most 2^-W, W = prec + 32 bits, or over all of them when no count is; at a
 point too low for the bound to exist even past L (rho x >= 1 at
@@ -36,27 +36,52 @@ q (and q^offset) is enclosed on Python ints too, from the triple: t x
 is floored to the working scale and reduced mod 1 exactly, and exp of
 2 pi i t z / 2^s is summed by Taylor's series at W + 2s + 10 bits and
 squared back s times, each error carried in the radius, so q's ball is
-one or two ulps wide; pi is mpmath's ``mpf_pi``, taken as 2 ulps off.  A
-Horner step forms the product's parts from three products (Gauss), floors
-them, adds the coefficient scaled once per call and sets r = ((|acc|_1 dq
-+ r (|q| + dq)) >> W) + 3 (4 after a Fraction), dq the radius of q and |q|
-bounded by isqrt(qr^2 + qi^2) + 1, the Euclidean norm of its midpoint
-rounded up: rigorous because the ball is a disk, and below 1 with |q|,
-so the radius does not compound over the steps as it would under
-|qr| + |qi|, which exceeds 1 wherever |q| > 1/sqrt 2.  The
-tail bound, from upper bounds on |q| and |q^offset| rounded up, is an int
-of ulps rounded up: x^n keeps its own binary exponent, with its W-bit
-mantissa rounded up at each product, and one ceiling division ends it.
-It joins r, so the ball holds f(z) even where the cut is not reached.
+one or two ulps wide; pi is mpmath's ``mpf_pi``, taken as 2 ulps off.
+
+The n terms are summed by rectangular splitting (Paterson-Stockmeyer,
+SIAM J. Comput. 2(1), 1973; Johansson, ARITH 2015, as in Arb), in
+``_block_sum``.  Its work runs at V = W + G bits, G = ``_GUARD`` = 64:
+q is enclosed once more at V, and q^0 ... q^m, m = ``_BLOCK`` = 32, are
+formed from it as balls at V, kept with q at W per point.  The form's
+coefficients are put over their least common denominator D once per call,
+as ints c_j D with prefix sums of |c_j D|.  Each block of at most m
+coefficients is then one exact dot product with the midpoints of q^0 ...
+q^(m-1), summed in C, and its radius is the largest of their radii times
+the block's sum of |c_j D|.  Horner's rule in q^m joins the ceil(n/m)
+blocks at scale D 2^-V.  Each of its steps, like each step that forms a
+power, makes the product's parts from three products (Gauss), floors them
+and sets r = ((|acc|_1 dq + r (|q| + dq)) >> V) + 3, dq the radius of the
+factor and |q| bounded by the Euclidean norm of its midpoint rounded up:
+rigorous because the ball is a disk, and below 1 with |q|, so the radius
+does not compound as it would under |qr| + |qi|, which exceeds 1 wherever
+|q| > 1/sqrt 2.  The budget is thus 3 units of 2^-V per power and per
+block step, and a block's radius is a power's radius scaled by the
+block's sum of |c_j|, up to m max |c_j|, before the steps after it shrink
+it by |q^m| each: the G guard bits leave room for that growth, so on
+every evaluation of the tested batteries the radius is at most that of
+Horner's rule at W.  One floor by D 2^G returns the sum to scale 2^-W:
+the radius is rounded up, and each part the floor moves adds one ulp.
+Only the powers, the blocks and their Horner run at V; q, q^offset, the
+cut and its tail bound, the product by q^offset and every residual run
+at W.
+
+The tail bound, from upper bounds on |q| and |q^offset| rounded up, is
+an int of ulps rounded up: x^n keeps its own binary exponent, with its
+W-bit mantissa rounded up at each product, and one ceiling division ends
+it.  It joins r, so the ball holds f(z) even where the cut is not
+reached.
 Stroke factors times instantiated scalars are exact rationals, each part
 floored once to the scale; a residual, the ``max_residual`` that
-``formcheck`` prints and compares, is |sum of the midpoints| plus the sum
-of the radii: a certified bound.  ``run_formcheck``'s tolerance is the
-only one: a congruence passes when that bound is below it, and radii that
-alone reach it decide nothing, so the battery stops with
-``PrecisionError``.  The balls take W as an argument and never read or set
-mpmath's global context: of mpmath they take pi, and ``_ulps`` makes their
-results exact mpfs.  Only lambda and ``density_search`` run in mpmath's
+``formcheck`` compares, is |sum of the midpoints| plus the sum of the
+radii: a certified bound.  ``run_formcheck``'s tolerance is the only one:
+a congruence passes when that bound is below it, and radii that alone
+reach it decide nothing, so the battery stops with ``PrecisionError``.
+A PASS row whose bound is below 2^-prec prints ``max_residual<2^-prec``:
+its digits are rounding noise at W = prec + 32, which any change of
+kernel or sample points moves, and its verdict does not rest on them.
+The balls take W as an argument and never read or set mpmath's global
+context: of mpmath they take pi, and ``_ulps`` makes their results exact
+mpfs.  Only lambda and ``density_search`` run in mpmath's
 floats at its precision.
 
 Congruences are tested pointwise through the weight-k stroke action
@@ -92,15 +117,17 @@ finishes the image and the factor.
 What does not depend on the form is a plan, ``_Plan``: each congruence's
 ``_row``, the classes' representatives, these records, the points chosen
 for each set of classes (congruences on the same classes reuse them), each
-image point that ``_stroke`` took and q there, by the point mod 1, where
-q's ball is the same ints.  ``run_formcheck`` takes the plan of its (level,
+image point that ``_stroke`` took with its automorphy factor per weight,
+and q with its powers there, by the point mod 1, where their balls are
+the same ints.  ``run_formcheck`` takes the plan of its (level,
 points, W) from ``_plan``, which keeps the last ``_PLANS`` for the process,
 so a second battery there builds no certificate, derives no terms, searches
-no points and encloses no q.  The other entry points take arbitrary
-congruences, classes or points and make a plan per call.  What depends on
-the form is a memo, ``_Memo``, that dies with the call: each scalar's
-rational value, the scaled coefficients, f at each image point (mod 1 for
-an int offset), and the factor and value of each (class, point).
+no points and encloses no q, nor, at a weight it has seen, computes a
+factor.  The other entry points take arbitrary congruences, classes or
+points and make a plan per call.  What depends on the form is a memo,
+``_Memo``, that dies with the call: each scalar's rational value, the
+coefficients over their common denominator, f at each image point (mod 1
+for an int offset), and the factor and value of each (class, point).
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -118,10 +145,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpc, mpf
@@ -272,21 +300,22 @@ def _cut_estimate(k: int, offset: float, least: int, length: int, z,
     return min(length + 1, max(least, n))
 
 
-def _evaluate(form: FormData, z, q: Ball, W: int, scaled, label="") -> Ball:
-    """The ball at scale 2^-W, W an argument, that holds f at the point
-    z = (X, Y, R) of ``_common``, by the cut of the module docstring:
-    ``PrecisionError``, prefixed by ``label``, when no bound past L exists
-    (rho x >= 1).  The cut is the least n with offset + n >= 1 whose bound,
-    rounded up to whole ulps by ``_tail_bound``, is at most one ulp, or
-    L + 1 when none is; that bound joins the radius.  q is the caller's
-    ``_q_power(z, 1, W)`` and q^offset comes from ``_q_power``, and x bounds
-    |q| by the Euclidean norm of q's midpoint rounded up plus its radius.
-    ``scaled``, the caller's ``_scaled`` list, is extended to the cut."""
+def _evaluate(memo: _Memo, z, powers: _Powers, label="") -> Ball:
+    """The ball at scale 2^-W, W the memo's plan's, that holds the memo's f
+    at the point z = (X, Y, R) of ``_common``, by the cut of the module
+    docstring: ``PrecisionError``, prefixed by ``label``, when no bound past
+    L exists (rho x >= 1).  The cut is the least n with offset + n >= 1
+    whose bound, rounded up to whole ulps by ``_tail_bound``, is at most one
+    ulp, or L + 1 when none is; that bound joins the radius.  ``powers`` is
+    the caller's ``_powers(z, W)``: x is the ``_norm`` of its q,
+    ``_block_sum`` sums the first n terms from its powers, and q^offset
+    comes from ``_q_power``."""
+    form, W = memo.form, memo.plan.W
     series, k = form.series, form.weight
     offset, length = series.offset, series.length  # an int or a Fraction
+    q = powers.q
     shift = q if offset == 1 else _q_power(z, offset, W)
-    x, x_offset = (math.isqrt(re * re + im * im) + 1 + r
-                   for re, im, r in (q, shift))
+    x, x_offset = _norm(q), _norm(shift)
     # the growth bound covers exponents >= 1 only: no term below is dropped
     least = max(0, math.ceil(1 - offset))
     n = _cut_estimate(k, float(offset), least, length, z, W)
@@ -300,8 +329,7 @@ def _evaluate(form: FormData, z, q: Ball, W: int, scaled, label="") -> Ball:
         if tail is None:
             raise PrecisionError(f"{label}no tail bound past L={length} at "
                                  f"Im z = {Fraction(z[1], z[2])}")
-    scaled += _scaled(series.coeffs[len(scaled):n], W)
-    re, im, r = _mul(_horner(scaled[:n], q, x, W), shift, W)
+    re, im, r = _mul(_block_sum(memo, n, powers), shift, W)
     # the bound at the cut, in whole ulps, joins the radius
     return re, im, r + tail
 
@@ -318,29 +346,81 @@ def _mul(a: Ball, b: Ball, W: int) -> Ball:
              + 3))
 
 
-def _scaled(coeffs, W: int) -> List[Tuple[int, int]]:
-    """Each coefficient with the radius its Horner step adds: (c 2^W, 3)
-    for an int c and (floor(p 2^W / q), 4) for a Fraction p/q."""
-    return [(c << W, 3) if type(c) is int
-            else ((c.numerator << W) // c.denominator, 4) for c in coeffs]
+#: Coefficients per block of ``_block_sum``: the powers q^0 ... q^(m-1) and
+#: q^m, m = _BLOCK, are kept per point.
+_BLOCK = 32
+
+#: Guard bits of ``_block_sum``: its powers and sums run at V = W + _GUARD
+#: bits, room for a block's radius, a power's radius times the block's sum
+#: of |c_j|, to grow before it is rounded to 2^-W (module docstring).
+_GUARD = 64
 
 
-def _horner(coeffs, q: Ball, qn: int, W: int) -> Ball:
-    """sum_j c_j q^j by Horner's rule on balls at scale 2^-W from the
-    ``_scaled`` pairs (c_j 2^W, step): each step is ``_mul`` by q, written
-    out as a call costs a fifth of it, but with |q| + dq as ``qn``, the
-    Euclidean bound isqrt(qr^2 + qi^2) + 1 + dq of the tail bound:
-    r = ((|acc|_1 dq + r qn) >> W) + step.  Three products make the parts,
-    the same ints as four (Gauss; Knuth, TAOCP 2, 4.6.4): t = qr (re + im),
-    re qr - im qi = t - im (qr + qi) and re qi + im qr = t + re (qi - qr)."""
+#: q at a point as the ball ``q`` at scale 2^-W and, at scale 2^-V,
+#: V = W + _GUARD, the midpoints ``re`` and ``im`` of q^0 ... q^(m-1), the
+#: largest of their radii ``r``, and q^m as the ball ``top`` with its
+#: ``_norm``, ``norm``.
+_Powers = namedtuple("_Powers", "q re im r top norm")
+
+
+def _norm(ball: Ball) -> int:
+    """isqrt(re^2 + im^2) + 1 + r: the Euclidean norm of the ball's
+    midpoint rounded up, plus its radius, so a bound on |w| for every w in
+    the ball, a disk.  It is below 1 when the disk is, unlike |re| + |im|,
+    which exceeds 1 wherever |w| > 1/sqrt 2."""
+    re, im, r = ball
+    return math.isqrt(re * re + im * im) + 1 + r
+
+
+def _times(a: Ball, q: Ball, qn: int, V: int) -> Ball:
+    """a q at scale 2^-V, qn the ``_norm`` of q.  The parts are made from
+    three products (Gauss; Knuth, TAOCP 2, 4.6.4): t = qr (re + im),
+    re qr - im qi = t - im (qr + qi) and re qi + im qr = t + re (qi - qr),
+    each floored, and the radius is ((|a|_1 dq + r qn) >> V) + 3: one unit
+    for its own floor and two for the midpoint's (sqrt 2 < 2)."""
+    re, im, r = a
     qr, qi, dq = q
-    qs, qd = qr + qi, qi - qr
-    re = im = r = 0
-    for c, step in reversed(coeffs):
-        t = qr * (re + im)
-        re, im, r = (((t - im * qs) >> W) + c, (t + re * qd) >> W,
-                     (((abs(re) + abs(im)) * dq + r * qn) >> W) + step)
-    return re, im, r
+    t = qr * (re + im)
+    return ((t - im * (qr + qi)) >> V, (t + re * (qi - qr)) >> V,
+            (((abs(re) + abs(im)) * dq + r * qn) >> V) + 3)
+
+
+def _powers(z, W: int) -> _Powers:
+    """q at the point z = (X, Y, R) of ``_common``: ``_q_power(z, 1, W)``,
+    and, at scale 2^-V, V = W + _GUARD, q^0 = 1 and each next power the
+    last ``_times`` q enclosed at V by ``_q_power(z, 1, V)``."""
+    V = W + _GUARD
+    q = _q_power(z, 1, V)
+    qn, power = _norm(q), (1 << V, 0, 0)
+    res, ims, widest = [], [], 0
+    for _ in range(_BLOCK):
+        res.append(power[0])
+        ims.append(power[1])
+        widest = max(widest, power[2])
+        power = _times(power, q, qn, V)
+    return _Powers(_q_power(z, 1, W), res, ims, widest, power, _norm(power))
+
+
+def _block_sum(memo: _Memo, n: int, powers: _Powers) -> Ball:
+    """sum_{j < n} c_j q^j as a ball at scale 2^-W, W the memo's plan's, by
+    the block sum of the module docstring, from ``_Memo.integers`` and
+    ``powers``: each block of at most m = ``_BLOCK`` coefficients is added
+    to the sum so far ``_times`` q^m, whose ``norm`` the powers keep."""
+    ints, sums, den = memo.integers(n)
+    V = memo.plan.W + _GUARD
+    _, pre, pim, pr, top, norm = powers
+    acc = 0, 0, 0
+    for start in reversed(range(0, n, _BLOCK)):
+        end = min(start + _BLOCK, n)
+        block = ints[start:end]
+        re, im, r = _times(acc, top, norm, V)
+        acc = (re + sum(map(operator.mul, block, pre)),
+               im + sum(map(operator.mul, block, pim)),
+               r + pr * (sums[end] - sums[start]))
+    re, im, r = acc
+    unit = den << _GUARD
+    return (re // unit, im // unit,
+            -(-r // unit) + (re % unit > 0) + (im % unit > 0))
 
 
 #: Halvings of the q argument below its size: the Taylor series of exp
@@ -449,7 +529,7 @@ def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     upper half-plane, x and y ints or Fractions, returning the midpoint of
     the ball with its radius, which bounds |f(z) - value|."""
     W, z = cfg.precision + _CUT_GUARD, _common(*_upper(z))
-    return _result(_evaluate(form, z, _q_power(z, 1, W), W, []), W)
+    return _result(_evaluate(_Memo(form, _Plan(W)), z, _powers(z, W)), W)
 
 
 @dataclass
@@ -459,10 +539,12 @@ class _Plan:
     tests (``rows``) and its fixed ``points`` (None: searched), and, filled
     in as first asked for, each class's integer representative
     (``classes``), the points chosen per set of classes (``chosen``), each
-    (class, point)'s ``_image`` record (``images``) and reduced image point
-    (``targets``), and q as a ball at each image point (``qs``).  An entry
-    is a function of its key, so threads that fill one plan at once can
-    only repeat work, never store a different value."""
+    (class, point)'s ``_image`` record (``images``), reduced image point
+    (``targets``) and, per weight k, exact automorphy factor (``factors``,
+    keyed by (class, point, k)), and q with its powers, the ``_powers``, at
+    each image point mod 1 (``qs``).  An entry is a function of its key, so
+    threads that fill one plan at once can only repeat work, never store a
+    different value."""
 
     W: Optional[int] = None
     points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
@@ -471,11 +553,13 @@ class _Plan:
     chosen: Dict = field(default_factory=dict)
     images: Dict = field(default_factory=dict)
     targets: Dict = field(default_factory=dict)
+    factors: Dict = field(default_factory=dict)
     qs: Dict = field(default_factory=dict)
 
 
 #: The most plans ``_plan`` keeps: one per (level, points, W), each of
-#: about 0.14 MB (level 1) to 0.3 MB (level 13), as tracemalloc counts.
+#: about 0.28 MB (level 1) to 0.68 MB (level 13) at W = 288, as tracemalloc
+#: counts; q's powers at each image point are most of it.
 _PLANS = 8
 
 
@@ -483,7 +567,8 @@ _PLANS = 8
 def _plan(level: int, points, W: int) -> _Plan:
     """The battery's plan at a level, sample points (None: searched) and
     scale, kept for the process: a second battery there reads its rows,
-    points, image records and q balls instead of deriving them again; the
+    points, image records, factors and q's powers instead of deriving them
+    again; the
     f certificate the rows come from is built once and dropped.  The least
     recently used of more than ``_PLANS`` plans is dropped."""
     return _Plan(W, points, tuple(map(_row, _battery(level))))
@@ -494,15 +579,37 @@ class _Memo:
     """What one call computes from the form, beside its ``plan``: each
     ``ScalarPoly``'s rational value, a Fraction (``scalars``), f at each
     image point, mod 1 for an int offset (``values``), the exact factor and
-    f value of each (class, point) that ``_stroke`` took (``strokes``), and
-    the ``_scaled`` coefficients read so far (``scaled``), for one call."""
+    f value of each (class, point) that ``_stroke`` took (``strokes``), and,
+    read as far as a cut has asked, the coefficients c_j as the ints c_j D
+    over their least common denominator D (``ints``) and the prefix sums of
+    their absolute values (``sums``), for one call."""
 
     form: FormData
     plan: _Plan
     scalars: Dict = field(default_factory=dict)
     values: Dict = field(default_factory=dict)
     strokes: Dict = field(default_factory=dict)
-    scaled: List = field(default_factory=list)
+    ints: List = field(default_factory=list)
+    sums: List = field(default_factory=lambda: [0])
+
+    @functools.cached_property
+    def den(self) -> int:
+        """D, the least common denominator of all carried coefficients."""
+        return math.lcm(*(c.denominator for c in self.form.series.coeffs
+                          if type(c) is not int))
+
+    def integers(self, n: int) -> Tuple[List[int], List[int], int]:
+        """``ints`` and ``sums``, read to at least n coefficients, and D."""
+        ints, sums, den = self.ints, self.sums, self.den
+        if len(ints) < n:
+            new = self.form.series.coeffs[len(ints):n]
+            if den > 1:
+                new = [c * den if type(c) is int
+                       else c.numerator * (den // c.denominator) for c in new]
+            ints += new
+            # accumulate yields its initial value first: it is put back
+            sums += accumulate(map(abs, new), initial=sums.pop())
+        return ints, sums, den
 
     @functools.cached_property
     def symbols(self) -> Tuple[Fraction, Fraction, int]:
@@ -573,13 +680,15 @@ def _stroke(memo: _Memo, mat: ProjMat, z: Tuple[int, int, int],
     det > 0.  The image is finished from the class's ``_image`` record: Mz
     is (((AX + BR) u + ACY^2) + i det Y R)/N, kept as the triple of
     ``_common``, the three ints over their gcd.  The plan keeps the image
-    point of each (class, point) and q there mod 1, the memo the factor and
-    value of each (class, point) and f at each image point, mod 1 for an
-    int offset, so each is computed once.  ``label`` prefixes errors."""
+    point and factor of each (class, point) and q there mod 1, the memo the
+    factor and value of each (class, point) and f at each image point, mod
+    1 for an int offset, so each is computed once.  ``label`` prefixes
+    errors."""
     key = (mat, z)
     stroke = memo.strokes.get(key)
     if stroke is None:
         plan, form = memo.plan, memo.form
+        k = form.weight
         image = _image(plan, mat, z)
         point = plan.targets.get(key)
         if point is None:
@@ -594,12 +703,14 @@ def _stroke(memo: _Memo, mat: ProjMat, z: Tuple[int, int, int],
         at = reduced if type(form.series.offset) is int else point
         value = memo.values.get(at)
         if value is None:
-            q = plan.qs.get(reduced)
-            if q is None:
-                q = plan.qs[reduced] = _q_power(reduced, 1, plan.W)
-            value = memo.values[at] = _evaluate(form, at, q, plan.W,
-                                                memo.scaled, label)
-        stroke = memo.strokes[key] = _automorphy(form.weight, image), value
+            powers = plan.qs.get(reduced)
+            if powers is None:
+                powers = plan.qs[reduced] = _powers(reduced, plan.W)
+            value = memo.values[at] = _evaluate(memo, at, powers, label)
+        factor = plan.factors.get((mat, z, k))
+        if factor is None:
+            factor = plan.factors[(mat, z, k)] = _automorphy(k, image)
+        stroke = memo.strokes[key] = factor, value
     return stroke
 
 
@@ -939,18 +1050,30 @@ def _format_residual(x: mpf) -> str:
 
 @dataclass(frozen=True)
 class FormcheckReport:
+    """The battery's rows, its verdict, the largest residual, and the
+    precision in bits (``--prec``) the battery ran at."""
+
     rows: Tuple[Tuple, ...]
     ok: bool
     max_residual: mpf
+    precision: int
 
     def lines(self) -> List[str]:
+        """The report as ``formcheck`` prints it.  A PASS row whose bound is
+        below 2^-precision prints ``max_residual<2^-{precision}``: its digits
+        are the evaluator's rounding noise at W = precision + 32 bits, which
+        a change of kernel or points moves.  A FAIL row, and one at or above
+        2^-precision, prints its bound by ``_format_residual``."""
         out = []
+        floor = mp.ldexp(1, -self.precision)  # exact, whatever mp.prec is
         for row in self.rows:
             kind = row[0]
             if kind == "CONG":
                 _, cid, residual, passed = row
-                out.append(f"CONG {cid} "
-                           f"max_residual={_format_residual(residual)} "
+                bound = (f"<2^-{self.precision}"
+                         if passed and residual < floor
+                         else f"={_format_residual(residual)}")
+                out.append(f"CONG {cid} max_residual{bound} "
                            f"verdict={'PASS' if passed else 'FAIL'}")
             elif kind == "HECKE":
                 # the stroke identity is the recursion times p^(1-k/2) != 0,
@@ -1017,7 +1140,7 @@ def run_formcheck(form: FormData, cfg: EvalConfig = EvalConfig(),
     rows.append(("CUSP", cusp_decay_check(form).ok))
     # every row ends with its verdict
     return FormcheckReport(tuple(rows), all(row[-1] for row in rows),
-                           _ulps(max(residuals), W))
+                           _ulps(max(residuals), W), cfg.precision)
 
 
 def certificate_residual_sweep(form: FormData, certificate: Certificate,

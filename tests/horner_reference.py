@@ -1,6 +1,5 @@
 """Horner's rule on balls with four products a step: the tests' reference
-for ``numeric._horner``, which reads pre-scaled coefficients and forms each
-product from three.
+for ``numeric._block_sum``, which sums by blocks of kept powers of q.
 
     sum_j coeffs[j] q^j
 
@@ -12,9 +11,10 @@ truncates both parts, and sets
 
 qn an upper bound on |q| + dq; then it adds the coefficient, c 2^W exactly
 for an int and floor(p 2^W / q), with one more ulp of radius, for a
-Fraction p/q.  The two evaluators must agree bit for bit, since the three
-products are the same ints as the four.  pytest collects no test from this
-module.
+Fraction p/q.  The block sum rounds in other places, so the two balls
+differ in their digits; the tests require them to overlap, and on the
+evaluations a battery makes, the block sum's radius to be at most this
+one's.  pytest collects no test from this module.
 """
 
 from __future__ import annotations

@@ -257,23 +257,30 @@ class TestFormcheck:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[-1] == "FORMCHECK OK"
-        assert any(line.startswith("CONG ax:P max_residual=") for line in lines)
+        # a PASS bound below 2^-prec prints as that floor, not as digits
+        assert "CONG ax:P max_residual<2^-256 verdict=PASS" in lines
         assert "HECKE p=2 recursion=PASS stroke=PASS" in lines
         assert "HECKE p=3 recursion=PASS stroke=PASS" in lines
         assert "CUSP decay verdict=PASS" in lines
 
     def test_residual_below_the_doubles_is_printed_not_zeroed(self, capsys,
                                                                 tmp_path):
-        # at 1100 bits every bound lies below 2^-1022, where a double keeps
-        # too few bits, and no nonzero bound may print as a zero
-        path = tmp_path / "delta3000.txt"
-        path.write_text(delta_file_text(length=3000))
+        # at 1100 bits the PASS bounds lie below 2^-1100 and print as that
+        # floor; a_130 raised by 1 breaks ax:H by about |q|^130, a bound
+        # below 2^-1022, where a double keeps too few bits, and no nonzero
+        # bound may print as a zero
+        lines = delta_file_text(length=3000).splitlines()
+        n, c = lines[130].split()
+        lines[130] = f"{n} {int(c) + 1}"
+        path = tmp_path / "delta3000-a130.txt"
+        path.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(capsys, "formcheck", str(path), "--prec",
-                                 "1100", "--tol", "1e-300")
-        assert (code, err) == (0, "")
+                                 "1100", "--tol", "1e-330")
+        assert (code, err) == (1, "")
         lines = out.splitlines()
-        assert lines[0] == "CONG ax:P max_residual=2.74e-340 verdict=PASS"
-        assert "CONG S3 max_residual=1.64e-335 verdict=PASS" in lines
+        assert lines[0] == "CONG ax:P max_residual<2^-1100 verdict=PASS"
+        assert lines[1] == "CONG ax:H max_residual=5.44e-320 verdict=FAIL"
+        assert "CONG ax:T3 max_residual=5.65e-320 verdict=FAIL" in lines
         assert not any("0.00e+00" in line for line in lines)
 
     def test_wrong_sign_fails_on_inversion_residual(self, capsys, tmp_path):

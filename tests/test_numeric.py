@@ -179,6 +179,18 @@ def rational_delta_form(L=512):
     return FormData(QSeries(1, coeffs), weight=12, level=1, sign=1)
 
 
+def large_denominator_form(L=512):
+    """Delta with each coefficient divided by a seeded prime below 400: the
+    common denominator is the product of 77 of those 78 primes, 534 bits."""
+    rng = random.Random(4111)
+    primes = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+    coeffs = [Fraction(c, rng.choice(primes))
+              for c in eta_product([(1, 24)], L).coeffs]
+    coeffs = [q.numerator if q.denominator == 1 else q for q in coeffs]
+    assert math.lcm(*(q.denominator for q in coeffs)).bit_length() > 300
+    return FormData(QSeries(1, coeffs), weight=12, level=1, sign=1)
+
+
 class TestBall:
     @pytest.mark.parametrize("prec", [1, 2, 53, 256, 1024])
     def test_ball_contains_the_full_sum(self, prec):
@@ -190,7 +202,8 @@ class TestBall:
                    Fraction(3, 20) + Fraction(rng.randint(0, 370), 200))
                   for _ in range(4)]
         points += [(Fraction(1, 2 ** 300), Fraction(1)), (Fraction(0), 2)]
-        for form in (delta_form(), fricke_form(), rational_delta_form()):
+        for form in (delta_form(), fricke_form(), rational_delta_form(),
+                     large_denominator_form()):
             for z in points:
                 result = eval_form(form, z, cfg)
                 with mp.workprec(2 * prec + 64):
@@ -217,29 +230,69 @@ class TestBall:
                 assert result.radius >= past, z
 
 
-class TestHorner:
-    """The three-product step on pre-scaled coefficients is the
-    four-product step of ``horner_reference``, bit for bit."""
+def overlap(a, b):
+    """Whether two balls (re, im, r) at one scale share a point."""
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 <= (a[2] + b[2]) ** 2
 
-    @pytest.mark.parametrize("W", [1, 2, 53, 288, 1056])
-    def test_step_matches_the_reference(self, W):
-        # q balls at seeded points, and seeded ints of either sign that no
-        # point gives; every length from none to all 513 coefficients
-        rng = random.Random(W)
-        balls = [numeric._q_power(numeric._common(
-            Fraction(rng.randint(-50, 50), 40),
-            Fraction(3, 20) + Fraction(rng.randint(0, 370), 200)), 1, W)
-            for _ in range(3)]
-        balls.append((rng.randint(-1 << W, 1 << W),
-                      rng.randint(-1 << W, 1 << W), rng.randint(1, 9)))
-        for form in (delta_form(), delta_e4_form(), rational_delta_form()):
-            coeffs = form.series.coeffs
-            scaled = numeric._scaled(coeffs, W)
-            for q in balls:
-                qn = math.isqrt(q[0] ** 2 + q[1] ** 2) + 1 + q[2]
-                for n in (0, 1, rng.randint(2, 512), 513):
-                    assert (numeric._horner(scaled[:n], q, qn, W)
-                            == reference_horner(coeffs[:n], q, qn, W)), n
+
+def reference_sum(memo, n, powers):
+    """``numeric._block_sum``'s sum by the four-product Horner of
+    ``horner_reference``, from the memo's coefficients as they are carried
+    and the W-bit q of ``powers``, with the Euclidean bound on |q|."""
+    qr, qi, dq = powers.q
+    return reference_horner(memo.form.series.coeffs[:n], powers.q,
+                            math.isqrt(qr * qr + qi * qi) + 1 + dq,
+                            memo.plan.W)
+
+
+class TestBlockSum:
+    """The block sum encloses what Horner's rule on balls encloses: its ball
+    overlaps that of ``horner_reference``, and on the evaluations a battery
+    makes its radius is at most the reference's."""
+
+    #: Level-1 heights, and level-13 ones down to 20/1521, where the low
+    #: images of a level-13 battery lie.
+    POINTS = ((Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(9, 10)),
+              (Fraction(13, 40), Fraction(3, 20)),
+              (Fraction(2, 13), Fraction(3, 13)),
+              (Fraction(-5, 13), Fraction(1, 52)),
+              (Fraction(3, 7), Fraction(20, 1521)))
+
+    @pytest.mark.parametrize("W", [1, 2, 53, 256, 1024])
+    def test_ball_overlaps_the_reference(self, W):
+        # every count from none to past two blocks, and 513
+        m = numeric._BLOCK
+        for form in (delta_form(), delta_e4_form(), large_denominator_form()):
+            memo = numeric._Memo(form, numeric._Plan(W))
+            for z in self.POINTS:
+                powers = numeric._powers(numeric._common(*z), W)
+                for n in (0, 1, m - 1, m, m + 1, 513):
+                    ours = numeric._block_sum(memo, n, powers)
+                    assert overlap(ours, reference_sum(memo, n, powers)), (
+                        z, n)
+                    if not n:
+                        assert ours == (0, 0, 0)
+
+    def test_battery_radius_is_at_most_the_reference(self, monkeypatch):
+        # every evaluation of batteries at levels 1 and 13, on integer and
+        # rational coefficients, at --prec 20, 256 and 1024
+        seen = []
+        original = numeric._block_sum
+
+        def checked(memo, n, powers):
+            ours, theirs = original(memo, n, powers), reference_sum(memo, n,
+                                                                     powers)
+            assert overlap(ours, theirs) and ours[2] <= theirs[2], n
+            seen.append(n)
+            return ours
+        monkeypatch.setattr(numeric, "_block_sum", checked)
+        for form in (delta_form(), delta_e4_form(), rational_delta_form(),
+                     FormData(eta_product([(1, 24)], 2048), 12, 13, 1)):
+            for prec, tol in ((20, Fraction(1, 10 ** 3)),
+                              (256, Fraction(1, 10 ** 15)),
+                              (1024, Fraction(1, 10 ** 15))):
+                run_formcheck(form, EvalConfig(precision=prec), tol)
+        assert len(seen) == 3 * (45 * 3 + 86)
 
 
 def bound_past(form, M, y):
@@ -370,7 +423,8 @@ class TestQPower:
 
 
 class TestTranslation:
-    """q, and f for an int offset, are the same ints at z + j as at z: the
+    """q and its powers, and f for an int offset, are the same ints at
+    z + j as at z: the
     reduction of t x mod 1 is exact.  A battery shares them between image
     points that differ by an integer; a fractional offset shares no f."""
 
@@ -383,14 +437,15 @@ class TestTranslation:
         forms = (delta_form(), delta_e4_form(), rational_delta_form())
         for x, y in self.POINTS:
             X, Y, R = numeric._common(x, y)
-            q = numeric._q_power((X, Y, R), 1, W)
-            values = [numeric._evaluate(form, (X, Y, R), q, W, [])
-                      for form in forms]
+            powers = numeric._powers((X, Y, R), W)
+            memos = [numeric._Memo(form, numeric._Plan(W)) for form in forms]
+            values = [numeric._evaluate(memo, (X, Y, R), powers)
+                      for memo in memos]
             for j in (-7, -1, 1, 2, 13, 10 ** 6):
                 moved = (X + j * R, Y, R)
-                assert numeric._q_power(moved, 1, W) == q, (x, y, j)
-                assert [numeric._evaluate(form, moved, q, W, [])
-                        for form in forms] == values, (x, y, j)
+                assert numeric._powers(moved, W) == powers, (x, y, j)
+                assert [numeric._evaluate(memo, moved, powers)
+                        for memo in memos] == values, (x, y, j)
 
     def test_a_fractional_offset_shares_no_value(self, monkeypatch):
         # the identity and z -> z + 1 at one point: Delta is evaluated once,
@@ -398,9 +453,9 @@ class TestTranslation:
         points = []
         original = numeric._evaluate
 
-        def counted(form, z, *args):
+        def counted(memo, z, *args):
             points.append(z)
-            return original(form, z, *args)
+            return original(memo, z, *args)
         monkeypatch.setattr(numeric, "_evaluate", counted)
         z, W = numeric._common(Fraction(1, 5), Fraction(1, 2)), 288
         shift = ProjMat.of([[1, 1], [0, 1]])
@@ -500,7 +555,7 @@ class TestTailBound:
         X = 1 << 288
         assert numeric._tail_bound(Fraction(1), 0, 12, X, X, 288) is None
 
-    #: (form, level, --prec, tolerance, Horner calls) of the batteries the
+    #: (form, level, --prec, tolerance, block sums) of the batteries the
     #: cut test runs: at level 13 the level-1 Delta fails ax:H, but its cuts
     #: are made alike; at 20 bits the tolerance is one the radii can meet
     CUT_BATTERIES = (
@@ -512,15 +567,18 @@ class TestTailBound:
     )
 
     def test_every_cut_of_the_battery_is_the_least(self, monkeypatch):
-        # each Horner length n of each battery is the least count whose
-        # bound is at most one ulp, so the cut's estimate never passes it
+        # each count n of terms summed in each battery is the least count
+        # whose bound is at most one ulp, so the cut's estimate never passes
+        # it; X bounds |q| as the tail bound's x does
         cuts = []
 
-        def counted(coeffs, q, qn, W):
-            cuts.append((len(coeffs), qn, W))
-            return original(coeffs, q, qn, W)
-        original = numeric._horner
-        monkeypatch.setattr(numeric, "_horner", counted)
+        def counted(memo, n, powers):
+            qr, qi, dq = powers.q
+            cuts.append((n, math.isqrt(qr * qr + qi * qi) + 1 + dq,
+                         memo.plan.W))
+            return original(memo, n, powers)
+        original = numeric._block_sum
+        monkeypatch.setattr(numeric, "_block_sum", counted)
         for make, level, prec, tol, count in self.CUT_BATTERIES:
             cuts.clear()
             form = make()
@@ -913,7 +971,7 @@ class TestIntegerGeometry:
             numeric._search_points(numeric._row(congruence)[2], plan)
         points = []
         monkeypatch.setattr(numeric, "_evaluate",
-                            lambda form, point, q, W, scaled, label="":
+                            lambda memo, point, powers, label="":
                             points.append(point) or (0, 0, 0))
         for (mat, z), image in plan.images.items():
             X, Y, R = z
@@ -1037,12 +1095,18 @@ class TestFormcheck:
         assert report.max_residual < mpf(10) ** -15
 
     def test_report_lines_format(self):
+        # every bound of Delta's battery is below 2^-256, and ax:H of its
+        # eps = -1 copy fails
         report = run_formcheck(delta_form())
         lines = report.lines()
-        pattern = re.compile(
-            r"CONG [\w:.]+ max_residual=\d\.\d\de[-+]\d+ verdict=PASS")
-        assert any(pattern.fullmatch(line) for line in lines)
-        assert any(line.startswith("CONG ax:P ") for line in lines)
+        cong = [line for line in lines if line.startswith("CONG ")]
+        assert len(cong) == 16
+        assert all(re.fullmatch(r"CONG [\w:.]+ max_residual<2\^-256 "
+                                r"verdict=PASS", line) for line in cong)
+        assert cong[0] == "CONG ax:P max_residual<2^-256 verdict=PASS"
+        wrong = run_formcheck(FormData(delta_form().series, 12, 1, -1))
+        assert re.fullmatch(r"CONG ax:H max_residual=\d\.\d\de[-+]\d+ "
+                            r"verdict=FAIL", wrong.lines()[1])
         assert any(line.startswith("HECKE p=2 ") for line in lines)
         assert any(line.startswith("CUSP ") for line in lines)
         assert lines[-1] == "FORMCHECK OK"
@@ -1059,11 +1123,35 @@ class TestFormcheck:
             "half-least-subnormal", "rounds-up-a-decade", "normal"])
     def test_report_line_prints_a_tiny_residual_as_it_is(self, residual, text):
         # a double holds x >= 2^-1022 to full precision and %.2e prints it;
-        # below, float() loses digits, and x <= 2^-1075 reads 0
-        report = FormcheckReport((("CONG", "ax:P", residual, True),), True,
-                                 residual)
-        assert report.lines() == [f"CONG ax:P max_residual={text} verdict=PASS",
-                                  "FORMCHECK OK"]
+        # below, float() loses digits, and x <= 2^-1075 reads 0; a FAIL row
+        # prints its bound, and so does a PASS row at or above 2^-precision
+        # (precision 1200 here): only a zero bound is below it
+        for passed in (False, True):
+            verdict = "PASS" if passed else "FAIL"
+            report = FormcheckReport((("CONG", "ax:P", residual, passed),),
+                                     passed, residual, 1200)
+            bound = "<2^-1200" if passed and not residual else f"={text}"
+            assert report.lines() == [
+                f"CONG ax:P max_residual{bound} verdict={verdict}",
+                f"FORMCHECK {'OK' if passed else 'FAIL'}"]
+
+    @pytest.mark.parametrize("precision", [1, 20, 256, 1100])
+    def test_a_pass_row_below_two_to_the_minus_prec_prints_that_floor(
+            self, precision):
+        # the floor is exact: 2^-precision itself prints its digits, a bound
+        # one ulp of 2^-(precision + 32) below it prints the floor, and a
+        # FAIL row prints its bound however small
+        floor = mp.ldexp(1, -precision)
+        below = floor - mp.ldexp(1, -precision - 32)
+        rows = (("CONG", "at", floor, True), ("CONG", "below", below, True),
+                ("CONG", "fail", below, False))
+        lines = FormcheckReport(rows, False, floor, precision).lines()
+        digits = numeric._format_residual
+        assert lines == [
+            f"CONG at max_residual={digits(floor)} verdict=PASS",
+            f"CONG below max_residual<2^-{precision} verdict=PASS",
+            f"CONG fail max_residual={digits(below)} verdict=FAIL",
+            "FORMCHECK FAIL"]
 
     def test_wrong_sign_fails_the_inversion_residual(self):
         report = run_formcheck(FormData(eta_product([(1, 24)], 512),
@@ -1173,21 +1261,58 @@ class TestFormcheck:
             assert formcheck(*run) == alone[run], run
 
     def test_battery_work_stays_at_its_floor(self, monkeypatch):
-        # a stroke factor per (class, point) instead of per stroke (116);
+        # a stroke factor per (class, point) instead of per stroke (116),
+        # kept in the plan, so a second battery of the weight makes none;
         # f once per image point mod 1 (56 image points) and none for the
-        # cusps; Horner cut at the tail; usually one tail bound per cut
-        calls = {"_automorphy": [], "_evaluate": [], "_horner": [],
+        # cusps; the sum cut at the tail; usually one tail bound per cut
+        calls = {"_automorphy": [], "_evaluate": [], "_block_sum": [],
                  "_tail_bound": []}
         for name in calls:
             def counted(*args, name=name, original=getattr(numeric, name)):
                 calls[name].append(args)
                 return original(*args)
             monkeypatch.setattr(numeric, name, counted)
-        assert run_formcheck(delta_form()).ok
-        assert len(calls["_automorphy"]) <= 62
-        assert len(calls["_evaluate"]) == 45
-        assert sum(len(coeffs) for coeffs, *_ in calls["_horner"]) == 4087
-        assert len(calls["_tail_bound"]) == 48
+        for form, factors in ((delta_form(), 62),
+                              (FormData(delta_form().series, 12, 1, -1), 0)):
+            for name in calls:
+                calls[name].clear()
+            run_formcheck(form)
+            assert len(calls["_automorphy"]) == factors
+            assert len(calls["_evaluate"]) == 45
+            assert sum(n for _, n, _ in calls["_block_sum"]) == 4087
+            assert len(calls["_tail_bound"]) == 48
+
+    #: (label, form, --prec, tolerance) of the batteries whose report lines
+    #: the kernel must not move
+    KERNEL_BATTERIES = tuple(
+        (label, make, prec, Fraction(1, 10 ** 3) if prec == 20
+         else Fraction(1, 10 ** 15))
+        for label, make in (
+            ("delta", delta_form), ("delta-2048", lambda: delta_form(2048)),
+            ("delta-eps", lambda: FormData(delta_form().series, 12, 1, -1)),
+            ("delta-a115+1", lambda: FormData(QSeries(1, [
+                c + (j == 114) for j, c in enumerate(delta_form().series
+                                                     .coeffs)]), 12, 1, 1)),
+            ("delta-e4", delta_e4_form),
+            ("5.4.a.a", lambda: FormData(eta_product([(1, 4), (5, 4)], 512),
+                                         4, 5, 1)),
+            ("11.2.a.a", lambda: FormData(
+                eta_product([(1, 2), (11, 2)], 1200), 2, 11, -1)),
+            ("delta-N13", lambda: FormData(delta_form(2048).series, 12, 13,
+                                           1)))
+        for prec in (20, 256, 512))
+
+    @pytest.mark.parametrize("label, make, prec, tol", KERNEL_BATTERIES,
+                             ids=[f"{b[0]}-{b[2]}" for b in KERNEL_BATTERIES])
+    def test_the_kernel_moves_no_report_line(self, monkeypatch, label, make,
+                                             prec, tol):
+        # Horner's rule in place of the block sum prints the same lines: a
+        # PASS bound below 2^-prec is printed as that floor, and the kernels
+        # differ far below it
+        form, cfg = make(), EvalConfig(precision=prec)
+        blocks = run_formcheck(form, cfg, tol).lines()
+        monkeypatch.setattr(numeric, "_block_sum", reference_sum)
+        assert run_formcheck(form, cfg, tol).lines() == blocks
 
     def test_radius_at_the_tolerance_is_a_budget_error(self):
         # at 20 bits the balls are too wide to decide anything at 1e-15
@@ -1231,13 +1356,13 @@ class TestAmbientPrecision:
 
     def test_battery_ignores_precision_set_between_steps(self, monkeypatch):
         plain = run_formcheck(delta_form()).lines()
-        calls, horner = [], numeric._horner
+        calls, block_sum = [], numeric._block_sum
 
         def noisy(*args):
             calls.append(None)
             mp.prec = 20 if len(calls) % 2 else 1024
-            return horner(*args)
-        monkeypatch.setattr(numeric, "_horner", noisy)
+            return block_sum(*args)
+        monkeypatch.setattr(numeric, "_block_sum", noisy)
         with mp.workprec(53):
             assert run_formcheck(delta_form()).lines() == plain
             assert mp.prec in (20, 1024)  # the noise reached the context

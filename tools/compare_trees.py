@@ -13,6 +13,11 @@ how many lines differ on each side, the first ``SHOWN`` lines of the
 diff, and the ``@@`` header of every hunk past them, so the extent of a
 change shows however many places it touches.  It exits 0 when both are
 identical and 1 otherwise.  It uses only the standard library and git.
+
+The numeric digest holds both the full-precision ``row`` lines and the
+``cli --prec P`` lines, the report as ``formcheck`` prints it.  A change
+of kernel or sample points moves the digits of the ``row`` lines; the
+diff shows apart from them whether it moves a printed line as well.
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ every ``run_formcheck`` row (or its budget error),
 ``certificate_residual_sweep`` over the f certificate of the file's level,
 ``eval_form`` (value and radius) and ``stroke_value`` at the same exact
 point, ``cusp_decay_check``, which decides exactly from the carried
-exponents and evaluates nothing, and the verdict line or the error text of
-``run_formcheck`` at each (precision, tolerance) pair in ``BUDGETS``.  It
-ends with
+exponents and evaluates nothing, the verdict line or the error text of
+``run_formcheck`` at each (precision, tolerance) pair in ``BUDGETS``, and
+the stdout, stderr and exit code of ``gamma13 formcheck FILE --prec P`` for
+each P in ``CLI_PRECS``: the report lines as printed, where a PASS bound
+below 2^-P reads ``max_residual<2^-P``, so that a change of kernel or
+sample points, which moves the full-precision digits of the ``row`` lines,
+shows whether it moves a printed line too.  It ends with
 the Fricke residuals of eta(z)^2 eta(13z)^2 on ``ax:H`` at
 ``FRICKE_POINTS_13`` for eps = -1 and +1 and its
 ``certificate_residual_sweep`` over every step of the level-13 f
@@ -72,6 +76,11 @@ ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
 #: of 1.23456789e-16 rounds up in its fifth digit).
 BUDGETS = ((1, "1e-15"), (20, "1e-15"), (40, "1e-400"),
            (30, "1.23456789e-16"), (8, "1e-9999"), (200, "1e-70"))
+
+
+#: The ``--prec`` values of the CLI ``formcheck`` runs: at 20 bits the
+#: default tolerance ends each level-1 battery in a budget error.
+CLI_PRECS = ("20", "256", "512")
 
 
 #: The floors ``suggest_points`` is asked to keep the points above; the
@@ -164,6 +173,14 @@ def digest_file(path: Path) -> None:
         _show(f"formcheck prec={prec} tol={tol}",
               lambda: numeric.run_formcheck(form, cfg, Fraction(tol))
               .lines()[-1])
+    for prec in CLI_PRECS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["formcheck", str(path), "--prec", prec])
+        for stream, text in (("out", out), ("err", err)):
+            for line in text.getvalue().splitlines():
+                print(f"cli --prec {prec} {stream} {line}")
+        print(f"cli --prec {prec} exit={code}")
 
 
 def digest_fricke(length: int = 512) -> None:
