@@ -11,19 +11,22 @@ Exit codes: 0 all requested checks passed, 1 a verification failed,
 quietly).  Reports go to stdout, diagnostics to stderr.
 ``formcheck`` runs on the checked form ``parse_coefficient_file`` returns,
 at the working precision --prec alone sets.
+
+Each subcommand imports what it runs, inside its ``cmd_`` function, and
+this module imports no other module of the package at load.  A user runs
+``gamma13`` once per check, in a fresh interpreter that compiles or reads
+every module it loads, so a layer one command never runs would cost every
+other command its start-up time: a cold ``eta`` loads ``qseries`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import List, Optional
-
-from .gamma0 import DecompositionError, decompose
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -39,7 +42,6 @@ def _usage(message: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # each command imports the layers it uses, so a start loads no others
     from .certificate import (CertificateError, certificate_from_json,
                               load_shipped_certificate, verify_certificate)
     try:
@@ -109,6 +111,9 @@ def cmd_formcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    import ast
+
+    from .gamma0 import DecompositionError, decompose
     try:
         rows = ast.literal_eval(args.matrix)
         if len(rows) != 2 or any(len(row) != 2 for row in rows):

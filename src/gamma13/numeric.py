@@ -150,7 +150,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_pi,
@@ -571,7 +572,7 @@ def _plan(level: int, points, W: int) -> _Plan:
     again; the
     f certificate the rows come from is built once and dropped.  The least
     recently used of more than ``_PLANS`` plans is dropped."""
-    return _Plan(W, points, tuple(map(_row, _battery(level))))
+    return _Plan(W, points, _rows(_battery(level)))
 
 
 @dataclass
@@ -737,13 +738,26 @@ def _hecke_scalar(form: FormData, p: int) -> Fraction:
         form.series.coefficient(p))
 
 
-def _row(congruence: Congruence) -> Tuple[str, Tuple, frozenset]:
+def _row(congruence: Congruence, seen: Optional[Dict] = None,
+         ) -> Tuple[str, Tuple, frozenset]:
     """What ``_residual`` reads: the id, the signed terms (sign, class,
-    ``ScalarPoly``), lhs then rhs by ``RingElem.terms()``, the class set."""
-    terms = tuple((sign, mat, poly) for sign, side in ((1, congruence.lhs),
-                                                       (-1, congruence.rhs))
+    ``ScalarPoly``), lhs then rhs by ``RingElem.terms()``, the class set.
+    A class or scalar equal to one in ``seen`` is replaced by that one, and
+    a new one is added to it: the first object seen wins."""
+    seen = {} if seen is None else seen
+    terms = tuple((sign, seen.setdefault(mat, mat), seen.setdefault(poly, poly))
+                  for sign, side in ((1, congruence.lhs), (-1, congruence.rhs))
                   for mat, poly in side.terms())
     return congruence.id, terms, frozenset(mat for _, mat, _ in terms)
+
+
+def _rows(congruences: Iterable[Congruence]) -> Tuple:
+    """Each congruence's ``_row``, interned through one dict: equal classes
+    and scalars across the rows are one object, so the dict hits of a plan
+    and of a memo, all keyed by them, are identity hits, not ``__eq__``
+    calls."""
+    seen: Dict = {}
+    return tuple(_row(congruence, seen) for congruence in congruences)
 
 
 def _residual(row: Tuple[str, Tuple, frozenset], memo: _Memo,
@@ -1149,5 +1163,5 @@ def certificate_residual_sweep(form: FormData, certificate: Certificate,
     certificate establishes, by default at the points the battery searches;
     the numeric soundness bridge for the symbolic layer."""
     plan = _Plan(cfg.precision + _CUT_GUARD, cfg.points,
-                 tuple(_row(step.result) for step in certificate.steps))
+                 _rows(step.result for step in certificate.steps))
     return _ulps(max(_residuals(form, plan), default=0), plan.W)

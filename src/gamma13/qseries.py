@@ -21,6 +21,13 @@ Building one checks all three and the growth bound |a_n| <= n^k on every
 carried coefficient, so ``parse_coefficient_file``, which returns one,
 hands on only checked forms.
 
+``QSeries`` and ``FormData`` are immutable slotted values: ``==`` and
+``hash`` compare their fields, assignment raises ``AttributeError``, and
+copies and pickles rebuild them through the constructor.  The module
+imports no other module of the package when it loads (``__pow__`` imports
+``binary_power`` when called), and no ``dataclasses``, which brings in
+``inspect``: ``gamma13 eta`` runs on this module and the CLI alone.
+
 The Hecke check verifies, purely on coefficients, the recursion
 
     a_{pn} - a_p a_n + p^{k-1} a_{n/p} = 0,
@@ -31,12 +38,9 @@ with a_{n/p} = 0 unless p divides n.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import List, NamedTuple, Sequence, Tuple, Union
-
-from .exactnum import binary_power
 
 Exact = Union[int, Fraction]
 
@@ -84,17 +88,49 @@ def _unpack(packed: int, count: int, width: int) -> List[int]:
             for i in range(0, size, width)]
 
 
-@dataclass(frozen=True)
-class QSeries:
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, in order:
+    ``==``, ``hash``, the text and pickling all read them."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # rebuilt through the checking constructor
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class QSeries(_Value):
     """q^offset times a truncated power series with exact coefficients."""
+
+    __slots__ = ("offset", "coeffs")
 
     offset: Exact
     coeffs: Tuple[Exact, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", _exact(self.offset))
-        object.__setattr__(self, "coeffs",
-                           tuple(_exact(c) for c in self.coeffs))
+    def __init__(self, offset, coeffs: Sequence[Exact]) -> None:
+        object.__setattr__(self, "offset", _exact(offset))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least one coefficient")
 
@@ -187,6 +223,8 @@ class QSeries:
     def __pow__(self, exponent: int) -> "QSeries":
         if not isinstance(exponent, int) or exponent < 1:
             raise ValueError("series exponent must be a positive integer")
+        # imported here: the field layer is not loaded for a plain expansion
+        from .exactnum import binary_power
         return binary_power(self, exponent)
 
     def invert(self) -> "QSeries":
@@ -246,7 +284,8 @@ def _euler_power(r: int, L: int) -> QSeries:
             factor = base(L)
             if r < 0:
                 factor = factor.invert()
-            factor = factor ** e
+            if e > 1:
+                factor = factor ** e
             acc = factor if acc is None else acc * factor
     for _ in range(s):
         acc = acc * acc
@@ -329,26 +368,30 @@ def hecke_check(series: QSeries, p: int, k: int, a_p) -> HeckeVerdict:
 # -- checked forms --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormData:
+class FormData(_Value):
     """A series with its weight k, level and inversion sign, all checked,
     and with |a_n| <= n^k checked on every carried coefficient."""
+
+    __slots__ = ("series", "weight", "level", "sign")
 
     series: QSeries
     weight: int
     level: int
     sign: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.weight, int) or self.weight < 2 or self.weight % 2:
+    def __init__(self, series: QSeries, weight: int, level: int,
+                 sign: int) -> None:
+        if not isinstance(weight, int) or weight < 2 or weight % 2:
             raise ValueError(f"weight must be a positive even integer, "
-                             f"got {self.weight}")
-        if type(self.level) is not int or self.level < 1:  # bool is no level
-            raise ValueError(f"level must be a positive integer, got {self.level!r}")
+                             f"got {weight}")
+        if type(level) is not int or level < 1:  # bool is no level
+            raise ValueError(f"level must be a positive integer, got {level!r}")
         # bool is no sign
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        _check_growth(self.series, self.weight)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        _check_growth(series, weight)
+        for name, value in zip(self.__slots__, (series, weight, level, sign)):
+            object.__setattr__(self, name, value)
 
 
 def _check_growth(series: QSeries, k: int) -> None:

@@ -709,14 +709,15 @@ def test_exact_commands_never_load_mpmath():
     assert json.loads(result.stdout) == [[0, False]] * len(EXACT_COMMANDS)
 
 
-# Runs one command; prints its exit code and the package modules loaded.
+# Runs one command; prints its exit code and the modules that importing
+# the CLI and running the command loaded.
 LOADED_CHILD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from gamma13.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("gamma13."))]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 
@@ -736,8 +737,23 @@ def test_density_loads_no_exact_certificate_layer():
 
 def test_verify_loads_no_level13():
     # the bundled certificates are read by the certificate format itself
-    assert not {"gamma13.level13", "gamma13.numeric",
-                "gamma13.qseries"} & loaded_by(["verify"])
+    assert not {"gamma13.level13", "gamma13.numeric", "gamma13.qseries",
+                "gamma13.gamma0"} & loaded_by(["verify"])
+
+
+def test_eta_loads_only_the_cli_and_qseries():
+    loaded = loaded_by(["eta", "1:24", "64"])
+    assert {m for m in loaded if m.startswith("gamma13.")} == {
+        "gamma13.cli", "gamma13.qseries"}
+    # dataclasses pulls in inspect, which a one-shot expansion never uses
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_decompose_runs_from_a_fresh_interpreter():
+    assert "gamma13.gamma0" in loaded_by(["decompose", "[[-9,4],[-52,23]]"])
+    result = run_child("-m", "gamma13", "decompose", "[[-9,4],[-52,23]]")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "g2^2\n", "")
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -8,7 +8,9 @@ the series part of eta(z)^2 eta(13z)^2 = q^{7/6}(1 - 2q - q^2 + ...).
 The inverse Euler product doubles as a partition-number oracle.
 """
 
+import copy
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -159,6 +161,82 @@ class TestQSeries:
         assert f.coefficient(Fraction(3, 2)) == 0
         with pytest.raises(ValueError):
             f.coefficient(Fraction(7, 6) + 3)
+
+
+class TestValueSemantics:
+    """``QSeries`` and ``FormData`` are immutable values: equality, hash,
+    text, copies and construction behave as the frozen dataclasses they
+    once were did."""
+
+    def series(self):
+        return QSeries(1, [1, -24, Fraction(1, 2)])
+
+    def form(self):
+        return FormData(QSeries(1, [1, -24, 252]), 12, 1, 1)
+
+    def test_int_and_fraction_offsets_are_one_value(self):
+        s, t = self.series(), QSeries(Fraction(1), (Fraction(1), -24,
+                                                    Fraction(2, 4)))
+        assert s == t and hash(s) == hash(t)
+        assert type(t.offset) is int and type(t.coeffs[0]) is int
+        f, g = self.form(), FormData(QSeries(Fraction(3, 3), [1, -24, 252]),
+                                     12, 1, 1)
+        assert f == g and hash(f) == hash(g)
+        assert QSeries(Fraction(7, 6), [1]) != QSeries(1, [1])
+        assert f != FormData(f.series, 12, 1, -1)
+        assert s != (1, (1, -24, Fraction(1, 2))) and f != s
+
+    def test_repr_names_every_field(self):
+        assert repr(self.series()) == (
+            "QSeries(offset=1, coeffs=(1, -24, Fraction(1, 2)))")
+        assert repr(QSeries(Fraction(7, 6), [2])) == (
+            "QSeries(offset=Fraction(7, 6), coeffs=(2,))")
+        assert repr(self.form()) == (
+            "FormData(series=QSeries(offset=1, coeffs=(1, -24, 252)), "
+            "weight=12, level=1, sign=1)")
+
+    def test_assignment_and_deletion_raise(self):
+        s, f = self.series(), self.form()
+        for value, names in ((s, ("offset", "coeffs", "other")),
+                             (f, ("series", "weight", "level", "sign",
+                                  "other"))):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 3)
+            for name in names[:-1]:
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        assert s == self.series() and f == self.form()
+
+    def test_copy_and_pickle_keep_the_value(self):
+        for x in (self.series(), self.form()):
+            for y in (copy.copy(x), copy.deepcopy(x),
+                      pickle.loads(pickle.dumps(x))):
+                assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+    def test_positional_and_keyword_construction_agree(self):
+        s = self.series()
+        assert QSeries(offset=1, coeffs=[1, -24, Fraction(1, 2)]) == s
+        assert QSeries(1, coeffs=(1, -24, Fraction(1, 2))) == s
+        series = QSeries(1, [1, -24, 252])
+        assert FormData(series=series, weight=12, level=1,
+                        sign=1) == self.form()
+        assert FormData(series, 12, level=1, sign=1) == self.form()
+
+    def test_checks_run_in_their_order(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            QSeries(0, [])
+        big = QSeries(1, [1, 10 ** 9])  # breaks |a_n| <= n^k as well
+        for args, message in (
+                ((big, 3, 0, 0), "weight must be a positive even integer, "
+                                 "got 3"),
+                ((big, 12, True, 0), "level must be a positive integer, "
+                                     "got True"),
+                ((big, 12, 1, 0), "sign must be +1 or -1, got 0"),
+                ((big, 2, 1, 1), "coefficient a_n at n=2 is 1000000000")):
+            with pytest.raises(ValueError) as info:
+                FormData(*args)
+            assert str(info.value).startswith(message)
 
 
 class TestKernel:
