@@ -118,16 +118,19 @@ What does not depend on the form is a plan, ``_Plan``: each congruence's
 ``_row``, the classes' representatives, these records, the points chosen
 for each set of classes (congruences on the same classes reuse them), each
 image point that ``_stroke`` took with its automorphy factor per weight,
-and q with its powers there, by the point mod 1, where their balls are
-the same ints.  ``run_formcheck`` takes the plan of its (level,
-points, W) from ``_plan``, which keeps the last ``_PLANS`` for the process,
-so a second battery there builds no certificate, derives no terms, searches
-no points and encloses no q, nor, at a weight it has seen, computes a
-factor.  The other entry points take arbitrary congruences, classes or
-points and make a plan per call.  What depends on the form is a memo,
-``_Memo``, that dies with the call: each scalar's rational value, the
-coefficients over their common denominator, f at each image point (mod 1
-for an int offset), and the factor and value of each (class, point).
+q with its powers there, by the point mod 1, where their balls are the
+same ints, and the cut with its tail bound that ``_evaluate`` found there,
+keyed by (point, k, offset, L).  ``run_formcheck`` takes the plan of its
+(level, points, W) from ``_plan``, which keeps the last ``_PLANS`` for the
+process, so a second battery there builds no certificate, derives no
+terms, searches no points and encloses no q, nor, at a weight it has seen,
+computes a factor, nor, at a (k, offset, L) it has seen, a cut: it reads
+each cut and sums the terms.  The other entry points take arbitrary
+congruences, classes or points and make a plan per call.  What depends on
+the form is a memo, ``_Memo``, that dies with the call: each scalar's
+rational value, the coefficients over their common denominator, f at each
+image point (mod 1 for an int offset), and the factor and value of each
+(class, point).
 
 The two commuting hyperbolic generators stretch by (2+sqrt13)/3 and
 (7-sqrt13)/6 along the same axes; ``lambda_compute`` returns the exponent
@@ -307,29 +310,36 @@ def _evaluate(memo: _Memo, z, powers: _Powers, label="") -> Ball:
     docstring: ``PrecisionError``, prefixed by ``label``, when no bound past
     L exists (rho x >= 1).  The cut is the least n with offset + n >= 1
     whose bound, rounded up to whole ulps by ``_tail_bound``, is at most one
-    ulp, or L + 1 when none is; that bound joins the radius.  ``powers`` is
-    the caller's ``_powers(z, W)``: x is the ``_norm`` of its q,
-    ``_block_sum`` sums the first n terms from its powers, and q^offset
+    ulp, or L + 1 when none is; that bound joins the radius.  The plan
+    keeps n and the bound in ``cuts`` under (z, k, offset, L), so a second
+    call there goes straight to the sum; an error is never kept.
+    ``powers`` is the caller's ``_powers(z, W)``: x is the ``_norm`` of its
+    q, ``_block_sum`` sums the first n terms from its powers, and q^offset
     comes from ``_q_power``."""
     form, W = memo.form, memo.plan.W
     series, k = form.series, form.weight
     offset, length = series.offset, series.length  # an int or a Fraction
     q = powers.q
     shift = q if offset == 1 else _q_power(z, offset, W)
-    x, x_offset = _norm(q), _norm(shift)
-    # the growth bound covers exponents >= 1 only: no term below is dropped
-    least = max(0, math.ceil(1 - offset))
-    n = _cut_estimate(k, float(offset), least, length, z, W)
-    while n <= length:
-        tail = _tail_bound(offset, n, k, x, x_offset, W)
-        if tail is not None and tail <= 1:
-            break
-        n += 1
-    else:  # no cut within L, so every carried term is summed
-        tail = _tail_bound(offset, length + 1, k, x, x_offset, W)
-        if tail is None:
-            raise PrecisionError(f"{label}no tail bound past L={length} at "
-                                 f"Im z = {Fraction(z[1], z[2])}")
+    key = (z, k, offset, length)
+    cut = memo.plan.cuts.get(key)
+    if cut is None:
+        x, x_offset = _norm(q), _norm(shift)
+        # the growth bound covers exponents >= 1 only: none below is dropped
+        least = max(0, math.ceil(1 - offset))
+        n = _cut_estimate(k, float(offset), least, length, z, W)
+        while n <= length:
+            tail = _tail_bound(offset, n, k, x, x_offset, W)
+            if tail is not None and tail <= 1:
+                break
+            n += 1
+        else:  # no cut within L, so every carried term is summed
+            tail = _tail_bound(offset, length + 1, k, x, x_offset, W)
+            if tail is None:
+                raise PrecisionError(f"{label}no tail bound past L={length} "
+                                     f"at Im z = {Fraction(z[1], z[2])}")
+        cut = memo.plan.cuts[key] = n, tail
+    n, tail = cut
     re, im, r = _mul(_block_sum(memo, n, powers), shift, W)
     # the bound at the cut, in whole ulps, joins the radius
     return re, im, r + tail
@@ -542,10 +552,15 @@ class _Plan:
     (``classes``), the points chosen per set of classes (``chosen``), each
     (class, point)'s ``_image`` record (``images``), reduced image point
     (``targets``) and, per weight k, exact automorphy factor (``factors``,
-    keyed by (class, point, k)), and q with its powers, the ``_powers``, at
-    each image point mod 1 (``qs``).  An entry is a function of its key, so
-    threads that fill one plan at once can only repeat work, never store a
-    different value."""
+    keyed by (class, point, k)), q with its powers, the ``_powers``, at
+    each image point mod 1 (``qs``), and the cut n and its tail bound that
+    ``_evaluate`` found (``cuts``, keyed by (point, k, offset, L), the point
+    as ``_evaluate`` is given it).  That key is complete: x is the norm of
+    the plan's q there, q^offset is that q or is enclosed from the point,
+    the offset and the plan's W, ``least`` comes from the offset and the
+    clamp of n to L + 1 from L; no cut reads a coefficient.  An entry is a
+    function of its key, so threads that fill one plan at once can only
+    repeat work, never store a different value."""
 
     W: Optional[int] = None
     points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
@@ -556,11 +571,15 @@ class _Plan:
     targets: Dict = field(default_factory=dict)
     factors: Dict = field(default_factory=dict)
     qs: Dict = field(default_factory=dict)
+    cuts: Dict = field(default_factory=dict)
 
 
 #: The most plans ``_plan`` keeps: one per (level, points, W), each of
-#: about 0.28 MB (level 1) to 0.68 MB (level 13) at W = 288, as tracemalloc
-#: counts; q's powers at each image point are most of it.
+#: about 0.31 MB (level 1, Delta at L = 512) to 0.77 MB (level 13, Delta at
+#: L = 2048) after one battery at W = 288, as tracemalloc counts what
+#: dropping it frees; q's powers at each image point are most of it.  As
+#: ``factors`` grows per k, ``cuts`` grows by one entry per evaluated image
+#: point for each distinct (k, offset, L), about 0.2 KB each.
 _PLANS = 8
 
 
@@ -568,10 +587,10 @@ _PLANS = 8
 def _plan(level: int, points, W: int) -> _Plan:
     """The battery's plan at a level, sample points (None: searched) and
     scale, kept for the process: a second battery there reads its rows,
-    points, image records, factors and q's powers instead of deriving them
-    again; the
-    f certificate the rows come from is built once and dropped.  The least
-    recently used of more than ``_PLANS`` plans is dropped."""
+    points, image records, factors, q's powers and cuts instead of deriving
+    them again; the f certificate the rows come from is built once and
+    dropped.  The least recently used of more than ``_PLANS`` plans is
+    dropped."""
     return _Plan(W, points, _rows(_battery(level)))
 
 

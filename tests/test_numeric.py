@@ -1233,10 +1233,14 @@ class TestFormcheck:
     def test_warm_plans_print_what_cold_ones_do(self, capsys, tmp_path):
         # each (form, precision) alone on a cleared plan, then all of them
         # in a mixed order in one process, plans kept: at 20 bits the
-        # battery stops at a budget error, which names the image heights
+        # battery stops at a budget error, which names the image heights;
+        # Delta at L = 2048 and at L = 40 share Delta's plan and weight at
+        # other lengths, and at L = 40 S3's radius is the bound past L, so a
+        # cut kept at another length would move its budget error
         files = {}
         for name, form in (
                 ("delta", delta_form()), ("delta-e4", delta_e4_form()),
+                ("delta-2048", delta_form(2048)), ("delta-40", delta_form(40)),
                 ("11.2.a.a", FormData(eta_product([(1, 2), (11, 2)], 1200),
                                       weight=2, level=11, sign=-1)),
                 ("5.4.a.a", FormData(eta_product([(1, 4), (5, 4)], 512),
@@ -1256,31 +1260,79 @@ class TestFormcheck:
             alone[run] = formcheck(*run)
         assert alone[("delta", "20")][0] == 2
         assert "ball radius" in alone[("delta", "20")][2]
+        assert alone[("delta-40", "256")][0] == 2
+        assert re.fullmatch(r"S3: ball radius \S+ is not below the tolerance "
+                            r"1\.0e-15; the points and their images reach "
+                            r"down to Im = 9/40\n",
+                            alone[("delta-40", "256")][2])
         numeric._plan.cache_clear()
         for run in random.Random(7).sample(runs * 2, 2 * len(runs)):
             assert formcheck(*run) == alone[run], run
 
-    def test_battery_work_stays_at_its_floor(self, monkeypatch):
-        # a stroke factor per (class, point) instead of per stroke (116),
-        # kept in the plan, so a second battery of the weight makes none;
-        # f once per image point mod 1 (56 image points) and none for the
-        # cusps; the sum cut at the tail; usually one tail bound per cut
-        calls = {"_automorphy": [], "_evaluate": [], "_block_sum": [],
-                 "_tail_bound": []}
+    def test_a_kept_cut_is_read_only_at_its_own_key(self, monkeypatch):
+        # on Delta's kept plan, Delta E4 (another weight) and Delta at
+        # L = 2048 (another length) each find a cut at every evaluation, and
+        # a second battery of each finds none; every residual, to its last
+        # bit, is the cold battery's.  The lines alone would not show a cut
+        # read at the wrong key: it moves the radii far below 2^-prec
+        forms = {"delta": delta_form(), "delta-e4": delta_e4_form(),
+                 "delta-2048": delta_form(2048)}
+        cold = {}
+        for name, form in forms.items():
+            numeric._plan.cache_clear()
+            cold[name] = run_formcheck(form).rows
+        numeric._plan.cache_clear()
+        calls = {"_evaluate": [], "_cut_estimate": []}
         for name in calls:
             def counted(*args, name=name, original=getattr(numeric, name)):
                 calls[name].append(args)
                 return original(*args)
             monkeypatch.setattr(numeric, name, counted)
-        for form, factors in ((delta_form(), 62),
-                              (FormData(delta_form().series, 12, 1, -1), 0)):
+        for warm in (False, True):
+            for name, form in forms.items():
+                for made in calls.values():
+                    made.clear()
+                assert run_formcheck(form).rows == cold[name], name
+                assert calls["_evaluate"]
+                assert len(calls["_cut_estimate"]) == (
+                    0 if warm else len(calls["_evaluate"])), (name, warm)
+
+    def test_battery_work_stays_at_its_floor(self, monkeypatch):
+        # a stroke factor per (class, point) instead of per stroke (116),
+        # kept in the plan, so a second battery of the weight makes none;
+        # f once per image point mod 1 (56 image points) and none for the
+        # cusps; the sum cut at the tail; usually one tail bound per cut,
+        # kept in the plan with the cut, so the eps = -1 copy, which runs
+        # after Delta on the same plan, finds no cut and sums the same terms
+        calls = {"_automorphy": [], "_evaluate": [], "_block_sum": [],
+                 "_tail_bound": [], "_cut_estimate": []}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(numeric, name)):
+                calls[name].append(args)
+                return original(*args)
+            monkeypatch.setattr(numeric, name, counted)
+        for form, factors, tails, cuts in (
+                (delta_form(), 62, 48, 45),
+                (FormData(delta_form().series, 12, 1, -1), 0, 0, 0)):
             for name in calls:
                 calls[name].clear()
             run_formcheck(form)
             assert len(calls["_automorphy"]) == factors
             assert len(calls["_evaluate"]) == 45
             assert sum(n for _, n, _ in calls["_block_sum"]) == 4087
-            assert len(calls["_tail_bound"]) == 48
+            assert len(calls["_tail_bound"]) == tails
+            assert len(calls["_cut_estimate"]) == cuts
+
+    def test_a_missing_tail_bound_is_never_kept_as_a_cut(self):
+        # at Im z = 1/100 no bound past L = 40 exists: a second battery on
+        # the same kept plan raises the same error, as no cut was stored
+        form = delta_form(40)
+        cfg = EvalConfig(points=((0, Fraction(1, 100)),))
+        for _ in range(2):
+            with pytest.raises(PrecisionError, match=r"^ax:P: no tail bound "
+                               r"past L=40 at Im z = 1/100$"):
+                run_formcheck(form, cfg)
+        assert numeric._plan.cache_info().currsize == 1
 
     #: (label, form, --prec, tolerance) of the batteries whose report lines
     #: the kernel must not move
