@@ -37,10 +37,9 @@ rather than mere failures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .exactnum import ScalarPoly
 from .groupring import RingElem
@@ -69,8 +68,7 @@ class CertificateError(Exception):
     """A structurally invalid certificate (as opposed to a failing step)."""
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """The statement that f|lhs equals f|rhs."""
 
     id: str
@@ -84,8 +82,7 @@ class Congruence:
         return f"{self.lhs} == {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """``rule`` applied to ``args`` (the cited ids, then a RingElem factor or
     a ScalarPoly scalar) claims ``result``, checked against the derived
     sides and, where they differ, on differences."""
@@ -96,8 +93,7 @@ class Step:
     result: Congruence
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A level, the congruences assumed outright, and the steps derived
     from them; with no steps it is just the context."""
 
@@ -113,8 +109,7 @@ class Certificate:
         raise KeyError(ax_id)
 
 
-@dataclass
-class StepVerdict:
+class StepVerdict(NamedTuple):
     id: str
     rule: str
     ok: bool
@@ -122,9 +117,8 @@ class StepVerdict:
     detail: str = ""
 
 
-@dataclass
-class Report:
-    step_verdicts: List[StepVerdict] = field(default_factory=list)
+class Report(NamedTuple):
+    step_verdicts: Tuple[StepVerdict, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -232,15 +226,15 @@ def verify_certificate(cert: Certificate) -> Report:
         if ax.id in resolved:
             raise CertificateError(f"duplicate axiom id {ax.id!r}")
         resolved[ax.id] = ax
-    report = Report()
+    verdicts = []
     for step in cert.steps:
         if step.id in resolved:
             raise CertificateError(f"duplicate step id {step.id!r}")
-        report.step_verdicts.append(_check_step(resolved, step))
+        verdicts.append(_check_step(resolved, step))
         # claims are registered even when they fail so later steps still
         # produce verdicts against the claimed content
         resolved[step.id] = step.result
-    return report
+    return Report(tuple(verdicts))
 
 
 class CertBuilder:

@@ -23,8 +23,7 @@ product is checked, and a search past its node cap raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactnum import binary_power
 from .projmat import ProjMat, _product as _entries_product
@@ -73,8 +72,7 @@ def _height(x: _IntMat) -> int:
     return max(abs(e) for e in x)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A reduced word over the four generators: adjacent letters differ."""
 
     letters: Tuple[Tuple[str, int], ...] = ()

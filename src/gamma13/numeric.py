@@ -150,7 +150,6 @@ import functools
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import (TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional,
@@ -162,7 +161,7 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_pi,
 
 from .exactnum import DEFAULT_D, QuadElem, binary_power
 from .projmat import ProjMat
-from .qseries import FormData, hecke_check
+from .qseries import FormData, _Value, hecke_check
 if TYPE_CHECKING:  # annotations only: density loads no certificate layer
     from .certificate import Certificate, Congruence
 
@@ -194,24 +193,30 @@ FRICKE_POINTS_13: Tuple[Tuple[Fraction, Fraction], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Evaluation settings: the working precision in bits, and the sample
-    points, by default (``points=None``) searched per set of classes, or a
-    fixed nonempty set of exact points in the upper half-plane."""
+class EvalConfig(_Value):
+    """Evaluation settings: the working precision in bits, an int, and the
+    sample points, by default (``points=None``) searched per set of
+    classes, or a fixed nonempty set of exact points in the upper
+    half-plane."""
 
-    precision: int = 256
-    points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
+    __slots__ = ("precision", "points")
 
-    def __post_init__(self) -> None:
-        if self.precision < 1:
-            raise ValueError(f"precision {self.precision} is below 1 bit")
-        if self.points is not None:
-            pts = tuple(_upper(z) for z in self.points)
-            if not pts:
+    precision: int
+    points: Optional[Tuple[Tuple[Fraction, Fraction], ...]]
+
+    def __init__(self, precision: int = 256, points=None) -> None:
+        if type(precision) is not int:  # bool is an int, too
+            raise TypeError(f"precision: {precision!r} is a "
+                            f"{type(precision).__name__}, not an int")
+        if precision < 1:
+            raise ValueError(f"precision {precision} is below 1 bit")
+        if points is not None:
+            points = tuple(_upper(z) for z in points)
+            if not points:
                 raise ValueError("the sample point set is empty; "
                                  "points=None searches them instead")
-            object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "points", points)
 
 
 class EvalResult(NamedTuple):
@@ -543,7 +548,6 @@ def eval_form(form: FormData, z, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     return _result(_evaluate(_Memo(form, _Plan(W)), z, _powers(z, W)), W)
 
 
-@dataclass
 class _Plan:
     """What a battery computes without reading the form, at scale 2^-W (W
     None where nothing is evaluated): the ``_row`` of each congruence it
@@ -562,16 +566,16 @@ class _Plan:
     function of its key, so threads that fill one plan at once can only
     repeat work, never store a different value."""
 
-    W: Optional[int] = None
-    points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
-    rows: Tuple = ()
-    classes: Dict = field(default_factory=dict)
-    chosen: Dict = field(default_factory=dict)
-    images: Dict = field(default_factory=dict)
-    targets: Dict = field(default_factory=dict)
-    factors: Dict = field(default_factory=dict)
-    qs: Dict = field(default_factory=dict)
-    cuts: Dict = field(default_factory=dict)
+    def __init__(self, W: Optional[int] = None, points=None,
+                 rows: Tuple = ()) -> None:
+        self.W, self.points, self.rows = W, points, rows
+        self.classes = {}
+        self.chosen = {}
+        self.images = {}
+        self.targets = {}
+        self.factors = {}
+        self.qs = {}
+        self.cuts = {}
 
 
 #: The most plans ``_plan`` keeps: one per (level, points, W), each of
@@ -594,7 +598,6 @@ def _plan(level: int, points, W: int) -> _Plan:
     return _Plan(W, points, _rows(_battery(level)))
 
 
-@dataclass
 class _Memo:
     """What one call computes from the form, beside its ``plan``: each
     ``ScalarPoly``'s rational value, a Fraction (``scalars``), f at each
@@ -604,13 +607,13 @@ class _Memo:
     over their least common denominator D (``ints``) and the prefix sums of
     their absolute values (``sums``), for one call."""
 
-    form: FormData
-    plan: _Plan
-    scalars: Dict = field(default_factory=dict)
-    values: Dict = field(default_factory=dict)
-    strokes: Dict = field(default_factory=dict)
-    ints: List = field(default_factory=list)
-    sums: List = field(default_factory=lambda: [0])
+    def __init__(self, form: FormData, plan: _Plan) -> None:
+        self.form, self.plan = form, plan
+        self.scalars = {}
+        self.values = {}
+        self.strokes = {}
+        self.ints = []
+        self.sums = [0]
 
     @functools.cached_property
     def den(self) -> int:
@@ -1081,8 +1084,7 @@ def _format_residual(x: mpf) -> str:
     return f"{r // 100}.{r % 100:02d}e{d:+03d}"
 
 
-@dataclass(frozen=True)
-class FormcheckReport:
+class FormcheckReport(NamedTuple):
     """The battery's rows, its verdict, the largest residual, and the
     precision in bits (``--prec``) the battery ran at."""
 

@@ -21,10 +21,9 @@ membership) is read off the triples with one lcm and one gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .exactnum import QuadElem, Scalar, binary_power
 
@@ -52,8 +51,7 @@ def _product(x: Entries, y: Entries) -> Entries:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """An exact 2x2 matrix [[a, b], [c, d]] over Q(sqrt(13))."""
 
     a: QuadElem

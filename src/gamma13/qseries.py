@@ -23,10 +23,11 @@ hands on only checked forms.
 
 ``QSeries`` and ``FormData`` are immutable slotted values: ``==`` and
 ``hash`` compare their fields, assignment raises ``AttributeError``, and
-copies and pickles rebuild them through the constructor.  The module
-imports no other module of the package when it loads (``__pow__`` imports
-``binary_power`` when called), and no ``dataclasses``, which brings in
-``inspect``: ``gamma13 eta`` runs on this module and the CLI alone.
+copies and pickles rebuild them through the constructor.  Their base,
+``_Value``, is the package's one base for checked immutable values:
+``numeric.EvalConfig`` is one too.  The module imports no other module of
+the package when it loads (``__pow__`` imports ``binary_power`` when
+called): ``gamma13 eta`` runs on this module and the CLI alone.
 
 The Hecke check verifies, purely on coefficients, the recursion
 

@@ -742,11 +742,21 @@ def test_verify_loads_no_level13():
 
 
 def test_eta_loads_only_the_cli_and_qseries():
-    loaded = loaded_by(["eta", "1:24", "64"])
-    assert {m for m in loaded if m.startswith("gamma13.")} == {
-        "gamma13.cli", "gamma13.qseries"}
-    # dataclasses pulls in inspect, which a one-shot expansion never uses
-    assert not {"dataclasses", "inspect"} & loaded
+    assert {m for m in loaded_by(["eta", "1:24", "64"])
+            if m.startswith("gamma13.")} == {"gamma13.cli", "gamma13.qseries"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["decompose", "[[-9,4],[-52,23]]"], ["asym", "4"],
+    ["density", "5", "1e-3"], ["formcheck", "delta.txt"],
+    ["eta", "1:24", "64"]], ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses(tmp_path, argv):
+    # dataclasses pulls in inspect, which no one-shot command uses
+    if argv[0] == "formcheck":
+        path = tmp_path / argv[1]
+        path.write_text(delta_file_text(length=128))
+        argv = ["formcheck", str(path)]
+    assert not {"dataclasses", "inspect"} & loaded_by(argv)
 
 
 def test_decompose_runs_from_a_fresh_interpreter():

@@ -9,7 +9,6 @@ before being asserted here.
 import hashlib
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -408,7 +407,7 @@ class TestBlowup:
     def test_conjugate_with_a_zero_entry_is_refused(self, monkeypatch,
                                                    which, entry):
         mats = list(level13.conjugated_g3_matrices())
-        mats[which] = replace(mats[which], **{entry: q(0)})
+        mats[which] = mats[which]._replace(**{entry: q(0)})
         monkeypatch.setattr(level13, "conjugated_g3_matrices",
                             lambda: tuple(mats))
         with pytest.raises(ArithmeticError):

@@ -1501,3 +1501,11 @@ class TestAmbientPrecision:
     def test_precision_below_one_bit_is_refused(self):
         with pytest.raises(ValueError, match="precision 0 is below 1 bit"):
             EvalConfig(precision=0)
+
+    @pytest.mark.parametrize("precision, text", [
+        (256.0, "256.0 is a float"), (True, "True is a bool"),
+        ("256", "'256' is a str")], ids=["float", "bool", "str"])
+    def test_precision_must_be_an_int(self, precision, text):
+        with pytest.raises(TypeError) as info:
+            EvalConfig(precision=precision)
+        assert str(info.value) == f"precision: {text}, not an int"

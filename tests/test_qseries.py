@@ -16,7 +16,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
+from gamma13.certificate import Certificate, Congruence, Step
+from gamma13.gamma0 import Word
+from gamma13.groupring import RingElem
+from gamma13.numeric import EvalConfig, FormcheckReport
+from gamma13.projmat import Mat2
 from gamma13.qseries import (
     FormData,
     QSeries,
@@ -165,8 +171,7 @@ class TestQSeries:
 
 class TestValueSemantics:
     """``QSeries`` and ``FormData`` are immutable values: equality, hash,
-    text, copies and construction behave as the frozen dataclasses they
-    once were did."""
+    text, copies and construction read their fields, in order."""
 
     def series(self):
         return QSeries(1, [1, -24, Fraction(1, 2)])
@@ -237,6 +242,63 @@ class TestValueSemantics:
             with pytest.raises(ValueError) as info:
                 FormData(*args)
             assert str(info.value).startswith(message)
+
+
+def congruence():
+    return Congruence("ax:P", RingElem.parse("[[1,1],[0,1]]"), RingElem.of(1))
+
+
+CONGRUENCE_TEXT = ("Congruence(id='ax:P', lhs=RingElem([[1,1],[0,1]]), "
+                   "rhs=RingElem(1))")
+
+
+# each record, its unchanged repr text, and one of its fields
+@pytest.mark.parametrize("make, text, name", [
+    (congruence, CONGRUENCE_TEXT, "lhs"),
+    (lambda: Step("s", "SYM", ("ax:P",), congruence()),
+     f"Step(id='s', rule='SYM', args=('ax:P',), result={CONGRUENCE_TEXT})",
+     "result"),
+    (lambda: Certificate(1, 13, (congruence(),), ()),
+     f"Certificate(version=1, level=13, axioms=({CONGRUENCE_TEXT},), "
+     f"steps=())", "steps"),
+    (lambda: Word.of([("g2", 2)]), "Word(letters=(('g2', 2),))", "letters"),
+    (lambda: Mat2.of([[2, 1], [Fraction(1, 2), 1]]), "Mat2([[2,1],[1/2,1]])",
+     "c"),
+    (lambda: FormcheckReport((("HECKE", 2, True, True),), True, mpf(0), 256),
+     "FormcheckReport(rows=(('HECKE', 2, True, True),), ok=True, "
+     "max_residual=mpf('0.0'), precision=256)", "ok"),
+    (EvalConfig, "EvalConfig(precision=256, points=None)", "precision"),
+    (lambda: EvalConfig(64, ((0, 1),)),
+     "EvalConfig(precision=64, points=((Fraction(0, 1), Fraction(1, 1)),))",
+     "points"),
+], ids=["Congruence", "Step", "Certificate", "Word", "Mat2",
+        "FormcheckReport", "EvalConfig", "EvalConfig-points"])
+def test_records_are_immutable_values(make, text, name):
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, name, 3)
+    assert value == make() and hash(value) == hash(make())
+    for copied in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert copied == value and hash(copied) == hash(value)
+    assert repr(value) == text
+
+
+class Call:
+    """Pickles as ``func(*args)``, a stream no constructor has checked."""
+
+    def __init__(self, func, *args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+def test_a_pickled_config_is_rebuilt_through_its_checks():
+    cfg = pickle.loads(pickle.dumps(Call(EvalConfig, 64, ((0, 1),))))
+    assert cfg == EvalConfig(64, ((0, 1),))
+    assert all(type(c) is Fraction for c in cfg.points[0])
+    with pytest.raises(TypeError, match="precision: 64.0 is a float"):
+        pickle.loads(pickle.dumps(Call(EvalConfig, 64.0, None)))
 
 
 class TestKernel:
