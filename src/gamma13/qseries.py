@@ -8,13 +8,22 @@ product depends only on input coefficients <= i.  Every product is one
 big-integer multiplication (Kronecker substitution): each factor's
 coefficients, as integers over a common denominator, are packed into the
 byte-aligned slots of one ``int``, and the low slots of the integer
-product are the product's coefficients.  An eta product expands each
-factor eta(m z)^r as eta(z)^r to L // m terms, placed on the exponents
-0, m, 2m, ... of the length-L series.  With |r| = 2^s t and t odd, it
-raises eta^t as (eta^3)^(t // 3) eta^(t % 3), eta^3 from Jacobi's sparse
-series sum (-1)^n (2n+1) q^{n(n+1)/2} and eta from Euler's
-pentagonal-number series, each inverted while still sparse when r < 0,
-and squares the result s times.
+product are the product's coefficients.  A slot is sized by the bound
+|c_n| <= min(|a|_1 |b|_inf, |a|_inf |b|_1), and by the factors' own
+largest coefficients, each norm taken once per factor.  Packing and
+unpacking do no Python work per coefficient: ``struct`` and a
+``memoryview`` cast move the values as 8-byte limbs, one strided slice
+copy per byte position moves them between limbs and slots, and half a
+slot in each, added or XORed on the big integer, turns signed slots into
+nonnegative ones and back.  Only values of 2^63 or more go slot by slot.
+
+An eta product expands each factor eta(m z)^r as eta(z)^r to L // m
+terms, placed on the exponents 0, m, 2m, ... of the length-L series.
+With |r| = 2^s t and t odd, it raises eta^t as
+(eta^3)^(t // 3) eta^(t % 3), eta^3 from Jacobi's sparse series
+sum (-1)^n (2n+1) q^{n(n+1)/2} and eta from Euler's pentagonal-number
+series, each inverted while still sparse when r < 0, and squares the
+result s times.
 
 A ``FormData`` is a series with its weight, level and inversion sign.
 Building one checks all three and the growth bound |a_n| <= n^k on every
@@ -39,6 +48,7 @@ with a_{n/p} = 0 unless p divides n.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from math import lcm
 from typing import List, NamedTuple, Sequence, Tuple, Union
@@ -55,13 +65,16 @@ def _exact(x) -> Exact:
 
 def _integral(coeffs: Sequence[Exact]) -> Tuple[Sequence[int], int]:
     """The coefficients as integers over one common denominator."""
-    den = 1
-    for c in coeffs:
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
-    if den == 1:
+    if all(map(int.__instancecheck__, coeffs)):
         return coeffs, 1
+    den = lcm(*[c.denominator for c in coeffs if type(c) is not int])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _norms(values: Sequence[int]) -> Tuple[int, int]:
+    """The largest absolute value and the sum of the absolute values."""
+    sizes = list(map(abs, values))
+    return max(sizes), sum(sizes)
 
 
 def _half_slots(count: int, width: int) -> int:
@@ -70,22 +83,58 @@ def _half_slots(count: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
+#: A ``bytes.translate`` table from a byte to the byte that extends its
+#: sign: 0x00 below 0x80, 0xff from 0x80 on.
+_SIGN = bytes(128) + b"\xff" * 128
+
+
 def _pack(values: Sequence[int], width: int) -> int:
-    """sum values[i] * 2^(8*width*i), for |values[i]| < 2^(8*width - 1)."""
-    half = 1 << (8 * width - 1)
-    raw = b"".join([(v + half).to_bytes(width, "little") for v in values])
-    return int.from_bytes(raw, "little") - _half_slots(len(values), width)
+    """sum values[i] * 2^(8*width*i), for |values[i]| < 2^(8*width - 1).
+    Each slot's bytes are the value's two's complement; XOR with half a
+    slot in each turns them into value + half, and subtracting those
+    halves leaves the signed sum.  Values that fit 8 bytes are written as
+    8-byte limbs by ``struct`` and moved into the slots one byte position
+    at a time, by strided copies, the sign byte repeated past the eighth."""
+    count = len(values)
+    try:
+        limbs = struct.pack(f"<{count}q", *values)
+    except struct.error:  # a value beyond 8 bytes: one slot at a time
+        raw = b"".join([v.to_bytes(width, "little", signed=True)
+                        for v in values])
+    else:
+        raw = bytearray(count * width)
+        for j in range(min(width, 8)):
+            raw[j::width] = limbs[j::8]
+        if width > 8:
+            sign = limbs[7::8].translate(_SIGN)
+            for j in range(8, width):
+                raw[j::width] = sign
+    half = _half_slots(count, width)
+    return (int.from_bytes(raw, "little") ^ half) - half
 
 
 def _unpack(packed: int, count: int, width: int) -> List[int]:
     """The low ``count`` signed slots of ``packed``, each of absolute value
     below 2^(8*width - 1).  Adding half a slot to each makes every slot
-    nonnegative, which settles all borrows between slots in one addition."""
-    half = 1 << (8 * width - 1)
+    nonnegative, which settles all borrows between slots in one addition;
+    XOR with the same halves then leaves each slot's two's complement.
+    When every slot's bytes past the eighth only repeat the sign of the
+    bytes below, every value fits 8 bytes: strided copies move the slots
+    into 8-byte limbs, sign-extended, which one ``memoryview`` cast reads."""
+    half = _half_slots(count, width)
     size = count * width
-    low = (packed + _half_slots(count, width)) & ((1 << (8 * size)) - 1)
-    raw = memoryview(low.to_bytes(size, "little"))
-    return [int.from_bytes(raw[i:i + width], "little") - half
+    raw = ((packed + half) & ((1 << (8 * size)) - 1) ^ half).to_bytes(
+        size, "little")
+    low = min(width, 8)
+    sign = raw[low - 1::width].translate(_SIGN)
+    if all(raw[j::width] == sign for j in range(8, width)):
+        limbs = bytearray(count * 8)
+        for j in range(low):
+            limbs[j::8] = raw[j::width]
+        for j in range(low, 8):
+            limbs[j::8] = sign
+        return memoryview(limbs).cast("q").tolist()
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, size, width)]
 
 
@@ -202,11 +251,15 @@ class QSeries(_Value):
             return NotImplemented
         L = min(self.length, other.length)
         a, da = _integral(self.coeffs[:L + 1])
-        b, db = (a, da) if other is self else _integral(other.coeffs[:L + 1])
-        # a product coefficient is a sum of at most L+1 terms a_i*b_j;
-        # "or 1" keeps each factor's own coefficients inside the bound
-        bound = ((max(map(abs, a)) or 1) * (max(map(abs, b)) or 1)
-                 * (L + 1))
+        top_a, sum_a = _norms(a)
+        if other is self:
+            b, db, top_b, sum_b = a, da, top_a, sum_a
+        else:
+            b, db = _integral(other.coeffs[:L + 1])
+            top_b, sum_b = _norms(b)
+        # |c_n| = |sum a_i b_(n-i)| <= min(|a|_1 |b|_inf, |a|_inf |b|_1),
+        # and the slots must hold each factor's own coefficients too
+        bound = max(min(sum_a * top_b, top_a * sum_b), top_a, top_b)
         width = (bound.bit_length() + 8) // 8
         packed = _pack(a, width)
         product = packed * packed if b is a else packed * _pack(b, width)

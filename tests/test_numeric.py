@@ -566,6 +566,46 @@ class TestTailBound:
         (delta_form, 1, 1024, Fraction(1, 10 ** 15), 45),
     )
 
+    def test_every_kept_cut_bounds_the_terms_it_leaves_out(self):
+        # each (n, tail) a Delta L=512 battery keeps or reads must bound the
+        # dropped terms: tail 2^-W >= sum_{n<m<=4096} |tau(m)| x^m at the
+        # point's x = e^(-2 pi y).  A weight-2 battery at Delta's offset and
+        # length runs first, so a cut kept without its weight would hand
+        # Delta a bound for |a_n| <= n^2, far below tau's
+        tau = eta_product([(1, 24)], 4096).coeffs  # tau(m) = tau[m - 1]
+        plan = numeric._plan(1, None, EvalConfig().precision
+                             + numeric._CUT_GUARD)
+        run_formcheck(FormData(QSeries(1, [1] + [0] * 512), 2, 1, 1))
+        used = {}
+
+        class Recorded(dict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if value is not None:
+                    used[key] = value
+                return value
+
+            def __setitem__(self, key, value):
+                used[key] = value
+                super().__setitem__(key, value)
+
+        plan.cuts = Recorded(plan.cuts)
+        assert run_formcheck(delta_form()).ok
+        W, V = plan.W, plan.W + 64
+        assert len(used) == 45
+        for key, (n, tail) in used.items():
+            _, Y, R = key[0]
+            with mp.workprec(V + 64):  # x rounded down at scale 2^-V
+                X = int(mp.floor(mp.ldexp(exp(-2 * pi * Y / R), V))) - 1
+            # each term floored at scale 2^-V: at most the true sum
+            power, dropped = X ** (n + 1) >> (V * n), 0
+            for m in range(n + 1, 4097):
+                if not power:
+                    break
+                dropped += abs(tau[m - 1]) * power
+                power = power * X >> V
+            assert dropped <= tail << (V - W), (key, n)
+
     def test_every_cut_of_the_battery_is_the_least(self, monkeypatch):
         # each count n of terms summed in each battery is the least count
         # whose bound is at most one ulp, so the cut's estimate never passes

@@ -28,6 +28,8 @@ from gamma13.qseries import (
     QSeries,
     _euler_cube,
     _euler_function,
+    _pack,
+    _unpack,
     eta_offset,
     eta_product,
     format_coefficient_file,
@@ -332,8 +334,45 @@ class TestKernel:
             -3 * 2 ** 300,)
         assert (QSeries(0, [Fraction(1, 3)]) * QSeries(0, [0])).coeffs == (0,)
 
+    #: Values on both sides of +-2^63: an 8-byte limb holds
+    #: -2^63 <= v < 2^63, and a value outside sends the slots one by one.
+    NEAR_LIMB = (2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1,
+                 -2 ** 63 + 1, -2 ** 63, -2 ** 63 - 1)
+
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_pack_round_trip_at_every_width(self, width):
+        edge = 2 ** (8 * width - 1) - 1  # the widest value a slot holds
+        small = [0, 1, -1, 127, -128, edge, -edge, edge - 1, 0]
+        for values in (small, small + list(self.NEAR_LIMB)):
+            values = [v for v in values if abs(v) <= edge]
+            packed = _pack(values, width)
+            assert packed == sum(v << (8 * width * i)
+                                 for i, v in enumerate(values))
+            assert _unpack(packed, len(values), width) == values
+            # the low slots alone, whatever the slots above them hold
+            low = len(values) // 2
+            assert _unpack(packed, low, width) == values[:low]
+
+    @pytest.mark.parametrize("top, length", [
+        (3, 300), (2 ** 27, 255), (2 ** 31 - 1, 1), (2 ** 31, 1),
+        (2 ** 31 - 1, 3), (2 ** 60 + 1, 40)])
+    def test_product_at_the_bound(self, top, length):
+        # all coefficients M: c_L = (L+1) M^2 = |a|_1 |a|_inf, the bound
+        # the slots are sized by, at either sign
+        for sign in (1, -1):
+            s = QSeries(0, [sign * top] * (length + 1))
+            square = brute_mul(s.coeffs, s.coeffs, length)
+            assert square[-1] == (length + 1) * top * top
+            other = copy.copy(s)
+            assert other is not s
+            assert list((s * s).coeffs) == square
+            assert list((s * other).coeffs) == square
+            assert list((s * -s).coeffs) == [-c for c in square]
+
     def test_discriminant_form_matches_miller_recurrence(self):
-        L = 1000
+        # at L = 2048 the last of Delta's squarings packs 9-byte slots,
+        # whose values all lie below 2^63, as bench formcheck's eta does
+        L = 2048
         euler = [1] + [0] * L
         for n in range(1, L + 1):  # multiply by (1 - q^n) in place
             for i in range(L, n - 1, -1):

@@ -65,9 +65,11 @@ from gamma13.exactnum import QuadElem
 
 POINT = (Fraction(1, 3), Fraction(9, 10))
 MATRIX = [[2, 1], [1, 1]]
+#: ``gamma13 eta`` requests: eta^48 at 2048 multiplies in slots wider than
+#: 16 bytes, and 1:12,13:12 spreads a level-13 factor and has offset 7.
 ETA_REQUESTS = [("1:24", 0), ("1:24", 1), ("1:24", 512), ("1:24", 2048),
                 ("1:8,2:8", 2048), ("2:16,1:-8", 2048), ("1:4,5:4", 2048),
-                ("1:2,11:2", 2048)]
+                ("1:2,11:2", 2048), ("1:48", 2048), ("1:12,13:12", 2000)]
 
 
 #: (precision, tolerance) pairs of ``run_formcheck``: on Delta at L = 512
